@@ -144,7 +144,7 @@ fn main() -> ExitCode {
     let quick = options.epochs <= 3;
 
     let mut shapes = vec![
-        // The serving workload: a coalesced feature batch through the
+        // The classifier workload: one circuit's cut-feature batch through the
         // paper's 6-50-50-1 classifier (k and n are the layer widths).
         Shape {
             name: "classifier",

@@ -1,6 +1,5 @@
-//! Serving throughput: jobs/sec of the batching `ElfService` vs shard count
-//! and batch size, comparing one-job-at-a-time `run_sync` against batched
-//! (fire-then-drain) submission.
+//! Serving throughput: jobs/sec of the `ElfService` vs shard count,
+//! comparing one-job-at-a-time `run_sync` against submit-all-then-drain.
 //!
 //! Every configuration's results are checked identical via simulation
 //! fingerprints before its throughput is reported — the bench doubles as a
@@ -10,12 +9,11 @@
 //!
 //! Like the PR 4 thread-sweep bench: on a single-core container the sweep
 //! measures oversubscription rather than the speed-up the shards deliver on
-//! real multicore hardware; the batching win (fewer forward passes) is
-//! visible regardless.
+//! real multicore hardware.
 //!
 //! `--overload` switches to the admission-control scenario instead: a tiny
 //! queue bound under several concurrent clients, once per admission policy
-//! (`Block`, `Reject`, `Timeout`).  Shed counts come from [`ServiceStats`],
+//! (`Block`, `Reject`, `Timeout`).  Shed counts come from [`elf_serve::ServiceStats`],
 //! and every *accepted* job is verified bit-identical to the offline flow —
 //! load shedding changes which jobs run, never what an accepted job
 //! computes.
@@ -30,7 +28,7 @@ use elf_nn::TrainConfig;
 use elf_obs::metrics::Histogram;
 use elf_opt::RefactorParams;
 use elf_par::Parallelism;
-use elf_serve::{AdmissionPolicy, ElfService, ServeConfig, ServeStats, ServiceStats};
+use elf_serve::{AdmissionPolicy, ElfService, ServeConfig, ServeStats};
 
 /// Per-job latency accounting for one service run: admission wait and
 /// worker service time, recorded into `elf-obs` log-bucketed histograms so
@@ -115,8 +113,8 @@ fn run_sync_all(
     (signatures, start.elapsed().as_secs_f64())
 }
 
-/// Serves the whole workload batched: submit everything, then drain.
-fn run_batched_all(
+/// Serves the whole workload as one burst: submit everything, then drain.
+fn run_drain_all(
     service: &ElfService,
     jobs: &[(Aig, &'static str)],
     latency: &LatencyHists,
@@ -308,7 +306,6 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (num_jobs, gates) = if quick { (18, 24) } else { (60, 48) };
     let shard_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
-    let batch_sizes: &[usize] = if quick { &[1, 256] } else { &[1, 64, 1024] };
 
     // Train once; the service amortizes the classifier over every request.
     let trainer = scripted_circuit(
@@ -334,97 +331,81 @@ fn main() {
 
     let jobs = workload(num_jobs, gates, options.seed);
     println!(
-        "Serve throughput: {num_jobs} jobs, shard counts {shard_counts:?}, batch sizes {batch_sizes:?} (within-job engine: {})",
+        "Serve throughput: {num_jobs} jobs, shard counts {shard_counts:?} (within-job engine: {})",
         options.parallelism()
     );
     println!(
-        "{:<8} {:>10} | {:>12} {:>9} | {:>12} {:>9} {:>10} {:>10} | {:>8}",
-        "shards",
-        "max_batch",
-        "sync ms",
-        "jobs/s",
-        "batched ms",
-        "jobs/s",
-        "batches",
-        "occupancy",
-        "speedup"
+        "{:<8} | {:>12} {:>9} | {:>12} {:>9} {:>10} | {:>8}",
+        "shards", "sync ms", "jobs/s", "drain ms", "jobs/s", "passes", "speedup"
     );
 
     let mut reference: Option<Vec<u64>> = None;
     let mut json_rows: Vec<Json> = Vec::new();
     for &shards in shard_counts {
-        for &max_batch in batch_sizes {
-            let config = ServeConfig {
-                shards: Parallelism::threads(shards),
-                max_batch,
-                options: ElfOptions {
-                    parallelism: options.parallelism(),
-                    ..ElfOptions::default()
-                },
-                ..Default::default()
-            };
+        let config = ServeConfig {
+            shards: Parallelism::threads(shards),
+            options: ElfOptions {
+                parallelism: options.parallelism(),
+                ..ElfOptions::default()
+            },
+            ..Default::default()
+        };
 
-            let sync_latency = LatencyHists::new();
-            let sync_service = ElfService::start(classifier.clone(), config);
-            let (sync_signatures, sync_secs) = run_sync_all(&sync_service, &jobs, &sync_latency);
-            sync_service.shutdown();
+        let sync_latency = LatencyHists::new();
+        let sync_service = ElfService::start(classifier.clone(), config);
+        let (sync_signatures, sync_secs) = run_sync_all(&sync_service, &jobs, &sync_latency);
+        sync_service.shutdown();
 
-            let batch_latency = LatencyHists::new();
-            let batch_service = ElfService::start(classifier.clone(), config);
-            let (batch_signatures, batch_secs) =
-                run_batched_all(&batch_service, &jobs, &batch_latency);
-            let stats: ServiceStats = batch_service.shutdown();
+        let drain_latency = LatencyHists::new();
+        let drain_service = ElfService::start(classifier.clone(), config);
+        let (drain_signatures, drain_secs) = run_drain_all(&drain_service, &jobs, &drain_latency);
+        let stats = drain_service.shutdown();
 
-            // Determinism gate: every configuration and both submission
-            // modes must produce identical per-job results.
-            assert_eq!(
-                sync_signatures, batch_signatures,
-                "submission mode changed a served result (shards={shards})"
-            );
-            match &reference {
-                None => reference = Some(sync_signatures),
-                Some(reference) => assert_eq!(
-                    reference, &sync_signatures,
-                    "shards={shards}, max_batch={max_batch} changed a served result"
-                ),
-            }
-
-            let (_, _, batch_service_p50, batch_service_p99) = batch_latency.quantiles_us();
-            println!(
-                "{:<8} {:>10} | {:>12.2} {:>9.1} | {:>12.2} {:>9.1} {:>10} {:>10.1} | {:>7.2}x | p50/p99 {}/{} us",
-                shards,
-                max_batch,
-                sync_secs * 1e3,
-                num_jobs as f64 / sync_secs,
-                batch_secs * 1e3,
-                num_jobs as f64 / batch_secs,
-                stats.inference_batches,
-                stats.mean_batch_occupancy(),
-                sync_secs / batch_secs,
-                batch_service_p50,
-                batch_service_p99
-            );
-            let mut row = vec![
-                Json::field("shards", Json::Int(shards as i64)),
-                Json::field("max_batch", Json::Int(max_batch as i64)),
-                Json::field("sync_ms", Json::Num(sync_secs * 1e3)),
-                Json::field("sync_jobs_per_sec", Json::Num(num_jobs as f64 / sync_secs)),
-                Json::field("batched_ms", Json::Num(batch_secs * 1e3)),
-                Json::field(
-                    "batched_jobs_per_sec",
-                    Json::Num(num_jobs as f64 / batch_secs),
-                ),
-                Json::field(
-                    "inference_batches",
-                    Json::Int(stats.inference_batches as i64),
-                ),
-                Json::field("mean_occupancy", Json::Num(stats.mean_batch_occupancy())),
-                Json::field("speedup", Json::Num(sync_secs / batch_secs)),
-            ];
-            row.extend(sync_latency.json_fields("sync_"));
-            row.extend(batch_latency.json_fields("batched_"));
-            json_rows.push(Json::Obj(row));
+        // Determinism gate: every shard count and both submission modes
+        // must produce identical per-job results.
+        assert_eq!(
+            sync_signatures, drain_signatures,
+            "submission mode changed a served result (shards={shards})"
+        );
+        match &reference {
+            None => reference = Some(sync_signatures),
+            Some(reference) => assert_eq!(
+                reference, &sync_signatures,
+                "shards={shards} changed a served result"
+            ),
         }
+
+        let (_, _, drain_service_p50, drain_service_p99) = drain_latency.quantiles_us();
+        println!(
+            "{:<8} | {:>12.2} {:>9.1} | {:>12.2} {:>9.1} {:>10} | {:>7.2}x | p50/p99 {}/{} us",
+            shards,
+            sync_secs * 1e3,
+            num_jobs as f64 / sync_secs,
+            drain_secs * 1e3,
+            num_jobs as f64 / drain_secs,
+            stats.inference_batches,
+            sync_secs / drain_secs,
+            drain_service_p50,
+            drain_service_p99
+        );
+        let mut row = vec![
+            Json::field("shards", Json::Int(shards as i64)),
+            Json::field("sync_ms", Json::Num(sync_secs * 1e3)),
+            Json::field("sync_jobs_per_sec", Json::Num(num_jobs as f64 / sync_secs)),
+            Json::field("drain_ms", Json::Num(drain_secs * 1e3)),
+            Json::field(
+                "drain_jobs_per_sec",
+                Json::Num(num_jobs as f64 / drain_secs),
+            ),
+            Json::field(
+                "inference_batches",
+                Json::Int(stats.inference_batches as i64),
+            ),
+            Json::field("speedup", Json::Num(sync_secs / drain_secs)),
+        ];
+        row.extend(sync_latency.json_fields("sync_"));
+        row.extend(drain_latency.json_fields("drain_"));
+        json_rows.push(Json::Obj(row));
     }
     if let Some(path) = &options.json {
         let value = Json::Obj(vec![
@@ -442,8 +423,8 @@ fn main() {
     }
     println!();
     println!(
-        "speedup = batched submission over one-at-a-time run_sync on the same service; \
-         identical per-job results across all {} configurations verified.",
-        shard_counts.len() * batch_sizes.len()
+        "speedup = submit-all-then-drain over one-at-a-time run_sync on the same service; \
+         identical per-job results across all {} shard counts verified.",
+        shard_counts.len()
     );
 }

@@ -188,9 +188,8 @@ impl ElfClassifier {
     ///
     /// Two classifier clones always satisfy
     /// `Arc::ptr_eq(a.model_handle(), b.model_handle())`: cloning shares, it
-    /// never copies.  Serving layers use the handle both to route batched
-    /// inference (the batcher runs whatever model a request pins) and to
-    /// *prove* the zero-copy property via `Arc::strong_count`.
+    /// never copies.  Serving layers use the handle to *prove* the zero-copy
+    /// property via `Arc::strong_count`.
     pub fn model_handle(&self) -> &SharedMlp {
         &self.model
     }
@@ -229,12 +228,9 @@ impl ElfClassifier {
     /// the training statistics for batches of fewer than two rows exactly
     /// like [`ElfClassifier::predict_batch_self_normalized`].
     ///
-    /// This is the seam the serving layer builds on: a batching service
-    /// normalizes each job's cut batch with that job's statistics, then
-    /// coalesces the already-normalized rows of many jobs into one
-    /// [`elf_nn::Mlp::predict_with`] call.  Because every output row of the
-    /// forward pass depends only on the matching input row, the coalesced
-    /// probabilities are bit-identical to running each job alone.
+    /// Together with [`ElfClassifier::decide`] this splits classification
+    /// around the forward pass, which is how the batched ELF pass (and a
+    /// benchmark probing one layer at a time) times each half on its own.
     pub fn normalized_rows(
         &self,
         features: &[[f32; NUM_FEATURES]],
@@ -288,9 +284,9 @@ impl ElfClassifier {
 
     /// Applies the decision threshold to a vector of predicted probabilities.
     ///
-    /// The inverse seam of [`ElfClassifier::normalized_rows`]: a serving
-    /// layer that ran the forward pass elsewhere turns the probabilities back
-    /// into keep/prune decisions exactly like [`ElfClassifier::classify_batch`].
+    /// The other half of [`ElfClassifier::normalized_rows`]: probabilities
+    /// from a forward pass become keep/prune decisions exactly like
+    /// [`ElfClassifier::classify_batch`].
     pub fn decide(&self, probabilities: &[f32]) -> Vec<bool> {
         probabilities.iter().map(|p| *p >= self.threshold).collect()
     }

@@ -15,20 +15,6 @@ use elf_par::Parallelism;
 use crate::classifier::ElfClassifier;
 use crate::verify::{VerifyMode, VerifyVerdict};
 
-/// An injected inference backend: maps a batch of already-normalized feature
-/// rows to the model's output probabilities, one per row.
-///
-/// [`Elf::run_with_inference`] routes the batched forward pass of a pruned
-/// pass through this hook instead of the wrapped classifier's own model,
-/// which is how the serving layer coalesces the inference work of many
-/// concurrent jobs into shared [`elf_nn::Mlp::predict_with`] batches.  The
-/// backend must be *row-exact*: row `i` of the output depends only on row `i`
-/// of the input, exactly like a dense forward pass.
-///
-/// Rows are passed by value — the caller has no further use for them, and a
-/// serving backend ships them across a channel without copying.
-pub type InferenceFn<'a> = dyn FnMut(Vec<Vec<f32>>) -> Vec<f32> + 'a;
-
 /// Configuration of the classic refactor-based ELF operator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElfConfig {
@@ -264,40 +250,6 @@ impl<O: PrunableOperator> Elf<O> {
         (0..applications).map(|_| self.run(aig)).collect()
     }
 
-    /// Runs one batched ELF pass with the forward pass delegated to `infer`.
-    ///
-    /// Identical to [`Elf::run_with`] except for where the model runs:
-    /// features are collected and normalized here (per-batch statistics when
-    /// [`ElfOptions::self_normalize`] is set), the normalized rows go through
-    /// `infer`, and the returned probabilities are thresholded by the wrapped
-    /// classifier.  With a row-exact backend (see [`InferenceFn`]) the result
-    /// is bit-identical to [`Elf::run_with`] — the seam the batching
-    /// `ElfService` relies on for its determinism guarantee.
-    ///
-    /// The per-node ablation mode has no batched forward pass to delegate, so
-    /// a flow configured with `batch_classification: false` ignores the hook
-    /// and runs [`Elf::run_with`] semantics unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `infer` returns a different number of probabilities than it
-    /// was given rows.
-    pub fn run_with_inference(
-        &self,
-        aig: &mut Aig,
-        parallelism: Parallelism,
-        infer: &mut InferenceFn<'_>,
-    ) -> ElfStats {
-        let before = self.verify_snapshot(aig);
-        let mut stats = if self.options.batch_classification {
-            self.run_batched_infer(aig, parallelism, Some(infer))
-        } else {
-            self.run_per_node(aig)
-        };
-        self.verify_pass(before, aig, &mut stats);
-        stats
-    }
-
     /// Clones the input circuit when [`ElfOptions::verify`] asks for a
     /// check of this pass.
     fn verify_snapshot(&self, aig: &Aig) -> Option<Aig> {
@@ -318,15 +270,6 @@ impl<O: PrunableOperator> Elf<O> {
     }
 
     fn run_batched(&self, aig: &mut Aig, parallelism: Parallelism) -> ElfStats {
-        self.run_batched_infer(aig, parallelism, None)
-    }
-
-    fn run_batched_infer(
-        &self,
-        aig: &mut Aig,
-        parallelism: Parallelism,
-        infer: Option<&mut InferenceFn<'_>>,
-    ) -> ElfStats {
         let start = Instant::now();
 
         // Phase 1: collect the cut features of every node in one sweep,
@@ -340,27 +283,14 @@ impl<O: PrunableOperator> Elf<O> {
 
         // Phase 2: classify all cuts in a single batch — normalize with the
         // configured statistics, run the forward pass (row-chunked across the
-        // same workers, or through the injected backend), then threshold.
+        // same workers), then threshold.
         let classify_start = Instant::now();
         let _classify_span = elf_obs::span!("classify", cuts = features.len());
         let arrays: Vec<[f32; NUM_FEATURES]> = features.iter().map(|(_, f)| f.to_array()).collect();
         let rows = self
             .classifier
             .normalized_rows(&arrays, self.options.self_normalize);
-        let probabilities = match infer {
-            Some(infer) => {
-                let num_rows = rows.len();
-                let probabilities = infer(rows);
-                assert_eq!(
-                    probabilities.len(),
-                    num_rows,
-                    "inference backend returned {} probabilities for {num_rows} rows",
-                    probabilities.len(),
-                );
-                probabilities
-            }
-            None => self.classifier.model().predict_with(&rows, parallelism),
-        };
+        let probabilities = self.classifier.model().predict_with(&rows, parallelism);
         let decisions = self.classifier.decide(&probabilities);
         let classify_time = classify_start.elapsed();
         drop(_classify_span);
@@ -579,45 +509,6 @@ mod tests {
             check_equivalence(&golden, &target, 8, 80),
             EquivalenceResult::Equivalent
         );
-    }
-
-    #[test]
-    fn injected_inference_backend_reproduces_the_builtin_pass() {
-        // A backend that simply runs the classifier's own model must land on
-        // the identical AIG and statistics — the serving layer's seam.
-        let elf = ElfRefactor::new(dummy_classifier(DEFAULT_THRESHOLD), ElfConfig::default());
-        let mut builtin_aig = redundant_circuit();
-        let builtin = elf.run(&mut builtin_aig);
-
-        let mut injected_aig = redundant_circuit();
-        let mut calls = 0usize;
-        let injected = elf.run_with_inference(
-            &mut injected_aig,
-            elf_par::Parallelism::sequential(),
-            &mut |rows| {
-                calls += 1;
-                elf.classifier().model().predict(&rows)
-            },
-        );
-        assert_eq!(calls, 1, "batched mode classifies in one call");
-        assert_eq!(
-            (builtin.pruned, builtin.kept, builtin.op.cuts_committed),
-            (injected.pruned, injected.kept, injected.op.cuts_committed)
-        );
-        assert_eq!(
-            builtin_aig.num_reachable_ands(),
-            injected_aig.num_reachable_ands()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "inference backend returned")]
-    fn injected_inference_backend_must_be_row_exact_in_length() {
-        let elf = ElfRefactor::new(dummy_classifier(DEFAULT_THRESHOLD), ElfConfig::default());
-        let mut aig = redundant_circuit();
-        let _ = elf.run_with_inference(&mut aig, elf_par::Parallelism::sequential(), &mut |_| {
-            Vec::new()
-        });
     }
 
     #[test]

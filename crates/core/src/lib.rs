@@ -97,7 +97,7 @@ pub use experiment::{
     quality_with_operator, run_suite, train_leave_one_out, train_leave_one_out_with, train_on_all,
     CircuitStatsRow, ComparisonRow, ExperimentConfig, QualityRow, SuiteResult,
 };
-pub use flow::{Elf, ElfConfig, ElfOptions, ElfRefactor, ElfStats, InferenceFn};
+pub use flow::{Elf, ElfConfig, ElfOptions, ElfRefactor, ElfStats};
 pub use pipeline::{Flow, FlowStats, ParseFlowError, StageStats};
 pub use verify::{VerifyCheck, VerifyMode, VerifyOutcome, VerifyVerdict};
 // Convenience re-export: the equivalence verdict carried by

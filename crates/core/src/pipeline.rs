@@ -49,7 +49,7 @@ use elf_opt::{
 use elf_par::Parallelism;
 
 use crate::classifier::ElfClassifier;
-use crate::flow::{Elf, ElfOptions, ElfStats, InferenceFn};
+use crate::flow::{Elf, ElfOptions, ElfStats};
 use crate::verify::{VerifyCheck, VerifyMode, VerifyOutcome};
 
 /// One stage of a [`Flow`].
@@ -399,21 +399,6 @@ impl Flow {
 
     /// Runs every stage in order over `aig`, returning per-stage statistics.
     pub fn run(&self, aig: &mut Aig) -> FlowStats {
-        self.run_inner(aig, None)
-    }
-
-    /// Runs the flow with every classifier-pruned stage's forward pass
-    /// delegated to `infer` (see [`Elf::run_with_inference`]); plain stages
-    /// have no inference and run unchanged.
-    ///
-    /// With a row-exact backend the result is bit-identical to [`Flow::run`]
-    /// — this is the entry point a batching service drives, coalescing the
-    /// inference of many concurrent flows into shared forward passes.
-    pub fn run_with_inference(&self, aig: &mut Aig, infer: &mut InferenceFn<'_>) -> FlowStats {
-        self.run_inner(aig, Some(infer))
-    }
-
-    fn run_inner(&self, aig: &mut Aig, mut infer: Option<&mut InferenceFn<'_>>) -> FlowStats {
         let start = Instant::now();
         let registry = self.metrics.clone().unwrap_or_else(Registry::global);
         let _flow_span = elf_obs::span!("flow", stages = self.stages.len());
@@ -430,19 +415,6 @@ impl Flow {
             let stage_snapshot = (self.verify == VerifyMode::PerStage).then(|| aig.clone());
             let stage_span = elf_obs::span!(stage.name(), ands = aig.num_reachable_ands());
             let stage_start = Instant::now();
-            // One generic call site per pruned operator: route through the
-            // injected backend when one was supplied.
-            fn pruned<O: elf_opt::PrunableOperator>(
-                elf: &Elf<O>,
-                aig: &mut Aig,
-                parallelism: Parallelism,
-                infer: &mut Option<&mut InferenceFn<'_>>,
-            ) -> ElfStats {
-                match infer {
-                    Some(infer) => elf.run_with_inference(aig, parallelism, infer),
-                    None => elf.run_with(aig, parallelism),
-                }
-            }
             let (op, elf): (OpStats, Option<ElfStats>) = match stage {
                 Stage::Refactor(params) => {
                     let mut operator = Refactor::new(*params);
@@ -460,15 +432,15 @@ impl Flow {
                 }
                 Stage::Resub(params) => (Resubstitution::new(*params).run(aig).into(), None),
                 Stage::ElfRefactor(elf) => {
-                    let stats = pruned(elf, aig, self.stage_parallelism(elf.options()), &mut infer);
+                    let stats = elf.run_with(aig, self.stage_parallelism(elf.options()));
                     (stats.op, Some(stats))
                 }
                 Stage::ElfRewrite(elf) => {
-                    let stats = pruned(elf, aig, self.stage_parallelism(elf.options()), &mut infer);
+                    let stats = elf.run_with(aig, self.stage_parallelism(elf.options()));
                     (stats.op, Some(stats))
                 }
                 Stage::ElfResub(elf) => {
-                    let stats = pruned(elf, aig, self.stage_parallelism(elf.options()), &mut infer);
+                    let stats = elf.run_with(aig, self.stage_parallelism(elf.options()));
                     (stats.op, Some(stats))
                 }
             };
@@ -707,34 +679,6 @@ mod tests {
         assert_eq!(pruned_stage.elf.as_ref().unwrap().pruned, 0);
         assert_eq!(
             check_equivalence(&golden, &aig, 8, 42),
-            EquivalenceResult::Equivalent
-        );
-    }
-
-    #[test]
-    fn flow_with_injected_inference_matches_plain_run() {
-        let classifier = always_keep_classifier();
-        let build = || {
-            Flow::pruned_from_script("rf; rw; rs", &classifier, ElfOptions::default())
-                .expect("script parses")
-        };
-        let mut plain_aig = redundant_circuit();
-        build().run(&mut plain_aig);
-
-        let mut injected_aig = redundant_circuit();
-        let mut calls = 0usize;
-        let stats = build().run_with_inference(&mut injected_aig, &mut |rows| {
-            calls += 1;
-            classifier.model().predict(&rows)
-        });
-        assert_eq!(calls, 3, "one inference call per pruned stage");
-        assert_eq!(stats.stages.len(), 3);
-        assert_eq!(
-            plain_aig.num_reachable_ands(),
-            injected_aig.num_reachable_ands()
-        );
-        assert_eq!(
-            check_equivalence(&plain_aig, &injected_aig, 8, 44),
             EquivalenceResult::Equivalent
         );
     }

@@ -142,6 +142,7 @@ enum Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -149,6 +150,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         }
@@ -250,14 +252,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (continuation bytes ride along).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid utf8 in string"))?;
-                    if let Some(c) = text.chars().next() {
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
+                    // Consume one UTF-8 scalar.  The input is already a
+                    // `&str`, so slicing at `pos` decodes just that scalar —
+                    // re-validating the whole remaining document here made
+                    // parsing quadratic.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.error("invalid utf8 in string"))?;
+                    out.push(c);
+                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -465,6 +470,35 @@ mod tests {
                 ('E', "job"),
             ]
         );
+    }
+
+    #[test]
+    fn a_twenty_thousand_span_document_round_trips() {
+        // Parsing used to re-validate the whole remaining document for every
+        // string character — quadratic, minutes at this size — so finishing
+        // at all is the guard.  The non-ASCII name keeps the multi-byte
+        // scalar path covered.
+        const JOBS: u64 = 200;
+        const STAGES: u64 = 99;
+        let mut events = Vec::new();
+        for job in 0..JOBS {
+            let base = job * 2 * (STAGES + 1);
+            events.push(span(
+                "job",
+                Some(job),
+                0,
+                (base, base + 2 * STAGES + 1),
+                (base, base + 2 * STAGES + 1),
+            ));
+            for stage in 0..STAGES {
+                let at = base + 1 + 2 * stage;
+                events.push(span("étape", Some(job), 0, (at, at + 1), (at, at + 1)));
+            }
+        }
+        assert_eq!(events.len(), 20_000);
+        let parsed = parse_trace(&render_chrome(&events)).expect("parses");
+        assert_eq!(validate_nesting(&parsed), Ok(20_000));
+        assert_eq!(parsed[1].name, "étape");
     }
 
     #[test]

@@ -117,14 +117,10 @@ pub mod names {
     pub const QUEUE_WAIT_US: &str = "elf_queue_wait_us";
     /// Per-job dequeue-to-response service time (histogram, µs).
     pub const JOB_SERVICE_US: &str = "elf_job_service_us";
-    /// Inference batches executed by the batcher (counter).
+    /// Classifier forward passes run by served jobs (counter).
     pub const INFER_BATCHES: &str = "elf_inference_batches_total";
-    /// Feature rows pushed through forward passes (counter; label `model`).
+    /// Cuts decided by those forward passes (counter; label `model`).
     pub const INFER_ROWS: &str = "elf_inference_rows_total";
-    /// Feature rows per coalesced forward pass (histogram, value-space).
-    pub const BATCH_OCCUPANCY: &str = "elf_batch_occupancy_rows";
-    /// Batches that coalesced more than one job (counter).
-    pub const BATCHES_COALESCED: &str = "elf_batches_coalesced_total";
 }
 
 #[cfg(test)]

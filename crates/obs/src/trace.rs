@@ -284,8 +284,8 @@ pub fn clear() {
 
 /// Drains every buffer and renders the spans as Chrome `trace_event` JSON
 /// (load the string into `chrome://tracing` or Perfetto).  Spans are
-/// grouped per `(job, thread)` run and groups ordered by job id — threadless
-/// infrastructure spans (the batcher's) come last — so the export is
+/// grouped per `(job, thread)` run and groups ordered by job id — spans
+/// recorded outside any job come last — so the export is
 /// structurally deterministic for a deterministic workload.
 pub fn export_chrome_json() -> String {
     crate::chrome::render_chrome(&take_events())

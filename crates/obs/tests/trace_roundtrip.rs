@@ -36,9 +36,9 @@ fn multi_thread_job_spans_export_parse_and_nest() {
     for worker in workers {
         worker.join().expect("worker panicked");
     }
-    // A job-less infrastructure span, like the batcher's.
+    // A span recorded outside any job.
     {
-        let _batch = elf_obs::span!("batch_window", rows = 4);
+        let _scrape = elf_obs::span!("scrape", rows = 4);
     }
 
     let json = trace::export_chrome_json();
@@ -46,7 +46,7 @@ fn multi_thread_job_spans_export_parse_and_nest() {
 
     let events = parse_trace(&json).expect("export must parse");
     let spans = validate_nesting(&events).expect("spans must nest");
-    // 3 jobs x (job + queue_wait + 3 stages + 3 factors) + 1 batch window.
+    // 3 jobs x (job + queue_wait + 3 stages + 3 factors) + 1 job-less span.
     assert_eq!(spans, 3 * 8 + 1);
 
     // Every job's group carries its id; job-less spans close the file.
@@ -61,7 +61,7 @@ fn multi_thread_job_spans_export_parse_and_nest() {
         .rev()
         .find(|e| e.ph == 'B')
         .expect("has begins");
-    assert_eq!(last_begin.name, "batch_window");
+    assert_eq!(last_begin.name, "scrape");
 
     // Stage spans nest inside their job span on the same tid and contain
     // their factor child.

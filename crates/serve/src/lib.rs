@@ -1,8 +1,8 @@
 //! # elf-serve
 //!
-//! A long-lived, batching serving layer for the ELF flow: the first step
-//! from the paper's one-shot experiment harness toward a traffic-serving
-//! synthesis system.
+//! A long-lived serving layer for the ELF flow: the first step from the
+//! paper's one-shot experiment harness toward a traffic-serving synthesis
+//! system.
 //!
 //! An [`ElfService`] is constructed once from a trained
 //! [`ElfClassifier`](elf_core::ElfClassifier) (or trains on startup from a
@@ -24,7 +24,10 @@
 //!   [`Parallelism`](elf_par::Parallelism) convention) pulls jobs from
 //!   per-shard deques, **stealing** from backlogged siblings when their own
 //!   runs dry — one giant circuit no longer convoys the jobs queued behind
-//!   it.  Graph mutation stays inside one worker, sequential per job.
+//!   it.  A worker runs its job's whole flow inline —
+//!   [`Flow::run`](elf_core::Flow::run) on the flow built at submission,
+//!   forward passes included — so graph mutation stays inside one worker,
+//!   sequential per job.
 //! * **The model plane** — the classifier lives in a versioned
 //!   [`ModelRegistry`]: publish retrained versions, switch the default,
 //!   retire old ones, all while the service runs.  Plain `submit` uses the
@@ -32,18 +35,10 @@
 //!   version per request.  Jobs **pin** their version at submission, so a
 //!   hot-swap never perturbs in-flight work, and all model state travels by
 //!   `Arc` — submitting allocates zero model-weight bytes.
-//! * **Micro-batching** — workers do *not* run the classifier model.  They
-//!   normalize their job's cut features with that job's own statistics and
-//!   hand the rows to a central batcher thread, which coalesces the queued
-//!   work of all concurrent jobs — up to [`ServeConfig::max_batch`] rows,
-//!   waiting at most [`ServeConfig::max_wait`] scheduling ticks for
-//!   stragglers — into single
-//!   [`Mlp::predict_with`](elf_nn::Mlp::predict_with) forward passes, one
-//!   per model version in the window.
 //! * **Responses** — each handle owns a private response channel:
 //!   [`recv`](ServiceHandle::recv)/[`try_recv`](ServiceHandle::try_recv)
 //!   deliver [`JobResponse`]s (optimized AIG plus per-job [`ServeStats`]:
-//!   pinned model version, queue depth, batch occupancy, nodes
+//!   pinned model version, queue depth, forward passes and rows, nodes
 //!   before/after, per-stage timings), and
 //!   [`run_sync`](ServiceHandle::run_sync) is the blocking one-job
 //!   convenience.  Every job is answered even if its worker dies mid-job
@@ -57,25 +52,24 @@
 //! Serving is **per-job deterministic**: a job's output AIG is node-for-node
 //! identical to running the same script offline through
 //! [`Flow::pruned_from_script`](elf_core::Flow::pruned_from_script) with the
-//! job's pinned classifier version and the service options — for any shard
-//! count, batch knobs, queue bound, admission policy, client thread count,
-//! submission interleaving or concurrent registry swaps.  Four properties
-//! make this hold, none of which depends on wall-clock timing:
+//! job's pinned classifier version and [`ElfService::options`] — for any
+//! shard count, queue bound, admission policy, client thread count,
+//! submission interleaving or concurrent registry swaps.  It holds by
+//! construction, not by argument:
 //!
-//! 1. feature normalization uses *per-job* statistics, so batching cannot
-//!    leak one job's feature distribution into another's;
-//! 2. the dense forward pass is row-exact — output row `i` depends only on
-//!    input row `i` — so the composition of a coalesced batch cannot change
-//!    any row's probability (coalesced batches are additionally laid out in
-//!    `(model, job id)` order, and versions never share a forward pass);
-//! 3. graph mutation is sequential within the job's worker, exactly as in
-//!    the offline flow;
-//! 4. a job resolves its classifier version exactly once, at submission,
+//! 1. the served job *is* that offline flow — built by
+//!    `Flow::pruned_from_script` at submission and run by one worker, with
+//!    graph mutation sequential inside it;
+//! 2. a job resolves its classifier version exactly once, at submission,
 //!    and holds that `Arc` to completion — publish/retire/set-default can
 //!    only affect *later* submissions.
 //!
-//! The micro-batching knobs, the queue bound and the admission policy trade
-//! latency for throughput and memory only; results never move — shedding
+//! The same goes for the forward-pass counters
+//! ([`ServiceStats::inference_batches`] and
+//! [`inference_rows`](ServiceStats::inference_rows)): they are sums over
+//! the jobs' own [`FlowStats`](elf_core::FlowStats), so they too are equal
+//! for every shard and client count.  The queue bound and the admission
+//! policy trade latency for memory only; results never move — shedding
 //! changes *which* jobs run, never what an accepted job computes.
 //!
 //! # Examples
@@ -143,7 +137,6 @@
 //! # let _ = config;
 //! ```
 
-mod batcher;
 mod queue;
 mod registry;
 mod service;

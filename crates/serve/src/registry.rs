@@ -50,8 +50,8 @@ impl ModelId {
         ModelId(u64::MAX)
     }
 
-    /// A fabricated id for unit tests that exercise components below the
-    /// registry (e.g. the batcher's grouping key).
+    /// A fabricated id for unit tests that need one the registry never
+    /// handed out.
     #[cfg(test)]
     pub(crate) fn for_tests(id: u64) -> Self {
         ModelId(id)

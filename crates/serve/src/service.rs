@@ -14,12 +14,11 @@ use elf_core::{
     CutCache, CutCacheStats, ElfClassifier, ElfOptions, Flow, FlowStats, ParseFlowError,
     VerifyMode, VerifyOutcome,
 };
-use elf_nn::{Dataset, SharedMlp, TrainConfig, TrainReport};
+use elf_nn::{Dataset, TrainConfig, TrainReport};
 use elf_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use elf_obs::names;
 use elf_par::Parallelism;
 
-use crate::batcher::{run_batcher, BatcherClient};
 use crate::queue::{AdmissionPolicy, JobQueue, PushError};
 use crate::registry::{ModelId, ModelRegistry};
 
@@ -34,15 +33,6 @@ use crate::registry::{ModelId, ModelRegistry};
 pub struct ServeConfig {
     /// Number of long-lived shard workers executing jobs.
     pub shards: Parallelism,
-    /// Row target of the micro-batching loop: the batcher stops coalescing
-    /// once a batch reaches this many feature rows (a single oversized
-    /// request still runs as one batch).  Values below one act as one.
-    pub max_batch: usize,
-    /// How many scheduling ticks the batcher waits for more queued inference
-    /// work before running a non-full batch.  Zero disables coalescing-by-
-    /// waiting; queued requests are still merged.  Affects throughput only,
-    /// never results.
-    pub max_wait: usize,
     /// Most jobs allowed to wait in the admission queue at once (clamped to
     /// at least 1).  Submissions against a full queue follow
     /// [`ServeConfig::admission`].  Bounding the queue is what keeps a
@@ -58,11 +48,9 @@ pub struct ServeConfig {
     /// (normalization mode, the *within-job* engine parallelism, and the
     /// [`ElfOptions::cut_cache`] knob sizing the **service-lifetime**
     /// NPN-canonical factoring cache every job shares).
-    /// `batch_classification` is forced on at service start: the per-node
-    /// ablation mode has no batched inference to coalesce.
+    /// `batch_classification` is forced on at service start: serving always
+    /// runs the paper's batched mode.
     pub options: ElfOptions,
-    /// Worker threads of the forward pass inside a coalesced batch.
-    pub inference_parallelism: Parallelism,
     /// The correctness gate: SAT-prove that every served job preserved its
     /// circuit's function ([`VerifyMode::Final`] — one check per job) or
     /// that every stage did ([`VerifyMode::PerStage`]).  The verdict rides
@@ -74,15 +62,12 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             shards: Parallelism::default(),
-            max_batch: 256,
-            max_wait: 8,
             queue_bound: 1024,
             admission: AdmissionPolicy::Block,
             options: ElfOptions {
                 parallelism: Parallelism::sequential(),
                 ..ElfOptions::default()
             },
-            inference_parallelism: Parallelism::sequential(),
             verify: VerifyMode::Off,
         }
     }
@@ -90,8 +75,7 @@ impl Default for ServeConfig {
 
 /// Identifier of one submitted job, unique within its service.
 ///
-/// Ids are handed out in submission order across all handles; the batcher
-/// also uses them to order coalesced batches deterministically.
+/// Ids are handed out in submission order across all handles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(u64);
 
@@ -116,15 +100,13 @@ pub struct ServeStats {
     pub model: ModelId,
     /// Jobs still waiting in the admission queue when this job was picked up.
     pub queue_depth: usize,
-    /// Inference round trips this job made to the batcher (one per pruned
-    /// stage with a non-empty cut batch).
+    /// Forward passes this job ran: one per pruned stage that went on to
+    /// prune or keep at least one cut.
     pub inference_calls: usize,
-    /// Feature rows this job sent for inference in total.
+    /// Cuts those passes decided — the `pruned + kept` of every pruned
+    /// stage (a cut whose node an earlier commit of the same stage freed is
+    /// classified but not counted).
     pub inference_rows: usize,
-    /// Largest coalesced batch (total rows, including other jobs' work under
-    /// the same model version) any of this job's requests rode in — the
-    /// batch occupancy.
-    pub max_batch_occupancy: usize,
     /// Cut factorings this job resolved from the service-lifetime
     /// NPN-canonical cache (work an earlier job — or an earlier cut of this
     /// one — already paid for).  Zero when the cache is disabled.
@@ -157,7 +139,6 @@ impl ServeStats {
             queue_depth: 0,
             inference_calls: 0,
             inference_rows: 0,
-            max_batch_occupancy: 0,
             cache_hits: 0,
             cache_misses: 0,
             nodes_before: 0,
@@ -290,79 +271,60 @@ pub struct ServiceStats {
     /// Submissions shed by [`AdmissionPolicy::Timeout`] after waiting out
     /// their admission deadline.
     pub jobs_timed_out: u64,
-    /// Forward passes the batcher ran.
+    /// Forward passes run by served jobs (see [`ServeStats::inference_calls`]).
     pub inference_batches: u64,
-    /// Feature rows across all forward passes.
+    /// Cuts decided across all forward passes (see
+    /// [`ServeStats::inference_rows`]).
     pub inference_rows: u64,
-    /// Largest single coalesced batch, in rows.
-    pub max_batch_occupancy: usize,
-    /// Batches that coalesced more than one request — the number of forward
-    /// passes the micro-batching loop saved.
-    pub coalesced_batches: u64,
     /// Snapshot of the service-lifetime NPN-canonical cut-factoring cache:
     /// entries resident, lifetime hits and misses across all jobs.
     pub cut_cache: CutCacheStats,
 }
 
 impl ServiceStats {
-    /// Mean rows per forward pass (0 when no batch ran).
-    pub fn mean_batch_occupancy(&self) -> f64 {
-        if self.inference_batches == 0 {
-            0.0
-        } else {
-            self.inference_rows as f64 / self.inference_batches as f64
-        }
-    }
-
     /// Total load-shed submissions (rejected + timed out).
     pub fn jobs_shed(&self) -> u64 {
         self.jobs_rejected + self.jobs_timed_out
     }
 }
 
-/// Shared service-wide telemetry (admission + batcher + workers), backed by
+/// Shared service-wide telemetry (admission + workers), backed by
 /// a per-service [`Registry`].
 ///
 /// Every counter lives in the registry — [`ServiceStats`] is a *view* of the
 /// registry state, not a second set of books.  The handles here are
-/// pre-resolved so the hot paths (worker loop, batcher, admission) never
+/// pre-resolved so the hot paths (worker loop, admission) never
 /// take the registry's name lock.
 #[derive(Debug)]
-pub(crate) struct Telemetry {
+struct Telemetry {
     /// The owning registry, for labeled lookups, scrapes and snapshots.
     metrics: Registry,
     /// [`names::JOBS_SERVED`].
-    pub(crate) jobs: Counter,
+    jobs: Counter,
     /// [`names::JOBS_FAILED`].
-    pub(crate) jobs_failed: Counter,
+    jobs_failed: Counter,
     /// [`names::JOBS_SHED`] with `policy="reject"`.
-    pub(crate) jobs_rejected: Counter,
+    jobs_rejected: Counter,
     /// [`names::JOBS_SHED`] with `policy="timeout"`.
-    pub(crate) jobs_timed_out: Counter,
+    jobs_timed_out: Counter,
     /// [`names::INFER_BATCHES`].
-    pub(crate) batches: Counter,
-    /// [`names::BATCHES_COALESCED`].
-    pub(crate) coalesced_batches: Counter,
-    /// [`names::BATCH_OCCUPANCY`] — rows per coalesced forward pass.
-    pub(crate) batch_occupancy: Histogram,
+    batches: Counter,
     /// [`names::QUEUE_WAIT_US`].
-    pub(crate) queue_wait: Histogram,
+    queue_wait: Histogram,
     /// [`names::JOB_SERVICE_US`].
-    pub(crate) job_service: Histogram,
+    job_service: Histogram,
     /// [`names::QUEUE_DEPTH`].
-    pub(crate) queue_depth: Gauge,
+    queue_depth: Gauge,
 }
 
 impl Telemetry {
-    pub(crate) fn new(metrics: Registry) -> Self {
+    fn new(metrics: Registry) -> Self {
         Telemetry {
             jobs: metrics.counter(names::JOBS_SERVED),
             jobs_failed: metrics.counter(names::JOBS_FAILED),
             jobs_rejected: metrics.counter_with(names::JOBS_SHED, &[("policy", "reject")]),
             jobs_timed_out: metrics.counter_with(names::JOBS_SHED, &[("policy", "timeout")]),
             batches: metrics.counter(names::INFER_BATCHES),
-            coalesced_batches: metrics.counter(names::BATCHES_COALESCED),
-            batch_occupancy: metrics.histogram(names::BATCH_OCCUPANCY),
             queue_wait: metrics.histogram(names::QUEUE_WAIT_US),
             job_service: metrics.histogram(names::JOB_SERVICE_US),
             queue_depth: metrics.gauge(names::QUEUE_DEPTH),
@@ -371,27 +333,23 @@ impl Telemetry {
     }
 
     /// The backing registry (per-service, not the process-global one).
-    pub(crate) fn registry(&self) -> &Registry {
+    fn registry(&self) -> &Registry {
         &self.metrics
     }
 
-    /// One coalesced forward pass of `rows` rows under `model`:
-    /// batch counters, the occupancy histogram, and the per-model row
-    /// counter ([`names::INFER_ROWS`], label `model`).
-    pub(crate) fn record_forward_pass(&self, model: ModelId, rows: usize, coalesced: bool) {
-        self.batches.inc();
-        self.batch_occupancy.record(rows as u64);
+    /// The forward passes of one finished job under `model`: the pass
+    /// counter and the per-model row counter ([`names::INFER_ROWS`], label
+    /// `model`).
+    fn record_forward_passes(&self, model: ModelId, passes: usize, rows: usize) {
+        self.batches.add(passes as u64);
         self.metrics
             .counter_with(names::INFER_ROWS, &[("model", &model.to_string())])
             .add(rows as u64);
-        if coalesced {
-            self.coalesced_batches.inc();
-        }
     }
 
-    pub(crate) fn snapshot(&self) -> ServiceStats {
-        // The per-model row counters and the occupancy histogram are summed
-        // from a registry snapshot — the stats struct stays a pure view.
+    fn snapshot(&self) -> ServiceStats {
+        // The per-model row counters are summed from a registry snapshot —
+        // the stats struct stays a pure view.
         let snap = self.metrics.snapshot();
         let inference_rows = snap
             .counters
@@ -399,10 +357,6 @@ impl Telemetry {
             .filter(|(name, _)| is_series_of(name, names::INFER_ROWS))
             .map(|(_, v)| v)
             .sum();
-        let max_batch_occupancy = self
-            .batch_occupancy
-            .snapshot(names::BATCH_OCCUPANCY.to_string())
-            .max as usize;
         ServiceStats {
             jobs_served: self.jobs.get(),
             jobs_failed: self.jobs_failed.get(),
@@ -410,8 +364,6 @@ impl Telemetry {
             jobs_timed_out: self.jobs_timed_out.get(),
             inference_batches: self.batches.get(),
             inference_rows,
-            max_batch_occupancy,
-            coalesced_batches: self.coalesced_batches.get(),
             // The cache keeps its own atomics; `ElfService::stats_snapshot`
             // fills this in from the shared handle.
             cut_cache: CutCacheStats::default(),
@@ -491,16 +443,15 @@ impl Drop for ReplyGuard {
 
 /// One admitted job, queued for a shard worker.
 ///
-/// Everything model-related travels as pinned `Arc` handles: building and
-/// queueing a job allocates **zero model-weight bytes**, and the pinned
-/// version outlives any registry swap until the job completes.
+/// The model travels as `Arc` handles pinned inside `flow`'s stages:
+/// building and queueing a job allocates **zero model-weight bytes**, and the
+/// pinned version outlives any registry swap until the job completes.
 struct Job {
     id: u64,
     /// The classifier version pinned at submission.
     model: ModelId,
-    /// The pinned weights, for the job's batcher requests.
-    mlp: SharedMlp,
     aig: Aig,
+    /// The pruned flow, built at submission from the pinned classifier.
     flow: Flow,
     /// This job's view of the service-lifetime cut cache: same map as every
     /// other job, private hit/miss counters for [`ServeStats`].
@@ -544,8 +495,9 @@ struct Shared {
 ///
 /// Constructed once from a trained classifier (or trained on startup via
 /// [`ElfService::fit_and_start`]), the service owns a fixed shard of worker
-/// threads plus one micro-batching inference thread, and accepts circuits
-/// over the channel API of [`ServiceHandle`].  Admission is **bounded**
+/// threads and accepts circuits over the channel API of [`ServiceHandle`].
+/// A worker runs its job's whole flow — forward passes included — inline on
+/// the classifier version the job pinned.  Admission is **bounded**
 /// ([`ServeConfig::queue_bound`]) with a configurable full-queue policy
 /// ([`ServeConfig::admission`]), and the classifier lives in a versioned
 /// [`ModelRegistry`] ([`ElfService::registry`]) that can hot-swap models
@@ -554,9 +506,9 @@ struct Shared {
 /// Results are **per-job deterministic**: every job's output AIG is
 /// node-for-node identical to running the same script offline through
 /// [`Flow::pruned_from_script`] with the job's pinned classifier version and
-/// the service options, regardless of shard count, batch knobs, queue bound,
-/// admission policy, client threads, submission interleaving or concurrent
-/// registry swaps (see the crate docs for why).
+/// the service options, regardless of shard count, queue bound, admission
+/// policy, client threads, submission interleaving or concurrent registry
+/// swaps — a served job *is* that flow, run on a worker thread.
 ///
 /// Shutdown is graceful: [`ElfService::shutdown`] (or dropping the service)
 /// closes admission, drains the queue, and joins every thread.
@@ -599,7 +551,6 @@ pub struct ElfService {
     shared: Arc<Shared>,
     config: ServeConfig,
     workers: Vec<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
 }
 
 impl fmt::Debug for Shared {
@@ -616,7 +567,7 @@ impl fmt::Debug for Shared {
 }
 
 impl ElfService {
-    /// Starts the service: spawns the shard workers and the batcher thread.
+    /// Starts the service: spawns the shard workers.
     /// `classifier` becomes the founding model (registry id 0).
     ///
     /// # Panics
@@ -640,9 +591,8 @@ impl ElfService {
     /// The [`std::io::Error`] of the failed thread spawn.
     pub fn try_start(classifier: ElfClassifier, config: ServeConfig) -> std::io::Result<Self> {
         let mut options = config.options;
-        // The per-node ablation mode classifies one cut at a time interleaved
-        // with mutation; there is no batched forward pass to coalesce, so the
-        // serving layer always runs the paper's batched mode.
+        // The serving layer always runs the paper's batched mode, never the
+        // per-node ablation.
         options.batch_classification = true;
         // The verify knob rides in the options so the offline twin —
         // `Flow::pruned_from_script(script, classifier, service.options())` —
@@ -651,9 +601,6 @@ impl ElfService {
 
         let registry = Arc::new(ModelRegistry::with_initial(classifier));
         let (_, founding) = registry.resolve_default();
-        // Per-service registry: an isolated metric namespace so two services
-        // in one process (or one per test) never mix counters.
-        let telemetry = Arc::new(Telemetry::new(Registry::new()));
         let shards = config.shards.num_threads();
         let shared = Arc::new(Shared {
             registry,
@@ -662,59 +609,40 @@ impl ElfService {
             cut_cache: CutCache::new(options.cut_cache),
             queue: JobQueue::new(shards, config.queue_bound),
             admission: config.admission,
-            telemetry: Arc::clone(&telemetry),
+            // Per-service registry: an isolated metric namespace so two
+            // services in one process (or one per test) never mix counters.
+            telemetry: Arc::new(Telemetry::new(Registry::new())),
             next_job_id: AtomicU64::new(0),
             #[cfg(test)]
             kill_next_worker: std::sync::atomic::AtomicBool::new(false),
         });
 
-        let (batch_tx, batch_rx) = mpsc::channel();
-        // Nothing else is running yet, so a failed batcher spawn has nothing
-        // to unwind: the channel and shared state simply drop.
-        let batcher = {
-            let telemetry = Arc::clone(&telemetry);
-            let (max_batch, max_wait) = (config.max_batch.max(1), config.max_wait);
-            let inference = config.inference_parallelism;
-            std::thread::Builder::new()
-                .name("elf-serve-batcher".into())
-                .spawn(move || run_batcher(batch_rx, max_batch, max_wait, inference, telemetry))?
-        };
-
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
             let spawned = {
                 let shared = Arc::clone(&shared);
-                let telemetry = Arc::clone(&telemetry);
-                let client = BatcherClient::new(batch_tx.clone());
                 std::thread::Builder::new()
                     .name(format!("elf-serve-worker-{shard}"))
-                    .spawn(move || worker_loop(&shared, shard, &client, &telemetry))
+                    .spawn(move || worker_loop(&shared, shard))
             };
             match spawned {
                 Ok(worker) => workers.push(worker),
                 Err(error) => {
                     // Partial start: closing the queue ends the spawned
-                    // workers, and dropping the last request sender ends the
-                    // batcher; join them all before surfacing the error.
-                    drop(batch_tx);
+                    // workers; join them all before surfacing the error.
                     shared.queue.close();
                     for worker in workers {
                         let _ = worker.join();
                     }
-                    let _ = batcher.join();
                     return Err(error);
                 }
             }
         }
-        // The batcher exits when the last request sender disconnects; only
-        // the workers hold one from here on.
-        drop(batch_tx);
 
         Ok(ElfService {
             shared,
             config,
             workers,
-            batcher: Some(batcher),
         })
     }
 
@@ -874,9 +802,6 @@ impl ElfService {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        if let Some(batcher) = self.batcher.take() {
-            let _ = batcher.join();
-        }
     }
 
     /// Test hook: make the next worker that picks up a job die (panic
@@ -896,14 +821,13 @@ impl Drop for ElfService {
 }
 
 /// One shard worker: pull a job (own deque first, stealing when idle), run
-/// its flow with inference routed through the batcher, deliver the response
-/// to the submitting handle.
-fn worker_loop(shared: &Shared, shard: usize, client: &BatcherClient, telemetry: &Telemetry) {
+/// its flow, deliver the response to the submitting handle.
+fn worker_loop(shared: &Shared, shard: usize) {
+    let telemetry = &*shared.telemetry;
     while let Some((job, queue_depth)) = shared.queue.pop(shard) {
         let Job {
             id,
             model,
-            mlp,
             mut aig,
             flow,
             cache_view,
@@ -923,9 +847,9 @@ fn worker_loop(shared: &Shared, shard: usize, client: &BatcherClient, telemetry:
         telemetry.queue_depth.set(queue_depth as i64);
         telemetry.queue_wait.record_duration(queued_time);
         // Everything the worker records until the response is delivered —
-        // flow stages, CEC checks, batcher round trips issued from this
-        // thread — is tagged with the job id, so the Chrome export groups
-        // one served job into one contiguous run.
+        // flow stages, forward passes, CEC checks — is tagged with the job
+        // id, so the Chrome export groups one served job into one contiguous
+        // run.
         let _job_scope = elf_obs::trace::JobScope::enter(id);
         if elf_obs::trace::enabled() {
             // The admission wait started on the submitting thread; record it
@@ -939,10 +863,6 @@ fn worker_loop(shared: &Shared, shard: usize, client: &BatcherClient, telemetry:
         }
         let job_span = elf_obs::span!("job", nodes = nodes_before);
 
-        let mut inference_calls = 0usize;
-        let mut inference_rows = 0usize;
-        let mut max_batch_occupancy = 0usize;
-        let mut batcher_lost = false;
         // A panic inside the flow (an operator invariant violation — an
         // internal bug) must not strand the client: catch it, deliver the
         // job as failed, and keep the worker alive for the rest of the
@@ -951,42 +871,32 @@ fn worker_loop(shared: &Shared, shard: usize, client: &BatcherClient, telemetry:
         // justified because the possibly half-mutated `aig` is only handed
         // back with `failed: true`, documented as unusable.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let stats = flow.run_with_inference(&mut aig, &mut |rows| {
-                if !rows.is_empty() {
-                    // Empty batches skip the batcher round trip; count only
-                    // real inference work (see `ServeStats::inference_calls`).
-                    inference_calls += 1;
-                    inference_rows += rows.len();
-                }
-                let requested = rows.len();
-                match client.infer(id, model, &mlp, rows) {
-                    Some(answer) => {
-                        max_batch_occupancy = max_batch_occupancy.max(answer.batch_rows);
-                        answer.probabilities
-                    }
-                    None => {
-                        // The batcher died (an internal bug, never a normal
-                        // shutdown — it outlives the workers).  Keep the
-                        // flow alive with neutral probabilities so the
-                        // worker survives, and deliver the job as failed.
-                        batcher_lost = true;
-                        vec![0.0; requested]
-                    }
-                }
-            });
+            let stats = flow.run(&mut aig);
             // Counted inside the guard: walking a graph a panicking operator
             // left inconsistent could itself panic, and nothing after the
             // catch may touch `aig`.
             (stats, aig.num_reachable_ands())
         }));
         let (flow_stats, nodes_after, failed) = match outcome {
-            Ok((stats, nodes_after)) => (stats, nodes_after, batcher_lost),
+            Ok((stats, nodes_after)) => (stats, nodes_after, false),
             Err(_) => (FlowStats::default(), nodes_before, true),
         };
 
         let service_time = started.elapsed();
         drop(job_span);
         telemetry.job_service.record_duration(service_time);
+        // A forward pass is a pruned stage that decided at least one cut; its
+        // rows are the cuts it pruned or kept.
+        let (inference_calls, inference_rows) = flow_stats
+            .stages
+            .iter()
+            .filter_map(|stage| stage.elf.as_ref())
+            .map(|elf| elf.pruned + elf.kept)
+            .filter(|&rows| rows > 0)
+            .fold((0, 0), |(calls, total), rows| (calls + 1, total + rows));
+        if inference_calls > 0 {
+            telemetry.record_forward_passes(model, inference_calls, inference_rows);
+        }
         if failed {
             telemetry.jobs_failed.inc();
         } else {
@@ -997,7 +907,6 @@ fn worker_loop(shared: &Shared, shard: usize, client: &BatcherClient, telemetry:
             queue_depth,
             inference_calls,
             inference_rows,
-            max_batch_occupancy,
             cache_hits: cache_view.local_hits(),
             cache_misses: cache_view.local_misses(),
             nodes_before,
@@ -1131,7 +1040,6 @@ impl ServiceHandle {
         let job = Job {
             id,
             model,
-            mlp: Arc::clone(classifier.model_handle()),
             aig,
             flow,
             cache_view,
@@ -1535,9 +1443,9 @@ mod tests {
         for salt in 0..8 {
             ids.push(handle.submit(circuit(salt), "rf; rw; rs").unwrap());
         }
-        // Each queued job pins the weights: one Arc in the job itself plus
-        // one per flow stage — never a weight copy.  8 jobs × (1 + 3 stages).
-        assert_eq!(Arc::strong_count(&weights), resting + 8 * 4);
+        // Each queued job pins the weights once per flow stage — never a
+        // weight copy.  8 jobs × 3 stages.
+        assert_eq!(Arc::strong_count(&weights), resting + 8 * 3);
 
         service.resume();
         while handle.recv().is_some() {}

@@ -100,7 +100,6 @@ fn service_stats_are_a_view_of_the_metrics_registry() {
     assert!(text.contains(&format!("{}_count", names::QUEUE_WAIT_US)));
     assert!(text.contains(names::QUEUE_DEPTH));
     assert!(text.contains(names::CUT_CACHE_ENTRIES));
-    assert!(text.contains(&format!("{}_bucket", names::BATCH_OCCUPANCY)));
 
     // Latency histograms saw exactly one sample per served job.
     let service_us = snapshot
@@ -184,7 +183,7 @@ fn a_served_job_exports_a_nesting_chrome_trace() {
         .filter(|e| e.ph == 'B')
         .map(|e| e.name.as_str())
         .collect();
-    for expected in ["queue_wait", "job", "flow", "elf-refactor", "forward"] {
+    for expected in ["queue_wait", "job", "flow", "elf-refactor", "nn_forward"] {
         assert!(
             begin_names.contains(&expected),
             "span {expected:?} missing from the served-job trace; got {begin_names:?}"

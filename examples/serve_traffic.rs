@@ -63,12 +63,7 @@ fn main() {
 
     let config = ServeConfig::default();
     let service = ElfService::start(classifier.clone(), config);
-    println!(
-        "service up: {} shard(s), max_batch {} rows, max_wait {} ticks",
-        config.shards.num_threads(),
-        config.max_batch,
-        config.max_wait
-    );
+    println!("service up: {} shard(s)", config.shards.num_threads());
 
     let jobs = workload();
     println!(
@@ -77,7 +72,7 @@ fn main() {
     );
 
     // Each client thread owns a private handle: submit a burst, then drain.
-    let mut served: Vec<Option<(Aig, usize)>> = vec![None; jobs.len()];
+    let mut served: Vec<Option<Aig>> = vec![None; jobs.len()];
     std::thread::scope(|scope| {
         let threads: Vec<_> = (0..CLIENTS)
             .map(|client| {
@@ -96,19 +91,15 @@ fn main() {
                             .iter()
                             .position(|id| *id == response.job_id)
                             .expect("own job");
-                        results.push((
-                            mine[position],
-                            response.aig,
-                            response.stats.max_batch_occupancy,
-                        ));
+                        results.push((mine[position], response.aig));
                     }
                     results
                 })
             })
             .collect();
         for thread in threads {
-            for (index, aig, occupancy) in thread.join().expect("client thread") {
-                served[index] = Some((aig, occupancy));
+            for (index, aig) in thread.join().expect("client thread") {
+                served[index] = Some(aig);
             }
         }
     });
@@ -116,9 +107,8 @@ fn main() {
     // The proof: every served AIG equals the offline pruned flow node for
     // node.  Both writers canonicalize identically, so byte-equal ASCII
     // AIGER text *is* node-for-node equality.
-    let mut max_occupancy = 0;
     for ((name, source, script), served) in jobs.iter().zip(&served) {
-        let (served_aig, occupancy) = served.as_ref().expect("every job served");
+        let served_aig = served.as_ref().expect("every job served");
         let mut offline = source.clone();
         Flow::pruned_from_script(script, &classifier, service.options())
             .expect("script parses")
@@ -128,9 +118,8 @@ fn main() {
             aiger::to_ascii(&offline),
             "{name}: served result diverged from the offline flow"
         );
-        max_occupancy = max_occupancy.max(*occupancy);
         println!(
-            "  {name:<14} `{script}`: {:>4} -> {:>4} ANDs (batch occupancy up to {occupancy} rows)",
+            "  {name:<14} `{script}`: {:>4} -> {:>4} ANDs",
             source.num_reachable_ands(),
             served_aig.num_reachable_ands(),
         );
@@ -149,12 +138,8 @@ fn main() {
         jobs.len()
     );
     println!(
-        "service counters: {} jobs, {} inference batches ({} coalesced >1 job), mean occupancy {:.1} rows, peak {} rows",
-        stats.jobs_served,
-        stats.inference_batches,
-        stats.coalesced_batches,
-        stats.mean_batch_occupancy(),
-        stats.max_batch_occupancy
+        "service counters: {} jobs, {} forward passes over {} cuts",
+        stats.jobs_served, stats.inference_batches, stats.inference_rows
     );
 
     // When tracing is on (`ELF_TRACE=1`), export the whole run as Chrome

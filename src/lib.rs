@@ -17,7 +17,7 @@
 //! | [`nn`] (`elf-nn`) | Minimal MLP framework (Adam, cosine warm restarts, MixUp, stratified splits, metrics) |
 //! | [`par`] (`elf-par`) | Deterministic std-threads parallel engine (scoped pool, chunked queue, order-preserving gather) |
 //! | [`core`] (`elf-core`) | The ELF classifier, the generic pruned operator `Elf<O>`, script-style `Flow` pipelines and the experiment protocol |
-//! | [`serve`] (`elf-serve`) | Long-lived batching `ElfService`: bounded admission with load-shedding policies, work-stealing shard workers, versioned hot-swap `ModelRegistry`, micro-batched inference, channel request/response API |
+//! | [`serve`] (`elf-serve`) | Long-lived `ElfService`: bounded admission with load-shedding policies, work-stealing shard workers running each job's flow inline, versioned hot-swap `ModelRegistry`, channel request/response API |
 //! | [`cec`] (`elf-cec`) | SAT-based combinational equivalence checking: a zero-dependency CDCL solver, miter construction, fraig-style simulation-guided SAT sweeping — the correctness gate behind `core::VerifyMode` |
 //! | [`obs`] (`elf-obs`) | Zero-dependency observability: lock-free counters/gauges/log-bucketed latency histograms with a Prometheus text scrape, plus `ELF_TRACE`-gated tracing spans exported as Chrome `trace_event` JSON |
 //! | [`circuits`] (`elf-circuits`) | EPFL-style arithmetic, industrial-like and synthetic workload generators |
@@ -86,13 +86,13 @@
 //! [`serve::AdmissionPolicy`] on overload that always hands the circuit
 //! back), sharing classifiers through a versioned hot-swap
 //! [`serve::ModelRegistry`] ([`serve::ServiceHandle::submit_with`] selects a
-//! version per request), with the inference work of concurrent jobs
-//! coalesced into micro-batches — one forward pass per model version, all
-//! weights behind `Arc` so submitting allocates zero model bytes.  Results
-//! are per-job deterministic: node-for-node identical to the offline
+//! version per request), with each worker running its job's whole flow
+//! inline on the version pinned at submit — all weights behind `Arc` so
+//! submitting allocates zero model bytes.  Results are per-job
+//! deterministic: node-for-node identical to the offline
 //! [`core::Flow::pruned_from_script`] path with the job's pinned version,
-//! for any shard count, batch knobs, admission policy, registry activity or
-//! client interleaving:
+//! for any shard count, admission policy, registry activity or client
+//! interleaving:
 //!
 //! ```
 //! use elf::circuits::epfl::{arithmetic_circuit, Scale};
