@@ -5,8 +5,10 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use elf_circuits::epfl::{arithmetic_circuit, Scale};
 use elf_core::{circuit_dataset, ElfClassifier, ElfConfig, ElfRefactor};
 use elf_nn::TrainConfig;
-use elf_opt::{cut_truth_table, Refactor, RefactorParams, Resubstitution, Rewrite};
-use elf_sop::factor_truth_table;
+use elf_opt::{
+    cut_truth_table, semi_canonicalize, Refactor, RefactorParams, Resubstitution, Rewrite,
+};
+use elf_sop::{factor_truth_table, Sop};
 
 fn trained_classifier() -> ElfClassifier {
     let circuit = arithmetic_circuit("square", Scale::Tiny);
@@ -51,6 +53,20 @@ fn bench_cut_pipeline(c: &mut Criterion) {
     let truth = cut_truth_table(&aig, &cut);
     group.bench_function("isop_and_factor", |b| {
         b.iter(|| std::hint::black_box(factor_truth_table(&truth)));
+    });
+    // The resynthesis kernels on the widest cut refactor forms by default:
+    // ten leaves, a 16-word table.
+    let wide = roots
+        .iter()
+        .map(|&root| aig.reconvergence_cut(root, &params))
+        .find(|cut| cut.num_leaves() == params.max_leaves)
+        .expect("the multiplier has full-width cuts");
+    let wide_truth = cut_truth_table(&aig, &wide);
+    group.bench_function("isop", |b| {
+        b.iter(|| std::hint::black_box(Sop::isop(&wide_truth)));
+    });
+    group.bench_function("semi_canonicalize", |b| {
+        b.iter(|| std::hint::black_box(semi_canonicalize(&wide_truth)));
     });
     group.finish();
 }

@@ -20,7 +20,7 @@
 //!    refutation whose counterexample replays to a real disagreement.
 //!
 //! `--quick` shrinks everything to the CI smoke size; `--json <path>`
-//! persists the machine-readable results (`BENCH_pr8_cec.json` in CI).
+//! persists the machine-readable results (`target/cec.json` in CI).
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};

@@ -13,7 +13,7 @@
 //!
 //! `--quick` shrinks the job set and training for the CI smoke run;
 //! `--json <path>` persists machine-readable results
-//! (`BENCH_pr9_cutcache.json` in CI).
+//! (`target/cutcache.json` in CI).
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};

@@ -13,7 +13,7 @@
 //!
 //! `--quick` shrinks repetitions and drops the largest shapes for the CI
 //! smoke run; `--json <path>` persists machine-readable results
-//! (`BENCH_pr9_gemm.json` in CI).
+//! (`target/gemm.json` in CI).
 
 use std::process::ExitCode;
 use std::time::Instant;

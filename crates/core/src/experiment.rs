@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use elf_nn::{ConfusionMatrix, TrainConfig};
-use elf_opt::{PrunableOperator, Refactor, RefactorParams, RefactorStats};
+use elf_opt::{CutCache, PrunableOperator, Refactor, RefactorParams, RefactorStats};
 
 use crate::classifier::ElfClassifier;
 use crate::dataset::{
@@ -213,14 +213,20 @@ pub fn train_on_all(circuits: &[BenchCircuit], config: &ExperimentConfig) -> Elf
 /// core of [`compare_on_circuit`]; `table_rewrite` uses it with [`Rewrite`]
 /// to evaluate pruned rewriting through the identical protocol.
 ///
+/// Both arms run with the same cut-cache configuration: the baseline gets a
+/// fresh cache of `elf`'s [`ElfOptions::cut_cache`](crate::ElfOptions), its
+/// own (never shared with the pruned arm), so the reported speed-up is what
+/// pruning buys and not what memoization buys.
+///
 /// [`Rewrite`]: elf_opt::Rewrite
-pub fn compare_with_operator<O: PrunableOperator>(
+pub fn compare_with_operator<O: PrunableOperator + Clone>(
     circuit: &BenchCircuit,
     baseline: &O,
     elf: &Elf<O>,
     applications: usize,
 ) -> ComparisonRow {
     // Baseline.
+    let baseline = symmetric_baseline(baseline, elf);
     let mut baseline_aig = circuit.aig.clone();
     let baseline_stats: RefactorStats = baseline.run(&mut baseline_aig).into();
     let baseline_ands = baseline_aig.num_reachable_ands();
@@ -245,6 +251,14 @@ pub fn compare_with_operator<O: PrunableOperator>(
         elf_passes,
         baseline_stats,
     }
+}
+
+/// A copy of `baseline` with a fresh cut cache configured like the one
+/// [`Elf::with_operator`] gave the pruned arm's operator.
+fn symmetric_baseline<O: PrunableOperator + Clone>(baseline: &O, elf: &Elf<O>) -> O {
+    let mut baseline = baseline.clone();
+    baseline.set_cut_cache(CutCache::new(elf.options().cut_cache));
+    baseline
 }
 
 /// Runs baseline refactor and ELF on (copies of) one circuit and returns the
@@ -427,6 +441,49 @@ mod tests {
         assert!(row.elf_ands <= row.nodes_before);
         assert!(row.speedup() > 0.0);
         assert!(row.prune_rate() >= 0.0 && row.prune_rate() <= 1.0);
+    }
+
+    #[test]
+    fn comparison_arms_differ_only_in_pruning() {
+        use elf_nn::{Mlp, Normalizer};
+        use elf_opt::CutCacheConfig;
+
+        // Threshold 0 keeps every cut, so the pruned arm does exactly the
+        // baseline's work: any difference between the arms would come from
+        // how they were set up, not from pruning.
+        let keep_everything = ElfClassifier::from_parts(
+            Normalizer::from_stats(vec![2.0; 6], vec![1.0; 6]),
+            Mlp::paper_architecture(5),
+            0.0,
+        );
+        let circuit = small_circuit(2);
+        for cut_cache in [CutCacheConfig::default(), CutCacheConfig::disabled()] {
+            let config = ExperimentConfig {
+                elf: ElfConfig {
+                    cut_cache,
+                    ..ElfConfig::default()
+                },
+                ..quick_config()
+            };
+            let row = compare_on_circuit(&circuit, &keep_everything, &config);
+            assert_eq!(row.prune_rate(), 0.0);
+            assert_eq!(row.elf_ands, row.baseline_ands);
+            assert_eq!(row.elf_level, row.baseline_level);
+
+            let elf = ElfRefactor::new(keep_everything.clone(), config.elf);
+            let plain = Refactor::new(config.elf.refactor);
+            assert!(!plain.cut_cache().is_enabled(), "as constructed: no cache");
+            let baseline = symmetric_baseline(&plain, &elf);
+            assert_eq!(
+                baseline.cut_cache().is_enabled(),
+                elf.operator().cut_cache().is_enabled()
+            );
+            assert_eq!(baseline.cut_cache().is_enabled(), cut_cache.enabled);
+            // A cache of its own: warming the baseline's leaves the pruned
+            // arm's empty.
+            let _ = baseline.run(&mut circuit.aig.clone());
+            assert_eq!(elf.operator().cut_cache().stats().entries, 0);
+        }
     }
 
     #[test]

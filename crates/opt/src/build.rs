@@ -1,8 +1,6 @@
 //! Shared helpers for cut resynthesis: evaluating a cut's function and
 //! counting or building the AIG implementation of a factored form.
 
-use std::collections::HashMap;
-
 use elf_aig::{Aig, Cut, Lit, NodeId};
 use elf_sop::{FactoredForm, TruthTable};
 
@@ -19,41 +17,53 @@ pub fn cut_truth_table(aig: &Aig, cut: &Cut) -> TruthTable {
         num_vars <= elf_sop::MAX_VARS,
         "cut with {num_vars} leaves exceeds the supported truth-table width"
     );
-    // Tables are keyed by node id in a small map sized to the cut — cones
-    // hold a handful of nodes, so per-call work must not scale with the
-    // arena (a million-slot graph would otherwise pay a million-entry
-    // allocation for every resynthesized node).
-    let mut tables: HashMap<NodeId, TruthTable> =
-        HashMap::with_capacity(cut.num_leaves() + cut.size());
-    for (i, &leaf) in cut.leaves.iter().enumerate() {
-        tables.insert(leaf, TruthTable::var(i, num_vars));
-    }
+    // One flat buffer sized to the cut — per-call work must not scale with
+    // the arena.  Slot 0 stays constant false, slot `1 + i` holds leaf `i`'s
+    // projection and slot `1 + num_vars + j` the `j`-th cone node in
+    // topological order; a fanin is found by position among the handful of
+    // leaves and earlier cone nodes.
     let order = cut.cone_topological(aig);
-    for &node in &order {
-        let (f0, f1) = aig.fanins(node);
-        let t0 = lit_table(&tables, f0, num_vars);
-        let t1 = lit_table(&tables, f1, num_vars);
-        tables.insert(node, &t0 & &t1);
+    assert_eq!(
+        order.last(),
+        Some(&cut.root),
+        "root is part of its own cone"
+    );
+    let words = 1usize << num_vars.saturating_sub(6);
+    let mut tables = vec![0u64; (1 + num_vars + order.len()) * words];
+    for (var, table) in tables[words..]
+        .chunks_exact_mut(words)
+        .take(num_vars)
+        .enumerate()
+    {
+        for (index, word) in table.iter_mut().enumerate() {
+            *word = TruthTable::var_word(var, index);
+        }
     }
-    tables
-        .remove(&cut.root)
-        .expect("root is part of its own cone")
-}
-
-fn lit_table(tables: &HashMap<NodeId, TruthTable>, lit: Lit, num_vars: usize) -> TruthTable {
-    let base = if lit.node().is_const0() {
-        TruthTable::zeros(num_vars)
-    } else {
-        tables
-            .get(&lit.node())
-            .cloned()
-            .expect("fanin of a cone node must be a leaf or an earlier cone node")
+    // Where a fanin's table starts, and the mask that complements it.
+    let operand = |lit: Lit, done: usize| -> (usize, u64) {
+        let slot = if lit.node().is_const0() {
+            0
+        } else {
+            1 + cut
+                .leaves
+                .iter()
+                .chain(&order[..done])
+                .position(|&id| id == lit.node())
+                .expect("fanin of a cone node must be a leaf or an earlier cone node")
+        };
+        (slot * words, if lit.is_complemented() { !0 } else { 0 })
     };
-    if lit.is_complemented() {
-        !&base
-    } else {
-        base
+    for (done, &node) in order.iter().enumerate() {
+        let (f0, f1) = aig.fanins(node);
+        let (at0, flip0) = operand(f0, done);
+        let (at1, flip1) = operand(f1, done);
+        let (earlier, table) = tables.split_at_mut((1 + num_vars + done) * words);
+        for (index, word) in table[..words].iter_mut().enumerate() {
+            *word = (earlier[at0 + index] ^ flip0) & (earlier[at1 + index] ^ flip1);
+        }
     }
+    // `from_words` drops the bits a table of fewer than six variables lacks.
+    TruthTable::from_words(tables.split_off(tables.len() - words), num_vars)
 }
 
 /// Result of estimating the cost of implementing a factored form in an AIG.

@@ -16,6 +16,26 @@
 //!    ([`NpnTransform::decanonicalize`] — a literal remap plus a De Morgan
 //!    push-down, which preserves gate count exactly).
 //!
+//! # One lookup per cut
+//!
+//! A function and its complement always share a representative, so an
+//! operator that weighs both polarities of a cut asks once:
+//! [`CutCache::factor_both`] canonicalizes once, looks the representative up
+//! (or factors it) once, and decanonicalizes straight from the borrowed map
+//! entry.  The complement's form is materialized only where it can differ
+//! from the first — when both polarities canonicalize to *equal words*, a
+//! subset of the balanced ON-sets, the two inverse transforms come from
+//! different tables.  Everywhere else it is the De Morgan dual of the first
+//! form, which `build_expr` / `count_new_nodes` map to the identical AIG
+//! (`or(a, b) = !and(!a, !b)`): equal cost, level and gate count, so no
+//! operator's "strictly better" test can select it.
+//!
+//! Consequence for the counters: every cut factored costs one lookup where
+//! it used to cost two (the second a guaranteed hit below capacity).  Below
+//! capacity, `misses` and `entries` are what they were and `hits` is lower
+//! by exactly one per cut factored, so hit *rates* read lower by
+//! construction.
+//!
 //! # Determinism contract
 //!
 //! [`CutCache::factor`] is a pure function of the truth table: canonicalize,
@@ -40,7 +60,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use elf_sop::{factor_truth_table, FactoredForm, TruthTable};
+use elf_sop::{factor_truth_table, FactoredForm, TruthTable, MAX_VARS};
 
 /// Sizing/enable knob for the [`CutCache`] (plumbed through `ElfOptions` and
 /// `ServeConfig`; `Copy` so those configs stay `Copy`).
@@ -77,12 +97,14 @@ impl CutCacheConfig {
 
 /// The NPN transform recorded by [`semi_canonicalize`]: how to get from the
 /// canonical representative back to the original function.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NpnTransform {
-    /// `placement[v]` is the canonical position of original variable `v`.
-    placement: Vec<usize>,
+    num_vars: usize,
+    /// `placement[v]` is the canonical position of original variable `v`
+    /// (entries at `num_vars` and above stay zero).
+    placement: [usize; MAX_VARS],
     /// Whether original variable `v` was complemented.
-    phase: Vec<bool>,
+    phase: [bool; MAX_VARS],
     /// Whether the output was complemented.
     output_negated: bool,
 }
@@ -100,8 +122,8 @@ impl NpnTransform {
     /// negated), which keeps [`FactoredForm::num_gates`] unchanged.
     pub fn decanonicalize(&self, expr: &FactoredForm) -> FactoredForm {
         // original[j] = the original variable sitting at canonical position j.
-        let mut original = vec![0usize; self.placement.len()];
-        for (v, &j) in self.placement.iter().enumerate() {
+        let mut original = [0usize; MAX_VARS];
+        for (v, &j) in self.placement[..self.num_vars].iter().enumerate() {
             original[j] = v;
         }
         self.remap(expr, &original, self.output_negated)
@@ -156,56 +178,73 @@ impl NpnTransform {
 /// functions may still map to different representatives, which costs cache
 /// capacity but never correctness (the key *is* the representative).
 pub fn semi_canonicalize(function: &TruthTable) -> (TruthTable, NpnTransform) {
+    let (canonical, transform, _) = canonicalize_both(function);
+    (canonical, transform)
+}
+
+/// [`semi_canonicalize`], plus — only when both output polarities normalize
+/// to equal words — the transform `semi_canonicalize(&!function)` records.
+/// In every other case that transform is the returned one with the output
+/// complement toggled.
+fn canonicalize_both(function: &TruthTable) -> (TruthTable, NpnTransform, Option<NpnTransform>) {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+
+    let one_sided = |(canonical, transform)| (canonical, transform, None);
     let ones = function.count_ones();
     let zeros = (1usize << function.num_vars()) - ones;
     match ones.cmp(&zeros) {
-        std::cmp::Ordering::Greater => canonicalize_polarity(&!function, true),
-        std::cmp::Ordering::Less => canonicalize_polarity(function, false),
-        std::cmp::Ordering::Equal => {
+        Greater => one_sided(canonicalize_polarity(!function, true)),
+        Less => one_sided(canonicalize_polarity(function.clone(), false)),
+        Equal => {
             // Balanced ON-set: canonicalize both polarities fully and keep
             // the lexicographically smaller representative, so a function
             // and its complement still collapse onto one entry.
-            let plain = canonicalize_polarity(function, false);
-            let complemented = canonicalize_polarity(&!function, true);
-            if complemented.0.words() < plain.0.words() {
-                complemented
-            } else {
-                plain
+            let plain = canonicalize_polarity(function.clone(), false);
+            let complemented = canonicalize_polarity(!function, true);
+            match complemented.0.words().cmp(plain.0.words()) {
+                Less => one_sided(complemented),
+                Greater => one_sided(plain),
+                Equal => {
+                    let complement = NpnTransform {
+                        output_negated: false,
+                        ..complemented.1
+                    };
+                    (plain.0, plain.1, Some(complement))
+                }
             }
         }
     }
 }
 
-/// Phase + permutation normalization of one output polarity.
-fn canonicalize_polarity(
-    function: &TruthTable,
-    output_negated: bool,
-) -> (TruthTable, NpnTransform) {
-    let num_vars = function.num_vars();
-    let mut work = function.clone();
-    let mut phase = vec![false; num_vars];
-    for (var, flip) in phase.iter_mut().enumerate() {
-        let positive = work.cofactor1(var).count_ones();
-        let negative = work.cofactor0(var).count_ones();
-        if positive > negative {
-            work = work.flip_var(var);
-            *flip = true;
+/// Phase + permutation normalization of one output polarity, in place on the
+/// words of `work`.
+fn canonicalize_polarity(mut work: TruthTable, output_negated: bool) -> (TruthTable, NpnTransform) {
+    let num_vars = work.num_vars();
+    let ones = work.count_ones();
+    let mut phase = [false; MAX_VARS];
+    // keys[v] = ON-set minterms with v = 1, after v's phase is settled.
+    // Flipping one variable leaves every other variable's count alone.
+    let mut keys = [0usize; MAX_VARS];
+    for var in 0..num_vars {
+        let positive = work.count_ones_with(var);
+        if positive > ones - positive {
+            work.flip_var_in_place(var);
+            phase[var] = true;
         }
+        keys[var] = positive.min(ones - positive);
     }
 
-    let mut order: Vec<usize> = (0..num_vars).collect();
-    let keys: Vec<usize> = (0..num_vars)
-        .map(|var| work.cofactor1(var).count_ones())
-        .collect();
-    order.sort_by_key(|&var| keys[var]);
-    let mut placement = vec![0usize; num_vars];
-    for (position, &var) in order.iter().enumerate() {
+    let mut order: [usize; MAX_VARS] = std::array::from_fn(|var| var);
+    order[..num_vars].sort_by_key(|&var| keys[var]);
+    let mut placement = [0usize; MAX_VARS];
+    for (position, &var) in order[..num_vars].iter().enumerate() {
         placement[var] = position;
     }
-    let canonical = work.permute_vars(&placement);
+    work.permute_vars_in_place(&placement[..num_vars]);
     (
-        canonical,
+        work,
         NpnTransform {
+            num_vars,
             placement,
             phase,
             output_negated,
@@ -340,11 +379,56 @@ impl CutCache {
     /// and functionally sound: the result's truth table equals `function`.
     pub fn factor(&self, function: &TruthTable) -> FactoredForm {
         let (canonical, transform) = semi_canonicalize(function);
-        let canonical_expr = match &self.shared {
-            None => factor_truth_table(&canonical),
-            Some(shared) => shared.factor_canonical(&canonical, &self.view),
+        self.with_canonical_form(canonical, |expr| transform.decanonicalize(expr))
+    }
+
+    /// Factors both output polarities of `function` from one
+    /// canonicalization and one lookup: returns `factor(function)` and, only
+    /// where it can differ from that form's De Morgan dual, `factor(!function)`.
+    ///
+    /// `None` means the complement's form *is* the dual of the first (And and
+    /// Or exchanged, literals negated): built and then complemented, it is
+    /// the same AIG as the first form, so a caller weighing both polarities
+    /// has nothing further to evaluate (see the module docs).
+    pub fn factor_both(&self, function: &TruthTable) -> (FactoredForm, Option<FactoredForm>) {
+        let (canonical, transform, complement) = canonicalize_both(function);
+        self.with_canonical_form(canonical, |expr| {
+            (
+                transform.decanonicalize(expr),
+                complement.map(|transform| transform.decanonicalize(expr)),
+            )
+        })
+    }
+
+    /// Runs `build` on the factored form of the representative `canonical`,
+    /// borrowed from the map on a hit and factored (then stored) on a miss.
+    fn with_canonical_form<R>(
+        &self,
+        canonical: TruthTable,
+        build: impl FnOnce(&FactoredForm) -> R,
+    ) -> R {
+        let Some(shared) = &self.shared else {
+            return build(&factor_truth_table(&canonical));
         };
-        transform.decanonicalize(&canonical_expr)
+        if let Ok(map) = shared.map.read() {
+            if let Some(expr) = map.get(&canonical) {
+                shared.hits.fetch_add(1, Ordering::Relaxed);
+                self.view.hits.fetch_add(1, Ordering::Relaxed);
+                return build(expr);
+            }
+        }
+        shared.misses.fetch_add(1, Ordering::Relaxed);
+        self.view.misses.fetch_add(1, Ordering::Relaxed);
+        let expr = factor_truth_table(&canonical);
+        let result = build(&expr);
+        if let Ok(mut map) = shared.map.write() {
+            // Two racing misses insert the same value (the entry is a pure
+            // function of the key), so last-writer-wins is harmless.
+            if map.len() < shared.capacity {
+                map.insert(canonical, expr);
+            }
+        }
+        result
     }
 
     /// Lookup hits recorded through this view (see [`CutCache::job_view`]).
@@ -386,32 +470,219 @@ impl CutCache {
     }
 }
 
-impl CacheShared {
-    fn factor_canonical(&self, canonical: &TruthTable, view: &ViewCounters) -> FactoredForm {
-        if let Ok(map) = self.map.read() {
-            if let Some(expr) = map.get(canonical) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                view.hits.fetch_add(1, Ordering::Relaxed);
-                return expr.clone();
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        view.misses.fetch_add(1, Ordering::Relaxed);
-        let expr = factor_truth_table(canonical);
-        if let Ok(mut map) = self.map.write() {
-            // Two racing misses insert the same value (the entry is a pure
-            // function of the key), so last-writer-wins is harmless.
-            if map.len() < self.capacity {
-                map.insert(canonical.clone(), expr.clone());
-            }
-        }
-        expr
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// [`semi_canonicalize`] as it was before it moved onto words: cofactor
+    /// tables cloned per variable, the permutation applied minterm by
+    /// minterm.  The oracle for the table *and* the transform.
+    fn semi_canonicalize_reference(function: &TruthTable) -> (TruthTable, NpnTransform) {
+        fn canonicalize_polarity(
+            function: &TruthTable,
+            output_negated: bool,
+        ) -> (TruthTable, NpnTransform) {
+            let num_vars = function.num_vars();
+            let mut work = function.clone();
+            let mut phase = [false; MAX_VARS];
+            for (var, flip) in phase.iter_mut().enumerate().take(num_vars) {
+                let positive = work.cofactor1(var).count_ones();
+                let negative = work.cofactor0(var).count_ones();
+                if positive > negative {
+                    work = work.flip_var(var);
+                    *flip = true;
+                }
+            }
+            let mut order: Vec<usize> = (0..num_vars).collect();
+            let keys: Vec<usize> = (0..num_vars)
+                .map(|var| work.cofactor1(var).count_ones())
+                .collect();
+            order.sort_by_key(|&var| keys[var]);
+            let mut placement = [0usize; MAX_VARS];
+            for (position, &var) in order.iter().enumerate() {
+                placement[var] = position;
+            }
+            let canonical = TruthTable::from_fn(num_vars, |minterm| {
+                // Bit `placement[v]` of the new assignment feeds variable `v`.
+                let mut original = 0usize;
+                for (v, &p) in placement[..num_vars].iter().enumerate() {
+                    original |= (minterm >> p & 1) << v;
+                }
+                work.get_bit(original)
+            });
+            (
+                canonical,
+                NpnTransform {
+                    num_vars,
+                    placement,
+                    phase,
+                    output_negated,
+                },
+            )
+        }
+
+        let ones = function.count_ones();
+        let zeros = (1usize << function.num_vars()) - ones;
+        match ones.cmp(&zeros) {
+            std::cmp::Ordering::Greater => canonicalize_polarity(&!function, true),
+            std::cmp::Ordering::Less => canonicalize_polarity(function, false),
+            std::cmp::Ordering::Equal => {
+                let plain = canonicalize_polarity(function, false);
+                let complemented = canonicalize_polarity(&!function, true);
+                if complemented.0.words() < plain.0.words() {
+                    complemented
+                } else {
+                    plain
+                }
+            }
+        }
+    }
+
+    /// The De Morgan dual: And and Or exchanged, literals and constants
+    /// complemented — the form of `!f` read off a form of `f`.
+    fn dual(expr: &FactoredForm) -> FactoredForm {
+        match expr {
+            FactoredForm::Const(value) => FactoredForm::Const(!value),
+            FactoredForm::Literal { var, negated } => FactoredForm::Literal {
+                var: *var,
+                negated: !negated,
+            },
+            FactoredForm::And(a, b) => FactoredForm::Or(Box::new(dual(a)), Box::new(dual(b))),
+            FactoredForm::Or(a, b) => FactoredForm::And(Box::new(dual(a)), Box::new(dual(b))),
+        }
+    }
+
+    /// The function of a random gate list over the projections (an empty
+    /// list yields a single literal): the shape of a cut function.
+    fn gate_list_function(num_vars: usize, gates: &[(u8, u16, u16, bool)]) -> TruthTable {
+        let mut pool: Vec<TruthTable> = (0..num_vars)
+            .map(|var| TruthTable::var(var, num_vars))
+            .collect();
+        for &(op, a, b, negate) in gates {
+            let (a, b) = (
+                &pool[a as usize % pool.len()],
+                &pool[b as usize % pool.len()],
+            );
+            let gate = match op % 3 {
+                0 => a & b,
+                1 => a | b,
+                _ => a ^ b,
+            };
+            pool.push(if negate { !&gate } else { gate });
+        }
+        pool.pop().expect("at least one projection")
+    }
+
+    /// Functions of `num_vars` variables: uniform tables, gate-list
+    /// functions (single literals included), constants, and — drawn on
+    /// purpose, because only they reach the two-polarity branch — balanced
+    /// ON-sets: `x ^ g` (complementing the output is flipping `x`) and the
+    /// self-dual `x ? g : !g(!rest)` (majority and the multiplexer are of
+    /// this kind), each under a random input permutation and phase.
+    fn arbitrary_function(num_vars: usize) -> impl Strategy<Value = TruthTable> {
+        let words = TruthTable::zeros(num_vars).words().len();
+        let uniform = move || {
+            prop::collection::vec(any::<u64>(), words)
+                .prop_map(move |w| TruthTable::from_words(w, num_vars))
+        };
+        let gates = move || {
+            prop::collection::vec((0u8..3, any::<u16>(), any::<u16>(), any::<bool>()), 0..24)
+                .prop_map(move |gates| gate_list_function(num_vars, &gates))
+        };
+        let balanced = move |self_dual: bool| {
+            (gates(), uniform(), any::<bool>(), any::<u64>()).prop_map(
+                move |(structured, random, pick, salt)| {
+                    let top = num_vars - 1;
+                    let x = TruthTable::var(top, num_vars);
+                    let g = if pick { structured } else { random }.cofactor0(top);
+                    let mut f = if self_dual {
+                        let mut mirrored = !&g;
+                        for var in 0..top {
+                            mirrored.flip_var_in_place(var);
+                        }
+                        &(&x & &g) | &(&!&x & &mirrored)
+                    } else {
+                        &x ^ &g
+                    };
+                    let mut perm: Vec<usize> = (0..num_vars).collect();
+                    for var in 0..num_vars {
+                        if salt >> var & 1 == 1 {
+                            f.flip_var_in_place(var);
+                        }
+                        perm.swap(var, (salt >> (16 + 4 * var)) as usize % num_vars);
+                    }
+                    f.permute_vars(&perm)
+                },
+            )
+        };
+        prop_oneof![
+            uniform(),
+            gates(),
+            balanced(false),
+            balanced(true),
+            any::<bool>().prop_map(move |value| {
+                if value {
+                    TruthTable::ones(num_vars)
+                } else {
+                    TruthTable::zeros(num_vars)
+                }
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        /// Word-level canonicalization is the table-level one, bit for bit:
+        /// same representative, same recorded transform.
+        #[test]
+        fn semi_canonicalize_matches_the_table_oracle(
+            function in (1usize..=12).prop_flat_map(arbitrary_function)
+        ) {
+            prop_assert_eq!(semi_canonicalize(&function), semi_canonicalize_reference(&function));
+        }
+
+        /// `factor_both` is `(factor(f), factor(!f))`: literally where it
+        /// returns the second form, and as the first form's De Morgan dual
+        /// where it does not.  One lookup either way, cache on or off.
+        #[test]
+        fn factor_both_is_both_single_polarity_answers(
+            function in (1usize..=10).prop_flat_map(arbitrary_function)
+        ) {
+            let cache = CutCache::new(CutCacheConfig::default());
+            let first = cache.factor(&function);
+            let second = cache.factor(&!&function);
+            prop_assert_eq!((cache.local_hits(), cache.local_misses()), (1, 1));
+            let (expr, complement) = cache.factor_both(&function);
+            prop_assert_eq!((cache.local_hits(), cache.local_misses()), (2, 1));
+            prop_assert_eq!(&expr, &first);
+            match &complement {
+                Some(complement) => prop_assert_eq!(complement, &second),
+                None => prop_assert_eq!(dual(&expr), second),
+            }
+            prop_assert_eq!(CutCache::disabled().factor_both(&function), (expr, complement));
+        }
+    }
+
+    #[test]
+    fn factor_both_returns_the_complement_for_self_dual_classes_only() {
+        let [a, b, c] = [0, 1, 2].map(|var| TruthTable::var(var, 3));
+        let majority = &(&(&a & &b) | &(&a & &c)) | &(&b & &c);
+        let multiplexer = &(&a & &b) | &(&!&a & &c);
+        let xor = &(&a ^ &b) ^ &c;
+        let and = &(&a & &b) & &c;
+        let cache = CutCache::disabled();
+        for function in [&majority, &multiplexer] {
+            let (expr, complement) = cache.factor_both(function);
+            assert_eq!(expr.to_truth_table(3), *function);
+            let complement = complement.expect("both polarities normalize to equal words");
+            assert_eq!(complement.to_truth_table(3), !function);
+        }
+        // Balanced, but the polarities normalize to different words.
+        assert_eq!(cache.factor_both(&xor).1, None);
+        assert_eq!(cache.factor_both(&and).1, None);
+    }
 
     fn sample_tables() -> Vec<TruthTable> {
         let mut tables = Vec::new();

@@ -26,8 +26,11 @@ pub struct RefactorParams {
     /// Reject candidates whose estimated root level exceeds the current root
     /// level (ABC's `-l`, used by the paper's experiments).
     pub preserve_level: bool,
-    /// Also factor the complement of the cut function and keep the better of
-    /// the two implementations.
+    /// Also weigh the factored form of the complemented cut function and
+    /// keep the better of the two implementations.  Both forms come from one
+    /// [`CutCache::factor_both`] call; the complement's is evaluated only
+    /// where it can differ from the first form's De Morgan dual (which is the
+    /// same AIG at the same cost and can never be the better one).
     pub try_complement: bool,
     /// Cuts with fewer leaves than this are not resynthesized (they cannot
     /// yield a gain).
@@ -225,14 +228,20 @@ impl Refactor {
             return None;
         }
 
-        // Resynthesize: truth table -> ISOP -> factored form (both
-        // polarities), memoized by NPN class through the cut cache (the
-        // complement maps to the same class, so it is a guaranteed hit).
+        // Resynthesize: truth table -> NPN representative -> ISOP ->
+        // factored form, once per cut whether or not the cache memoizes.
+        // Both polarities share the representative; the complement is a
+        // candidate of its own only where `factor_both` hands back a form
+        // that is not the first one's De Morgan dual.
         let truth = cut_truth_table(aig, cut);
         let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| l.lit()).collect();
-        let mut candidates = vec![(self.cache.factor(&truth), false)];
+        let mut candidates = Vec::with_capacity(2);
         if self.params.try_complement {
-            candidates.push((self.cache.factor(&!&truth), true));
+            let (expr, complement) = self.cache.factor_both(&truth);
+            candidates.push((expr, false));
+            candidates.extend(complement.map(|expr| (expr, true)));
+        } else {
+            candidates.push((self.cache.factor(&truth), false));
         }
 
         // Evaluate the gain of each candidate with the cut-bounded MFFC

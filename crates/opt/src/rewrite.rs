@@ -15,6 +15,7 @@
 use std::time::{Duration, Instant};
 
 use elf_aig::{Aig, Cut, CutFeatures, CutParams, Lit, NodeId};
+use elf_sop::{FactoredForm, TruthTable};
 
 use crate::build::{build_expr, count_new_nodes, cut_truth_table};
 use crate::cache::CutCache;
@@ -170,10 +171,23 @@ impl Rewrite {
     /// were evaluated and `Some(achieved_gain)` when a rewrite was committed
     /// (the gain is zero for accepted zero-gain rewrites).
     pub fn rewrite_node(&self, aig: &mut Aig, node: NodeId) -> (usize, Option<i64>) {
+        self.rewrite_node_with(aig, node, |truth| self.cache.factor_both(truth))
+    }
+
+    /// [`Rewrite::rewrite_node`] over `factor_both`'s candidates: the form of
+    /// a cut function and, where worth weighing, the form of its complement.
+    /// A parameter only so the twin test can evaluate both polarities of
+    /// every cut the way the operator did before `factor_both` existed.
+    fn rewrite_node_with(
+        &self,
+        aig: &mut Aig,
+        node: NodeId,
+        factor_both: impl Fn(&TruthTable) -> (FactoredForm, Option<FactoredForm>),
+    ) -> (usize, Option<i64>) {
         let cuts = self.enumerate_cuts(aig, node);
         let mut evaluated = 0;
         let root_level = aig.level(node);
-        let mut best: Option<(Cut, elf_sop::FactoredForm, bool, i64)> = None;
+        let mut best: Option<(Cut, FactoredForm, bool, i64)> = None;
         for cut in cuts {
             if cut.num_leaves() < 3 {
                 continue;
@@ -183,13 +197,13 @@ impl Rewrite {
             let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| l.lit()).collect();
             // The reclaimable logic is the MFFC bounded by this cut's leaves.
             let saved = aig.deref_mffc_bounded(node, &cut.leaves) as i64;
-            for complemented in [false, true] {
-                // NPN-memoized: the complemented polarity shares the class.
-                let expr = if complemented {
-                    self.cache.factor(&!&truth)
-                } else {
-                    self.cache.factor(&truth)
-                };
+            // One NPN-memoized lookup serves both polarities; the complement
+            // is weighed only where it is not the first form's De Morgan dual
+            // (same AIG, same gain: `gain > best` could never pick it).
+            let (expr, complement) = factor_both(&truth);
+            let candidates =
+                std::iter::once((expr, false)).chain(complement.map(|expr| (expr, true)));
+            for (expr, complemented) in candidates {
                 let cost = count_new_nodes(aig, &expr, &leaf_lits, Some(node));
                 if self.params.preserve_level && cost.level > root_level {
                     continue;
@@ -432,6 +446,90 @@ mod tests {
         let committed = samples.iter().filter(|s| s.committed).count();
         assert_eq!(committed, stats.nodes_rewritten);
         assert!(aig.check_invariants().is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Weighing the complement only where `factor_both` returns it lands
+        /// on the network the operator reached when it factored and
+        /// evaluated both polarities of every cut — node for node, cache on
+        /// and off, with and without zero-gain commits.
+        #[test]
+        fn pass_matches_evaluating_both_polarities_of_every_cut(
+            script in elf_circuits::script_strategy(36),
+            zero_gain in proptest::prelude::any::<bool>(),
+            cached in proptest::prelude::any::<bool>(),
+        ) {
+            let cache_config = if cached {
+                crate::CutCacheConfig::default()
+            } else {
+                crate::CutCacheConfig::disabled()
+            };
+            let mut operator = Rewrite::new(RewriteParams { zero_gain, ..Default::default() });
+            operator.set_cut_cache(CutCache::new(cache_config));
+            let mut aig = elf_circuits::scripted_circuit(6, &script);
+            let mut twin = aig.clone();
+            let stats = operator.run(&mut aig);
+
+            let cache = CutCache::new(cache_config);
+            let mut rewritten = 0;
+            crate::operator::drive_filtered_pass(
+                &mut twin,
+                &operator.params.feature_cut,
+                None,
+                None,
+                |twin, node| {
+                    let both = |truth: &TruthTable| {
+                        (cache.factor(truth), Some(cache.factor(&!truth)))
+                    };
+                    let committed = operator.rewrite_node_with(twin, node, both).1.is_some();
+                    rewritten += usize::from(committed);
+                    committed
+                },
+            );
+            proptest::prop_assert_eq!(stats.nodes_rewritten, rewritten);
+            let structure = |aig: &Aig| -> Vec<(NodeId, (Lit, Lit))> {
+                aig.and_ids().map(|id| (id, aig.fanins(id))).collect()
+            };
+            proptest::prop_assert_eq!(structure(&aig), structure(&twin));
+            proptest::prop_assert_eq!(aig.outputs(), twin.outputs());
+        }
+    }
+
+    #[test]
+    fn complement_candidate_wins_where_only_its_structure_exists() {
+        // f = maj(a, b, c) as a flat SOP.  Majority is self-dual: both
+        // polarities normalize to equal words, so the complement's form is
+        // a candidate of its own — and here the graph already holds the
+        // nodes of b (a + c) + a c, the form one polarity factors into.
+        let mut aig = Aig::new();
+        let [a, b, c] = [aig.add_input(), aig.add_input(), aig.add_input()];
+        let f = aig.maj(a, b, c);
+        aig.add_output(f);
+        let a_or_c = aig.or(a, c);
+        let product = aig.and(b, a_or_c);
+        aig.add_output(product);
+        let ac = aig.and(a, c);
+        aig.add_output(ac);
+        let golden = aig.clone();
+
+        let operator = Rewrite::default();
+        let mut blind = aig.clone();
+        let (_, gain) = operator.rewrite_node(&mut aig, f.node());
+        let (_, blind_gain) = operator.rewrite_node_with(&mut blind, f.node(), |truth| {
+            (operator.cache.factor(truth), None)
+        });
+        assert_eq!(
+            gain,
+            Some(3),
+            "complement form: one new node for four freed"
+        );
+        assert_eq!(blind_gain, Some(2), "first form alone: two new nodes");
+        assert_eq!(
+            check_equivalence(&golden, &aig, 8, 21),
+            EquivalenceResult::Equivalent
+        );
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Property-based tests: every optimization operator must preserve the
 //! function of the network and never increase the reachable node count.
 
-use elf_aig::{check_equivalence, Aig, CutFeatures, EquivalenceResult, NodeId};
+use elf_aig::{check_equivalence, Aig, Cut, CutFeatures, EquivalenceResult, Lit, NodeId};
 use elf_circuits::{script_strategy, scripted_circuit};
-use elf_opt::{AigOperator, PrunableOperator, Refactor, RefactorParams, Resubstitution, Rewrite};
+use elf_opt::{
+    build_expr, count_new_nodes, cut_truth_table, AigOperator, CutCache, CutCacheConfig,
+    PrunableOperator, Refactor, RefactorParams, Resubstitution, Rewrite,
+};
 use proptest::prelude::*;
 
 /// A deterministic pseudo-random keep/prune decision derived from the node id
@@ -42,8 +45,96 @@ fn check_filtered_run<O: PrunableOperator>(operator: &O, mut aig: Aig, mask: u64
     );
 }
 
+/// The refactor pass as it chose an implementation before
+/// `CutCache::factor_both`: both polarities of every cut are factored on
+/// their own and both are gain-evaluated.  Public API only; the reference
+/// the operator is pinned against, node for node.
+fn refactor_evaluating_both_polarities(aig: &mut Aig, params: &RefactorParams, cache: &CutCache) {
+    let targets: Vec<_> = aig.and_ids().map(|id| aig.token(id)).collect();
+    let mut cut = Cut::empty();
+    for token in targets {
+        let node = token.id();
+        if !aig.token_is_current(token) || aig.refs(node) == 0 {
+            continue;
+        }
+        aig.reconvergence_cut_into(node, &params.cut, &mut cut);
+        if cut.num_leaves() < params.min_leaves {
+            continue;
+        }
+        let truth = cut_truth_table(aig, &cut);
+        let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| l.lit()).collect();
+        let candidates = [
+            (cache.factor(&truth), false),
+            (cache.factor(&!&truth), true),
+        ];
+        let saved = aig.deref_mffc_bounded(node, &cut.leaves) as i64;
+        let root_level = aig.level(node);
+        let mut best: Option<(usize, i64)> = None;
+        for (index, (expr, _)) in candidates.iter().enumerate() {
+            let cost = count_new_nodes(aig, expr, &leaf_lits, Some(node));
+            if params.preserve_level && cost.level > root_level {
+                continue;
+            }
+            let gain = saved - cost.new_nodes as i64;
+            let better = best.is_none_or(|(best_index, best_gain)| {
+                gain > best_gain
+                    || (gain == best_gain
+                        && expr.num_gates() < candidates[best_index].0.num_gates())
+            });
+            if better {
+                best = Some((index, gain));
+            }
+        }
+        aig.ref_mffc_bounded(node, &cut.leaves);
+        let Some((index, gain)) = best else { continue };
+        if !(gain > 0 || (params.zero_gain && gain >= 0)) {
+            continue;
+        }
+        let (expr, complemented) = &candidates[index];
+        aig.begin_speculation();
+        let new_lit = build_expr(aig, expr, &leaf_lits).complement_if(*complemented);
+        if new_lit.node() == node || aig.cone_contains(new_lit.node(), node) {
+            aig.reject_speculation();
+            continue;
+        }
+        aig.commit_speculation();
+        aig.replace(node, new_lit);
+    }
+}
+
+/// Every AND node followed by its fanin literals, then the output literals.
+fn structure(aig: &Aig) -> (Vec<(NodeId, Lit, Lit)>, Vec<Lit>) {
+    let nodes = aig.and_ids().map(|id| {
+        let (f0, f1) = aig.fanins(id);
+        (id, f0, f1)
+    });
+    (nodes.collect(), aig.outputs().to_vec())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Resynthesising each cut once — one NPN representative, the complement
+    /// weighed only where `factor_both` returns it — lands on the network
+    /// the pass reached when it factored and evaluated both polarities of
+    /// every cut: node for node, cache on and off, with and without
+    /// zero-gain commits.
+    #[test]
+    fn refactor_matches_evaluating_both_polarities_of_every_cut(
+        script in script_strategy(40),
+        zero_gain in any::<bool>(),
+    ) {
+        let params = RefactorParams { zero_gain, ..Default::default() };
+        for config in [CutCacheConfig::disabled(), CutCacheConfig::default()] {
+            let mut operator = Refactor::new(params);
+            operator.set_cut_cache(CutCache::new(config));
+            let mut aig = scripted_circuit(6, &script);
+            let mut twin = aig.clone();
+            let _ = operator.run(&mut aig);
+            refactor_evaluating_both_polarities(&mut twin, &params, &CutCache::new(config));
+            prop_assert_eq!(structure(&aig), structure(&twin));
+        }
+    }
 
     /// Refactor preserves functionality and reports a gain that matches the
     /// actual change in reachable node count.

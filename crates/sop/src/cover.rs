@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::truth::TruthTable;
+use crate::truth::{TruthTable, ELEMENTARY};
 
 /// A product term (cube) over at most 16 variables.
 ///
@@ -189,8 +189,22 @@ impl Sop {
     /// exact) and no cube can be dropped without uncovering a minterm.
     pub fn isop(function: &TruthTable) -> Self {
         let num_vars = function.num_vars();
-        let (cubes, cover) = isop_rec(function, function, num_vars);
-        debug_assert_eq!(&cover, function, "ISOP must reproduce the function exactly");
+        let words = function.words();
+        let mut cubes = Vec::new();
+        if num_vars <= 6 {
+            // Repeat the table over the unused high variables so that "all
+            // ones" and the cofactor shifts need no width-dependent mask.
+            let table = (num_vars..6).fold(words[0], |w, var| w | w << (1usize << var));
+            let cover = isop_word(&mut cubes, table, table, num_vars);
+            debug_assert_eq!(cover, table, "ISOP must reproduce the function exactly");
+        } else {
+            // One buffer for the whole recursion: the cover, then four
+            // half-width temporaries per level (4 * (1/2 + 1/4 + ..) < 4).
+            let mut buffer = vec![0u64; 5 * words.len()];
+            let (cover, scratch) = buffer.split_at_mut(words.len());
+            isop_slices(&mut cubes, words, words, cover, scratch);
+            debug_assert_eq!(cover, words, "ISOP must reproduce the function exactly");
+        }
         Sop { num_vars, cubes }
     }
 }
@@ -205,9 +219,135 @@ impl fmt::Display for Sop {
     }
 }
 
-/// Recursive Minato–Morreale ISOP on the interval `[lower, upper]`.
+/// Minato–Morreale ISOP of the interval `[lower, upper]` over the variables
+/// below `top <= 6`, entirely in registers.  Both bounds are full 64-bit
+/// tables that do not depend on any variable `>= top`.
+///
+/// Appends the cubes to `cubes` — those with the negative literal of the
+/// split variable, then those with the positive one, then the rest — and
+/// returns the function they cover.
+fn isop_word(cubes: &mut Vec<Cube>, lower: u64, upper: u64, top: usize) -> u64 {
+    debug_assert_eq!(lower & !upper, 0, "lower bound must imply upper bound");
+    if lower == 0 {
+        return 0;
+    }
+    if upper == !0 {
+        cubes.push(Cube::TAUTOLOGY);
+        return !0;
+    }
+    // The topmost variable either bound depends on.
+    let mut var = top;
+    let (mask, shift) = loop {
+        assert!(var > 0, "non-constant interval must depend on a variable");
+        var -= 1;
+        let (mask, shift) = (ELEMENTARY[var], 1usize << var);
+        if ((lower ^ (lower >> shift)) | (upper ^ (upper >> shift))) & !mask != 0 {
+            break (mask, shift);
+        }
+    };
+    let cofactor0 = |w: u64| (w & !mask) | ((w & !mask) << shift);
+    let cofactor1 = |w: u64| (w & mask) | ((w & mask) >> shift);
+    let (l0, l1) = (cofactor0(lower), cofactor1(lower));
+    let (u0, u1) = (cofactor0(upper), cofactor1(upper));
+
+    let start0 = cubes.len();
+    let cover0 = isop_word(cubes, l0 & !u1, u0, var);
+    let start1 = cubes.len();
+    let cover1 = isop_word(cubes, l1 & !u0, u1, var);
+    add_split_literal(cubes, start0, start1, var);
+    // Remaining minterms can be covered without mentioning `var`.
+    let cover_star = isop_word(cubes, (l0 & !cover0) | (l1 & !cover1), u0 & u1, var);
+    (cover0 & !mask) | (cover1 & mask) | cover_star
+}
+
+/// The same recursion for bounds of more than one word (`2^k` words each,
+/// i.e. `6 + k` variables): the cofactors of the top variable are the two
+/// half-slices.  Writes the covered function to `cover`; `scratch` must hold
+/// four times the bounds' length.
+fn isop_slices(
+    cubes: &mut Vec<Cube>,
+    lower: &[u64],
+    upper: &[u64],
+    cover: &mut [u64],
+    scratch: &mut [u64],
+) {
+    if lower.iter().all(|&w| w == 0) {
+        cover.fill(0);
+        return;
+    }
+    if upper.iter().all(|&w| w == !0) {
+        cubes.push(Cube::TAUTOLOGY);
+        cover.fill(!0);
+        return;
+    }
+    // Drop top variables neither bound depends on: the low half is the whole
+    // function then.
+    let mut len = lower.len();
+    while len > 1 {
+        let half = len / 2;
+        if lower[..half] != lower[half..len] || upper[..half] != upper[half..len] {
+            break;
+        }
+        len = half;
+    }
+    if len == 1 {
+        cover.fill(isop_word(cubes, lower[0], upper[0], 6));
+        return;
+    }
+    let half = len / 2;
+    let var = 6 + half.trailing_zeros() as usize;
+    let (l0, l1) = lower[..len].split_at(half);
+    let (u0, u1) = upper[..len].split_at(half);
+    let (mine, scratch) = scratch.split_at_mut(4 * half);
+    let (bound, mine) = mine.split_at_mut(half);
+    let (upper_star, mine) = mine.split_at_mut(half);
+    let (cover0, cover1) = mine.split_at_mut(half);
+
+    let start0 = cubes.len();
+    for (b, (l, u)) in bound.iter_mut().zip(l0.iter().zip(u1)) {
+        *b = l & !u;
+    }
+    isop_slices(cubes, bound, u0, cover0, scratch);
+    let start1 = cubes.len();
+    for (b, (l, u)) in bound.iter_mut().zip(l1.iter().zip(u0)) {
+        *b = l & !u;
+    }
+    isop_slices(cubes, bound, u1, cover1, scratch);
+    add_split_literal(cubes, start0, start1, var);
+    for i in 0..half {
+        bound[i] = (l0[i] & !cover0[i]) | (l1[i] & !cover1[i]);
+        upper_star[i] = u0[i] & u1[i];
+    }
+    let (low, high) = cover[..len].split_at_mut(half);
+    isop_slices(cubes, bound, upper_star, low, scratch);
+    for i in 0..half {
+        high[i] = cover1[i] | low[i];
+        low[i] |= cover0[i];
+    }
+    // Repeat the cover over the dropped variables.
+    while len < cover.len() {
+        cover.copy_within(..len, len);
+        len *= 2;
+    }
+}
+
+/// Adds the negative literal of `var` to `cubes[start0..start1]` and the
+/// positive one to `cubes[start1..]`.
+fn add_split_literal(cubes: &mut [Cube], start0: usize, start1: usize, var: usize) {
+    for cube in &mut cubes[start0..start1] {
+        cube.neg |= 1 << var;
+    }
+    for cube in &mut cubes[start1..] {
+        cube.pos |= 1 << var;
+    }
+}
+
+/// The table-at-a-time Minato–Morreale recursion [`Sop::isop`] used before
+/// it moved onto word slices, kept as the oracle the new one is compared
+/// against cube for cube.
 ///
 /// Returns the cubes and the function they cover.
+#[cfg(test)]
 fn isop_rec(lower: &TruthTable, upper: &TruthTable, top: usize) -> (Vec<Cube>, TruthTable) {
     debug_assert!(lower.implies(upper), "lower bound must imply upper bound");
     if lower.is_zero() {
@@ -254,6 +394,117 @@ fn isop_rec(lower: &TruthTable, upper: &TruthTable, top: usize) -> (Vec<Cube>, T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The function computed by a random gate list over the projections:
+    /// few cubes, skipped variables, shared structure — the shape of a cut
+    /// function, which a uniformly random table never has.  An empty list
+    /// yields a single literal.
+    fn gate_list_function(num_vars: usize, gates: &[(u8, u16, u16, bool)]) -> TruthTable {
+        let mut pool: Vec<TruthTable> = (0..num_vars)
+            .map(|var| TruthTable::var(var, num_vars))
+            .collect();
+        for &(op, a, b, negate) in gates {
+            let (a, b) = (
+                &pool[a as usize % pool.len()],
+                &pool[b as usize % pool.len()],
+            );
+            let gate = match op % 3 {
+                0 => a & b,
+                1 => a | b,
+                _ => a ^ b,
+            };
+            pool.push(if negate { !&gate } else { gate });
+        }
+        pool.pop().expect("at least one projection")
+    }
+
+    /// Functions of `num_vars` variables: uniform tables, sparse and dense
+    /// ones, gate-list functions (single literals included) and constants.
+    fn arbitrary_function(num_vars: usize) -> impl Strategy<Value = TruthTable> {
+        let words = TruthTable::zeros(num_vars).words().len();
+        let uniform = move || {
+            prop::collection::vec(any::<u64>(), words)
+                .prop_map(move |w| TruthTable::from_words(w, num_vars))
+        };
+        prop_oneof![
+            uniform(),
+            (uniform(), uniform(), uniform(), any::<bool>()).prop_map(|(a, b, c, dense)| {
+                let sparse = &(&a & &b) & &c;
+                if dense {
+                    !&sparse
+                } else {
+                    sparse
+                }
+            }),
+            prop::collection::vec((0u8..3, any::<u16>(), any::<u16>(), any::<bool>()), 0..24)
+                .prop_map(move |gates| gate_list_function(num_vars, &gates)),
+            any::<bool>().prop_map(move |value| {
+                if value {
+                    TruthTable::ones(num_vars)
+                } else {
+                    TruthTable::zeros(num_vars)
+                }
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        /// The word-slice recursion emits exactly the cubes of the
+        /// table-at-a-time one, in the same order — on tables narrower than
+        /// a word, on one word, and on up to 64 words.
+        #[test]
+        fn isop_matches_the_table_oracle_cube_for_cube(
+            function in (1usize..=12).prop_flat_map(arbitrary_function)
+        ) {
+            let (cubes, cover) = isop_rec(&function, &function, function.num_vars());
+            prop_assert_eq!(&cover, &function);
+            let sop = Sop::isop(&function);
+            prop_assert_eq!(sop.cubes(), &cubes[..]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// On multi-word tables (the width of default refactor cuts) the
+        /// cover is exact, every cube is an implicant, and no cube can be
+        /// dropped: each covers a minterm no other cube does.
+        #[test]
+        fn multi_word_isop_is_an_exact_irredundant_cover_of_implicants(
+            function in (7usize..=10).prop_flat_map(arbitrary_function)
+        ) {
+            let sop = Sop::isop(&function);
+            prop_assert_eq!(sop.to_truth_table(), function.clone());
+            let minterms = 1usize << function.num_vars();
+            let mut covered_by = vec![0u32; minterms];
+            for cube in sop.cubes() {
+                for (m, count) in covered_by.iter_mut().enumerate() {
+                    if cube.covers(m) {
+                        prop_assert!(function.get_bit(m), "cube {} leaves the ON-set at {}", cube, m);
+                        *count += 1;
+                    }
+                }
+            }
+            for (index, cube) in sop.cubes().iter().enumerate() {
+                prop_assert!(
+                    (0..minterms).any(|m| cube.covers(m) && covered_by[m] == 1),
+                    "cube {} ({}) is redundant", index, cube
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn isop_matches_the_oracle_on_every_function_of_three_variables() {
+        for bits in 0..256u64 {
+            let function = TruthTable::from_words(vec![bits], 3);
+            let (cubes, _) = isop_rec(&function, &function, 3);
+            assert_eq!(Sop::isop(&function).cubes(), &cubes[..], "table {bits:#x}");
+        }
+    }
 
     #[test]
     fn cube_basics() {

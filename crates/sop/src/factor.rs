@@ -131,17 +131,7 @@ fn factor_cubes(cubes: &[Cube], num_vars: usize) -> FactoredForm {
     if cubes.len() == 1 {
         return cube_to_and_tree(&cubes[0], num_vars);
     }
-    // Find the most frequent literal.
-    let mut best: Option<(usize, bool, usize)> = None; // (var, phase, count)
-    for var in 0..num_vars {
-        for positive in [true, false] {
-            let count = cubes.iter().filter(|c| c.contains(var, positive)).count();
-            if count >= 2 && best.is_none_or(|(_, _, c)| count > c) {
-                best = Some((var, positive, count));
-            }
-        }
-    }
-    let Some((var, positive, _)) = best else {
+    let Some((var, positive)) = most_frequent_literal(cubes, num_vars) else {
         // No shared literal: the cover is already a simple OR of cubes.
         let terms: Vec<FactoredForm> = cubes
             .iter()
@@ -176,6 +166,34 @@ fn factor_cubes(cubes: &[Cube], num_vars: usize) -> FactoredForm {
             Box::new(factor_cubes(&remainder, num_vars)),
         )
     }
+}
+
+/// The literal occurring in the most cubes, if any occurs in at least two.
+///
+/// Occurrences are counted in one pass over the cubes, then scanned lowest
+/// variable and positive phase first, so ties go to the earliest literal in
+/// that order.
+fn most_frequent_literal(cubes: &[Cube], num_vars: usize) -> Option<(usize, bool)> {
+    let mut counts = [[0usize; 2]; u32::BITS as usize]; // [var][positive]
+    for cube in cubes {
+        for (mask, positive) in [(cube.pos, true), (cube.neg, false)] {
+            let mut rest = mask;
+            while rest != 0 {
+                counts[rest.trailing_zeros() as usize][usize::from(positive)] += 1;
+                rest &= rest - 1;
+            }
+        }
+    }
+    let mut best: Option<(usize, bool, usize)> = None; // (var, phase, count)
+    for (var, by_phase) in counts.iter().enumerate().take(num_vars) {
+        for positive in [true, false] {
+            let count = by_phase[usize::from(positive)];
+            if count >= 2 && best.is_none_or(|(_, _, c)| count > c) {
+                best = Some((var, positive, count));
+            }
+        }
+    }
+    best.map(|(var, positive, _)| (var, positive))
 }
 
 fn cube_to_and_tree(cube: &Cube, num_vars: usize) -> FactoredForm {
@@ -313,6 +331,47 @@ mod tests {
         let expr = factor(&sop);
         assert_eq!(expr.num_gates(), 3);
         assert_eq!(expr.depth(), 2);
+    }
+
+    #[test]
+    fn most_frequent_literal_matches_the_per_literal_scan() {
+        // The definition: per literal, count the cubes containing it; the
+        // first literal (lowest variable, positive phase first) with the
+        // highest count of at least two wins.
+        let scan = |cubes: &[Cube], num_vars: usize| {
+            let mut best: Option<(usize, bool, usize)> = None;
+            for var in 0..num_vars {
+                for positive in [true, false] {
+                    let count = cubes.iter().filter(|c| c.contains(var, positive)).count();
+                    if count >= 2 && best.is_none_or(|(_, _, c)| count > c) {
+                        best = Some((var, positive, count));
+                    }
+                }
+            }
+            best.map(|(var, positive, _)| (var, positive))
+        };
+        for num_vars in 1..=10usize {
+            for salt in 0..40usize {
+                let function = TruthTable::from_fn(num_vars, |m| {
+                    ((m + 3 * salt).wrapping_mul(2654435761) >> 5) % 3 == 0
+                });
+                let cubes = Sop::isop(&function).cubes().to_vec();
+                // Every suffix is a cover the recursion may meet.
+                for start in 0..cubes.len() {
+                    assert_eq!(
+                        most_frequent_literal(&cubes[start..], num_vars),
+                        scan(&cubes[start..], num_vars)
+                    );
+                }
+            }
+        }
+        // A tie between x0 (positive) and !x1: the earlier literal wins.
+        let tie = [
+            Cube::literal(0, true).with_literal(1, false),
+            Cube::literal(0, true).with_literal(2, true),
+            Cube::literal(1, false).with_literal(3, true),
+        ];
+        assert_eq!(most_frequent_literal(&tie, 4), Some((0, true)));
     }
 
     #[test]

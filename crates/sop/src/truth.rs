@@ -6,7 +6,9 @@ use std::ops::{BitAnd, BitOr, BitXor, Not};
 /// Maximum number of variables supported by [`TruthTable`].
 pub const MAX_VARS: usize = 16;
 
-const ELEMENTARY: [u64; 6] = [
+/// `ELEMENTARY[v]` has bit `m` set exactly when bit `v` of `m` is set: the
+/// single-word projection of variable `v < 6`.
+pub(crate) const ELEMENTARY: [u64; 6] = [
     0xAAAA_AAAA_AAAA_AAAA,
     0xCCCC_CCCC_CCCC_CCCC,
     0xF0F0_F0F0_F0F0_F0F0,
@@ -88,16 +90,23 @@ impl TruthTable {
         assert!(var < num_vars, "variable index out of range");
         let mut t = Self::zeros(num_vars);
         for (i, w) in t.words.iter_mut().enumerate() {
-            *w = if var < 6 {
-                ELEMENTARY[var]
-            } else if (i >> (var - 6)) & 1 == 1 {
-                !0
-            } else {
-                0
-            };
+            *w = Self::var_word(var, i);
         }
         t.mask();
         t
+    }
+
+    /// Word `index` of the projection function of variable `var`, as it
+    /// appears in any table wide enough to hold it (tables of fewer than six
+    /// variables keep only the low `2^num_vars` bits).
+    pub fn var_word(var: usize, index: usize) -> u64 {
+        if var < 6 {
+            ELEMENTARY[var]
+        } else if (index >> (var - 6)) & 1 == 1 {
+            !0
+        } else {
+            0
+        }
     }
 
     /// Creates a truth table from raw words (least-significant word first).
@@ -237,27 +246,73 @@ impl TruthTable {
     ///
     /// Panics if `var >= num_vars`.
     pub fn flip_var(&self, var: usize) -> Self {
-        assert!(var < self.num_vars);
         let mut out = self.clone();
+        out.flip_var_in_place(var);
+        out
+    }
+
+    /// Complements variable `var` in place (see [`TruthTable::flip_var`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var >= num_vars`.
+    pub fn flip_var_in_place(&mut self, var: usize) {
+        assert!(var < self.num_vars);
         if var < 6 {
             let shift = 1usize << var;
             let mask = ELEMENTARY[var];
-            for w in &mut out.words {
+            for w in &mut self.words {
                 *w = ((*w & mask) >> shift) | ((*w & !mask) << shift);
             }
         } else {
             let block = 1usize << (var - 6);
-            let total = out.words.len();
-            let mut i = 0;
-            while i < total {
-                for k in 0..block {
-                    out.words.swap(i + k, i + block + k);
-                }
-                i += 2 * block;
+            for pair in self.words.chunks_exact_mut(2 * block) {
+                let (low, high) = pair.split_at_mut(block);
+                low.swap_with_slice(high);
             }
         }
-        out.mask();
-        out
+    }
+
+    /// Exchanges variables `a` and `b` in place: minterm `m` of the result is
+    /// minterm `m` of `self` with bits `a` and `b` traded.
+    fn swap_vars(&mut self, a: usize, b: usize) {
+        debug_assert!(a < self.num_vars && b < self.num_vars);
+        let (lo, hi) = (a.min(b), a.max(b));
+        if lo == hi {
+            return;
+        }
+        if hi < 6 {
+            // Minterms with lo = 1, hi = 0 sit `distance` bits below their
+            // partners with lo = 0, hi = 1; everything else stays put.
+            let distance = (1usize << hi) - (1usize << lo);
+            let lower = ELEMENTARY[lo] & !ELEMENTARY[hi];
+            let upper = lower << distance;
+            for w in &mut self.words {
+                *w = (*w & !(lower | upper))
+                    | ((*w & lower) << distance)
+                    | ((*w & upper) >> distance);
+            }
+        } else if lo < 6 {
+            // `hi` selects a word, `lo` a bit position inside it.
+            let block = 1usize << (hi - 6);
+            let shift = 1usize << lo;
+            let mask = ELEMENTARY[lo];
+            for pair in self.words.chunks_exact_mut(2 * block) {
+                let (low, high) = pair.split_at_mut(block);
+                for (l, h) in low.iter_mut().zip(high) {
+                    let (old_l, old_h) = (*l, *h);
+                    *l = (old_l & !mask) | ((old_h & !mask) << shift);
+                    *h = (old_h & mask) | ((old_l & mask) >> shift);
+                }
+            }
+        } else {
+            let (bit_lo, bit_hi) = (1usize << (lo - 6), 1usize << (hi - 6));
+            for i in 0..self.words.len() {
+                if i & bit_lo != 0 && i & bit_hi == 0 {
+                    self.words.swap(i, i ^ bit_lo ^ bit_hi);
+                }
+            }
+        }
     }
 
     /// Returns the function with its variables permuted: variable `v` of
@@ -267,25 +322,76 @@ impl TruthTable {
     ///
     /// Panics if `perm` is not a permutation of `0..num_vars`.
     pub fn permute_vars(&self, perm: &[usize]) -> Self {
+        let mut out = self.clone();
+        out.permute_vars_in_place(perm);
+        out
+    }
+
+    /// Permutes the variables in place (see [`TruthTable::permute_vars`]) by
+    /// at most `num_vars - 1` word-level variable swaps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `perm` is not a permutation of `0..num_vars`.
+    pub fn permute_vars_in_place(&mut self, perm: &[usize]) {
         assert_eq!(perm.len(), self.num_vars, "permutation length mismatch");
-        let mut seen = vec![false; self.num_vars];
-        for &p in perm {
-            assert!(p < self.num_vars && !seen[p], "not a permutation");
-            seen[p] = true;
+        // at[p] = the original variable currently sitting at position p.
+        let mut at = [usize::MAX; MAX_VARS];
+        let mut wanted = [usize::MAX; MAX_VARS];
+        for (v, &p) in perm.iter().enumerate() {
+            assert!(
+                p < self.num_vars && wanted[p] == usize::MAX,
+                "not a permutation"
+            );
+            wanted[p] = v;
+            at[v] = v;
         }
-        Self::from_fn(self.num_vars, |minterm| {
-            // Bit `perm[v]` of the new assignment feeds variable `v` of self.
-            let mut original = 0usize;
-            for (v, &p) in perm.iter().enumerate() {
-                original |= (minterm >> p & 1) << v;
-            }
-            self.get_bit(original)
-        })
+        for (position, &variable) in wanted[..self.num_vars].iter().enumerate() {
+            let current = (position..self.num_vars)
+                .find(|&q| at[q] == variable)
+                .expect("positions below hold other variables");
+            self.swap_vars(position, current);
+            at.swap(position, current);
+        }
+    }
+
+    /// Number of ON-set minterms in which variable `var` is 1 (half the
+    /// ON-set size of [`TruthTable::cofactor1`], without building it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var >= num_vars`.
+    pub fn count_ones_with(&self, var: usize) -> usize {
+        assert!(var < self.num_vars);
+        if var < 6 {
+            let mask = ELEMENTARY[var];
+            self.words
+                .iter()
+                .map(|w| (w & mask).count_ones() as usize)
+                .sum()
+        } else {
+            let block = 1usize << (var - 6);
+            self.words
+                .chunks_exact(2 * block)
+                .flat_map(|pair| &pair[block..])
+                .map(|w| w.count_ones() as usize)
+                .sum()
+        }
     }
 
     /// Returns `true` if the function depends on variable `var`.
     pub fn depends_on(&self, var: usize) -> bool {
-        self.cofactor0(var) != self.cofactor1(var)
+        assert!(var < self.num_vars);
+        if var < 6 {
+            let shift = 1usize << var;
+            let low = !ELEMENTARY[var];
+            self.words.iter().any(|w| (w ^ (w >> shift)) & low != 0)
+        } else {
+            let block = 1usize << (var - 6);
+            self.words
+                .chunks_exact(2 * block)
+                .any(|pair| pair[..block] != pair[block..])
+        }
     }
 
     /// Returns the number of variables the function actually depends on
@@ -311,7 +417,11 @@ impl TruthTable {
 
     /// Returns `true` if the ON-set of `self` is a subset of the ON-set of `other`.
     pub fn implies(&self, other: &Self) -> bool {
-        self.and_not(other).is_zero()
+        assert_eq!(self.num_vars, other.num_vars);
+        self.words
+            .iter()
+            .zip(&other.words)
+            .all(|(a, b)| a & !b == 0)
     }
 }
 
@@ -482,6 +592,81 @@ mod tests {
         for m in 0..256usize {
             let original = (m & !0x81) | ((m >> 7) & 1) | ((m & 1) << 7);
             assert_eq!(swapped.get_bit(m), wide.get_bit(original));
+        }
+    }
+
+    /// A fixed pseudo-random function of `num_vars` variables.
+    fn scrambled(num_vars: usize, salt: usize) -> TruthTable {
+        TruthTable::from_fn(num_vars, |m| {
+            ((m + salt).wrapping_mul(2654435761) >> 7).count_ones() % 2 == 1
+        })
+    }
+
+    #[test]
+    fn swap_vars_matches_bit_level_definition() {
+        // 9 variables: both in one word, one in a word and one across words,
+        // both across words.  3 variables: a table narrower than a word.
+        for num_vars in [3, 9] {
+            let f = scrambled(num_vars, 11);
+            for a in 0..num_vars {
+                for b in 0..num_vars {
+                    let mut swapped = f.clone();
+                    swapped.swap_vars(a, b);
+                    let expected = TruthTable::from_fn(num_vars, |m| {
+                        let (bit_a, bit_b) = (m >> a & 1, m >> b & 1);
+                        f.get_bit((m & !(1 << a) & !(1 << b)) | bit_a << b | bit_b << a)
+                    });
+                    assert_eq!(swapped, expected, "swap_vars({a}, {b}) over {num_vars}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn permute_vars_matches_bit_level_definition_across_widths() {
+        for (salt, num_vars) in [1, 2, 4, 5, 6, 7, 8, 10, 11].into_iter().enumerate() {
+            let f = scrambled(num_vars, salt);
+            for round in 0..6usize {
+                // A Fisher-Yates shuffle driven by a fixed multiplicative hash.
+                let mut perm: Vec<usize> = (0..num_vars).collect();
+                for i in (1..num_vars).rev() {
+                    let j = (i + round).wrapping_mul(2654435761 + salt) % (i + 1);
+                    perm.swap(i, j);
+                }
+                let expected = TruthTable::from_fn(num_vars, |m| {
+                    let mut original = 0usize;
+                    for (v, &p) in perm.iter().enumerate() {
+                        original |= (m >> p & 1) << v;
+                    }
+                    f.get_bit(original)
+                });
+                assert_eq!(f.permute_vars(&perm), expected, "perm {perm:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_loops_match_their_cofactor_definitions() {
+        for num_vars in [1, 3, 6, 7, 9] {
+            // x_last & g: depends on some variables, is implied by itself.
+            let last = TruthTable::var(num_vars - 1, num_vars);
+            let g = scrambled(num_vars, 5).cofactor0(0);
+            let f = &last & &g;
+            for var in 0..num_vars {
+                assert_eq!(
+                    f.depends_on(var),
+                    f.cofactor0(var) != f.cofactor1(var),
+                    "depends_on({var}) over {num_vars}"
+                );
+                assert_eq!(
+                    2 * f.count_ones_with(var),
+                    f.cofactor1(var).count_ones(),
+                    "count_ones_with({var}) over {num_vars}"
+                );
+            }
+            assert!(!g.depends_on(0));
+            assert!(f.implies(&g) && f.implies(&last) && f.implies(&f));
+            assert_eq!(g.implies(&f), g.and_not(&f).is_zero());
         }
     }
 
