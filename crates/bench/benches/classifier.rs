@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use elf_circuits::epfl::{arithmetic_circuit, Scale};
 use elf_core::{circuit_dataset, ElfClassifier};
 use elf_nn::TrainConfig;
-use elf_opt::{Refactor, RefactorParams};
+use elf_opt::{PrunableOperator, Refactor, RefactorParams};
+use elf_par::Parallelism;
 
 fn setup() -> (ElfClassifier, Vec<[f32; 6]>) {
     let circuit = arithmetic_circuit("square", Scale::Tiny);
@@ -19,9 +20,9 @@ fn setup() -> (ElfClassifier, Vec<[f32; 6]>) {
         },
         9,
     );
-    let mut target = arithmetic_circuit("multiplier", Scale::Tiny);
+    let target = arithmetic_circuit("multiplier", Scale::Tiny);
     let features: Vec<[f32; 6]> = Refactor::new(RefactorParams::default())
-        .collect_features(&mut target)
+        .collect_features_with(&target, Parallelism::sequential())
         .into_iter()
         .map(|(_, f)| f.to_array())
         .collect();
@@ -50,8 +51,9 @@ fn bench_inference(c: &mut Criterion) {
         let refactor = Refactor::new(RefactorParams::default());
         let circuit = arithmetic_circuit("multiplier", Scale::Tiny);
         b.iter(|| {
-            let mut aig = circuit.clone();
-            std::hint::black_box(refactor.collect_features(&mut aig))
+            std::hint::black_box(
+                refactor.collect_features_with(&circuit, Parallelism::sequential()),
+            )
         });
     });
     group.finish();

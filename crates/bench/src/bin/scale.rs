@@ -11,12 +11,12 @@
 
 use std::time::Instant;
 
-use elf_aig::CutParams;
 use elf_bench::{write_json_file, HarnessOptions, Json};
 use elf_circuits::{generate_large_circuit, scripted_circuit};
 use elf_core::{circuit_dataset, ElfClassifier, ElfOptions, Flow};
 use elf_nn::TrainConfig;
-use elf_opt::{collect_cut_features, RefactorParams};
+use elf_opt::{PrunableOperator, Refactor, RefactorParams};
+use elf_par::Parallelism;
 
 fn main() {
     let options = HarnessOptions::from_args();
@@ -50,7 +50,7 @@ fn main() {
 
     // Cut enumeration over every live AND node (flow phase 1 at full width).
     let cut_start = Instant::now();
-    let features = collect_cut_features(&mut aig, &CutParams::default());
+    let features = Refactor::default().collect_features_with(&aig, Parallelism::sequential());
     let cut_secs = cut_start.elapsed().as_secs_f64();
     println!(
         "cut enumeration: {:.2}s — {} cuts ({:.0} cuts/s)",

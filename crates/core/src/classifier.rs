@@ -115,7 +115,8 @@ impl ElfClassifier {
     /// the positive examples in `data` are classified as positive.
     ///
     /// The threshold is clamped to `[0.05, 0.5]`; if `data` has no positive
-    /// examples the threshold is left unchanged.
+    /// examples, or the model is so diverged that the chosen quantile is not
+    /// a finite probability, the threshold is left unchanged.
     pub fn calibrate_threshold(&mut self, data: &Dataset, recall_target: f64) {
         let mut positive_probs: Vec<f32> = Vec::new();
         let rows: Vec<Vec<f32>> = data
@@ -132,12 +133,17 @@ impl ElfClassifier {
         if positive_probs.is_empty() {
             return;
         }
-        positive_probs.sort_by(|a, b| a.partial_cmp(b).expect("finite probabilities"));
+        // `total_cmp` orders the finite sigmoid outputs as `partial_cmp`
+        // would and gives the NaNs of a diverged model a place instead of a
+        // panic.
+        positive_probs.sort_by(f32::total_cmp);
         // Keep `recall_target` of positives: threshold at the (1 - target)
         // quantile of the positive probability distribution.
         let index = ((1.0 - recall_target) * positive_probs.len() as f64).floor() as usize;
         let quantile = positive_probs[index.min(positive_probs.len() - 1)];
-        self.threshold = quantile.clamp(0.05, DEFAULT_THRESHOLD);
+        if quantile.is_finite() {
+            self.threshold = quantile.clamp(0.05, DEFAULT_THRESHOLD);
+        }
     }
 
     /// Creates a classifier from already-trained parts, freezing them into
@@ -452,6 +458,23 @@ mod tests {
         let negatives = classifier.classify_batch(&[[5.0, 20.0, 15.0, 8.0, 0.0, 8.0]]);
         assert!(positives[0]);
         assert!(!negatives[0]);
+    }
+
+    #[test]
+    fn calibration_survives_a_diverged_model() {
+        // Training that diverged leaves NaN weights behind, so every
+        // probability is NaN: calibration must not panic and must leave the
+        // threshold where it was.
+        let diverged = Mlp::from_layers(vec![elf_nn::Dense::from_parts(
+            elf_nn::Matrix::from_vec(NUM_FEATURES, 1, vec![f32::NAN; NUM_FEATURES]),
+            vec![0.0],
+            elf_nn::Activation::Sigmoid,
+        )]);
+        let data = synthetic_dataset(50);
+        let normalizer = Normalizer::fit(&data);
+        let mut classifier = ElfClassifier::from_parts(normalizer, diverged, 0.3);
+        classifier.calibrate_threshold(&data, RECALL_TARGET);
+        assert_eq!(classifier.threshold(), 0.3);
     }
 
     #[test]

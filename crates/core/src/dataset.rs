@@ -211,7 +211,7 @@ mod tests {
         let stats = operator.run(&mut copy);
         assert_eq!(cuts.len(), stats.nodes_visited);
         let committed = cuts.iter().filter(|c| c.committed).count();
-        assert_eq!(committed, stats.nodes_rewritten);
+        assert_eq!(committed, stats.cuts_committed);
         let data = circuit_dataset_with(&operator, &aig);
         assert_eq!(data.len(), cuts.len());
         assert_eq!(data.num_features(), NUM_FEATURES);

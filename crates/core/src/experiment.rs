@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use elf_nn::{ConfusionMatrix, TrainConfig};
-use elf_opt::{CutCache, PrunableOperator, Refactor, RefactorParams, RefactorStats};
+use elf_opt::{CutCache, OpStats, PrunableOperator, Refactor, RefactorParams};
 
 use crate::classifier::ElfClassifier;
 use crate::dataset::{
@@ -106,7 +106,7 @@ pub struct ComparisonRow {
     /// Per-pass ELF statistics.
     pub elf_passes: Vec<ElfStats>,
     /// Baseline statistics.
-    pub baseline_stats: RefactorStats,
+    pub baseline_stats: OpStats,
 }
 
 impl ComparisonRow {
@@ -228,7 +228,7 @@ pub fn compare_with_operator<O: PrunableOperator + Clone>(
     // Baseline.
     let baseline = symmetric_baseline(baseline, elf);
     let mut baseline_aig = circuit.aig.clone();
-    let baseline_stats: RefactorStats = baseline.run(&mut baseline_aig).into();
+    let baseline_stats = baseline.run(&mut baseline_aig);
     let baseline_ands = baseline_aig.num_reachable_ands();
     let baseline_level = baseline_aig.depth();
 

@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use elf_aig::{Aig, NodeId, NodeToken, NUM_FEATURES};
+use elf_aig::{Aig, NodeId, NUM_FEATURES};
 use elf_opt::{CutCache, CutCacheConfig, OpStats, PrunableOperator, Refactor, RefactorParams};
 use elf_par::Parallelism;
 
@@ -118,6 +118,20 @@ pub struct ElfStats {
 }
 
 impl ElfStats {
+    /// The statistics of a pruned pass that started at `start`: what the
+    /// classifier pruned and kept is what the pass driver counted.
+    fn of_pass(op: OpStats, start: Instant) -> Self {
+        ElfStats {
+            op,
+            feature_time: Duration::ZERO,
+            classify_time: Duration::ZERO,
+            pruned: op.cuts_pruned,
+            kept: op.cuts_resynthesized,
+            total_time: start.elapsed(),
+            verify: None,
+        }
+    }
+
     /// Fraction of cuts pruned by the classifier (the 69.4–95.1% of Fig. 1).
     pub fn prune_rate(&self) -> f64 {
         let total = self.pruned + self.kept;
@@ -291,81 +305,29 @@ impl<O: PrunableOperator> Elf<O> {
             .classifier
             .normalized_rows(&arrays, self.options.self_normalize);
         let probabilities = self.classifier.model().predict_with(&rows, parallelism);
-        let decisions = self.classifier.decide(&probabilities);
+        let keep = self.classifier.decide(&probabilities);
+        let decisions: Vec<(NodeId, bool)> =
+            features.iter().map(|&(node, _)| node).zip(keep).collect();
         let classify_time = classify_start.elapsed();
         drop(_classify_span);
 
-        // Phase 3: resynthesize only the nodes the classifier kept.
+        // Phase 3: resynthesize only the nodes the classifier kept.  Phases
+        // 1/2 never mutate the graph, so the decisions describe it as it is.
         let _mutate_span = elf_obs::span!("mutate");
-        let mut stats = OpStats::default();
-        let op_start = Instant::now();
-        let mut pruned = 0usize;
-        let mut kept = 0usize;
-        // Phases 1/2 never mutate the graph, so tokens captured here are
-        // exactly as fresh as the feature snapshot.  They guard against slot
-        // recycling: a commit at an earlier node may free a later node's slot
-        // and re-issue it, and the stale entry must then be skipped.
-        let tokens: Vec<NodeToken> = features.iter().map(|(n, _)| aig.token(*n)).collect();
-        for (token, keep) in tokens.iter().zip(&decisions) {
-            let node: NodeId = token.id();
-            if !aig.token_is_current(*token) || aig.refs(node) == 0 {
-                continue;
-            }
-            stats.nodes_visited += 1;
-            stats.cuts_formed += 1;
-            if !*keep {
-                pruned += 1;
-                stats.cuts_pruned += 1;
-                continue;
-            }
-            kept += 1;
-            stats.cuts_resynthesized += 1;
-            // Fast path: the node's features were already collected in
-            // phase 1, so the operator skips feature extraction entirely.
-            if let Some(gain) = self.operator.apply_node_fast(aig, node) {
-                stats.cuts_committed += 1;
-                stats.total_gain += gain;
-            }
-        }
-        stats.runtime = op_start.elapsed();
-
+        let op = self.operator.run_decided(aig, &decisions);
         ElfStats {
-            op: stats,
             feature_time,
             classify_time,
-            pruned,
-            kept,
-            total_time: start.elapsed(),
-            verify: None,
+            ..ElfStats::of_pass(op, start)
         }
     }
 
     fn run_per_node(&self, aig: &mut Aig) -> ElfStats {
         let start = Instant::now();
-        let mut pruned = 0usize;
-        let mut kept = 0usize;
-        let classifier = &self.classifier;
-        let stats = self
-            .operator
-            .run_with_filter(aig, &mut |_, features| {
-                let keep = classifier.classify_batch(&[features.to_array()])[0];
-                if keep {
-                    kept += 1;
-                } else {
-                    pruned += 1;
-                }
-                keep
-            })
-            .into();
-        ElfStats {
-            op: stats,
-            feature_time: Duration::ZERO,
-            classify_time: Duration::ZERO,
-            pruned,
-            kept,
-            total_time: start.elapsed(),
-            verify: None,
-        }
+        let op = self.operator.run_with_filter(aig, &mut |_, features| {
+            self.classifier.classify_batch(&[features.to_array()])[0]
+        });
+        ElfStats::of_pass(op, start)
     }
 }
 
@@ -523,7 +485,7 @@ mod tests {
         let stats = elf.run(&mut pruned_aig);
         let plain = Rewrite::default().run(&mut plain_aig);
         assert_eq!(stats.pruned, 0);
-        assert_eq!(stats.op.cuts_committed, plain.nodes_rewritten);
+        assert_eq!(stats.op.cuts_committed, plain.cuts_committed);
         assert_eq!(
             pruned_aig.num_reachable_ands(),
             plain_aig.num_reachable_ands()

@@ -4,7 +4,7 @@
 //! such a pipeline).  [`Flow`] reproduces that composition surface over this
 //! crate's operators — plain *and* classifier-pruned — and reports uniform
 //! per-stage statistics ([`FlowStats`]) thanks to the shared
-//! [`OpStats`] core of the [`elf_opt::AigOperator`] abstraction.
+//! [`OpStats`] every [`elf_opt::PrunableOperator`] pass returns.
 //!
 //! # Examples
 //!
@@ -43,8 +43,8 @@ use elf_cec::Equivalence;
 use elf_obs::metrics::Registry;
 use elf_obs::names;
 use elf_opt::{
-    AigOperator, CutCache, OpStats, Refactor, RefactorParams, ResubParams, Resubstitution, Rewrite,
-    RewriteParams,
+    CutCache, OpStats, PrunableOperator, Refactor, RefactorParams, ResubParams, Resubstitution,
+    Rewrite, RewriteParams,
 };
 use elf_par::Parallelism;
 
@@ -416,33 +416,12 @@ impl Flow {
             let stage_span = elf_obs::span!(stage.name(), ands = aig.num_reachable_ands());
             let stage_start = Instant::now();
             let (op, elf): (OpStats, Option<ElfStats>) = match stage {
-                Stage::Refactor(params) => {
-                    let mut operator = Refactor::new(*params);
-                    if let Some(cache) = &self.cut_cache {
-                        operator.set_cut_cache(cache.clone());
-                    }
-                    (operator.run(aig), None)
-                }
-                Stage::Rewrite(params) => {
-                    let mut operator = Rewrite::new(*params);
-                    if let Some(cache) = &self.cut_cache {
-                        operator.set_cut_cache(cache.clone());
-                    }
-                    (operator.run(aig).into(), None)
-                }
-                Stage::Resub(params) => (Resubstitution::new(*params).run(aig).into(), None),
-                Stage::ElfRefactor(elf) => {
-                    let stats = elf.run_with(aig, self.stage_parallelism(elf.options()));
-                    (stats.op, Some(stats))
-                }
-                Stage::ElfRewrite(elf) => {
-                    let stats = elf.run_with(aig, self.stage_parallelism(elf.options()));
-                    (stats.op, Some(stats))
-                }
-                Stage::ElfResub(elf) => {
-                    let stats = elf.run_with(aig, self.stage_parallelism(elf.options()));
-                    (stats.op, Some(stats))
-                }
+                Stage::Refactor(params) => (self.run_plain(Refactor::new(*params), aig), None),
+                Stage::Rewrite(params) => (self.run_plain(Rewrite::new(*params), aig), None),
+                Stage::Resub(params) => (self.run_plain(Resubstitution::new(*params), aig), None),
+                Stage::ElfRefactor(elf) => self.run_pruned(elf, aig),
+                Stage::ElfRewrite(elf) => self.run_pruned(elf, aig),
+                Stage::ElfResub(elf) => self.run_pruned(elf, aig),
             };
             let runtime = stage_start.elapsed();
             drop(stage_span);
@@ -524,10 +503,25 @@ impl Flow {
         }
     }
 
-    /// The worker-thread count a pruned stage should run with: the flow-wide
-    /// override when set, the stage's own configuration otherwise.
-    fn stage_parallelism(&self, options: ElfOptions) -> Parallelism {
-        self.parallelism.unwrap_or(options.parallelism)
+    /// Runs a plain stage's freshly built operator, wired to the flow-shared
+    /// cut cache when there is one.
+    fn run_plain<O: PrunableOperator>(&self, mut operator: O, aig: &mut Aig) -> OpStats {
+        if let Some(cache) = &self.cut_cache {
+            operator.set_cut_cache(cache.clone());
+        }
+        operator.run(aig)
+    }
+
+    /// Runs a pruned stage with the flow-wide worker-thread override when
+    /// set, the stage's own configuration otherwise.
+    fn run_pruned<O: PrunableOperator>(
+        &self,
+        elf: &Elf<O>,
+        aig: &mut Aig,
+    ) -> (OpStats, Option<ElfStats>) {
+        let parallelism = self.parallelism.unwrap_or(elf.options().parallelism);
+        let stats = elf.run_with(aig, parallelism);
+        (stats.op, Some(stats))
     }
 }
 

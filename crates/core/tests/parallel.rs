@@ -114,9 +114,9 @@ proptest! {
     fn classification_decisions_are_identical_across_thread_counts(
         script in script_strategy(28),
     ) {
-        let mut aig = scripted_circuit(6, &script);
+        let aig = scripted_circuit(6, &script);
         let classifier = mixed_classifier();
-        let features = Refactor::default().collect_features(&mut aig);
+        let features = Refactor::default().collect_features_with(&aig, Parallelism::sequential());
         let arrays: Vec<[f32; NUM_FEATURES]> =
             features.iter().map(|(_, f)| f.to_array()).collect();
         let plain = classifier.classify_batch(&arrays);

@@ -173,6 +173,31 @@ pub fn build_expr(aig: &mut Aig, expr: &FactoredForm, leaf_lits: &[Lit]) -> Lit 
     }
 }
 
+/// Builds a replacement for `node` speculatively through `build` and commits
+/// it with [`Aig::replace`], returning the achieved gain in AND nodes.
+///
+/// A degenerate replacement — one that reproduces `node` or depends on it —
+/// is dropped together with every node `build` created: the graph stays
+/// unchanged and the result is `None`.
+pub(crate) fn commit_replacement(
+    aig: &mut Aig,
+    operator: &str,
+    node: NodeId,
+    build: impl FnOnce(&mut Aig) -> Lit,
+) -> Option<i64> {
+    let ands_before = aig.num_ands() as i64;
+    aig.begin_speculation();
+    let new_lit = build(aig);
+    if new_lit.node() == node || aig.cone_contains(new_lit.node(), node) {
+        aig.reject_speculation();
+        return None;
+    }
+    aig.commit_speculation();
+    crate::operator::debug_assert_commit_equivalence(aig, operator, node, new_lit);
+    aig.replace(node, new_lit);
+    Some(ands_before - aig.num_ands() as i64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

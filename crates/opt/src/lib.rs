@@ -11,13 +11,12 @@
 //!   first extension target mentioned in the paper's conclusion);
 //! * [`Resubstitution`] — window-based resubstitution.
 //!
-//! All three implement the unified [`AigOperator`] trait (whole-graph `run`,
-//! uniform per-node [`AigOperator::apply_node`], stats convertible into the
-//! shared [`OpStats`] core) and the [`PrunableOperator`] sub-trait (batch
-//! feature collection, labelled-sample recording, filtered execution), so
-//! higher layers — the generic ELF flow `elf_core::Elf<O>`, script-style
-//! pipelines — can interleave classification and resynthesis with any of
-//! them.
+//! All three implement [`PrunableOperator`]: each supplies its per-node
+//! resynthesis step and its feature window, and one shared pass loop turns
+//! that into the plain run, the labelled-sample recording run, the filtered
+//! run and the run over decisions made up front — all returning [`OpStats`]
+//! — so higher layers (the generic ELF flow `elf_core::Elf<O>`, script-style
+//! pipelines) prune any of them through the code the baseline runs.
 //!
 //! # Examples
 //!
@@ -47,10 +46,7 @@ mod rewrite;
 
 pub use build::{build_expr, count_new_nodes, cut_truth_table, ImplementationCost};
 pub use cache::{semi_canonicalize, CutCache, CutCacheConfig, CutCacheStats, NpnTransform};
-pub use operator::{
-    collect_cut_features, collect_cut_features_par, AigOperator, LabeledCut, NodeOutcome, OpStats,
-    PrunableOperator,
-};
-pub use refactor::{Refactor, RefactorParams, RefactorStats};
-pub use resub::{ResubParams, ResubStats, Resubstitution};
-pub use rewrite::{Rewrite, RewriteParams, RewriteStats};
+pub use operator::{LabeledCut, OpStats, PrunableOperator};
+pub use refactor::{Refactor, RefactorParams};
+pub use resub::{ResubParams, Resubstitution};
+pub use rewrite::{Rewrite, RewriteParams};

@@ -1,32 +1,39 @@
-//! The unified operator abstraction: [`AigOperator`] and [`PrunableOperator`].
+//! The one pass loop behind every operator and every pruning policy.
 //!
-//! Every logic-optimization operator in this crate ([`Refactor`],
-//! [`Rewrite`], [`Resubstitution`]) used to expose its own ad-hoc
-//! `run`/`*_node` surface.  This module unifies them behind two traits so
-//! that higher layers (the ELF flow in `elf-core`, script-style pipelines,
-//! future serving layers) can be written once and instantiated for any
-//! operator:
+//! The paper's Algorithm 2 (ELF) is Algorithm 1 (refactor) with a keep-test
+//! in front of resynthesis: one loop, one `if`.  This module is that loop.
+//! An operator ([`Refactor`], [`Rewrite`], [`Resubstitution`]) implements
+//! [`PrunableOperator`] by saying how to attempt resynthesis at *one* node
+//! ([`PrunableOperator::resynthesize`]); the driver owns everything else —
+//! the snapshot of target nodes, the cut scratch, the [`OpStats`] counters
+//! and the stopwatch — and is parameterised only by *who decides* whether a
+//! node is attempted.  The entry point picks the policy:
 //!
-//! * [`AigOperator`] — construction from a `Params` type, a whole-graph
-//!   `run` returning operator-specific `Stats`, and a uniform per-node entry
-//!   point [`AigOperator::apply_node`];
-//! * [`PrunableOperator`] — the three hooks ELF-style classifier pruning
-//!   needs: batch cut-feature collection ([`PrunableOperator::collect_features`]),
-//!   labelled-sample recording ([`PrunableOperator::run_recording`]) and
-//!   filtered execution ([`PrunableOperator::run_with_filter`]).
+//! | entry point | decides | per visited node |
+//! |---|---|---|
+//! | [`run`](PrunableOperator::run) | nobody: every node is attempted | no feature scan at all |
+//! | [`run_recording`](PrunableOperator::run_recording) | nobody; the outcome is logged | window + features, one [`LabeledCut`] |
+//! | [`run_with_filter`](PrunableOperator::run_with_filter) | a callback on the node's features | window + features, then the callback |
+//! | [`run_decided`](PrunableOperator::run_decided) | a `(node, keep)` list made up front | nothing but the lookup |
 //!
-//! Operator-specific statistics all convert into the shared [`OpStats`]
-//! core (`Stats: Into<OpStats>`), so pipelines can aggregate heterogeneous
-//! stages uniformly.
+//! so the baseline and the pruned arm of every comparison execute the same
+//! function, and a pass that is not observed never pays for features.
+//!
+//! **Why tokens.**  The targets are snapshotted once, as generation-stamped
+//! [`elf_aig::NodeToken`]s rather than bare ids: a commit at an earlier
+//! target may free a later target's slot and slot recycling may re-issue it
+//! to a brand-new node, which must not be processed from the stale list.
 //!
 //! [`Refactor`]: crate::Refactor
 //! [`Rewrite`]: crate::Rewrite
 //! [`Resubstitution`]: crate::Resubstitution
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use elf_aig::{Aig, Cut, CutFeatures, CutParams, CutScratch, NodeId};
 use elf_par::Parallelism;
+
+use crate::cache::CutCache;
 
 /// Debug-build spot-check of one accepted resynthesis commit.
 ///
@@ -43,14 +50,16 @@ use elf_par::Parallelism;
 /// of the others), so equivalence over independent leaf assignments is
 /// stricter than the soundness of the commit.  Supports of up to 16 inputs
 /// are checked exhaustively (a complete equivalence proof for the commit);
-/// larger ones probabilistically.  Compiled out of release builds entirely.
-#[cfg(debug_assertions)]
+/// larger ones probabilistically.  Does nothing in release builds.
 pub(crate) fn debug_assert_commit_equivalence(
     aig: &Aig,
     operator: &str,
     old_root: NodeId,
     replacement: elf_aig::Lit,
 ) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
     const ROUNDS: usize = 4;
     const SEED: u64 = 0x0DD_5EED;
 
@@ -83,12 +92,10 @@ pub(crate) fn debug_assert_commit_equivalence(
     );
 }
 
-/// The statistics core shared by every [`AigOperator`].
+/// The statistics of one operator pass, filled in by the pass driver.
 ///
-/// Each operator's own stats type ([`RefactorStats`](crate::RefactorStats)
-/// is this type, [`RewriteStats`](crate::RewriteStats) and
-/// [`ResubStats`](crate::ResubStats) convert into it) exposes the same
-/// cuts-formed / committed / pruned counters, node delta and timing, which
+/// Every operator and every policy reports the same cuts-formed /
+/// resynthesized / pruned / committed counters, node delta and timing, which
 /// is what flows and benchmark tables aggregate.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OpStats {
@@ -165,23 +172,6 @@ impl OpStats {
     }
 }
 
-/// What happened when an operator was applied at a single node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeOutcome {
-    /// The node that was processed.
-    pub node: NodeId,
-    /// Structural features of the node's cut.
-    pub features: CutFeatures,
-    /// Whether a full resynthesis (truth table, ISOP, factoring, gain
-    /// evaluation) was performed.
-    pub resynthesized: bool,
-    /// Whether a change was committed to the graph.
-    pub committed: bool,
-    /// Achieved gain (nodes removed minus nodes added); zero when nothing was
-    /// committed.
-    pub gain: i64,
-}
-
 /// A labeled cut sample recorded while running a baseline operator.
 ///
 /// These samples are the training data of the ELF classifier: the label is
@@ -196,10 +186,82 @@ pub struct LabeledCut {
     pub committed: bool,
 }
 
-/// A logic-optimization operator over And-Inverter Graphs.
+/// Who decides, per visited node, whether the operator attempts resynthesis.
+/// Private: each [`PrunableOperator`] entry point picks its own.
+enum Policy<'a> {
+    /// Attempt every node; no feature is ever computed.
+    KeepAll,
+    /// Attempt every node and log its features and whether it committed.
+    Record(&'a mut Vec<LabeledCut>),
+    /// Ask the callback, given the node's window features.
+    Filter(&'a mut dyn FnMut(NodeId, &CutFeatures) -> bool),
+    /// Visit exactly the listed nodes; the decisions were made up front.
+    Decided(&'a [(NodeId, bool)]),
+}
+
+/// The pass loop (see the module docs): walks the live, referenced AND nodes
+/// under a token guard, lets `policy` decide, attempts resynthesis through
+/// [`PrunableOperator::resynthesize`] and counts what happened.
+fn drive<O: PrunableOperator + ?Sized>(
+    operator: &O,
+    aig: &mut Aig,
+    mut policy: Policy<'_>,
+) -> OpStats {
+    let start = Instant::now();
+    let mut stats = OpStats::default();
+    let window = operator.feature_cut_params();
+    let targets: Vec<_> = match &policy {
+        Policy::Decided(decisions) => decisions
+            .iter()
+            .map(|&(node, keep)| (aig.token(node), keep))
+            .collect(),
+        _ => aig.and_ids().map(|id| (aig.token(id), true)).collect(),
+    };
+    let observed = matches!(policy, Policy::Record(_) | Policy::Filter(_));
+    let mut cut = Cut::empty();
+    for (token, mut keep) in targets {
+        let node = token.id();
+        if !aig.token_is_current(token) || aig.refs(node) == 0 {
+            continue;
+        }
+        stats.nodes_visited += 1;
+        stats.cuts_formed += 1;
+        let features = observed.then(|| {
+            aig.reconvergence_cut_into(node, &window, &mut cut);
+            aig.cut_features(&cut)
+        });
+        if let (Policy::Filter(decide), Some(features)) = (&mut policy, &features) {
+            keep = decide(node, features);
+        }
+        if !keep {
+            stats.cuts_pruned += 1;
+            continue;
+        }
+        stats.cuts_resynthesized += 1;
+        let gain = operator.resynthesize(aig, node, &mut cut, observed);
+        if let Some(gain) = gain {
+            stats.cuts_committed += 1;
+            stats.total_gain += gain;
+        }
+        if let (Policy::Record(samples), Some(features)) = (&mut policy, features) {
+            samples.push(LabeledCut {
+                node,
+                features,
+                committed: gain.is_some(),
+            });
+        }
+    }
+    stats.runtime = start.elapsed();
+    stats
+}
+
+/// A logic-optimization operator over And-Inverter Graphs whose per-node
+/// resynthesis can be pruned (the paper's Algorithm 2, for any operator).
 ///
 /// Implementors are cheap, immutable handles around a parameter set; all
-/// graph state lives in the [`Aig`] passed to each call.
+/// graph state lives in the [`Aig`] passed to each call.  They supply the
+/// per-node step and their feature window; every whole-graph pass is a
+/// provided method over the module's one pass loop and returns [`OpStats`].
 ///
 /// # Examples
 ///
@@ -207,10 +269,10 @@ pub struct LabeledCut {
 ///
 /// ```
 /// use elf_aig::Aig;
-/// use elf_opt::{AigOperator, OpStats, Refactor, Rewrite};
+/// use elf_opt::{OpStats, PrunableOperator, Refactor, Rewrite};
 ///
-/// fn optimize<O: AigOperator>(op: &O, aig: &mut Aig) -> OpStats {
-///     op.run(aig).into()
+/// fn optimize<O: PrunableOperator>(op: &O, aig: &mut Aig) -> OpStats {
+///     op.run(aig)
 /// }
 ///
 /// let mut aig = Aig::new();
@@ -225,39 +287,30 @@ pub struct LabeledCut {
 /// let stats = optimize(&Rewrite::default(), &mut aig);
 /// assert!(stats.total_gain >= 0);
 /// ```
-pub trait AigOperator {
-    /// Operator parameters.
-    type Params: Clone + std::fmt::Debug;
-    /// Operator-specific pass statistics, convertible into the shared core.
-    type Stats: Clone + std::fmt::Debug + Into<OpStats>;
-
+pub trait PrunableOperator {
     /// Short lower-case operator name (used by pipelines and reports).
     const NAME: &'static str;
 
-    /// Creates the operator from its parameters.
-    fn from_params(params: Self::Params) -> Self
-    where
-        Self: Sized;
+    /// The reconvergence-driven window whose features describe a node to a
+    /// classifier.
+    fn feature_cut_params(&self) -> CutParams;
 
-    /// Runs the operator over every live AND node of the graph.
-    fn run(&self, aig: &mut Aig) -> Self::Stats;
-
-    /// Applies the operator at a single node: forms the node's cut, attempts
-    /// resynthesis and commits the result when it improves the graph.
-    fn apply_node(&self, aig: &mut Aig, node: NodeId) -> NodeOutcome;
-
-    /// Applies the operator at a single node without extracting cut features,
-    /// returning `Some(gain)` when a change was committed.
+    /// Attempts resynthesis at `node` and commits the result when it
+    /// improves the graph, returning `Some(achieved_gain)` on commit.
     ///
-    /// This is the hot-path entry for batched pruning flows that already
-    /// collected every node's features up front and only need the outcome;
-    /// the default delegates to [`AigOperator::apply_node`], operators whose
-    /// feature window is separate from their resynthesis cut override it to
-    /// skip the redundant window computation.
-    fn apply_node_fast(&self, aig: &mut Aig, node: NodeId) -> Option<i64> {
-        let outcome = self.apply_node(aig, node);
-        outcome.committed.then_some(outcome.gain)
-    }
+    /// `cut` is the pass's scratch; `holds_window` says it already holds
+    /// `node`'s feature window (computed with
+    /// [`feature_cut_params`](Self::feature_cut_params) on the current
+    /// graph), so an operator that resynthesizes that very window does not
+    /// form it a second time.  Otherwise its contents are stale and the
+    /// operator may overwrite them.
+    fn resynthesize(
+        &self,
+        aig: &mut Aig,
+        node: NodeId,
+        cut: &mut Cut,
+        holds_window: bool,
+    ) -> Option<i64>;
 
     /// Attaches a shared NPN-canonical factored-form cache
     /// ([`crate::CutCache`]) for the operator's resynthesis step to consult.
@@ -265,182 +318,95 @@ pub trait AigOperator {
     /// Results must not depend on the cache (it memoizes a pure function),
     /// so the default is a no-op: operators that never factor truth tables
     /// (resubstitution) simply ignore the handle.
-    fn set_cut_cache(&mut self, cache: crate::CutCache) {
+    fn set_cut_cache(&mut self, cache: CutCache) {
         let _ = cache;
     }
-}
 
-/// A keep/prune decision callback consulted per node: returning `true` lets
-/// the operator resynthesize the node, `false` prunes it.
-pub type KeepFn<'a> = &'a mut dyn FnMut(NodeId, &CutFeatures) -> bool;
-
-/// An [`AigOperator`] that supports ELF-style classifier pruning.
-///
-/// The three hooks mirror the phases of the paper's Algorithm 2: collect the
-/// cut features of every node in one sweep, optionally record labelled
-/// training samples by running the baseline, and execute the pass with a
-/// keep-filter consulted before each resynthesis.
-pub trait PrunableOperator: AigOperator {
-    /// The cut parameters used for feature extraction.
-    fn feature_cut_params(&self) -> CutParams;
-
-    /// Collects the cut features of every live AND node without
-    /// resynthesizing anything (phase 1 of the ELF flow).
-    fn collect_features(&self, aig: &mut Aig) -> Vec<(NodeId, CutFeatures)> {
-        collect_cut_features(aig, &self.feature_cut_params())
+    /// Runs the operator over every live AND node (the baseline pass;
+    /// Algorithm 1 for refactor).  Computes no features.
+    fn run(&self, aig: &mut Aig) -> OpStats {
+        drive(self, aig, Policy::KeepAll)
     }
 
-    /// Collects the cut features of every live AND node over shared graph
-    /// access, fanned out across `parallelism` worker threads.
+    /// Runs the baseline pass, recording one labeled sample per visited
+    /// node: its window features on the graph as the pass found it and
+    /// whether a change was committed there.  Every node is attempted, so
+    /// the samples are exactly the training data described in the paper.
+    fn run_recording(&self, aig: &mut Aig) -> (OpStats, Vec<LabeledCut>) {
+        let mut samples = Vec::new();
+        let stats = drive(self, aig, Policy::Record(&mut samples));
+        (stats, samples)
+    }
+
+    /// Runs the pass but consults `keep` with each node's window features
+    /// first: on `false` the node is pruned (counted, left untouched).
+    /// Features are computed as the graph evolves, one node at a time.
+    fn run_with_filter(
+        &self,
+        aig: &mut Aig,
+        keep: &mut dyn FnMut(NodeId, &CutFeatures) -> bool,
+    ) -> OpStats {
+        drive(self, aig, Policy::Filter(keep))
+    }
+
+    /// Runs the pass over exactly the nodes of `decisions`, in that order,
+    /// attempting those marked `true` and pruning the rest — the mutation
+    /// phase of a flow that collected features and classified them in one
+    /// batch beforehand.  The list must describe the graph as it is now.
+    fn run_decided(&self, aig: &mut Aig, decisions: &[(NodeId, bool)]) -> OpStats {
+        drive(self, aig, Policy::Decided(decisions))
+    }
+
+    /// Collects the window features of every live, referenced AND node
+    /// without resynthesizing anything (phase 1 of the ELF flow), fanned out
+    /// across `parallelism` workers over shared graph access.
     ///
-    /// The node list is chunked in arena order and merged back in that same
-    /// order, so the result is **bit-identical** to
-    /// [`PrunableOperator::collect_features`] for every thread count — the
-    /// determinism contract the concurrency test layer pins down.
+    /// The nodes are listed once in arena order (the order the pass visits
+    /// them), chunked across the workers and merged back in that order.
+    /// Each worker owns one [`CutScratch`] and one [`Cut`] reused across its
+    /// nodes; cut computation is read-only, so the result is
+    /// **bit-identical** for every thread count.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use elf_aig::Aig;
+    /// use elf_opt::{PrunableOperator, Refactor};
+    /// use elf_par::Parallelism;
+    ///
+    /// let mut aig = Aig::new();
+    /// let a = aig.add_input();
+    /// let b = aig.add_input();
+    /// let f = aig.and(a, b);
+    /// aig.add_output(f);
+    ///
+    /// let operator = Refactor::default();
+    /// let seq = operator.collect_features_with(&aig, Parallelism::sequential());
+    /// let par = operator.collect_features_with(&aig, Parallelism::threads(4));
+    /// assert_eq!(seq, par);
+    /// ```
     fn collect_features_with(
         &self,
         aig: &Aig,
         parallelism: Parallelism,
     ) -> Vec<(NodeId, CutFeatures)> {
-        collect_cut_features_par(aig, &self.feature_cut_params(), parallelism)
+        let window = self.feature_cut_params();
+        let targets: Vec<NodeId> = aig.and_ids().filter(|&node| aig.refs(node) > 0).collect();
+        parallelism.map_with(
+            &targets,
+            || (CutScratch::new(), Cut::empty()),
+            |(scratch, cut), _, &node| {
+                aig.reconvergence_cut_with(node, &window, scratch, cut);
+                (node, aig.cut_features(cut))
+            },
+        )
     }
-
-    /// Runs the baseline operator, recording a labeled sample for every
-    /// visited cut.  The labels reflect the baseline behaviour (every cut is
-    /// resynthesized), so the recorded samples are exactly the training data
-    /// described in the paper.
-    fn run_recording(&self, aig: &mut Aig) -> (Self::Stats, Vec<LabeledCut>);
-
-    /// Runs the operator but consults `keep` before resynthesizing each cut:
-    /// when `keep` returns `false` the cut is pruned (counted but not
-    /// resynthesized).
-    fn run_with_filter(
-        &self,
-        aig: &mut Aig,
-        keep: &mut dyn FnMut(NodeId, &CutFeatures) -> bool,
-    ) -> Self::Stats;
-}
-
-/// Shared driver of the filtered / recording passes behind every
-/// [`PrunableOperator`]: walks the live AND nodes, extracts window features
-/// only when a filter or recorder observes them (the plain pass stays
-/// feature-free and allocation-free), consults `keep`, applies the operator
-/// through `apply` (which returns whether it committed a change) and records
-/// one labelled sample per applied node.
-///
-/// Returns `(nodes_visited, nodes_pruned)`.
-pub(crate) fn drive_filtered_pass(
-    aig: &mut Aig,
-    window: &CutParams,
-    mut keep: Option<KeepFn<'_>>,
-    mut samples: Option<&mut Vec<LabeledCut>>,
-    mut apply: impl FnMut(&mut Aig, NodeId) -> bool,
-) -> (usize, usize) {
-    // Tokens (not bare ids) guard the snapshot: `apply` may free a later
-    // target's slot and recycling may re-issue it to a new node, which must
-    // not be processed from the stale list.
-    let targets: Vec<_> = aig.and_ids().map(|id| aig.token(id)).collect();
-    let mut cut = Cut::empty();
-    let mut visited = 0usize;
-    let mut pruned = 0usize;
-    for token in targets {
-        let node = token.id();
-        if !aig.token_is_current(token) || aig.refs(node) == 0 {
-            continue;
-        }
-        visited += 1;
-        let features = if keep.is_some() || samples.is_some() {
-            aig.reconvergence_cut_into(node, window, &mut cut);
-            Some(aig.cut_features(&cut))
-        } else {
-            None
-        };
-        if let (Some(keep), Some(features)) = (keep.as_deref_mut(), &features) {
-            if !keep(node, features) {
-                pruned += 1;
-                continue;
-            }
-        }
-        let committed = apply(aig, node);
-        if let (Some(samples), Some(features)) = (samples.as_deref_mut(), &features) {
-            samples.push(LabeledCut {
-                node,
-                features: *features,
-                committed,
-            });
-        }
-    }
-    (visited, pruned)
-}
-
-/// Collects the reconvergence-driven cut features of every live AND node.
-///
-/// This is the shared phase-1 sweep of every [`PrunableOperator`]; a single
-/// [`Cut`] buffer is reused across nodes so the sweep performs no per-node
-/// allocations.
-pub fn collect_cut_features(aig: &mut Aig, params: &CutParams) -> Vec<(NodeId, CutFeatures)> {
-    let targets: Vec<NodeId> = aig.and_ids().collect();
-    let mut result = Vec::with_capacity(targets.len());
-    let mut cut = Cut::empty();
-    for node in targets {
-        if !aig.is_and(node) || aig.refs(node) == 0 {
-            continue;
-        }
-        aig.reconvergence_cut_into(node, params, &mut cut);
-        let features = aig.cut_features(&cut);
-        result.push((node, features));
-    }
-    result
-}
-
-/// Parallel batch cut-feature collection over shared (`&Aig`) graph access.
-///
-/// The live AND nodes are listed once in arena order (the same order the
-/// sequential sweep visits them), chunked across `parallelism` workers, and
-/// the per-chunk results are merged back in node order.  Each worker owns one
-/// [`CutScratch`] and one [`Cut`] buffer reused across its nodes, so the
-/// sweep performs no per-node allocations; because cut computation is
-/// read-only, every worker computes exactly the cut the sequential path
-/// would, making the result bit-identical to [`collect_cut_features`].
-///
-/// # Examples
-///
-/// ```
-/// use elf_aig::{Aig, CutParams};
-/// use elf_opt::collect_cut_features_par;
-/// use elf_par::Parallelism;
-///
-/// let mut aig = Aig::new();
-/// let a = aig.add_input();
-/// let b = aig.add_input();
-/// let f = aig.and(a, b);
-/// aig.add_output(f);
-///
-/// let params = CutParams::default();
-/// let seq = collect_cut_features_par(&aig, &params, Parallelism::sequential());
-/// let par = collect_cut_features_par(&aig, &params, Parallelism::threads(4));
-/// assert_eq!(seq, par);
-/// ```
-pub fn collect_cut_features_par(
-    aig: &Aig,
-    params: &CutParams,
-    parallelism: Parallelism,
-) -> Vec<(NodeId, CutFeatures)> {
-    let targets: Vec<NodeId> = aig.and_ids().filter(|&node| aig.refs(node) > 0).collect();
-    parallelism.map_with(
-        &targets,
-        || (CutScratch::new(), Cut::empty()),
-        |(scratch, cut), _, &node| {
-            aig.reconvergence_cut_with(node, params, scratch, cut);
-            (node, aig.cut_features(cut))
-        },
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Refactor, RefactorParams, Resubstitution, Rewrite};
+    use crate::{Refactor, Resubstitution, Rewrite};
     use elf_aig::{check_equivalence, EquivalenceResult};
 
     fn redundant_circuit() -> Aig {
@@ -454,8 +420,8 @@ mod tests {
         aig
     }
 
-    fn run_generic<O: AigOperator>(op: &O, aig: &mut Aig) -> OpStats {
-        op.run(aig).into()
+    fn run_generic<O: PrunableOperator>(op: &O, aig: &mut Aig) -> OpStats {
+        op.run(aig)
     }
 
     #[test]
@@ -486,11 +452,12 @@ mod tests {
 
     #[test]
     fn collect_features_is_uniform_across_operators() {
-        let mut aig = redundant_circuit();
+        let aig = redundant_circuit();
         let live = aig.num_reachable_ands();
-        let rf = Refactor::new(RefactorParams::default()).collect_features(&mut aig);
-        let rw = PrunableOperator::collect_features(&Rewrite::default(), &mut aig);
-        let rs = PrunableOperator::collect_features(&Resubstitution::default(), &mut aig);
+        let sequential = Parallelism::sequential();
+        let rf = Refactor::default().collect_features_with(&aig, sequential);
+        let rw = Rewrite::default().collect_features_with(&aig, sequential);
+        let rs = Resubstitution::default().collect_features_with(&aig, sequential);
         assert_eq!(rf.len(), live);
         assert_eq!(rw.len(), live);
         assert_eq!(rs.len(), live);
@@ -503,10 +470,8 @@ mod tests {
         let mut plain = redundant_circuit();
         let mut filtered = redundant_circuit();
         let rewrite = Rewrite::default();
-        let plain_stats: OpStats = rewrite.run(&mut plain).into();
-        let filtered_stats: OpStats = rewrite
-            .run_with_filter(&mut filtered, |_: NodeId, _: &CutFeatures| true)
-            .into();
+        let plain_stats = rewrite.run(&mut plain);
+        let filtered_stats = rewrite.run_with_filter(&mut filtered, &mut |_, _| true);
         assert_eq!(plain.num_reachable_ands(), filtered.num_reachable_ands());
         assert_eq!(plain_stats.cuts_committed, filtered_stats.cuts_committed);
         assert_eq!(filtered_stats.cuts_pruned, 0);
@@ -535,17 +500,24 @@ mod tests {
         assert_eq!(stats.total_gain, 3);
     }
 
-    #[test]
-    fn apply_node_reports_outcome_for_each_operator() {
-        let mut aig = redundant_circuit();
-        let node = aig.and_ids().last().expect("an AND node exists");
-        let outcome = Rewrite::default().apply_node(&mut aig, node);
-        assert_eq!(outcome.node, node);
-        assert!(outcome.resynthesized);
+    /// A one-entry decision list is the per-node entry point: the pass
+    /// visits that node only and attempts or prunes it as told.
+    fn check_single_node_decision<O: PrunableOperator>(operator: &O) {
+        for keep in [true, false] {
+            let mut aig = redundant_circuit();
+            let node = aig.and_ids().last().expect("an AND node exists");
+            let stats = operator.run_decided(&mut aig, &[(node, keep)]);
+            assert_eq!(stats.nodes_visited, 1, "{}", O::NAME);
+            assert_eq!(stats.cuts_resynthesized, usize::from(keep), "{}", O::NAME);
+            assert_eq!(stats.cuts_pruned, usize::from(!keep), "{}", O::NAME);
+            assert!(stats.cuts_committed <= stats.cuts_resynthesized);
+        }
+    }
 
-        let mut aig = redundant_circuit();
-        let node = aig.and_ids().last().expect("an AND node exists");
-        let outcome = Resubstitution::default().apply_node(&mut aig, node);
-        assert_eq!(outcome.node, node);
+    #[test]
+    fn single_node_decision_reports_outcome_for_each_operator() {
+        check_single_node_decision(&Refactor::default());
+        check_single_node_decision(&Rewrite::default());
+        check_single_node_decision(&Resubstitution::default());
     }
 }

@@ -3,18 +3,15 @@
 //! For every AND node the operator forms a reconvergence-driven cut, converts
 //! the cut function to an irredundant SOP, factors it algebraically, and
 //! commits the factored implementation when it removes more nodes than it
-//! adds (paper Algorithm 1).  The per-node entry point [`Refactor::refactor_node`]
-//! is exposed so that ELF can drive its own pruned iteration (Algorithm 2).
+//! adds (paper Algorithm 1).  The loop over nodes is the shared pass driver
+//! of [`PrunableOperator`]; this file is the per-node step, so the pruned
+//! iteration (Algorithm 2) is the same code with a keep-test in front.
 
-use std::time::Instant;
+use elf_aig::{Aig, Cut, CutParams, Lit, NodeId};
 
-use elf_aig::{Aig, Cut, CutFeatures, CutParams, Lit, NodeId};
-
-use crate::build::{build_expr, count_new_nodes, cut_truth_table};
+use crate::build::{build_expr, commit_replacement, count_new_nodes, cut_truth_table};
 use crate::cache::CutCache;
-use crate::operator::{
-    collect_cut_features, AigOperator, LabeledCut, NodeOutcome, OpStats, PrunableOperator,
-};
+use crate::operator::{OpStats, PrunableOperator};
 
 /// Parameters of the refactor operator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,12 +52,6 @@ impl RefactorParams {
         Self::default()
     }
 }
-
-/// Aggregate statistics of one refactor pass (baseline or pruned).
-///
-/// The refactor operator's statistics are exactly the shared
-/// [`OpStats`] core used by every [`AigOperator`].
-pub type RefactorStats = OpStats;
 
 /// The refactor operator.
 ///
@@ -105,125 +96,42 @@ impl Refactor {
     }
 
     /// The factored-form cache consulted by resynthesis (disabled by
-    /// default; attach one via [`AigOperator::set_cut_cache`]).
+    /// default; attach one via [`PrunableOperator::set_cut_cache`]).
     pub fn cut_cache(&self) -> &CutCache {
         &self.cache
     }
 
-    /// Runs the baseline operator over every node of the graph (Algorithm 1).
-    pub fn run(&self, aig: &mut Aig) -> RefactorStats {
-        self.run_impl(aig, |_, _| true, None)
+    /// Runs the baseline operator over every node of the graph (Algorithm 1):
+    /// [`PrunableOperator::run`], callable without the trait in scope.
+    pub fn run(&self, aig: &mut Aig) -> OpStats {
+        PrunableOperator::run(self, aig)
+    }
+}
+
+impl PrunableOperator for Refactor {
+    const NAME: &'static str = "refactor";
+
+    fn feature_cut_params(&self) -> CutParams {
+        self.params.cut
     }
 
-    /// Runs the operator, recording a labeled sample for every visited cut.
-    ///
-    /// The labels reflect the baseline behaviour (every cut is resynthesized),
-    /// so the recorded samples are exactly the training data described in the
-    /// paper.
-    pub fn run_recording(&self, aig: &mut Aig) -> (RefactorStats, Vec<LabeledCut>) {
-        let mut samples = Vec::new();
-        let stats = self.run_impl(aig, |_, _| true, Some(&mut samples));
-        (stats, samples)
+    fn set_cut_cache(&mut self, cache: CutCache) {
+        self.cache = cache;
     }
 
-    /// Runs the operator but consults `keep` before resynthesizing each cut:
-    /// when `keep` returns `false` the cut is pruned (counted but not
-    /// resynthesized).  This is the per-node filtering mode used by ablations;
-    /// the ELF flow batches classification up front instead.
-    pub fn run_with_filter(
-        &self,
-        aig: &mut Aig,
-        mut keep: impl FnMut(NodeId, &CutFeatures) -> bool,
-    ) -> RefactorStats {
-        self.run_impl(aig, &mut keep, None)
-    }
-
-    fn run_impl(
-        &self,
-        aig: &mut Aig,
-        mut keep: impl FnMut(NodeId, &CutFeatures) -> bool,
-        mut samples: Option<&mut Vec<LabeledCut>>,
-    ) -> RefactorStats {
-        let start = Instant::now();
-        let mut stats = RefactorStats::default();
-        // Generation-stamped tokens guard against slot recycling: a commit at
-        // an earlier target may free a later target's slot and re-issue it to
-        // a brand-new node, which must not be processed from the stale list.
-        let targets: Vec<_> = aig.and_ids().map(|id| aig.token(id)).collect();
-        let mut cut = Cut::empty();
-        for token in targets {
-            let node = token.id();
-            if !aig.token_is_current(token) || aig.refs(node) == 0 {
-                continue;
-            }
-            stats.nodes_visited += 1;
-            let outcome = self.refactor_node_with_cut(aig, node, &mut cut, &mut keep);
-            stats.cuts_formed += 1;
-            if outcome.resynthesized {
-                stats.cuts_resynthesized += 1;
-            } else {
-                stats.cuts_pruned += 1;
-            }
-            if outcome.committed {
-                stats.cuts_committed += 1;
-                stats.total_gain += outcome.gain;
-            }
-            if let Some(samples) = samples.as_deref_mut() {
-                samples.push(LabeledCut {
-                    node,
-                    features: outcome.features,
-                    committed: outcome.committed,
-                });
-            }
-        }
-        stats.runtime = start.elapsed();
-        stats
-    }
-
-    /// Collects the cut features of every live AND node without resynthesizing
-    /// anything.  This is phase 1 of the ELF flow (batch feature collection).
-    pub fn collect_features(&self, aig: &mut Aig) -> Vec<(NodeId, CutFeatures)> {
-        collect_cut_features(aig, &self.params.cut)
-    }
-
-    /// Performs the full refactor step (cut, resynthesis, gain evaluation,
-    /// commit) at a single node.
-    pub fn refactor_node(&self, aig: &mut Aig, node: NodeId) -> NodeOutcome {
-        let mut cut = Cut::empty();
-        self.refactor_node_with_cut(aig, node, &mut cut, &mut |_, _| true)
-    }
-
-    fn refactor_node_with_cut(
+    /// The full refactor step at one node: cut (the feature window itself,
+    /// so a pass that already formed it hands it over), resynthesis, gain
+    /// evaluation, commit.
+    fn resynthesize(
         &self,
         aig: &mut Aig,
         node: NodeId,
         cut: &mut Cut,
-        keep: &mut impl FnMut(NodeId, &CutFeatures) -> bool,
-    ) -> NodeOutcome {
-        debug_assert!(aig.is_and(node));
-        aig.reconvergence_cut_into(node, &self.params.cut, cut);
-        let features = aig.cut_features(cut);
-        let mut outcome = NodeOutcome {
-            node,
-            features,
-            resynthesized: false,
-            committed: false,
-            gain: 0,
-        };
-        if !keep(node, &features) {
-            return outcome;
+        holds_window: bool,
+    ) -> Option<i64> {
+        if !holds_window {
+            aig.reconvergence_cut_into(node, &self.params.cut, cut);
         }
-        outcome.resynthesized = true;
-        if let Some(gain) = self.resynthesize_cut(aig, node, cut) {
-            outcome.committed = true;
-            outcome.gain = gain;
-        }
-        outcome
-    }
-
-    /// Resynthesizes an already-computed cut and commits the winning
-    /// implementation, returning `Some(achieved_gain)` on commit.
-    fn resynthesize_cut(&self, aig: &mut Aig, node: NodeId, cut: &Cut) -> Option<i64> {
         if cut.num_leaves() < self.params.min_leaves {
             return None;
         }
@@ -276,75 +184,10 @@ impl Refactor {
         if !accept {
             return None;
         }
-
-        // Build the winning implementation speculatively and commit it.
-        let ands_before = aig.num_ands() as i64;
         let (expr, complemented) = &candidates[index];
-        aig.begin_speculation();
-        let mut new_lit = build_expr(aig, expr, &leaf_lits);
-        if *complemented {
-            new_lit = !new_lit;
-        }
-        if new_lit.node() == node || aig.cone_contains(new_lit.node(), node) {
-            // Degenerate candidate: it reproduces (or depends on) the node
-            // itself.  Drop the speculative nodes and keep the graph unchanged.
-            aig.reject_speculation();
-            return None;
-        }
-        aig.commit_speculation();
-        #[cfg(debug_assertions)]
-        crate::operator::debug_assert_commit_equivalence(aig, Self::NAME, node, new_lit);
-        aig.replace(node, new_lit);
-        Some(ands_before - aig.num_ands() as i64)
-    }
-}
-
-impl AigOperator for Refactor {
-    type Params = RefactorParams;
-    type Stats = RefactorStats;
-
-    const NAME: &'static str = "refactor";
-
-    fn from_params(params: RefactorParams) -> Self {
-        Refactor::new(params)
-    }
-
-    fn run(&self, aig: &mut Aig) -> RefactorStats {
-        Refactor::run(self, aig)
-    }
-
-    fn apply_node(&self, aig: &mut Aig, node: NodeId) -> NodeOutcome {
-        self.refactor_node(aig, node)
-    }
-
-    fn apply_node_fast(&self, aig: &mut Aig, node: NodeId) -> Option<i64> {
-        // The resynthesis cut is still needed, but the feature extraction
-        // (an O(cone x fanout) scan) is skipped on this path.
-        let mut cut = Cut::empty();
-        aig.reconvergence_cut_into(node, &self.params.cut, &mut cut);
-        self.resynthesize_cut(aig, node, &cut)
-    }
-
-    fn set_cut_cache(&mut self, cache: CutCache) {
-        self.cache = cache;
-    }
-}
-
-impl PrunableOperator for Refactor {
-    fn feature_cut_params(&self) -> CutParams {
-        self.params.cut
-    }
-
-    fn run_recording(&self, aig: &mut Aig) -> (RefactorStats, Vec<LabeledCut>) {
-        Refactor::run_recording(self, aig)
-    }
-
-    fn run_with_filter(
-        &self,
-        aig: &mut Aig,
-        keep: &mut dyn FnMut(NodeId, &CutFeatures) -> bool,
-    ) -> RefactorStats {
-        self.run_impl(aig, |node, features| keep(node, features), None)
+        commit_replacement(aig, Self::NAME, node, |aig| {
+            build_expr(aig, expr, &leaf_lits).complement_if(*complemented)
+        })
     }
 }
 
@@ -428,7 +271,7 @@ mod tests {
     fn filter_prunes_resynthesis() {
         let mut aig = shared_literal_circuit();
         let stats =
-            Refactor::new(RefactorParams::default()).run_with_filter(&mut aig, |_, _| false);
+            Refactor::new(RefactorParams::default()).run_with_filter(&mut aig, &mut |_, _| false);
         assert_eq!(stats.cuts_resynthesized, 0);
         assert_eq!(stats.cuts_pruned, stats.cuts_formed);
         assert_eq!(stats.cuts_committed, 0);
@@ -448,8 +291,9 @@ mod tests {
 
     #[test]
     fn collect_features_covers_all_live_nodes() {
-        let mut aig = absorbed_term_circuit();
-        let features = Refactor::default().collect_features(&mut aig);
+        let aig = absorbed_term_circuit();
+        let features =
+            Refactor::default().collect_features_with(&aig, elf_par::Parallelism::sequential());
         assert_eq!(features.len(), aig.num_reachable_ands());
     }
 
@@ -479,7 +323,7 @@ mod tests {
 
     #[test]
     fn commit_rate_and_prune_rate() {
-        let stats = RefactorStats {
+        let stats = OpStats {
             cuts_formed: 100,
             cuts_committed: 2,
             cuts_pruned: 80,
@@ -487,7 +331,7 @@ mod tests {
         };
         assert!((stats.commit_rate() - 0.02).abs() < 1e-9);
         assert!((stats.prune_rate() - 0.8).abs() < 1e-9);
-        assert_eq!(RefactorStats::default().commit_rate(), 0.0);
+        assert_eq!(OpStats::default().commit_rate(), 0.0);
     }
 
     #[test]

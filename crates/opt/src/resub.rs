@@ -7,13 +7,11 @@
 //! a divisor (0-resubstitution) or by a single new gate over two divisors
 //! (1-resubstitution) when doing so removes more nodes than it adds.
 
-use std::time::{Duration, Instant};
-
-use elf_aig::{Aig, CutFeatures, CutParams, Lit, NodeId};
+use elf_aig::{Aig, Cut, CutParams, Lit, NodeId};
 use elf_sop::TruthTable;
 
-use crate::build::cut_truth_table;
-use crate::operator::{AigOperator, KeepFn, LabeledCut, NodeOutcome, OpStats, PrunableOperator};
+use crate::build::{commit_replacement, cut_truth_table};
+use crate::operator::{debug_assert_commit_equivalence, OpStats, PrunableOperator};
 
 /// Parameters of the resubstitution operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,37 +35,6 @@ impl Default for ResubParams {
     }
 }
 
-/// Aggregate statistics of a resubstitution pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ResubStats {
-    /// Nodes visited.
-    pub nodes_visited: usize,
-    /// Nodes whose resubstitution was pruned (skipped) by a filter.
-    pub nodes_pruned: usize,
-    /// Accepted 0-resubstitutions.
-    pub zero_resubs: usize,
-    /// Accepted 1-resubstitutions.
-    pub one_resubs: usize,
-    /// Total gain in AND nodes.
-    pub total_gain: i64,
-    /// Wall-clock time of the pass.
-    pub runtime: Duration,
-}
-
-impl From<ResubStats> for OpStats {
-    fn from(stats: ResubStats) -> OpStats {
-        OpStats {
-            nodes_visited: stats.nodes_visited,
-            cuts_formed: stats.nodes_visited,
-            cuts_resynthesized: stats.nodes_visited - stats.nodes_pruned,
-            cuts_pruned: stats.nodes_pruned,
-            cuts_committed: stats.zero_resubs + stats.one_resubs,
-            total_gain: stats.total_gain,
-            runtime: stats.runtime,
-        }
-    }
-}
-
 /// The resubstitution operator.
 #[derive(Debug, Clone, Default)]
 pub struct Resubstitution {
@@ -85,71 +52,37 @@ impl Resubstitution {
         &self.params
     }
 
-    /// Runs resubstitution over every node of the graph.
-    pub fn run(&self, aig: &mut Aig) -> ResubStats {
-        self.run_impl(aig, None, None)
+    /// Runs resubstitution over every node of the graph:
+    /// [`PrunableOperator::run`], callable without the trait in scope.
+    pub fn run(&self, aig: &mut Aig) -> OpStats {
+        PrunableOperator::run(self, aig)
+    }
+}
+
+impl PrunableOperator for Resubstitution {
+    const NAME: &'static str = "resub";
+
+    fn feature_cut_params(&self) -> CutParams {
+        self.params.cut
     }
 
-    /// Runs the operator, recording a labeled sample per visited node (label:
-    /// a resubstitution was committed there).
-    pub fn run_recording(&self, aig: &mut Aig) -> (ResubStats, Vec<LabeledCut>) {
-        let mut samples = Vec::new();
-        let stats = self.run_impl(aig, None, Some(&mut samples));
-        (stats, samples)
-    }
-
-    /// Runs the operator but consults `keep` before attempting
-    /// resubstitution at each node.
-    pub fn run_with_filter(
+    /// Attempts resubstitution at one node inside its window — the feature
+    /// window itself, so a pass that already formed it hands it over.
+    fn resynthesize(
         &self,
         aig: &mut Aig,
-        mut keep: impl FnMut(NodeId, &CutFeatures) -> bool,
-    ) -> ResubStats {
-        self.run_impl(aig, Some(&mut keep), None)
-    }
-
-    fn run_impl(
-        &self,
-        aig: &mut Aig,
-        keep: Option<KeepFn<'_>>,
-        samples: Option<&mut Vec<LabeledCut>>,
-    ) -> ResubStats {
-        let start = Instant::now();
-        let mut stats = ResubStats::default();
-        let (visited, pruned) = crate::operator::drive_filtered_pass(
-            aig,
-            &self.params.cut,
-            keep,
-            samples,
-            |aig, node| {
-                if let Some((added, gain)) = self.resub_node(aig, node) {
-                    if added == 0 {
-                        stats.zero_resubs += 1;
-                    } else {
-                        stats.one_resubs += 1;
-                    }
-                    stats.total_gain += gain;
-                    true
-                } else {
-                    false
-                }
-            },
-        );
-        stats.nodes_visited = visited;
-        stats.nodes_pruned = pruned;
-        stats.runtime = start.elapsed();
-        stats
-    }
-
-    /// Attempts resubstitution at one node.  Returns `(new_gates, gain)` when
-    /// a change was committed.
-    pub fn resub_node(&self, aig: &mut Aig, node: NodeId) -> Option<(usize, i64)> {
-        let cut = aig.reconvergence_cut(node, &self.params.cut);
+        node: NodeId,
+        cut: &mut Cut,
+        holds_window: bool,
+    ) -> Option<i64> {
+        if !holds_window {
+            aig.reconvergence_cut_into(node, &self.params.cut, cut);
+        }
         if cut.num_leaves() < 2 || cut.cone.len() < 2 {
             return None;
         }
         let num_vars = cut.num_leaves();
-        let root_tt = cut_truth_table(aig, &cut);
+        let root_tt = cut_truth_table(aig, cut);
         let root_level = aig.level(node);
 
         // Determine which cone nodes belong to the root's MFFC: after
@@ -175,7 +108,7 @@ impl Resubstitution {
             if self.params.preserve_level && aig.level(n) > root_level {
                 continue;
             }
-            let sub_cut = elf_aig::Cut {
+            let sub_cut = Cut {
                 root: n,
                 leaves: cut.leaves.clone(),
                 cone: cut.cone.clone(),
@@ -200,15 +133,9 @@ impl Resubstitution {
                     continue;
                 }
                 let before = aig.num_ands() as i64;
-                #[cfg(debug_assertions)]
-                crate::operator::debug_assert_commit_equivalence(
-                    aig,
-                    Self::NAME,
-                    node,
-                    replacement,
-                );
+                debug_assert_commit_equivalence(aig, Self::NAME, node, replacement);
                 aig.replace(node, replacement);
-                return Some((0, before - aig.num_ands() as i64));
+                return Some(before - aig.num_ands() as i64);
             }
         }
 
@@ -235,85 +162,23 @@ impl Resubstitution {
                     let Some(is_or) = candidate else { continue };
                     let a = lit_a.complement_if(ca);
                     let b = lit_b.complement_if(cb);
-                    let before = aig.num_ands() as i64;
-                    aig.begin_speculation();
-                    let new_lit = if is_or { aig.or(a, b) } else { aig.and(a, b) };
-                    if new_lit.node() == node || aig.cone_contains(new_lit.node(), node) {
-                        aig.reject_speculation();
-                        continue;
+                    // A committed 1-resubstitution ends the search at this
+                    // node even when its gain turns out to be zero (the new
+                    // gate already existed): it is accepted as neutral.
+                    let committed = commit_replacement(aig, Self::NAME, node, |aig| {
+                        if is_or {
+                            aig.or(a, b)
+                        } else {
+                            aig.and(a, b)
+                        }
+                    });
+                    if committed.is_some() {
+                        return committed;
                     }
-                    aig.commit_speculation();
-                    #[cfg(debug_assertions)]
-                    crate::operator::debug_assert_commit_equivalence(
-                        aig,
-                        Self::NAME,
-                        node,
-                        new_lit,
-                    );
-                    aig.replace(node, new_lit);
-                    let gain = before - aig.num_ands() as i64;
-                    if gain > 0 {
-                        return Some((1, gain));
-                    }
-                    // The committed change did not pay off (it can only happen
-                    // when the new node already existed and gain was zero);
-                    // accept it as neutral and stop searching this node.
-                    return Some((1, gain));
                 }
             }
         }
         None
-    }
-}
-
-impl AigOperator for Resubstitution {
-    type Params = ResubParams;
-    type Stats = ResubStats;
-
-    const NAME: &'static str = "resub";
-
-    fn from_params(params: ResubParams) -> Self {
-        Resubstitution::new(params)
-    }
-
-    fn run(&self, aig: &mut Aig) -> ResubStats {
-        Resubstitution::run(self, aig)
-    }
-
-    fn apply_node(&self, aig: &mut Aig, node: NodeId) -> NodeOutcome {
-        let cut = aig.reconvergence_cut(node, &self.params.cut);
-        let features = aig.cut_features(&cut);
-        let result = self.resub_node(aig, node);
-        NodeOutcome {
-            node,
-            features,
-            resynthesized: true,
-            committed: result.is_some(),
-            gain: result.map_or(0, |(_, gain)| gain),
-        }
-    }
-
-    fn apply_node_fast(&self, aig: &mut Aig, node: NodeId) -> Option<i64> {
-        // `resub_node` recomputes its own window; skip the feature pass.
-        self.resub_node(aig, node).map(|(_, gain)| gain)
-    }
-}
-
-impl PrunableOperator for Resubstitution {
-    fn feature_cut_params(&self) -> CutParams {
-        self.params.cut
-    }
-
-    fn run_recording(&self, aig: &mut Aig) -> (ResubStats, Vec<LabeledCut>) {
-        Resubstitution::run_recording(self, aig)
-    }
-
-    fn run_with_filter(
-        &self,
-        aig: &mut Aig,
-        keep: &mut dyn FnMut(NodeId, &CutFeatures) -> bool,
-    ) -> ResubStats {
-        self.run_impl(aig, Some(keep), None)
     }
 }
 
@@ -337,7 +202,8 @@ mod tests {
         aig.add_output(ab);
         let golden = aig.clone();
         let stats = Resubstitution::default().run(&mut aig);
-        assert!(stats.zero_resubs >= 1, "{stats:?}");
+        assert!(stats.cuts_committed >= 1, "{stats:?}");
+        assert_eq!(aig.outputs()[0], ab, "a 0-resubstitution: no new gate");
         assert!(stats.total_gain >= 2);
         assert_eq!(
             check_equivalence(&golden, &aig, 8, 9),

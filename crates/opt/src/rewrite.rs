@@ -10,16 +10,14 @@
 //!
 //! The operator is a background substrate in the ELF paper (it is part of
 //! `resyn2`) and the first candidate for extending ELF-style pruning, so the
-//! implementation exposes the same per-node hooks as [`Refactor`](crate::Refactor).
+//! implementation plugs into the same pass driver as [`Refactor`](crate::Refactor).
 
-use std::time::{Duration, Instant};
-
-use elf_aig::{Aig, Cut, CutFeatures, CutParams, Lit, NodeId};
+use elf_aig::{Aig, Cut, CutParams, Lit, NodeId};
 use elf_sop::{FactoredForm, TruthTable};
 
-use crate::build::{build_expr, count_new_nodes, cut_truth_table};
+use crate::build::{build_expr, commit_replacement, count_new_nodes, cut_truth_table};
 use crate::cache::CutCache;
-use crate::operator::{AigOperator, KeepFn, LabeledCut, NodeOutcome, OpStats, PrunableOperator};
+use crate::operator::{OpStats, PrunableOperator};
 
 /// Parameters of the rewrite operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,37 +48,6 @@ impl Default for RewriteParams {
     }
 }
 
-/// Aggregate statistics of one rewrite pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RewriteStats {
-    /// Nodes visited.
-    pub nodes_visited: usize,
-    /// Nodes whose rewrite was pruned (skipped) by a filter.
-    pub nodes_pruned: usize,
-    /// Cuts evaluated (resynthesized and gain-checked).
-    pub cuts_evaluated: usize,
-    /// Nodes at which a rewrite was committed.
-    pub nodes_rewritten: usize,
-    /// Total gain in AND nodes.
-    pub total_gain: i64,
-    /// Wall-clock time of the pass.
-    pub runtime: Duration,
-}
-
-impl From<RewriteStats> for OpStats {
-    fn from(stats: RewriteStats) -> OpStats {
-        OpStats {
-            nodes_visited: stats.nodes_visited,
-            cuts_formed: stats.nodes_visited,
-            cuts_resynthesized: stats.nodes_visited - stats.nodes_pruned,
-            cuts_pruned: stats.nodes_pruned,
-            cuts_committed: stats.nodes_rewritten,
-            total_gain: stats.total_gain,
-            runtime: stats.runtime,
-        }
-    }
-}
-
 /// The rewrite operator.
 #[derive(Debug, Clone, Default)]
 pub struct Rewrite {
@@ -103,96 +70,36 @@ impl Rewrite {
     }
 
     /// The factored-form cache consulted by resynthesis (disabled by
-    /// default; attach one via [`AigOperator::set_cut_cache`]).
+    /// default; attach one via [`PrunableOperator::set_cut_cache`]).
     pub fn cut_cache(&self) -> &CutCache {
         &self.cache
     }
 
-    /// Runs rewriting over every node of the graph.
-    pub fn run(&self, aig: &mut Aig) -> RewriteStats {
-        self.run_impl(aig, None, None)
+    /// Runs rewriting over every node of the graph: [`PrunableOperator::run`],
+    /// callable without the trait in scope.
+    pub fn run(&self, aig: &mut Aig) -> OpStats {
+        PrunableOperator::run(self, aig)
     }
 
-    /// Runs the operator, recording a labeled sample for every visited node.
-    ///
-    /// The label is `true` exactly when the baseline rewrite committed a
-    /// change at the node; the features describe the node's
-    /// reconvergence-driven window ([`RewriteParams::feature_cut`]).
-    pub fn run_recording(&self, aig: &mut Aig) -> (RewriteStats, Vec<LabeledCut>) {
-        let mut samples = Vec::new();
-        let stats = self.run_impl(aig, None, Some(&mut samples));
-        (stats, samples)
-    }
-
-    /// Runs the operator but consults `keep` before enumerating and
-    /// resynthesizing cuts at each node: when `keep` returns `false` the node
-    /// is pruned (counted but left untouched).
-    pub fn run_with_filter(
-        &self,
-        aig: &mut Aig,
-        mut keep: impl FnMut(NodeId, &CutFeatures) -> bool,
-    ) -> RewriteStats {
-        self.run_impl(aig, Some(&mut keep), None)
-    }
-
-    fn run_impl(
-        &self,
-        aig: &mut Aig,
-        keep: Option<KeepFn<'_>>,
-        samples: Option<&mut Vec<LabeledCut>>,
-    ) -> RewriteStats {
-        let start = Instant::now();
-        let mut stats = RewriteStats::default();
-        let (visited, pruned) = crate::operator::drive_filtered_pass(
-            aig,
-            &self.params.feature_cut,
-            keep,
-            samples,
-            |aig, node| {
-                let (evaluated, gain) = self.rewrite_node(aig, node);
-                stats.cuts_evaluated += evaluated;
-                match gain {
-                    Some(gain) => {
-                        stats.nodes_rewritten += 1;
-                        stats.total_gain += gain;
-                        true
-                    }
-                    None => false,
-                }
-            },
-        );
-        stats.nodes_visited = visited;
-        stats.nodes_pruned = pruned;
-        stats.runtime = start.elapsed();
-        stats
-    }
-
-    /// Attempts to rewrite a single node.  Returns the number of cuts that
-    /// were evaluated and `Some(achieved_gain)` when a rewrite was committed
-    /// (the gain is zero for accepted zero-gain rewrites).
-    pub fn rewrite_node(&self, aig: &mut Aig, node: NodeId) -> (usize, Option<i64>) {
-        self.rewrite_node_with(aig, node, |truth| self.cache.factor_both(truth))
-    }
-
-    /// [`Rewrite::rewrite_node`] over `factor_both`'s candidates: the form of
-    /// a cut function and, where worth weighing, the form of its complement.
-    /// A parameter only so the twin test can evaluate both polarities of
-    /// every cut the way the operator did before `factor_both` existed.
+    /// Attempts to rewrite a single node over `factor_both`'s candidates —
+    /// the form of a cut function and, where worth weighing, the form of its
+    /// complement — returning `Some(achieved_gain)` when a rewrite was
+    /// committed (zero for accepted zero-gain rewrites).  `factor_both` is a
+    /// parameter only so the twin test can evaluate both polarities of every
+    /// cut the way the operator did before [`CutCache::factor_both`] existed.
     fn rewrite_node_with(
         &self,
         aig: &mut Aig,
         node: NodeId,
         factor_both: impl Fn(&TruthTable) -> (FactoredForm, Option<FactoredForm>),
-    ) -> (usize, Option<i64>) {
+    ) -> Option<i64> {
         let cuts = self.enumerate_cuts(aig, node);
-        let mut evaluated = 0;
         let root_level = aig.level(node);
         let mut best: Option<(Cut, FactoredForm, bool, i64)> = None;
         for cut in cuts {
             if cut.num_leaves() < 3 {
                 continue;
             }
-            evaluated += 1;
             let truth = cut_truth_table(aig, &cut);
             let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| l.lit()).collect();
             // The reclaimable logic is the MFFC bounded by this cut's leaves.
@@ -215,29 +122,15 @@ impl Rewrite {
             }
             aig.ref_mffc_bounded(node, &cut.leaves);
         }
-        let Some((cut, expr, complemented, gain)) = best else {
-            return (evaluated, None);
-        };
+        let (cut, expr, complemented, gain) = best?;
         let accept = gain > 0 || (self.params.zero_gain && gain >= 0);
         if !accept {
-            return (evaluated, None);
+            return None;
         }
         let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| l.lit()).collect();
-        let before = aig.num_ands() as i64;
-        aig.begin_speculation();
-        let mut new_lit = build_expr(aig, &expr, &leaf_lits);
-        if complemented {
-            new_lit = !new_lit;
-        }
-        if new_lit.node() == node || aig.cone_contains(new_lit.node(), node) {
-            aig.reject_speculation();
-            return (evaluated, None);
-        }
-        aig.commit_speculation();
-        #[cfg(debug_assertions)]
-        crate::operator::debug_assert_commit_equivalence(aig, Self::NAME, node, new_lit);
-        aig.replace(node, new_lit);
-        (evaluated, Some(before - aig.num_ands() as i64))
+        commit_replacement(aig, Self::NAME, node, |aig| {
+            build_expr(aig, &expr, &leaf_lits).complement_if(complemented)
+        })
     }
 
     /// Enumerates k-feasible cuts rooted at `node` by merging fanin cuts
@@ -290,59 +183,21 @@ impl Rewrite {
     }
 }
 
-impl AigOperator for Rewrite {
-    type Params = RewriteParams;
-    type Stats = RewriteStats;
-
+impl PrunableOperator for Rewrite {
     const NAME: &'static str = "rewrite";
 
-    fn from_params(params: RewriteParams) -> Self {
-        Rewrite::new(params)
-    }
-
-    fn run(&self, aig: &mut Aig) -> RewriteStats {
-        Rewrite::run(self, aig)
-    }
-
-    fn apply_node(&self, aig: &mut Aig, node: NodeId) -> NodeOutcome {
-        let cut = aig.reconvergence_cut(node, &self.params.feature_cut);
-        let features = aig.cut_features(&cut);
-        let (_, gain) = self.rewrite_node(aig, node);
-        NodeOutcome {
-            node,
-            features,
-            resynthesized: true,
-            committed: gain.is_some(),
-            gain: gain.unwrap_or(0),
-        }
-    }
-
-    fn apply_node_fast(&self, aig: &mut Aig, node: NodeId) -> Option<i64> {
-        // The feature window is independent of the enumerated rewrite cuts,
-        // so the fast path skips it entirely.
-        self.rewrite_node(aig, node).1
+    fn feature_cut_params(&self) -> CutParams {
+        self.params.feature_cut
     }
 
     fn set_cut_cache(&mut self, cache: CutCache) {
         self.cache = cache;
     }
-}
 
-impl PrunableOperator for Rewrite {
-    fn feature_cut_params(&self) -> CutParams {
-        self.params.feature_cut
-    }
-
-    fn run_recording(&self, aig: &mut Aig) -> (RewriteStats, Vec<LabeledCut>) {
-        Rewrite::run_recording(self, aig)
-    }
-
-    fn run_with_filter(
-        &self,
-        aig: &mut Aig,
-        keep: &mut dyn FnMut(NodeId, &CutFeatures) -> bool,
-    ) -> RewriteStats {
-        self.run_impl(aig, Some(keep), None)
+    /// Enumerates and weighs the node's own k-feasible cuts; the feature
+    /// window plays no part, so the pass's scratch is left alone.
+    fn resynthesize(&self, aig: &mut Aig, node: NodeId, _: &mut Cut, _: bool) -> Option<i64> {
+        self.rewrite_node_with(aig, node, |truth| self.cache.factor_both(truth))
     }
 }
 
@@ -444,7 +299,7 @@ mod tests {
         });
         let (stats, samples) = op.run_recording(&mut aig);
         let committed = samples.iter().filter(|s| s.committed).count();
-        assert_eq!(committed, stats.nodes_rewritten);
+        assert_eq!(committed, stats.cuts_committed);
         assert!(aig.check_invariants().is_empty());
     }
 
@@ -472,23 +327,23 @@ mod tests {
             let mut twin = aig.clone();
             let stats = operator.run(&mut aig);
 
+            // The reference walks the nodes itself, under its own token
+            // guard, so it shares nothing with the pass driver but the step.
             let cache = CutCache::new(cache_config);
             let mut rewritten = 0;
-            crate::operator::drive_filtered_pass(
-                &mut twin,
-                &operator.params.feature_cut,
-                None,
-                None,
-                |twin, node| {
-                    let both = |truth: &TruthTable| {
-                        (cache.factor(truth), Some(cache.factor(&!truth)))
-                    };
-                    let committed = operator.rewrite_node_with(twin, node, both).1.is_some();
-                    rewritten += usize::from(committed);
-                    committed
-                },
-            );
-            proptest::prop_assert_eq!(stats.nodes_rewritten, rewritten);
+            let targets: Vec<_> = twin.and_ids().map(|id| twin.token(id)).collect();
+            for token in targets {
+                let node = token.id();
+                if !twin.token_is_current(token) || twin.refs(node) == 0 {
+                    continue;
+                }
+                let both = |truth: &TruthTable| {
+                    (cache.factor(truth), Some(cache.factor(&!truth)))
+                };
+                let committed = operator.rewrite_node_with(&mut twin, node, both).is_some();
+                rewritten += usize::from(committed);
+            }
+            proptest::prop_assert_eq!(stats.cuts_committed, rewritten);
             let structure = |aig: &Aig| -> Vec<(NodeId, (Lit, Lit))> {
                 aig.and_ids().map(|id| (id, aig.fanins(id))).collect()
             };
@@ -516,8 +371,8 @@ mod tests {
 
         let operator = Rewrite::default();
         let mut blind = aig.clone();
-        let (_, gain) = operator.rewrite_node(&mut aig, f.node());
-        let (_, blind_gain) = operator.rewrite_node_with(&mut blind, f.node(), |truth| {
+        let gain = operator.resynthesize(&mut aig, f.node(), &mut Cut::empty(), false);
+        let blind_gain = operator.rewrite_node_with(&mut blind, f.node(), |truth| {
             (operator.cache.factor(truth), None)
         });
         assert_eq!(

@@ -9,10 +9,7 @@
 
 use elf_aig::{Aig, CutFeatures, NodeId};
 use elf_circuits::{script_strategy, scripted_circuit};
-use elf_opt::{
-    collect_cut_features, collect_cut_features_par, PrunableOperator, Refactor, Resubstitution,
-    Rewrite,
-};
+use elf_opt::{PrunableOperator, Refactor, RefactorParams, Resubstitution, Rewrite};
 use elf_par::Parallelism;
 use proptest::prelude::*;
 
@@ -31,8 +28,8 @@ fn dataset_bytes(features: &[(NodeId, CutFeatures)]) -> Vec<(u32, [u32; 6])> {
 
 /// Asserts that parallel collection matches the sequential sweep for one
 /// operator on one circuit, at every thread count.
-fn check_operator<O: PrunableOperator>(operator: &O, mut aig: Aig) {
-    let sequential = operator.collect_features(&mut aig);
+fn check_operator<O: PrunableOperator>(operator: &O, aig: Aig) {
+    let sequential = operator.collect_features_with(&aig, Parallelism::sequential());
     let sequential_bytes = dataset_bytes(&sequential);
     for threads in THREAD_COUNTS {
         let parallel = operator.collect_features_with(&aig, Parallelism::threads(threads));
@@ -58,18 +55,21 @@ proptest! {
         check_operator(&Resubstitution::default(), scripted_circuit(6, &script));
     }
 
-    /// The free-function entry point obeys the same contract for arbitrary
-    /// cut parameters (not just each operator's feature window).
+    /// The same contract holds for arbitrary cut parameters (not just each
+    /// operator's default feature window).
     #[test]
     fn parallel_collection_matches_for_custom_windows(
         script in script_strategy(32),
         max_leaves in 2usize..16,
     ) {
-        let mut aig = scripted_circuit(6, &script);
-        let params = elf_aig::CutParams::with_max_leaves(max_leaves);
-        let sequential = collect_cut_features(&mut aig, &params);
+        let aig = scripted_circuit(6, &script);
+        let operator = Refactor::new(RefactorParams {
+            cut: elf_aig::CutParams::with_max_leaves(max_leaves),
+            ..Default::default()
+        });
+        let sequential = operator.collect_features_with(&aig, Parallelism::sequential());
         for threads in THREAD_COUNTS {
-            let parallel = collect_cut_features_par(&aig, &params, Parallelism::threads(threads));
+            let parallel = operator.collect_features_with(&aig, Parallelism::threads(threads));
             prop_assert_eq!(
                 dataset_bytes(&sequential),
                 dataset_bytes(&parallel),
@@ -83,11 +83,11 @@ proptest! {
     /// the graph's invariants hold.
     #[test]
     fn parallel_collection_does_not_perturb_the_graph(script in script_strategy(32)) {
-        let mut aig = scripted_circuit(5, &script);
+        let aig = scripted_circuit(5, &script);
         let operator = Refactor::default();
-        let before = operator.collect_features(&mut aig);
+        let before = operator.collect_features_with(&aig, Parallelism::sequential());
         let _ = operator.collect_features_with(&aig, Parallelism::threads(7));
-        let after = operator.collect_features(&mut aig);
+        let after = operator.collect_features_with(&aig, Parallelism::sequential());
         prop_assert_eq!(dataset_bytes(&before), dataset_bytes(&after));
         prop_assert!(aig.check_invariants().is_empty(), "{:?}", aig.check_invariants());
     }

@@ -4,9 +4,10 @@
 use elf_aig::{check_equivalence, Aig, Cut, CutFeatures, EquivalenceResult, Lit, NodeId};
 use elf_circuits::{script_strategy, scripted_circuit};
 use elf_opt::{
-    build_expr, count_new_nodes, cut_truth_table, AigOperator, CutCache, CutCacheConfig,
+    build_expr, count_new_nodes, cut_truth_table, CutCache, CutCacheConfig, OpStats,
     PrunableOperator, Refactor, RefactorParams, Resubstitution, Rewrite,
 };
+use elf_par::Parallelism;
 use proptest::prelude::*;
 
 /// A deterministic pseudo-random keep/prune decision derived from the node id
@@ -24,11 +25,9 @@ fn pseudo_random_keep(node: NodeId, mask: u64) -> bool {
 fn check_filtered_run<O: PrunableOperator>(operator: &O, mut aig: Aig, mask: u64, sim_seed: u64) {
     let golden = aig.clone();
     let before = aig.num_reachable_ands();
-    let stats: elf_opt::OpStats = operator
-        .run_with_filter(&mut aig, &mut |node: NodeId, _: &CutFeatures| {
-            pseudo_random_keep(node, mask)
-        })
-        .into();
+    let stats = operator.run_with_filter(&mut aig, &mut |node: NodeId, _: &CutFeatures| {
+        pseudo_random_keep(node, mask)
+    });
     assert!(aig.num_reachable_ands() <= before);
     assert_eq!(
         stats.cuts_pruned + stats.cuts_resynthesized,
@@ -103,12 +102,104 @@ fn refactor_evaluating_both_polarities(aig: &mut Aig, params: &RefactorParams, c
 }
 
 /// Every AND node followed by its fanin literals, then the output literals.
-fn structure(aig: &Aig) -> (Vec<(NodeId, Lit, Lit)>, Vec<Lit>) {
+type Structure = (Vec<(NodeId, Lit, Lit)>, Vec<Lit>);
+
+fn structure(aig: &Aig) -> Structure {
     let nodes = aig.and_ids().map(|id| {
         let (f0, f1) = aig.fanins(id);
         (id, f0, f1)
     });
     (nodes.collect(), aig.outputs().to_vec())
+}
+
+/// What every keep-everything twin of a pass must reproduce: the plain
+/// pass's network, node for node, and its statistics but for the wall clock.
+fn outcome(aig: &Aig, stats: &OpStats) -> (Structure, OpStats) {
+    let counters = OpStats {
+        runtime: std::time::Duration::ZERO,
+        ..*stats
+    };
+    (structure(aig), counters)
+}
+
+/// Runs `operator` on copies of `source` plainly and through every driver
+/// policy that ends up keeping every node — an always-true filter, the
+/// recording pass, an all-true decision list — and asserts each twin equals
+/// the plain pass.
+fn check_keep_all_policies<O: PrunableOperator>(operator: &O, source: &Aig) {
+    let mut plain = source.clone();
+    let plain_stats = operator.run(&mut plain);
+    assert_eq!(plain_stats.cuts_pruned, 0);
+    let expected = outcome(&plain, &plain_stats);
+
+    let mut filtered = source.clone();
+    let mut visited = Vec::new();
+    let stats = operator.run_with_filter(&mut filtered, &mut |node, _: &CutFeatures| {
+        visited.push(node);
+        true
+    });
+    assert_eq!(&outcome(&filtered, &stats), &expected, "{} filter", O::NAME);
+    assert_eq!(visited.len(), plain_stats.nodes_visited);
+
+    // The recording pass labels exactly the nodes a pass visits, in order,
+    // and labels as committed exactly as many as it committed.
+    let mut recorded = source.clone();
+    let (stats, samples) = operator.run_recording(&mut recorded);
+    assert_eq!(&outcome(&recorded, &stats), &expected, "{} record", O::NAME);
+    let labelled: Vec<NodeId> = samples.iter().map(|sample| sample.node).collect();
+    assert_eq!(labelled, visited);
+    let committed = samples.iter().filter(|sample| sample.committed).count();
+    assert_eq!(committed, plain_stats.cuts_committed);
+
+    let mut decided = source.clone();
+    let decisions: Vec<(NodeId, bool)> = operator
+        .collect_features_with(source, Parallelism::sequential())
+        .into_iter()
+        .map(|(node, _)| (node, true))
+        .collect();
+    let stats = operator.run_decided(&mut decided, &decisions);
+    assert_eq!(
+        &outcome(&decided, &stats),
+        &expected,
+        "{} decisions",
+        O::NAME
+    );
+}
+
+/// `Elf` around `operator` with a keep-everything classifier, in batched
+/// and in per-node mode, equals the plain pass and prunes nothing.
+fn check_keep_all_elf<O: PrunableOperator + Clone>(operator: &O, source: &Aig) {
+    use elf_core::{Elf, ElfClassifier, ElfOptions};
+    use elf_nn::{Mlp, Normalizer};
+
+    let mut plain = source.clone();
+    let plain_stats = operator.run(&mut plain);
+    let expected = outcome(&plain, &plain_stats);
+    for batch_classification in [true, false] {
+        let classifier = ElfClassifier::from_parts(
+            Normalizer::from_stats(vec![2.0; 6], vec![1.0; 6]),
+            Mlp::paper_architecture(5),
+            0.0,
+        );
+        let options = ElfOptions {
+            batch_classification,
+            ..Default::default()
+        };
+        let elf = Elf::with_operator(classifier, operator.clone(), options);
+        let mut pruned = source.clone();
+        let stats = elf.run(&mut pruned);
+        assert_eq!(
+            &outcome(&pruned, &stats.op),
+            &expected,
+            "{} batched = {}",
+            O::NAME,
+            batch_classification
+        );
+        assert_eq!(
+            (stats.pruned, stats.kept),
+            (0, plain_stats.cuts_resynthesized)
+        );
+    }
 }
 
 proptest! {
@@ -212,52 +303,28 @@ proptest! {
         check_filtered_run(&Resubstitution::default(), scripted_circuit(5, &script), mask, 53);
     }
 
-    /// An always-keep filter is a no-op wrapper: the filtered pass must land
-    /// on exactly the same network as the plain pass, node for node.
+    /// Keeping every node is a no-op wrapper, for every operator and every
+    /// policy of the pass driver: the twin must land on exactly the same
+    /// network as the plain pass, node for node, with the same counters.
     #[test]
     fn always_keep_filter_matches_plain_run(script in script_strategy(30)) {
-        let mut plain = scripted_circuit(5, &script);
-        let mut filtered = plain.clone();
-        let rewrite = Rewrite::default();
-        let plain_stats: elf_opt::OpStats = AigOperator::run(&rewrite, &mut plain).into();
-        let filtered_stats: elf_opt::OpStats = rewrite
-            .run_with_filter(&mut filtered, &mut |_: NodeId, _: &CutFeatures| true)
-            .into();
-        prop_assert_eq!(plain_stats.cuts_committed, filtered_stats.cuts_committed);
-        prop_assert_eq!(filtered_stats.cuts_pruned, 0);
-        prop_assert_eq!(plain.num_reachable_ands(), filtered.num_reachable_ands());
-        prop_assert_eq!(
-            check_equivalence(&plain, &filtered, 16, 31),
-            EquivalenceResult::Equivalent
-        );
+        let source = scripted_circuit(5, &script);
+        check_keep_all_policies(&Refactor::default(), &source);
+        check_keep_all_policies(&Rewrite::default(), &source);
+        check_keep_all_policies(&Resubstitution::default(), &source);
     }
 
-    /// `Elf<Rewrite>` with an always-keep classifier (threshold 0) commits
-    /// exactly what the plain rewrite operator commits, node for node.
+    /// `Elf<O>` with an always-keep classifier (threshold 0) commits exactly
+    /// what the plain operator commits, node for node — rewrite, where this
+    /// was first pinned, and the other two; batched and per-node.
     #[test]
     fn elf_rewrite_with_always_keep_classifier_matches_plain_rewrite(
         script in script_strategy(24),
     ) {
-        use elf_core::{Elf, ElfOptions};
-        use elf_nn::{Mlp, Normalizer};
-
-        let mut pruned = scripted_circuit(5, &script);
-        let mut plain = pruned.clone();
-        let classifier = elf_core::ElfClassifier::from_parts(
-            Normalizer::from_stats(vec![2.0; 6], vec![1.0; 6]),
-            Mlp::paper_architecture(5),
-            0.0,
-        );
-        let elf = Elf::with_operator(classifier, Rewrite::default(), ElfOptions::default());
-        let elf_stats = elf.run(&mut pruned);
-        let plain_stats = Rewrite::default().run(&mut plain);
-        prop_assert_eq!(elf_stats.pruned, 0);
-        prop_assert_eq!(elf_stats.op.cuts_committed, plain_stats.nodes_rewritten);
-        prop_assert_eq!(pruned.num_reachable_ands(), plain.num_reachable_ands());
-        prop_assert_eq!(
-            check_equivalence(&plain, &pruned, 16, 37),
-            EquivalenceResult::Equivalent
-        );
+        let source = scripted_circuit(5, &script);
+        check_keep_all_elf(&Rewrite::default(), &source);
+        check_keep_all_elf(&Refactor::default(), &source);
+        check_keep_all_elf(&Resubstitution::default(), &source);
     }
 
     /// Chaining refactor twice (the paper's "ELF x 2" setting applied to the

@@ -36,3 +36,21 @@ if [ "$status" -ne 0 ]; then
     exit 1
 fi
 echo "static-gate: clean (${GATED_DIRS[*]})"
+
+# One-loop gate: every operator pass — plain, recording, filtered, decided,
+# pruned by `Elf` — runs through the single token-guarded loop of
+# `crates/opt/src/operator.rs`, which is what makes the arms of every
+# comparison the same code.  A second `token_is_current` in the non-test
+# region of the operator or flow crates is a second copy of that loop.
+guards=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /token_is_current/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+' crates/opt/src/*.rs crates/core/src/*.rs)
+if [ "$(printf '%s' "$guards" | grep -c .)" -ne 1 ]; then
+    echo "$guards"
+    echo "static-gate: expected exactly one token-guarded pass loop in crates/opt/src + crates/core/src" >&2
+    exit 1
+fi
+echo "static-gate: one pass loop ($guards)"

@@ -13,7 +13,7 @@
 //! |-------|----------|
 //! | [`aig`] (`elf-aig`) | And-Inverter Graph, structural hashing, MFFC, simulation, AIGER I/O, reconvergence-driven cuts and cut features |
 //! | [`sop`] (`elf-sop`) | Truth tables, irredundant SOP (Minato–Morreale), algebraic factoring |
-//! | [`opt`] (`elf-opt`) | Refactor, rewrite and resubstitution behind the unified `AigOperator` / `PrunableOperator` traits with a shared `OpStats` core |
+//! | [`opt`] (`elf-opt`) | Refactor, rewrite and resubstitution as per-node steps behind the `PrunableOperator` trait and its one pass loop, all reporting `OpStats` |
 //! | [`nn`] (`elf-nn`) | Minimal MLP framework (Adam, cosine warm restarts, MixUp, stratified splits, metrics) |
 //! | [`par`] (`elf-par`) | Deterministic std-threads parallel engine (scoped pool, chunked queue, order-preserving gather) |
 //! | [`core`] (`elf-core`) | The ELF classifier, the generic pruned operator `Elf<O>`, script-style `Flow` pipelines and the experiment protocol |
@@ -24,11 +24,11 @@
 //! | [`analysis`] (`elf-analysis`) | t-SNE, exact Shapley values, PCA |
 //!
 //! The operator layer is a small type algebra: every operator implements
-//! `opt::AigOperator` (uniform `run` / per-node `apply_node`, stats that
-//! convert into `opt::OpStats`), pruning-capable operators additionally
-//! implement `opt::PrunableOperator` (feature collection, recording,
-//! filtered execution), `core::Elf<O>` wraps any of them with a trained
-//! classifier (`core::ElfRefactor` = `Elf<Refactor>` is the paper's
+//! `opt::PrunableOperator` by supplying its per-node resynthesis step and
+//! its feature window; the trait's one pass loop provides the plain,
+//! recording, filtered and decided runs (all returning `opt::OpStats`) and
+//! batch feature collection, `core::Elf<O>` wraps any operator with a
+//! trained classifier (`core::ElfRefactor` = `Elf<Refactor>` is the paper's
 //! operator), and `core::Flow` composes plain and pruned stages into
 //! ABC-script-style pipelines.
 //!
