@@ -53,19 +53,22 @@ impl Cut {
     /// Returns the internal cone nodes in topological (fanin-before-fanout)
     /// order, ending with the root.
     pub fn cone_topological(&self, aig: &Aig) -> Vec<NodeId> {
-        let in_cone = |id: NodeId| self.cone.contains(&id);
+        // Membership and the visited mark share one scan: a node's position
+        // in `cone` indexes its mark.
+        let mut visited = vec![false; self.cone.len()];
         let mut order = Vec::with_capacity(self.cone.len());
-        let mut visited: Vec<NodeId> = Vec::with_capacity(self.cone.len());
         let mut stack = vec![(self.root, false)];
         while let Some((id, expanded)) = stack.pop() {
             if expanded {
                 order.push(id);
                 continue;
             }
-            if visited.contains(&id) || !in_cone(id) {
+            let Some(position) = self.cone.iter().position(|&member| member == id) else {
+                continue;
+            };
+            if std::mem::replace(&mut visited[position], true) {
                 continue;
             }
-            visited.push(id);
             stack.push((id, true));
             let (f0, f1) = aig.fanins(id);
             stack.push((f0.node(), false));

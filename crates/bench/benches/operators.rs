@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use elf_circuits::epfl::{arithmetic_circuit, Scale};
+use elf_circuits::industrial_suite;
 use elf_core::{circuit_dataset, ElfClassifier, ElfConfig, ElfRefactor};
 use elf_nn::TrainConfig;
 use elf_opt::{
@@ -93,20 +94,29 @@ fn bench_operator_passes(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
-    group.bench_function("rewrite", |b| {
-        b.iter_batched(
-            || circuit.clone(),
-            |mut aig| std::hint::black_box(Rewrite::default().run(&mut aig)),
-            BatchSize::SmallInput,
-        );
-    });
-    group.bench_function("resubstitution", |b| {
-        b.iter_batched(
-            || circuit.clone(),
-            |mut aig| std::hint::black_box(Resubstitution::default().run(&mut aig)),
-            BatchSize::SmallInput,
-        );
-    });
+    // Rewrite and resub on the multiplier's regular array and on one
+    // industrial design, whose deep, irregularly shared cones cut rewrite's
+    // 64-node window off mid-cone and fill its cut buckets.
+    let (industrial_name, industrial) = industrial_suite(0.003, 1).swap_remove(0);
+    for (name, circuit) in [
+        ("multiplier", &circuit),
+        (industrial_name.as_str(), &industrial),
+    ] {
+        group.bench_function(format!("rewrite/{name}"), |b| {
+            b.iter_batched(
+                || circuit.clone(),
+                |mut aig| std::hint::black_box(Rewrite::default().run(&mut aig)),
+                BatchSize::SmallInput,
+            );
+        });
+        group.bench_function(format!("resubstitution/{name}"), |b| {
+            b.iter_batched(
+                || circuit.clone(),
+                |mut aig| std::hint::black_box(Resubstitution::default().run(&mut aig)),
+                BatchSize::SmallInput,
+            );
+        });
+    }
     group.finish();
 }
 

@@ -30,17 +30,19 @@ fn main() {
         .collect();
 
     println!();
+    println!("holds? = the measured figure is at least as good as the paper's on that row");
+    println!("(speed-up >= the paper's, worst area loss <= the paper's)");
     println!(
         "{:<28} {:>12} {:>12} {:>12}",
         "", "measured", "paper", "holds?"
     );
     let check = |measured: f64, reference: f64, higher_is_better: bool| -> &'static str {
-        let ok = if higher_is_better {
-            measured >= 1.25
+        let holds = if higher_is_better {
+            measured >= reference
         } else {
-            measured <= reference.max(0.5)
+            measured <= reference
         };
-        if ok {
+        if holds {
             "yes"
         } else {
             "no"
@@ -89,6 +91,6 @@ fn main() {
         )
     );
     println!();
-    println!("The industrial acceptance criterion from the paper is a speed-up of at");
-    println!("least 1.25x with an area degradation below 0.5 %.");
+    println!("For reference, the paper's industrial acceptance criterion is looser than its");
+    println!("results: a speed-up of at least 1.25x with an area degradation below 0.5 %.");
 }

@@ -12,16 +12,38 @@ use elf_sop::{FactoredForm, TruthTable};
 ///
 /// Panics if the cut has more than [`elf_sop::MAX_VARS`] leaves.
 pub fn cut_truth_table(aig: &Aig, cut: &Cut) -> TruthTable {
+    cut_truth_table_in(aig, cut, &mut Vec::new())
+}
+
+/// [`cut_truth_table`] simulating in the caller's word buffer, so a pass
+/// that evaluates many cuts does not allocate one buffer per cut.
+pub(crate) fn cut_truth_table_in(aig: &Aig, cut: &Cut, tables: &mut Vec<u64>) -> TruthTable {
+    let (_, words) = simulate_cut(aig, cut, tables);
+    // `from_words` drops the bits a table of fewer than six variables lacks.
+    TruthTable::from_words(tables[tables.len() - words..].to_vec(), cut.num_leaves())
+}
+
+/// Simulates every cone node of `cut` over the cut's leaves, once, and
+/// returns the cone in evaluation order ([`Cut::cone_topological`], the root
+/// last) with the number of words per table.
+///
+/// `tables` becomes one flat buffer sized to the cut — per-call work must not
+/// scale with the arena.  Slot 0 stays constant false, slot `1 + i` holds
+/// leaf `i`'s projection and slot `1 + num_leaves + j` the `j`-th node of the
+/// returned order; a fanin is found by position among the handful of leaves
+/// and earlier cone nodes.  Below six leaves a slot's single word repeats
+/// the `2^n`-bit table to fill all 64 bits, so two slots are equal as words
+/// exactly when they are equal as functions.
+///
+/// # Panics
+///
+/// Panics if the cut has more than [`elf_sop::MAX_VARS`] leaves.
+pub(crate) fn simulate_cut(aig: &Aig, cut: &Cut, tables: &mut Vec<u64>) -> (Vec<NodeId>, usize) {
     let num_vars = cut.num_leaves();
     assert!(
         num_vars <= elf_sop::MAX_VARS,
         "cut with {num_vars} leaves exceeds the supported truth-table width"
     );
-    // One flat buffer sized to the cut — per-call work must not scale with
-    // the arena.  Slot 0 stays constant false, slot `1 + i` holds leaf `i`'s
-    // projection and slot `1 + num_vars + j` the `j`-th cone node in
-    // topological order; a fanin is found by position among the handful of
-    // leaves and earlier cone nodes.
     let order = cut.cone_topological(aig);
     assert_eq!(
         order.last(),
@@ -29,7 +51,8 @@ pub fn cut_truth_table(aig: &Aig, cut: &Cut) -> TruthTable {
         "root is part of its own cone"
     );
     let words = 1usize << num_vars.saturating_sub(6);
-    let mut tables = vec![0u64; (1 + num_vars + order.len()) * words];
+    tables.clear();
+    tables.resize((1 + num_vars + order.len()) * words, 0);
     for (var, table) in tables[words..]
         .chunks_exact_mut(words)
         .take(num_vars)
@@ -62,8 +85,7 @@ pub fn cut_truth_table(aig: &Aig, cut: &Cut) -> TruthTable {
             *word = (earlier[at0 + index] ^ flip0) & (earlier[at1 + index] ^ flip1);
         }
     }
-    // `from_words` drops the bits a table of fewer than six variables lacks.
-    TruthTable::from_words(tables.split_off(tables.len() - words), num_vars)
+    (order, words)
 }
 
 /// Result of estimating the cost of implementing a factored form in an AIG.

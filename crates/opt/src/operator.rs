@@ -5,9 +5,9 @@
 //! An operator ([`Refactor`], [`Rewrite`], [`Resubstitution`]) implements
 //! [`PrunableOperator`] by saying how to attempt resynthesis at *one* node
 //! ([`PrunableOperator::resynthesize`]); the driver owns everything else —
-//! the snapshot of target nodes, the cut scratch, the [`OpStats`] counters
-//! and the stopwatch — and is parameterised only by *who decides* whether a
-//! node is attempted.  The entry point picks the policy:
+//! the snapshot of target nodes, the scratch buffers ([`PassScratch`]), the
+//! [`OpStats`] counters and the stopwatch — and is parameterised only by *who
+//! decides* whether a node is attempted.  The entry point picks the policy:
 //!
 //! | entry point | decides | per visited node |
 //! |---|---|---|
@@ -30,10 +30,11 @@
 
 use std::time::{Duration, Instant};
 
-use elf_aig::{Aig, Cut, CutFeatures, CutParams, CutScratch, NodeId};
+use elf_aig::{Aig, Cut, CutFeatures, CutParams, CutScratch, Lit, NodeId};
 use elf_par::Parallelism;
 
 use crate::cache::CutCache;
+use crate::rewrite::CutWindow;
 
 /// Debug-build spot-check of one accepted resynthesis commit.
 ///
@@ -186,6 +187,38 @@ pub struct LabeledCut {
     pub committed: bool,
 }
 
+/// The buffers one pass reuses across its nodes, so that a pass allocates
+/// once rather than per node.  The driver owns it and lends it to every
+/// [`PrunableOperator::resynthesize`] call; apart from `cut` when the call
+/// says it holds the node's window, the contents are stale between calls.
+///
+/// Nameable only inside this crate: operators are implemented here.
+#[derive(Debug)]
+pub struct PassScratch {
+    /// The node's feature window, then whichever cut the operator weighs.
+    pub(crate) cut: Cut,
+    /// The literals of the weighed cut's leaves.
+    pub(crate) leaf_lits: Vec<Lit>,
+    /// The word buffer cuts are simulated in ([`crate::build::simulate_cut`]).
+    pub(crate) truth_words: Vec<u64>,
+    /// Rewrite's cut sets.
+    pub(crate) window: CutWindow,
+    /// Resubstitution's divisors: a literal and its slot in `truth_words`.
+    pub(crate) divisors: Vec<(Lit, usize)>,
+}
+
+impl PassScratch {
+    pub(crate) fn new() -> Self {
+        PassScratch {
+            cut: Cut::empty(),
+            leaf_lits: Vec::new(),
+            truth_words: Vec::new(),
+            window: CutWindow::default(),
+            divisors: Vec::new(),
+        }
+    }
+}
+
 /// Who decides, per visited node, whether the operator attempts resynthesis.
 /// Private: each [`PrunableOperator`] entry point picks its own.
 enum Policy<'a> {
@@ -218,7 +251,7 @@ fn drive<O: PrunableOperator + ?Sized>(
         _ => aig.and_ids().map(|id| (aig.token(id), true)).collect(),
     };
     let observed = matches!(policy, Policy::Record(_) | Policy::Filter(_));
-    let mut cut = Cut::empty();
+    let mut scratch = PassScratch::new();
     for (token, mut keep) in targets {
         let node = token.id();
         if !aig.token_is_current(token) || aig.refs(node) == 0 {
@@ -227,8 +260,8 @@ fn drive<O: PrunableOperator + ?Sized>(
         stats.nodes_visited += 1;
         stats.cuts_formed += 1;
         let features = observed.then(|| {
-            aig.reconvergence_cut_into(node, &window, &mut cut);
-            aig.cut_features(&cut)
+            aig.reconvergence_cut_into(node, &window, &mut scratch.cut);
+            aig.cut_features(&scratch.cut)
         });
         if let (Policy::Filter(decide), Some(features)) = (&mut policy, &features) {
             keep = decide(node, features);
@@ -238,7 +271,7 @@ fn drive<O: PrunableOperator + ?Sized>(
             continue;
         }
         stats.cuts_resynthesized += 1;
-        let gain = operator.resynthesize(aig, node, &mut cut, observed);
+        let gain = operator.resynthesize(aig, node, &mut scratch, observed);
         if let Some(gain) = gain {
             stats.cuts_committed += 1;
             stats.total_gain += gain;
@@ -298,17 +331,17 @@ pub trait PrunableOperator {
     /// Attempts resynthesis at `node` and commits the result when it
     /// improves the graph, returning `Some(achieved_gain)` on commit.
     ///
-    /// `cut` is the pass's scratch; `holds_window` says it already holds
-    /// `node`'s feature window (computed with
+    /// `scratch` holds the pass's buffers; `holds_window` says its cut is
+    /// already `node`'s feature window (computed with
     /// [`feature_cut_params`](Self::feature_cut_params) on the current
     /// graph), so an operator that resynthesizes that very window does not
-    /// form it a second time.  Otherwise its contents are stale and the
-    /// operator may overwrite them.
+    /// form it a second time.  Everything else in it is stale, and the
+    /// operator may overwrite all of it.
     fn resynthesize(
         &self,
         aig: &mut Aig,
         node: NodeId,
-        cut: &mut Cut,
+        scratch: &mut PassScratch,
         holds_window: bool,
     ) -> Option<i64>;
 

@@ -7,11 +7,11 @@
 //! of [`PrunableOperator`]; this file is the per-node step, so the pruned
 //! iteration (Algorithm 2) is the same code with a keep-test in front.
 
-use elf_aig::{Aig, Cut, CutParams, Lit, NodeId};
+use elf_aig::{Aig, CutParams, NodeId};
 
-use crate::build::{build_expr, commit_replacement, count_new_nodes, cut_truth_table};
+use crate::build::{build_expr, commit_replacement, count_new_nodes, cut_truth_table_in};
 use crate::cache::CutCache;
-use crate::operator::{OpStats, PrunableOperator};
+use crate::operator::{OpStats, PassScratch, PrunableOperator};
 
 /// Parameters of the refactor operator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,9 +126,15 @@ impl PrunableOperator for Refactor {
         &self,
         aig: &mut Aig,
         node: NodeId,
-        cut: &mut Cut,
+        scratch: &mut PassScratch,
         holds_window: bool,
     ) -> Option<i64> {
+        let PassScratch {
+            cut,
+            leaf_lits,
+            truth_words,
+            ..
+        } = scratch;
         if !holds_window {
             aig.reconvergence_cut_into(node, &self.params.cut, cut);
         }
@@ -141,8 +147,9 @@ impl PrunableOperator for Refactor {
         // Both polarities share the representative; the complement is a
         // candidate of its own only where `factor_both` hands back a form
         // that is not the first one's De Morgan dual.
-        let truth = cut_truth_table(aig, cut);
-        let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| l.lit()).collect();
+        let truth = cut_truth_table_in(aig, cut, truth_words);
+        leaf_lits.clear();
+        leaf_lits.extend(cut.leaves.iter().map(|&l| l.lit()));
         let mut candidates = Vec::with_capacity(2);
         if self.params.try_complement {
             let (expr, complement) = self.cache.factor_both(&truth);
@@ -160,7 +167,7 @@ impl PrunableOperator for Refactor {
         let root_level = aig.level(node);
         let mut best: Option<(usize, i64)> = None; // (candidate index, gain)
         for (index, (expr, _)) in candidates.iter().enumerate() {
-            let cost = count_new_nodes(aig, expr, &leaf_lits, Some(node));
+            let cost = count_new_nodes(aig, expr, leaf_lits, Some(node));
             if self.params.preserve_level && cost.level > root_level {
                 continue;
             }
@@ -186,7 +193,7 @@ impl PrunableOperator for Refactor {
         }
         let (expr, complemented) = &candidates[index];
         commit_replacement(aig, Self::NAME, node, |aig| {
-            build_expr(aig, expr, &leaf_lits).complement_if(*complemented)
+            build_expr(aig, expr, leaf_lits).complement_if(*complemented)
         })
     }
 }

@@ -6,12 +6,36 @@
 //! exactly with truth tables over the window's leaves: a node is replaced by
 //! a divisor (0-resubstitution) or by a single new gate over two divisors
 //! (1-resubstitution) when doing so removes more nodes than it adds.
+//!
+//! # The search contract
+//!
+//! The first match wins, so the order of the search decides the result and
+//! is pinned (a `#[cfg(test)]` copy of the original `TruthTable`-per-divisor
+//! step checks it node for node):
+//!
+//! * **Window.**  The node's reconvergence-driven cut ([`ResubParams::cut`]),
+//!   skipped below two leaves or two cone nodes.  It is simulated *once*:
+//!   one flat word buffer holds the table of every leaf and cone node, and a
+//!   divisor is a literal plus its slot in that buffer.
+//! * **Divisors.**  The leaves in cut order, then the cone nodes in
+//!   `Cut::cone` order that are neither the root nor inside its MFFC nor
+//!   (with `preserve_level`) above its level.
+//! * **0-resubstitution** (tried when the MFFC frees at least one node):
+//!   divisors in order, each as itself, then complemented.
+//! * **1-resubstitution** (at least two nodes): pairs `(i, j)` with `i < j`
+//!   in order; per pair the polarities (a, b), (!a, b), (a, !b), (!a, !b);
+//!   per polarity AND before OR.  A match whose gate turns out to depend on
+//!   the root is dropped and the search goes on.
+//!
+//! Comparisons run on word slices under a complement mask.  Below six
+//! leaves a table is one word that repeats its `2^n` bits to fill all 64
+//! (the leaf projections do, and AND and complement keep it so), which makes
+//! whole-word comparison exact without masking the upper bits off.
 
-use elf_aig::{Aig, Cut, CutParams, Lit, NodeId};
-use elf_sop::TruthTable;
+use elf_aig::{Aig, CutParams, NodeId};
 
-use crate::build::{commit_replacement, cut_truth_table};
-use crate::operator::{debug_assert_commit_equivalence, OpStats, PrunableOperator};
+use crate::build::{commit_replacement, simulate_cut};
+use crate::operator::{debug_assert_commit_equivalence, OpStats, PassScratch, PrunableOperator};
 
 /// Parameters of the resubstitution operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,12 +96,147 @@ impl PrunableOperator for Resubstitution {
         &self,
         aig: &mut Aig,
         node: NodeId,
-        cut: &mut Cut,
+        scratch: &mut PassScratch,
         holds_window: bool,
     ) -> Option<i64> {
+        let PassScratch {
+            cut,
+            truth_words,
+            divisors,
+            ..
+        } = scratch;
         if !holds_window {
             aig.reconvergence_cut_into(node, &self.params.cut, cut);
         }
+        if cut.num_leaves() < 2 || cut.cone.len() < 2 {
+            return None;
+        }
+        let num_vars = cut.num_leaves();
+        let (order, words) = simulate_cut(aig, cut, truth_words);
+        let table = |slot: usize| &truth_words[slot * words..][..words];
+        let root_tt = table(num_vars + order.len());
+        let root_level = aig.level(node);
+
+        // Divisors: leaves and cone nodes outside the MFFC, not above the
+        // root.  With the root's MFFC dereferenced, exactly the cone nodes
+        // inside it have zero references.
+        divisors.clear();
+        divisors.extend(
+            cut.leaves
+                .iter()
+                .zip(1..)
+                .map(|(leaf, slot)| (leaf.lit(), slot)),
+        );
+        let saved = aig.deref_mffc(node) as i64;
+        for &n in &cut.cone {
+            if n == node || aig.refs(n) == 0 {
+                continue;
+            }
+            if self.params.preserve_level && aig.level(n) > root_level {
+                continue;
+            }
+            let position = order
+                .iter()
+                .position(|&id| id == n)
+                .expect("the simulation covers the whole cone");
+            divisors.push((n.lit(), 1 + num_vars + position));
+        }
+        aig.ref_mffc(node);
+
+        // 0-resubstitution: the root equals a divisor or its complement
+        // (`d & d` is `d`).
+        for &(lit, slot) in divisors.iter() {
+            if saved < 1 {
+                break;
+            }
+            let tt = table(slot);
+            let replacement = if and_is(tt, 0, tt, 0, root_tt, 0) {
+                lit
+            } else if and_is(tt, !0, tt, !0, root_tt, 0) {
+                !lit
+            } else {
+                continue;
+            };
+            if replacement.node() == node || aig.cone_contains(replacement.node(), node) {
+                continue;
+            }
+            let before = aig.num_ands() as i64;
+            debug_assert_commit_equivalence(aig, Self::NAME, node, replacement);
+            aig.replace(node, replacement);
+            return Some(before - aig.num_ands() as i64);
+        }
+
+        if !self.params.use_one_resub || saved < 2 {
+            return None;
+        }
+
+        // 1-resubstitution: root = d1 op d2 for AND/OR over (possibly
+        // complemented) divisors.
+        for (i, &(lit_a, slot_a)) in divisors.iter().enumerate() {
+            for &(lit_b, slot_b) in &divisors[i + 1..] {
+                let (tt_a, tt_b) = (table(slot_a), table(slot_b));
+                for (ca, cb) in [(false, false), (true, false), (false, true), (true, true)] {
+                    let (flip_a, flip_b) = (flip(ca), flip(cb));
+                    // a | b is the complement of !a & !b.
+                    let is_or = if and_is(tt_a, flip_a, tt_b, flip_b, root_tt, 0) {
+                        false
+                    } else if and_is(tt_a, !flip_a, tt_b, !flip_b, root_tt, !0) {
+                        true
+                    } else {
+                        continue;
+                    };
+                    let a = lit_a.complement_if(ca);
+                    let b = lit_b.complement_if(cb);
+                    // A committed 1-resubstitution ends the search at this
+                    // node even when its gain turns out to be zero (the new
+                    // gate already existed): it is accepted as neutral.
+                    let committed = commit_replacement(aig, Self::NAME, node, |aig| {
+                        if is_or {
+                            aig.or(a, b)
+                        } else {
+                            aig.and(a, b)
+                        }
+                    });
+                    if committed.is_some() {
+                        return committed;
+                    }
+                }
+            }
+        }
+        None
+    }
+}
+
+/// The mask that complements a table's words when `complemented`.
+fn flip(complemented: bool) -> u64 {
+    if complemented {
+        !0
+    } else {
+        0
+    }
+}
+
+/// Whether `(a ^ flip_a) & (b ^ flip_b)` is `root ^ flip_root`, word for word.
+fn and_is(a: &[u64], flip_a: u64, b: &[u64], flip_b: u64, root: &[u64], flip_root: u64) -> bool {
+    (a.iter().zip(b).zip(root))
+        .all(|((&a, &b), &root)| (a ^ flip_a) & (b ^ flip_b) == root ^ flip_root)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cut_truth_table;
+    use elf_aig::{check_equivalence, Cut, EquivalenceResult, Lit};
+    use elf_circuits::epfl::{arithmetic_suite, Scale};
+    use elf_circuits::industrial_suite;
+    use elf_sop::TruthTable;
+
+    /// The oracle: the resubstitution step as it was before the window was
+    /// simulated once — a cloned window and a fresh simulation per divisor,
+    /// two `TruthTable` clones per polarity per pair — kept verbatim.
+    fn resub_node_oracle(resub: &Resubstitution, aig: &mut Aig, node: NodeId) -> Option<i64> {
+        let cut = &mut Cut::empty();
+        aig.reconvergence_cut_into(node, &resub.params.cut, cut);
         if cut.num_leaves() < 2 || cut.cone.len() < 2 {
             return None;
         }
@@ -105,7 +264,7 @@ impl PrunableOperator for Resubstitution {
             if n == node || mffc.contains(&n) {
                 continue;
             }
-            if self.params.preserve_level && aig.level(n) > root_level {
+            if resub.params.preserve_level && aig.level(n) > root_level {
                 continue;
             }
             let sub_cut = Cut {
@@ -133,13 +292,13 @@ impl PrunableOperator for Resubstitution {
                     continue;
                 }
                 let before = aig.num_ands() as i64;
-                debug_assert_commit_equivalence(aig, Self::NAME, node, replacement);
+                debug_assert_commit_equivalence(aig, Resubstitution::NAME, node, replacement);
                 aig.replace(node, replacement);
                 return Some(before - aig.num_ands() as i64);
             }
         }
 
-        if !self.params.use_one_resub || saved < 2 {
+        if !resub.params.use_one_resub || saved < 2 {
             return None;
         }
 
@@ -162,10 +321,7 @@ impl PrunableOperator for Resubstitution {
                     let Some(is_or) = candidate else { continue };
                     let a = lit_a.complement_if(ca);
                     let b = lit_b.complement_if(cb);
-                    // A committed 1-resubstitution ends the search at this
-                    // node even when its gain turns out to be zero (the new
-                    // gate already existed): it is accepted as neutral.
-                    let committed = commit_replacement(aig, Self::NAME, node, |aig| {
+                    let committed = commit_replacement(aig, Resubstitution::NAME, node, |aig| {
                         if is_or {
                             aig.or(a, b)
                         } else {
@@ -180,12 +336,86 @@ impl PrunableOperator for Resubstitution {
         }
         None
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use elf_aig::{check_equivalence, EquivalenceResult};
+    /// Runs the operator on `aig` and the oracle step on a copy — walking
+    /// the nodes under its own token guard — and expects the same network,
+    /// node for node.  Returns how many commits happened at windows of each
+    /// leaf count.
+    fn assert_pass_matches_oracle(name: &str, params: ResubParams, mut aig: Aig) -> [usize; 9] {
+        let operator = Resubstitution::new(params);
+        let mut twin = aig.clone();
+        let stats = operator.run(&mut aig);
+
+        let mut commits_by_leaves = [0; 9];
+        let targets: Vec<_> = twin.and_ids().map(|id| twin.token(id)).collect();
+        for token in targets {
+            let node = token.id();
+            if !twin.token_is_current(token) || twin.refs(node) == 0 {
+                continue;
+            }
+            let leaves = twin.reconvergence_cut(node, &params.cut).num_leaves();
+            if resub_node_oracle(&operator, &mut twin, node).is_some() {
+                commits_by_leaves[leaves] += 1;
+            }
+        }
+        let structure = |aig: &Aig| -> Vec<(NodeId, (Lit, Lit))> {
+            aig.and_ids().map(|id| (id, aig.fanins(id))).collect()
+        };
+        assert_eq!(
+            stats.cuts_committed,
+            commits_by_leaves.iter().sum::<usize>(),
+            "{name}"
+        );
+        assert_eq!(structure(&aig), structure(&twin), "{name}");
+        assert_eq!(aig.outputs(), twin.outputs(), "{name}");
+        commits_by_leaves
+    }
+
+    fn both_suites() -> impl Iterator<Item = (String, Aig)> {
+        industrial_suite(0.003, 1)
+            .into_iter()
+            .chain(arithmetic_suite(Scale::Tiny))
+    }
+
+    /// Default windows reach eight leaves: tables of one, two and four
+    /// words, and the repeating single words below six leaves, all commit.
+    #[test]
+    fn pass_matches_the_oracle_on_both_suites() {
+        let mut commits_by_leaves = [0; 9];
+        for (name, aig) in both_suites() {
+            let commits = assert_pass_matches_oracle(&name, ResubParams::default(), aig);
+            for (total, commits) in commits_by_leaves.iter_mut().zip(commits) {
+                *total += commits;
+            }
+        }
+        let [.., five, six, seven, eight] = commits_by_leaves;
+        assert!(
+            five > 0 && six > 0 && seven > 0 && eight > 0,
+            "{commits_by_leaves:?}"
+        );
+    }
+
+    /// Windows capped below six leaves compare single words that repeat a
+    /// `2^n`-bit table; without level preservation and without
+    /// 1-resubstitution the divisor list and the search take their other
+    /// branches.
+    #[test]
+    fn pass_matches_the_oracle_on_narrow_windows() {
+        for max_leaves in [2, 3, 4, 5] {
+            let params = ResubParams {
+                cut: CutParams::with_max_leaves(max_leaves),
+                use_one_resub: max_leaves != 3,
+                preserve_level: max_leaves != 4,
+            };
+            let mut committed = 0;
+            for (name, aig) in both_suites() {
+                let commits = assert_pass_matches_oracle(&name, params, aig);
+                assert_eq!(commits[max_leaves + 1..].iter().sum::<usize>(), 0);
+                committed += commits.iter().sum::<usize>();
+            }
+            assert!(max_leaves == 2 || committed > 0, "max_leaves {max_leaves}");
+        }
+    }
 
     #[test]
     fn zero_resub_removes_redundant_conjunction() {

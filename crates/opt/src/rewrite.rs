@@ -11,18 +11,56 @@
 //! The operator is a background substrate in the ELF paper (it is part of
 //! `resyn2`) and the first candidate for extending ELF-style pruning, so the
 //! implementation plugs into the same pass driver as [`Refactor`](crate::Refactor).
+//!
+//! # The enumeration contract
+//!
+//! Which cuts a root is offered, and in which order, decides which rewrite
+//! wins a tie and therefore every downstream fingerprint.  The enumeration
+//! is pinned to the following, and a `#[cfg(test)]` copy of the original
+//! `Vec`-of-`Vec`s implementation checks it cut for cut:
+//!
+//! * **Window.**  Cuts are merged bottom-up inside the root's *window*: the
+//!   first [`WINDOW`] AND nodes a depth-first walk of its fanin cone marks
+//!   (second fanin first), fanins before fanouts, root last.  Everything
+//!   outside — inputs and AND nodes past the limit — is a leaf that
+//!   contributes only its trivial cut `[node]`.
+//! * **Union order.**  A window node's candidates are its trivial cut, then
+//!   the union of every cut of its first fanin with every cut of its second
+//!   (first fanin outermost).  A union lists the first cut's leaves, then the
+//!   second's new ones, *in that order*; leaves are never sorted, and two
+//!   unions are duplicates only when they list the same leaves in the same
+//!   order (`[a, b, c]` and `[a, c, b]` are two cuts).  Unions of more than
+//!   `cut_size` leaves are dropped.
+//! * **Truncation.**  A node keeps the first `cuts_per_node` candidates in
+//!   order of length, candidates of equal length in the order they were
+//!   formed (a stable sort, then a truncation).  So each length is a bucket
+//!   in insertion order, and a candidate that arrives at a bucket already
+//!   holding `cuts_per_node` cuts can be discarded unseen.
+//!
+//! The cut sets live in one positional scratch ([`CutWindow`]: set `i`
+//! belongs to window node `i`, leaves in one flat buffer with stride
+//! `cut_size`, a 64-bit leaf signature per cut to reject oversized unions
+//! before they are built, an epoch-stamped mark per graph node that says
+//! whether the window holds it and where), owned by the pass and reused
+//! across its nodes.
 
-use elf_aig::{Aig, Cut, CutParams, Lit, NodeId};
-use elf_sop::{FactoredForm, TruthTable};
+use elf_aig::{Aig, Cut, CutParams, NodeId};
+use elf_sop::{FactoredForm, TruthTable, MAX_VARS};
 
-use crate::build::{build_expr, commit_replacement, count_new_nodes, cut_truth_table};
+use crate::build::{build_expr, commit_replacement, count_new_nodes, cut_truth_table_in};
 use crate::cache::CutCache;
-use crate::operator::{OpStats, PrunableOperator};
+use crate::operator::{OpStats, PassScratch, PrunableOperator};
+
+/// Number of AND nodes of a root's fanin cone whose cuts are enumerated.
+const WINDOW: usize = 64;
 
 /// Parameters of the rewrite operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RewriteParams {
     /// Maximum number of cut leaves (4 in the classic operator).
+    /// [`Rewrite::new`] clamps it to `2..=`[`elf_sop::MAX_VARS`]: a cut
+    /// function must fit a truth table, and a cut of an AND node has at
+    /// least its two fanins.
     pub cut_size: usize,
     /// Maximum number of cuts stored per node during enumeration.
     pub cuts_per_node: usize,
@@ -56,10 +94,14 @@ pub struct Rewrite {
 }
 
 impl Rewrite {
-    /// Creates a rewrite operator with the given parameters.
+    /// Creates a rewrite operator with the given parameters, `cut_size`
+    /// clamped as documented on [`RewriteParams::cut_size`].
     pub fn new(params: RewriteParams) -> Self {
         Rewrite {
-            params,
+            params: RewriteParams {
+                cut_size: params.cut_size.clamp(2, MAX_VARS),
+                ..params
+            },
             cache: CutCache::disabled(),
         }
     }
@@ -91,17 +133,28 @@ impl Rewrite {
         &self,
         aig: &mut Aig,
         node: NodeId,
+        scratch: &mut PassScratch,
         factor_both: impl Fn(&TruthTable) -> (FactoredForm, Option<FactoredForm>),
     ) -> Option<i64> {
-        let cuts = self.enumerate_cuts(aig, node);
+        let PassScratch {
+            cut,
+            leaf_lits,
+            truth_words,
+            window,
+            ..
+        } = scratch;
+        let root_cuts = self.enumerate_cuts(aig, node, window);
         let root_level = aig.level(node);
-        let mut best: Option<(Cut, FactoredForm, bool, i64)> = None;
-        for cut in cuts {
-            if cut.num_leaves() < 3 {
+        // (root cut, form, complemented, gain)
+        let mut best: Option<(usize, FactoredForm, bool, i64)> = None;
+        for index in root_cuts {
+            if window.cuts.lens[index] < 3 {
                 continue;
             }
-            let truth = cut_truth_table(aig, &cut);
-            let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| l.lit()).collect();
+            window.load_cut(aig, node, index, cut);
+            let truth = cut_truth_table_in(aig, cut, truth_words);
+            leaf_lits.clear();
+            leaf_lits.extend(cut.leaves.iter().map(|&l| l.lit()));
             // The reclaimable logic is the MFFC bounded by this cut's leaves.
             let saved = aig.deref_mffc_bounded(node, &cut.leaves) as i64;
             // One NPN-memoized lookup serves both polarities; the complement
@@ -111,33 +164,317 @@ impl Rewrite {
             let candidates =
                 std::iter::once((expr, false)).chain(complement.map(|expr| (expr, true)));
             for (expr, complemented) in candidates {
-                let cost = count_new_nodes(aig, &expr, &leaf_lits, Some(node));
+                let cost = count_new_nodes(aig, &expr, leaf_lits, Some(node));
                 if self.params.preserve_level && cost.level > root_level {
                     continue;
                 }
                 let gain = saved - cost.new_nodes as i64;
                 if best.as_ref().is_none_or(|(_, _, _, g)| gain > *g) {
-                    best = Some((cut.clone(), expr, complemented, gain));
+                    best = Some((index, expr, complemented, gain));
                 }
             }
             aig.ref_mffc_bounded(node, &cut.leaves);
         }
-        let (cut, expr, complemented, gain) = best?;
+        let (index, expr, complemented, gain) = best?;
         let accept = gain > 0 || (self.params.zero_gain && gain >= 0);
         if !accept {
             return None;
         }
-        let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| l.lit()).collect();
+        leaf_lits.clear();
+        leaf_lits.extend(window.cuts.leaves(index).iter().map(|&l| l.lit()));
         commit_replacement(aig, Self::NAME, node, |aig| {
-            build_expr(aig, &expr, &leaf_lits).complement_if(complemented)
+            build_expr(aig, &expr, leaf_lits).complement_if(complemented)
         })
     }
 
-    /// Enumerates k-feasible cuts rooted at `node` by merging fanin cuts
-    /// bottom-up within the node's transitive fanin cone.
-    fn enumerate_cuts(&self, aig: &Aig, node: NodeId) -> Vec<Cut> {
+    /// Enumerates the k-feasible cuts rooted at `node` by merging fanin cuts
+    /// bottom-up within the node's window (see the module docs for the
+    /// contract) and returns where the root's set sits in `window.cuts`, the
+    /// root's trivial cut included.
+    fn enumerate_cuts(
+        &self,
+        aig: &Aig,
+        node: NodeId,
+        window: &mut CutWindow,
+    ) -> std::ops::Range<usize> {
+        let RewriteParams {
+            cut_size,
+            cuts_per_node,
+            ..
+        } = self.params;
+        window.local_cone(aig, node);
+        window.cuts.stride = cut_size;
+        window.merged.stride = cut_size;
+        window.ends.clear();
+        // Cuts 0 and 1 are spare: the trivial cut of a fanin outside the window.
+        let mut end = 2;
+        window.cuts.reserve(end);
+        for position in 0..window.cone.len() {
+            let id = window.cone[position];
+            let (f0, f1) = aig.fanins(id);
+            let set0 = window.fanin_set(f0.node(), 0);
+            let set1 = window.fanin_set(f1.node(), 1);
+            let CutWindow { cuts, merged, .. } = &mut *window;
+
+            // The node's candidates are its trivial cut and one union per
+            // pair, and no bucket outlives `cuts_per_node` of them.  Bucket
+            // `len - 1` holds the candidates of `len` leaves, `buckets[len - 1]`
+            // of them from `(len - 1) * capacity` in `merged`.
+            let capacity = cuts_per_node.min((set0.len() * set1.len()).saturating_add(1));
+            merged.reserve(cut_size * capacity);
+            cuts.reserve(end + capacity);
+            let mut buckets = [0usize; MAX_VARS];
+            if capacity > 0 {
+                merged.set(0, &[id]);
+                buckets[0] = 1;
+            }
+            for c0 in set0 {
+                for c1 in set1.clone() {
+                    let signature = cuts.signatures[c0] | cuts.signatures[c1];
+                    if signature.count_ones() as usize > cut_size {
+                        continue;
+                    }
+                    let mut union = [NodeId::CONST0; MAX_VARS];
+                    let mut len = cuts.lens[c0];
+                    union[..len].copy_from_slice(cuts.leaves(c0));
+                    let mut fits = true;
+                    for &leaf in cuts.leaves(c1) {
+                        if union[..len].contains(&leaf) {
+                            continue;
+                        }
+                        if len == cut_size {
+                            fits = false;
+                            break;
+                        }
+                        union[len] = leaf;
+                        len += 1;
+                    }
+                    let held = buckets[len - 1];
+                    if !fits || held == capacity {
+                        continue;
+                    }
+                    let bucket = (len - 1) * capacity;
+                    let union = &union[..len];
+                    if (bucket..bucket + held).any(|other| merged.leaves(other) == union) {
+                        continue;
+                    }
+                    merged.set(bucket + held, union);
+                    buckets[len - 1] += 1;
+                }
+            }
+
+            // Stable sort by length + truncation: the buckets in order.
+            let start = end;
+            for (bucket, &held) in buckets[..cut_size].iter().enumerate() {
+                let take = held.min(start + capacity - end);
+                cuts.copy_from(end, merged, bucket * capacity, take);
+                end += take;
+            }
+            window.ends.push(end);
+        }
+        let root = window.cone.len().checked_sub(1);
+        root.map_or(0..0, |root| window.set(root))
+    }
+}
+
+/// A list of cuts in flat buffers: cut `i` owns `stride` slots of `leaves`
+/// from `i * stride`, of which the first `lens[i]` are its leaves in union
+/// order, and `signatures[i]` has bit `id & 63` set for every leaf `id`.
+#[derive(Debug, Default)]
+struct CutList {
+    stride: usize,
+    leaves: Vec<NodeId>,
+    lens: Vec<usize>,
+    signatures: Vec<u64>,
+}
+
+impl CutList {
+    /// Makes room for `cuts` cuts; never shrinks, so a pass stops
+    /// allocating once it has met its largest window.
+    fn reserve(&mut self, cuts: usize) {
+        if self.lens.len() < cuts {
+            self.lens.resize(cuts, 0);
+            self.signatures.resize(cuts, 0);
+        }
+        if self.leaves.len() < cuts * self.stride {
+            self.leaves.resize(cuts * self.stride, NodeId::CONST0);
+        }
+    }
+
+    fn leaves(&self, cut: usize) -> &[NodeId] {
+        &self.leaves[cut * self.stride..][..self.lens[cut]]
+    }
+
+    fn set(&mut self, cut: usize, leaves: &[NodeId]) {
+        self.leaves[cut * self.stride..][..leaves.len()].copy_from_slice(leaves);
+        self.lens[cut] = leaves.len();
+        self.signatures[cut] = leaves
+            .iter()
+            .fold(0, |signature, leaf| signature | 1 << (leaf.index() & 63));
+    }
+
+    /// Copies `count` consecutive cuts of `other`, from `from`, to `to`.
+    fn copy_from(&mut self, to: usize, other: &CutList, from: usize, count: usize) {
+        let stride = self.stride;
+        self.leaves[to * stride..][..count * stride]
+            .copy_from_slice(&other.leaves[from * stride..][..count * stride]);
+        self.lens[to..to + count].copy_from_slice(&other.lens[from..from + count]);
+        self.signatures[to..to + count].copy_from_slice(&other.signatures[from..from + count]);
+    }
+}
+
+/// The cut sets of one root's window, held by position, plus the traversal
+/// buffers that build it: the rewrite operator's share of the pass scratch.
+#[derive(Debug, Default)]
+pub(crate) struct CutWindow {
+    /// The window's AND nodes, fanins before fanouts, the root last.
+    cone: Vec<NodeId>,
+    /// Set `i` — the cuts up to `ends[i]` from where set `i - 1` ends, the
+    /// first set from cut 2 — is `cone[i]`'s.
+    cuts: CutList,
+    ends: Vec<usize>,
+    /// The candidates of the node being merged, one bucket per length.
+    merged: CutList,
+    /// `marks[id] / WINDOW` is the epoch of the last window that held node
+    /// `id`, `marks[id] % WINDOW` its position in that window's `cone`.
+    marks: Vec<u64>,
+    epoch: u64,
+    cone_stack: Vec<(NodeId, bool)>,
+    stack: Vec<NodeId>,
+}
+
+impl CutWindow {
+    /// Collects the AND nodes of the transitive fanin cone of `root` into
+    /// `cone`, in topological order, truncated to [`WINDOW`] nodes.
+    fn local_cone(&mut self, aig: &Aig, root: NodeId) {
+        let CutWindow {
+            cone,
+            marks,
+            epoch,
+            cone_stack: stack,
+            ..
+        } = self;
+        // Commits add nodes while the pass runs.
+        if marks.len() < aig.num_slots() {
+            marks.resize(aig.num_slots(), 0);
+        }
+        *epoch += 1;
+        let unplaced = *epoch * WINDOW as u64;
+        let mut visited = 0;
+        cone.clear();
+        stack.clear();
+        stack.push((root, false));
+        while let Some((id, expanded)) = stack.pop() {
+            if expanded {
+                marks[id.as_usize()] = unplaced + cone.len() as u64;
+                cone.push(id);
+                continue;
+            }
+            let seen = marks[id.as_usize()] / WINDOW as u64 == *epoch;
+            if seen || !aig.is_and(id) || visited >= WINDOW {
+                continue;
+            }
+            marks[id.as_usize()] = unplaced;
+            visited += 1;
+            stack.push((id, true));
+            let (f0, f1) = aig.fanins(id);
+            stack.push((f0.node(), false));
+            stack.push((f1.node(), false));
+        }
+    }
+
+    /// The position of `id` in `cone`, if the window holds it.
+    fn position(&self, id: NodeId) -> Option<usize> {
+        let mark = self.marks[id.as_usize()];
+        (mark / WINDOW as u64 == self.epoch).then_some((mark % WINDOW as u64) as usize)
+    }
+
+    /// Where the cut set of window node `position` sits in `cuts`.
+    fn set(&self, position: usize) -> std::ops::Range<usize> {
+        let start = if position == 0 {
+            2
+        } else {
+            self.ends[position - 1]
+        };
+        start..self.ends[position]
+    }
+
+    /// Where the cut set of `fanin` sits in `cuts`: the set of the window
+    /// node (fanins come first in `cone`, so it is complete), or the trivial
+    /// cut, written to `spare`, of a node outside the window.
+    fn fanin_set(&mut self, fanin: NodeId, spare: usize) -> std::ops::Range<usize> {
+        match self.position(fanin) {
+            Some(position) => self.set(position),
+            None => {
+                self.cuts.set(spare, &[fanin]);
+                spare..spare + 1
+            }
+        }
+    }
+
+    /// Loads root cut `index` of the last enumeration into `cut`: its
+    /// leaves, and the internal nodes between `root` and them.
+    fn load_cut(&mut self, aig: &Aig, root: NodeId, index: usize, cut: &mut Cut) {
+        cut.root = root;
+        cut.leaves.clear();
+        cut.leaves.extend_from_slice(self.cuts.leaves(index));
+        cut.cone.clear();
+        let stack = &mut self.stack;
+        stack.clear();
+        stack.push(root);
+        while let Some(id) = stack.pop() {
+            if cut.cone.contains(&id) || cut.leaves.contains(&id) {
+                continue;
+            }
+            cut.cone.push(id);
+            let (f0, f1) = aig.fanins(id);
+            for fanin in [f0.node(), f1.node()] {
+                if !cut.leaves.contains(&fanin) && !cut.cone.contains(&fanin) {
+                    stack.push(fanin);
+                }
+            }
+        }
+    }
+}
+
+impl PrunableOperator for Rewrite {
+    const NAME: &'static str = "rewrite";
+
+    fn feature_cut_params(&self) -> CutParams {
+        self.params.feature_cut
+    }
+
+    fn set_cut_cache(&mut self, cache: CutCache) {
+        self.cache = cache;
+    }
+
+    /// Enumerates and weighs the node's own k-feasible cuts; the feature
+    /// window plays no part, so whatever `scratch.cut` held is overwritten.
+    fn resynthesize(
+        &self,
+        aig: &mut Aig,
+        node: NodeId,
+        scratch: &mut PassScratch,
+        _: bool,
+    ) -> Option<i64> {
+        self.rewrite_node_with(aig, node, scratch, |truth| self.cache.factor_both(truth))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use elf_aig::{check_equivalence, EquivalenceResult, Lit};
+    use elf_circuits::epfl::{arithmetic_suite, Scale};
+    use elf_circuits::industrial_suite;
+    use proptest::prelude::{any, prop_assert_eq, ProptestConfig};
+
+    /// The oracle: `enumerate_cuts` as it was before the positional window
+    /// (cut sets as `Vec<Vec<NodeId>>` behind a linear `find`, one fresh
+    /// `Vec` per union), kept verbatim with its two helpers.
+    fn enumerate_cuts_oracle(rewrite: &Rewrite, aig: &Aig, node: NodeId) -> Vec<Cut> {
         // Restrict enumeration to the local cone to keep the pass fast.
-        let cone = local_cone(aig, node, 64);
+        let cone = local_cone_oracle(aig, node, 64);
         let mut cut_sets: Vec<(NodeId, Vec<Vec<NodeId>>)> = Vec::with_capacity(cone.len());
         let find = |sets: &Vec<(NodeId, Vec<Vec<NodeId>>)>, id: NodeId| -> Vec<Vec<NodeId>> {
             sets.iter()
@@ -158,13 +495,13 @@ impl Rewrite {
                             union.push(leaf);
                         }
                     }
-                    if union.len() <= self.params.cut_size && !merged.contains(&union) {
+                    if union.len() <= rewrite.params.cut_size && !merged.contains(&union) {
                         merged.push(union);
                     }
                 }
             }
             merged.sort_by_key(Vec::len);
-            merged.truncate(self.params.cuts_per_node);
+            merged.truncate(rewrite.params.cuts_per_node);
             cut_sets.push((id, merged));
         }
         let root_cuts = find(&cut_sets, node);
@@ -172,7 +509,7 @@ impl Rewrite {
             .into_iter()
             .filter(|leaves| !(leaves.len() == 1 && leaves[0] == node))
             .map(|leaves| {
-                let cone = cone_between(aig, node, &leaves);
+                let cone = cone_between_oracle(aig, node, &leaves);
                 Cut {
                     root: node,
                     leaves,
@@ -181,72 +518,126 @@ impl Rewrite {
             })
             .collect()
     }
-}
 
-impl PrunableOperator for Rewrite {
-    const NAME: &'static str = "rewrite";
-
-    fn feature_cut_params(&self) -> CutParams {
-        self.params.feature_cut
-    }
-
-    fn set_cut_cache(&mut self, cache: CutCache) {
-        self.cache = cache;
-    }
-
-    /// Enumerates and weighs the node's own k-feasible cuts; the feature
-    /// window plays no part, so the pass's scratch is left alone.
-    fn resynthesize(&self, aig: &mut Aig, node: NodeId, _: &mut Cut, _: bool) -> Option<i64> {
-        self.rewrite_node_with(aig, node, |truth| self.cache.factor_both(truth))
-    }
-}
-
-/// Returns the AND nodes of the transitive fanin cone of `root`, in
-/// topological order, truncated to `limit` nodes.
-fn local_cone(aig: &Aig, root: NodeId, limit: usize) -> Vec<NodeId> {
-    let mut order = Vec::new();
-    let mut visited = Vec::new();
-    let mut stack = vec![(root, false)];
-    while let Some((id, expanded)) = stack.pop() {
-        if expanded {
-            order.push(id);
-            continue;
+    /// Returns the AND nodes of the transitive fanin cone of `root`, in
+    /// topological order, truncated to `limit` nodes.
+    fn local_cone_oracle(aig: &Aig, root: NodeId, limit: usize) -> Vec<NodeId> {
+        let mut order = Vec::new();
+        let mut visited = Vec::new();
+        let mut stack = vec![(root, false)];
+        while let Some((id, expanded)) = stack.pop() {
+            if expanded {
+                order.push(id);
+                continue;
+            }
+            if visited.contains(&id) || !aig.is_and(id) || visited.len() >= limit {
+                continue;
+            }
+            visited.push(id);
+            stack.push((id, true));
+            let (f0, f1) = aig.fanins(id);
+            stack.push((f0.node(), false));
+            stack.push((f1.node(), false));
         }
-        if visited.contains(&id) || !aig.is_and(id) || visited.len() >= limit {
-            continue;
-        }
-        visited.push(id);
-        stack.push((id, true));
-        let (f0, f1) = aig.fanins(id);
-        stack.push((f0.node(), false));
-        stack.push((f1.node(), false));
+        order
     }
-    order
-}
 
-/// Collects the internal nodes between `root` and `leaves`.
-fn cone_between(aig: &Aig, root: NodeId, leaves: &[NodeId]) -> Vec<NodeId> {
-    let mut cone = Vec::new();
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        if cone.contains(&id) || leaves.contains(&id) {
-            continue;
-        }
-        cone.push(id);
-        let (f0, f1) = aig.fanins(id);
-        for fanin in [f0.node(), f1.node()] {
-            if !leaves.contains(&fanin) && !cone.contains(&fanin) {
-                stack.push(fanin);
+    /// Collects the internal nodes between `root` and `leaves`.
+    fn cone_between_oracle(aig: &Aig, root: NodeId, leaves: &[NodeId]) -> Vec<NodeId> {
+        let mut cone = Vec::new();
+        let mut stack = vec![root];
+        while let Some(id) = stack.pop() {
+            if cone.contains(&id) || leaves.contains(&id) {
+                continue;
+            }
+            cone.push(id);
+            let (f0, f1) = aig.fanins(id);
+            for fanin in [f0.node(), f1.node()] {
+                if !leaves.contains(&fanin) && !cone.contains(&fanin) {
+                    stack.push(fanin);
+                }
             }
         }
+        cone
     }
-    cone
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use elf_aig::{check_equivalence, EquivalenceResult};
+    /// The oracle step: `rewrite_node_with` as it was, over the oracle
+    /// enumeration, owning every cut, `leaf_lits` and truth table it weighs.
+    fn rewrite_node_oracle(rewrite: &Rewrite, aig: &mut Aig, node: NodeId) -> Option<i64> {
+        let cuts = enumerate_cuts_oracle(rewrite, aig, node);
+        let root_level = aig.level(node);
+        let mut best: Option<(Cut, FactoredForm, bool, i64)> = None;
+        for cut in cuts {
+            if cut.num_leaves() < 3 {
+                continue;
+            }
+            let truth = crate::cut_truth_table(aig, &cut);
+            let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| l.lit()).collect();
+            let saved = aig.deref_mffc_bounded(node, &cut.leaves) as i64;
+            let (expr, complement) = rewrite.cache.factor_both(&truth);
+            let candidates =
+                std::iter::once((expr, false)).chain(complement.map(|expr| (expr, true)));
+            for (expr, complemented) in candidates {
+                let cost = count_new_nodes(aig, &expr, &leaf_lits, Some(node));
+                if rewrite.params.preserve_level && cost.level > root_level {
+                    continue;
+                }
+                let gain = saved - cost.new_nodes as i64;
+                if best.as_ref().is_none_or(|(_, _, _, g)| gain > *g) {
+                    best = Some((cut.clone(), expr, complemented, gain));
+                }
+            }
+            aig.ref_mffc_bounded(node, &cut.leaves);
+        }
+        let (cut, expr, complemented, gain) = best?;
+        let accept = gain > 0 || (rewrite.params.zero_gain && gain >= 0);
+        if !accept {
+            return None;
+        }
+        let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| l.lit()).collect();
+        commit_replacement(aig, Rewrite::NAME, node, |aig| {
+            build_expr(aig, &expr, &leaf_lits).complement_if(complemented)
+        })
+    }
+
+    /// The cuts the operator weighs at `node`, as the oracle lists them.
+    fn enumerated(rewrite: &Rewrite, aig: &Aig, node: NodeId) -> Vec<Cut> {
+        let mut window = CutWindow::default();
+        let mut cuts = Vec::new();
+        for index in rewrite.enumerate_cuts(aig, node, &mut window) {
+            if window.cuts.leaves(index) == [node] {
+                continue;
+            }
+            let mut cut = Cut::empty();
+            window.load_cut(aig, node, index, &mut cut);
+            cuts.push(cut);
+        }
+        cuts
+    }
+
+    /// Walks the live AND nodes under its own token guard, so a reference
+    /// pass shares nothing with the pass driver but the step it is given.
+    fn reference_pass(aig: &mut Aig, mut step: impl FnMut(&mut Aig, NodeId) -> bool) -> usize {
+        let mut committed = 0;
+        let targets: Vec<_> = aig.and_ids().map(|id| aig.token(id)).collect();
+        for token in targets {
+            let node = token.id();
+            if !aig.token_is_current(token) || aig.refs(node) == 0 {
+                continue;
+            }
+            committed += usize::from(step(aig, node));
+        }
+        committed
+    }
+
+    /// Every AND node with its fanins, then the outputs.
+    fn structure(aig: &Aig) -> (Vec<(NodeId, Lit, Lit)>, Vec<Lit>) {
+        let ands = aig.and_ids().map(|id| {
+            let (f0, f1) = aig.fanins(id);
+            (id, f0, f1)
+        });
+        (ands.collect(), aig.outputs().to_vec())
+    }
 
     fn redundant_circuit() -> Aig {
         let mut aig = Aig::new();
@@ -304,7 +695,7 @@ mod tests {
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Weighing the complement only where `factor_both` returns it lands
         /// on the network the operator reached when it factored and
@@ -313,8 +704,8 @@ mod tests {
         #[test]
         fn pass_matches_evaluating_both_polarities_of_every_cut(
             script in elf_circuits::script_strategy(36),
-            zero_gain in proptest::prelude::any::<bool>(),
-            cached in proptest::prelude::any::<bool>(),
+            zero_gain in any::<bool>(),
+            cached in any::<bool>(),
         ) {
             let cache_config = if cached {
                 crate::CutCacheConfig::default()
@@ -327,28 +718,182 @@ mod tests {
             let mut twin = aig.clone();
             let stats = operator.run(&mut aig);
 
-            // The reference walks the nodes itself, under its own token
-            // guard, so it shares nothing with the pass driver but the step.
             let cache = CutCache::new(cache_config);
-            let mut rewritten = 0;
-            let targets: Vec<_> = twin.and_ids().map(|id| twin.token(id)).collect();
-            for token in targets {
-                let node = token.id();
-                if !twin.token_is_current(token) || twin.refs(node) == 0 {
-                    continue;
-                }
+            let mut scratch = PassScratch::new();
+            let rewritten = reference_pass(&mut twin, |twin, node| {
                 let both = |truth: &TruthTable| {
                     (cache.factor(truth), Some(cache.factor(&!truth)))
                 };
-                let committed = operator.rewrite_node_with(&mut twin, node, both).is_some();
-                rewritten += usize::from(committed);
+                operator.rewrite_node_with(twin, node, &mut scratch, both).is_some()
+            });
+            prop_assert_eq!(stats.cuts_committed, rewritten);
+            prop_assert_eq!(structure(&aig), structure(&twin));
+        }
+
+        /// The positional window lists the cuts the `Vec`-of-`Vec`s oracle
+        /// lists — same cuts, same leaf order, same sequence, same cones —
+        /// at every node, for every cut width and every truncation.
+        #[test]
+        fn enumeration_matches_the_oracle_cut_for_cut(
+            script in elf_circuits::script_strategy(40),
+            cut_size in 2usize..=6,
+            cuts_per_node in 1usize..=12,
+        ) {
+            let rewrite = Rewrite::new(RewriteParams { cut_size, cuts_per_node, ..Default::default() });
+            let aig = elf_circuits::scripted_circuit(6, &script);
+            for node in aig.and_ids() {
+                prop_assert_eq!(
+                    enumerated(&rewrite, &aig, node),
+                    enumerate_cuts_oracle(&rewrite, &aig, node)
+                );
             }
-            proptest::prop_assert_eq!(stats.cuts_committed, rewritten);
-            let structure = |aig: &Aig| -> Vec<(NodeId, (Lit, Lit))> {
-                aig.and_ids().map(|id| (id, aig.fanins(id))).collect()
-            };
-            proptest::prop_assert_eq!(structure(&aig), structure(&twin));
-            proptest::prop_assert_eq!(aig.outputs(), twin.outputs());
+        }
+    }
+
+    /// The scripted circuits never fill a 64-node window; the multiplier's
+    /// deep cones do, so here nodes past the window are leaves, buckets fill
+    /// up and the truncation bites.
+    #[test]
+    fn enumeration_matches_the_oracle_on_truncated_windows() {
+        let aig = elf_circuits::epfl::multiplier(Scale::Tiny);
+        let nodes: Vec<NodeId> = aig.and_ids().collect();
+        let truncated = nodes
+            .iter()
+            .filter(|&&node| local_cone_oracle(&aig, node, usize::MAX).len() > WINDOW)
+            .count();
+        assert!(
+            truncated > nodes.len() / 2,
+            "{truncated} of {}",
+            nodes.len()
+        );
+        for cut_size in 2..=6 {
+            for cuts_per_node in [1, 2, 5, 8, 12] {
+                let rewrite = Rewrite::new(RewriteParams {
+                    cut_size,
+                    cuts_per_node,
+                    ..Default::default()
+                });
+                for &node in nodes.iter().skip(cut_size).step_by(7) {
+                    assert_eq!(
+                        enumerated(&rewrite, &aig, node),
+                        enumerate_cuts_oracle(&rewrite, &aig, node),
+                        "cut_size {cut_size}, cuts_per_node {cuts_per_node}, {node:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Runs the operator on `aig` and the oracle step on a copy and expects
+    /// the same network, node for node; returns the number of commits.
+    fn assert_pass_matches_oracle(name: &str, mut aig: Aig) -> usize {
+        let mut twin = aig.clone();
+        let mut operator = Rewrite::default();
+        operator.set_cut_cache(CutCache::new(crate::CutCacheConfig::default()));
+        let stats = operator.run(&mut aig);
+        let mut oracle = Rewrite::default();
+        oracle.set_cut_cache(CutCache::new(crate::CutCacheConfig::default()));
+        let committed = reference_pass(&mut twin, |twin, node| {
+            rewrite_node_oracle(&oracle, twin, node).is_some()
+        });
+        assert_eq!(stats.cuts_committed, committed, "{name}");
+        assert_eq!(structure(&aig), structure(&twin), "{name}");
+        committed
+    }
+
+    #[test]
+    fn pass_matches_the_oracle_on_the_industrial_suite() {
+        let mut committed = 0;
+        for (name, aig) in industrial_suite(0.003, 1) {
+            committed += assert_pass_matches_oracle(&name, aig);
+        }
+        assert!(committed > 0);
+    }
+
+    #[test]
+    fn pass_matches_the_oracle_on_the_arithmetic_suite() {
+        let mut committed = 0;
+        for (name, aig) in arithmetic_suite(Scale::Tiny) {
+            committed += assert_pass_matches_oracle(&name, aig);
+        }
+        assert!(committed > 0);
+    }
+
+    /// `[a, b, c]` and `[a, c, b]` are two cuts: a union keeps the order its
+    /// leaves were met in, and only an identical list is a duplicate.
+    #[test]
+    fn union_dedup_is_order_sensitive() {
+        let mut aig = Aig::new();
+        let [a, c] = [aig.add_input(), aig.add_input()];
+        let b = aig.and(a, c);
+        let p = aig.and(a, b);
+        let q = aig.and(!b, c);
+        let r = aig.and(p, q);
+        aig.add_output(r);
+        let rewrite = Rewrite::new(RewriteParams {
+            cuts_per_node: 12,
+            ..Default::default()
+        });
+        let cuts = enumerated(&rewrite, &aig, r.node());
+        assert_eq!(cuts, enumerate_cuts_oracle(&rewrite, &aig, r.node()));
+        let leaves: Vec<&[NodeId]> = cuts.iter().map(|cut| cut.leaves.as_slice()).collect();
+        let [a, b, c, p, q] = [a, b, c, p, q].map(Lit::node);
+        assert_eq!(
+            leaves,
+            [
+                &[p, q][..],
+                &[a, c],
+                &[p, c, b],
+                &[p, c, a],
+                &[a, b, q],
+                &[a, b, c],
+                &[a, c, q],
+                &[a, c, b],
+            ]
+        );
+    }
+
+    /// `cuts_per_node` sizes nothing up front: storage follows the cuts a
+    /// window really has, so "keep nothing" and "keep everything" both run.
+    #[test]
+    fn cuts_per_node_extremes_match_the_oracle() {
+        let aig = redundant_circuit();
+        for cuts_per_node in [0, usize::MAX] {
+            let rewrite = Rewrite::new(RewriteParams {
+                cuts_per_node,
+                ..Default::default()
+            });
+            for node in aig.and_ids() {
+                let cuts = enumerated(&rewrite, &aig, node);
+                assert_eq!(cuts, enumerate_cuts_oracle(&rewrite, &aig, node));
+                assert_eq!(cuts.is_empty(), cuts_per_node == 0);
+            }
+        }
+    }
+
+    #[test]
+    fn cut_size_is_clamped_to_what_a_truth_table_holds() {
+        for (requested, clamped) in [
+            (0, 2),
+            (1, 2),
+            (4, 4),
+            (17, MAX_VARS),
+            (usize::MAX, MAX_VARS),
+        ] {
+            let rewrite = Rewrite::new(RewriteParams {
+                cut_size: requested,
+                ..Default::default()
+            });
+            assert_eq!(rewrite.params().cut_size, clamped);
+            let mut aig = elf_circuits::epfl::squarer(Scale::Tiny);
+            let golden = aig.clone();
+            rewrite.run(&mut aig);
+            assert_eq!(
+                check_equivalence(&golden, &aig, 8, 17),
+                EquivalenceResult::Equivalent,
+                "cut_size {requested}"
+            );
+            assert!(aig.check_invariants().is_empty());
         }
     }
 
@@ -371,8 +916,9 @@ mod tests {
 
         let operator = Rewrite::default();
         let mut blind = aig.clone();
-        let gain = operator.resynthesize(&mut aig, f.node(), &mut Cut::empty(), false);
-        let blind_gain = operator.rewrite_node_with(&mut blind, f.node(), |truth| {
+        let mut scratch = PassScratch::new();
+        let gain = operator.resynthesize(&mut aig, f.node(), &mut scratch, false);
+        let blind_gain = operator.rewrite_node_with(&mut blind, f.node(), &mut scratch, |truth| {
             (operator.cache.factor(truth), None)
         });
         assert_eq!(
@@ -397,7 +943,7 @@ mod tests {
             cut_size: 4,
             ..Default::default()
         });
-        let cuts = rewrite.enumerate_cuts(&aig, f.node());
+        let cuts = enumerated(&rewrite, &aig, f.node());
         assert!(!cuts.is_empty());
         for cut in &cuts {
             assert!(cut.num_leaves() <= 4);

@@ -54,3 +54,21 @@ if [ "$(printf '%s' "$guards" | grep -c .)" -ne 1 ]; then
     exit 1
 fi
 echo "static-gate: one pass loop ($guards)"
+
+# Off-the-heap gate: rewrite holds a window's cut sets in one positional
+# scratch and resub simulates its window once.  The `Vec`-of-`Vec`s
+# enumeration and the truth table per divisor survive only as `#[cfg(test)]`
+# oracles; either shape in the non-test region is the slow path coming back.
+heap=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /Vec<Vec<NodeId>>/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    FILENAME ~ /resub\.rs$/ && /cut_truth_table/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+' crates/opt/src/rewrite.rs crates/opt/src/resub.rs)
+if [ -n "$heap" ]; then
+    echo "$heap"
+    echo "static-gate: per-cut Vec<Vec<NodeId>> or per-divisor cut_truth_table in non-test rewrite/resub code" >&2
+    exit 1
+fi
+echo "static-gate: rewrite and resub stay off the heap"
