@@ -17,8 +17,10 @@
 //!    through the structural hash; output pairs are XORed and OR-reduced.
 //!    Identical structure collapses on the spot (equivalence decided with
 //!    no solver at all).
-//! 2. **Simulation** — bit-parallel random simulation partitions the
-//!    miter's AND nodes into candidate-equivalence classes.
+//! 2. **Simulation** — bit-parallel random simulation first looks at the
+//!    miter output itself: a vector on which it is true is a counterexample,
+//!    returned with no CNF built and no SAT call.  Otherwise the same words
+//!    partition the miter's AND nodes into candidate-equivalence classes.
 //! 3. **SAT sweep** — each candidate pair is discharged with two small
 //!    incremental queries; proofs become permanent clauses that merge the
 //!    nodes, refutations become new simulation patterns that split the
@@ -27,9 +29,9 @@
 //!    asked for satisfiability under a conflict budget; running out of
 //!    budget yields the honest [`Equivalence::Undecided`].
 //!
-//! The solver is written from scratch in this crate (watched literals,
-//! first-UIP learning, VSIDS, phase saving, Luby restarts) — no external
-//! dependencies.
+//! The solver is written from scratch in this crate (watched literals over
+//! a flat clause arena, first-UIP learning, VSIDS from an indexed heap,
+//! phase saving, Luby restarts) — no external dependencies.
 //!
 //! # Examples
 //!

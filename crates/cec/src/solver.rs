@@ -5,16 +5,53 @@
 //! learning, VSIDS-style variable activities with phase saving, Luby
 //! restarts, incremental solving under assumptions, and a conflict budget
 //! that turns an over-hard query into [`SolveResult::Unknown`] instead of
-//! running away.  There is no clause-database reduction — equivalence
-//! queries over miters of this workspace's circuit sizes never accumulate
-//! enough learnt clauses to need it.
+//! running away.
+//!
+//! There is no clause-database reduction, no learnt-clause minimisation and
+//! no blocker literal, and that is a debt, not a design: at a 3 000-conflict
+//! budget the arithmetic miters of this workspace (`div`, `hyp`,
+//! `multiplier`) run out of budget undecided with every learnt clause still
+//! watched.  Each of those levers changes which conflicts the search meets,
+//! so each lands with its own before/after on the conflict counts (ROADMAP
+//! item 5); what this module fixes is the cost *per* conflict.
+//!
+//! # Containers
+//!
+//! * **Branching order** — an indexed binary max-heap of variables
+//!   (`VarHeap`) with a position per variable, keyed by `(activity bits,
+//!   variable)`.  A bump sifts the variable up in place, a backtrack
+//!   re-inserts only the variables that are absent, a decision pops; the keys
+//!   are read from the activity table when two entries are compared, so the
+//!   heap holds at most one entry per variable and never a stale key.
+//! * **Clauses** — one flat literal arena with a `(start, len)` header per
+//!   clause; watch lists and implication reasons hold `u32` clause indices.
+//!   The watched literals are a clause's slots 0 and 1.
+//! * **Assignment** — one `LBool` per *literal*, written for both
+//!   polarities when a variable is assigned, so reading a literal's value is
+//!   one load.
+//!
+//! # The identity contract
+//!
+//! Up to the first activity rescale this solver takes the decisions, learns
+//! the clauses and counts the conflicts of its predecessor, which kept the
+//! order in a lazy `BinaryHeap<(u64, u32)>` (one entry per bump and per
+//! unassignment, stale ones skipped on pop) and a `Vec` per clause: a key is a
+//! total order, an unassigned variable always had a live entry with its
+//! current key, and stale keys were smaller, so both heaps pop the same
+//! variable; propagation keeps the same slot normalisation, replacement scan
+//! and `swap_remove`, so watch order, trail order and the literal order
+//! conflict analysis reads are the same.  `tests/cec_counts.rs` pins the
+//! resulting counts.  At a rescale (`var_inc` passes `1e100`, ≈ 4 500
+//! conflicts into one solver) the predecessor's stale entries kept their
+//! pre-rescale bits and outranked every live key until they drained; here the
+//! heap is re-ordered on the rescaled activities, which is the intended
+//! order, and the two searches part ways.
 //!
 //! The clause database persists across [`Solver::solve`] calls, which is
 //! what makes the fraig-style sweep in [`crate::check_equivalence_with`]
 //! incremental: every proved internal equivalence is added as a pair of
 //! binary clauses that constrain all later queries.
 
-use std::collections::BinaryHeap;
 use std::ops::Not;
 
 /// A propositional variable, created by [`Solver::new_var`].
@@ -62,7 +99,7 @@ impl SatLit {
         self.0 & 1 == 1
     }
 
-    /// Dense index for watch lists.
+    /// Dense index for watch lists and the value table.
     fn code(self) -> usize {
         self.0 as usize
     }
@@ -103,34 +140,155 @@ const RESTART_BASE: u64 = 256;
 /// by growing the increment).
 const VAR_DECAY: f64 = 0.95;
 
+/// When an activity passes `RESCALE_LIMIT`, all of them and the increment are
+/// multiplied by `RESCALE`.
+const RESCALE_LIMIT: f64 = 1e100;
+const RESCALE: f64 = 1e-100;
+
+/// Heap position of a variable that is not in the heap.
+const ABSENT: u32 = u32::MAX;
+
+/// Indexed binary max-heap of branching candidates (see the module docs).
+/// Every unassigned variable is in it; assigned ones may be, and are skipped
+/// when popped.
+#[derive(Debug, Default)]
+struct VarHeap {
+    heap: Vec<u32>,
+    /// Per variable: its index in `heap`, or [`ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl VarHeap {
+    /// Positive finite activities compare correctly through their bits; the
+    /// variable breaks ties, so the order is total.
+    fn key(activity: &[f64], v: u32) -> (u64, u32) {
+        (activity[v as usize].to_bits(), v)
+    }
+
+    /// Registers a new variable (the next dense index) and inserts it.
+    fn push_var(&mut self, activity: &[f64]) {
+        let v = self.pos.len() as u32;
+        self.pos.push(ABSENT);
+        self.insert(v, activity);
+    }
+
+    fn insert(&mut self, v: u32, activity: &[f64]) {
+        if self.pos[v as usize] == ABSENT {
+            self.heap.push(v);
+            self.sift_up(self.heap.len() - 1, activity);
+        }
+    }
+
+    /// Restores the order after `v`'s activity grew.
+    fn increased(&mut self, v: u32, activity: &[f64]) {
+        let at = self.pos[v as usize];
+        if at != ABSENT {
+            self.sift_up(at as usize, activity);
+        }
+    }
+
+    fn pop(&mut self, activity: &[f64]) -> Option<u32> {
+        let last = self.heap.pop()?;
+        let Some(&top) = self.heap.first() else {
+            self.pos[last as usize] = ABSENT;
+            return Some(last);
+        };
+        self.pos[top as usize] = ABSENT;
+        self.heap[0] = last;
+        self.sift_down(0, activity);
+        Some(top)
+    }
+
+    /// Re-establishes the heap order from scratch (after a rescale, whose
+    /// rounding may merge two activities that differed).
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    /// Moves the entry at `i` towards the root until its parent outranks it.
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        let key = Self::key(activity, v);
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let above = self.heap[parent];
+            if Self::key(activity, above) > key {
+                break;
+            }
+            self.heap[i] = above;
+            self.pos[above as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    /// Moves the entry at `i` towards the leaves until it outranks both
+    /// children.
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        let key = Self::key(activity, v);
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && Self::key(activity, self.heap[right]) > Self::key(activity, self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            let below = self.heap[child];
+            if key > Self::key(activity, below) {
+                break;
+            }
+            self.heap[i] = below;
+            self.pos[below as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+}
+
 /// The CDCL solver (see the module docs).
 #[derive(Debug, Default)]
 pub struct Solver {
-    /// All clauses, original and learnt; watched literals are slots 0 and 1.
-    clauses: Vec<Vec<SatLit>>,
+    /// The literals of every clause, original and learnt, back to back.
+    lits: Vec<SatLit>,
+    /// Per clause: `(start, len)` of its literals in `lits`; the watched
+    /// literals are the first two.
+    headers: Vec<(u32, u32)>,
     /// Per literal code: indices of clauses currently watching that literal.
-    watches: Vec<Vec<usize>>,
-    /// Per variable: current assignment.
-    assign: Vec<LBool>,
+    watches: Vec<Vec<u32>>,
+    /// Per literal code: current value (both polarities are kept in step).
+    vals: Vec<LBool>,
     /// Per variable: last assigned polarity (phase saving).
     phase: Vec<bool>,
     /// Per variable: VSIDS activity.
     activity: Vec<f64>,
     var_inc: f64,
-    /// Lazy max-activity heap of branching candidates; entries go stale and
-    /// are filtered on pop.
-    order: BinaryHeap<(u64, u32)>,
+    /// Branching candidates by activity.
+    order: VarHeap,
     trail: Vec<SatLit>,
     trail_lim: Vec<usize>,
     /// Per variable: index of the clause that implied it (`None` for
     /// decisions and assumption/level-0 enqueues).
-    reason: Vec<Option<usize>>,
+    reason: Vec<Option<u32>>,
     /// Per variable: decision level of the assignment.
     level: Vec<u32>,
     /// Next trail position to propagate.
     qhead: usize,
     /// Scratch flags of conflict analysis.
     seen: Vec<bool>,
+    /// The clause conflict analysis learnt last (asserting literal in slot
+    /// 0), and the normalised clause inside `add_clause`.
+    scratch: Vec<SatLit>,
     /// Model of the last `Sat` answer, per variable.
     model: Vec<bool>,
     /// The formula was proved unsatisfiable without assumptions.
@@ -150,8 +308,8 @@ impl Solver {
 
     /// Creates a fresh unassigned variable.
     pub fn new_var(&mut self) -> Var {
-        let v = self.assign.len() as u32;
-        self.assign.push(LBool::Undef);
+        let v = self.phase.len() as u32;
+        self.vals.extend([LBool::Undef; 2]);
         self.phase.push(false);
         self.activity.push(0.0);
         self.reason.push(None);
@@ -159,18 +317,18 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.order.push((0, v));
+        self.order.push_var(&self.activity);
         Var(v)
     }
 
     /// Number of variables created so far.
     pub fn num_vars(&self) -> usize {
-        self.assign.len()
+        self.phase.len()
     }
 
     /// Number of clauses held (original plus learnt).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.headers.len()
     }
 
     /// Total conflicts across all [`Solver::solve`] calls.
@@ -187,39 +345,29 @@ impl Solver {
         if self.unsat {
             return false;
         }
-        let mut clause: Vec<SatLit> = lits.to_vec();
+        let mut clause = std::mem::take(&mut self.scratch);
+        clause.clear();
+        clause.extend_from_slice(lits);
         clause.sort_unstable();
         clause.dedup();
         // After sorting, a variable and its negation are adjacent.
-        if clause.windows(2).any(|w| w[0].var() == w[1].var()) {
-            return true;
-        }
-        if clause.iter().any(|&l| self.value(l) == LBool::True) {
-            return true;
-        }
-        clause.retain(|&l| self.value(l) != LBool::False);
-        match clause.len() {
-            0 => {
-                self.unsat = true;
-                false
-            }
-            1 => {
-                self.enqueue(clause[0], None);
-                if self.propagate().is_some() {
-                    self.unsat = true;
-                    false
-                } else {
-                    true
+        let redundant = clause.windows(2).any(|w| w[0].var() == w[1].var())
+            || clause.iter().any(|&l| self.value(l) == LBool::True);
+        if !redundant {
+            clause.retain(|&l| self.value(l) != LBool::False);
+            match clause.len() {
+                0 => self.unsat = true,
+                1 => {
+                    self.enqueue(clause[0], None);
+                    self.unsat = self.propagate().is_some();
+                }
+                _ => {
+                    self.attach(&clause);
                 }
             }
-            _ => {
-                let index = self.clauses.len();
-                self.watches[clause[0].code()].push(index);
-                self.watches[clause[1].code()].push(index);
-                self.clauses.push(clause);
-                true
-            }
         }
+        self.scratch = clause;
+        !self.unsat
     }
 
     /// Solves under `assumptions` (each forced true for this call only),
@@ -249,9 +397,9 @@ impl Solver {
                     self.unsat = true;
                     return SolveResult::Unsat;
                 }
-                let (learnt, backtrack) = self.analyze(conflict);
+                let backtrack = self.analyze(conflict);
                 self.cancel_until(backtrack);
-                self.record_learnt(learnt);
+                self.record_learnt();
                 self.var_inc /= VAR_DECAY;
                 if budget_end.is_some_and(|end| self.conflicts >= end) {
                     self.cancel_until(0);
@@ -296,7 +444,9 @@ impl Solver {
                         self.enqueue(p, None);
                     }
                     None => {
-                        self.model = self.assign.iter().map(|&a| a == LBool::True).collect();
+                        self.model.clear();
+                        let positive = self.vals.iter().step_by(2);
+                        self.model.extend(positive.map(|&v| v == LBool::True));
                         self.cancel_until(0);
                         return SolveResult::Sat;
                     }
@@ -316,32 +466,37 @@ impl Solver {
     }
 
     fn value(&self, lit: SatLit) -> LBool {
-        match self.assign[lit.var().index()] {
-            LBool::Undef => LBool::Undef,
-            LBool::True if lit.is_negated() => LBool::False,
-            LBool::True => LBool::True,
-            LBool::False if lit.is_negated() => LBool::True,
-            LBool::False => LBool::False,
-        }
+        self.vals[lit.code()]
     }
 
-    fn enqueue(&mut self, lit: SatLit, reason: Option<usize>) {
+    fn enqueue(&mut self, lit: SatLit, reason: Option<u32>) {
         let v = lit.var().index();
-        debug_assert_eq!(self.assign[v], LBool::Undef);
-        self.assign[v] = if lit.is_negated() {
-            LBool::False
-        } else {
-            LBool::True
-        };
+        debug_assert_eq!(self.value(lit), LBool::Undef);
+        self.vals[lit.code()] = LBool::True;
+        self.vals[(!lit).code()] = LBool::False;
         self.phase[v] = !lit.is_negated();
         self.level[v] = self.decision_level() as u32;
         self.reason[v] = reason;
         self.trail.push(lit);
     }
 
+    /// Appends a clause of at least two literals to the arena, watching its
+    /// first two; returns its index.
+    fn attach(&mut self, clause: &[SatLit]) -> u32 {
+        // Clause references and arena offsets are `u32`s.
+        assert!(self.lits.len() + clause.len() <= u32::MAX as usize);
+        let index = self.headers.len() as u32;
+        self.watches[clause[0].code()].push(index);
+        self.watches[clause[1].code()].push(index);
+        self.headers
+            .push((self.lits.len() as u32, clause.len() as u32));
+        self.lits.extend_from_slice(clause);
+        index
+    }
+
     /// Propagates all queued assignments; returns the index of a falsified
     /// clause on conflict.
-    fn propagate(&mut self) -> Option<usize> {
+    fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -351,26 +506,27 @@ impl Solver {
             let mut conflict = None;
             'clauses: while i < ws.len() {
                 let ci = ws[i];
-                if self.clauses[ci][0] == false_lit {
-                    self.clauses[ci].swap(0, 1);
+                let (start, len) = self.headers[ci as usize];
+                let clause = &mut self.lits[start as usize..(start + len) as usize];
+                if clause[0] == false_lit {
+                    clause.swap(0, 1);
                 }
-                let first = self.clauses[ci][0];
-                if self.value(first) == LBool::True {
+                let first = clause[0];
+                if self.vals[first.code()] == LBool::True {
                     i += 1;
                     continue;
                 }
-                for k in 2..self.clauses[ci].len() {
-                    if self.value(self.clauses[ci][k]) != LBool::False {
-                        self.clauses[ci].swap(1, k);
-                        let moved = self.clauses[ci][1];
-                        // `moved` is not false, so it cannot be `false_lit`
-                        // and never targets the taken list.
-                        self.watches[moved.code()].push(ci);
+                for k in 2..clause.len() {
+                    if self.vals[clause[k].code()] != LBool::False {
+                        clause.swap(1, k);
+                        // `clause[1]` is not false, so it cannot be
+                        // `false_lit` and never targets the taken list.
+                        self.watches[clause[1].code()].push(ci);
                         ws.swap_remove(i);
                         continue 'clauses;
                     }
                 }
-                if self.value(first) == LBool::False {
+                if self.vals[first.code()] == LBool::False {
                     conflict = Some(ci);
                     break;
                 }
@@ -385,12 +541,14 @@ impl Solver {
         None
     }
 
-    /// First-UIP conflict analysis: returns the learnt clause (asserting
-    /// literal in slot 0, deepest remaining literal in slot 1) and the
-    /// backtrack level.
-    fn analyze(&mut self, conflict: usize) -> (Vec<SatLit>, usize) {
+    /// First-UIP conflict analysis: leaves the learnt clause in `scratch`
+    /// (asserting literal in slot 0, deepest remaining literal in slot 1)
+    /// and returns the backtrack level.
+    fn analyze(&mut self, conflict: u32) -> usize {
         let current = self.decision_level() as u32;
-        let mut learnt: Vec<SatLit> = vec![SatLit(0)];
+        let mut learnt = std::mem::take(&mut self.scratch);
+        learnt.clear();
+        learnt.push(SatLit(0));
         let mut counter = 0usize;
         let mut along_trail = false;
         let mut index = self.trail.len();
@@ -398,9 +556,10 @@ impl Solver {
         loop {
             // A reason clause implies its slot-0 literal — skip it when
             // walking backwards along the trail.
-            let skip = usize::from(along_trail);
-            for pos in skip..self.clauses[clause].len() {
-                let q = self.clauses[clause][pos];
+            let (start, len) = self.headers[clause as usize];
+            let skip = start + u32::from(along_trail);
+            for pos in skip..start + len {
+                let q = self.lits[pos as usize];
                 let v = q.var().index();
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -446,22 +605,22 @@ impl Solver {
         for &q in &learnt[1..] {
             self.seen[q.var().index()] = false;
         }
-        (learnt, backtrack)
+        self.scratch = learnt;
+        backtrack
     }
 
-    /// Installs a learnt clause and enqueues its asserting literal.
-    fn record_learnt(&mut self, learnt: Vec<SatLit>) {
+    /// Installs the clause `analyze` left in `scratch` and enqueues its
+    /// asserting literal.
+    fn record_learnt(&mut self) {
+        let learnt = std::mem::take(&mut self.scratch);
         if learnt.len() == 1 {
             debug_assert_eq!(self.decision_level(), 0);
             self.enqueue(learnt[0], None);
-            return;
+        } else {
+            let index = self.attach(&learnt);
+            self.enqueue(learnt[0], Some(index));
         }
-        let index = self.clauses.len();
-        self.watches[learnt[0].code()].push(index);
-        self.watches[learnt[1].code()].push(index);
-        let asserting = learnt[0];
-        self.clauses.push(learnt);
-        self.enqueue(asserting, Some(index));
+        self.scratch = learnt;
     }
 
     fn cancel_until(&mut self, target_level: usize) {
@@ -469,23 +628,23 @@ impl Solver {
             return;
         }
         let target = self.trail_lim[target_level];
-        while self.trail.len() > target {
-            if let Some(lit) = self.trail.pop() {
-                let v = lit.var().index();
-                self.assign[v] = LBool::Undef;
-                self.reason[v] = None;
-                self.order.push((self.activity[v].to_bits(), v as u32));
-            }
+        for &lit in &self.trail[target..] {
+            let v = lit.var();
+            self.vals[lit.code()] = LBool::Undef;
+            self.vals[(!lit).code()] = LBool::Undef;
+            self.reason[v.index()] = None;
+            self.order.insert(v.0, &self.activity);
         }
+        self.trail.truncate(target);
         self.trail_lim.truncate(target_level);
         self.qhead = self.trail.len();
     }
 
     fn pick_branch(&mut self) -> Option<SatLit> {
-        while let Some((_, v)) = self.order.pop() {
-            let index = v as usize;
-            if self.assign[index] == LBool::Undef {
-                return Some(Var(v).lit(self.phase[index]));
+        while let Some(v) = self.order.pop(&self.activity) {
+            let var = Var(v);
+            if self.value(var.positive()) == LBool::Undef {
+                return Some(var.lit(self.phase[var.index()]));
             }
         }
         None
@@ -493,14 +652,15 @@ impl Solver {
 
     fn bump_var(&mut self, v: usize) {
         self.activity[v] += self.var_inc;
-        if self.activity[v] > 1e100 {
+        if self.activity[v] > RESCALE_LIMIT {
             for a in &mut self.activity {
-                *a *= 1e-100;
+                *a *= RESCALE;
             }
-            self.var_inc *= 1e-100;
+            self.var_inc *= RESCALE;
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.increased(v as u32, &self.activity);
         }
-        // Positive finite activities compare correctly through their bits.
-        self.order.push((self.activity[v].to_bits(), v as u32));
     }
 }
 
@@ -595,6 +755,64 @@ mod tests {
         }
         assert_eq!(solver.solve(&[], None), SolveResult::Unsat);
         assert!(solver.num_conflicts() > 0);
+    }
+
+    /// Pigeonhole: `pigeons` into `pigeons - 1` holes, unsatisfiable and
+    /// resolution-hard enough to need dozens of conflicts.
+    fn pigeonhole(solver: &mut Solver, pigeons: usize) {
+        let holes = pigeons - 1;
+        let v = vars(solver, pigeons * holes);
+        let p = |i: usize, h: usize| v[i * holes + h];
+        for i in 0..pigeons {
+            let somewhere: Vec<SatLit> = (0..holes).map(|h| p(i, h).positive()).collect();
+            assert!(solver.add_clause(&somewhere));
+        }
+        for h in 0..holes {
+            for i in 0..pigeons {
+                for j in (i + 1)..pigeons {
+                    assert!(solver.add_clause(&[p(i, h).negative(), p(j, h).negative()]));
+                }
+            }
+        }
+    }
+
+    /// Every unassigned variable is in the heap, positions and entries agree,
+    /// and no child outranks its parent.
+    fn assert_heap_is_consistent(solver: &Solver) {
+        let VarHeap { heap, pos } = &solver.order;
+        assert_eq!(pos.len(), solver.num_vars());
+        for (i, &v) in heap.iter().enumerate() {
+            assert_eq!(pos[v as usize], i as u32, "entry {i} and its position");
+            if i > 0 {
+                let parent = heap[(i - 1) / 2];
+                assert!(
+                    VarHeap::key(&solver.activity, parent) > VarHeap::key(&solver.activity, v),
+                    "variable {v} outranks its parent {parent}"
+                );
+            }
+        }
+        for (v, &at) in pos.iter().enumerate() {
+            assert!(at == ABSENT || heap[at as usize] == v as u32);
+            if solver.value(Var(v as u32).positive()) == LBool::Undef {
+                assert_ne!(at, ABSENT, "unassigned variable {v} left the heap");
+            }
+        }
+    }
+
+    #[test]
+    fn the_branching_heap_survives_an_activity_rescale() {
+        let mut solver = Solver::new();
+        pigeonhole(&mut solver, 6);
+        // A dozen bumps from the limit: the search rescales almost at once,
+        // and several times before it is done.
+        solver.var_inc = RESCALE_LIMIT / 16.0;
+        assert_eq!(solver.solve(&[], Some(40)), SolveResult::Unknown);
+        assert!(solver.var_inc < 1.0, "no rescale happened");
+        assert!(solver.activity.iter().all(|&a| a <= RESCALE_LIMIT));
+        assert_heap_is_consistent(&solver);
+
+        assert_eq!(solver.solve(&[], None), SolveResult::Unsat);
+        assert_heap_is_consistent(&solver);
     }
 
     #[test]

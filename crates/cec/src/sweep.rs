@@ -10,6 +10,11 @@
 //! yield counterexample patterns that are fed back into the simulation to
 //! split the classes further.  The final miter query then runs on a CNF
 //! that is already riddled with short-cuts.
+//!
+//! The random rounds also decide the easy half of refutation: if the miter
+//! output is true on any simulated vector, that vector is the answer and the
+//! solver is never built (an equivalent pair's output is zero on every
+//! vector, so its counts are untouched by this step).
 
 use std::collections::HashMap;
 
@@ -46,12 +51,30 @@ pub(crate) fn solve_miter(m: &Aig, params: &CecParams) -> CecReport {
         return report;
     }
 
+    // The sweep's random rounds come first: a vector on which the output is
+    // already true is the answer, with no CNF and no solver.
+    let mut sim = params.sweep.then(|| Sim::new(m));
+    if let Some(sim) = &mut sim {
+        if let Some(witness) = sim.random_rounds(m, params, out) {
+            report.result = Equivalence::CounterExample(witness);
+            return report;
+        }
+    }
+
     let mut solver = Solver::new();
     let enc = Encoding::encode(m, &mut solver);
     let start_conflicts = solver.num_conflicts();
 
-    if params.sweep {
-        sweep(m, &mut solver, &enc, params, &mut report, start_conflicts);
+    if let Some(sim) = &mut sim {
+        sweep(
+            m,
+            sim,
+            &mut solver,
+            &enc,
+            params,
+            &mut report,
+            start_conflicts,
+        );
     }
 
     let spent = solver.num_conflicts() - start_conflicts;
@@ -102,6 +125,26 @@ impl Sim {
         }
     }
 
+    /// Runs the `sim_rounds` random rounds.  A round on which `out` is true
+    /// for some vector ends them: the column of the lowest such bit is
+    /// returned as a counterexample.
+    fn random_rounds(&mut self, m: &Aig, params: &CecParams, out: Lit) -> Option<Vec<bool>> {
+        let mut rng = params.seed ^ 0x5EED_CEC5_EED0_CEC5;
+        let mut input_words = vec![0u64; m.num_inputs()];
+        for _ in 0..params.sim_rounds.max(1) {
+            for word in &mut input_words {
+                *word = splitmix64(&mut rng);
+            }
+            self.round(m, &input_words);
+            let hits = self.eval_last(out);
+            if hits != 0 {
+                let column = hits.trailing_zeros();
+                return Some(input_words.iter().map(|w| w >> column & 1 == 1).collect());
+            }
+        }
+        None
+    }
+
     /// The newest word of `lit` (complement applied).
     fn eval_last(&self, lit: Lit) -> u64 {
         let words = &self.words[lit.node().as_usize()];
@@ -148,26 +191,17 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Mines candidate equivalences and discharges them with incremental SAT.
+/// Mines candidate equivalences from the random rounds `sim` holds and
+/// discharges them with incremental SAT.
 fn sweep(
     m: &Aig,
+    sim: &mut Sim,
     solver: &mut Solver,
     enc: &Encoding,
     params: &CecParams,
     report: &mut CecReport,
     start_conflicts: u64,
 ) {
-    let mut sim = Sim::new(m);
-    let mut rng = params.seed ^ 0x5EED_CEC5_EED0_CEC5;
-    let rounds = params.sim_rounds.max(1);
-    let mut input_words = vec![0u64; m.num_inputs()];
-    for _ in 0..rounds {
-        for word in &mut input_words {
-            *word = splitmix64(&mut rng);
-        }
-        sim.round(m, &input_words);
-    }
-
     // Partition constant + AND nodes by canonical signature; the class member
     // list keeps topological order, so representatives and proof order are
     // deterministic.
@@ -192,6 +226,7 @@ fn sweep(
     // The sweep may spend at most half the conflict budget; the final miter
     // query gets the rest.
     let sweep_budget = params.conflict_budget / 2;
+    let mut input_words = vec![0u64; m.num_inputs()];
     'sweeping: for members in &class_list {
         let rep = members[0];
         for &cand in &members[1..] {

@@ -489,9 +489,16 @@ impl Flow {
         registry
             .counter(names::SAT_CALLS)
             .add(report.sat_calls as u64);
-        if matches!(report.result, Equivalence::Undecided(_)) {
-            registry.counter(names::VERIFY_UNDECIDED).inc();
-        }
+        // Both outcome counters exist (at 0) from the first check on, so a
+        // scrape can tell "nothing refuted" from "nothing verified".
+        let undecided = matches!(report.result, Equivalence::Undecided(_));
+        let refuted = matches!(report.result, Equivalence::CounterExample(_));
+        registry
+            .counter(names::VERIFY_UNDECIDED)
+            .add(u64::from(undecided));
+        registry
+            .counter(names::VERIFY_REFUTED)
+            .add(u64::from(refuted));
         registry
             .histogram(names::VERIFY_US)
             .record_duration(runtime);
@@ -759,6 +766,25 @@ mod tests {
             check_equivalence(&unchecked, &aig, 8, 45),
             EquivalenceResult::Equivalent
         );
+    }
+
+    #[test]
+    fn a_refuted_check_is_counted() {
+        // No stage can be made to break a circuit from outside, so the gate
+        // is handed a mutated output directly.
+        let before = redundant_circuit();
+        let mut after = before.clone();
+        let out = after.outputs()[0];
+        after.set_output(0, !out);
+        let registry = Registry::new();
+        let check = Flow::check_stage(None, &before, &after, &registry);
+        assert!(check.result.counterexample().is_some());
+        let counters = registry.snapshot().counters;
+        assert_eq!(counters.get(names::VERIFY_CHECKS), Some(&1));
+        assert_eq!(counters.get(names::VERIFY_REFUTED), Some(&1));
+        assert_eq!(counters.get(names::VERIFY_UNDECIDED), Some(&0));
+        // An output flip disagrees on every vector: simulation refutes it.
+        assert_eq!(counters.get(names::SAT_CALLS), Some(&0));
     }
 
     #[test]

@@ -102,6 +102,11 @@ fn counter_space_metrics_are_bit_identical_across_thread_counts() {
         "per-stage counters missing from the snapshot"
     );
     assert_eq!(snapshot_1.counters.get(names::VERIFY_CHECKS), Some(&1));
+    // The check proved the flow's output: nothing refuted, nothing undecided
+    // (`pipeline.rs`'s unit tests hold the refuted twin — only there can the
+    // gate be handed a broken output).
+    assert_eq!(snapshot_1.counters.get(names::VERIFY_REFUTED), Some(&0));
+    assert_eq!(snapshot_1.counters.get(names::VERIFY_UNDECIDED), Some(&0));
     assert!(
         snapshot_1
             .histograms

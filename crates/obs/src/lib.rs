@@ -104,6 +104,8 @@ pub mod names {
     pub const SAT_CALLS: &str = "elf_sat_calls_total";
     /// Checks that exhausted their conflict budget (counter).
     pub const VERIFY_UNDECIDED: &str = "elf_verify_undecided_total";
+    /// Checks that ended in a counterexample (counter).
+    pub const VERIFY_REFUTED: &str = "elf_verify_refuted_total";
 
     /// Jobs served to completion (counter).
     pub const JOBS_SERVED: &str = "elf_jobs_served_total";

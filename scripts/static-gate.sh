@@ -72,3 +72,21 @@ if [ -n "$heap" ]; then
     exit 1
 fi
 echo "static-gate: rewrite and resub stay off the heap"
+
+# One-heap, one-clause-store gate: the CDCL solver branches from an indexed
+# heap of variables and keeps every clause in one literal arena.  A
+# `BinaryHeap` (the lazy order heap: one entry per bump and per unassignment)
+# or a `Vec` per clause in the non-test region of `elf-cec` is the 80 µs
+# conflict coming back.
+containers=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /BinaryHeap|Vec<Vec<SatLit>>/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+' crates/cec/src/*.rs)
+if [ -n "$containers" ]; then
+    echo "$containers"
+    echo "static-gate: BinaryHeap or Vec<Vec<SatLit>> in non-test elf-cec code" >&2
+    exit 1
+fi
+echo "static-gate: the CDCL core stays off the heap"
