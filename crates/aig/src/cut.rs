@@ -53,11 +53,32 @@ impl Cut {
     /// Returns the internal cone nodes in topological (fanin-before-fanout)
     /// order, ending with the root.
     pub fn cone_topological(&self, aig: &Aig) -> Vec<NodeId> {
+        let mut order = Vec::with_capacity(self.cone.len());
+        self.cone_topological_into(aig, &mut CutScratch::new(), &mut order);
+        order
+    }
+
+    /// [`Cut::cone_topological`] written to `order` (cleared first), walking
+    /// on the buffers of `scratch`; the work is bounded by the cone, never by
+    /// the graph.
+    pub fn cone_topological_into(
+        &self,
+        aig: &Aig,
+        scratch: &mut CutScratch,
+        order: &mut Vec<NodeId>,
+    ) {
         // Membership and the visited mark share one scan: a node's position
         // in `cone` indexes its mark.
-        let mut visited = vec![false; self.cone.len()];
-        let mut order = Vec::with_capacity(self.cone.len());
-        let mut stack = vec![(self.root, false)];
+        let CutScratch {
+            visited,
+            walk: stack,
+            ..
+        } = scratch;
+        visited.clear();
+        visited.resize(self.cone.len(), false);
+        order.clear();
+        stack.clear();
+        stack.push((self.root, false));
         while let Some((id, expanded)) = stack.pop() {
             if expanded {
                 order.push(id);
@@ -74,7 +95,6 @@ impl Cut {
             stack.push((f0.node(), false));
             stack.push((f1.node(), false));
         }
-        order
     }
 }
 
@@ -197,6 +217,10 @@ pub struct CutScratch {
     travid: u32,
     /// Reusable DFS stack for cone collection.
     stack: Vec<NodeId>,
+    /// [`Cut::cone_topological_into`]'s marks, one per cone node, and its
+    /// stack of (node, already expanded).
+    visited: Vec<bool>,
+    walk: Vec<(NodeId, bool)>,
 }
 
 impl CutScratch {

@@ -9,7 +9,7 @@ use elf_nn::TrainConfig;
 use elf_opt::{
     cut_truth_table, semi_canonicalize, Refactor, RefactorParams, Resubstitution, Rewrite,
 };
-use elf_sop::{factor_truth_table, Sop};
+use elf_sop::{factor_into, factor_truth_table, FactorScratch, FactoredForm, Sop};
 
 fn trained_classifier() -> ElfClassifier {
     let circuit = arithmetic_circuit("square", Scale::Tiny);
@@ -65,6 +65,16 @@ fn bench_cut_pipeline(c: &mut Criterion) {
     let wide_truth = cut_truth_table(&aig, &wide);
     group.bench_function("isop", |b| {
         b.iter(|| std::hint::black_box(Sop::isop(&wide_truth)));
+    });
+    // Factoring alone, as a pass does it: into a form and on stacks that
+    // have met a cover before, so nothing is allocated.
+    let wide_cover = Sop::isop(&wide_truth);
+    let (mut scratch, mut form) = (FactorScratch::default(), FactoredForm::default());
+    group.bench_function("factor_into", |b| {
+        b.iter(|| {
+            factor_into(&wide_cover, &mut scratch, &mut form);
+            std::hint::black_box(form.num_gates())
+        });
     });
     group.bench_function("semi_canonicalize", |b| {
         b.iter(|| std::hint::black_box(semi_canonicalize(&wide_truth)));

@@ -93,6 +93,8 @@ pub mod names {
     pub const CUT_CACHE_MISSES: &str = "elf_cut_cache_misses_total";
     /// Canonical classes resident in the cut cache (gauge).
     pub const CUT_CACHE_ENTRIES: &str = "elf_cut_cache_entries";
+    /// Canonical classes the cut cache stops growing at (gauge).
+    pub const CUT_CACHE_CAPACITY: &str = "elf_cut_cache_capacity";
 
     /// SAT equivalence checks performed (counter).
     pub const VERIFY_CHECKS: &str = "elf_verify_checks_total";

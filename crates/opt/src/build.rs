@@ -1,8 +1,27 @@
 //! Shared helpers for cut resynthesis: evaluating a cut's function and
 //! counting or building the AIG implementation of a factored form.
+//!
+//! [`count_new_nodes`] and [`build_expr`] walk the form's arena from the root
+//! by index, first operand before second, a gate after its operands: node
+//! ids follow the order `Aig::and` is called in, so that order is part of
+//! every fingerprint (the arena itself lists a balanced tree level by level,
+//! which is not it).
 
-use elf_aig::{Aig, Cut, Lit, NodeId};
-use elf_sop::{FactoredForm, TruthTable};
+use elf_aig::{Aig, Cut, CutScratch, Lit, NodeId};
+use elf_sop::{FactoredForm, Gate, Term, TruthTable, MAX_VARS};
+
+use crate::cache::NpnTransform;
+
+/// The buffers a cut is simulated in: the walk that orders its cone, the
+/// order, and one table per leaf and cone node.
+#[derive(Debug, Default)]
+pub(crate) struct Simulation {
+    walk: CutScratch,
+    /// The cone in evaluation order ([`Cut::cone_topological`], the root last).
+    pub(crate) order: Vec<NodeId>,
+    /// The tables, laid out as [`simulate_cut`] documents.
+    pub(crate) tables: Vec<u64>,
+}
 
 /// Computes the truth table of the cut's root as a function of its leaves.
 ///
@@ -12,39 +31,45 @@ use elf_sop::{FactoredForm, TruthTable};
 ///
 /// Panics if the cut has more than [`elf_sop::MAX_VARS`] leaves.
 pub fn cut_truth_table(aig: &Aig, cut: &Cut) -> TruthTable {
-    cut_truth_table_in(aig, cut, &mut Vec::new())
+    cut_truth_table_in(aig, cut, &mut Simulation::default())
 }
 
-/// [`cut_truth_table`] simulating in the caller's word buffer, so a pass
-/// that evaluates many cuts does not allocate one buffer per cut.
-pub(crate) fn cut_truth_table_in(aig: &Aig, cut: &Cut, tables: &mut Vec<u64>) -> TruthTable {
-    let (_, words) = simulate_cut(aig, cut, tables);
+/// [`cut_truth_table`] simulating in the caller's buffers, so a pass that
+/// evaluates many cuts allocates for the table it returns only.
+pub(crate) fn cut_truth_table_in(aig: &Aig, cut: &Cut, simulation: &mut Simulation) -> TruthTable {
+    let words = simulate_cut(aig, cut, simulation);
+    let tables = &simulation.tables;
     // `from_words` drops the bits a table of fewer than six variables lacks.
     TruthTable::from_words(tables[tables.len() - words..].to_vec(), cut.num_leaves())
 }
 
-/// Simulates every cone node of `cut` over the cut's leaves, once, and
-/// returns the cone in evaluation order ([`Cut::cone_topological`], the root
-/// last) with the number of words per table.
+/// Simulates every cone node of `cut` over the cut's leaves, once, leaves the
+/// cone in evaluation order in `simulation.order` and returns the number of
+/// words per table.
 ///
-/// `tables` becomes one flat buffer sized to the cut — per-call work must not
-/// scale with the arena.  Slot 0 stays constant false, slot `1 + i` holds
-/// leaf `i`'s projection and slot `1 + num_leaves + j` the `j`-th node of the
-/// returned order; a fanin is found by position among the handful of leaves
-/// and earlier cone nodes.  Below six leaves a slot's single word repeats
-/// the `2^n`-bit table to fill all 64 bits, so two slots are equal as words
-/// exactly when they are equal as functions.
+/// `simulation.tables` becomes one flat buffer sized to the cut — per-call
+/// work must not scale with the arena.  Slot 0 stays constant false, slot
+/// `1 + i` holds leaf `i`'s projection and slot `1 + num_leaves + j` the
+/// `j`-th node of the order; a fanin is found by position among the handful
+/// of leaves and earlier cone nodes.  Below six leaves a slot's single word
+/// repeats the `2^n`-bit table to fill all 64 bits, so two slots are equal as
+/// words exactly when they are equal as functions.
 ///
 /// # Panics
 ///
 /// Panics if the cut has more than [`elf_sop::MAX_VARS`] leaves.
-pub(crate) fn simulate_cut(aig: &Aig, cut: &Cut, tables: &mut Vec<u64>) -> (Vec<NodeId>, usize) {
+pub(crate) fn simulate_cut(aig: &Aig, cut: &Cut, simulation: &mut Simulation) -> usize {
+    let Simulation {
+        walk,
+        order,
+        tables,
+    } = simulation;
     let num_vars = cut.num_leaves();
     assert!(
         num_vars <= elf_sop::MAX_VARS,
         "cut with {num_vars} leaves exceeds the supported truth-table width"
     );
-    let order = cut.cone_topological(aig);
+    cut.cone_topological_into(aig, walk, order);
     assert_eq!(
         order.last(),
         Some(&cut.root),
@@ -85,7 +110,7 @@ pub(crate) fn simulate_cut(aig: &Aig, cut: &Cut, tables: &mut Vec<u64>) -> (Vec<
             *word = (earlier[at0 + index] ^ flip0) & (earlier[at1 + index] ^ flip1);
         }
     }
-    (order, words)
+    words
 }
 
 /// Result of estimating the cost of implementing a factored form in an AIG.
@@ -115,7 +140,7 @@ pub fn count_new_nodes(
     root: Option<NodeId>,
 ) -> ImplementationCost {
     let mut new_nodes = 0usize;
-    let level = count_rec(aig, expr, leaf_lits, root, &mut new_nodes).1;
+    let level = count_rec(aig, expr, expr.root(), leaf_lits, root, &mut new_nodes).1;
     ImplementationCost { new_nodes, level }
 }
 
@@ -124,54 +149,44 @@ pub fn count_new_nodes(
 fn count_rec(
     aig: &Aig,
     expr: &FactoredForm,
+    term: Term,
     leaf_lits: &[Lit],
     root: Option<NodeId>,
     new_nodes: &mut usize,
 ) -> (Option<Lit>, u32) {
-    match expr {
-        FactoredForm::Const(value) => (Some(aig.constant(*value)), 0),
-        FactoredForm::Literal { var, negated } => {
-            let lit = leaf_lits[*var].complement_if(*negated);
+    match term {
+        Term::Const(value) => (Some(aig.constant(value)), 0),
+        Term::Literal { var, negated } => {
+            let lit = leaf_lits[usize::from(var)].complement_if(negated);
             (Some(lit), aig.level(lit.node()))
         }
-        FactoredForm::And(a, b) | FactoredForm::Or(a, b) => {
-            let is_or = matches!(expr, FactoredForm::Or(..));
-            let (la, level_a) = count_rec(aig, a, leaf_lits, root, new_nodes);
-            let (lb, level_b) = count_rec(aig, b, leaf_lits, root, new_nodes);
+        Term::Gate(index) => {
+            let Gate {
+                or,
+                operands: [a, b],
+            } = expr.gates()[index as usize];
+            let (la, level_a) = count_rec(aig, expr, a, leaf_lits, root, new_nodes);
+            let (lb, level_b) = count_rec(aig, expr, b, leaf_lits, root, new_nodes);
             let level = 1 + level_a.max(level_b);
-            match (la, lb) {
-                (Some(mut x), Some(mut y)) => {
-                    if is_or {
-                        x = !x;
-                        y = !y;
-                    }
-                    match aig.and_lookup(x, y) {
-                        Some(lit) => {
-                            let node = lit.node();
-                            // Nodes in the dereferenced MFFC (refs == 0) and
-                            // the root itself will be deleted by the commit,
-                            // so reusing them still costs one node.
-                            let doomed =
-                                Some(node) == root || (aig.is_and(node) && aig.refs(node) == 0);
-                            if doomed {
-                                *new_nodes += 1;
-                            }
-                            // Constant folding may collapse the operator; the
-                            // existing literal's own level is a better estimate.
-                            let lvl = aig.level(node);
-                            (Some(lit.complement_if(is_or)), lvl)
-                        }
-                        None => {
-                            *new_nodes += 1;
-                            (None, level)
-                        }
-                    }
-                }
-                _ => {
-                    *new_nodes += 1;
-                    (None, level)
-                }
+            let found = match (la, lb) {
+                // a | b is the complement of !a & !b.
+                (Some(x), Some(y)) => aig.and_lookup(x.complement_if(or), y.complement_if(or)),
+                _ => None,
+            };
+            let Some(lit) = found else {
+                *new_nodes += 1;
+                return (None, level);
+            };
+            let node = lit.node();
+            // Nodes in the dereferenced MFFC (refs == 0) and the root itself
+            // will be deleted by the commit, so reusing them still costs one
+            // node.
+            if Some(node) == root || (aig.is_and(node) && aig.refs(node) == 0) {
+                *new_nodes += 1;
             }
+            // Constant folding may collapse the operator; the existing
+            // literal's own level is a better estimate.
+            (Some(lit.complement_if(or)), aig.level(node))
         }
     }
 }
@@ -179,20 +194,73 @@ fn count_rec(
 /// Builds the AIG implementation of `expr` over `leaf_lits`, returning the
 /// literal of the new root.
 pub fn build_expr(aig: &mut Aig, expr: &FactoredForm, leaf_lits: &[Lit]) -> Lit {
-    match expr {
-        FactoredForm::Const(value) => aig.constant(*value),
-        FactoredForm::Literal { var, negated } => leaf_lits[*var].complement_if(*negated),
-        FactoredForm::And(a, b) => {
-            let x = build_expr(aig, a, leaf_lits);
-            let y = build_expr(aig, b, leaf_lits);
-            aig.and(x, y)
-        }
-        FactoredForm::Or(a, b) => {
-            let x = build_expr(aig, a, leaf_lits);
-            let y = build_expr(aig, b, leaf_lits);
-            aig.or(x, y)
+    build_rec(aig, expr, expr.root(), leaf_lits)
+}
+
+fn build_rec(aig: &mut Aig, expr: &FactoredForm, term: Term, leaf_lits: &[Lit]) -> Lit {
+    match term {
+        Term::Const(value) => aig.constant(value),
+        Term::Literal { var, negated } => leaf_lits[usize::from(var)].complement_if(negated),
+        Term::Gate(index) => {
+            let Gate {
+                or,
+                operands: [a, b],
+            } = expr.gates()[index as usize];
+            let x = build_rec(aig, expr, a, leaf_lits);
+            let y = build_rec(aig, expr, b, leaf_lits);
+            if or {
+                aig.or(x, y)
+            } else {
+                aig.and(x, y)
+            }
         }
     }
+}
+
+/// One way to implement a cut off the form of its NPN representative (the
+/// reading rule of [`crate::cache`]'s module docs), and what it is worth.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reading {
+    /// The cut's leaf literals as the representative's variables.
+    pub(crate) lits: [Lit; MAX_VARS],
+    /// Whether the literal `build_expr` returns is complemented.
+    pub(crate) complemented: bool,
+    /// Nodes the commit frees minus nodes it adds.
+    pub(crate) gain: i64,
+}
+
+/// Weighs the readings of `form` that `CutCache::factor_both_into` returned
+/// for the cut over `leaf_lits` rooted at `node` — the function's, then the
+/// complement's where it is one of its own — with the cut-bounded MFFC of
+/// `node`, `saved` nodes, dereferenced.  Returns the one of highest gain
+/// among those not above `level_bound`, the first on a tie.
+pub(crate) fn best_reading(
+    aig: &Aig,
+    form: &FactoredForm,
+    (transform, complement): (NpnTransform, Option<NpnTransform>),
+    leaf_lits: &[Lit],
+    node: NodeId,
+    saved: i64,
+    level_bound: Option<u32>,
+) -> Option<Reading> {
+    let mut best: Option<Reading> = None;
+    for (transform, complemented) in [(Some(transform), false), (complement, true)] {
+        let Some(transform) = transform else { continue };
+        let lits = transform.leaf_map(leaf_lits);
+        let cost = count_new_nodes(aig, form, &lits, Some(node));
+        if level_bound.is_some_and(|bound| cost.level > bound) {
+            continue;
+        }
+        let gain = saved - cost.new_nodes as i64;
+        if best.is_none_or(|best| gain > best.gain) {
+            best = Some(Reading {
+                lits,
+                complemented: transform.output_negated() != complemented,
+                gain,
+            });
+        }
+    }
+    best
 }
 
 /// Builds a replacement for `node` speculatively through `build` and commits
@@ -310,25 +378,11 @@ mod tests {
         let mut aig = Aig::new();
         let a = aig.add_input();
         let leaf_lits = vec![a];
-        assert_eq!(
-            build_expr(&mut aig, &FactoredForm::Const(false), &leaf_lits),
-            Lit::FALSE
-        );
-        assert_eq!(
-            build_expr(&mut aig, &FactoredForm::Const(true), &leaf_lits),
-            Lit::TRUE
-        );
-        assert_eq!(
-            build_expr(
-                &mut aig,
-                &FactoredForm::Literal {
-                    var: 0,
-                    negated: true
-                },
-                &leaf_lits
-            ),
-            !a
-        );
+        let mut leaf = |term| build_expr(&mut aig, &FactoredForm::leaf(term), &leaf_lits);
+        assert_eq!(leaf(Term::Const(false)), Lit::FALSE);
+        assert_eq!(leaf(Term::Const(true)), Lit::TRUE);
+        let negated = true;
+        assert_eq!(leaf(Term::Literal { var: 0, negated }), !a);
         assert_eq!(aig.num_ands(), 0);
     }
 }

@@ -11,24 +11,45 @@
 //!    permutation are normalized by cofactor-count heuristics, ABC-style;
 //!    ties are left unresolved, so the class split is coarser than true NPN
 //!    but the mapping is cheap and deterministic).
-//! 2. [`CutCache`] memoizes `factor_truth_table` of the representative and
-//!    replays the recorded inverse transform onto the factored form
-//!    ([`NpnTransform::decanonicalize`] — a literal remap plus a De Morgan
-//!    push-down, which preserves gate count exactly).
+//! 2. [`CutCache`] memoizes `factor_truth_table` of the representative, and
+//!    the operators implement the cut *from the representative's form*,
+//!    reading it through the recorded [`NpnTransform`] instead of rebuilding
+//!    it for the original function.
+//!
+//! # The reading rule
+//!
+//! A factored form is a flat arena ([`FactoredForm`]); the map holds one per
+//! class.  [`CutCache::factor_both_into`] copies the entry into the caller's
+//! form while the read lock is held — a `memcpy` into warm capacity, so no
+//! lock outlives the call — and returns the transform.  The transform is
+//! then applied where it is cheap: to the at most ten leaf literals, once
+//! per cut ([`NpnTransform::leaf_map`]: canonical variable `placement[v]` is
+//! leaf `v`, complemented by `phase[v]`), and to the one literal
+//! `build_expr` returns ([`NpnTransform::output_negated`]).
+//!
+//! This is the AIG the decanonicalized form would give, node for node.
+//! Remapping literals commutes with building; and the De Morgan dual of a
+//! form (And and Or exchanged, literals negated — what an output complement
+//! pushed down to the leaves produces) issues the same `and_lookup` /
+//! `Aig::and` calls with the same operands in the same order, because
+//! `or(a, b)` *is* `!and(!a, !b)`: every sub-expression comes out as the
+//! complement of its dual at equal `new_nodes` and `level`.
+//! [`NpnTransform::decanonicalize`] and [`CutCache::factor`] still produce
+//! the rewritten form, in one pass over the arena, for callers that want a
+//! form of the function itself.
 //!
 //! # One lookup per cut
 //!
 //! A function and its complement always share a representative, so an
 //! operator that weighs both polarities of a cut asks once:
-//! [`CutCache::factor_both`] canonicalizes once, looks the representative up
-//! (or factors it) once, and decanonicalizes straight from the borrowed map
-//! entry.  The complement's form is materialized only where it can differ
-//! from the first — when both polarities canonicalize to *equal words*, a
-//! subset of the balanced ON-sets, the two inverse transforms come from
-//! different tables.  Everywhere else it is the De Morgan dual of the first
-//! form, which `build_expr` / `count_new_nodes` map to the identical AIG
-//! (`or(a, b) = !and(!a, !b)`): equal cost, level and gate count, so no
-//! operator's "strictly better" test can select it.
+//! [`CutCache::factor_both_into`] canonicalizes once and looks the
+//! representative up (or factors it) once.  The complement is a candidate of
+//! its own only where it can differ from the first — when both polarities
+//! canonicalize to *equal words*, a subset of the balanced ON-sets, the two
+//! transforms come from different tables and read the one form through two
+//! leaf maps.  Everywhere else the complement's implementation is the first
+//! one complemented: the identical AIG at equal cost, level and gate count,
+//! so no operator's "strictly better" test can select it.
 //!
 //! Consequence for the counters: every cut factored costs one lookup where
 //! it used to cost two (the second a guaranteed hit below capacity).  Below
@@ -39,7 +60,8 @@
 //! # Determinism contract
 //!
 //! [`CutCache::factor`] is a pure function of the truth table: canonicalize,
-//! factor the representative, undo the transform.  The cache only memoizes
+//! factor the representative, undo the transform (and
+//! [`CutCache::factor_both_into`] one of the truth table alone).  The cache only memoizes
 //! the middle step, whose output is itself a pure function of the
 //! representative — so cache-enabled and cache-disabled runs produce
 //! node-for-node identical AIGs by construction (enforced by twin tests in
@@ -60,7 +82,10 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use elf_sop::{factor_truth_table, FactoredForm, TruthTable, MAX_VARS};
+use elf_aig::Lit;
+use elf_sop::{
+    factor_truth_table_into, FactorScratch, FactoredForm, Gate, Term, TruthTable, MAX_VARS,
+};
 
 /// Sizing/enable knob for the [`CutCache`] (plumbed through `ElfOptions` and
 /// `ServeConfig`; `Copy` so those configs stay `Copy`).
@@ -115,49 +140,47 @@ impl NpnTransform {
         self.output_negated
     }
 
-    /// Rewrites a factored form of the canonical representative into a
-    /// factored form of the original function: literals are remapped to the
-    /// original variable (XOR-ing the phase back in), and an output
-    /// complement is pushed down with De Morgan (And <-> Or, literals
-    /// negated), which keeps [`FactoredForm::num_gates`] unchanged.
-    pub fn decanonicalize(&self, expr: &FactoredForm) -> FactoredForm {
-        // original[j] = the original variable sitting at canonical position j.
-        let mut original = [0usize; MAX_VARS];
-        for (v, &j) in self.placement[..self.num_vars].iter().enumerate() {
-            original[j] = v;
+    /// The cut's leaf literals as the representative's variables: entry
+    /// `placement[v]` is `leaf_lits[v]`, complemented where the phase of `v`
+    /// was flipped (entries past the cut's width stay constant false).
+    /// Building the representative's form over them and complementing the
+    /// result by [`output_negated`](Self::output_negated) implements the
+    /// original function (see the module docs).
+    pub fn leaf_map(&self, leaf_lits: &[Lit]) -> [Lit; MAX_VARS] {
+        let mut lits = [Lit::FALSE; MAX_VARS];
+        for (v, &lit) in leaf_lits[..self.num_vars].iter().enumerate() {
+            lits[self.placement[v]] = lit.complement_if(self.phase[v]);
         }
-        self.remap(expr, &original, self.output_negated)
+        lits
     }
 
-    fn remap(&self, expr: &FactoredForm, original: &[usize], negate: bool) -> FactoredForm {
-        match expr {
-            FactoredForm::Const(value) => FactoredForm::Const(*value != negate),
-            FactoredForm::Literal { var, negated } => {
-                let var = original[*var];
-                FactoredForm::Literal {
-                    var,
-                    negated: *negated ^ self.phase[var] ^ negate,
-                }
-            }
-            FactoredForm::And(a, b) => {
-                let left = Box::new(self.remap(a, original, negate));
-                let right = Box::new(self.remap(b, original, negate));
-                if negate {
-                    FactoredForm::Or(left, right)
-                } else {
-                    FactoredForm::And(left, right)
-                }
-            }
-            FactoredForm::Or(a, b) => {
-                let left = Box::new(self.remap(a, original, negate));
-                let right = Box::new(self.remap(b, original, negate));
-                if negate {
-                    FactoredForm::And(left, right)
-                } else {
-                    FactoredForm::Or(left, right)
-                }
-            }
+    /// Rewrites a factored form of the canonical representative into a
+    /// factored form of the original function, in one pass over the arena:
+    /// literals are remapped to the original variable (XOR-ing the phase back
+    /// in), and an output complement is pushed down with De Morgan (And <->
+    /// Or, literals negated), which keeps [`FactoredForm::num_gates`]
+    /// unchanged.
+    pub fn decanonicalize(&self, expr: &FactoredForm) -> FactoredForm {
+        // original[j] = the original variable sitting at canonical position j.
+        let mut original = [0u8; MAX_VARS];
+        for (v, &j) in self.placement[..self.num_vars].iter().enumerate() {
+            original[j] = v as u8;
         }
+        let negate = self.output_negated;
+        let remap = |term| match term {
+            Term::Const(value) => Term::Const(value != negate),
+            Term::Literal { var, negated } => {
+                let var = original[usize::from(var)];
+                let negated = negated ^ self.phase[usize::from(var)] ^ negate;
+                Term::Literal { var, negated }
+            }
+            gate @ Term::Gate(_) => gate,
+        };
+        let gates = expr.gates().iter().map(|gate| Gate {
+            or: gate.or != negate,
+            operands: gate.operands.map(remap),
+        });
+        FactoredForm::from_parts(gates.collect(), remap(expr.root()))
     }
 }
 
@@ -379,56 +402,62 @@ impl CutCache {
     /// and functionally sound: the result's truth table equals `function`.
     pub fn factor(&self, function: &TruthTable) -> FactoredForm {
         let (canonical, transform) = semi_canonicalize(function);
-        self.with_canonical_form(canonical, |expr| transform.decanonicalize(expr))
+        let mut form = FactoredForm::default();
+        self.canonical_form_into(canonical, &mut FactorScratch::default(), &mut form);
+        transform.decanonicalize(&form)
     }
 
-    /// Factors both output polarities of `function` from one
-    /// canonicalization and one lookup: returns `factor(function)` and, only
-    /// where it can differ from that form's De Morgan dual, `factor(!function)`.
+    /// Serves both output polarities of `function` from one canonicalization
+    /// and one lookup: `form` becomes the factored form of the NPN
+    /// *representative* (factored in `scratch` on a miss), and the returned
+    /// transforms say how to read `function` and — only where that can be a
+    /// different implementation — its complement off it.
     ///
-    /// `None` means the complement's form *is* the dual of the first (And and
-    /// Or exchanged, literals negated): built and then complemented, it is
-    /// the same AIG as the first form, so a caller weighing both polarities
-    /// has nothing further to evaluate (see the module docs).
-    pub fn factor_both(&self, function: &TruthTable) -> (FactoredForm, Option<FactoredForm>) {
+    /// Over `transform.leaf_map(leaf_lits)`, `form` builds `function` up to
+    /// `transform.output_negated()`; the second transform, where present,
+    /// builds `!function` the same way.  `None` means the complement's
+    /// implementation *is* the first one complemented, the same AIG, so a
+    /// caller weighing both polarities has nothing further to evaluate (see
+    /// the module docs).
+    pub fn factor_both_into(
+        &self,
+        function: &TruthTable,
+        scratch: &mut FactorScratch,
+        form: &mut FactoredForm,
+    ) -> (NpnTransform, Option<NpnTransform>) {
         let (canonical, transform, complement) = canonicalize_both(function);
-        self.with_canonical_form(canonical, |expr| {
-            (
-                transform.decanonicalize(expr),
-                complement.map(|transform| transform.decanonicalize(expr)),
-            )
-        })
+        self.canonical_form_into(canonical, scratch, form);
+        (transform, complement)
     }
 
-    /// Runs `build` on the factored form of the representative `canonical`,
-    /// borrowed from the map on a hit and factored (then stored) on a miss.
-    fn with_canonical_form<R>(
+    /// Writes the factored form of the representative `canonical` to `form`:
+    /// copied from the map on a hit, factored (then stored) on a miss.
+    fn canonical_form_into(
         &self,
         canonical: TruthTable,
-        build: impl FnOnce(&FactoredForm) -> R,
-    ) -> R {
+        scratch: &mut FactorScratch,
+        form: &mut FactoredForm,
+    ) {
         let Some(shared) = &self.shared else {
-            return build(&factor_truth_table(&canonical));
+            return factor_truth_table_into(&canonical, scratch, form);
         };
         if let Ok(map) = shared.map.read() {
             if let Some(expr) = map.get(&canonical) {
                 shared.hits.fetch_add(1, Ordering::Relaxed);
                 self.view.hits.fetch_add(1, Ordering::Relaxed);
-                return build(expr);
+                return form.clone_from(expr);
             }
         }
         shared.misses.fetch_add(1, Ordering::Relaxed);
         self.view.misses.fetch_add(1, Ordering::Relaxed);
-        let expr = factor_truth_table(&canonical);
-        let result = build(&expr);
+        factor_truth_table_into(&canonical, scratch, form);
         if let Ok(mut map) = shared.map.write() {
             // Two racing misses insert the same value (the entry is a pure
             // function of the key), so last-writer-wins is harmless.
             if map.len() < shared.capacity {
-                map.insert(canonical, expr);
+                map.insert(canonical, form.clone());
             }
         }
-        result
     }
 
     /// Lookup hits recorded through this view (see [`CutCache::job_view`]).
@@ -441,17 +470,17 @@ impl CutCache {
         self.view.misses.load(Ordering::Relaxed)
     }
 
-    /// Folds the cache-lifetime counters into `registry` as gauges
-    /// (`elf_cut_cache_entries`, plus lifetime hit/miss readings) — called
-    /// at scrape time, complementing the per-run hit/miss *counters* the
-    /// flow layer accumulates from its view deltas.
+    /// Sets the occupancy gauges of `registry` — `elf_cut_cache_entries` and
+    /// `elf_cut_cache_capacity` — from the shared map; called at scrape
+    /// time.  Hits and misses are not folded here: the flow layer counts
+    /// them per run from its view deltas.
     pub fn fold_into(&self, registry: &elf_obs::metrics::Registry) {
         let stats = self.stats();
         registry
             .gauge(elf_obs::names::CUT_CACHE_ENTRIES)
             .set(stats.entries as i64);
         registry
-            .gauge("elf_cut_cache_capacity")
+            .gauge(elf_obs::names::CUT_CACHE_CAPACITY)
             .set(stats.capacity as i64);
     }
 
@@ -473,6 +502,7 @@ impl CutCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elf_sop::factor_truth_table;
     use proptest::prelude::*;
 
     /// [`semi_canonicalize`] as it was before it moved onto words: cofactor
@@ -539,17 +569,78 @@ mod tests {
         }
     }
 
-    /// The De Morgan dual: And and Or exchanged, literals and constants
-    /// complemented — the form of `!f` read off a form of `f`.
-    fn dual(expr: &FactoredForm) -> FactoredForm {
-        match expr {
-            FactoredForm::Const(value) => FactoredForm::Const(!value),
-            FactoredForm::Literal { var, negated } => FactoredForm::Literal {
-                var: *var,
-                negated: !negated,
-            },
-            FactoredForm::And(a, b) => FactoredForm::Or(Box::new(dual(a)), Box::new(dual(b))),
-            FactoredForm::Or(a, b) => FactoredForm::And(Box::new(dual(a)), Box::new(dual(b))),
+    /// The boxed tree a factored form was before the arena, and
+    /// [`NpnTransform::decanonicalize`] over it kept verbatim: the oracle of
+    /// the one-pass rewrite.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Boxed {
+        Const(bool),
+        Literal { var: usize, negated: bool },
+        And(Box<Boxed>, Box<Boxed>),
+        Or(Box<Boxed>, Box<Boxed>),
+    }
+
+    impl Boxed {
+        /// The tree `form` spells out below `term`.
+        fn of(form: &FactoredForm, term: Term) -> Boxed {
+            match term {
+                Term::Const(value) => Boxed::Const(value),
+                Term::Literal { var, negated } => Boxed::Literal {
+                    var: usize::from(var),
+                    negated,
+                },
+                Term::Gate(index) => {
+                    let gate = form.gates()[index as usize];
+                    let [a, b] = gate.operands.map(|term| Box::new(Boxed::of(form, term)));
+                    if gate.or {
+                        Boxed::Or(a, b)
+                    } else {
+                        Boxed::And(a, b)
+                    }
+                }
+            }
+        }
+    }
+
+    impl NpnTransform {
+        fn decanonicalize_boxed(&self, expr: &Boxed) -> Boxed {
+            // original[j] = the original variable sitting at canonical position j.
+            let mut original = [0usize; MAX_VARS];
+            for (v, &j) in self.placement[..self.num_vars].iter().enumerate() {
+                original[j] = v;
+            }
+            self.remap(expr, &original, self.output_negated)
+        }
+
+        fn remap(&self, expr: &Boxed, original: &[usize], negate: bool) -> Boxed {
+            match expr {
+                Boxed::Const(value) => Boxed::Const(*value != negate),
+                Boxed::Literal { var, negated } => {
+                    let var = original[*var];
+                    Boxed::Literal {
+                        var,
+                        negated: *negated ^ self.phase[var] ^ negate,
+                    }
+                }
+                Boxed::And(a, b) => {
+                    let left = Box::new(self.remap(a, original, negate));
+                    let right = Box::new(self.remap(b, original, negate));
+                    if negate {
+                        Boxed::Or(left, right)
+                    } else {
+                        Boxed::And(left, right)
+                    }
+                }
+                Boxed::Or(a, b) => {
+                    let left = Box::new(self.remap(a, original, negate));
+                    let right = Box::new(self.remap(b, original, negate));
+                    if negate {
+                        Boxed::And(left, right)
+                    } else {
+                        Boxed::Or(left, right)
+                    }
+                }
+            }
         }
     }
 
@@ -643,9 +734,27 @@ mod tests {
             prop_assert_eq!(semi_canonicalize(&function), semi_canonicalize_reference(&function));
         }
 
-        /// `factor_both` is `(factor(f), factor(!f))`: literally where it
-        /// returns the second form, and as the first form's De Morgan dual
-        /// where it does not.  One lookup either way, cache on or off.
+        /// The one-pass rewrite of the arena is the boxed push-down, tree
+        /// for tree, and leaves the representative's form as it was.
+        #[test]
+        fn decanonicalize_matches_the_boxed_oracle(
+            function in (1usize..=11).prop_flat_map(arbitrary_function)
+        ) {
+            let (canonical, transform) = semi_canonicalize(&function);
+            let form = factor_truth_table(&canonical);
+            let rewritten = transform.decanonicalize(&form);
+            prop_assert_eq!(
+                Boxed::of(&rewritten, rewritten.root()),
+                transform.decanonicalize_boxed(&Boxed::of(&form, form.root()))
+            );
+            prop_assert_eq!(rewritten.to_truth_table(function.num_vars()), function);
+        }
+
+        /// `factor_both_into` serves `(factor(f), factor(!f))`: the
+        /// representative's form, rewritten by the first transform, is
+        /// `factor(f)`; rewritten by the second — or, where there is none, by
+        /// the first with the output complement toggled — it is `factor(!f)`.
+        /// One lookup either way, cache on or off.
         #[test]
         fn factor_both_is_both_single_polarity_answers(
             function in (1usize..=10).prop_flat_map(arbitrary_function)
@@ -654,14 +763,19 @@ mod tests {
             let first = cache.factor(&function);
             let second = cache.factor(&!&function);
             prop_assert_eq!((cache.local_hits(), cache.local_misses()), (1, 1));
-            let (expr, complement) = cache.factor_both(&function);
+            let (mut scratch, mut form) = (FactorScratch::default(), FactoredForm::default());
+            let (transform, complement) = cache.factor_both_into(&function, &mut scratch, &mut form);
             prop_assert_eq!((cache.local_hits(), cache.local_misses()), (2, 1));
-            prop_assert_eq!(&expr, &first);
-            match &complement {
-                Some(complement) => prop_assert_eq!(complement, &second),
-                None => prop_assert_eq!(dual(&expr), second),
-            }
-            prop_assert_eq!(CutCache::disabled().factor_both(&function), (expr, complement));
+            prop_assert_eq!(transform.decanonicalize(&form), first);
+            let toggled = NpnTransform {
+                output_negated: !transform.output_negated,
+                ..transform
+            };
+            prop_assert_eq!(complement.unwrap_or(toggled).decanonicalize(&form), second);
+
+            let mut bare = FactoredForm::default();
+            let transforms = CutCache::disabled().factor_both_into(&function, &mut scratch, &mut bare);
+            prop_assert_eq!((transforms, bare), ((transform, complement), form));
         }
     }
 
@@ -673,15 +787,26 @@ mod tests {
         let xor = &(&a ^ &b) ^ &c;
         let and = &(&a & &b) & &c;
         let cache = CutCache::disabled();
+        let (mut scratch, mut form) = (FactorScratch::default(), FactoredForm::default());
         for function in [&majority, &multiplexer] {
-            let (expr, complement) = cache.factor_both(function);
-            assert_eq!(expr.to_truth_table(3), *function);
+            let (transform, complement) = cache.factor_both_into(function, &mut scratch, &mut form);
+            assert_eq!(transform.decanonicalize(&form).to_truth_table(3), *function);
             let complement = complement.expect("both polarities normalize to equal words");
-            assert_eq!(complement.to_truth_table(3), !function);
+            assert!(!complement.output_negated());
+            assert_eq!(
+                complement.decanonicalize(&form).to_truth_table(3),
+                !function
+            );
         }
         // Balanced, but the polarities normalize to different words.
-        assert_eq!(cache.factor_both(&xor).1, None);
-        assert_eq!(cache.factor_both(&and).1, None);
+        assert_eq!(
+            cache.factor_both_into(&xor, &mut scratch, &mut form).1,
+            None
+        );
+        assert_eq!(
+            cache.factor_both_into(&and, &mut scratch, &mut form).1,
+            None
+        );
     }
 
     fn sample_tables() -> Vec<TruthTable> {

@@ -32,7 +32,9 @@ use std::time::{Duration, Instant};
 
 use elf_aig::{Aig, Cut, CutFeatures, CutParams, CutScratch, Lit, NodeId};
 use elf_par::Parallelism;
+use elf_sop::{FactorScratch, FactoredForm};
 
+use crate::build::Simulation;
 use crate::cache::CutCache;
 use crate::rewrite::CutWindow;
 
@@ -199,11 +201,17 @@ pub struct PassScratch {
     pub(crate) cut: Cut,
     /// The literals of the weighed cut's leaves.
     pub(crate) leaf_lits: Vec<Lit>,
-    /// The word buffer cuts are simulated in ([`crate::build::simulate_cut`]).
-    pub(crate) truth_words: Vec<u64>,
+    /// The buffers cuts are simulated in ([`crate::build::simulate_cut`]).
+    pub(crate) simulation: Simulation,
+    /// The stacks a cache miss factors on.
+    pub(crate) factor: FactorScratch,
+    /// The form of the weighed cut's NPN representative.
+    pub(crate) form: FactoredForm,
+    /// Rewrite's best form so far among a node's cuts.
+    pub(crate) best_form: FactoredForm,
     /// Rewrite's cut sets.
     pub(crate) window: CutWindow,
-    /// Resubstitution's divisors: a literal and its slot in `truth_words`.
+    /// Resubstitution's divisors: a literal and its slot in the simulation.
     pub(crate) divisors: Vec<(Lit, usize)>,
 }
 
@@ -212,7 +220,10 @@ impl PassScratch {
         PassScratch {
             cut: Cut::empty(),
             leaf_lits: Vec::new(),
-            truth_words: Vec::new(),
+            simulation: Simulation::default(),
+            factor: FactorScratch::default(),
+            form: FactoredForm::default(),
+            best_form: FactoredForm::default(),
             window: CutWindow::default(),
             divisors: Vec::new(),
         }

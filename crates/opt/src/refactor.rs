@@ -9,7 +9,7 @@
 
 use elf_aig::{Aig, CutParams, NodeId};
 
-use crate::build::{build_expr, commit_replacement, count_new_nodes, cut_truth_table_in};
+use crate::build::{best_reading, build_expr, commit_replacement, cut_truth_table_in};
 use crate::cache::CutCache;
 use crate::operator::{OpStats, PassScratch, PrunableOperator};
 
@@ -23,11 +23,11 @@ pub struct RefactorParams {
     /// Reject candidates whose estimated root level exceeds the current root
     /// level (ABC's `-l`, used by the paper's experiments).
     pub preserve_level: bool,
-    /// Also weigh the factored form of the complemented cut function and
-    /// keep the better of the two implementations.  Both forms come from one
-    /// [`CutCache::factor_both`] call; the complement's is evaluated only
-    /// where it can differ from the first form's De Morgan dual (which is the
-    /// same AIG at the same cost and can never be the better one).
+    /// Also weigh the implementation of the complemented cut function and
+    /// keep the better of the two.  Both are read off one form, from one
+    /// [`CutCache::factor_both_into`] call; the complement's is evaluated
+    /// only where it can differ from the first one complemented (which is
+    /// the same AIG at the same cost and can never be the better one).
     pub try_complement: bool,
     /// Cuts with fewer leaves than this are not resynthesized (they cannot
     /// yield a gain).
@@ -132,7 +132,9 @@ impl PrunableOperator for Refactor {
         let PassScratch {
             cut,
             leaf_lits,
-            truth_words,
+            simulation,
+            factor,
+            form,
             ..
         } = scratch;
         if !holds_window {
@@ -144,56 +146,32 @@ impl PrunableOperator for Refactor {
 
         // Resynthesize: truth table -> NPN representative -> ISOP ->
         // factored form, once per cut whether or not the cache memoizes.
-        // Both polarities share the representative; the complement is a
-        // candidate of its own only where `factor_both` hands back a form
-        // that is not the first one's De Morgan dual.
-        let truth = cut_truth_table_in(aig, cut, truth_words);
+        // Both polarities share the representative's form; the complement
+        // is a candidate of its own only where `factor_both_into` hands back
+        // a second way to read it.
+        let truth = cut_truth_table_in(aig, cut, simulation);
         leaf_lits.clear();
         leaf_lits.extend(cut.leaves.iter().map(|&l| l.lit()));
-        let mut candidates = Vec::with_capacity(2);
-        if self.params.try_complement {
-            let (expr, complement) = self.cache.factor_both(&truth);
-            candidates.push((expr, false));
-            candidates.extend(complement.map(|expr| (expr, true)));
-        } else {
-            candidates.push((self.cache.factor(&truth), false));
-        }
+        let (transform, complement) = self.cache.factor_both_into(&truth, factor, form);
+        let complement = complement.filter(|_| self.params.try_complement);
 
         // Evaluate the gain of each candidate with the cut-bounded MFFC
         // temporarily dereferenced, exactly like ABC.  The MFFC is bounded by
         // the cut's leaves: the resynthesized implementation keeps using the
         // leaves, so logic below them can never be reclaimed by this commit.
         let saved = aig.deref_mffc_bounded(node, &cut.leaves) as i64;
-        let root_level = aig.level(node);
-        let mut best: Option<(usize, i64)> = None; // (candidate index, gain)
-        for (index, (expr, _)) in candidates.iter().enumerate() {
-            let cost = count_new_nodes(aig, expr, leaf_lits, Some(node));
-            if self.params.preserve_level && cost.level > root_level {
-                continue;
-            }
-            let gain = saved - cost.new_nodes as i64;
-            let better = match best {
-                None => true,
-                Some((best_index, best_gain)) => {
-                    gain > best_gain
-                        || (gain == best_gain
-                            && expr.num_gates() < candidates[best_index].0.num_gates())
-                }
-            };
-            if better {
-                best = Some((index, gain));
-            }
-        }
+        let level_bound = self.params.preserve_level.then(|| aig.level(node));
+        let readings = (transform, complement);
+        let best = best_reading(aig, form, readings, leaf_lits, node, saved, level_bound);
         aig.ref_mffc_bounded(node, &cut.leaves);
 
-        let (index, gain) = best?;
-        let accept = gain > 0 || (self.params.zero_gain && gain >= 0);
+        let best = best?;
+        let accept = best.gain > 0 || (self.params.zero_gain && best.gain >= 0);
         if !accept {
             return None;
         }
-        let (expr, complemented) = &candidates[index];
         commit_replacement(aig, Self::NAME, node, |aig| {
-            build_expr(aig, expr, leaf_lits).complement_if(*complemented)
+            build_expr(aig, form, &best.lits).complement_if(best.complemented)
         })
     }
 }

@@ -101,7 +101,7 @@ impl PrunableOperator for Resubstitution {
     ) -> Option<i64> {
         let PassScratch {
             cut,
-            truth_words,
+            simulation,
             divisors,
             ..
         } = scratch;
@@ -112,8 +112,9 @@ impl PrunableOperator for Resubstitution {
             return None;
         }
         let num_vars = cut.num_leaves();
-        let (order, words) = simulate_cut(aig, cut, truth_words);
-        let table = |slot: usize| &truth_words[slot * words..][..words];
+        let words = simulate_cut(aig, cut, simulation);
+        let (order, tables) = (&simulation.order, &simulation.tables);
+        let table = |slot: usize| &tables[slot * words..][..words];
         let root_tt = table(num_vars + order.len());
         let root_level = aig.level(node);
 

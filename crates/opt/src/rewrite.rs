@@ -45,9 +45,9 @@
 //! across its nodes.
 
 use elf_aig::{Aig, Cut, CutParams, NodeId};
-use elf_sop::{FactoredForm, TruthTable, MAX_VARS};
+use elf_sop::MAX_VARS;
 
-use crate::build::{build_expr, commit_replacement, count_new_nodes, cut_truth_table_in};
+use crate::build::{best_reading, build_expr, commit_replacement, cut_truth_table_in, Reading};
 use crate::cache::CutCache;
 use crate::operator::{OpStats, PassScratch, PrunableOperator};
 
@@ -123,67 +123,54 @@ impl Rewrite {
         PrunableOperator::run(self, aig)
     }
 
-    /// Attempts to rewrite a single node over `factor_both`'s candidates —
-    /// the form of a cut function and, where worth weighing, the form of its
+    /// Attempts to rewrite a single node over the readings
+    /// [`CutCache::factor_both_into`] offers for each of its cuts — the
+    /// implementation of the cut function and, where worth weighing, of its
     /// complement — returning `Some(achieved_gain)` when a rewrite was
-    /// committed (zero for accepted zero-gain rewrites).  `factor_both` is a
-    /// parameter only so the twin test can evaluate both polarities of every
-    /// cut the way the operator did before [`CutCache::factor_both`] existed.
-    fn rewrite_node_with(
-        &self,
-        aig: &mut Aig,
-        node: NodeId,
-        scratch: &mut PassScratch,
-        factor_both: impl Fn(&TruthTable) -> (FactoredForm, Option<FactoredForm>),
-    ) -> Option<i64> {
+    /// committed (zero for accepted zero-gain rewrites).
+    fn rewrite_node(&self, aig: &mut Aig, node: NodeId, scratch: &mut PassScratch) -> Option<i64> {
         let PassScratch {
             cut,
             leaf_lits,
-            truth_words,
+            simulation,
+            factor,
+            form,
+            best_form,
             window,
             ..
         } = scratch;
         let root_cuts = self.enumerate_cuts(aig, node, window);
-        let root_level = aig.level(node);
-        // (root cut, form, complemented, gain)
-        let mut best: Option<(usize, FactoredForm, bool, i64)> = None;
+        let level_bound = self.params.preserve_level.then(|| aig.level(node));
+        // The best reading so far; the form it reads is `best_form`.
+        let mut best: Option<Reading> = None;
         for index in root_cuts {
             if window.cuts.lens[index] < 3 {
                 continue;
             }
             window.load_cut(aig, node, index, cut);
-            let truth = cut_truth_table_in(aig, cut, truth_words);
+            let truth = cut_truth_table_in(aig, cut, simulation);
             leaf_lits.clear();
             leaf_lits.extend(cut.leaves.iter().map(|&l| l.lit()));
             // The reclaimable logic is the MFFC bounded by this cut's leaves.
             let saved = aig.deref_mffc_bounded(node, &cut.leaves) as i64;
             // One NPN-memoized lookup serves both polarities; the complement
-            // is weighed only where it is not the first form's De Morgan dual
+            // is weighed only where it is not the first reading complemented
             // (same AIG, same gain: `gain > best` could never pick it).
-            let (expr, complement) = factor_both(&truth);
-            let candidates =
-                std::iter::once((expr, false)).chain(complement.map(|expr| (expr, true)));
-            for (expr, complemented) in candidates {
-                let cost = count_new_nodes(aig, &expr, leaf_lits, Some(node));
-                if self.params.preserve_level && cost.level > root_level {
-                    continue;
-                }
-                let gain = saved - cost.new_nodes as i64;
-                if best.as_ref().is_none_or(|(_, _, _, g)| gain > *g) {
-                    best = Some((index, expr, complemented, gain));
-                }
-            }
+            let readings = self.cache.factor_both_into(&truth, factor, form);
+            let reading = best_reading(aig, form, readings, leaf_lits, node, saved, level_bound);
             aig.ref_mffc_bounded(node, &cut.leaves);
+            if let Some(reading) = reading.filter(|r| best.is_none_or(|best| r.gain > best.gain)) {
+                best = Some(reading);
+                std::mem::swap(form, best_form);
+            }
         }
-        let (index, expr, complemented, gain) = best?;
-        let accept = gain > 0 || (self.params.zero_gain && gain >= 0);
+        let best = best?;
+        let accept = best.gain > 0 || (self.params.zero_gain && best.gain >= 0);
         if !accept {
             return None;
         }
-        leaf_lits.clear();
-        leaf_lits.extend(window.cuts.leaves(index).iter().map(|&l| l.lit()));
         commit_replacement(aig, Self::NAME, node, |aig| {
-            build_expr(aig, &expr, leaf_lits).complement_if(complemented)
+            build_expr(aig, best_form, &best.lits).complement_if(best.complemented)
         })
     }
 
@@ -457,16 +444,18 @@ impl PrunableOperator for Rewrite {
         scratch: &mut PassScratch,
         _: bool,
     ) -> Option<i64> {
-        self.rewrite_node_with(aig, node, scratch, |truth| self.cache.factor_both(truth))
+        self.rewrite_node(aig, node, scratch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::count_new_nodes;
     use elf_aig::{check_equivalence, EquivalenceResult, Lit};
     use elf_circuits::epfl::{arithmetic_suite, Scale};
     use elf_circuits::industrial_suite;
+    use elf_sop::FactoredForm;
     use proptest::prelude::{any, prop_assert_eq, ProptestConfig};
 
     /// The oracle: `enumerate_cuts` as it was before the positional window
@@ -561,9 +550,18 @@ mod tests {
         cone
     }
 
-    /// The oracle step: `rewrite_node_with` as it was, over the oracle
-    /// enumeration, owning every cut, `leaf_lits` and truth table it weighs.
-    fn rewrite_node_oracle(rewrite: &Rewrite, aig: &mut Aig, node: NodeId) -> Option<i64> {
+    /// The oracle step: `rewrite_node` as it was before it read the
+    /// representative's form, over the oracle enumeration, owning every cut,
+    /// `leaf_lits` and truth table it weighs.  Each polarity is factored on
+    /// its own into a form of the function itself ([`CutCache::factor`]) and
+    /// built over the cut's own leaf literals; `try_complement` says whether
+    /// the complement's form is weighed at all.
+    fn rewrite_node_oracle(
+        rewrite: &Rewrite,
+        aig: &mut Aig,
+        node: NodeId,
+        try_complement: bool,
+    ) -> Option<i64> {
         let cuts = enumerate_cuts_oracle(rewrite, aig, node);
         let root_level = aig.level(node);
         let mut best: Option<(Cut, FactoredForm, bool, i64)> = None;
@@ -574,9 +572,9 @@ mod tests {
             let truth = crate::cut_truth_table(aig, &cut);
             let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| l.lit()).collect();
             let saved = aig.deref_mffc_bounded(node, &cut.leaves) as i64;
-            let (expr, complement) = rewrite.cache.factor_both(&truth);
+            let complement = try_complement.then(|| (rewrite.cache.factor(&!&truth), true));
             let candidates =
-                std::iter::once((expr, false)).chain(complement.map(|expr| (expr, true)));
+                std::iter::once((rewrite.cache.factor(&truth), false)).chain(complement);
             for (expr, complemented) in candidates {
                 let cost = count_new_nodes(aig, &expr, &leaf_lits, Some(node));
                 if rewrite.params.preserve_level && cost.level > root_level {
@@ -697,10 +695,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Weighing the complement only where `factor_both` returns it lands
-        /// on the network the operator reached when it factored and
-        /// evaluated both polarities of every cut — node for node, cache on
-        /// and off, with and without zero-gain commits.
+        /// Reading the representative's form, and weighing the complement
+        /// only where `factor_both_into` returns a second reading, lands on
+        /// the network the operator reached when it factored and evaluated
+        /// both polarities of every cut — node for node, cache on and off,
+        /// with and without zero-gain commits.
         #[test]
         fn pass_matches_evaluating_both_polarities_of_every_cut(
             script in elf_circuits::script_strategy(36),
@@ -718,13 +717,10 @@ mod tests {
             let mut twin = aig.clone();
             let stats = operator.run(&mut aig);
 
-            let cache = CutCache::new(cache_config);
-            let mut scratch = PassScratch::new();
+            let mut oracle = operator.clone();
+            oracle.set_cut_cache(CutCache::new(cache_config));
             let rewritten = reference_pass(&mut twin, |twin, node| {
-                let both = |truth: &TruthTable| {
-                    (cache.factor(truth), Some(cache.factor(&!truth)))
-                };
-                operator.rewrite_node_with(twin, node, &mut scratch, both).is_some()
+                rewrite_node_oracle(&oracle, twin, node, true).is_some()
             });
             prop_assert_eq!(stats.cuts_committed, rewritten);
             prop_assert_eq!(structure(&aig), structure(&twin));
@@ -794,7 +790,7 @@ mod tests {
         let mut oracle = Rewrite::default();
         oracle.set_cut_cache(CutCache::new(crate::CutCacheConfig::default()));
         let committed = reference_pass(&mut twin, |twin, node| {
-            rewrite_node_oracle(&oracle, twin, node).is_some()
+            rewrite_node_oracle(&oracle, twin, node, true).is_some()
         });
         assert_eq!(stats.cuts_committed, committed, "{name}");
         assert_eq!(structure(&aig), structure(&twin), "{name}");
@@ -918,9 +914,7 @@ mod tests {
         let mut blind = aig.clone();
         let mut scratch = PassScratch::new();
         let gain = operator.resynthesize(&mut aig, f.node(), &mut scratch, false);
-        let blind_gain = operator.rewrite_node_with(&mut blind, f.node(), &mut scratch, |truth| {
-            (operator.cache.factor(truth), None)
-        });
+        let blind_gain = rewrite_node_oracle(&operator, &mut blind, f.node(), false);
         assert_eq!(
             gain,
             Some(3),

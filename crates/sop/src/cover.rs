@@ -188,24 +188,36 @@ impl Sop {
     /// The resulting cover `C` satisfies `function ⊆ C ⊆ function` (it is
     /// exact) and no cube can be dropped without uncovering a minterm.
     pub fn isop(function: &TruthTable) -> Self {
+        let mut cubes = Vec::new();
+        Sop::isop_into(function, &mut cubes, &mut Vec::new());
+        Sop {
+            num_vars: function.num_vars(),
+            cubes,
+        }
+    }
+
+    /// [`Sop::isop`] with the cubes written to `cubes` (cleared first) and
+    /// the recursion working in `buffer`, so a caller covering many functions
+    /// allocates for the largest only.
+    pub fn isop_into(function: &TruthTable, cubes: &mut Vec<Cube>, buffer: &mut Vec<u64>) {
         let num_vars = function.num_vars();
         let words = function.words();
-        let mut cubes = Vec::new();
+        cubes.clear();
         if num_vars <= 6 {
             // Repeat the table over the unused high variables so that "all
             // ones" and the cofactor shifts need no width-dependent mask.
             let table = (num_vars..6).fold(words[0], |w, var| w | w << (1usize << var));
-            let cover = isop_word(&mut cubes, table, table, num_vars);
+            let cover = isop_word(cubes, table, table, num_vars);
             debug_assert_eq!(cover, table, "ISOP must reproduce the function exactly");
         } else {
             // One buffer for the whole recursion: the cover, then four
             // half-width temporaries per level (4 * (1/2 + 1/4 + ..) < 4).
-            let mut buffer = vec![0u64; 5 * words.len()];
+            buffer.clear();
+            buffer.resize(5 * words.len(), 0);
             let (cover, scratch) = buffer.split_at_mut(words.len());
-            isop_slices(&mut cubes, words, words, cover, scratch);
+            isop_slices(cubes, words, words, cover, scratch);
             debug_assert_eq!(cover, words, "ISOP must reproduce the function exactly");
         }
-        Sop { num_vars, cubes }
     }
 }
 
@@ -392,7 +404,7 @@ fn isop_rec(lower: &TruthTable, upper: &TruthTable, top: usize) -> (Vec<Cube>, T
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -421,7 +433,7 @@ mod tests {
 
     /// Functions of `num_vars` variables: uniform tables, sparse and dense
     /// ones, gate-list functions (single literals included) and constants.
-    fn arbitrary_function(num_vars: usize) -> impl Strategy<Value = TruthTable> {
+    pub(crate) fn arbitrary_function(num_vars: usize) -> impl Strategy<Value = TruthTable> {
         let words = TruthTable::zeros(num_vars).words().len();
         let uniform = move || {
             prop::collection::vec(any::<u64>(), words)

@@ -6,105 +6,226 @@
 //! literal-based quick factoring (the classic `QUICK_FACTOR` of MIS/SIS,
 //! also used by ABC's `Dec_Factor`): repeatedly divide the cover by its most
 //! frequent literal and recurse on quotient and remainder.
+//!
+//! # One flat form
+//!
+//! A [`FactoredForm`] is an arena, like ABC's `Dec_Graph`: one `Vec` of
+//! binary [`Gate`]s whose operands are small `Copy` [`Term`]s — a constant,
+//! a literal, or the index of an earlier gate — plus the root term.  Copying
+//! a form is one `memcpy`, dropping it one `free`, and a consumer walks it
+//! from the root by index.
+//!
+//! [`factor_into`] writes into a caller-owned form from the two stacks of a
+//! [`FactorScratch`]: the cover sits at the bottom of one cube stack, each
+//! division pushes its quotient on top (the remainder is compacted in place,
+//! a cover is never read again once divided) and pops it on return; cubes
+//! and disjunctions are reduced pairwise, in place, on one term stack.  A
+//! warm scratch factors without touching the allocator.
 
 use std::fmt;
 
 use crate::cover::{Cube, Sop};
 use crate::truth::TruthTable;
 
-/// A factored Boolean expression.
-///
-/// Leaves are literals or constants; internal nodes are binary AND/OR
-/// operators.  The expression corresponds one-to-one with the AIG subgraph
-/// that refactoring would build (each binary operator costs one AND gate).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FactoredForm {
+/// An operand of a [`Gate`], or the root of a [`FactoredForm`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Term {
     /// A constant.
     Const(bool),
     /// A possibly-negated variable.
     Literal {
         /// Variable index (cut leaf index).
-        var: usize,
+        var: u8,
         /// Whether the literal is complemented.
         negated: bool,
     },
-    /// Conjunction of two sub-expressions.
-    And(Box<FactoredForm>, Box<FactoredForm>),
-    /// Disjunction of two sub-expressions.
-    Or(Box<FactoredForm>, Box<FactoredForm>),
+    /// The gate at this index of [`FactoredForm::gates`].
+    Gate(u32),
+}
+
+/// A binary AND or OR over two [`Term`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gate {
+    /// Disjunction when set, conjunction otherwise.
+    pub or: bool,
+    /// The two operands, in the order an AIG translation builds them.
+    pub operands: [Term; 2],
+}
+
+/// A factored Boolean expression: a tree of binary AND/OR [`Gate`]s over
+/// literals and constants, held in one arena.
+///
+/// A gate's operands name earlier gates only and every gate is used exactly
+/// once, so the expression corresponds one-to-one with the AIG subgraph that
+/// refactoring would build (each gate costs one AND node).  Equality is
+/// arena equality: the same gates in the same order under the same root.
+#[derive(Debug, PartialEq, Eq)]
+pub struct FactoredForm {
+    gates: Vec<Gate>,
+    root: Term,
+}
+
+impl Default for FactoredForm {
+    /// The constant-false form.
+    fn default() -> Self {
+        FactoredForm::leaf(Term::Const(false))
+    }
+}
+
+impl Clone for FactoredForm {
+    fn clone(&self) -> Self {
+        FactoredForm {
+            gates: self.gates.clone(),
+            root: self.root,
+        }
+    }
+
+    /// Copies into the gates `self` already has room for.
+    fn clone_from(&mut self, source: &Self) {
+        self.gates.clone_from(&source.gates);
+        self.root = source.root;
+    }
 }
 
 impl FactoredForm {
+    /// The gate-free form of a constant or a literal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `term` is a gate reference.
+    pub fn leaf(term: Term) -> Self {
+        FactoredForm::from_parts(Vec::new(), term)
+    }
+
+    /// Assembles a form from its arena and root.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gate or the root refers to a gate that does not precede it.
+    pub fn from_parts(gates: Vec<Gate>, root: Term) -> Self {
+        let operands = gates
+            .iter()
+            .enumerate()
+            .flat_map(|(index, gate)| gate.operands.map(|term| (term, index)));
+        for (term, end) in operands.chain([(root, gates.len())]) {
+            assert!(
+                !matches!(term, Term::Gate(index) if index as usize >= end),
+                "a gate's operands and the root must name earlier gates"
+            );
+        }
+        FactoredForm { gates, root }
+    }
+
+    /// The gates, operands before the gates that use them.
+    pub fn gates(&self) -> &[Gate] {
+        &self.gates
+    }
+
+    /// The term the expression evaluates to.
+    pub fn root(&self) -> Term {
+        self.root
+    }
+
+    /// Appends a gate and returns the term that names it.
+    fn push(&mut self, or: bool, a: Term, b: Term) -> Term {
+        let index = u32::try_from(self.gates.len()).expect("a cover has far fewer literals");
+        self.gates.push(Gate {
+            or,
+            operands: [a, b],
+        });
+        Term::Gate(index)
+    }
+
     /// Number of binary gates (AND/OR nodes) in the expression, which equals
     /// the number of AIG AND nodes needed to implement it.
     pub fn num_gates(&self) -> usize {
-        match self {
-            FactoredForm::Const(_) | FactoredForm::Literal { .. } => 0,
-            FactoredForm::And(a, b) | FactoredForm::Or(a, b) => 1 + a.num_gates() + b.num_gates(),
-        }
+        self.gates.len()
     }
 
     /// Number of literal leaves in the expression.
     pub fn num_literals(&self) -> usize {
-        match self {
-            FactoredForm::Const(_) => 0,
-            FactoredForm::Literal { .. } => 1,
-            FactoredForm::And(a, b) | FactoredForm::Or(a, b) => a.num_literals() + b.num_literals(),
-        }
+        let literal = |term: &Term| matches!(term, Term::Literal { .. });
+        let operands = self.gates.iter().flat_map(|gate| &gate.operands);
+        operands
+            .chain([&self.root])
+            .filter(|term| literal(term))
+            .count()
     }
 
     /// Depth of the expression tree in binary gates.
     pub fn depth(&self) -> usize {
-        match self {
-            FactoredForm::Const(_) | FactoredForm::Literal { .. } => 0,
-            FactoredForm::And(a, b) | FactoredForm::Or(a, b) => 1 + a.depth().max(b.depth()),
-        }
+        self.fold(|_| 0, |_, a, b| 1 + a.max(b))
     }
 
     /// Evaluates the expression into a truth table over `num_vars` variables.
     pub fn to_truth_table(&self, num_vars: usize) -> TruthTable {
-        match self {
-            FactoredForm::Const(false) => TruthTable::zeros(num_vars),
-            FactoredForm::Const(true) => TruthTable::ones(num_vars),
-            FactoredForm::Literal { var, negated } => {
-                let t = TruthTable::var(*var, num_vars);
-                if *negated {
-                    !&t
+        let leaf = |term| match term {
+            Term::Const(false) => TruthTable::zeros(num_vars),
+            Term::Const(true) => TruthTable::ones(num_vars),
+            Term::Literal { var, negated } => {
+                let table = TruthTable::var(usize::from(var), num_vars);
+                if negated {
+                    !&table
                 } else {
-                    t
+                    table
                 }
             }
-            FactoredForm::And(a, b) => &a.to_truth_table(num_vars) & &b.to_truth_table(num_vars),
-            FactoredForm::Or(a, b) => &a.to_truth_table(num_vars) | &b.to_truth_table(num_vars),
-        }
+            Term::Gate(_) => unreachable!("fold resolves gates"),
+        };
+        self.fold(leaf, |or, a, b| if or { &a | &b } else { &a & &b })
     }
 
     /// Evaluates the expression under a single input assignment.
     pub fn evaluate(&self, assignment: usize) -> bool {
-        match self {
-            FactoredForm::Const(v) => *v,
-            FactoredForm::Literal { var, negated } => (assignment >> var & 1 == 1) != *negated,
-            FactoredForm::And(a, b) => a.evaluate(assignment) && b.evaluate(assignment),
-            FactoredForm::Or(a, b) => a.evaluate(assignment) || b.evaluate(assignment),
+        let leaf = |term| match term {
+            Term::Const(value) => value,
+            Term::Literal { var, negated } => (assignment >> var & 1 == 1) != negated,
+            Term::Gate(_) => unreachable!("fold resolves gates"),
+        };
+        self.fold(leaf, |or, a, b| if or { a || b } else { a && b })
+    }
+
+    /// Evaluates the tree bottom-up: `leaf` values a constant or a literal,
+    /// `gate` combines the values of a gate's operands (`or` first).
+    fn fold<T: Clone>(&self, leaf: impl Fn(Term) -> T, gate: impl Fn(bool, T, T) -> T) -> T {
+        let mut values: Vec<T> = Vec::with_capacity(self.gates.len());
+        let value = |term, values: &[T]| match term {
+            Term::Gate(index) => values[index as usize].clone(),
+            _ => leaf(term),
+        };
+        for Gate { or, operands } in &self.gates {
+            let [a, b] = operands.map(|term| value(term, &values));
+            values.push(gate(*or, a, b));
         }
+        value(self.root, &values)
     }
 }
 
 impl fmt::Display for FactoredForm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FactoredForm::Const(v) => write!(f, "{}", u8::from(*v)),
-            FactoredForm::Literal { var, negated } => {
-                if *negated {
-                    write!(f, "!x{var}")
-                } else {
-                    write!(f, "x{var}")
-                }
-            }
-            FactoredForm::And(a, b) => write!(f, "({a} & {b})"),
-            FactoredForm::Or(a, b) => write!(f, "({a} | {b})"),
-        }
+        let leaf = |term| match term {
+            Term::Const(value) => u8::from(value).to_string(),
+            Term::Literal { var, negated } => format!("{}x{var}", if negated { "!" } else { "" }),
+            Term::Gate(_) => unreachable!("fold resolves gates"),
+        };
+        let text = self.fold(leaf, |or, a, b| {
+            format!("({a} {} {b})", if or { '|' } else { '&' })
+        });
+        f.write_str(&text)
     }
+}
+
+/// The buffers [`factor_into`] and [`factor_truth_table_into`] work in; they
+/// grow to the largest cover met and are reused from then on.
+#[derive(Debug, Default)]
+pub struct FactorScratch {
+    /// The cover being factored, then the quotients of the divisions in
+    /// progress, innermost on top.
+    cubes: Vec<Cube>,
+    /// The operands being reduced to one term.
+    terms: Vec<Term>,
+    /// The word buffer of [`Sop::isop_into`].
+    words: Vec<u64>,
 }
 
 /// Factors a sum-of-products cover into a [`FactoredForm`].
@@ -113,81 +234,77 @@ impl fmt::Display for FactoredForm {
 /// (`factor(s).to_truth_table() == s.to_truth_table()`) and typically needs
 /// far fewer binary gates than the flat SOP.
 pub fn factor(sop: &Sop) -> FactoredForm {
-    factor_cubes(sop.cubes(), sop.num_vars())
+    let mut form = FactoredForm::default();
+    factor_into(sop, &mut FactorScratch::default(), &mut form);
+    form
+}
+
+/// [`factor`] into the caller's form, working in the caller's buffers.
+pub fn factor_into(sop: &Sop, scratch: &mut FactorScratch, form: &mut FactoredForm) {
+    scratch.cubes.clear();
+    scratch.cubes.extend_from_slice(sop.cubes());
+    factor_cover(scratch, form);
 }
 
 /// Factors a truth table by first computing its irredundant SOP.
 pub fn factor_truth_table(function: &TruthTable) -> FactoredForm {
-    factor(&Sop::isop(function))
+    let mut form = FactoredForm::default();
+    factor_truth_table_into(function, &mut FactorScratch::default(), &mut form);
+    form
 }
 
-fn factor_cubes(cubes: &[Cube], num_vars: usize) -> FactoredForm {
-    if cubes.is_empty() {
-        return FactoredForm::Const(false);
-    }
-    if cubes.contains(&Cube::TAUTOLOGY) {
-        return FactoredForm::Const(true);
-    }
-    if cubes.len() == 1 {
-        return cube_to_and_tree(&cubes[0], num_vars);
-    }
-    let Some((var, positive)) = most_frequent_literal(cubes, num_vars) else {
-        // No shared literal: the cover is already a simple OR of cubes.
-        let terms: Vec<FactoredForm> = cubes
-            .iter()
-            .map(|c| cube_to_and_tree(c, num_vars))
-            .collect();
-        return balanced_or(terms);
+/// [`factor_truth_table`] into the caller's form, working in the caller's
+/// buffers: the cover goes straight onto the cube stack.
+pub fn factor_truth_table_into(
+    function: &TruthTable,
+    scratch: &mut FactorScratch,
+    form: &mut FactoredForm,
+) {
+    Sop::isop_into(function, &mut scratch.cubes, &mut scratch.words);
+    factor_cover(scratch, form);
+}
+
+/// Factors the cover `scratch.cubes` holds into `form`.
+fn factor_cover(scratch: &mut FactorScratch, form: &mut FactoredForm) {
+    let FactorScratch { cubes, terms, .. } = scratch;
+    form.gates.clear();
+    form.root = if cubes.is_empty() {
+        Term::Const(false)
+    } else if cubes.contains(&Cube::TAUTOLOGY) {
+        Term::Const(true)
+    } else {
+        let counts = count_literals(cubes);
+        let end = cubes.len();
+        Factoring { cubes, terms, form }.cover(0, end, &counts)
     };
-    // Divide by the literal: F = lit * Q + R.
-    let mut quotient = Vec::new();
-    let mut remainder = Vec::new();
+}
+
+/// Cubes per literal: the positive literal of variable `v` at `v`, the
+/// negative one at `16 + v` (a cube is at most [`crate::MAX_VARS`] wide, and
+/// an irredundant cover of that many variables has at most `2^15` cubes).
+type LiteralCounts = [u16; 32];
+
+fn count_literals(cubes: &[Cube]) -> LiteralCounts {
+    let mut counts = [0; 32];
     for cube in cubes {
-        if cube.contains(var, positive) {
-            quotient.push(cube.without(var, positive));
-        } else {
-            remainder.push(*cube);
+        let mut rest = cube.pos | cube.neg << 16;
+        while rest != 0 {
+            counts[rest.trailing_zeros() as usize] += 1;
+            rest &= rest - 1;
         }
     }
-    let lit = FactoredForm::Literal {
-        var,
-        negated: !positive,
-    };
-    let quotient_expr = factor_cubes(&quotient, num_vars);
-    let product = match quotient_expr {
-        FactoredForm::Const(true) => lit,
-        other => FactoredForm::And(Box::new(lit), Box::new(other)),
-    };
-    if remainder.is_empty() {
-        product
-    } else {
-        FactoredForm::Or(
-            Box::new(product),
-            Box::new(factor_cubes(&remainder, num_vars)),
-        )
-    }
+    counts
 }
 
 /// The literal occurring in the most cubes, if any occurs in at least two.
 ///
-/// Occurrences are counted in one pass over the cubes, then scanned lowest
-/// variable and positive phase first, so ties go to the earliest literal in
-/// that order.
-fn most_frequent_literal(cubes: &[Cube], num_vars: usize) -> Option<(usize, bool)> {
-    let mut counts = [[0usize; 2]; u32::BITS as usize]; // [var][positive]
-    for cube in cubes {
-        for (mask, positive) in [(cube.pos, true), (cube.neg, false)] {
-            let mut rest = mask;
-            while rest != 0 {
-                counts[rest.trailing_zeros() as usize][usize::from(positive)] += 1;
-                rest &= rest - 1;
-            }
-        }
-    }
-    let mut best: Option<(usize, bool, usize)> = None; // (var, phase, count)
-    for (var, by_phase) in counts.iter().enumerate().take(num_vars) {
+/// The counts are scanned lowest variable and positive phase first, so ties
+/// go to the earliest literal in that order.
+fn most_frequent_literal(counts: &LiteralCounts) -> Option<(usize, bool)> {
+    let mut best: Option<(usize, bool, u16)> = None; // (var, phase, count)
+    for var in 0..16 {
         for positive in [true, false] {
-            let count = by_phase[usize::from(positive)];
+            let count = counts[if positive { var } else { 16 + var }];
             if count >= 2 && best.is_none_or(|(_, _, c)| count > c) {
                 best = Some((var, positive, count));
             }
@@ -196,56 +313,112 @@ fn most_frequent_literal(cubes: &[Cube], num_vars: usize) -> Option<(usize, bool
     best.map(|(var, positive, _)| (var, positive))
 }
 
-fn cube_to_and_tree(cube: &Cube, num_vars: usize) -> FactoredForm {
-    let mut literals = Vec::with_capacity(cube.num_literals());
-    for var in 0..num_vars {
-        if cube.contains(var, true) {
-            literals.push(FactoredForm::Literal {
-                var,
-                negated: false,
-            });
+/// One run of [`factor_cover`]: the two stacks and the form being written.
+struct Factoring<'a> {
+    cubes: &'a mut Vec<Cube>,
+    terms: &'a mut Vec<Term>,
+    form: &'a mut FactoredForm,
+}
+
+impl Factoring<'_> {
+    /// Factors the cover `cubes[start..end]` — at least one cube, none the
+    /// tautology — in which each literal occurs `counts` times.  The range is
+    /// consumed: dividing compacts the remainder into its front.
+    fn cover(&mut self, start: usize, end: usize, counts: &LiteralCounts) -> Term {
+        if end - start == 1 {
+            return self.cube(self.cubes[start]);
         }
-        if cube.contains(var, false) {
-            literals.push(FactoredForm::Literal { var, negated: true });
-        }
-    }
-    if literals.is_empty() {
-        return FactoredForm::Const(true);
-    }
-    balanced_and(literals)
-}
-
-fn balanced_and(mut terms: Vec<FactoredForm>) -> FactoredForm {
-    balanced_reduce(&mut terms, FactoredForm::And)
-}
-
-fn balanced_or(mut terms: Vec<FactoredForm>) -> FactoredForm {
-    balanced_reduce(&mut terms, FactoredForm::Or)
-}
-
-fn balanced_reduce(
-    terms: &mut Vec<FactoredForm>,
-    combine: fn(Box<FactoredForm>, Box<FactoredForm>) -> FactoredForm,
-) -> FactoredForm {
-    assert!(!terms.is_empty(), "cannot reduce an empty term list");
-    while terms.len() > 1 {
-        let mut next = Vec::with_capacity(terms.len().div_ceil(2));
-        let mut iter = terms.drain(..);
-        while let Some(first) = iter.next() {
-            match iter.next() {
-                Some(second) => next.push(combine(Box::new(first), Box::new(second))),
-                None => next.push(first),
+        let Some((var, positive)) = most_frequent_literal(counts) else {
+            // No shared literal: the cover is already a simple OR of cubes.
+            let base = self.terms.len();
+            for index in start..end {
+                let term = self.cube(self.cubes[index]);
+                self.terms.push(term);
+            }
+            return self.reduce(base, true);
+        };
+        // Divide by the literal: F = lit * Q + R, Q on top of the stack and R
+        // where F was.
+        let top = self.cubes.len();
+        let mut remainder_end = start;
+        for index in start..end {
+            let cube = self.cubes[index];
+            if cube.contains(var, positive) {
+                self.cubes.push(cube.without(var, positive));
+            } else {
+                self.cubes[remainder_end] = cube;
+                remainder_end += 1;
             }
         }
-        drop(iter);
-        *terms = next;
+        // Q's literals are counted; R's are what is left of F's (none of the
+        // dividing literal, which every cube holding it took into Q).
+        let quotient_counts = count_literals(&self.cubes[top..]);
+        let mut remainder_counts = *counts;
+        for (left, taken) in remainder_counts.iter_mut().zip(&quotient_counts) {
+            *left -= taken;
+        }
+        remainder_counts[if positive { var } else { 16 + var }] = 0;
+
+        let lit = Term::Literal {
+            var: var as u8,
+            negated: !positive,
+        };
+        let product = if self.cubes[top..].contains(&Cube::TAUTOLOGY) {
+            lit
+        } else {
+            let quotient = self.cover(top, self.cubes.len(), &quotient_counts);
+            self.form.push(false, lit, quotient)
+        };
+        self.cubes.truncate(top);
+        if remainder_end == start {
+            product
+        } else {
+            let remainder = self.cover(start, remainder_end, &remainder_counts);
+            self.form.push(true, product, remainder)
+        }
     }
-    terms.pop().expect("reduced to a single term")
+
+    /// The balanced AND tree of a cube's literals, lowest variable first.
+    fn cube(&mut self, cube: Cube) -> Term {
+        let base = self.terms.len();
+        let mut rest = cube.pos | cube.neg;
+        while rest != 0 {
+            let var = rest.trailing_zeros();
+            self.terms.push(Term::Literal {
+                var: var as u8,
+                negated: cube.neg >> var & 1 == 1,
+            });
+            rest &= rest - 1;
+        }
+        self.reduce(base, false)
+    }
+
+    /// Pops `terms[base..]` (at least one term) and returns their balanced
+    /// AND or OR tree: neighbours are paired level by level, in place, an odd
+    /// last term moving up unpaired.
+    fn reduce(&mut self, base: usize, or: bool) -> Term {
+        let mut len = self.terms.len() - base;
+        assert!(len > 0, "cannot reduce an empty term list");
+        while len > 1 {
+            for pair in 0..len / 2 {
+                let [a, b] = [0, 1].map(|side| self.terms[base + 2 * pair + side]);
+                self.terms[base + pair] = self.form.push(or, a, b);
+            }
+            if len % 2 == 1 {
+                self.terms[base + len / 2] = self.terms[base + len - 1];
+            }
+            len = len.div_ceil(2);
+        }
+        let term = self.terms[base];
+        self.terms.truncate(base);
+        term
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cover::tests::arbitrary_function;
 
     fn check_factor(function: &TruthTable) -> FactoredForm {
         let sop = Sop::isop(function);
@@ -260,9 +433,9 @@ mod tests {
 
     #[test]
     fn factor_constants() {
-        assert_eq!(factor(&Sop::new(3)), FactoredForm::Const(false),);
+        assert_eq!(factor(&Sop::new(3)).root(), Term::Const(false));
         let ones = check_factor(&TruthTable::ones(3));
-        assert_eq!(ones, FactoredForm::Const(true));
+        assert_eq!(ones, FactoredForm::leaf(Term::Const(true)));
     }
 
     #[test]
@@ -359,7 +532,7 @@ mod tests {
                 // Every suffix is a cover the recursion may meet.
                 for start in 0..cubes.len() {
                     assert_eq!(
-                        most_frequent_literal(&cubes[start..], num_vars),
+                        most_frequent_literal(&count_literals(&cubes[start..])),
                         scan(&cubes[start..], num_vars)
                     );
                 }
@@ -371,7 +544,10 @@ mod tests {
             Cube::literal(0, true).with_literal(2, true),
             Cube::literal(1, false).with_literal(3, true),
         ];
-        assert_eq!(most_frequent_literal(&tie, 4), Some((0, true)));
+        assert_eq!(
+            most_frequent_literal(&count_literals(&tie)),
+            Some((0, true))
+        );
     }
 
     #[test]
@@ -384,5 +560,371 @@ mod tests {
         assert!(text.contains("x0"));
         assert!(text.contains("x1"));
         assert!(text.contains('&'));
+    }
+
+    /// The boxed tree and the `Vec`-per-division factoring this module used
+    /// before the arena, kept verbatim: the oracle [`factor_into`] is compared
+    /// against tree for tree.
+    mod boxed {
+        use std::fmt;
+
+        use crate::cover::{Cube, Sop};
+        use crate::truth::TruthTable;
+
+        /// A factored Boolean expression.
+        ///
+        /// Leaves are literals or constants; internal nodes are binary AND/OR
+        /// operators.  The expression corresponds one-to-one with the AIG subgraph
+        /// that refactoring would build (each binary operator costs one AND gate).
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum FactoredForm {
+            /// A constant.
+            Const(bool),
+            /// A possibly-negated variable.
+            Literal {
+                /// Variable index (cut leaf index).
+                var: usize,
+                /// Whether the literal is complemented.
+                negated: bool,
+            },
+            /// Conjunction of two sub-expressions.
+            And(Box<FactoredForm>, Box<FactoredForm>),
+            /// Disjunction of two sub-expressions.
+            Or(Box<FactoredForm>, Box<FactoredForm>),
+        }
+
+        impl FactoredForm {
+            /// Number of binary gates (AND/OR nodes) in the expression, which equals
+            /// the number of AIG AND nodes needed to implement it.
+            pub fn num_gates(&self) -> usize {
+                match self {
+                    FactoredForm::Const(_) | FactoredForm::Literal { .. } => 0,
+                    FactoredForm::And(a, b) | FactoredForm::Or(a, b) => {
+                        1 + a.num_gates() + b.num_gates()
+                    }
+                }
+            }
+
+            /// Number of literal leaves in the expression.
+            pub fn num_literals(&self) -> usize {
+                match self {
+                    FactoredForm::Const(_) => 0,
+                    FactoredForm::Literal { .. } => 1,
+                    FactoredForm::And(a, b) | FactoredForm::Or(a, b) => {
+                        a.num_literals() + b.num_literals()
+                    }
+                }
+            }
+
+            /// Depth of the expression tree in binary gates.
+            pub fn depth(&self) -> usize {
+                match self {
+                    FactoredForm::Const(_) | FactoredForm::Literal { .. } => 0,
+                    FactoredForm::And(a, b) | FactoredForm::Or(a, b) => {
+                        1 + a.depth().max(b.depth())
+                    }
+                }
+            }
+
+            /// Evaluates the expression into a truth table over `num_vars` variables.
+            pub fn to_truth_table(&self, num_vars: usize) -> TruthTable {
+                match self {
+                    FactoredForm::Const(false) => TruthTable::zeros(num_vars),
+                    FactoredForm::Const(true) => TruthTable::ones(num_vars),
+                    FactoredForm::Literal { var, negated } => {
+                        let t = TruthTable::var(*var, num_vars);
+                        if *negated {
+                            !&t
+                        } else {
+                            t
+                        }
+                    }
+                    FactoredForm::And(a, b) => {
+                        &a.to_truth_table(num_vars) & &b.to_truth_table(num_vars)
+                    }
+                    FactoredForm::Or(a, b) => {
+                        &a.to_truth_table(num_vars) | &b.to_truth_table(num_vars)
+                    }
+                }
+            }
+        }
+
+        impl fmt::Display for FactoredForm {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self {
+                    FactoredForm::Const(v) => write!(f, "{}", u8::from(*v)),
+                    FactoredForm::Literal { var, negated } => {
+                        if *negated {
+                            write!(f, "!x{var}")
+                        } else {
+                            write!(f, "x{var}")
+                        }
+                    }
+                    FactoredForm::And(a, b) => write!(f, "({a} & {b})"),
+                    FactoredForm::Or(a, b) => write!(f, "({a} | {b})"),
+                }
+            }
+        }
+
+        /// Factors a sum-of-products cover into a [`FactoredForm`].
+        ///
+        /// The result is functionally identical to the cover
+        /// (`factor(s).to_truth_table() == s.to_truth_table()`) and typically needs
+        /// far fewer binary gates than the flat SOP.
+        pub fn factor(sop: &Sop) -> FactoredForm {
+            factor_cubes(sop.cubes(), sop.num_vars())
+        }
+
+        fn factor_cubes(cubes: &[Cube], num_vars: usize) -> FactoredForm {
+            if cubes.is_empty() {
+                return FactoredForm::Const(false);
+            }
+            if cubes.contains(&Cube::TAUTOLOGY) {
+                return FactoredForm::Const(true);
+            }
+            if cubes.len() == 1 {
+                return cube_to_and_tree(&cubes[0], num_vars);
+            }
+            let Some((var, positive)) = most_frequent_literal(cubes, num_vars) else {
+                // No shared literal: the cover is already a simple OR of cubes.
+                let terms: Vec<FactoredForm> = cubes
+                    .iter()
+                    .map(|c| cube_to_and_tree(c, num_vars))
+                    .collect();
+                return balanced_or(terms);
+            };
+            // Divide by the literal: F = lit * Q + R.
+            let mut quotient = Vec::new();
+            let mut remainder = Vec::new();
+            for cube in cubes {
+                if cube.contains(var, positive) {
+                    quotient.push(cube.without(var, positive));
+                } else {
+                    remainder.push(*cube);
+                }
+            }
+            let lit = FactoredForm::Literal {
+                var,
+                negated: !positive,
+            };
+            let quotient_expr = factor_cubes(&quotient, num_vars);
+            let product = match quotient_expr {
+                FactoredForm::Const(true) => lit,
+                other => FactoredForm::And(Box::new(lit), Box::new(other)),
+            };
+            if remainder.is_empty() {
+                product
+            } else {
+                FactoredForm::Or(
+                    Box::new(product),
+                    Box::new(factor_cubes(&remainder, num_vars)),
+                )
+            }
+        }
+
+        /// The literal occurring in the most cubes, if any occurs in at least two.
+        ///
+        /// Occurrences are counted in one pass over the cubes, then scanned lowest
+        /// variable and positive phase first, so ties go to the earliest literal in
+        /// that order.
+        fn most_frequent_literal(cubes: &[Cube], num_vars: usize) -> Option<(usize, bool)> {
+            let mut counts = [[0usize; 2]; u32::BITS as usize]; // [var][positive]
+            for cube in cubes {
+                for (mask, positive) in [(cube.pos, true), (cube.neg, false)] {
+                    let mut rest = mask;
+                    while rest != 0 {
+                        counts[rest.trailing_zeros() as usize][usize::from(positive)] += 1;
+                        rest &= rest - 1;
+                    }
+                }
+            }
+            let mut best: Option<(usize, bool, usize)> = None; // (var, phase, count)
+            for (var, by_phase) in counts.iter().enumerate().take(num_vars) {
+                for positive in [true, false] {
+                    let count = by_phase[usize::from(positive)];
+                    if count >= 2 && best.is_none_or(|(_, _, c)| count > c) {
+                        best = Some((var, positive, count));
+                    }
+                }
+            }
+            best.map(|(var, positive, _)| (var, positive))
+        }
+
+        fn cube_to_and_tree(cube: &Cube, num_vars: usize) -> FactoredForm {
+            let mut literals = Vec::with_capacity(cube.num_literals());
+            for var in 0..num_vars {
+                if cube.contains(var, true) {
+                    literals.push(FactoredForm::Literal {
+                        var,
+                        negated: false,
+                    });
+                }
+                if cube.contains(var, false) {
+                    literals.push(FactoredForm::Literal { var, negated: true });
+                }
+            }
+            if literals.is_empty() {
+                return FactoredForm::Const(true);
+            }
+            balanced_and(literals)
+        }
+
+        fn balanced_and(mut terms: Vec<FactoredForm>) -> FactoredForm {
+            balanced_reduce(&mut terms, FactoredForm::And)
+        }
+
+        fn balanced_or(mut terms: Vec<FactoredForm>) -> FactoredForm {
+            balanced_reduce(&mut terms, FactoredForm::Or)
+        }
+
+        fn balanced_reduce(
+            terms: &mut Vec<FactoredForm>,
+            combine: fn(Box<FactoredForm>, Box<FactoredForm>) -> FactoredForm,
+        ) -> FactoredForm {
+            assert!(!terms.is_empty(), "cannot reduce an empty term list");
+            while terms.len() > 1 {
+                let mut next = Vec::with_capacity(terms.len().div_ceil(2));
+                let mut iter = terms.drain(..);
+                while let Some(first) = iter.next() {
+                    match iter.next() {
+                        Some(second) => next.push(combine(Box::new(first), Box::new(second))),
+                        None => next.push(first),
+                    }
+                }
+                drop(iter);
+                *terms = next;
+            }
+            terms.pop().expect("reduced to a single term")
+        }
+    }
+
+    /// The boxed tree a flat form spells out.
+    fn boxed_tree(form: &FactoredForm) -> boxed::FactoredForm {
+        let leaf = |term| match term {
+            Term::Const(value) => boxed::FactoredForm::Const(value),
+            Term::Literal { var, negated } => boxed::FactoredForm::Literal {
+                var: usize::from(var),
+                negated,
+            },
+            Term::Gate(_) => unreachable!("fold resolves gates"),
+        };
+        form.fold(leaf, |or, a, b| {
+            let combine = if or {
+                boxed::FactoredForm::Or
+            } else {
+                boxed::FactoredForm::And
+            };
+            combine(Box::new(a), Box::new(b))
+        })
+    }
+
+    /// Factors `sop` both ways, into a scratch and a form that have met other
+    /// covers before, and expects one tree: equal as trees, in print, in
+    /// every count and as functions.
+    fn assert_matches_boxed(sop: &Sop, scratch: &mut FactorScratch, form: &mut FactoredForm) {
+        let oracle = boxed::factor(sop);
+        factor_into(sop, scratch, form);
+        assert_eq!(boxed_tree(form), oracle, "cover {sop}");
+        assert_eq!(form.to_string(), oracle.to_string());
+        assert_eq!(form.num_gates(), oracle.num_gates());
+        assert_eq!(form.num_literals(), oracle.num_literals());
+        assert_eq!(form.depth(), oracle.depth());
+        let num_vars = sop.num_vars();
+        assert_eq!(
+            form.to_truth_table(num_vars),
+            oracle.to_truth_table(num_vars)
+        );
+        assert_eq!(*form, factor(sop), "a warm scratch changes nothing");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(768))]
+
+        /// The arena factoring is the boxed one, tree for tree, on every
+        /// function family the ISOP is tested on.
+        #[test]
+        fn flat_factoring_matches_the_boxed_oracle(
+            functions in proptest::collection::vec(
+                proptest::prelude::Strategy::prop_flat_map(1usize..=11, arbitrary_function),
+                1..4,
+            )
+        ) {
+            let (mut scratch, mut form) = (FactorScratch::default(), FactoredForm::default());
+            for function in &functions {
+                assert_matches_boxed(&Sop::isop(function), &mut scratch, &mut form);
+                let mut via_table = FactoredForm::default();
+                factor_truth_table_into(function, &mut scratch, &mut via_table);
+                proptest::prop_assert_eq!(&via_table, &form);
+            }
+        }
+    }
+
+    #[test]
+    fn flat_factoring_matches_the_boxed_oracle_on_the_corner_covers() {
+        let (mut scratch, mut form) = (FactorScratch::default(), FactoredForm::default());
+        let literal = |var, positive| Cube::literal(var, positive);
+        let covers = [
+            // Constants, of no variable and of some.
+            Sop::new(0),
+            Sop::from_cubes(0, vec![Cube::TAUTOLOGY]),
+            Sop::isop(&TruthTable::zeros(0)),
+            Sop::isop(&TruthTable::ones(0)),
+            Sop::new(4),
+            Sop::isop(&TruthTable::ones(11)),
+            // Single literals and a single cube.
+            Sop::from_cubes(3, vec![literal(2, true)]),
+            Sop::from_cubes(3, vec![literal(0, false)]),
+            Sop::from_cubes(
+                5,
+                vec![literal(0, true)
+                    .with_literal(3, false)
+                    .with_literal(4, true)],
+            ),
+            // A tautology cube among others, first, last and alone in a quotient.
+            Sop::from_cubes(3, vec![Cube::TAUTOLOGY, literal(1, true)]),
+            Sop::from_cubes(
+                3,
+                vec![literal(1, true), literal(2, false), Cube::TAUTOLOGY],
+            ),
+            Sop::from_cubes(
+                3,
+                vec![literal(0, true), literal(0, true).with_literal(1, true)],
+            ),
+            // No shared literal: a bare OR of cubes, odd and even in number.
+            Sop::from_cubes(
+                4,
+                vec![literal(0, true), literal(1, false), literal(2, true)],
+            ),
+            Sop::from_cubes(4, (0..4).map(|var| literal(var, var % 2 == 0)).collect()),
+            // An empty remainder: every cube holds the dividing literal.
+            Sop::from_cubes(
+                3,
+                vec![
+                    literal(0, false).with_literal(1, true),
+                    literal(0, false).with_literal(2, true),
+                ],
+            ),
+        ];
+        for sop in &covers {
+            assert_matches_boxed(sop, &mut scratch, &mut form);
+        }
+        // Parity has the longest covers: 2^(n-1) cubes without a don't-care.
+        for num_vars in 1..=11 {
+            let parity = TruthTable::from_fn(num_vars, |m| m.count_ones() % 2 == 1);
+            assert_matches_boxed(&Sop::isop(&parity), &mut scratch, &mut form);
+        }
+    }
+
+    #[test]
+    fn from_parts_rejects_forward_references() {
+        let gate = Gate {
+            or: false,
+            operands: [Term::Gate(0), Term::Const(true)],
+        };
+        assert!(
+            std::panic::catch_unwind(|| FactoredForm::from_parts(vec![gate], Term::Gate(0)))
+                .is_err()
+        );
+        assert!(std::panic::catch_unwind(|| FactoredForm::leaf(Term::Gate(0))).is_err());
     }
 }

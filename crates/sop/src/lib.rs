@@ -8,7 +8,10 @@
 //! 2. The truth table is converted to an irredundant sum-of-products cover
 //!    ([`Sop::isop`], the Minato–Morreale algorithm).
 //! 3. The cover is algebraically [factored](factor) into a [`FactoredForm`],
-//!    whose binary gate count is the size of the resynthesized cut.
+//!    whose binary gate count is the size of the resynthesized cut.  The form
+//!    is one flat arena of [`Gate`]s over [`Term`]s; the `_into` variants
+//!    ([`Sop::isop_into`], [`factor_into`], [`factor_truth_table_into`]) work
+//!    in a caller's [`FactorScratch`] and allocate nothing once it is warm.
 //!
 //! # Examples
 //!
@@ -30,5 +33,8 @@ mod factor;
 mod truth;
 
 pub use cover::{Cube, Sop};
-pub use factor::{factor, factor_truth_table, FactoredForm};
+pub use factor::{
+    factor, factor_into, factor_truth_table, factor_truth_table_into, FactorScratch, FactoredForm,
+    Gate, Term,
+};
 pub use truth::{TruthTable, MAX_VARS};

@@ -73,6 +73,38 @@ if [ -n "$heap" ]; then
 fi
 echo "static-gate: rewrite and resub stay off the heap"
 
+# Resynthesis stays off the heap too: a factored form is one flat arena,
+# written by `factor_into` from two reusable stacks and read by the operators
+# through the NPN transform.  A `Box` in the non-test region of the factoring
+# or of the code that counts, builds or caches forms is the boxed tree coming
+# back (it survives only as the `#[cfg(test)]` oracles); a `decanonicalize(`
+# call in an operator is the per-cut rebuild of the form coming back.
+boxed=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    FILENAME !~ /(refactor|rewrite)\.rs$/ && /Box<FactoredForm>|Box::new\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    FILENAME ~ /(refactor|rewrite)\.rs$/ && /decanonicalize\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+' crates/sop/src/factor.rs crates/opt/src/cache.rs crates/opt/src/build.rs \
+    crates/opt/src/refactor.rs crates/opt/src/rewrite.rs)
+if [ -n "$boxed" ]; then
+    echo "$boxed"
+    echo "static-gate: boxed factored form or per-cut decanonicalize in non-test resynthesis code" >&2
+    exit 1
+fi
+echo "static-gate: resynthesis stays off the heap"
+
+# Unsafe code is denied workspace-wide (`unsafe_code = "deny"` in Cargo.toml);
+# the one sanctioned opt-out is the counting allocator of the allocation test.
+unsafe_allowed=$(grep -rln --include='*.rs' 'allow(unsafe_code)' src crates tests examples elf-perf/src elf-perf/tests vendor \
+    | grep -v '^crates/opt/tests/allocations.rs$' || true)
+if [ -n "$unsafe_allowed" ]; then
+    echo "$unsafe_allowed"
+    echo "static-gate: allow(unsafe_code) outside crates/opt/tests/allocations.rs" >&2
+    exit 1
+fi
+echo "static-gate: unsafe code allowed in the counting allocator only"
+
 # One-heap, one-clause-store gate: the CDCL solver branches from an indexed
 # heap of variables and keeps every clause in one literal arena.  A
 # `BinaryHeap` (the lazy order heap: one entry per bump and per unassignment)
