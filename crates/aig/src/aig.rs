@@ -4,10 +4,10 @@
 //!
 //! The graph is stored as a *struct of arrays*: every per-node attribute
 //! (kind, fanins, reference count, level, traversal mark, liveness, birth
-//! stamp) lives in its own dense column indexed by [`NodeId`].  Hot loops —
-//! cut enumeration, MFFC evaluation, simulation, level propagation — stream
-//! through exactly the columns they need instead of pulling whole 32-byte
-//! node structs into cache.
+//! and edit stamps) lives in its own dense column indexed by [`NodeId`].
+//! Hot loops — cut enumeration, MFFC evaluation, simulation, level
+//! propagation — stream through exactly the columns they need instead of
+//! pulling whole 32-byte node structs into cache.
 //!
 //! Fanout lists live in a single shared pool of linked entries
 //! (`fanout_pool`) with one chain head/tail pair per node, so recording a
@@ -135,6 +135,9 @@ pub struct Aig {
     /// normalization, iteration order) use births, so graphs built with and
     /// without slot recycling make identical structural choices.
     birth: Vec<u64>,
+    /// Edit stamp: the `edit_clock` reading at the last write of the slot's
+    /// kind, fanins or liveness (see [`Aig::edit_stamp`]).
+    edited: Vec<u64>,
     // ---- pooled fanout storage ----
     /// Head of each node's fanout chain in `fanout_pool` (`NIL` when empty).
     fanout_head: Vec<u32>,
@@ -151,6 +154,8 @@ pub struct Aig {
     recycling: bool,
     /// Next birth stamp to issue.
     next_birth: u64,
+    /// Next edit stamp to issue.
+    edit_clock: u64,
     // ---- speculative construction ----
     /// Whether a speculation capture is active.
     spec_active: bool,
@@ -166,7 +171,19 @@ pub struct Aig {
     name: String,
     /// Reusable scratch (visit marks + DFS stack) for the `&mut self` cut
     /// entry points, which delegate to the read-only cut engine.
-    cut_scratch: crate::cut::CutScratch,
+    cut_scratch: OwnCutScratch,
+}
+
+/// The graph's private cut scratch.  A clone of the graph starts with an
+/// empty one instead of copying a mark per slot: marks are compared against
+/// the scratch's own epoch, so an empty scratch forms the very same cuts.
+#[derive(Debug, Default)]
+struct OwnCutScratch(crate::cut::CutScratch);
+
+impl Clone for OwnCutScratch {
+    fn clone(&self) -> Self {
+        OwnCutScratch::default()
+    }
 }
 
 impl Default for Aig {
@@ -187,6 +204,7 @@ impl Aig {
             travid: vec![0],
             dead: vec![false],
             birth: vec![0],
+            edited: vec![0],
             fanout_head: vec![NIL],
             fanout_tail: vec![NIL],
             fanout_pool: Vec::new(),
@@ -194,6 +212,7 @@ impl Aig {
             free_slots: Vec::new(),
             recycling: true,
             next_birth: 1,
+            edit_clock: 1,
             spec_active: false,
             spec_log: Vec::new(),
             inputs: Vec::new(),
@@ -203,7 +222,7 @@ impl Aig {
             travid_counter: 0,
             levels_valid: true,
             name: String::new(),
-            cut_scratch: crate::cut::CutScratch::new(),
+            cut_scratch: OwnCutScratch::default(),
         }
     }
 
@@ -211,12 +230,12 @@ impl Aig {
     /// it while borrowing the graph immutably).  Return it with
     /// [`Aig::put_cut_scratch`] to keep its capacity for the next call.
     pub(crate) fn take_cut_scratch(&mut self) -> crate::cut::CutScratch {
-        std::mem::take(&mut self.cut_scratch)
+        std::mem::take(&mut self.cut_scratch.0)
     }
 
     /// Returns the scratch taken by [`Aig::take_cut_scratch`].
     pub(crate) fn put_cut_scratch(&mut self, scratch: crate::cut::CutScratch) {
-        self.cut_scratch = scratch;
+        self.cut_scratch.0 = scratch;
     }
 
     /// Creates an empty AIG with a design name (used in reports and AIGER files).
@@ -382,6 +401,55 @@ impl Aig {
         self.birth[id.as_usize()]
     }
 
+    /// The graph's edit clock: one past the newest edit stamp issued.
+    ///
+    /// Read it before walking the graph; a slot whose
+    /// [`edit_stamp`](Aig::edit_stamp) is below the reading has not had its
+    /// kind, fanins or liveness written since.
+    #[inline]
+    pub fn edit_clock(&self) -> u64 {
+        self.edit_clock
+    }
+
+    /// The edit stamp of `id`'s slot: the [`edit_clock`](Aig::edit_clock)
+    /// reading at which its kind, fanins or liveness was last written —
+    /// when the slot was allocated or recycled, when [`Aig::replace`]
+    /// redirected one of its fanins, or when the node was deleted.
+    /// Reference counts, levels, fanout lists and strash lookups leave it
+    /// alone.
+    ///
+    /// The reconvergence-driven cut engine reads only the kind and fanins of
+    /// a cut's root, cone and leaves, so a cut none of whose nodes was
+    /// stamped since a clock reading is exactly the cut the engine forms
+    /// now, leaf order and cone order included.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use elf_aig::Aig;
+    ///
+    /// let mut aig = Aig::new();
+    /// let (a, b, c) = (aig.add_input(), aig.add_input(), aig.add_input());
+    /// let ab = aig.and(a, b);
+    /// let top = aig.and(ab, c);
+    /// aig.add_output(top);
+    /// let clock = aig.edit_clock();
+    /// assert!(aig.edit_stamp(top.node()) < clock);
+    /// aig.replace(ab.node(), a); // rewrites `top`'s fanin
+    /// assert!(aig.edit_stamp(top.node()) >= clock);
+    /// ```
+    #[inline]
+    pub fn edit_stamp(&self, id: NodeId) -> u64 {
+        self.edited[id.as_usize()]
+    }
+
+    /// Stamps slot `idx` as edited now.
+    #[inline]
+    fn stamp_edit(&mut self, idx: usize) {
+        self.edited[idx] = self.edit_clock;
+        self.edit_clock += 1;
+    }
+
     /// Captures a generation-stamped token for `id` (see [`NodeToken`]).
     #[inline]
     pub fn token(&self, id: NodeId) -> NodeToken {
@@ -450,7 +518,7 @@ impl Aig {
 
     /// Allocates a fresh slot: pops the free list when recycling is enabled,
     /// otherwise grows every column by one.  The slot comes back zeroed with
-    /// a fresh birth stamp; the caller fills kind/fanins/level.
+    /// fresh birth and edit stamps; the caller fills kind/fanins/level.
     fn alloc_slot(&mut self) -> NodeId {
         let stamp = self.next_birth;
         self.next_birth += 1;
@@ -470,10 +538,13 @@ impl Aig {
                 self.level[idx] = 0;
                 self.travid[idx] = 0;
                 self.birth[idx] = stamp;
+                self.stamp_edit(idx);
                 return NodeId::new(slot);
             }
         }
         let id = NodeId::new(self.kind.len() as u32);
+        self.edited.push(0);
+        self.stamp_edit(id.as_usize());
         self.kind.push(KIND_CONST0);
         self.fanin0.push(Lit::FALSE);
         self.fanin1.push(Lit::FALSE);
@@ -1070,6 +1141,7 @@ impl Aig {
         self.strash.entry(new_key).or_insert(fanout);
         self.fanin0[fidx] = f0;
         self.fanin1[fidx] = f1;
+        self.stamp_edit(fidx);
     }
 
     /// Returns `true` if `target` appears in the transitive fanin cone of `root`.
@@ -1115,6 +1187,7 @@ impl Aig {
             self.strash.remove(&key);
         }
         self.dead[idx] = true;
+        self.stamp_edit(idx);
         self.num_ands -= 1;
         self.free_slots.push(root.index());
         for fanin in [f0, f1] {
@@ -1231,7 +1304,8 @@ impl Aig {
 
     /// Verifies internal invariants (reference counts, fanout chains and pool
     /// accounting, hash table consistency, free-list consistency, birth-stamp
-    /// ordering).  Intended for tests and debugging.
+    /// ordering, edit stamps below the clock).  Intended for tests and
+    /// debugging.
     ///
     /// Returns a list of human-readable violations; an empty list means the
     /// graph is consistent.
@@ -1383,6 +1457,12 @@ impl Aig {
         }
         if births.last().is_some_and(|&b| b >= self.next_birth) {
             problems.push("live birth stamp at or above the allocation counter".to_string());
+        }
+        // Edit stamps of every slot, dead ones included, are below the clock.
+        if let Some(idx) = self.edited.iter().position(|&s| s >= self.edit_clock) {
+            problems.push(format!(
+                "slot n{idx} has an edit stamp at or above the clock"
+            ));
         }
         let live_ands = (0..num_slots)
             .filter(|&i| !self.dead[i] && self.kind[i] == KIND_AND)
@@ -1734,6 +1814,97 @@ mod tests {
         assert_eq!(order, vec![top.node(), fresh.node()]);
         let births: Vec<u64> = order.iter().map(|&id| aig.birth(id)).collect();
         assert!(births.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// Every slot's edit stamp, in slot order.
+    fn edit_stamps(aig: &Aig) -> Vec<u64> {
+        (0..aig.num_slots() as u32)
+            .map(|i| aig.edit_stamp(NodeId::new(i)))
+            .collect()
+    }
+
+    #[test]
+    fn and_stamps_new_and_recycled_slots() {
+        let (mut aig, a, b) = two_input_aig();
+        let c = aig.add_input();
+        let clock = aig.edit_clock();
+        let old = aig.and(a, b);
+        assert!(aig.edit_stamp(old.node()) >= clock, "new slot");
+        aig.add_output(old);
+        aig.replace(old.node(), a);
+        let clock = aig.edit_clock();
+        let fresh = aig.and(b, c);
+        assert_eq!(fresh.node(), old.node(), "slot recycled");
+        assert!(aig.edit_stamp(fresh.node()) >= clock, "recycled slot");
+        assert!(aig.check_invariants().is_empty());
+    }
+
+    #[test]
+    fn replace_stamps_rewritten_consumers_and_deleted_nodes() {
+        let (mut aig, a, b) = two_input_aig();
+        let c = aig.add_input();
+        let old = aig.and(a, b);
+        let consumer = aig.and(old, c);
+        let bystander = aig.and(b, c);
+        aig.add_output(consumer);
+        aig.add_output(bystander);
+        let clock = aig.edit_clock();
+        let untouched = aig.edit_stamp(bystander.node());
+        aig.replace(old.node(), !c);
+        assert!(aig.edit_stamp(consumer.node()) >= clock, "rewrite_fanin");
+        assert!(aig.edit_stamp(old.node()) >= clock, "delete_cone");
+        assert_eq!(aig.edit_stamp(bystander.node()), untouched);
+        assert!(aig.check_invariants().is_empty());
+    }
+
+    #[test]
+    fn reject_speculation_stamps_the_deleted_candidates() {
+        let (mut aig, a, b) = two_input_aig();
+        let c = aig.add_input();
+        aig.begin_speculation();
+        let t = aig.and(a, c);
+        let candidate = aig.and(t, b);
+        let clock = aig.edit_clock();
+        aig.reject_speculation();
+        assert!(aig.edit_stamp(candidate.node()) >= clock);
+        assert!(
+            aig.edit_stamp(t.node()) >= clock,
+            "deleted through the cascade"
+        );
+        assert!(aig.check_invariants().is_empty());
+    }
+
+    #[test]
+    fn strash_hits_refs_and_mffc_walks_leave_stamps_alone() {
+        let (mut aig, a, b) = two_input_aig();
+        let c = aig.add_input();
+        let ab = aig.and(a, b);
+        let top = aig.and(ab, c);
+        aig.add_output(top);
+        let (stamps, clock) = (edit_stamps(&aig), aig.edit_clock());
+        assert_eq!(aig.and(b, a), ab, "strash hit");
+        assert_eq!(aig.mffc_size(top.node()), 2);
+        aig.deref_mffc_bounded(top.node(), &[ab.node()]);
+        aig.ref_mffc_bounded(top.node(), &[ab.node()]);
+        aig.add_output(!ab);
+        aig.set_output(1, c);
+        aig.recompute_levels();
+        assert_eq!(edit_stamps(&aig), stamps);
+        assert_eq!(aig.edit_clock(), clock);
+        assert!(aig.check_invariants().is_empty());
+    }
+
+    #[test]
+    fn a_clone_starts_with_an_empty_cut_scratch() {
+        let (mut aig, a, b) = two_input_aig();
+        let f = aig.and(a, b);
+        aig.add_output(f);
+        let _ = aig.reconvergence_cut(f.node(), &crate::CutParams::default());
+        assert!(!aig.cut_scratch.0.is_pristine(), "the cut grew the scratch");
+        let clone = aig.clone();
+        assert!(clone.cut_scratch.0.is_pristine());
+        assert_eq!(edit_stamps(&clone), edit_stamps(&aig));
+        assert_eq!(clone.edit_clock(), aig.edit_clock());
     }
 
     #[test]

@@ -9,8 +9,34 @@
 //! ELF represents every cut with six lightweight structural features (paper
 //! Section III-C, Figure 2): root fanout, root level, total cut fanout, cut
 //! size, number of reconvergent nodes and number of leaves.
+//!
+//! # Counting the features from the fanin side
+//!
+//! Two of the features are defined over fanout edges: the *cut fanout* is
+//! the number of edges leaving the cone (a cone node's fanout whose consumer
+//! is outside the cone, primary outputs included), and a *reconvergent* node
+//! is a leaf, or a cone node other than the root, with two or more consumers
+//! inside the cone.  Walking fanout lists to count them costs the fanout of
+//! every leaf — dozens of edges for a primary input of a multiplier — and a
+//! cone lookup per edge.  [`Aig::cut_features`] reads the same numbers off
+//! the cone's fanin edges instead:
+//!
+//! * every AND node has exactly two fanin edges, and the fanout list of a
+//!   node holds exactly one record per fanin edge that names it plus one per
+//!   primary output it drives — its `refs` (`Aig::check_invariants` asserts
+//!   both);
+//! * so the consumers of a node *inside the cone* are exactly the cone's
+//!   fanin edges that name it: a node or leaf is reconvergent when two or
+//!   more cone fanin edges name it (a consumer whose two fanins are the same
+//!   node counts twice, as its two fanout records do);
+//! * and the cut fanout is `Σ refs` over the cone minus the cone's fanin
+//!   edges that land inside the cone.
+//!
+//! The counts are equal, so the `f32` features are bit-identical to the
+//! fanout scan, which survives as the oracle of
+//! `crates/opt/tests/features.rs`.
 
-use crate::aig::{Aig, Fanout};
+use crate::aig::Aig;
 use crate::lit::NodeId;
 
 /// A reconvergence-driven cut rooted at a single AND node.
@@ -250,6 +276,16 @@ impl CutScratch {
     fn is_marked(&self, id: NodeId) -> bool {
         self.marks[id.as_usize()] == self.travid
     }
+
+    /// Whether no buffer has been grown yet.
+    #[cfg(test)]
+    pub(crate) fn is_pristine(&self) -> bool {
+        self.marks.capacity()
+            + self.stack.capacity()
+            + self.visited.capacity()
+            + self.walk.capacity()
+            == 0
+    }
 }
 
 impl Aig {
@@ -399,58 +435,53 @@ impl Aig {
 
     /// Computes the six ELF cut features for an already-computed cut.
     ///
-    /// Features are cheap accumulations over the cut's nodes, mirroring the
-    /// paper's claim that they can be gathered during cut construction at
-    /// negligible cost.
+    /// The two counts that concern edges — the cut fanout and the
+    /// reconvergent nodes — are defined over fanouts but read from the fanin
+    /// side, which gives the same counts (see the module docs): one pass over
+    /// the cone's `2 × |cone|` fanin edges per 64 leaves or cone nodes, plus
+    /// the cone's `refs`.  Nothing in it grows with a leaf's fanout, which is
+    /// what makes the paper's "gathered during cut construction at
+    /// negligible cost" true when a leaf is a primary input with dozens of
+    /// consumers.
     pub fn cut_features(&self, cut: &Cut) -> CutFeatures {
-        let root_fanout = self.refs(cut.root) as f32;
-        let root_level = self.level(cut.root) as f32;
-        let leaves = cut.num_leaves() as f32;
-        let cut_size = cut.size() as f32;
-
-        // Edges leaving the internal cone: for every internal node (root
-        // included), count fanout edges whose consumer is outside the
-        // internal cone (primary outputs always count).
-        let in_cone = |id: NodeId| cut.cone.contains(&id);
-        let mut cut_fanout = 0usize;
+        // Every fanout edge of a cone node is counted by `refs`; those whose
+        // consumer is in the cone are exactly the cone's fanin edges that
+        // land in the cone.
+        let refs: usize = cut.cone.iter().map(|&node| self.refs(node) as usize).sum();
+        let mut internal_edges = 0usize;
+        // A node with two or more consumers in the cone is the fanin of two
+        // or more cone edges.  The root is the fanin of none (the graph is
+        // acyclic), so it never counts.
         let mut reconvergent = 0usize;
-        for &node in &cut.cone {
-            let mut internal_consumers = 0usize;
-            for fanout in self.fanouts(node) {
-                match fanout {
-                    Fanout::Output(_) => cut_fanout += 1,
-                    Fanout::Node(consumer) => {
-                        if in_cone(consumer) {
-                            internal_consumers += 1;
-                        } else {
-                            cut_fanout += 1;
-                        }
-                    }
+        let blocks = cut
+            .leaves
+            .chunks(64)
+            .map(|block| (block, false))
+            .chain(cut.cone.chunks(64).map(|block| (block, true)));
+        for (block, in_cone) in blocks {
+            // `counts[i]`: the cone edges whose fanin is `block[i]` (a
+            // branch-free compare per lane, which the compiler vectorizes).
+            let mut counts = [0u32; 64];
+            let counts = &mut counts[..block.len()];
+            for &consumer in &cut.cone {
+                let (f0, f1) = self.fanins(consumer);
+                let (f0, f1) = (f0.node(), f1.node());
+                for (count, &node) in counts.iter_mut().zip(block) {
+                    *count += u32::from(node == f0) + u32::from(node == f1);
                 }
             }
-            if node != cut.root && internal_consumers >= 2 {
-                reconvergent += 1;
+            reconvergent += counts.iter().filter(|&&count| count >= 2).count();
+            if in_cone {
+                internal_edges += counts.iter().sum::<u32>() as usize;
             }
         }
-        // Leaves that feed two or more internal nodes also start reconvergent
-        // paths that merge before the root.
-        for &leaf in &cut.leaves {
-            let internal_consumers = self
-                .fanouts(leaf)
-                .filter(|f| matches!(f, Fanout::Node(c) if in_cone(*c)))
-                .count();
-            if internal_consumers >= 2 {
-                reconvergent += 1;
-            }
-        }
-
         CutFeatures {
-            root_fanout,
-            root_level,
-            cut_fanout: cut_fanout as f32,
-            cut_size,
+            root_fanout: self.refs(cut.root) as f32,
+            root_level: self.level(cut.root) as f32,
+            cut_fanout: (refs - internal_edges) as f32,
+            cut_size: cut.size() as f32,
             reconvergent: reconvergent as f32,
-            leaves,
+            leaves: cut.num_leaves() as f32,
         }
     }
 }

@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use elf_circuits::epfl::{arithmetic_circuit, Scale};
 use elf_circuits::industrial_suite;
-use elf_core::{circuit_dataset, ElfClassifier, ElfConfig, ElfRefactor};
-use elf_nn::TrainConfig;
+use elf_core::{circuit_dataset, CutCacheConfig, ElfClassifier, ElfConfig, ElfRefactor};
+use elf_nn::{Mlp, Normalizer, TrainConfig};
 use elf_opt::{
     cut_truth_table, semi_canonicalize, Refactor, RefactorParams, Resubstitution, Rewrite,
 };
@@ -62,6 +62,24 @@ fn bench_cut_pipeline(c: &mut Criterion) {
         .map(|&root| aig.reconvergence_cut(root, &params))
         .find(|cut| cut.num_leaves() == params.max_leaves)
         .expect("the multiplier has full-width cuts");
+    // The feature count on the ten-leaf cut with the most primary-input
+    // leaves, each feeding a row of partial products: the case a fanout
+    // scan paid for per leaf edge.
+    let inputs: Vec<_> = aig.inputs().to_vec();
+    let input_leaves = roots
+        .iter()
+        .map(|&root| aig.reconvergence_cut(root, &params))
+        .filter(|cut| cut.num_leaves() == params.max_leaves)
+        .max_by_key(|cut| {
+            cut.leaves
+                .iter()
+                .filter(|leaf| inputs.contains(leaf))
+                .count()
+        })
+        .expect("the multiplier has full-width cuts");
+    group.bench_function("cut_features/input_leaves", |b| {
+        b.iter(|| std::hint::black_box(aig.cut_features(&input_leaves)));
+    });
     let wide_truth = cut_truth_table(&aig, &wide);
     group.bench_function("isop", |b| {
         b.iter(|| std::hint::black_box(Sop::isop(&wide_truth)));
@@ -98,6 +116,26 @@ fn bench_operator_passes(c: &mut Criterion) {
     });
     group.bench_function("elf_refactor", |b| {
         let elf = ElfRefactor::new(classifier.clone(), ElfConfig::default());
+        b.iter_batched(
+            || circuit.clone(),
+            |mut aig| std::hint::black_box(elf.run(&mut aig)),
+            BatchSize::SmallInput,
+        );
+    });
+    // The batched pruned pass keeping every node, cache off as in the
+    // baseline: against `refactor_baseline` it is the sweep's price, since
+    // a kept node reuses its window unless a commit edited it.
+    group.bench_function("elf_refactor_batched_keep_all", |b| {
+        let keep_all = ElfClassifier::from_parts(
+            Normalizer::from_stats(vec![2.0; 6], vec![1.0; 6]),
+            Mlp::paper_architecture(5),
+            0.0,
+        );
+        let config = ElfConfig {
+            cut_cache: CutCacheConfig::disabled(),
+            ..ElfConfig::default()
+        };
+        let elf = ElfRefactor::new(keep_all, config);
         b.iter_batched(
             || circuit.clone(),
             |mut aig| std::hint::black_box(elf.run(&mut aig)),

@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use elf_aig::{Aig, NodeId, NUM_FEATURES};
+use elf_aig::{Aig, NUM_FEATURES};
 use elf_opt::{CutCache, CutCacheConfig, OpStats, PrunableOperator, Refactor, RefactorParams};
 use elf_par::Parallelism;
 
@@ -283,38 +283,27 @@ impl<O: PrunableOperator> Elf<O> {
         }
     }
 
+    /// The batched pass: the operator sweeps every node's features, this
+    /// classifies them in one batch — normalize with the configured
+    /// statistics, run the forward pass (row-chunked across the same
+    /// workers), threshold — and the operator resynthesizes the kept nodes.
     fn run_batched(&self, aig: &mut Aig, parallelism: Parallelism) -> ElfStats {
         let start = Instant::now();
-
-        // Phase 1: collect the cut features of every node in one sweep,
-        // fanned out over read-only graph access and merged in node order.
-        let feature_start = Instant::now();
-        let features = {
-            let _span = elf_obs::span!("features");
-            self.operator.collect_features_with(aig, parallelism)
-        };
-        let feature_time = feature_start.elapsed();
-
-        // Phase 2: classify all cuts in a single batch — normalize with the
-        // configured statistics, run the forward pass (row-chunked across the
-        // same workers), then threshold.
-        let classify_start = Instant::now();
-        let _classify_span = elf_obs::span!("classify", cuts = features.len());
-        let arrays: Vec<[f32; NUM_FEATURES]> = features.iter().map(|(_, f)| f.to_array()).collect();
-        let rows = self
-            .classifier
-            .normalized_rows(&arrays, self.options.self_normalize);
-        let probabilities = self.classifier.model().predict_with(&rows, parallelism);
-        let keep = self.classifier.decide(&probabilities);
-        let decisions: Vec<(NodeId, bool)> =
-            features.iter().map(|&(node, _)| node).zip(keep).collect();
-        let classify_time = classify_start.elapsed();
-        drop(_classify_span);
-
-        // Phase 3: resynthesize only the nodes the classifier kept.  Phases
-        // 1/2 never mutate the graph, so the decisions describe it as it is.
-        let _mutate_span = elf_obs::span!("mutate");
-        let op = self.operator.run_decided(aig, &decisions);
+        let (mut feature_time, mut classify_time) = (Duration::ZERO, Duration::ZERO);
+        let op = self.operator.run_batched(aig, parallelism, |features| {
+            feature_time = start.elapsed();
+            let classify_start = Instant::now();
+            let _span = elf_obs::span!("classify", cuts = features.len());
+            let rows: Vec<[f32; NUM_FEATURES]> =
+                features.iter().map(|(_, f)| f.to_array()).collect();
+            let rows = self
+                .classifier
+                .normalized_rows(&rows, self.options.self_normalize);
+            let probabilities = self.classifier.model().predict_with(&rows, parallelism);
+            let keep = self.classifier.decide(&probabilities);
+            classify_time = classify_start.elapsed();
+            keep
+        });
         ElfStats {
             feature_time,
             classify_time,

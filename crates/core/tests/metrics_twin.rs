@@ -101,6 +101,19 @@ fn counter_space_metrics_are_bit_identical_across_thread_counts() {
             .any(|name| name.starts_with(names::STAGE_VISITED)),
         "per-stage counters missing from the snapshot"
     );
+    // The batched stages handed kept nodes their sweep windows, as many at
+    // one thread as at four (the diff above covers every series; this pins
+    // that the family is recorded and non-trivial).
+    let reused = |snapshot: &Snapshot| -> u64 {
+        snapshot
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with(names::STAGE_WINDOWS_REUSED))
+            .map(|(_, &count)| count)
+            .sum()
+    };
+    assert!(reused(&snapshot_1) > 0, "no window reused");
+    assert_eq!(reused(&snapshot_1), reused(&snapshot_4));
     assert_eq!(snapshot_1.counters.get(names::VERIFY_CHECKS), Some(&1));
     // The check proved the flow's output: nothing refuted, nothing undecided
     // (`pipeline.rs`'s unit tests hold the refuted twin — only there can the

@@ -86,6 +86,10 @@ pub mod names {
     pub const STAGE_VISITED: &str = "elf_stage_nodes_visited_total";
     /// AND-node gain accumulated per stage (counter; label `stage`).
     pub const STAGE_GAIN: &str = "elf_stage_node_gain_total";
+    /// Kept nodes of a batched pruned pass that were handed the window the
+    /// feature sweep formed instead of forming their cut again (counter;
+    /// label `stage`).
+    pub const STAGE_WINDOWS_REUSED: &str = "elf_stage_windows_reused_total";
 
     /// Cut-cache lookup hits (counter).
     pub const CUT_CACHE_HITS: &str = "elf_cut_cache_hits_total";

@@ -14,9 +14,11 @@
 //! All three implement [`PrunableOperator`]: each supplies its per-node
 //! resynthesis step and its feature window, and one shared pass loop turns
 //! that into the plain run, the labelled-sample recording run, the filtered
-//! run and the run over decisions made up front — all returning [`OpStats`]
-//! — so higher layers (the generic ELF flow `elf_core::Elf<O>`, script-style
-//! pipelines) prune any of them through the code the baseline runs.
+//! run and the batched run that sweeps every node's features, lets a
+//! classifier decide them all at once and hands each kept node the window
+//! the sweep formed — all returning [`OpStats`] — so higher layers (the
+//! generic ELF flow `elf_core::Elf<O>`, script-style pipelines) prune any of
+//! them through the code the baseline runs.
 //!
 //! # Examples
 //!

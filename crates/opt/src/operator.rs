@@ -14,7 +14,7 @@
 //! | [`run`](PrunableOperator::run) | nobody: every node is attempted | no feature scan at all |
 //! | [`run_recording`](PrunableOperator::run_recording) | nobody; the outcome is logged | window + features, one [`LabeledCut`] |
 //! | [`run_with_filter`](PrunableOperator::run_with_filter) | a callback on the node's features | window + features, then the callback |
-//! | [`run_decided`](PrunableOperator::run_decided) | a `(node, keep)` list made up front | nothing but the lookup |
+//! | [`run_batched`](PrunableOperator::run_batched) | a callback on every node's features at once, before the pass | phase 1 formed the window; a kept node whose window is unedited reuses it |
 //!
 //! so the baseline and the pruned arm of every comparison execute the same
 //! function, and a pass that is not observed never pays for features.
@@ -23,6 +23,18 @@
 //! [`elf_aig::NodeToken`]s rather than bare ids: a commit at an earlier
 //! target may free a later target's slot and slot recycling may re-issue it
 //! to a brand-new node, which must not be processed from the stale list.
+//!
+//! **Why windows are reused only when unedited.**  The batched entry's sweep
+//! (phase 1) forms every node's feature window on the unchanged graph and
+//! keeps it.  By the time phase 3 reaches a kept node, earlier commits may
+//! have rewired, deleted or recycled nodes the window spans.  The cut engine
+//! reads only the kind and fanins of a window's root, cone and leaves, and
+//! every write of those stamps the slot ([`Aig::edit_stamp`]); so a window
+//! none of whose nodes was stamped since the sweep is exactly the cut the
+//! engine would form now, leaf and cone order included, and the operator is
+//! handed it instead of forming it a second time.  Any other kept node forms
+//! its cut afresh — the pass is node-for-node the one that re-formed every
+//! cut.
 //!
 //! [`Refactor`]: crate::Refactor
 //! [`Rewrite`]: crate::Rewrite
@@ -114,6 +126,11 @@ pub struct OpStats {
     pub cuts_committed: usize,
     /// Total gain: AND nodes removed minus AND nodes added.
     pub total_gain: i64,
+    /// Resynthesized cuts that were handed the window phase 1 formed for
+    /// them, instead of forming their cut a second time (only
+    /// [`PrunableOperator::run_batched`] keeps windows; a window spanning a
+    /// node an earlier commit edited is formed afresh).
+    pub windows_reused: usize,
     /// Wall-clock time of the pass.
     pub runtime: Duration,
 }
@@ -121,9 +138,9 @@ pub struct OpStats {
 impl OpStats {
     /// Accumulates this pass's counters into `registry` under `stage`-labeled
     /// families (`elf_stage_commits_total{stage="…"}`, rejects, pruned,
-    /// visited, node gain).  All counter-space: bit-identical across thread
-    /// counts for the same workload.  [`Flow`](https://docs.rs/elf-core)
-    /// calls this after every stage.
+    /// visited, node gain, reused windows).  All counter-space:
+    /// bit-identical across thread counts for the same workload.
+    /// [`Flow`](https://docs.rs/elf-core) calls this after every stage.
     pub fn record_into(&self, registry: &elf_obs::metrics::Registry, stage: &str) {
         use elf_obs::names;
         let labels = [("stage", stage)];
@@ -142,6 +159,9 @@ impl OpStats {
         registry
             .counter_with(names::STAGE_GAIN, &labels)
             .add(self.total_gain.max(0) as u64);
+        registry
+            .counter_with(names::STAGE_WINDOWS_REUSED, &labels)
+            .add(self.windows_reused as u64);
     }
 
     /// Fraction of formed cuts that were committed (the paper's "Refactored"
@@ -171,6 +191,7 @@ impl OpStats {
         self.cuts_pruned += other.cuts_pruned;
         self.cuts_committed += other.cuts_committed;
         self.total_gain += other.total_gain;
+        self.windows_reused += other.windows_reused;
         self.runtime += other.runtime;
     }
 }
@@ -239,8 +260,10 @@ enum Policy<'a> {
     Record(&'a mut Vec<LabeledCut>),
     /// Ask the callback, given the node's window features.
     Filter(&'a mut dyn FnMut(NodeId, &CutFeatures) -> bool),
-    /// Visit exactly the listed nodes; the decisions were made up front.
-    Decided(&'a [(NodeId, bool)]),
+    /// Visit exactly the swept nodes, attempting those `keep` marks; the
+    /// decisions were made up front, and the sweep's unedited windows are
+    /// handed over.
+    Decided { sweep: &'a Sweep, keep: &'a [bool] },
 }
 
 /// The pass loop (see the module docs): walks the live, referenced AND nodes
@@ -255,15 +278,17 @@ fn drive<O: PrunableOperator + ?Sized>(
     let mut stats = OpStats::default();
     let window = operator.feature_cut_params();
     let targets: Vec<_> = match &policy {
-        Policy::Decided(decisions) => decisions
+        Policy::Decided { sweep, keep } => sweep
+            .features
             .iter()
-            .map(|&(node, keep)| (aig.token(node), keep))
+            .zip(keep.iter())
+            .map(|(&(node, _), &keep)| (aig.token(node), keep))
             .collect(),
         _ => aig.and_ids().map(|id| (aig.token(id), true)).collect(),
     };
     let observed = matches!(policy, Policy::Record(_) | Policy::Filter(_));
     let mut scratch = PassScratch::new();
-    for (token, mut keep) in targets {
+    for (index, (token, mut keep)) in targets.into_iter().enumerate() {
         let node = token.id();
         if !aig.token_is_current(token) || aig.refs(node) == 0 {
             continue;
@@ -282,7 +307,12 @@ fn drive<O: PrunableOperator + ?Sized>(
             continue;
         }
         stats.cuts_resynthesized += 1;
-        let gain = operator.resynthesize(aig, node, &mut scratch, observed);
+        let mut holds_window = observed;
+        if let Policy::Decided { sweep, .. } = &policy {
+            holds_window = sweep.load_unedited(index, node, aig, &mut scratch.cut);
+            stats.windows_reused += usize::from(holds_window);
+        }
+        let gain = operator.resynthesize(aig, node, &mut scratch, holds_window);
         if let Some(gain) = gain {
             stats.cuts_committed += 1;
             stats.total_gain += gain;
@@ -297,6 +327,103 @@ fn drive<O: PrunableOperator + ?Sized>(
     }
     stats.runtime = start.elapsed();
     stats
+}
+
+/// Phase 1 of a batched pass: every live, referenced AND node's window
+/// features in the order the pass visits them, and — for an operator that
+/// resynthesizes its window — the windows themselves, all in one buffer:
+/// window `i` is `windows[spans[i].0..]`, its leaves and then its cone.
+#[derive(Debug, Default)]
+struct Sweep {
+    /// [`Aig::edit_clock`] before the first window was formed.
+    clock: u64,
+    features: Vec<(NodeId, CutFeatures)>,
+    windows: Vec<NodeId>,
+    /// Per window: where it starts in `windows`, its leaf and cone counts.
+    spans: Vec<(usize, u32, u32)>,
+}
+
+/// How many chunks each worker's share of a sweep is cut into: enough that
+/// cones of uneven size still balance, few enough that merging the chunks'
+/// stores costs nothing.
+const SWEEP_CHUNKS_PER_THREAD: usize = 8;
+
+impl Sweep {
+    /// Forms the `window` cut of every live, referenced AND node in arena
+    /// order, chunked across `parallelism` workers (each with one
+    /// [`CutScratch`] and one [`Cut`]) and merged back in chunk order, so
+    /// the sweep is the same for every thread count.  The windows are kept
+    /// only when `keep_windows`.
+    fn of(aig: &Aig, window: CutParams, parallelism: Parallelism, keep_windows: bool) -> Sweep {
+        let clock = aig.edit_clock();
+        let targets: Vec<NodeId> = aig.and_ids().filter(|&node| aig.refs(node) > 0).collect();
+        let chunk_len = targets
+            .len()
+            .div_ceil(SWEEP_CHUNKS_PER_THREAD * parallelism.num_threads())
+            .max(1);
+        let chunks: Vec<&[NodeId]> = targets.chunks(chunk_len).collect();
+        let swept = parallelism.map_with(
+            &chunks,
+            || (CutScratch::new(), Cut::empty()),
+            |(scratch, cut), _, chunk| {
+                let mut part = Sweep::default();
+                for &node in *chunk {
+                    aig.reconvergence_cut_with(node, &window, scratch, cut);
+                    part.features.push((node, aig.cut_features(cut)));
+                    if keep_windows {
+                        part.push_window(cut);
+                    }
+                }
+                part
+            },
+        );
+        let mut sweep = Sweep {
+            clock,
+            features: Vec::with_capacity(targets.len()),
+            ..Sweep::default()
+        };
+        for part in swept {
+            let offset = sweep.windows.len();
+            sweep.features.extend(part.features);
+            sweep.windows.extend(part.windows);
+            let spans = part.spans.into_iter();
+            sweep
+                .spans
+                .extend(spans.map(|(at, leaves, cone)| (at + offset, leaves, cone)));
+        }
+        sweep
+    }
+
+    fn push_window(&mut self, cut: &Cut) {
+        let at = self.windows.len();
+        self.windows.extend_from_slice(&cut.leaves);
+        self.windows.extend_from_slice(&cut.cone);
+        let (leaves, cone) = (cut.leaves.len() as u32, cut.cone.len() as u32);
+        self.spans.push((at, leaves, cone));
+    }
+
+    /// Copies the window of the `index`-th swept node (`root`) into `cut`
+    /// when the sweep kept it and none of its nodes has been stamped since
+    /// the sweep: then it is exactly the cut the engine forms now.
+    fn load_unedited(&self, index: usize, root: NodeId, aig: &Aig, cut: &mut Cut) -> bool {
+        let Some(&(at, leaves, cone)) = self.spans.get(index) else {
+            return false;
+        };
+        let window = &self.windows[at..][..(leaves + cone) as usize];
+        if window
+            .iter()
+            .any(|&node| aig.edit_stamp(node) >= self.clock)
+        {
+            return false;
+        }
+        let (leaves, cone) = window.split_at(leaves as usize);
+        cut.root = root;
+        cut.leaves.clear();
+        cut.leaves.extend_from_slice(leaves);
+        cut.cone.clear();
+        cut.cone.extend_from_slice(cone);
+        true
+    }
 }
 
 /// A logic-optimization operator over And-Inverter Graphs whose per-node
@@ -338,6 +465,13 @@ pub trait PrunableOperator {
     /// The reconvergence-driven window whose features describe a node to a
     /// classifier.
     fn feature_cut_params(&self) -> CutParams;
+
+    /// Whether [`resynthesize`](Self::resynthesize) works on the node's
+    /// feature window when it is handed one (`holds_window`).  Then
+    /// [`run_batched`](Self::run_batched) keeps every window its sweep forms
+    /// and hands an unedited one over; an operator that weighs cuts of its
+    /// own says `false`, and pays for neither storing nor restoring them.
+    const RESYNTHESIZES_WINDOW: bool;
 
     /// Attempts resynthesis at `node` and commits the result when it
     /// improves the graph, returning `Some(achieved_gain)` on commit.
@@ -393,22 +527,85 @@ pub trait PrunableOperator {
         drive(self, aig, Policy::Filter(keep))
     }
 
-    /// Runs the pass over exactly the nodes of `decisions`, in that order,
-    /// attempting those marked `true` and pruning the rest — the mutation
-    /// phase of a flow that collected features and classified them in one
-    /// batch beforehand.  The list must describe the graph as it is now.
-    fn run_decided(&self, aig: &mut Aig, decisions: &[(NodeId, bool)]) -> OpStats {
-        drive(self, aig, Policy::Decided(decisions))
+    /// Runs the pass with every decision made in one batch up front (the
+    /// paper's batched Algorithm 2) — the three phases of a pruned pass:
+    ///
+    /// 1. a sweep forms the window features of every live, referenced AND
+    ///    node, in arena order, fanned out across `parallelism` workers over
+    ///    shared graph access (the same for every thread count);
+    /// 2. `classify` gets them all and returns one keep decision per node,
+    ///    in that order;
+    /// 3. the pass visits the nodes in that order, attempting the kept ones
+    ///    and pruning the rest.
+    ///
+    /// Phases 1 and 2 never mutate the graph.  A kept node whose window no
+    /// earlier commit has edited is handed the window phase 1 formed
+    /// ([`OpStats::windows_reused`]); any other forms its cut afresh, so the
+    /// result is node for node that of forming every cut again.
+    /// [`OpStats::runtime`] is phase 3's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `classify` returns other than one decision per node.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use elf_aig::Aig;
+    /// use elf_opt::{PrunableOperator, Refactor};
+    /// use elf_par::Parallelism;
+    ///
+    /// let mut aig = Aig::new();
+    /// let inputs = aig.add_inputs(4);
+    /// let ab = aig.and(inputs[0], inputs[1]);
+    /// let cd = aig.and(inputs[2], inputs[3]);
+    /// let abcd = aig.and(ab, cd);
+    /// let f = aig.or(ab, abcd);
+    /// aig.add_output(f);
+    ///
+    /// // Keep the nodes whose window has three leaves or more.
+    /// let stats = Refactor::default().run_batched(&mut aig, Parallelism::sequential(), |rows| {
+    ///     rows.iter().map(|(_, features)| features.leaves >= 3.0).collect()
+    /// });
+    /// assert_eq!(stats.cuts_pruned + stats.cuts_resynthesized, stats.cuts_formed);
+    /// assert!(stats.total_gain >= 1);
+    /// ```
+    fn run_batched(
+        &self,
+        aig: &mut Aig,
+        parallelism: Parallelism,
+        mut classify: impl FnMut(&[(NodeId, CutFeatures)]) -> Vec<bool>,
+    ) -> OpStats {
+        let window = self.feature_cut_params();
+        let sweep = {
+            let _span = elf_obs::span!("features");
+            Sweep::of(aig, window, parallelism, Self::RESYNTHESIZES_WINDOW)
+        };
+        let keep = classify(&sweep.features);
+        assert_eq!(
+            keep.len(),
+            sweep.features.len(),
+            "one keep decision per swept node"
+        );
+        let _span = elf_obs::span!("mutate");
+        drive(
+            self,
+            aig,
+            Policy::Decided {
+                sweep: &sweep,
+                keep: &keep,
+            },
+        )
     }
 
     /// Collects the window features of every live, referenced AND node
-    /// without resynthesizing anything (phase 1 of the ELF flow), fanned out
-    /// across `parallelism` workers over shared graph access.
+    /// without resynthesizing anything: phase 1 of
+    /// [`run_batched`](Self::run_batched), its windows dropped.
     ///
     /// The nodes are listed once in arena order (the order the pass visits
-    /// them), chunked across the workers and merged back in that order.
-    /// Each worker owns one [`CutScratch`] and one [`Cut`] reused across its
-    /// nodes; cut computation is read-only, so the result is
+    /// them), chunked across `parallelism` workers and merged back in that
+    /// order.  Each worker owns one [`CutScratch`] and one [`Cut`] reused
+    /// across its nodes; cut computation is read-only, so the result is
     /// **bit-identical** for every thread count.
     ///
     /// # Examples
@@ -434,16 +631,7 @@ pub trait PrunableOperator {
         aig: &Aig,
         parallelism: Parallelism,
     ) -> Vec<(NodeId, CutFeatures)> {
-        let window = self.feature_cut_params();
-        let targets: Vec<NodeId> = aig.and_ids().filter(|&node| aig.refs(node) > 0).collect();
-        parallelism.map_with(
-            &targets,
-            || (CutScratch::new(), Cut::empty()),
-            |(scratch, cut), _, &node| {
-                aig.reconvergence_cut_with(node, &window, scratch, cut);
-                (node, aig.cut_features(cut))
-            },
-        )
+        Sweep::of(aig, self.feature_cut_params(), parallelism, false).features
     }
 }
 
@@ -544,17 +732,24 @@ mod tests {
         assert_eq!(stats.total_gain, 3);
     }
 
-    /// A one-entry decision list is the per-node entry point: the pass
-    /// visits that node only and attempts or prunes it as told.
+    /// A batch that keeps one node is the per-node entry point: the pass
+    /// visits every node, attempts that one only and prunes the rest.
     fn check_single_node_decision<O: PrunableOperator>(operator: &O) {
         for keep in [true, false] {
             let mut aig = redundant_circuit();
             let node = aig.and_ids().last().expect("an AND node exists");
-            let stats = operator.run_decided(&mut aig, &[(node, keep)]);
-            assert_eq!(stats.nodes_visited, 1, "{}", O::NAME);
+            let live = aig.num_reachable_ands();
+            let stats = operator.run_batched(&mut aig, Parallelism::sequential(), |rows| {
+                rows.iter().map(|&(id, _)| keep && id == node).collect()
+            });
+            assert_eq!(stats.nodes_visited, live, "{}", O::NAME);
             assert_eq!(stats.cuts_resynthesized, usize::from(keep), "{}", O::NAME);
-            assert_eq!(stats.cuts_pruned, usize::from(!keep), "{}", O::NAME);
+            assert_eq!(stats.cuts_pruned, live - usize::from(keep), "{}", O::NAME);
             assert!(stats.cuts_committed <= stats.cuts_resynthesized);
+            // Nothing before the kept node commits, so its window is reused
+            // by the operators that resynthesize it.
+            let reused = usize::from(keep && O::RESYNTHESIZES_WINDOW);
+            assert_eq!(stats.windows_reused, reused, "{}", O::NAME);
         }
     }
 

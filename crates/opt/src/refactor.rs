@@ -111,6 +111,9 @@ impl Refactor {
 impl PrunableOperator for Refactor {
     const NAME: &'static str = "refactor";
 
+    /// The window is the cut this operator resynthesizes.
+    const RESYNTHESIZES_WINDOW: bool = true;
+
     fn feature_cut_params(&self) -> CutParams {
         self.params.cut
     }

@@ -86,6 +86,9 @@ impl Resubstitution {
 impl PrunableOperator for Resubstitution {
     const NAME: &'static str = "resub";
 
+    /// The window is the cut this operator resynthesizes.
+    const RESYNTHESIZES_WINDOW: bool = true;
+
     fn feature_cut_params(&self) -> CutParams {
         self.params.cut
     }

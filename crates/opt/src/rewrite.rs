@@ -427,6 +427,9 @@ impl CutWindow {
 impl PrunableOperator for Rewrite {
     const NAME: &'static str = "rewrite";
 
+    /// Rewrite weighs the node's own k-feasible cuts, never its window.
+    const RESYNTHESIZES_WINDOW: bool = false;
+
     fn feature_cut_params(&self) -> CutParams {
         self.params.feature_cut
     }

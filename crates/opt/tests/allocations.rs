@@ -5,7 +5,12 @@
 //! made 351 (a `Vec` per quotient, remainder, cube and reduction level, a
 //! `Box` per gate, and the whole tree a second time to decanonicalize it).
 //!
-//! One test function: the count is per thread, and nothing else runs on it.
+//!
+//! A batched pruned pass (`Elf<Refactor>`, keep-everything classifier) adds
+//! phase 1's feature sweep, whose window store must amortise — grow a few
+//! times per pass, never once per node — and the classifier's batch.
+//!
+//! The count is per thread, and a test function is alone on its thread.
 
 // A global allocator cannot be written without `unsafe impl`; this test
 // binary is the workspace's one exception to `unsafe_code = "deny"`.
@@ -15,6 +20,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use elf_circuits::epfl::{multiplier, Scale};
+use elf_core::{Elf, ElfClassifier, ElfOptions, Parallelism};
+use elf_nn::{Mlp, Normalizer};
 use elf_opt::{CutCache, CutCacheConfig, PrunableOperator, Refactor, RefactorParams};
 
 thread_local! {
@@ -84,4 +91,46 @@ fn a_plain_refactor_pass_allocates_a_handful_of_times_per_node() {
             if cached { "warm" } else { "off" },
         );
     }
+}
+
+/// Allocations per visited node of a batched pruned pass above which its
+/// window store (or anything else of phases 1–3) allocates per node.
+/// Measured: 4.42, cache off — the pass's own 2.42 (the plain pass's 2.1,
+/// plus 0.3 for the sweep's chunk stores growing by doubling and the target
+/// list) and the classifier's 2.0 per row (`normalized_rows` copies each row
+/// into the self-normalisation dataset and returns a `Vec` per row).  A
+/// `Vec` per stored window would read 5.4.
+const BATCHED_CEILING: f64 = 5.0;
+
+#[test]
+fn a_batched_pruned_pass_amortises_its_window_store() {
+    let source = multiplier(Scale::Tiny);
+    let keep_all = ElfClassifier::from_parts(
+        Normalizer::from_stats(vec![2.0; 6], vec![1.0; 6]),
+        Mlp::paper_architecture(5),
+        0.0,
+    );
+    let options = ElfOptions {
+        cut_cache: CutCacheConfig::disabled(),
+        ..ElfOptions::default()
+    };
+    let elf = Elf::with_operator(keep_all, Refactor::default(), options);
+    let first = elf.run_with(&mut source.clone(), Parallelism::sequential());
+    let mut aig = source.clone();
+    let before = ALLOCATIONS.with(Cell::get);
+    let stats = elf.run_with(&mut aig, Parallelism::sequential());
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+
+    assert_eq!(stats.op.cuts_committed, first.op.cuts_committed);
+    assert_eq!(stats.pruned, 0);
+    assert!(stats.op.nodes_visited > 200, "{stats:?}");
+    assert!(
+        stats.op.windows_reused > stats.op.nodes_visited / 2,
+        "{stats:?}"
+    );
+    let per_node = allocations as f64 / stats.op.nodes_visited as f64;
+    assert!(
+        per_node <= BATCHED_CEILING,
+        "{per_node:.2} allocations per node: {allocations} over {stats:?}"
+    );
 }

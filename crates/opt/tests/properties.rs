@@ -1,6 +1,8 @@
 //! Property-based tests: every optimization operator must preserve the
 //! function of the network and never increase the reachable node count.
 
+use std::collections::HashMap;
+
 use elf_aig::{check_equivalence, Aig, Cut, CutFeatures, EquivalenceResult, Lit, NodeId};
 use elf_circuits::{script_strategy, scripted_circuit};
 use elf_opt::{
@@ -113,10 +115,12 @@ fn structure(aig: &Aig) -> Structure {
 }
 
 /// What every keep-everything twin of a pass must reproduce: the plain
-/// pass's network, node for node, and its statistics but for the wall clock.
+/// pass's network, node for node, and its statistics but for the wall clock
+/// and the windows a batched pass reused (a plain pass keeps none).
 fn outcome(aig: &Aig, stats: &OpStats) -> (Structure, OpStats) {
     let counters = OpStats {
         runtime: std::time::Duration::ZERO,
+        windows_reused: 0,
         ..*stats
     };
     (structure(aig), counters)
@@ -124,8 +128,8 @@ fn outcome(aig: &Aig, stats: &OpStats) -> (Structure, OpStats) {
 
 /// Runs `operator` on copies of `source` plainly and through every driver
 /// policy that ends up keeping every node — an always-true filter, the
-/// recording pass, an all-true decision list — and asserts each twin equals
-/// the plain pass.
+/// recording pass, a batch that keeps everything — and asserts each twin
+/// equals the plain pass.
 fn check_keep_all_policies<O: PrunableOperator>(operator: &O, source: &Aig) {
     let mut plain = source.clone();
     let plain_stats = operator.run(&mut plain);
@@ -151,19 +155,12 @@ fn check_keep_all_policies<O: PrunableOperator>(operator: &O, source: &Aig) {
     let committed = samples.iter().filter(|sample| sample.committed).count();
     assert_eq!(committed, plain_stats.cuts_committed);
 
-    let mut decided = source.clone();
-    let decisions: Vec<(NodeId, bool)> = operator
-        .collect_features_with(source, Parallelism::sequential())
-        .into_iter()
-        .map(|(node, _)| (node, true))
-        .collect();
-    let stats = operator.run_decided(&mut decided, &decisions);
-    assert_eq!(
-        &outcome(&decided, &stats),
-        &expected,
-        "{} decisions",
-        O::NAME
-    );
+    let mut batched = source.clone();
+    let stats = operator.run_batched(&mut batched, Parallelism::sequential(), |rows| {
+        vec![true; rows.len()]
+    });
+    assert_eq!(&outcome(&batched, &stats), &expected, "{} batch", O::NAME);
+    assert!(stats.windows_reused <= stats.cuts_resynthesized);
 }
 
 /// `Elf` around `operator` with a keep-everything classifier, in batched
@@ -200,6 +197,87 @@ fn check_keep_all_elf<O: PrunableOperator + Clone>(operator: &O, source: &Aig) {
             (0, plain_stats.cuts_resynthesized)
         );
     }
+}
+
+/// The batched entry — the sweep's unedited windows handed to the kept
+/// nodes — against a filtered pass whose callback ignores the features and
+/// looks each node up in the decisions the batch made: the same network node
+/// for node, the same counters but the clock and the reused windows, at 1, 2
+/// and 4 workers.  Returns the windows the batch reused at one worker.
+fn check_batched_against_filter<O: PrunableOperator>(
+    operator: &O,
+    source: &Aig,
+    keep: impl Fn(NodeId) -> bool,
+) -> usize {
+    let mut reused = Vec::new();
+    for threads in [1, 2, 4] {
+        let mut decisions = HashMap::new();
+        let mut batched = source.clone();
+        let stats = operator.run_batched(&mut batched, Parallelism::threads(threads), |rows| {
+            decisions.extend(rows.iter().map(|&(node, _)| (node, keep(node))));
+            rows.iter().map(|&(node, _)| keep(node)).collect()
+        });
+        let mut filtered = source.clone();
+        let twin =
+            operator.run_with_filter(&mut filtered, &mut |node, _: &CutFeatures| decisions[&node]);
+        assert_eq!(
+            outcome(&batched, &stats),
+            outcome(&filtered, &twin),
+            "{} at {threads} threads",
+            O::NAME
+        );
+        assert!(stats.windows_reused <= stats.cuts_resynthesized);
+        if !O::RESYNTHESIZES_WINDOW {
+            assert_eq!(stats.windows_reused, 0, "{}", O::NAME);
+        }
+        reused.push(stats.windows_reused);
+    }
+    assert!(reused.windows(2).all(|w| w[0] == w[1]), "{reused:?}");
+    reused[0]
+}
+
+/// f = (a & b) | (a & c) feeding n = f & d, then g = (b & d) | (b & e):
+/// refactor commits at f, freeing f's cone (inside n's window), commits at
+/// g, whose build pops those slots, and only then reaches n — whose stored
+/// window now names two recycled slots and a rewired root.
+#[test]
+fn a_window_whose_slots_were_freed_and_recycled_is_formed_afresh() {
+    let mut aig = Aig::new();
+    let [a, b, c, d, e] = [(); 5].map(|_| aig.add_input());
+    let ab = aig.and(a, b);
+    let ac = aig.and(a, c);
+    let f = aig.or(ab, ac);
+    let bd = aig.and(b, d);
+    let be = aig.and(b, e);
+    let g = aig.or(bd, be);
+    let n = aig.and(f, d);
+    aig.add_output(n);
+    aig.add_output(g);
+
+    let refactor = Refactor::default();
+    let window = aig.reconvergence_cut(n.node(), &refactor.params().cut);
+    let tokens: Vec<_> = window
+        .leaves
+        .iter()
+        .chain(&window.cone)
+        .map(|&id| aig.token(id))
+        .collect();
+    let reused = check_batched_against_filter(&refactor, &aig, |_| true);
+
+    let mut after = aig.clone();
+    let stats = refactor.run_batched(&mut after, Parallelism::sequential(), |rows| {
+        vec![true; rows.len()]
+    });
+    assert_eq!(stats.cuts_committed, 2, "{stats:?}");
+    let recycled = tokens
+        .iter()
+        .filter(|&&token| !after.token_is_current(token) && !after.is_dead(token.id()))
+        .count();
+    assert!(recycled >= 1, "no slot of n's window was recycled");
+    assert!(after.token_is_current(aig.token(n.node())), "n survives");
+    // n and everything after the first commit that touched it re-form.
+    assert_eq!(reused, stats.windows_reused);
+    assert!(stats.windows_reused < stats.cuts_resynthesized, "{stats:?}");
 }
 
 proptest! {
@@ -301,6 +379,22 @@ proptest! {
         check_filtered_run(&Refactor::default(), scripted_circuit(5, &script), mask, 51);
         check_filtered_run(&Rewrite::default(), scripted_circuit(5, &script), mask, 52);
         check_filtered_run(&Resubstitution::default(), scripted_circuit(5, &script), mask, 53);
+    }
+
+    /// A batch with windows reused equals the filtered pass given the same
+    /// decisions, for every operator, random decision sets and 1/2/4
+    /// workers — commits free and recycle slots inside later windows, and
+    /// reordered fanout lists feed the next windows' features.
+    #[test]
+    fn batched_pass_with_reused_windows_matches_filtered_twin(
+        script in script_strategy(40),
+        mask in any::<u64>(),
+    ) {
+        let source = scripted_circuit(6, &script);
+        let keep = |node: NodeId| pseudo_random_keep(node, mask) || mask & 1 == 0;
+        check_batched_against_filter(&Refactor::default(), &source, keep);
+        check_batched_against_filter(&Rewrite::default(), &source, keep);
+        check_batched_against_filter(&Resubstitution::default(), &source, keep);
     }
 
     /// Keeping every node is a no-op wrapper, for every operator and every

@@ -94,6 +94,45 @@ if [ -n "$boxed" ]; then
 fi
 echo "static-gate: resynthesis stays off the heap"
 
+# Features from the fanin side: `Aig::cut_features` counts the cut fanout
+# and the reconvergent nodes off the cone's fanin edges.  A `fanouts(` walk
+# or a `contains(` lookup in its non-test body is the per-leaf fanout scan
+# coming back (it survives only as the oracle of
+# `crates/opt/tests/features.rs`).
+if ! grep -q 'pub fn cut_features(' crates/aig/src/cut.rs; then
+    echo "static-gate: Aig::cut_features not found in crates/aig/src/cut.rs" >&2
+    exit 1
+fi
+scan=$(awk '
+    /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+    /pub fn cut_features\(/ { inside = 1 }
+    !inside || /^[[:space:]]*\/\// { next }
+    /fanouts\(|contains\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    /^    }$/ { inside = 0 }
+' crates/aig/src/cut.rs)
+if [ -n "$scan" ]; then
+    echo "$scan"
+    echo "static-gate: fanout scan in non-test Aig::cut_features" >&2
+    exit 1
+fi
+echo "static-gate: cut features are counted from the fanin side"
+
+# One batched entry: a pruned pass sweeps, classifies and mutates through
+# `PrunableOperator::run_batched`, which reuses the sweep's windows.  A
+# `run_decided` outside tests is the second, window-less phase 3 coming back.
+decided=$(find crates/*/src crates/bench/benches src examples -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /run_decided/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+')
+if [ -n "$decided" ]; then
+    echo "$decided"
+    echo "static-gate: run_decided outside tests" >&2
+    exit 1
+fi
+echo "static-gate: one batched entry (no run_decided)"
+
 # Unsafe code is denied workspace-wide (`unsafe_code = "deny"` in Cargo.toml);
 # the one sanctioned opt-out is the counting allocator of the allocation test.
 unsafe_allowed=$(grep -rln --include='*.rs' 'allow(unsafe_code)' src crates tests examples elf-perf/src elf-perf/tests vendor \
