@@ -1,6 +1,5 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md:
-//! decision threshold, batched vs per-node classification, level-preserving
-//! refactoring, and cut size.
+//! decision threshold, level-preserving refactoring, and cut size.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use elf_aig::CutParams;
@@ -35,30 +34,6 @@ fn bench_threshold(c: &mut Criterion) {
         tuned.set_threshold(threshold);
         let elf = ElfRefactor::new(tuned, ElfConfig::default());
         group.bench_function(format!("threshold_{threshold}"), |b| {
-            b.iter_batched(
-                || circuit.clone(),
-                |mut aig| std::hint::black_box(elf.run(&mut aig)),
-                BatchSize::SmallInput,
-            );
-        });
-    }
-    group.finish();
-}
-
-/// Batch-upfront classification (the paper's design) vs classifying each cut
-/// as the iteration reaches it.
-fn bench_batching(c: &mut Criterion) {
-    let circuit = arithmetic_circuit("multiplier", Scale::Tiny);
-    let classifier = trained_classifier();
-    let mut group = c.benchmark_group("ablation_batching");
-    group.sample_size(10);
-    for (label, batch) in [("batched", true), ("per_node", false)] {
-        let config = ElfConfig {
-            batch_classification: batch,
-            ..Default::default()
-        };
-        let elf = ElfRefactor::new(classifier.clone(), config);
-        group.bench_function(label, |b| {
             b.iter_batched(
                 || circuit.clone(),
                 |mut aig| std::hint::black_box(elf.run(&mut aig)),
@@ -117,10 +92,5 @@ fn bench_refactor_params(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_threshold,
-    bench_batching,
-    bench_refactor_params
-);
+criterion_group!(benches, bench_threshold, bench_refactor_params);
 criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Equivalence-checking benchmark: the PR 8 correctness-gate experiment.
+//! Equivalence-checking benchmark: the correctness-gate experiment.
 //!
 //! The circuit set is the determinism-suite job set (the scripted random
 //! circuits the serving layer's determinism stress tests hammer) plus the
@@ -92,7 +92,18 @@ fn millis(duration: Duration) -> f64 {
 }
 
 fn main() -> ExitCode {
-    let options = HarnessOptions::from_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let options = match HarnessOptions::parse(&args) {
+        Ok(options) => options,
+        Err(message) => {
+            eprintln!("error: {message}");
+            eprintln!(
+                "usage: cec [--quick] [--scale tiny|default|paper] [--epochs N] [--seed N] \
+                 [--threads N] [--json PATH]"
+            );
+            return ExitCode::from(2);
+        }
+    };
 
     // One small trainer circuit feeds the classifier used by every pruned
     // stage — the experiment measures the verifier, not classifier quality.

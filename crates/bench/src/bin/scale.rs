@@ -11,25 +11,41 @@
 
 use std::time::Instant;
 
-use elf_bench::{write_json_file, HarnessOptions, Json};
+use elf_bench::{take_flag, write_json_file, HarnessOptions, Json};
 use elf_circuits::{generate_large_circuit, scripted_circuit};
 use elf_core::{circuit_dataset, ElfClassifier, ElfOptions, Flow};
 use elf_nn::TrainConfig;
 use elf_opt::{PrunableOperator, Refactor, RefactorParams};
 use elf_par::Parallelism;
 
-fn main() {
-    let options = HarnessOptions::from_args();
-    let args: Vec<String> = std::env::args().collect();
+const USAGE: &str = "usage: scale [--quick] [--nodes N] [--epochs N] [--seed N] [--threads N] \
+[--json PATH]";
+
+/// Parses the arguments after the program name into the harness options,
+/// the `--quick` switch and the `--nodes` target.
+fn parse_args(mut args: Vec<String>) -> Result<(HarnessOptions, bool, Option<usize>), String> {
+    let nodes = match take_flag(&mut args, "--nodes")? {
+        Some(value) => Some(
+            value
+                .parse()
+                .map_err(|_| format!("--nodes has malformed value `{value}`"))?,
+        ),
+        None => None,
+    };
     let quick = args.iter().any(|a| a == "--quick");
+    Ok((HarnessOptions::parse(&args)?, quick, nodes))
+}
+
+fn main() {
+    let (options, quick, nodes) =
+        parse_args(std::env::args().skip(1).collect()).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        });
     // Generation sheds ~40% of the gate budget as unreachable logic, so the
     // targets are set to land ≈100k (quick) / ≥1M (default) live ANDs.
-    let mut target = if quick { 160_000 } else { 1_700_000 };
-    if let Some(index) = args.iter().position(|a| a == "--nodes") {
-        if let Some(value) = args.get(index + 1).and_then(|v| v.parse().ok()) {
-            target = value;
-        }
-    }
+    let target = nodes.unwrap_or(if quick { 160_000 } else { 1_700_000 });
 
     println!(
         "Scale bench: target {target} AND nodes, seed {}",

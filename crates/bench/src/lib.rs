@@ -2,10 +2,10 @@
 //!
 //! Benchmark harness regenerating every table and figure of the ELF paper.
 //!
-//! Each binary in `src/bin/` corresponds to one experiment:
+//! The `paper` binary prints one paper artifact per subcommand:
 //!
-//! | Binary | Paper artifact |
-//! |--------|----------------|
+//! | Subcommand | Paper artifact |
+//! |------------|----------------|
 //! | `table1` | Table I — EPFL arithmetic circuit statistics |
 //! | `table2` | Table II — industrial circuit statistics |
 //! | `table3` | Table III — ABC refactor vs ELF on the arithmetic suite |
@@ -14,14 +14,22 @@
 //! | `table6` | Table VI — large synthetic circuits |
 //! | `table7` | Table VII — classifier quality on the arithmetic suite |
 //! | `table8` | Table VIII — classifier quality on industrial designs |
+//! | `rewrite` | The conclusion's extension: the same protocol over rewrite |
 //! | `fig1` | Figure 1 — redundancy / pruning flow percentages |
 //! | `fig3` | Figure 3 — t-SNE embedding of the feature space (CSV) |
 //! | `fig4` | Figure 4 — SHAP values per feature |
 //! | `summary` | Headline numbers (average speed-up, worst-case area loss) |
 //!
+//! Every subcommand draws on one leave-one-out protocol,
+//! [`elf_core::Suite`].  Beside it, `scale` pushes a 1M-AND circuit through
+//! a pruned flow and `cec` SAT-proves pruned flows equivalent.
+//!
 //! All binaries accept `--scale tiny|default|paper` (default: `default`) to
-//! trade fidelity against runtime, `--epochs N` to cap training epochs, and
-//! `--seed N`.  Absolute runtimes differ from the paper (the baseline is this
+//! trade fidelity against runtime, `--quick` for the cheapest smoke run,
+//! `--epochs N` to cap training epochs, `--seed N` and `--threads N`, and
+//! those that persist results (`paper table3`, `scale`, `cec`) take
+//! `--json PATH`; an unknown flag or a malformed value is an error.
+//! Absolute runtimes differ from the paper (the baseline is this
 //! repository's own refactor implementation rather than ABC's C code), but
 //! the relative behaviour — speed-up factors, near-zero area loss, recall and
 //! accuracy ranges — is directly comparable.
@@ -31,11 +39,9 @@ use std::time::Duration;
 
 use elf_circuits::epfl::{arithmetic_suite, Scale};
 use elf_circuits::{industrial_suite, synthetic_suite};
-use elf_core::experiment::{
-    compare_on_circuit, quality_on_circuit, ComparisonRow, ExperimentConfig, QualityRow,
-};
-use elf_core::{circuit_dataset_standardized, BenchCircuit, ElfClassifier};
-use elf_nn::{Dataset, TrainConfig};
+use elf_core::experiment::{ComparisonRow, ExperimentConfig, QualityRow};
+use elf_core::BenchCircuit;
+use elf_nn::TrainConfig;
 use elf_par::Parallelism;
 
 /// Command-line options shared by every harness binary.
@@ -72,69 +78,58 @@ impl Default for HarnessOptions {
 }
 
 impl HarnessOptions {
-    /// Parses options from the process arguments.  Unknown arguments are
-    /// ignored so binaries can add their own flags.
-    pub fn from_args() -> Self {
+    /// Parses the harness flags in `args` (the arguments after the program
+    /// name and any subcommand).  Later flags override earlier ones;
+    /// `--scale` sets the whole size preset of its scale (circuit sizes and
+    /// training epochs), and `--quick` is the tiny preset trained for three
+    /// epochs, the cheapest smoke run.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending argument when a flag is unknown, lacks
+    /// its value, or has a value that does not parse.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut options = HarnessOptions::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut index = 1;
-        while index < args.len() {
-            match args[index].as_str() {
-                // Cheapest possible smoke-test configuration (used by CI).
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || {
+                args.next()
+                    .ok_or_else(|| format!("{flag} is missing its value"))
+            };
+            match flag.as_str() {
                 "--quick" => {
-                    options.scale = Scale::Tiny;
-                    options.industrial_scale = 0.002;
-                    options.synthetic_scale = 0.0005;
+                    options.set_scale(Scale::Tiny);
                     options.epochs = 3;
                 }
-                "--scale" if index + 1 < args.len() => {
-                    options.scale = match args[index + 1].as_str() {
+                "--scale" => {
+                    let value = value()?;
+                    options.set_scale(match value.as_str() {
                         "tiny" => Scale::Tiny,
-                        "paper" | "full" => Scale::Paper,
-                        _ => Scale::Default,
-                    };
-                    match options.scale {
-                        Scale::Tiny => {
-                            options.industrial_scale = 0.002;
-                            options.synthetic_scale = 0.0005;
-                            options.epochs = 10;
-                        }
-                        Scale::Default => {}
-                        Scale::Paper => {
-                            options.industrial_scale = 1.0;
-                            options.synthetic_scale = 1.0;
-                        }
-                    }
-                    index += 1;
+                        "default" => Scale::Default,
+                        "paper" => Scale::Paper,
+                        _ => return Err(format!("--scale has unknown value `{value}`")),
+                    });
                 }
-                "--epochs" if index + 1 < args.len() => {
-                    options.epochs = args[index + 1].parse().unwrap_or(options.epochs);
-                    index += 1;
-                }
-                "--seed" if index + 1 < args.len() => {
-                    options.seed = args[index + 1].parse().unwrap_or(options.seed);
-                    index += 1;
-                }
-                "--json" if index + 1 < args.len() => {
-                    options.json = Some(PathBuf::from(&args[index + 1]));
-                    index += 1;
-                }
-                "--threads" if index + 1 < args.len() => {
-                    // `--threads 0` means sequential (same clamp as
-                    // `Parallelism::threads`); only a non-numeric value falls
-                    // back, matching `--epochs`/`--seed` leniency.
-                    options.threads = args[index + 1]
-                        .parse()
-                        .ok()
-                        .map(|n: usize| n.max(1))
-                        .or(options.threads);
-                    index += 1;
-                }
-                _ => {}
+                "--epochs" => options.epochs = number(flag, value()?)?,
+                "--seed" => options.seed = number(flag, value()?)?,
+                // `--threads 0` means sequential, the same clamp as
+                // `Parallelism::threads`.
+                "--threads" => options.threads = Some(number::<usize>(flag, value()?)?.max(1)),
+                "--json" => options.json = Some(PathBuf::from(value()?)),
+                _ => return Err(format!("unknown argument `{flag}`")),
             }
-            index += 1;
         }
-        options
+        Ok(options)
+    }
+
+    /// Applies the size preset of `scale`.
+    fn set_scale(&mut self, scale: Scale) {
+        self.scale = scale;
+        (self.industrial_scale, self.synthetic_scale, self.epochs) = match scale {
+            Scale::Tiny => (0.002, 0.0005, 10),
+            Scale::Default => (0.01, 0.002, 30),
+            Scale::Paper => (1.0, 1.0, 30),
+        };
     }
 
     /// The worker-thread count implied by these options: the `--threads`
@@ -189,99 +184,29 @@ impl HarnessOptions {
     }
 }
 
-/// Leave-one-out experiment with per-circuit dataset caching (the datasets
-/// are collected once instead of once per held-out circuit).
-#[derive(Debug)]
-pub struct CachedSuite {
-    circuits: Vec<BenchCircuit>,
-    datasets: Vec<Dataset>,
-    config: ExperimentConfig,
+/// Parses the value of a numeric flag.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} has malformed value `{value}`"))
 }
 
-impl CachedSuite {
-    /// Collects the labelled cut dataset of every circuit once (one circuit
-    /// per worker — the protocol-level fan-out on top of the per-node one).
-    pub fn new(circuits: Vec<BenchCircuit>, config: ExperimentConfig) -> Self {
-        let datasets = config.elf.parallelism.map(&circuits, |_, c| {
-            circuit_dataset_standardized(&c.aig, &config.elf.refactor)
-        });
-        CachedSuite {
-            circuits,
-            datasets,
-            config,
-        }
+/// Removes a binary's own `flag value` pair from `args`, returning the
+/// value, so the rest can go to [`HarnessOptions::parse`].
+///
+/// # Errors
+///
+/// A message when `flag` is the last argument, without its value.
+pub fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(position) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    if position + 1 == args.len() {
+        return Err(format!("{flag} is missing its value"));
     }
-
-    /// The circuits of the suite.
-    pub fn circuits(&self) -> &[BenchCircuit] {
-        &self.circuits
-    }
-
-    /// The experiment configuration.
-    pub fn config(&self) -> &ExperimentConfig {
-        &self.config
-    }
-
-    /// Trains a classifier on every circuit except `held_out`.
-    pub fn train_excluding(&self, held_out: usize) -> ElfClassifier {
-        let mut data = Dataset::new();
-        for (index, dataset) in self.datasets.iter().enumerate() {
-            if index != held_out {
-                data.extend_from(dataset);
-            }
-        }
-        let (classifier, _) = ElfClassifier::fit(&data, &self.config.train, self.config.seed);
-        classifier
-    }
-
-    /// Trains a classifier on every circuit of the suite.
-    pub fn train_all(&self) -> ElfClassifier {
-        let mut data = Dataset::new();
-        for dataset in &self.datasets {
-            data.extend_from(dataset);
-        }
-        let (classifier, _) = ElfClassifier::fit(&data, &self.config.train, self.config.seed);
-        classifier
-    }
-
-    /// Leave-one-out comparison rows (Tables III/IV/V): every held-out
-    /// circuit trains and compares independently, so the whole protocol fans
-    /// out one held-out index per worker.  Training is seeded and the rows
-    /// are gathered in circuit order, so the table is identical for every
-    /// thread count (runtimes aside).
-    pub fn comparison_rows(&self) -> Vec<ComparisonRow> {
-        let inner = self.per_circuit_config();
-        let indices: Vec<usize> = (0..self.circuits.len()).collect();
-        self.config.elf.parallelism.map(&indices, |_, &held_out| {
-            let classifier = self.train_excluding(held_out);
-            compare_on_circuit(&self.circuits[held_out], &classifier, &inner)
-        })
-    }
-
-    /// Leave-one-out quality rows (Tables VII/VIII), fanned out like
-    /// [`CachedSuite::comparison_rows`].
-    pub fn quality_rows(&self) -> Vec<QualityRow> {
-        let inner = self.per_circuit_config();
-        let indices: Vec<usize> = (0..self.circuits.len()).collect();
-        self.config.elf.parallelism.map(&indices, |_, &held_out| {
-            let classifier = self.train_excluding(held_out);
-            quality_on_circuit(&self.circuits[held_out], &classifier, &inner)
-        })
-    }
-
-    /// The configuration handed to each held-out circuit's run: when the
-    /// protocol itself fans out (more than one circuit on a parallel knob),
-    /// the inner pruned passes run sequential — both layers spawning `N`
-    /// workers would put `N²` threads on `N` cores, degrading the very
-    /// speed-up curve the harness measures.  Results are identical either
-    /// way (the engine's determinism guarantee); only wall clock moves.
-    fn per_circuit_config(&self) -> ExperimentConfig {
-        let mut inner = self.config;
-        if self.circuits.len() > 1 {
-            inner.elf.parallelism = Parallelism::sequential();
-        }
-        inner
-    }
+    let value = args.remove(position + 1);
+    args.remove(position);
+    Ok(Some(value))
 }
 
 fn millis(duration: Duration) -> f64 {
@@ -540,6 +465,12 @@ pub mod paper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elf_core::Suite;
+
+    fn parse(args: &[&str]) -> Result<HarnessOptions, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        HarnessOptions::parse(&args)
+    }
 
     #[test]
     fn geometric_mean_basics() {
@@ -550,25 +481,106 @@ mod tests {
     #[test]
     fn options_default_and_config() {
         let options = HarnessOptions::default();
+        assert_eq!(parse(&[]), Ok(options.clone()));
         let config = options.experiment_config(2);
         assert_eq!(config.applications, 2);
         assert_eq!(config.train.epochs, options.epochs);
     }
 
     #[test]
+    fn every_flag_sets_its_field() {
+        let quick = parse(&["--quick"]).expect("parses");
+        assert_eq!(
+            (
+                quick.scale,
+                quick.industrial_scale,
+                quick.synthetic_scale,
+                quick.epochs
+            ),
+            (Scale::Tiny, 0.002, 0.0005, 3)
+        );
+        let tiny = parse(&["--scale", "tiny"]).expect("parses");
+        assert_eq!((tiny.scale, tiny.epochs), (Scale::Tiny, 10));
+        let full = parse(&["--scale", "paper"]).expect("parses");
+        assert_eq!(
+            (full.scale, full.industrial_scale, full.synthetic_scale),
+            (Scale::Paper, 1.0, 1.0)
+        );
+        assert_eq!(
+            parse(&["--scale", "default"]),
+            Ok(HarnessOptions::default())
+        );
+        assert_eq!(parse(&["--epochs", "7"]).map(|o| o.epochs), Ok(7));
+        assert_eq!(parse(&["--seed", "42"]).map(|o| o.seed), Ok(42));
+        assert_eq!(parse(&["--threads", "3"]).map(|o| o.threads), Ok(Some(3)));
+        assert_eq!(parse(&["--threads", "0"]).map(|o| o.threads), Ok(Some(1)));
+        assert_eq!(
+            parse(&["--json", "out/t.json"]).map(|o| o.json),
+            Ok(Some(PathBuf::from("out/t.json")))
+        );
+    }
+
+    #[test]
+    fn later_flags_override_earlier_ones() {
+        // `--scale` after `--quick` sets its own whole preset...
+        let options = parse(&["--quick", "--scale", "default"]).expect("parses");
+        assert_eq!(options, HarnessOptions::default());
+        let options = parse(&["--quick", "--scale", "tiny"]).expect("parses");
+        assert_eq!((options.scale, options.epochs), (Scale::Tiny, 10));
+        // ...and an explicit `--epochs` after either wins.
+        let options = parse(&["--quick", "--epochs", "5"]).expect("parses");
+        assert_eq!((options.scale, options.epochs), (Scale::Tiny, 5));
+    }
+
+    #[test]
+    fn bad_arguments_are_errors() {
+        let error = |args: &[&str]| parse(args).expect_err("must not parse");
+        assert_eq!(error(&["--frobnicate"]), "unknown argument `--frobnicate`");
+        assert_eq!(error(&["table3"]), "unknown argument `table3`");
+        assert_eq!(
+            error(&["--scale", "huge"]),
+            "--scale has unknown value `huge`"
+        );
+        assert_eq!(
+            error(&["--epochs", "many"]),
+            "--epochs has malformed value `many`"
+        );
+        assert_eq!(error(&["--seed", "-1"]), "--seed has malformed value `-1`");
+        assert_eq!(
+            error(&["--threads", "2.5"]),
+            "--threads has malformed value `2.5`"
+        );
+        for flag in ["--scale", "--epochs", "--seed", "--threads", "--json"] {
+            assert_eq!(error(&[flag]), format!("{flag} is missing its value"));
+        }
+    }
+
+    #[test]
+    fn take_flag_removes_the_pair() {
+        let mut args: Vec<String> = ["--quick", "--nodes", "9", "--seed", "1"]
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        assert_eq!(take_flag(&mut args, "--nodes"), Ok(Some("9".to_string())));
+        assert_eq!(args, ["--quick", "--seed", "1"]);
+        assert_eq!(take_flag(&mut args, "--nodes"), Ok(None));
+        let mut args = vec!["--nodes".to_string()];
+        assert_eq!(
+            take_flag(&mut args, "--nodes"),
+            Err("--nodes is missing its value".to_string())
+        );
+    }
+
+    #[test]
     fn cached_suite_trains_and_compares_on_tiny_circuits() {
-        let options = HarnessOptions {
-            scale: Scale::Tiny,
-            epochs: 3,
-            ..Default::default()
-        };
-        let circuits = options.epfl_circuits();
-        let suite = CachedSuite::new(circuits, options.experiment_config(1));
+        let options = parse(&["--scale", "tiny", "--epochs", "3"]).expect("parses");
+        let suite = Suite::refactor(options.epfl_circuits(), options.experiment_config(1));
         assert_eq!(suite.circuits().len(), 6);
-        let classifier = suite.train_excluding(0);
-        let row = compare_on_circuit(&suite.circuits()[0], &classifier, suite.config());
+        assert_eq!(suite.datasets().len(), 6);
+        let classifier = suite.train(Some(0));
+        let row = suite.compare(&suite.circuits()[0], &classifier);
         assert!(row.nodes_before > 0);
-        let quality = quality_on_circuit(&suite.circuits()[0], &classifier, suite.config());
-        assert!(quality.confusion.total() > 0);
+        let quality = suite.quality(&suite.circuits()[0], &classifier);
+        assert_eq!(quality.confusion.total(), suite.datasets()[0].len());
     }
 }

@@ -6,20 +6,8 @@
 //! marginalized over a background dataset (the standard "interventional"
 //! formulation used by KernelSHAP).
 
-/// A black-box scalar model over fixed-size feature vectors.
-pub trait PredictFn {
-    /// Evaluates the model on a batch of feature rows.
-    fn predict(&self, rows: &[Vec<f32>]) -> Vec<f32>;
-}
-
-impl<F> PredictFn for F
-where
-    F: Fn(&[Vec<f32>]) -> Vec<f32>,
-{
-    fn predict(&self, rows: &[Vec<f32>]) -> Vec<f32> {
-        self(rows)
-    }
-}
+/// A black-box scalar model: one output per feature row of a batch.
+pub type Model<'a> = &'a dyn Fn(&[Vec<f32>]) -> Vec<f32>;
 
 /// Exact Shapley values of one instance.
 ///
@@ -32,11 +20,7 @@ where
 /// Panics if `instance`, the background rows, or the model's expectations on
 /// feature count are inconsistent, or if there are more than 20 features
 /// (exact enumeration would be too expensive).
-pub fn shapley_values(
-    model: &dyn PredictFn,
-    instance: &[f32],
-    background: &[Vec<f32>],
-) -> Vec<f64> {
+pub fn shapley_values(model: Model<'_>, instance: &[f32], background: &[Vec<f32>]) -> Vec<f64> {
     let num_features = instance.len();
     assert!(
         num_features <= 20,
@@ -64,7 +48,7 @@ pub fn shapley_values(
                     .collect()
             })
             .collect();
-        let outputs = model.predict(&rows);
+        let outputs = model(&rows);
         outputs.iter().map(|&v| v as f64).sum::<f64>() / outputs.len() as f64
     };
 
@@ -108,7 +92,7 @@ pub struct ShapSummary {
 
 /// Computes Shapley values for many instances and aggregates them.
 pub fn shap_summary(
-    model: &dyn PredictFn,
+    model: Model<'_>,
     instances: &[Vec<f32>],
     background: &[Vec<f32>],
 ) -> ShapSummary {

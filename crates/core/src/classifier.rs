@@ -4,7 +4,7 @@
 use std::error::Error;
 use std::fmt;
 
-use elf_aig::{CutFeatures, NUM_FEATURES};
+use elf_aig::NUM_FEATURES;
 use elf_nn::{
     model_from_text, model_to_text, train, ConfusionMatrix, Dataset, Mlp, Normalizer, SharedMlp,
     SharedNormalizer, TrainConfig, TrainReport,
@@ -331,33 +331,12 @@ impl ElfClassifier {
             .collect()
     }
 
-    /// Convenience for classifying [`CutFeatures`] values.
-    pub fn classify_cut_features(
-        &self,
-        features: &[CutFeatures],
-        self_normalize: bool,
-    ) -> Vec<bool> {
-        let arrays: Vec<[f32; NUM_FEATURES]> = features.iter().map(CutFeatures::to_array).collect();
-        if self_normalize {
-            self.classify_batch_self_normalized(&arrays)
-        } else {
-            self.classify_batch(&arrays)
-        }
-    }
-
     /// Evaluates the classifier against ground-truth labels, returning the
-    /// confusion matrix used by Tables VII and VIII.
-    pub fn evaluate(
-        &self,
-        features: &[[f32; NUM_FEATURES]],
-        labels: &[bool],
-        self_normalize: bool,
-    ) -> ConfusionMatrix {
-        let predictions = if self_normalize {
-            self.classify_batch_self_normalized(features)
-        } else {
-            self.classify_batch(features)
-        };
+    /// confusion matrix used by Tables VII and VIII.  The features are one
+    /// circuit's batch, standardized with its own statistics as a pruned
+    /// pass standardizes them.
+    pub fn evaluate(&self, features: &[[f32; NUM_FEATURES]], labels: &[bool]) -> ConfusionMatrix {
+        let predictions = self.classify_batch_self_normalized(features);
         ConfusionMatrix::from_predictions(&predictions, labels)
     }
 
@@ -500,7 +479,7 @@ mod tests {
             .map(|f| [f[0], f[1], f[2], f[3], f[4], f[5]])
             .collect();
         let labels: Vec<bool> = data.labels().iter().map(|&l| l >= 0.5).collect();
-        let cm = classifier.evaluate(&features, &labels, false);
+        let cm = classifier.evaluate(&features, &labels);
         assert_eq!(cm.total(), data.len());
         assert!(cm.recall() > 0.8);
         assert!(cm.accuracy() > 0.8);

@@ -80,54 +80,6 @@ pub fn standardize_per_circuit(dataset: &Dataset) -> Dataset {
     Normalizer::fit(dataset).transform(dataset)
 }
 
-/// Collects the per-circuit standardized dataset of a circuit, labelled by
-/// `operator`.
-pub fn circuit_dataset_standardized_with<O: PrunableOperator>(operator: &O, aig: &Aig) -> Dataset {
-    standardize_per_circuit(&circuit_dataset_with(operator, aig))
-}
-
-/// Collects the per-circuit standardized dataset of a circuit (refactor
-/// labels).
-pub fn circuit_dataset_standardized(aig: &Aig, params: &RefactorParams) -> Dataset {
-    circuit_dataset_standardized_with(&Refactor::new(*params), aig)
-}
-
-/// Builds the leave-one-out training set labelled by `operator`: samples
-/// from every circuit except the one at `held_out`, each circuit
-/// standardized individually, then concatenated.
-///
-/// # Panics
-///
-/// Panics if `held_out` is out of range.
-pub fn leave_one_out_dataset_with<O: PrunableOperator>(
-    operator: &O,
-    circuits: &[BenchCircuit],
-    held_out: usize,
-) -> Dataset {
-    assert!(held_out < circuits.len(), "held-out index out of range");
-    let mut data = Dataset::new();
-    for (index, circuit) in circuits.iter().enumerate() {
-        if index == held_out {
-            continue;
-        }
-        data.extend_from(&circuit_dataset_standardized_with(operator, &circuit.aig));
-    }
-    data
-}
-
-/// Builds the refactor-labelled leave-one-out training set.
-///
-/// # Panics
-///
-/// Panics if `held_out` is out of range.
-pub fn leave_one_out_dataset(
-    circuits: &[BenchCircuit],
-    held_out: usize,
-    params: &RefactorParams,
-) -> Dataset {
-    leave_one_out_dataset_with(&Refactor::new(*params), circuits, held_out)
-}
-
 /// Extracts feature arrays and labels from labelled cuts (for evaluation).
 pub fn cuts_to_arrays(cuts: &[LabeledCut]) -> (Vec<[f32; NUM_FEATURES]>, Vec<bool>) {
     let features = cuts.iter().map(|c| c.features.to_array()).collect();
@@ -188,8 +140,9 @@ mod tests {
             .iter()
             .map(|c| circuit_dataset(&c.aig, &params).len())
             .sum();
-        let loo = leave_one_out_dataset(&circuits, 1, &params);
         let held = circuit_dataset(&circuits[1].aig, &params).len();
+        let suite = crate::experiment::Suite::refactor(circuits, Default::default());
+        let loo = suite.training_set(Some(1));
         assert_eq!(loo.len(), full - held);
     }
 

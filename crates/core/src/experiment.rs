@@ -1,22 +1,24 @@
-//! Experiment harness: leave-one-out training, baseline-vs-ELF comparison and
-//! classifier quality evaluation (the data behind Tables I–VIII).
+//! Experiment harness: the paper's leave-one-out protocol, baseline-vs-ELF
+//! comparison and classifier quality evaluation (the data behind Tables
+//! I–VIII), for any [`PrunableOperator`].
 
 use std::time::Duration;
 
-use elf_nn::{ConfusionMatrix, TrainConfig};
+use elf_nn::{ConfusionMatrix, Dataset, TrainConfig};
 use elf_opt::{CutCache, OpStats, PrunableOperator, Refactor, RefactorParams};
+use elf_par::Parallelism;
 
 use crate::classifier::ElfClassifier;
 use crate::dataset::{
-    collect_labeled_cuts, collect_labeled_cuts_with, cuts_to_arrays, leave_one_out_dataset_with,
+    circuit_dataset_with, collect_labeled_cuts_with, cuts_to_arrays, standardize_per_circuit,
     BenchCircuit,
 };
-use crate::flow::{Elf, ElfConfig, ElfRefactor, ElfStats};
+use crate::flow::{Elf, ElfConfig, ElfOptions, ElfStats};
 
 /// Everything configurable about a paper-style experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
-    /// ELF operator configuration (refactor parameters, batching, normalization).
+    /// ELF operator configuration (refactor parameters and flow options).
     pub elf: ElfConfig,
     /// Classifier training hyper-parameters.
     pub train: TrainConfig,
@@ -162,63 +164,13 @@ pub struct QualityRow {
     pub confusion: ConfusionMatrix,
 }
 
-/// Trains a classifier for any [`PrunableOperator`], leaving out circuit
-/// `held_out` (the paper's evaluation protocol, operator-generic: labels are
-/// produced by `operator`'s own commits).
-pub fn train_leave_one_out_with<O: PrunableOperator>(
-    operator: &O,
-    circuits: &[BenchCircuit],
-    held_out: usize,
-    train: &TrainConfig,
-    seed: u64,
-) -> ElfClassifier {
-    let data = leave_one_out_dataset_with(operator, circuits, held_out);
-    let (classifier, _report) = ElfClassifier::fit(&data, train, seed);
-    classifier
-}
-
-/// Trains the ELF classifier leaving out circuit `held_out` (the paper's
-/// evaluation protocol: the test circuit is never part of training).
-pub fn train_leave_one_out(
-    circuits: &[BenchCircuit],
-    held_out: usize,
-    config: &ExperimentConfig,
-) -> ElfClassifier {
-    train_leave_one_out_with(
-        &Refactor::new(config.elf.refactor),
-        circuits,
-        held_out,
-        &config.train,
-        config.seed,
-    )
-}
-
-/// Trains the ELF classifier on every circuit in `circuits` (used when the
-/// evaluation set is disjoint, e.g. training on EPFL and testing on the
-/// synthetic circuits of Table VI).
-pub fn train_on_all(circuits: &[BenchCircuit], config: &ExperimentConfig) -> ElfClassifier {
-    let mut data = elf_nn::Dataset::new();
-    for circuit in circuits {
-        data.extend_from(&crate::dataset::circuit_dataset_standardized(
-            &circuit.aig,
-            &config.elf.refactor,
-        ));
-    }
-    let (classifier, _report) = ElfClassifier::fit(&data, &config.train, config.seed);
-    classifier
-}
-
 /// Runs a baseline operator and its pruned counterpart on (copies of) one
-/// circuit and returns the comparison row.  This is the operator-generic
-/// core of [`compare_on_circuit`]; `table_rewrite` uses it with [`Rewrite`]
-/// to evaluate pruned rewriting through the identical protocol.
+/// circuit and returns the comparison row.
 ///
 /// Both arms run with the same cut-cache configuration: the baseline gets a
-/// fresh cache of `elf`'s [`ElfOptions::cut_cache`](crate::ElfOptions), its
-/// own (never shared with the pruned arm), so the reported speed-up is what
-/// pruning buys and not what memoization buys.
-///
-/// [`Rewrite`]: elf_opt::Rewrite
+/// fresh cache of `elf`'s [`ElfOptions::cut_cache`], its own (never shared
+/// with the pruned arm), so the reported speed-up is what pruning buys and
+/// not what memoization buys.
 pub fn compare_with_operator<O: PrunableOperator + Clone>(
     circuit: &BenchCircuit,
     baseline: &O,
@@ -261,131 +213,162 @@ fn symmetric_baseline<O: PrunableOperator + Clone>(baseline: &O, elf: &Elf<O>) -
     baseline
 }
 
-/// Runs baseline refactor and ELF on (copies of) one circuit and returns the
-/// comparison row.
-pub fn compare_on_circuit(
-    circuit: &BenchCircuit,
-    classifier: &ElfClassifier,
-    config: &ExperimentConfig,
-) -> ComparisonRow {
-    compare_with_operator(
-        circuit,
-        &Refactor::new(config.elf.refactor),
-        &ElfRefactor::new(classifier.clone(), config.elf),
-        config.applications,
-    )
+/// The paper's evaluation protocol over a suite of circuits, for any
+/// [`PrunableOperator`]: `operator` labels every circuit's cuts with its own
+/// commits, a classifier trained on all circuits but one prunes that one,
+/// and the pruned operator is compared against `operator` as the baseline.
+///
+/// Each circuit's per-circuit standardized dataset is collected once, when
+/// the suite is built, and every training set concatenates those datasets
+/// in suite order.  Training is seeded, so every row is reproducible.
+#[derive(Debug)]
+pub struct Suite<O: PrunableOperator> {
+    circuits: Vec<BenchCircuit>,
+    operator: O,
+    datasets: Vec<Dataset>,
+    config: ExperimentConfig,
 }
 
-/// Evaluates classifier quality against labels produced by any baseline
-/// [`PrunableOperator`].
-pub fn quality_with_operator<O: PrunableOperator>(
-    circuit: &BenchCircuit,
-    operator: &O,
-    classifier: &ElfClassifier,
-    self_normalize: bool,
-) -> QualityRow {
-    let cuts = collect_labeled_cuts_with(operator, &circuit.aig);
-    let (features, labels) = cuts_to_arrays(&cuts);
-    let confusion = classifier.evaluate(&features, &labels, self_normalize);
-    QualityRow {
-        name: circuit.name.clone(),
-        confusion,
+impl Suite<Refactor> {
+    /// The paper's suite: refactor with `config.elf.refactor` labels the
+    /// cuts and is the baseline.
+    pub fn refactor(circuits: Vec<BenchCircuit>, config: ExperimentConfig) -> Self {
+        Suite::new(circuits, Refactor::new(config.elf.refactor), config)
     }
 }
 
-/// Evaluates classifier quality (recall, accuracy, confusion matrix) on one
-/// circuit, against labels produced by the baseline refactor operator.
-pub fn quality_on_circuit(
-    circuit: &BenchCircuit,
-    classifier: &ElfClassifier,
-    config: &ExperimentConfig,
-) -> QualityRow {
-    let cuts = collect_labeled_cuts(&circuit.aig, &config.elf.refactor);
-    let (features, labels) = cuts_to_arrays(&cuts);
-    let confusion = classifier.evaluate(&features, &labels, config.elf.self_normalize);
-    QualityRow {
-        name: circuit.name.clone(),
-        confusion,
-    }
-}
-
-/// Result of running the full leave-one-out protocol over a suite of circuits.
-#[derive(Debug, Clone, Default)]
-pub struct SuiteResult {
-    /// One comparison row per circuit.
-    pub comparisons: Vec<ComparisonRow>,
-    /// One quality row per circuit.
-    pub qualities: Vec<QualityRow>,
-}
-
-impl SuiteResult {
-    /// Geometric-mean speed-up over all circuits.
-    pub fn mean_speedup(&self) -> f64 {
-        if self.comparisons.is_empty() {
-            return 1.0;
+impl<O: PrunableOperator + Clone + Sync> Suite<O> {
+    /// Collects the labelled cut dataset of every circuit, one circuit per
+    /// worker of `config.elf.parallelism`.
+    pub fn new(circuits: Vec<BenchCircuit>, operator: O, config: ExperimentConfig) -> Self {
+        let datasets = config.elf.parallelism.map(&circuits, |_, circuit| {
+            standardize_per_circuit(&circuit_dataset_with(&operator, &circuit.aig))
+        });
+        Suite {
+            circuits,
+            operator,
+            datasets,
+            config,
         }
-        let product: f64 = self
-            .comparisons
-            .iter()
-            .map(|row| row.speedup().max(1e-9))
-            .map(f64::ln)
-            .sum();
-        (product / self.comparisons.len() as f64).exp()
     }
 
-    /// Worst (largest) AND-count degradation in percent.
-    pub fn worst_and_difference_percent(&self) -> f64 {
-        self.comparisons
-            .iter()
-            .map(ComparisonRow::and_difference_percent)
-            .fold(0.0, f64::max)
+    /// The circuits of the suite.
+    pub fn circuits(&self) -> &[BenchCircuit] {
+        &self.circuits
     }
 
-    /// Average recall over all circuits.
-    pub fn mean_recall(&self) -> f64 {
-        if self.qualities.is_empty() {
-            return 1.0;
+    /// Each circuit's labelled cuts, standardized with that circuit's own
+    /// statistics, in the order the operator visited them.
+    pub fn datasets(&self) -> &[Dataset] {
+        &self.datasets
+    }
+
+    /// The experiment configuration.
+    pub fn config(&self) -> &ExperimentConfig {
+        &self.config
+    }
+
+    /// The training set that leaves out circuit `held_out` (every circuit
+    /// when `None`).
+    pub(crate) fn training_set(&self, held_out: Option<usize>) -> Dataset {
+        let mut data = Dataset::new();
+        for (index, dataset) in self.datasets.iter().enumerate() {
+            if Some(index) != held_out {
+                data.extend_from(dataset);
+            }
         }
-        self.qualities
-            .iter()
-            .map(|q| q.confusion.recall())
-            .sum::<f64>()
-            / self.qualities.len() as f64
+        data
     }
 
-    /// Average accuracy over all circuits.
-    pub fn mean_accuracy(&self) -> f64 {
-        if self.qualities.is_empty() {
-            return 1.0;
+    /// Trains a classifier on every circuit except `held_out` (on every
+    /// circuit when `None`, for evaluation sets disjoint from the suite).
+    pub fn train(&self, held_out: Option<usize>) -> ElfClassifier {
+        let data = self.training_set(held_out);
+        let (classifier, _report) = ElfClassifier::fit(&data, &self.config.train, self.config.seed);
+        classifier
+    }
+
+    /// Baseline vs pruned operator on `circuit`, applied
+    /// [`ExperimentConfig::applications`] times.
+    pub fn compare(&self, circuit: &BenchCircuit, classifier: &ElfClassifier) -> ComparisonRow {
+        self.compare_on(circuit, classifier, self.config.elf.parallelism)
+    }
+
+    fn compare_on(
+        &self,
+        circuit: &BenchCircuit,
+        classifier: &ElfClassifier,
+        parallelism: Parallelism,
+    ) -> ComparisonRow {
+        let options = ElfOptions {
+            parallelism,
+            ..self.config.elf.into()
+        };
+        let elf = Elf::with_operator(classifier.clone(), self.operator.clone(), options);
+        compare_with_operator(circuit, &self.operator, &elf, self.config.applications)
+    }
+
+    /// Classifier quality (recall, accuracy, confusion matrix) on
+    /// `circuit`, against the labels the operator's own commits give its
+    /// cuts.
+    pub fn quality(&self, circuit: &BenchCircuit, classifier: &ElfClassifier) -> QualityRow {
+        let cuts = collect_labeled_cuts_with(&self.operator, &circuit.aig);
+        let (features, labels) = cuts_to_arrays(&cuts);
+        QualityRow {
+            name: circuit.name.clone(),
+            confusion: classifier.evaluate(&features, &labels),
         }
-        self.qualities
-            .iter()
-            .map(|q| q.confusion.accuracy())
-            .sum::<f64>()
-            / self.qualities.len() as f64
     }
-}
 
-/// Runs the complete leave-one-out protocol over a suite: for every circuit,
-/// train on the others, then compare baseline vs ELF and record classifier
-/// quality.
-pub fn run_suite(circuits: &[BenchCircuit], config: &ExperimentConfig) -> SuiteResult {
-    let mut result = SuiteResult::default();
-    for held_out in 0..circuits.len() {
-        let classifier = train_leave_one_out(circuits, held_out, config);
-        result
-            .comparisons
-            .push(compare_on_circuit(&circuits[held_out], &classifier, config));
-        result
-            .qualities
-            .push(quality_on_circuit(&circuits[held_out], &classifier, config));
+    /// Leave-one-out comparison rows (Tables III, IV and V).
+    pub fn comparison_rows(&self) -> Vec<ComparisonRow> {
+        self.leave_one_out(|circuit, classifier, inner| self.compare_on(circuit, classifier, inner))
     }
-    result
+
+    /// Leave-one-out quality rows (Tables VII and VIII).
+    pub fn quality_rows(&self) -> Vec<QualityRow> {
+        self.leave_one_out(|circuit, classifier, _| self.quality(circuit, classifier))
+    }
+
+    /// Leave-one-out comparison and quality rows, both from the one
+    /// classifier trained per held-out circuit.
+    pub fn rows(&self) -> Vec<(ComparisonRow, QualityRow)> {
+        self.leave_one_out(|circuit, classifier, inner| {
+            (
+                self.compare_on(circuit, classifier, inner),
+                self.quality(circuit, classifier),
+            )
+        })
+    }
+
+    /// Hands every circuit, with a classifier trained on the others, to
+    /// `row`.  Every held-out circuit trains and runs independently, so the
+    /// protocol fans out one held-out circuit per worker and gathers the
+    /// rows in circuit order.  When it does fan out (more than one circuit),
+    /// the pruned passes inside run sequential: both layers spawning `N`
+    /// workers would put `N²` threads on `N` cores.  Results are identical
+    /// either way; only wall clock moves.
+    fn leave_one_out<T: Send>(
+        &self,
+        row: impl Fn(&BenchCircuit, &ElfClassifier, Parallelism) -> T + Sync,
+    ) -> Vec<T> {
+        let parallelism = self.config.elf.parallelism;
+        let inner = if self.circuits.len() > 1 {
+            Parallelism::sequential()
+        } else {
+            parallelism
+        };
+        parallelism.map(&self.circuits, |held_out, circuit| {
+            row(circuit, &self.train(Some(held_out)), inner)
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::collect_labeled_cuts;
+    use crate::flow::ElfRefactor;
     use elf_aig::{Aig, Lit};
 
     fn small_circuit(seed: u64) -> BenchCircuit {
@@ -431,10 +414,13 @@ mod tests {
     #[test]
     fn comparison_row_metrics_are_consistent() {
         let circuits: Vec<BenchCircuit> = (0..3).map(small_circuit).collect();
-        let config = quick_config();
-        let classifier = train_leave_one_out(&circuits, 0, &config);
-        let row = compare_on_circuit(&circuits[0], &classifier, &config);
-        assert_eq!(row.nodes_before, circuits[0].aig.num_reachable_ands());
+        let suite = Suite::refactor(circuits, quick_config());
+        let classifier = suite.train(Some(0));
+        let row = suite.compare(&suite.circuits()[0], &classifier);
+        assert_eq!(
+            row.nodes_before,
+            suite.circuits()[0].aig.num_reachable_ands()
+        );
         // Neither flow may increase the node count, and both end at or below
         // the starting size.
         assert!(row.baseline_ands <= row.nodes_before);
@@ -465,11 +451,6 @@ mod tests {
                 },
                 ..quick_config()
             };
-            let row = compare_on_circuit(&circuit, &keep_everything, &config);
-            assert_eq!(row.prune_rate(), 0.0);
-            assert_eq!(row.elf_ands, row.baseline_ands);
-            assert_eq!(row.elf_level, row.baseline_level);
-
             let elf = ElfRefactor::new(keep_everything.clone(), config.elf);
             let plain = Refactor::new(config.elf.refactor);
             assert!(!plain.cut_cache().is_enabled(), "as constructed: no cache");
@@ -483,29 +464,47 @@ mod tests {
             // arm's empty.
             let _ = baseline.run(&mut circuit.aig.clone());
             assert_eq!(elf.operator().cut_cache().stats().entries, 0);
+
+            let row = compare_with_operator(&circuit, &plain, &elf, 1);
+            assert_eq!(row.prune_rate(), 0.0);
+            assert_eq!(row.elf_ands, row.baseline_ands);
+            assert_eq!(row.elf_level, row.baseline_level);
         }
     }
 
     #[test]
     fn quality_row_covers_every_cut() {
         let circuits: Vec<BenchCircuit> = (0..3).map(small_circuit).collect();
-        let config = quick_config();
-        let classifier = train_leave_one_out(&circuits, 1, &config);
-        let row = quality_on_circuit(&circuits[1], &classifier, &config);
-        let cuts = collect_labeled_cuts(&circuits[1].aig, &config.elf.refactor);
+        let suite = Suite::refactor(circuits, quick_config());
+        let classifier = suite.train(Some(1));
+        let row = suite.quality(&suite.circuits()[1], &classifier);
+        assert_eq!(row.confusion.total(), suite.datasets()[1].len());
+        let cuts = collect_labeled_cuts(&suite.circuits()[1].aig, &RefactorParams::default());
         assert_eq!(row.confusion.total(), cuts.len());
     }
 
     #[test]
     fn suite_aggregates_are_well_formed() {
         let circuits: Vec<BenchCircuit> = (0..3).map(small_circuit).collect();
-        let config = quick_config();
-        let suite = run_suite(&circuits, &config);
-        assert_eq!(suite.comparisons.len(), 3);
-        assert_eq!(suite.qualities.len(), 3);
-        assert!(suite.mean_speedup() > 0.0);
-        assert!(suite.mean_recall() >= 0.0 && suite.mean_recall() <= 1.0);
-        assert!(suite.mean_accuracy() >= 0.0 && suite.mean_accuracy() <= 1.0);
+        let suite = Suite::refactor(circuits, quick_config());
+        let rows = suite.rows();
+        assert_eq!(rows.len(), 3);
+        for ((comparison, quality), circuit) in rows.iter().zip(suite.circuits()) {
+            assert_eq!(comparison.name, circuit.name);
+            assert_eq!(quality.name, circuit.name);
+            assert!(comparison.speedup() > 0.0);
+            let cm = quality.confusion;
+            assert!(cm.recall() >= 0.0 && cm.recall() <= 1.0);
+            assert!(cm.accuracy() >= 0.0 && cm.accuracy() <= 1.0);
+        }
+        // The single-table entries train the same classifiers.
+        let ands = |row: &ComparisonRow| (row.elf_ands, row.elf_level, row.prune_rate());
+        let comparisons = suite.comparison_rows();
+        let qualities = suite.quality_rows();
+        for (index, (comparison, quality)) in rows.iter().enumerate() {
+            assert_eq!(ands(&comparisons[index]), ands(comparison));
+            assert_eq!(&qualities[index], quality);
+        }
     }
 
     #[test]
@@ -515,8 +514,9 @@ mod tests {
             applications: 2,
             ..quick_config()
         };
-        let classifier = train_leave_one_out(&circuits, 0, &config);
-        let row = compare_on_circuit(&circuits[0], &classifier, &config);
+        let suite = Suite::refactor(circuits, config);
+        let classifier = suite.train(Some(0));
+        let row = suite.compare(&suite.circuits()[0], &classifier);
         assert_eq!(row.elf_passes.len(), 2);
     }
 }

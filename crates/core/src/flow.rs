@@ -20,13 +20,6 @@ use crate::verify::{VerifyMode, VerifyVerdict};
 pub struct ElfConfig {
     /// Parameters of the underlying refactor operator.
     pub refactor: RefactorParams,
-    /// Standardize each circuit's feature batch with its own statistics
-    /// (paper Section IV-A) instead of the training statistics.
-    pub self_normalize: bool,
-    /// Classify all cuts once before iterating (the paper's batched mode).
-    /// When `false`, cuts are classified one at a time as the AIG evolves
-    /// (the ablation discussed in Section III-B).
-    pub batch_classification: bool,
     /// Worker-thread count for batch feature collection and batched
     /// inference (graph mutation always stays sequential, so results are
     /// identical for every thread count).  Defaults to `ELF_THREADS`.
@@ -47,8 +40,6 @@ impl Default for ElfConfig {
     fn default() -> Self {
         ElfConfig {
             refactor: RefactorParams::default(),
-            self_normalize: true,
-            batch_classification: true,
             parallelism: Parallelism::default(),
             verify: VerifyMode::Off,
             cut_cache: CutCacheConfig::default(),
@@ -59,10 +50,6 @@ impl Default for ElfConfig {
 /// Operator-independent options of the pruning flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElfOptions {
-    /// Standardize each circuit's feature batch with its own statistics.
-    pub self_normalize: bool,
-    /// Classify all cuts in one batch up front instead of per node.
-    pub batch_classification: bool,
     /// Worker-thread count for batch feature collection and batched
     /// inference.  Defaults to `ELF_THREADS`.
     pub parallelism: Parallelism,
@@ -76,8 +63,6 @@ pub struct ElfOptions {
 impl Default for ElfOptions {
     fn default() -> Self {
         ElfOptions {
-            self_normalize: true,
-            batch_classification: true,
             parallelism: Parallelism::default(),
             verify: VerifyMode::Off,
             cut_cache: CutCacheConfig::default(),
@@ -88,8 +73,6 @@ impl Default for ElfOptions {
 impl From<ElfConfig> for ElfOptions {
     fn from(config: ElfConfig) -> Self {
         ElfOptions {
-            self_normalize: config.self_normalize,
-            batch_classification: config.batch_classification,
             parallelism: config.parallelism,
             verify: config.verify,
             cut_cache: config.cut_cache,
@@ -184,8 +167,6 @@ impl ElfRefactor {
     pub fn config(&self) -> ElfConfig {
         ElfConfig {
             refactor: *self.operator.params(),
-            self_normalize: self.options.self_normalize,
-            batch_classification: self.options.batch_classification,
             parallelism: self.options.parallelism,
             verify: self.options.verify,
             cut_cache: self.options.cut_cache,
@@ -245,15 +226,9 @@ impl<O: PrunableOperator> Elf<O> {
     /// collection / feature extraction and the batched classifier forward
     /// pass.  Graph mutation (phase 3) always stays sequential, which is why
     /// the resulting AIG is node-for-node identical for every thread count.
-    /// (The per-node ablation mode classifies one cut at a time interleaved
-    /// with mutation, so it has no parallel phase and ignores the override.)
     pub fn run_with(&self, aig: &mut Aig, parallelism: Parallelism) -> ElfStats {
         let before = self.verify_snapshot(aig);
-        let mut stats = if self.options.batch_classification {
-            self.run_batched(aig, parallelism)
-        } else {
-            self.run_per_node(aig)
-        };
+        let mut stats = self.run_batched(aig, parallelism);
         self.verify_pass(before, aig, &mut stats);
         stats
     }
@@ -284,9 +259,10 @@ impl<O: PrunableOperator> Elf<O> {
     }
 
     /// The batched pass: the operator sweeps every node's features, this
-    /// classifies them in one batch — normalize with the configured
-    /// statistics, run the forward pass (row-chunked across the same
-    /// workers), threshold — and the operator resynthesizes the kept nodes.
+    /// classifies them in one batch — standardize the batch with its own
+    /// statistics (paper Section IV-A), run the forward pass (row-chunked
+    /// across the same workers), threshold — and the operator resynthesizes
+    /// the kept nodes.
     fn run_batched(&self, aig: &mut Aig, parallelism: Parallelism) -> ElfStats {
         let start = Instant::now();
         let (mut feature_time, mut classify_time) = (Duration::ZERO, Duration::ZERO);
@@ -296,9 +272,7 @@ impl<O: PrunableOperator> Elf<O> {
             let _span = elf_obs::span!("classify", cuts = features.len());
             let rows: Vec<[f32; NUM_FEATURES]> =
                 features.iter().map(|(_, f)| f.to_array()).collect();
-            let rows = self
-                .classifier
-                .normalized_rows(&rows, self.options.self_normalize);
+            let rows = self.classifier.normalized_rows(&rows, true);
             let probabilities = self.classifier.model().predict_with(&rows, parallelism);
             let keep = self.classifier.decide(&probabilities);
             classify_time = classify_start.elapsed();
@@ -309,14 +283,6 @@ impl<O: PrunableOperator> Elf<O> {
             classify_time,
             ..ElfStats::of_pass(op, start)
         }
-    }
-
-    fn run_per_node(&self, aig: &mut Aig) -> ElfStats {
-        let start = Instant::now();
-        let op = self.operator.run_with_filter(aig, &mut |_, features| {
-            self.classifier.classify_batch(&[features.to_array()])[0]
-        });
-        ElfStats::of_pass(op, start)
     }
 }
 
@@ -393,23 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn per_node_mode_also_preserves_functionality() {
-        let mut aig = redundant_circuit();
-        let golden = aig.clone();
-        let config = ElfConfig {
-            batch_classification: false,
-            ..Default::default()
-        };
-        let elf = ElfRefactor::new(dummy_classifier(DEFAULT_THRESHOLD), config);
-        let stats = elf.run(&mut aig);
-        assert_eq!(stats.pruned + stats.kept, stats.op.cuts_formed);
-        assert_eq!(
-            check_equivalence(&golden, &aig, 8, 78),
-            EquivalenceResult::Equivalent
-        );
-    }
-
-    #[test]
     fn repeated_application_reports_each_pass() {
         let mut aig = redundant_circuit();
         let elf = ElfRefactor::new(dummy_classifier(0.0), ElfConfig::default());
@@ -422,7 +371,8 @@ mod tests {
     #[test]
     fn config_round_trips_through_the_alias() {
         let config = ElfConfig {
-            self_normalize: false,
+            verify: VerifyMode::Final,
+            cut_cache: CutCacheConfig::disabled(),
             ..Default::default()
         };
         let elf = ElfRefactor::new(dummy_classifier(0.3), config);
@@ -483,25 +433,19 @@ mod tests {
 
     #[test]
     fn elf_rewrite_preserves_functionality_in_both_modes() {
-        for batch in [true, false] {
-            let mut aig = redundant_circuit();
-            let golden = aig.clone();
-            let elf = Elf::with_operator(
-                dummy_classifier(DEFAULT_THRESHOLD),
-                Rewrite::new(RewriteParams::default()),
-                ElfOptions {
-                    batch_classification: batch,
-                    ..Default::default()
-                },
-            );
-            let stats = elf.run(&mut aig);
-            assert_eq!(stats.pruned + stats.kept, stats.op.cuts_formed);
-            assert!(aig.check_invariants().is_empty());
-            assert_eq!(
-                check_equivalence(&golden, &aig, 8, 81),
-                EquivalenceResult::Equivalent,
-                "batch={batch}"
-            );
-        }
+        let mut aig = redundant_circuit();
+        let golden = aig.clone();
+        let elf = Elf::with_operator(
+            dummy_classifier(DEFAULT_THRESHOLD),
+            Rewrite::new(RewriteParams::default()),
+            ElfOptions::default(),
+        );
+        let stats = elf.run(&mut aig);
+        assert_eq!(stats.pruned + stats.kept, stats.op.cuts_formed);
+        assert!(aig.check_invariants().is_empty());
+        assert_eq!(
+            check_equivalence(&golden, &aig, 8, 81),
+            EquivalenceResult::Equivalent
+        );
     }
 }

@@ -13,11 +13,9 @@
 //!
 //! * [`ElfClassifier`] — mean–variance normalization fused with the paper's
 //!   325-parameter MLP, trained and evaluated in batch;
-//! * [`circuit_dataset_with`] / [`leave_one_out_dataset_with`] —
-//!   operator-generic training-data collection by running any baseline
-//!   [`elf_opt::PrunableOperator`] in recording mode (plus the original
-//!   refactor-specific conveniences [`circuit_dataset`] /
-//!   [`leave_one_out_dataset`]);
+//! * [`circuit_dataset_with`] — operator-generic training-data collection by
+//!   running any baseline [`elf_opt::PrunableOperator`] in recording mode
+//!   (plus the original refactor-specific convenience [`circuit_dataset`]);
 //! * [`Elf`] — the pruned operator (Algorithm 2), generic over the wrapped
 //!   operator: collect features for every cut, classify the whole batch
 //!   once, then resynthesize only the surviving nodes.  [`ElfRefactor`]
@@ -28,9 +26,9 @@
 //! * [`VerifyMode`] — the correctness gate: SAT-prove (via `elf-cec`) that
 //!   a run preserved the circuit's function, per stage or end to end, with
 //!   the verdict reported in [`FlowStats::verify`] / [`ElfStats::verify`];
-//! * [`experiment`] — the leave-one-out protocol, baseline-vs-ELF comparison
-//!   rows and classifier quality metrics that regenerate the paper's tables,
-//!   with operator-generic cores (`compare_with_operator`).
+//! * [`experiment`] — the leave-one-out protocol ([`Suite`], generic over the
+//!   operator), baseline-vs-ELF comparison rows and classifier quality
+//!   metrics that regenerate the paper's tables.
 //!
 //! # Examples
 //!
@@ -87,15 +85,12 @@ mod verify;
 
 pub use classifier::{ElfClassifier, ParseClassifierError, DEFAULT_THRESHOLD, RECALL_TARGET};
 pub use dataset::{
-    circuit_dataset, circuit_dataset_standardized, circuit_dataset_standardized_with,
-    circuit_dataset_with, collect_labeled_cuts, collect_labeled_cuts_with, cuts_to_arrays,
-    cuts_to_dataset, leave_one_out_dataset, leave_one_out_dataset_with, standardize_per_circuit,
-    BenchCircuit,
+    circuit_dataset, circuit_dataset_with, collect_labeled_cuts, collect_labeled_cuts_with,
+    cuts_to_arrays, cuts_to_dataset, standardize_per_circuit, BenchCircuit,
 };
 pub use experiment::{
-    circuit_stats, compare_on_circuit, compare_with_operator, quality_on_circuit,
-    quality_with_operator, run_suite, train_leave_one_out, train_leave_one_out_with, train_on_all,
-    CircuitStatsRow, ComparisonRow, ExperimentConfig, QualityRow, SuiteResult,
+    circuit_stats, compare_with_operator, CircuitStatsRow, ComparisonRow, ExperimentConfig,
+    QualityRow, Suite,
 };
 pub use flow::{Elf, ElfConfig, ElfOptions, ElfRefactor, ElfStats};
 pub use pipeline::{Flow, FlowStats, ParseFlowError, StageStats};

@@ -12,8 +12,8 @@
 //! Every kernel accumulates each output element as a **single scalar chain
 //! in ascending-`k` order**.  Blocking only reorders *which* element is
 //! updated next, never the order of additions within one element, so the
-//! blocked kernels are bit-identical to the naive reference kernels
-//! ([`Matrix::matmul_naive`] and friends) on every finite input.  No kernel
+//! blocked kernels are bit-identical to naive triple-loop reference kernels
+//! (the oracles of this module's tests) on every finite input.  No kernel
 //! skips zero operands: `0.0 * inf` must produce `NaN` everywhere (an
 //! earlier version short-circuited `a == 0.0` in two of the three kernels,
 //! silently dropping those terms and yielding finite values where the third
@@ -197,7 +197,7 @@ impl Matrix {
 
     /// Returns `self * other` via the blocked kernel.
     ///
-    /// Bit-identical to [`Matrix::matmul_naive`] (see the module-level
+    /// Bit-identical to the naive triple loop (see the module-level
     /// determinism contract).
     ///
     /// # Panics
@@ -226,7 +226,7 @@ impl Matrix {
     /// Returns `self^T * other` without materializing the transpose, via the
     /// blocked kernel.
     ///
-    /// Bit-identical to [`Matrix::matmul_transpose_self_naive`].
+    /// Bit-identical to the naive triple loop.
     ///
     /// # Panics
     ///
@@ -254,7 +254,7 @@ impl Matrix {
     /// Returns `self * other^T` without materializing the transpose, via the
     /// register-blocked kernel (`NR` output columns per pass).
     ///
-    /// Bit-identical to [`Matrix::matmul_transpose_other_naive`].
+    /// Bit-identical to the naive triple loop.
     ///
     /// # Panics
     ///
@@ -282,67 +282,6 @@ impl Matrix {
             while j < n {
                 out_row[j] = dot(a_row, &other.data[j * c..(j + 1) * c]);
                 j += 1;
-            }
-        }
-        out
-    }
-
-    /// Naive triple-loop `self * other`: the reference oracle the blocked
-    /// [`Matrix::matmul`] is tested and benchmarked against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for j in 0..other.cols {
-                let mut sum = 0.0;
-                for k in 0..self.cols {
-                    sum += self.get(i, k) * other.get(k, j);
-                }
-                out.set(i, j, sum);
-            }
-        }
-        out
-    }
-
-    /// Naive reference oracle for [`Matrix::matmul_transpose_self`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row counts disagree.
-    pub fn matmul_transpose_self_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "row counts must agree");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        for i in 0..self.cols {
-            for j in 0..other.cols {
-                let mut sum = 0.0;
-                for k in 0..self.rows {
-                    sum += self.get(k, i) * other.get(k, j);
-                }
-                out.set(i, j, sum);
-            }
-        }
-        out
-    }
-
-    /// Naive reference oracle for [`Matrix::matmul_transpose_other`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts disagree.
-    pub fn matmul_transpose_other_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "column counts must agree");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            for j in 0..other.rows {
-                let mut sum = 0.0;
-                for k in 0..self.cols {
-                    sum += self.get(i, k) * other.get(j, k);
-                }
-                out.set(i, j, sum);
             }
         }
         out
@@ -446,6 +385,55 @@ impl fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Naive triple-loop `a * b`: the reference oracle of [`Matrix::matmul`].
+    fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut sum = 0.0;
+                for k in 0..a.cols() {
+                    sum += a.get(i, k) * b.get(k, j);
+                }
+                out.set(i, j, sum);
+            }
+        }
+        out
+    }
+
+    /// Naive reference oracle of [`Matrix::matmul_transpose_self`].
+    fn matmul_transpose_self_naive(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.rows(), b.rows(), "row counts must agree");
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        for i in 0..a.cols() {
+            for j in 0..b.cols() {
+                let mut sum = 0.0;
+                for k in 0..a.rows() {
+                    sum += a.get(k, i) * b.get(k, j);
+                }
+                out.set(i, j, sum);
+            }
+        }
+        out
+    }
+
+    /// Naive reference oracle of [`Matrix::matmul_transpose_other`].
+    fn matmul_transpose_other_naive(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.cols(), b.cols(), "column counts must agree");
+        let mut out = Matrix::zeros(a.rows(), b.rows());
+        for i in 0..a.rows() {
+            for j in 0..b.rows() {
+                let mut sum = 0.0;
+                for k in 0..a.cols() {
+                    sum += a.get(i, k) * b.get(j, k);
+                }
+                out.set(i, j, sum);
+            }
+        }
+        out
+    }
 
     #[test]
     fn construction_and_access() {
@@ -559,7 +547,7 @@ mod tests {
             vec![0.0, -2.0],
         ]);
         let product = a.matmul(&b);
-        assert_values_eq_modulo_nan_payload(&product, &a.matmul_naive(&b), "matmul vs oracle");
+        assert_values_eq_modulo_nan_payload(&product, &matmul_naive(&a, &b), "matmul vs oracle");
         assert_values_eq_modulo_nan_payload(
             &transpose(&a).matmul_transpose_self(&b),
             &product,
@@ -593,17 +581,17 @@ mod tests {
             let a = Matrix::from_vec(m, k, pseudo_data(m * k, 1));
             let b = Matrix::from_vec(k, n, pseudo_data(k * n, 2));
             let what = format!("{m}x{k} * {k}x{n}");
-            assert_bits_eq(&a.matmul(&b), &a.matmul_naive(&b), &what);
+            assert_bits_eq(&a.matmul(&b), &matmul_naive(&a, &b), &what);
             let at = transpose(&a);
             assert_bits_eq(
                 &at.matmul_transpose_self(&b),
-                &at.matmul_transpose_self_naive(&b),
+                &matmul_transpose_self_naive(&at, &b),
                 &what,
             );
             let bt = transpose(&b);
             assert_bits_eq(
                 &a.matmul_transpose_other(&bt),
-                &a.matmul_transpose_other_naive(&bt),
+                &matmul_transpose_other_naive(&a, &bt),
                 &what,
             );
         }
@@ -623,5 +611,89 @@ mod tests {
                 mantissa * scale
             })
             .collect()
+    }
+
+    /// Deterministic finite data with wildly mixed magnitudes, so that float
+    /// addition order is observable (catching any accumulation reordering).
+    fn pseudo_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
+        let data = (0..rows * cols)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let mantissa = ((state >> 33) as i32 % 2000) as f32 / 64.0;
+                let scale = [1.0f32, 1e-5, 1e5][(state >> 13) as usize % 3];
+                mantissa * scale
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    // The blocked kernels against the naive oracles on random shapes, drawn
+    // small and skewed on purpose: empty matrices, single rows, and
+    // dimensions that straddle the `LANES`/`MC`/`KC`/`NR` block boundaries.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn blocked_matmul_matches_naive_oracle(
+            m in 0usize..40,
+            k in 0usize..80,
+            n in 0usize..20,
+            seed in any::<u64>(),
+        ) {
+            let a = pseudo_matrix(m, k, seed);
+            let b = pseudo_matrix(k, n, seed.wrapping_add(1));
+            assert_bits_eq(&a.matmul(&b), &matmul_naive(&a, &b), "matmul");
+        }
+
+        #[test]
+        fn blocked_transpose_kernels_match_naive_oracles(
+            m in 0usize..40,
+            k in 0usize..80,
+            n in 0usize..20,
+            seed in any::<u64>(),
+        ) {
+            let a = pseudo_matrix(m, k, seed);
+            let b = pseudo_matrix(k, n, seed.wrapping_add(1));
+            let at = transpose(&a);
+            assert_bits_eq(
+                &at.matmul_transpose_self(&b),
+                &matmul_transpose_self_naive(&at, &b),
+                "matmul_transpose_self",
+            );
+            let bt = transpose(&b);
+            assert_bits_eq(
+                &a.matmul_transpose_other(&bt),
+                &matmul_transpose_other_naive(&a, &bt),
+                "matmul_transpose_other",
+            );
+        }
+
+        #[test]
+        fn all_three_kernels_compute_the_same_product(
+            m in 1usize..24,
+            k in 1usize..48,
+            n in 1usize..12,
+            seed in any::<u64>(),
+        ) {
+            // A*B through all three kernels (transposing operands as needed):
+            // the per-element ascending-k chain makes them bitwise
+            // interchangeable.
+            let a = pseudo_matrix(m, k, seed);
+            let b = pseudo_matrix(k, n, seed.wrapping_add(1));
+            let product = a.matmul(&b);
+            assert_bits_eq(
+                &transpose(&a).matmul_transpose_self(&b),
+                &product,
+                "transpose_self route",
+            );
+            assert_bits_eq(
+                &a.matmul_transpose_other(&transpose(&b)),
+                &product,
+                "transpose_other route",
+            );
+        }
     }
 }

@@ -163,40 +163,32 @@ fn check_keep_all_policies<O: PrunableOperator>(operator: &O, source: &Aig) {
     assert!(stats.windows_reused <= stats.cuts_resynthesized);
 }
 
-/// `Elf` around `operator` with a keep-everything classifier, in batched
-/// and in per-node mode, equals the plain pass and prunes nothing.
+/// `Elf` around `operator` with a keep-everything classifier equals the
+/// plain pass and prunes nothing.
 fn check_keep_all_elf<O: PrunableOperator + Clone>(operator: &O, source: &Aig) {
     use elf_core::{Elf, ElfClassifier, ElfOptions};
     use elf_nn::{Mlp, Normalizer};
 
     let mut plain = source.clone();
     let plain_stats = operator.run(&mut plain);
-    let expected = outcome(&plain, &plain_stats);
-    for batch_classification in [true, false] {
-        let classifier = ElfClassifier::from_parts(
-            Normalizer::from_stats(vec![2.0; 6], vec![1.0; 6]),
-            Mlp::paper_architecture(5),
-            0.0,
-        );
-        let options = ElfOptions {
-            batch_classification,
-            ..Default::default()
-        };
-        let elf = Elf::with_operator(classifier, operator.clone(), options);
-        let mut pruned = source.clone();
-        let stats = elf.run(&mut pruned);
-        assert_eq!(
-            &outcome(&pruned, &stats.op),
-            &expected,
-            "{} batched = {}",
-            O::NAME,
-            batch_classification
-        );
-        assert_eq!(
-            (stats.pruned, stats.kept),
-            (0, plain_stats.cuts_resynthesized)
-        );
-    }
+    let classifier = ElfClassifier::from_parts(
+        Normalizer::from_stats(vec![2.0; 6], vec![1.0; 6]),
+        Mlp::paper_architecture(5),
+        0.0,
+    );
+    let elf = Elf::with_operator(classifier, operator.clone(), ElfOptions::default());
+    let mut pruned = source.clone();
+    let stats = elf.run(&mut pruned);
+    assert_eq!(
+        outcome(&pruned, &stats.op),
+        outcome(&plain, &plain_stats),
+        "{}",
+        O::NAME
+    );
+    assert_eq!(
+        (stats.pruned, stats.kept),
+        (0, plain_stats.cuts_resynthesized)
+    );
 }
 
 /// The batched entry — the sweep's unedited windows handed to the kept

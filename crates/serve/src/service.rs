@@ -44,12 +44,10 @@ pub struct ServeConfig {
     /// [`SubmitError::Overloaded`] with the circuit handed back and are
     /// counted in [`ServiceStats`].
     pub admission: AdmissionPolicy,
-    /// Flow options applied to every stage of every served job
-    /// (normalization mode, the *within-job* engine parallelism, and the
-    /// [`ElfOptions::cut_cache`] knob sizing the **service-lifetime**
-    /// NPN-canonical factoring cache every job shares).
-    /// `batch_classification` is forced on at service start: serving always
-    /// runs the paper's batched mode.
+    /// Flow options applied to every stage of every served job (the
+    /// *within-job* engine parallelism, and the [`ElfOptions::cut_cache`]
+    /// knob sizing the **service-lifetime** NPN-canonical factoring cache
+    /// every job shares).
     pub options: ElfOptions,
     /// The correctness gate: SAT-prove that every served job preserved its
     /// circuit's function ([`VerifyMode::Final`] — one check per job) or
@@ -591,9 +589,6 @@ impl ElfService {
     /// The [`std::io::Error`] of the failed thread spawn.
     pub fn try_start(classifier: ElfClassifier, config: ServeConfig) -> std::io::Result<Self> {
         let mut options = config.options;
-        // The serving layer always runs the paper's batched mode, never the
-        // per-node ablation.
-        options.batch_classification = true;
         // The verify knob rides in the options so the offline twin —
         // `Flow::pruned_from_script(script, classifier, service.options())` —
         // checks exactly what the served job checked.
@@ -701,7 +696,7 @@ impl ElfService {
     }
 
     /// The flow options applied to served jobs (the configured
-    /// [`ServeConfig::options`] with `batch_classification` forced on) —
+    /// [`ServeConfig::options`] with [`ServeConfig::verify`] folded in) —
     /// what an offline [`Flow::pruned_from_script`] comparison must use.
     pub fn options(&self) -> ElfOptions {
         self.shared.options

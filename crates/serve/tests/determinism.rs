@@ -141,8 +141,7 @@ fn forward_passes(stats: &FlowStats) -> (u64, u64) {
 /// per-job fingerprints and the `(forward passes, rows)` summed over all jobs.
 fn offline_reference(config: ServeConfig) -> (Vec<JobFingerprint>, (u64, u64)) {
     let classifier = mixed_classifier();
-    let mut options = config.options;
-    options.batch_classification = true; // what `ElfService::start` enforces
+    let options = config.options;
     let mut totals = (0, 0);
     let prints = job_set()
         .into_iter()

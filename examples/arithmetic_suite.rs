@@ -5,14 +5,14 @@
 //! Run with `cargo run --release --example arithmetic_suite`.
 
 use elf::circuits::epfl::{arithmetic_suite, Scale};
-use elf::core::experiment::{run_suite, ExperimentConfig};
+use elf::core::experiment::{ExperimentConfig, Suite};
 use elf::core::BenchCircuit;
 use elf::nn::TrainConfig;
 
 fn main() {
     // Tiny versions of the six arithmetic circuits keep this example fast;
-    // the bench harness (`cargo run -p elf-bench --bin table3`) uses the
-    // larger default scale.
+    // the paper harness (`cargo run -p elf-bench --bin paper -- table3`)
+    // uses the larger default scale.
     let circuits: Vec<BenchCircuit> = arithmetic_suite(Scale::Tiny)
         .into_iter()
         .map(|(name, aig)| BenchCircuit::new(name, aig))
@@ -27,14 +27,15 @@ fn main() {
     };
 
     println!("running leave-one-out over {} circuits...", circuits.len());
-    let suite = run_suite(&circuits, &config);
+    let (comparisons, qualities): (Vec<_>, Vec<_>) =
+        Suite::refactor(circuits, config).rows().into_iter().unzip();
 
     println!();
     println!(
         "{:<12} {:>8} {:>10} {:>10} {:>9} {:>9} {:>8} {:>8}",
         "design", "nodes", "base(ms)", "elf(ms)", "base-AND", "elf-AND", "speedup", "ΔAND%"
     );
-    for row in &suite.comparisons {
+    for row in &comparisons {
         println!(
             "{:<12} {:>8} {:>10.2} {:>10.2} {:>9} {:>9} {:>7.2}x {:>+8.2}",
             row.name,
@@ -53,7 +54,7 @@ fn main() {
         "{:<12} {:>8} {:>9} {:>8} {:>8} {:>8} {:>8}",
         "design", "recall", "accuracy", "TP", "TN", "FP", "FN"
     );
-    for row in &suite.qualities {
+    for row in &qualities {
         let cm = row.confusion;
         println!(
             "{:<12} {:>7.1}% {:>8.1}% {:>8} {:>8} {:>8} {:>8}",
@@ -67,12 +68,21 @@ fn main() {
         );
     }
 
+    let count = comparisons.len().max(1) as f64;
+    let mean_speedup = (comparisons.iter().map(|r| r.speedup().ln()).sum::<f64>() / count).exp();
+    let mean = |metric: fn(&elf::nn::ConfusionMatrix) -> f64| {
+        qualities.iter().map(|r| metric(&r.confusion)).sum::<f64>() / count
+    };
+    let worst = comparisons
+        .iter()
+        .map(|r| r.and_difference_percent())
+        .fold(0.0, f64::max);
     println!();
     println!(
         "mean speed-up {:.2}x, mean recall {:.1}%, mean accuracy {:.1}%, worst area loss {:+.2}%",
-        suite.mean_speedup(),
-        suite.mean_recall() * 100.0,
-        suite.mean_accuracy() * 100.0,
-        suite.worst_and_difference_percent(),
+        mean_speedup,
+        mean(elf::nn::ConfusionMatrix::recall) * 100.0,
+        mean(elf::nn::ConfusionMatrix::accuracy) * 100.0,
+        worst,
     );
 }

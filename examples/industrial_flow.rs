@@ -66,7 +66,7 @@ fn main() {
     let (name, target) = &designs[held_out];
     let cuts = collect_labeled_cuts(target, &params);
     let (features, labels) = cuts_to_arrays(&cuts);
-    let confusion = classifier.evaluate(&features, &labels, true);
+    let confusion = classifier.evaluate(&features, &labels);
     println!(
         "{name}: recall {:.1}%, accuracy {:.1}% over {} cuts",
         confusion.recall() * 100.0,

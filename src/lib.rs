@@ -21,7 +21,6 @@
 //! | [`cec`] (`elf-cec`) | SAT-based combinational equivalence checking: a zero-dependency CDCL solver, miter construction, fraig-style simulation-guided SAT sweeping — the correctness gate behind `core::VerifyMode` |
 //! | [`obs`] (`elf-obs`) | Zero-dependency observability: lock-free counters/gauges/log-bucketed latency histograms with a Prometheus text scrape, plus `ELF_TRACE`-gated tracing spans exported as Chrome `trace_event` JSON |
 //! | [`circuits`] (`elf-circuits`) | EPFL-style arithmetic, industrial-like and synthetic workload generators |
-//! | [`analysis`] (`elf-analysis`) | t-SNE, exact Shapley values, PCA |
 //!
 //! The operator layer is a small type algebra: every operator implements
 //! `opt::PrunableOperator` by supplying its per-node resynthesis step and
@@ -151,7 +150,6 @@
 //! ```
 
 pub use elf_aig as aig;
-pub use elf_analysis as analysis;
 pub use elf_cec as cec;
 pub use elf_circuits as circuits;
 pub use elf_core as core;

@@ -5,13 +5,9 @@
 use elf::aig::check_equivalence;
 use elf::circuits::epfl::{arithmetic_circuit, arithmetic_suite, Scale};
 use elf::circuits::industrial::{generate_industrial, IndustrialProfile};
-use elf::core::experiment::{
-    circuit_stats, compare_on_circuit, compare_with_operator, quality_on_circuit,
-    train_leave_one_out_with, ExperimentConfig,
-};
+use elf::core::experiment::{circuit_stats, compare_with_operator, ExperimentConfig, Suite};
 use elf::core::{
-    circuit_dataset, leave_one_out_dataset, train_leave_one_out, BenchCircuit, Elf, ElfClassifier,
-    ElfConfig, ElfOptions, ElfRefactor, Flow,
+    circuit_dataset, BenchCircuit, Elf, ElfClassifier, ElfConfig, ElfOptions, ElfRefactor, Flow,
 };
 use elf::nn::TrainConfig;
 use elf::opt::{Refactor, RefactorParams, ResubParams, Rewrite, RewriteParams};
@@ -76,17 +72,18 @@ fn redundancy_statistics_match_the_papers_premise() {
 
 #[test]
 fn leave_one_out_flow_preserves_function_and_prunes() {
-    let circuits = tiny_suite();
     let config = quick_experiment_config();
+    let suite = Suite::refactor(tiny_suite(), config);
     // Hold out the multiplier (index of "multiplier" in the suite).
-    let held_out = circuits
+    let held_out = suite
+        .circuits()
         .iter()
         .position(|c| c.name == "multiplier")
         .expect("multiplier exists");
-    let classifier = train_leave_one_out(&circuits, held_out, &config);
+    let classifier = suite.train(Some(held_out));
 
-    let golden = circuits[held_out].aig.clone();
-    let mut optimized = circuits[held_out].aig.clone();
+    let golden = suite.circuits()[held_out].aig.clone();
+    let mut optimized = golden.clone();
     let elf = ElfRefactor::new(classifier, config.elf);
     let stats = elf.run(&mut optimized);
 
@@ -99,16 +96,16 @@ fn leave_one_out_flow_preserves_function_and_prunes() {
 
 #[test]
 fn comparison_and_quality_rows_are_consistent() {
-    let circuits = tiny_suite();
-    let config = quick_experiment_config();
-    let classifier = train_leave_one_out(&circuits, 0, &config);
-    let row = compare_on_circuit(&circuits[0], &classifier, &config);
-    assert_eq!(row.name, circuits[0].name);
+    let suite = Suite::refactor(tiny_suite(), quick_experiment_config());
+    let circuit = &suite.circuits()[0];
+    let classifier = suite.train(Some(0));
+    let row = suite.compare(circuit, &classifier);
+    assert_eq!(row.name, circuit.name);
     assert!(row.baseline_ands <= row.nodes_before);
     assert!(row.elf_ands <= row.nodes_before);
 
-    let quality = quality_on_circuit(&circuits[0], &classifier, &config);
-    let stats = circuit_stats(&circuits[0], &config.elf.refactor);
+    let quality = suite.quality(circuit, &classifier);
+    let stats = circuit_stats(circuit, &suite.config().elf.refactor);
     assert_eq!(quality.confusion.total(), stats.cuts);
     // True positives + false negatives equals the number of refactorable cuts.
     assert_eq!(
@@ -162,19 +159,20 @@ fn industrial_designs_work_through_the_whole_pipeline() {
             )
         })
         .collect();
-    let params = RefactorParams::default();
-    let data = leave_one_out_dataset(&designs, 0, &params);
-    assert!(data.len() > 100);
-    let (classifier, _) = ElfClassifier::fit(
-        &data,
-        &TrainConfig {
+    let config = ExperimentConfig {
+        train: TrainConfig {
             epochs: 8,
             ..Default::default()
         },
-        11,
-    );
-    let golden = designs[0].aig.clone();
-    let mut optimized = designs[0].aig.clone();
+        seed: 11,
+        ..Default::default()
+    };
+    let suite = Suite::refactor(designs, config);
+    let training_rows: usize = suite.datasets()[1..].iter().map(|d| d.len()).sum();
+    assert!(training_rows > 100);
+    let classifier = suite.train(Some(0));
+    let golden = suite.circuits()[0].aig.clone();
+    let mut optimized = golden.clone();
     let stats = ElfRefactor::new(classifier, ElfConfig::default()).run(&mut optimized);
     assert!(stats.pruned + stats.kept > 0);
     assert!(check_equivalence(&golden, &optimized, 24, 3).holds());
@@ -191,11 +189,16 @@ fn rewrite_classifier_trains_and_prunes_through_shared_machinery() {
         .iter()
         .position(|c| c.name == "multiplier")
         .expect("multiplier exists");
-    let train = TrainConfig {
-        epochs: 8,
+    let config = ExperimentConfig {
+        train: TrainConfig {
+            epochs: 8,
+            ..Default::default()
+        },
+        seed: 0xE1F,
         ..Default::default()
     };
-    let classifier = train_leave_one_out_with(&operator, &circuits, held_out, &train, 0xE1F);
+    let suite = Suite::new(circuits.clone(), operator.clone(), config);
+    let classifier = suite.train(Some(held_out));
 
     let golden = circuits[held_out].aig.clone();
     let mut optimized = golden.clone();
@@ -214,12 +217,12 @@ fn rewrite_classifier_trains_and_prunes_through_shared_machinery() {
 
 #[test]
 fn flow_pipeline_mixes_plain_and_pruned_stages() {
-    let circuits = tiny_suite();
     let config = quick_experiment_config();
+    let suite = Suite::refactor(tiny_suite(), config);
     let held_out = 2;
-    let classifier = train_leave_one_out(&circuits, held_out, &config);
+    let classifier = suite.train(Some(held_out));
 
-    let golden = circuits[held_out].aig.clone();
+    let golden = suite.circuits()[held_out].aig.clone();
     let mut optimized = golden.clone();
     let flow = Flow::new()
         .elf_refactor(ElfRefactor::new(classifier, config.elf))
@@ -241,18 +244,19 @@ fn flow_pipeline_mixes_plain_and_pruned_stages() {
 
 #[test]
 fn double_application_never_hurts_area() {
-    let circuits = tiny_suite();
     let config = ExperimentConfig {
         applications: 2,
         ..quick_experiment_config()
     };
-    let classifier = train_leave_one_out(&circuits, 1, &config);
-    let single_config = ExperimentConfig {
-        applications: 1,
-        ..config
-    };
-    let twice = compare_on_circuit(&circuits[1], &classifier, &config);
-    let once = compare_on_circuit(&circuits[1], &classifier, &single_config);
+    let suite = Suite::refactor(tiny_suite(), config);
+    let classifier = suite.train(Some(1));
+    let twice = suite.compare(&suite.circuits()[1], &classifier);
+    let once = compare_with_operator(
+        &suite.circuits()[1],
+        &Refactor::new(config.elf.refactor),
+        &ElfRefactor::new(classifier, config.elf),
+        1,
+    );
     assert!(twice.elf_ands <= once.elf_ands);
     assert_eq!(twice.elf_passes.len(), 2);
 }
