@@ -1,12 +1,12 @@
 //! Equivalence-checking benchmark: the correctness-gate experiment.
 //!
 //! The circuit set is the determinism-suite job set (the scripted random
-//! circuits the serving layer's determinism stress tests hammer) plus the
-//! SAT-friendly arithmetic benchmarks.  The remaining arithmetic circuits
-//! (`div`, `hyp`, `multiplier`) are *structurally* hard CEC instances —
-//! divider and multiplier miters are the classical worst case for CDCL —
-//! and honestly exhaust the conflict budget, so they stay out of the CI
-//! gate.
+//! circuits the serving layer's determinism stress tests hammer) plus all six
+//! arithmetic benchmarks, always at `Scale::Tiny` width (SAT hardness grows
+//! exponentially with operand width).  Divider and multiplier miters are the
+//! classical worst case for a monolithic CDCL query; the sweep's
+//! topological order proves them pair by pair, so they are gated like the
+//! rest.
 //!
 //! For every circuit the harness
 //!
@@ -45,26 +45,6 @@ fn determinism_suite() -> Vec<(String, elf_aig::Aig)> {
                 .collect();
             let aig = scripted_circuit(4 + job % 3, &gates);
             (format!("scripted{job:02}"), aig)
-        })
-        .collect()
-}
-
-/// The arithmetic benchmarks whose miters the sweep discharges quickly.
-/// Always built at tiny width (SAT hardness grows exponentially with
-/// operand width); larger `--scale` settings widen the set, not the
-/// operands.
-fn friendly_arithmetic(scale: Scale) -> Vec<(String, elf_aig::Aig)> {
-    let mut names = vec!["sqrt", "square"];
-    if scale != Scale::Tiny {
-        names.push("log2");
-    }
-    names
-        .into_iter()
-        .map(|name| {
-            (
-                name.to_string(),
-                elf_circuits::epfl::arithmetic_circuit(name, Scale::Tiny),
-            )
         })
         .collect()
 }
@@ -121,7 +101,7 @@ fn main() -> ExitCode {
     };
 
     let mut suite = determinism_suite();
-    suite.extend(friendly_arithmetic(options.scale));
+    suite.extend(elf_circuits::arithmetic_suite(Scale::Tiny));
 
     let mut reports = Vec::new();
     let mut all_green = true;

@@ -21,10 +21,14 @@
 //!    miter output itself: a vector on which it is true is a counterexample,
 //!    returned with no CNF built and no SAT call.  Otherwise the same words
 //!    partition the miter's AND nodes into candidate-equivalence classes.
-//! 3. **SAT sweep** — each candidate pair is discharged with two small
-//!    incremental queries; proofs become permanent clauses that merge the
-//!    nodes, refutations become new simulation patterns that split the
-//!    classes.
+//! 3. **SAT sweep** — each candidate is paired with the first node of its
+//!    class in topological order and the pairs are discharged in the
+//!    candidate's topological order, so every proved equivalence in a
+//!    candidate's fanin cone is already a clause when it is queried.  Each
+//!    pair gets two small incremental queries, each capped at a few
+//!    conflicts (a pair that needs more is left to the final query); proofs
+//!    become permanent clauses that merge the nodes, refutations become new
+//!    simulation patterns that split the classes.
 //! 4. **Final query** — the (now heavily constrained) miter output is
 //!    asked for satisfiability under a conflict budget; running out of
 //!    budget yields the honest [`Equivalence::Undecided`].
@@ -144,7 +148,9 @@ pub struct CecReport {
     pub proved_pairs: usize,
     /// Candidate pairs refuted (their counterexamples refined the classes).
     pub disproved_pairs: usize,
-    /// Candidate pairs abandoned when the sweep budget ran dry.
+    /// Candidate pairs abandoned at the per-pair conflict cap or when the
+    /// sweep's half of the budget ran out (pairs the sweep never reached are
+    /// not counted).
     pub undecided_pairs: usize,
     /// Individual SAT queries issued, including the final miter query.
     pub sat_calls: usize,

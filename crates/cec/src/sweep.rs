@@ -5,11 +5,14 @@
 //! first: bit-parallel random simulation partitions the AND nodes into
 //! candidate-equivalence classes (nodes whose simulation words agree up to
 //! complementation), and each candidate pair is discharged with two small
-//! incremental SAT queries.  Proved pairs become permanent binary clauses
-//! that effectively merge the nodes for every later query; refuted pairs
-//! yield counterexample patterns that are fed back into the simulation to
-//! split the classes further.  The final miter query then runs on a CNF
-//! that is already riddled with short-cuts.
+//! incremental SAT queries, in FRAIG order (Mishchenko et al., "FRAIGs: a
+//! unifying representation for logic synthesis and verification", 2005):
+//! candidates in topological order, each query under a small conflict cap.
+//! Proved pairs become permanent binary clauses that effectively merge the
+//! nodes for every later query; refuted pairs yield counterexample patterns
+//! that are fed back into the simulation to split the classes further.  The
+//! final miter query then runs on a CNF that is already riddled with
+//! short-cuts.
 //!
 //! The random rounds also decide the easy half of refutation: if the miter
 //! output is true on any simulated vector, that vector is the answer and the
@@ -191,8 +194,44 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Conflicts one sweep query may spend.  A pair that needs more is left to
+/// the final query: in topological order an equivalence whose fanin cone is
+/// already merged is a local question, so a small cap decides nearly every
+/// pair and stops one hard pair from eating the sweep's whole half of the
+/// budget.  On the `cec_verify` benchmark's sixteen equivalent pairs at 3 000
+/// conflicts (seeds 9 and 11, 2-core x86-64), caps of 3 / 5 / 10 / 20 / 50 /
+/// none took 87–88 / 123–126 / 93–96 / 120–125 / 189–191 / 228–230 ms, with
+/// every pair proved; a cap of 1 starves the sweep (698–791 ms, 3–5 pairs
+/// undecided).  10 spends the fewest conflicts and sits well clear of that
+/// cliff.
+const PAIR_CONFLICTS: u64 = 10;
+
+/// The sweep's `(representative, candidate)` pairs and the number of
+/// candidate classes (signatures with at least two members).
+///
+/// One pass over the constant and `sim.order` pairs each node with the first
+/// node in topological order that has its canonical signature.  The pairs
+/// come out in the candidate's topological order, so by the time a candidate
+/// is queried every proved equivalence in its fanin cone is already a clause.
+fn candidate_pairs(sim: &Sim) -> (Vec<(NodeId, NodeId)>, usize) {
+    // Per signature: its representative, and whether it has a candidate yet.
+    let mut representative: HashMap<Vec<u64>, (NodeId, bool)> = HashMap::new();
+    let (mut pairs, mut classes) = (Vec::new(), 0);
+    for id in std::iter::once(Lit::FALSE.node()).chain(sim.order.iter().copied()) {
+        let (rep, paired) = representative
+            .entry(sim.canonical(id))
+            .or_insert((id, false));
+        if *rep != id {
+            classes += usize::from(!std::mem::replace(paired, true));
+            pairs.push((*rep, id));
+        }
+    }
+    (pairs, classes)
+}
+
 /// Mines candidate equivalences from the random rounds `sim` holds and
-/// discharges them with incremental SAT.
+/// discharges them with incremental SAT, in the order of
+/// [`candidate_pairs`], each query capped at [`PAIR_CONFLICTS`].
 fn sweep(
     m: &Aig,
     sim: &mut Sim,
@@ -202,78 +241,144 @@ fn sweep(
     report: &mut CecReport,
     start_conflicts: u64,
 ) {
-    // Partition constant + AND nodes by canonical signature; the class member
-    // list keeps topological order, so representatives and proof order are
-    // deterministic.
-    let mut classes: HashMap<Vec<u64>, Vec<NodeId>> = HashMap::new();
-    let const0 = Lit::FALSE.node();
-    classes.insert(sim.canonical(const0), vec![const0]);
-    for &id in &sim.order {
-        classes.entry(sim.canonical(id)).or_default().push(id);
-    }
-    let mut rank: HashMap<NodeId, usize> = HashMap::new();
-    rank.insert(const0, 0);
-    for (i, &id) in sim.order.iter().enumerate() {
-        rank.insert(id, i + 1);
-    }
-    let mut class_list: Vec<Vec<NodeId>> = classes
-        .into_values()
-        .filter(|members| members.len() > 1)
-        .collect();
-    class_list.sort_by_key(|members| rank[&members[0]]);
-    report.candidate_classes = class_list.len();
+    let (pairs, classes) = candidate_pairs(sim);
+    report.candidate_classes = classes;
 
     // The sweep may spend at most half the conflict budget; the final miter
     // query gets the rest.
     let sweep_budget = params.conflict_budget / 2;
     let mut input_words = vec![0u64; m.num_inputs()];
-    'sweeping: for members in &class_list {
-        let rep = members[0];
-        for &cand in &members[1..] {
-            let spent = solver.num_conflicts() - start_conflicts;
-            let Some(remaining) = sweep_budget.checked_sub(spent).filter(|&r| r > 0) else {
-                break 'sweeping;
-            };
-            let complemented = sim.phase(rep) != sim.phase(cand);
-            // Refinement rounds from earlier counterexamples may have split
-            // the pair since the classes were formed.
-            if !sim.still_matches(rep, cand, complemented) {
-                continue;
-            }
-            let lr = enc.var(rep).positive();
-            let lc = if complemented {
-                enc.var(cand).negative()
-            } else {
-                enc.var(cand).positive()
-            };
-            report.sat_calls += 2;
-            let forward = solver.solve(&[lr, !lc], Some(remaining));
-            let backward = match forward {
-                SolveResult::Unsat => solver.solve(&[!lr, lc], Some(remaining)),
-                other => other,
-            };
-            match (forward, backward) {
-                (SolveResult::Unsat, SolveResult::Unsat) => {
-                    // Proved: merge the nodes for all later queries.
-                    solver.add_clause(&[!lr, lc]);
-                    solver.add_clause(&[lr, !lc]);
-                    report.proved_pairs += 1;
-                }
-                (SolveResult::Sat, _) | (_, SolveResult::Sat) => {
-                    report.disproved_pairs += 1;
-                    // Feed the distinguishing assignment back into the
-                    // simulation so related classes split too.
-                    for (word, &input) in input_words.iter_mut().zip(m.inputs()) {
-                        *word = if solver.model_value(enc.var(input)) {
-                            !0
-                        } else {
-                            0
-                        };
-                    }
-                    sim.round(m, &input_words);
-                }
-                _ => report.undecided_pairs += 1,
-            }
+    for (rep, cand) in pairs {
+        let spent = solver.num_conflicts() - start_conflicts;
+        let Some(remaining) = sweep_budget.checked_sub(spent).filter(|&r| r > 0) else {
+            break;
+        };
+        let budget = Some(remaining.min(PAIR_CONFLICTS));
+        let complemented = sim.phase(rep) != sim.phase(cand);
+        // Refinement rounds from earlier counterexamples may have split the
+        // pair since the classes were formed.
+        if !sim.still_matches(rep, cand, complemented) {
+            continue;
         }
+        let lr = enc.var(rep).positive();
+        let lc = if complemented {
+            enc.var(cand).negative()
+        } else {
+            enc.var(cand).positive()
+        };
+        report.sat_calls += 2;
+        let forward = solver.solve(&[lr, !lc], budget);
+        let backward = match forward {
+            SolveResult::Unsat => solver.solve(&[!lr, lc], budget),
+            other => other,
+        };
+        match (forward, backward) {
+            (SolveResult::Unsat, SolveResult::Unsat) => {
+                // Proved: merge the nodes for all later queries.
+                solver.add_clause(&[!lr, lc]);
+                solver.add_clause(&[lr, !lc]);
+                report.proved_pairs += 1;
+            }
+            (SolveResult::Sat, _) | (_, SolveResult::Sat) => {
+                report.disproved_pairs += 1;
+                // Feed the distinguishing assignment back into the simulation
+                // so related classes split too.
+                for (word, &input) in input_words.iter_mut().zip(m.inputs()) {
+                    *word = if solver.model_value(enc.var(input)) {
+                        !0
+                    } else {
+                        0
+                    };
+                }
+                sim.round(m, &input_words);
+            }
+            _ => report.undecided_pairs += 1,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use elf_aig::miter;
+
+    /// A ripple-carry adder; `majority` picks a structurally different full
+    /// adder (`a ^ (b ^ c)` with a three-AND majority carry).
+    fn adder(bits: usize, majority: bool) -> Aig {
+        let mut aig = Aig::new();
+        let a = aig.add_inputs(bits);
+        let b = aig.add_inputs(bits);
+        let mut carry = Lit::FALSE;
+        for i in 0..bits {
+            let (sum, next) = if majority {
+                let bc = aig.xor(b[i], carry);
+                let ab = aig.and(a[i], b[i]);
+                let ac = aig.and(a[i], carry);
+                let both = aig.and(b[i], carry);
+                let either = aig.or(ab, ac);
+                (aig.xor(a[i], bc), aig.or(either, both))
+            } else {
+                let ab = aig.xor(a[i], b[i]);
+                let gen = aig.and(a[i], b[i]);
+                let prop = aig.and(ab, carry);
+                (aig.xor(ab, carry), aig.or(gen, prop))
+            };
+            carry = next;
+            aig.add_output(sum);
+        }
+        aig.add_output(carry);
+        aig
+    }
+
+    #[test]
+    fn candidates_come_in_topological_order_after_their_representatives() {
+        let m = miter(&adder(6, false), &adder(6, true)).expect("same interfaces");
+        let mut sim = Sim::new(&m);
+        assert_eq!(
+            sim.random_rounds(&m, &CecParams::default(), m.outputs()[0]),
+            None,
+            "the adders are equivalent"
+        );
+        let (pairs, classes) = candidate_pairs(&sim);
+
+        // Topological position per slot, the constant first.
+        let const0 = Lit::FALSE.node();
+        let nodes: Vec<NodeId> = std::iter::once(const0)
+            .chain(sim.order.iter().copied())
+            .collect();
+        let mut position = vec![usize::MAX; m.num_slots()];
+        for (i, id) in nodes.iter().enumerate() {
+            position[id.as_usize()] = i;
+        }
+        for &(rep, cand) in &pairs {
+            assert!(position[rep.as_usize()] < position[cand.as_usize()]);
+        }
+        for window in pairs.windows(2) {
+            assert!(position[window[0].1.as_usize()] < position[window[1].1.as_usize()]);
+        }
+
+        // The oracle: group the nodes by canonical signature, the first
+        // member of each group its representative.
+        let mut groups: HashMap<Vec<u64>, Vec<NodeId>> = HashMap::new();
+        for &id in &nodes {
+            groups.entry(sim.canonical(id)).or_default().push(id);
+        }
+        let mut expected: Vec<(NodeId, NodeId)> = groups
+            .values()
+            .flat_map(|members| members[1..].iter().map(|&cand| (members[0], cand)))
+            .collect();
+        expected.sort_unstable();
+        let mut got = pairs.clone();
+        got.sort_unstable();
+        assert_eq!(got, expected);
+        assert_eq!(
+            classes,
+            groups.values().filter(|members| members.len() > 1).count()
+        );
+
+        // The miter has the constant class (its XORed output pairs) and
+        // several classes of internal equivalences besides.
+        assert!(pairs.iter().any(|&(rep, _)| rep == const0));
+        assert!(classes >= 3, "only {classes} candidate classes");
     }
 }

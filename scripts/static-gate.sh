@@ -161,3 +161,20 @@ if [ -n "$containers" ]; then
     exit 1
 fi
 echo "static-gate: the CDCL core stays off the heap"
+
+# Slot-indexed tables in the checker: what `elf-cec` keeps per node lives in
+# a `Vec` indexed by slot, and the sweep's pair order falls out of one pass
+# over the topological order.  A `HashMap<NodeId` in the non-test region is
+# the per-node rank map, and the re-sort of the classes it fed, coming back.
+node_maps=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /HashMap<NodeId/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+' crates/cec/src/*.rs)
+if [ -n "$node_maps" ]; then
+    echo "$node_maps"
+    echo "static-gate: HashMap<NodeId, _> in non-test elf-cec code" >&2
+    exit 1
+fi
+echo "static-gate: elf-cec keeps per-node tables by slot"

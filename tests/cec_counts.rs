@@ -1,13 +1,15 @@
-//! Search-identity pins for `elf-cec`: the exact verdict and solver counts of
-//! the benchmark's sixteen equivalent pairs (the six `Scale::Tiny` arithmetic
+//! Search pins for `elf-cec`: the exact verdict and solver counts of the
+//! benchmark's sixteen equivalent pairs (the six `Scale::Tiny` arithmetic
 //! circuits and `industrial_suite(0.001, 1)`, each against its plain
 //! `rf; rw; rs` output) under a 3 000-conflict budget.
 //!
-//! The table was recorded on the commit *before* the solver's containers were
-//! rebuilt (PR 23) and uses only public API, so it runs unmodified on either
-//! side: a change to the solver that keeps these rows made the same decisions,
-//! learnt the same clauses and proved the same pairs.  It is what stands in
-//! for a retained copy of the old solver.
+//! The table pins the FRAIG-order search and was recorded on the change that
+//! introduced it: the sweep queries candidate pairs in the candidate's
+//! topological order, each query capped at a few conflicts.  Every pair is
+//! proved under this budget, and that guarantee is asserted on its own.  A
+//! change to the solver or the sweep that keeps these rows made the same
+//! decisions, learnt the same clauses and proved the same pairs; one that is
+//! meant to change the search re-records the table and says why.
 
 use elf::aig::Aig;
 use elf::cec::{check_equivalence_with, CecParams, Equivalence};
@@ -19,22 +21,22 @@ use elf::core::{Flow, Parallelism};
 type Row = (&'static str, char, u64, usize, usize, usize, usize, usize);
 
 const RECORDED: [Row; 16] = [
-    ("div", 'U', 3000, 461, 469, 228, 1, 1),
-    ("hyp", 'U', 3000, 37, 779, 17, 0, 1),
-    ("log2", 'P', 2236, 39, 2046, 17, 1, 1),
-    ("multiplier", 'U', 3000, 5, 500, 1, 0, 1),
-    ("sqrt", 'P', 758, 593, 159, 296, 0, 0),
-    ("square", 'P', 1999, 45, 472, 21, 0, 1),
-    ("design 1", 'P', 647, 671, 192, 333, 2, 0),
-    ("design 2", 'P', 334, 437, 106, 218, 0, 0),
-    ("design 3", 'P', 1396, 707, 199, 348, 5, 0),
-    ("design 4", 'P', 141, 453, 49, 226, 0, 0),
-    ("design 5", 'P', 862, 985, 218, 489, 3, 0),
-    ("design 6", 'U', 3000, 73, 224, 35, 0, 1),
-    ("design 7", 'P', 248, 527, 115, 263, 0, 0),
-    ("design 8", 'P', 63, 163, 30, 81, 0, 0),
+    ("div", 'P', 586, 1693, 469, 842, 3, 1),
+    ("hyp", 'P', 1065, 2091, 779, 1038, 0, 7),
+    ("log2", 'P', 1775, 2501, 2046, 1215, 1, 34),
+    ("multiplier", 'P', 567, 1143, 500, 571, 0, 0),
+    ("sqrt", 'P', 287, 593, 159, 294, 0, 2),
+    ("square", 'P', 574, 1179, 472, 589, 0, 0),
+    ("design 1", 'P', 291, 671, 192, 332, 2, 1),
+    ("design 2", 'P', 151, 437, 106, 218, 0, 0),
+    ("design 3", 'P', 287, 707, 199, 348, 5, 0),
+    ("design 4", 'P', 122, 453, 49, 226, 0, 0),
+    ("design 5", 'P', 371, 985, 218, 489, 3, 0),
+    ("design 6", 'P', 289, 707, 224, 351, 2, 0),
+    ("design 7", 'P', 182, 527, 115, 263, 0, 0),
+    ("design 8", 'P', 49, 163, 30, 81, 0, 0),
     ("design 9", 'P', 63, 423, 12, 211, 0, 0),
-    ("design 10", 'P', 1500, 605, 227, 299, 2, 1),
+    ("design 10", 'P', 320, 859, 227, 427, 2, 0),
 ];
 
 fn circuits() -> Vec<(String, Aig)> {
@@ -57,25 +59,37 @@ fn equivalent_pairs_keep_their_recorded_verdicts_and_counts() {
     };
     let circuits = circuits();
     assert_eq!(circuits.len(), RECORDED.len());
-    for ((name, aig), recorded) in circuits.iter().zip(RECORDED) {
-        let mut optimized = aig.clone();
-        flow.run(&mut optimized);
-        let report = check_equivalence_with(aig, &optimized, &params);
-        let verdict = match report.result {
-            Equivalence::Proved => 'P',
-            Equivalence::Undecided(_) => 'U',
-            Equivalence::CounterExample(_) => panic!("{name}: an equivalent pair was refuted"),
-        };
-        let row = (
-            name.as_str(),
-            verdict,
-            report.conflicts,
-            report.sat_calls,
-            report.candidate_classes,
-            report.proved_pairs,
-            report.disproved_pairs,
-            report.undecided_pairs,
-        );
-        assert_eq!(row, recorded, "the search changed");
-    }
+    let rows: Vec<Row> = circuits
+        .iter()
+        .zip(RECORDED)
+        .map(|((name, aig), (recorded_name, ..))| {
+            assert_eq!(name, recorded_name);
+            let mut optimized = aig.clone();
+            flow.run(&mut optimized);
+            let report = check_equivalence_with(aig, &optimized, &params);
+            let verdict = match report.result {
+                Equivalence::Proved => 'P',
+                Equivalence::Undecided(_) => 'U',
+                Equivalence::CounterExample(_) => panic!("{name}: an equivalent pair was refuted"),
+            };
+            (
+                recorded_name,
+                verdict,
+                report.conflicts,
+                report.sat_calls,
+                report.candidate_classes,
+                report.proved_pairs,
+                report.disproved_pairs,
+                report.undecided_pairs,
+            )
+        })
+        .collect();
+    // The guarantee first, then the exact search.
+    let undecided: Vec<&str> = rows
+        .iter()
+        .filter(|row| row.1 != 'P')
+        .map(|row| row.0)
+        .collect();
+    assert!(undecided.is_empty(), "undecided: {undecided:?}");
+    assert_eq!(rows, RECORDED, "the search changed");
 }
