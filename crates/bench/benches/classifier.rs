@@ -34,16 +34,18 @@ fn bench_inference(c: &mut Criterion) {
     let mut group = c.benchmark_group("classifier");
     group.sample_size(30);
 
+    // A pruned pass's decision: standardize the batch with its own
+    // statistics, one forward pass, threshold.
+    let classify =
+        |batch: &[[f32; 6]]| classifier.decide(&classifier.predict_batch_self_normalized(batch));
     group.bench_function("batched_inference_all_cuts", |b| {
-        b.iter(|| std::hint::black_box(classifier.classify_batch(&features)));
+        b.iter(|| std::hint::black_box(classify(&features)));
     });
-    group.bench_function("batched_inference_self_normalized", |b| {
-        b.iter(|| std::hint::black_box(classifier.classify_batch_self_normalized(&features)));
-    });
+    // One row per call: a single row falls back to the training statistics.
     group.bench_function("per_cut_inference", |b| {
         b.iter(|| {
             for feature in features.iter().take(64) {
-                std::hint::black_box(classifier.classify_batch(std::slice::from_ref(feature)));
+                std::hint::black_box(classify(std::slice::from_ref(feature)));
             }
         });
     });

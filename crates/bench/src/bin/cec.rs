@@ -169,23 +169,17 @@ fn run_circuit(
 
     // Full pruned flow under Final verification.
     let mut optimized = golden.clone();
-    let final_options = ElfOptions {
-        verify: VerifyMode::Final,
-        ..elf_options
-    };
-    let final_stats = Flow::pruned_from_script(SCRIPT, classifier, final_options)
+    let final_stats = Flow::pruned_from_script(SCRIPT, classifier, elf_options)
         .expect("the benchmark script is well-formed")
+        .with_verify(VerifyMode::Final)
         .run(&mut optimized);
     let final_proved = final_stats.verify.as_ref().is_some_and(|v| v.proved());
 
     // Same flow under PerStage verification (localizing any miscompile).
     let mut per_stage_aig = golden.clone();
-    let per_stage_options = ElfOptions {
-        verify: VerifyMode::PerStage,
-        ..elf_options
-    };
-    let per_stage_stats = Flow::pruned_from_script(SCRIPT, classifier, per_stage_options)
+    let per_stage_stats = Flow::pruned_from_script(SCRIPT, classifier, elf_options)
         .expect("the benchmark script is well-formed")
+        .with_verify(VerifyMode::PerStage)
         .run(&mut per_stage_aig);
     let (per_stage_proved, per_stage_checks) = per_stage_stats
         .verify

@@ -66,8 +66,12 @@ pub const RECALL_TARGET: f64 = 0.95;
 ///     data.push(vec![x, x, 10.0, 20.0, 1.0, 5.0], i % 10 == 0);
 /// }
 /// let (classifier, _report) = ElfClassifier::fit(&data, &Default::default(), 42);
-/// let decisions = classifier.classify_batch(&[[1.0, 1.0, 10.0, 20.0, 1.0, 5.0]]);
-/// assert_eq!(decisions.len(), 1);
+/// let probabilities = classifier.predict_batch_self_normalized(&[
+///     [1.0, 1.0, 10.0, 20.0, 1.0, 5.0],
+///     [9.0, 9.0, 10.0, 20.0, 1.0, 5.0],
+/// ]);
+/// let decisions = classifier.decide(&probabilities);
+/// assert_eq!(decisions.len(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ElfClassifier {
@@ -200,32 +204,6 @@ impl ElfClassifier {
         &self.model
     }
 
-    /// Predicted probability that each cut will be successfully refactored.
-    ///
-    /// The whole batch is normalized and packed into a single matrix before
-    /// one forward pass, mirroring the paper's batched-inference design.
-    pub fn predict_batch(&self, features: &[[f32; NUM_FEATURES]]) -> Vec<f32> {
-        self.predict_batch_with(features, Parallelism::sequential())
-    }
-
-    /// Like [`ElfClassifier::predict_batch`], with the forward pass split
-    /// into row chunks that run on `parallelism` worker threads.
-    ///
-    /// Chunking a dense forward pass by rows does not change any row's
-    /// arithmetic, and the chunks are gathered back in input order, so the
-    /// probabilities are bit-identical for every thread count.
-    pub fn predict_batch_with(
-        &self,
-        features: &[[f32; NUM_FEATURES]],
-        parallelism: Parallelism,
-    ) -> Vec<f32> {
-        if features.is_empty() {
-            return Vec::new();
-        }
-        let rows = self.normalized_rows(features, false);
-        self.model.predict_with(&rows, parallelism)
-    }
-
     /// The normalization half of the fused classifier: the feature batch as
     /// the model-ready rows a forward pass consumes.
     ///
@@ -252,8 +230,9 @@ impl ElfClassifier {
         Normalizer::fit(&dataset).transform_rows(features)
     }
 
-    /// Predicted probabilities where the batch is standardized with its *own*
-    /// statistics instead of the training statistics.
+    /// Predicted probability that each cut will be successfully resynthesized,
+    /// with the batch standardized with its *own* statistics: one sequential
+    /// forward pass over [`ElfClassifier::normalized_rows`]`(features, true)`.
     ///
     /// The paper standardizes every dataset individually so the model
     /// generalizes to circuits whose feature ranges (levels, fanouts) differ
@@ -262,73 +241,22 @@ impl ElfClassifier {
     /// Batches with fewer than two rows carry no usable self-statistics (the
     /// standard deviation of a single row is zero, which would normalize
     /// every feature to exactly 0 and make the decision independent of the
-    /// cut), so they fall back to the training statistics of
-    /// [`ElfClassifier::predict_batch`].
+    /// cut), so they fall back to the training statistics.
     pub fn predict_batch_self_normalized(&self, features: &[[f32; NUM_FEATURES]]) -> Vec<f32> {
-        self.predict_batch_self_normalized_with(features, Parallelism::sequential())
-    }
-
-    /// Like [`ElfClassifier::predict_batch_self_normalized`], with the
-    /// forward pass split into row chunks that run on `parallelism` worker
-    /// threads.
-    ///
-    /// The batch statistics are computed once, sequentially, over the whole
-    /// batch (they depend on every row and must not vary with chunking);
-    /// only the per-row normalization + forward pass fans out, so the result
-    /// is bit-identical for every thread count.
-    pub fn predict_batch_self_normalized_with(
-        &self,
-        features: &[[f32; NUM_FEATURES]],
-        parallelism: Parallelism,
-    ) -> Vec<f32> {
         if features.is_empty() {
             return Vec::new();
         }
         let rows = self.normalized_rows(features, true);
-        self.model.predict_with(&rows, parallelism)
+        self.model.predict_with(&rows, Parallelism::sequential())
     }
 
-    /// Applies the decision threshold to a vector of predicted probabilities.
+    /// Applies the decision threshold to a vector of predicted probabilities:
+    /// `true` means "attempt resynthesis".
     ///
     /// The other half of [`ElfClassifier::normalized_rows`]: probabilities
-    /// from a forward pass become keep/prune decisions exactly like
-    /// [`ElfClassifier::classify_batch`].
+    /// from a forward pass become keep/prune decisions.
     pub fn decide(&self, probabilities: &[f32]) -> Vec<bool> {
         probabilities.iter().map(|p| *p >= self.threshold).collect()
-    }
-
-    /// Classifies a batch of cuts: `true` means "attempt resynthesis".
-    pub fn classify_batch(&self, features: &[[f32; NUM_FEATURES]]) -> Vec<bool> {
-        self.classify_batch_with(features, Parallelism::sequential())
-    }
-
-    /// Classifies a batch of cuts on `parallelism` worker threads.
-    pub fn classify_batch_with(
-        &self,
-        features: &[[f32; NUM_FEATURES]],
-        parallelism: Parallelism,
-    ) -> Vec<bool> {
-        self.predict_batch_with(features, parallelism)
-            .into_iter()
-            .map(|p| p >= self.threshold)
-            .collect()
-    }
-
-    /// Classifies a batch using per-circuit (self) normalization.
-    pub fn classify_batch_self_normalized(&self, features: &[[f32; NUM_FEATURES]]) -> Vec<bool> {
-        self.classify_batch_self_normalized_with(features, Parallelism::sequential())
-    }
-
-    /// Classifies a self-normalized batch on `parallelism` worker threads.
-    pub fn classify_batch_self_normalized_with(
-        &self,
-        features: &[[f32; NUM_FEATURES]],
-        parallelism: Parallelism,
-    ) -> Vec<bool> {
-        self.predict_batch_self_normalized_with(features, parallelism)
-            .into_iter()
-            .map(|p| p >= self.threshold)
-            .collect()
     }
 
     /// Evaluates the classifier against ground-truth labels, returning the
@@ -336,7 +264,7 @@ impl ElfClassifier {
     /// circuit's batch, standardized with its own statistics as a pruned
     /// pass standardizes them.
     pub fn evaluate(&self, features: &[[f32; NUM_FEATURES]], labels: &[bool]) -> ConfusionMatrix {
-        let predictions = self.classify_batch_self_normalized(features);
+        let predictions = self.decide(&self.predict_batch_self_normalized(features));
         ConfusionMatrix::from_predictions(&predictions, labels)
     }
 
@@ -420,6 +348,20 @@ mod tests {
         data
     }
 
+    /// Keep/prune decisions for one circuit's batch, the way a pruned pass
+    /// decides them.
+    fn classify(classifier: &ElfClassifier, features: &[[f32; NUM_FEATURES]]) -> Vec<bool> {
+        classifier.decide(&classifier.predict_batch_self_normalized(features))
+    }
+
+    /// Probabilities under the training statistics: what a batch of fewer
+    /// than two rows falls back to.
+    fn predict_trained(classifier: &ElfClassifier, features: &[[f32; NUM_FEATURES]]) -> Vec<f32> {
+        classifier
+            .model()
+            .predict(&classifier.normalized_rows(features, false))
+    }
+
     fn quick_config() -> TrainConfig {
         TrainConfig {
             epochs: 10,
@@ -433,8 +375,8 @@ mod tests {
         let data = synthetic_dataset(400);
         let (classifier, report) = ElfClassifier::fit(&data, &quick_config(), 3);
         assert!(report.validation_metrics.recall() > 0.8);
-        let positives = classifier.classify_batch(&[[1.0, 5.0, 2.0, 12.0, 4.0, 6.0]]);
-        let negatives = classifier.classify_batch(&[[5.0, 20.0, 15.0, 8.0, 0.0, 8.0]]);
+        let positives = classify(&classifier, &[[1.0, 5.0, 2.0, 12.0, 4.0, 6.0]]);
+        let negatives = classify(&classifier, &[[5.0, 20.0, 15.0, 8.0, 0.0, 8.0]]);
         assert!(positives[0]);
         assert!(!negatives[0]);
     }
@@ -461,10 +403,13 @@ mod tests {
         let data = synthetic_dataset(200);
         let (mut classifier, _) = ElfClassifier::fit(&data, &quick_config(), 5);
         classifier.set_threshold(0.0);
-        let decisions = classifier.classify_batch(&[
-            [1.0, 5.0, 2.0, 12.0, 4.0, 6.0],
-            [9.0, 20.0, 15.0, 8.0, 0.0, 8.0],
-        ]);
+        let decisions = classify(
+            &classifier,
+            &[
+                [1.0, 5.0, 2.0, 12.0, 4.0, 6.0],
+                [9.0, 20.0, 15.0, 8.0, 0.0, 8.0],
+            ],
+        );
         assert!(decisions.iter().all(|&d| d));
         assert_eq!(classifier.threshold(), 0.0);
     }
@@ -493,8 +438,8 @@ mod tests {
         let restored = ElfClassifier::from_text(&text).expect("round trip");
         let sample = [[2.0f32, 7.0, 3.0, 11.0, 2.0, 5.0]];
         assert_eq!(
-            classifier.predict_batch(&sample)[0].to_bits(),
-            restored.predict_batch(&sample)[0].to_bits()
+            classifier.predict_batch_self_normalized(&sample)[0].to_bits(),
+            restored.predict_batch_self_normalized(&sample)[0].to_bits()
         );
     }
 
@@ -502,12 +447,9 @@ mod tests {
     fn empty_batch_is_handled() {
         let data = synthetic_dataset(100);
         let (classifier, _) = ElfClassifier::fit(&data, &quick_config(), 11);
-        assert!(classifier.predict_batch(&[]).is_empty());
-        assert!(classifier.classify_batch_self_normalized(&[]).is_empty());
+        assert!(classifier.normalized_rows(&[], true).is_empty());
         assert!(classifier.predict_batch_self_normalized(&[]).is_empty());
-        assert!(classifier
-            .predict_batch_self_normalized_with(&[], Parallelism::threads(4))
-            .is_empty());
+        assert!(classify(&classifier, &[]).is_empty());
     }
 
     #[test]
@@ -526,9 +468,9 @@ mod tests {
             assert!(probs[0].is_finite(), "one-row batch produced {}", probs[0]);
             assert_eq!(
                 probs[0].to_bits(),
-                classifier.predict_batch(&row)[0].to_bits()
+                predict_trained(&classifier, &row)[0].to_bits()
             );
-            assert_eq!(classifier.classify_batch_self_normalized(&row).len(), 1);
+            assert_eq!(classify(&classifier, &row).len(), 1);
         }
         // Distinct cuts must be able to get distinct probabilities again.
         let p_pos = classifier.predict_batch_self_normalized(&positive)[0];
@@ -537,10 +479,10 @@ mod tests {
     }
 
     #[test]
-    fn normalized_rows_plus_decide_equals_the_fused_classify_paths() {
-        // The serving seam (normalize here, forward pass elsewhere,
-        // threshold here) must be bit-identical to the fused entry points
-        // for both normalization modes — including the <2-row fallback.
+    fn normalized_rows_plus_decide_equals_the_self_normalized_path() {
+        // The split seam (normalize here, forward pass elsewhere, threshold
+        // here) must be bit-identical to the kept fused entry point, and a
+        // batch of fewer than two rows must take the training statistics.
         let data = synthetic_dataset(250);
         let (classifier, _) = ElfClassifier::fit(&data, &quick_config(), 17);
         let batches: Vec<Vec<[f32; 6]>> = vec![
@@ -554,28 +496,19 @@ mod tests {
                 .collect(),
         ];
         for features in &batches {
-            for self_normalize in [false, true] {
-                let rows = classifier.normalized_rows(features, self_normalize);
-                let probs = classifier.model().predict(&rows);
-                let fused = if self_normalize {
-                    classifier.predict_batch_self_normalized(features)
-                } else {
-                    classifier.predict_batch(features)
-                };
-                assert_eq!(
-                    probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                    fused.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                    "rows={}, self_normalize={self_normalize}",
-                    features.len()
-                );
-                let decisions = classifier.decide(&probs);
-                let fused_decisions = if self_normalize {
-                    classifier.classify_batch_self_normalized(features)
-                } else {
-                    classifier.classify_batch(features)
-                };
-                assert_eq!(decisions, fused_decisions);
+            let rows = classifier.normalized_rows(features, true);
+            if features.len() < 2 {
+                assert_eq!(rows, classifier.normalized_rows(features, false));
             }
+            let probs = classifier.model().predict(&rows);
+            let fused = classifier.predict_batch_self_normalized(features);
+            assert_eq!(
+                probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                fused.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                "rows={}",
+                features.len()
+            );
+            assert_eq!(classifier.decide(&probs), classify(&classifier, features));
         }
     }
 
@@ -602,13 +535,15 @@ mod tests {
         assert!(Arc::ptr_eq(tuned.model_handle(), classifier.model_handle()));
         assert_eq!(tuned.threshold(), 0.2);
         assert_eq!(
-            tuned.predict_batch(&[[1.0, 5.0, 2.0, 12.0, 4.0, 6.0]])[0].to_bits(),
-            classifier.predict_batch(&[[1.0, 5.0, 2.0, 12.0, 4.0, 6.0]])[0].to_bits()
+            predict_trained(&tuned, &[[1.0, 5.0, 2.0, 12.0, 4.0, 6.0]])[0].to_bits(),
+            predict_trained(&classifier, &[[1.0, 5.0, 2.0, 12.0, 4.0, 6.0]])[0].to_bits()
         );
     }
 
     #[test]
     fn parallel_classification_matches_sequential() {
+        // A pruned pass row-chunks the forward pass over the self-normalized
+        // rows; every thread count must reproduce the sequential decision.
         let data = synthetic_dataset(300);
         let (classifier, _) = ElfClassifier::fit(&data, &quick_config(), 15);
         let features: Vec<[f32; 6]> = (0..97)
@@ -617,26 +552,15 @@ mod tests {
                 [x % 9.0, x % 21.0, x % 16.0, 8.0 + x % 5.0, x % 4.0, 6.0]
             })
             .collect();
-        let seq_probs = classifier.predict_batch(&features);
-        let seq_self = classifier.predict_batch_self_normalized(&features);
-        let seq_decisions = classifier.classify_batch(&features);
+        let sequential = classifier.predict_batch_self_normalized(&features);
+        let rows = classifier.normalized_rows(&features, true);
         for threads in [1, 2, 3, 7] {
-            let par = Parallelism::threads(threads);
-            let probs = classifier.predict_batch_with(&features, par);
-            let self_probs = classifier.predict_batch_self_normalized_with(&features, par);
+            let probs = classifier
+                .model()
+                .predict_with(&rows, Parallelism::threads(threads));
             assert_eq!(
                 probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                seq_probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-            assert_eq!(
-                self_probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                seq_self.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-            assert_eq!(
-                classifier.classify_batch_with(&features, par),
-                seq_decisions,
+                sequential.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
                 "threads={threads}"
             );
         }

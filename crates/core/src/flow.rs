@@ -13,10 +13,9 @@ use elf_opt::{CutCache, CutCacheConfig, OpStats, PrunableOperator, Refactor, Ref
 use elf_par::Parallelism;
 
 use crate::classifier::ElfClassifier;
-use crate::verify::{VerifyMode, VerifyVerdict};
 
 /// Configuration of the classic refactor-based ELF operator.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ElfConfig {
     /// Parameters of the underlying refactor operator.
     pub refactor: RefactorParams,
@@ -24,11 +23,6 @@ pub struct ElfConfig {
     /// inference (graph mutation always stays sequential, so results are
     /// identical for every thread count).  Defaults to `ELF_THREADS`.
     pub parallelism: Parallelism,
-    /// SAT-prove every pass equivalent to its input (off by default).  For
-    /// a single operator [`VerifyMode::Final`] and [`VerifyMode::PerStage`]
-    /// coincide; the distinction matters for multi-stage
-    /// [`Flow`](crate::Flow) pipelines.
-    pub verify: VerifyMode,
     /// Sizing and on/off switch of the NPN-canonical cut-factoring cache the
     /// wrapped operator consults (see [`elf_opt::CutCache`]).  The cache is
     /// result-transparent: the produced AIG is node-for-node identical with
@@ -36,45 +30,21 @@ pub struct ElfConfig {
     pub cut_cache: CutCacheConfig,
 }
 
-impl Default for ElfConfig {
-    fn default() -> Self {
-        ElfConfig {
-            refactor: RefactorParams::default(),
-            parallelism: Parallelism::default(),
-            verify: VerifyMode::Off,
-            cut_cache: CutCacheConfig::default(),
-        }
-    }
-}
-
 /// Operator-independent options of the pruning flow.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ElfOptions {
     /// Worker-thread count for batch feature collection and batched
     /// inference.  Defaults to `ELF_THREADS`.
     pub parallelism: Parallelism,
-    /// SAT-prove every pass equivalent to its input (off by default).
-    pub verify: VerifyMode,
     /// Sizing and on/off switch of the NPN-canonical cut-factoring cache
     /// (see [`elf_opt::CutCache`]).  Result-transparent either way.
     pub cut_cache: CutCacheConfig,
-}
-
-impl Default for ElfOptions {
-    fn default() -> Self {
-        ElfOptions {
-            parallelism: Parallelism::default(),
-            verify: VerifyMode::Off,
-            cut_cache: CutCacheConfig::default(),
-        }
-    }
 }
 
 impl From<ElfConfig> for ElfOptions {
     fn from(config: ElfConfig) -> Self {
         ElfOptions {
             parallelism: config.parallelism,
-            verify: config.verify,
             cut_cache: config.cut_cache,
         }
     }
@@ -95,26 +65,9 @@ pub struct ElfStats {
     pub kept: usize,
     /// Total wall-clock time of the ELF pass.
     pub total_time: Duration,
-    /// Verdict of the pass's equivalence check, when
-    /// [`ElfOptions::verify`] enabled one.
-    pub verify: Option<VerifyVerdict>,
 }
 
 impl ElfStats {
-    /// The statistics of a pruned pass that started at `start`: what the
-    /// classifier pruned and kept is what the pass driver counted.
-    fn of_pass(op: OpStats, start: Instant) -> Self {
-        ElfStats {
-            op,
-            feature_time: Duration::ZERO,
-            classify_time: Duration::ZERO,
-            pruned: op.cuts_pruned,
-            kept: op.cuts_resynthesized,
-            total_time: start.elapsed(),
-            verify: None,
-        }
-    }
-
     /// Fraction of cuts pruned by the classifier (the 69.4–95.1% of Fig. 1).
     pub fn prune_rate(&self) -> f64 {
         let total = self.pruned + self.kept;
@@ -132,6 +85,10 @@ impl ElfStats {
 /// [`ElfRefactor`] (= `Elf<Refactor>`) is the paper's operator;
 /// `Elf<Rewrite>` is the conclusion's first extension target and trains
 /// through the same dataset machinery ([`crate::circuit_dataset_with`]).
+///
+/// A pass checks nothing; to SAT-prove it preserved the circuit's function,
+/// run it as a [`Flow`](crate::Flow) stage under
+/// [`Flow::with_verify`](crate::Flow::with_verify).
 ///
 /// # Examples
 ///
@@ -161,16 +118,6 @@ impl ElfRefactor {
     /// classifier (the paper's configuration surface).
     pub fn new(classifier: ElfClassifier, config: ElfConfig) -> Self {
         Elf::with_operator(classifier, Refactor::new(config.refactor), config.into())
-    }
-
-    /// The operator configuration.
-    pub fn config(&self) -> ElfConfig {
-        ElfConfig {
-            refactor: *self.operator.params(),
-            parallelism: self.options.parallelism,
-            verify: self.options.verify,
-            cut_cache: self.options.cut_cache,
-        }
     }
 }
 
@@ -222,48 +169,15 @@ impl<O: PrunableOperator> Elf<O> {
     /// Runs one ELF pass with an explicit worker-thread count, overriding
     /// the configured [`ElfOptions::parallelism`].
     ///
-    /// Only the embarrassingly parallel phases fan out — per-node cut
-    /// collection / feature extraction and the batched classifier forward
-    /// pass.  Graph mutation (phase 3) always stays sequential, which is why
-    /// the resulting AIG is node-for-node identical for every thread count.
+    /// The operator sweeps every node's features, this classifies them in
+    /// one batch — standardize the batch with its own statistics (paper
+    /// Section IV-A), run the forward pass (row-chunked across the workers),
+    /// threshold — and the operator resynthesizes the kept nodes.  Only the
+    /// embarrassingly parallel phases fan out — per-node cut collection /
+    /// feature extraction and the batched forward pass.  Graph mutation
+    /// always stays sequential, which is why the resulting AIG is
+    /// node-for-node identical for every thread count.
     pub fn run_with(&self, aig: &mut Aig, parallelism: Parallelism) -> ElfStats {
-        let before = self.verify_snapshot(aig);
-        let mut stats = self.run_batched(aig, parallelism);
-        self.verify_pass(before, aig, &mut stats);
-        stats
-    }
-
-    /// Runs ELF `applications` times in sequence (the paper's "ELF x 2"),
-    /// returning the per-pass statistics.
-    pub fn run_repeated(&self, aig: &mut Aig, applications: usize) -> Vec<ElfStats> {
-        (0..applications).map(|_| self.run(aig)).collect()
-    }
-
-    /// Clones the input circuit when [`ElfOptions::verify`] asks for a
-    /// check of this pass.
-    fn verify_snapshot(&self, aig: &Aig) -> Option<Aig> {
-        self.options.verify.is_enabled().then(|| aig.clone())
-    }
-
-    /// SAT-checks the pass result against the snapshot and records the
-    /// verdict; the check never panics on a refutation — the verdict is
-    /// the caller's to act on.
-    fn verify_pass(&self, before: Option<Aig>, aig: &Aig, stats: &mut ElfStats) {
-        if let Some(before) = before {
-            let _span = elf_obs::span!("verify", ands = aig.num_reachable_ands());
-            let check_start = Instant::now();
-            let result = elf_cec::check_equivalence(&before, aig);
-            stats.verify = Some(VerifyVerdict::from(&result));
-            stats.total_time += check_start.elapsed();
-        }
-    }
-
-    /// The batched pass: the operator sweeps every node's features, this
-    /// classifies them in one batch — standardize the batch with its own
-    /// statistics (paper Section IV-A), run the forward pass (row-chunked
-    /// across the same workers), threshold — and the operator resynthesizes
-    /// the kept nodes.
-    fn run_batched(&self, aig: &mut Aig, parallelism: Parallelism) -> ElfStats {
         let start = Instant::now();
         let (mut feature_time, mut classify_time) = (Duration::ZERO, Duration::ZERO);
         let op = self.operator.run_batched(aig, parallelism, |features| {
@@ -278,11 +192,21 @@ impl<O: PrunableOperator> Elf<O> {
             classify_time = classify_start.elapsed();
             keep
         });
+        // What the classifier pruned and kept is what the pass driver counted.
         ElfStats {
+            op,
             feature_time,
             classify_time,
-            ..ElfStats::of_pass(op, start)
+            pruned: op.cuts_pruned,
+            kept: op.cuts_resynthesized,
+            total_time: start.elapsed(),
         }
+    }
+
+    /// Runs ELF `applications` times in sequence (the paper's "ELF x 2"),
+    /// returning the per-pass statistics.
+    pub fn run_repeated(&self, aig: &mut Aig, applications: usize) -> Vec<ElfStats> {
+        (0..applications).map(|_| self.run(aig)).collect()
     }
 }
 
@@ -366,18 +290,6 @@ mod tests {
         assert_eq!(passes.len(), 2);
         // The second pass cannot commit more gain than remains.
         assert!(passes[1].op.total_gain <= passes[0].op.total_gain);
-    }
-
-    #[test]
-    fn config_round_trips_through_the_alias() {
-        let config = ElfConfig {
-            verify: VerifyMode::Final,
-            cut_cache: CutCacheConfig::disabled(),
-            ..Default::default()
-        };
-        let elf = ElfRefactor::new(dummy_classifier(0.3), config);
-        assert_eq!(elf.config(), config);
-        assert_eq!(elf.options(), ElfOptions::from(config));
     }
 
     /// Trained end-to-end smoke test: train on one circuit, apply to another.

@@ -23,9 +23,11 @@
 //!   conclusion's first extension target;
 //! * [`Flow`] — script-style pipelines (`rf; rw; rs`) mixing plain and
 //!   classifier-pruned stages, with uniform per-stage [`FlowStats`];
-//! * [`VerifyMode`] — the correctness gate: SAT-prove (via `elf-cec`) that
-//!   a run preserved the circuit's function, per stage or end to end, with
-//!   the verdict reported in [`FlowStats::verify`] / [`ElfStats::verify`];
+//! * [`VerifyMode`] — the correctness gate: a [`Flow`] built with
+//!   [`Flow::with_verify`] SAT-proves (via `elf-cec`) that a run preserved
+//!   the circuit's function, per stage or end to end, with the verdict
+//!   reported in [`FlowStats::verify`].  `Flow` is the only place that
+//!   verifies: a standalone [`Elf`] pass checks nothing;
 //! * [`experiment`] — the leave-one-out protocol ([`Suite`], generic over the
 //!   operator), baseline-vs-ELF comparison rows and classifier quality
 //!   metrics that regenerate the paper's tables.
@@ -94,7 +96,7 @@ pub use experiment::{
 };
 pub use flow::{Elf, ElfConfig, ElfOptions, ElfRefactor, ElfStats};
 pub use pipeline::{Flow, FlowStats, ParseFlowError, StageStats};
-pub use verify::{VerifyCheck, VerifyMode, VerifyOutcome, VerifyVerdict};
+pub use verify::{VerifyCheck, VerifyMode, VerifyOutcome};
 // Convenience re-export: the equivalence verdict carried by
 // [`VerifyCheck::result`], so callers inspecting counterexamples need no
 // explicit `elf-cec` dependency.

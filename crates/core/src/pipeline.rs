@@ -207,6 +207,7 @@ impl Flow {
     /// `Flow::pruned_from_script("rf; rw; rs", &clf, options)` is the pruned
     /// analogue of `Flow::from_script("rf; rw; rs")` — the composition the
     /// repeated-run determinism stress test hammers at full thread count.
+    /// The flow verifies nothing until [`Flow::with_verify`] says so.
     ///
     /// # Errors
     ///
@@ -216,14 +217,7 @@ impl Flow {
         classifier: &ElfClassifier,
         options: ElfOptions,
     ) -> Result<Self, ParseFlowError> {
-        let mut flow = Flow::new().with_verify(options.verify);
-        // Verification is hoisted to the flow level: [`ElfOptions::verify`]
-        // selects the mode, the flow runs the checks.  Clearing the
-        // per-stage knob avoids checking every stage twice under `Final`.
-        let options = ElfOptions {
-            verify: VerifyMode::Off,
-            ..options
-        };
+        let mut flow = Flow::new();
         for word in Self::script_words(script) {
             flow = match word {
                 "rf" | "refactor" => flow.elf_refactor(Elf::with_operator(
@@ -708,12 +702,14 @@ mod tests {
 
     #[test]
     fn final_verify_proves_a_full_pruned_flow() {
-        let options = ElfOptions {
-            verify: VerifyMode::Final,
-            ..ElfOptions::default()
-        };
-        let flow =
-            Flow::pruned_from_script("rf; rw; rs", &always_keep_classifier(), options).unwrap();
+        let flow = Flow::pruned_from_script(
+            "rf; rw; rs",
+            &always_keep_classifier(),
+            ElfOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(flow.verify(), VerifyMode::Off, "parsing turns no check on");
+        let flow = flow.with_verify(VerifyMode::Final);
         assert_eq!(flow.verify(), VerifyMode::Final);
         let mut aig = redundant_circuit();
         let stats = flow.run(&mut aig);
@@ -722,22 +718,18 @@ mod tests {
         assert_eq!(outcome.checks.len(), 1, "Final runs exactly one check");
         assert_eq!(outcome.checks[0].stage, None);
         assert!(outcome.proved());
-        assert_eq!(outcome.verdict(), crate::VerifyVerdict::Proved);
-        // The per-stage knob was hoisted, so stage stats carry no verdicts.
-        assert!(stats
-            .stages
-            .iter()
-            .all(|s| s.elf.as_ref().is_some_and(|e| e.verify.is_none())));
+        assert!(outcome.counterexample().is_none());
     }
 
     #[test]
     fn per_stage_verify_checks_every_stage() {
-        let options = ElfOptions {
-            verify: VerifyMode::PerStage,
-            ..ElfOptions::default()
-        };
-        let flow =
-            Flow::pruned_from_script("rf; rw; rs", &always_keep_classifier(), options).unwrap();
+        let flow = Flow::pruned_from_script(
+            "rf; rw; rs",
+            &always_keep_classifier(),
+            ElfOptions::default(),
+        )
+        .unwrap()
+        .with_verify(VerifyMode::PerStage);
         let mut aig = redundant_circuit();
         let stats = flow.run(&mut aig);
         let outcome = stats.verify.expect("verify was requested");

@@ -1,10 +1,13 @@
 //! The correctness gate: SAT-backed equivalence checking of flow results.
 //!
 //! Logic optimization must preserve function; [`VerifyMode`] decides how
-//! much proof the flow buys.  [`VerifyMode::Final`] proves the whole
-//! pipeline in one check (cheapest), [`VerifyMode::PerStage`] proves every
-//! stage separately — slower, but a refutation then names the exact stage
-//! that broke the circuit.  Checks never panic on a refutation: the
+//! much proof the flow buys.  [`Flow::with_verify`](crate::Flow::with_verify)
+//! is the one switch, and the flow's checks are the only ones: each records
+//! the `elf_verify_*` and `elf_sat_*` counters into the flow's registry.
+//! [`VerifyMode::Final`] proves the whole pipeline in one check (cheapest),
+//! [`VerifyMode::PerStage`] proves every stage separately — slower, but a
+//! refutation then names the exact stage that broke the circuit.  Checks
+//! never panic on a refutation: the
 //! verdict travels in [`VerifyOutcome`] for the caller (or the serving
 //! layer) to act on.
 
@@ -29,27 +32,6 @@ impl VerifyMode {
     /// `true` unless the mode is [`VerifyMode::Off`].
     pub fn is_enabled(self) -> bool {
         self != VerifyMode::Off
-    }
-}
-
-/// Collapsed three-state verdict of one or more checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VerifyVerdict {
-    /// Every check proved equivalence.
-    Proved,
-    /// Some check found a concrete disagreeing input vector.
-    Refuted,
-    /// No refutation, but at least one check ran out of budget.
-    Undecided,
-}
-
-impl From<&Equivalence> for VerifyVerdict {
-    fn from(result: &Equivalence) -> Self {
-        match result {
-            Equivalence::Proved => VerifyVerdict::Proved,
-            Equivalence::CounterExample(_) => VerifyVerdict::Refuted,
-            Equivalence::Undecided(_) => VerifyVerdict::Undecided,
-        }
     }
 }
 
@@ -82,20 +64,6 @@ impl VerifyOutcome {
     /// `true` when every check proved equivalence.
     pub fn proved(&self) -> bool {
         self.checks.iter().all(|c| c.result.is_proved())
-    }
-
-    /// The collapsed verdict over all checks: a single refutation wins,
-    /// then a single undecided check, then proved.
-    pub fn verdict(&self) -> VerifyVerdict {
-        let mut verdict = VerifyVerdict::Proved;
-        for check in &self.checks {
-            match VerifyVerdict::from(&check.result) {
-                VerifyVerdict::Refuted => return VerifyVerdict::Refuted,
-                VerifyVerdict::Undecided => verdict = VerifyVerdict::Undecided,
-                VerifyVerdict::Proved => {}
-            }
-        }
-        verdict
     }
 
     /// The first distinguishing input vector found, with the name of the
@@ -135,7 +103,6 @@ mod tests {
                 check(Some("rs"), Equivalence::CounterExample(vec![true])),
             ],
         };
-        assert_eq!(outcome.verdict(), VerifyVerdict::Refuted);
         assert!(!outcome.proved());
         let (stage, cex) = outcome.counterexample().unwrap();
         assert_eq!(stage, Some("rs"));
@@ -148,7 +115,7 @@ mod tests {
                 check(Some("rw"), Equivalence::Undecided(10)),
             ],
         };
-        assert_eq!(outcome.verdict(), VerifyVerdict::Undecided);
+        assert!(!outcome.proved());
         assert!(outcome.counterexample().is_none());
     }
 
@@ -159,7 +126,6 @@ mod tests {
             checks: vec![check(None, Equivalence::Proved)],
         };
         assert!(outcome.proved());
-        assert_eq!(outcome.verdict(), VerifyVerdict::Proved);
         assert!(outcome.runtime() >= Duration::from_millis(1));
     }
 

@@ -59,18 +59,12 @@ fn run_metered(threads: usize) -> (Vec<Gate>, Snapshot) {
     let registry = Registry::new();
     let classifier = mixed_classifier();
     let mut aig = workload_circuit();
-    Flow::pruned_from_script(
-        "rf; rw; rs",
-        &classifier,
-        ElfOptions {
-            verify: VerifyMode::Final,
-            ..ElfOptions::default()
-        },
-    )
-    .expect("script parses")
-    .with_parallelism(Parallelism::threads(threads))
-    .with_metrics(registry.clone())
-    .run(&mut aig);
+    Flow::pruned_from_script("rf; rw; rs", &classifier, ElfOptions::default())
+        .expect("script parses")
+        .with_verify(VerifyMode::Final)
+        .with_parallelism(Parallelism::threads(threads))
+        .with_metrics(registry.clone())
+        .run(&mut aig);
     (structure(&aig), registry.snapshot())
 }
 

@@ -9,7 +9,7 @@
 //! nondeterministic merge in the parallel engine, not a scheduling accident
 //! being tolerated.
 
-use elf_aig::{check_equivalence, simulation_signature, Aig, EquivalenceResult, NUM_FEATURES};
+use elf_aig::{check_equivalence, simulation_signature, Aig, EquivalenceResult};
 use elf_circuits::{script_strategy, scripted_circuit, GateChoice};
 use elf_core::{Elf, ElfClassifier, ElfOptions, ElfStats, Flow, Parallelism, DEFAULT_THRESHOLD};
 use elf_nn::{Mlp, Normalizer};
@@ -106,29 +106,6 @@ proptest! {
         check_elf_determinism(Refactor::default(), &source);
         check_elf_determinism(Rewrite::default(), &source);
         check_elf_determinism(Resubstitution::default(), &source);
-    }
-
-    /// The raw decision vector (not just its counts) is identical across
-    /// thread counts, for both normalization modes.
-    #[test]
-    fn classification_decisions_are_identical_across_thread_counts(
-        script in script_strategy(28),
-    ) {
-        let aig = scripted_circuit(6, &script);
-        let classifier = mixed_classifier();
-        let features = Refactor::default().collect_features_with(&aig, Parallelism::sequential());
-        let arrays: Vec<[f32; NUM_FEATURES]> =
-            features.iter().map(|(_, f)| f.to_array()).collect();
-        let plain = classifier.classify_batch(&arrays);
-        let self_norm = classifier.classify_batch_self_normalized(&arrays);
-        for threads in THREAD_COUNTS {
-            let par = Parallelism::threads(threads);
-            prop_assert_eq!(&plain, &classifier.classify_batch_with(&arrays, par));
-            prop_assert_eq!(
-                &self_norm,
-                &classifier.classify_batch_self_normalized_with(&arrays, par)
-            );
-        }
     }
 }
 

@@ -474,6 +474,8 @@ struct Shared {
     /// The classifier the service was started with (registry id 0).
     founding: Arc<ElfClassifier>,
     options: ElfOptions,
+    /// How much every served job's flow verifies ([`ServeConfig::verify`]).
+    verify: VerifyMode,
     /// The service-lifetime NPN-canonical cut-factoring cache, shared by
     /// every job (each through its own [`CutCache::job_view`]).  Like the
     /// model registry, it outlives individual jobs; unlike the registry it
@@ -588,20 +590,15 @@ impl ElfService {
     ///
     /// The [`std::io::Error`] of the failed thread spawn.
     pub fn try_start(classifier: ElfClassifier, config: ServeConfig) -> std::io::Result<Self> {
-        let mut options = config.options;
-        // The verify knob rides in the options so the offline twin —
-        // `Flow::pruned_from_script(script, classifier, service.options())` —
-        // checks exactly what the served job checked.
-        options.verify = config.verify;
-
         let registry = Arc::new(ModelRegistry::with_initial(classifier));
         let (_, founding) = registry.resolve_default();
         let shards = config.shards.num_threads();
         let shared = Arc::new(Shared {
             registry,
             founding,
-            options,
-            cut_cache: CutCache::new(options.cut_cache),
+            options: config.options,
+            verify: config.verify,
+            cut_cache: CutCache::new(config.options.cut_cache),
             queue: JobQueue::new(shards, config.queue_bound),
             admission: config.admission,
             // Per-service registry: an isolated metric namespace so two
@@ -695,9 +692,10 @@ impl ElfService {
         &self.config
     }
 
-    /// The flow options applied to served jobs (the configured
-    /// [`ServeConfig::options`] with [`ServeConfig::verify`] folded in) —
-    /// what an offline [`Flow::pruned_from_script`] comparison must use.
+    /// The flow options applied to served jobs ([`ServeConfig::options`]) —
+    /// what an offline [`Flow::pruned_from_script`] comparison must use,
+    /// chained with `.with_verify(service.config().verify)` to check what
+    /// the served job checked.
     pub fn options(&self) -> ElfOptions {
         self.shared.options
     }
@@ -1029,6 +1027,7 @@ impl ServiceHandle {
         // totals, cache hit deltas) into the *service* registry, so one
         // scrape covers the whole serving stack.
         let flow = flow
+            .with_verify(self.shared.verify)
             .with_cut_cache(cache_view.clone())
             .with_metrics(self.shared.telemetry.registry().clone());
         let id = self.shared.next_job_id.fetch_add(1, Ordering::Relaxed);
@@ -1326,21 +1325,24 @@ mod tests {
         assert!(outcome.proved(), "the served flow must be SAT-proved");
 
         // Verification is an observer: the served result stays node-for-node
-        // identical to the offline pruned flow under the service options.
+        // identical to the offline pruned flow under the service options,
+        // and the twin, verified the same way, reaches the same verdict.
         let mut offline = original;
         let offline_stats =
             Flow::pruned_from_script("rf; rw; rs", service.classifier(), service.options())
                 .unwrap()
+                .with_verify(service.config().verify)
                 .run(&mut offline);
         assert_eq!(response.aig.num_slots(), offline.num_slots());
         assert_eq!(
             response.aig.num_reachable_ands(),
             offline.num_reachable_ands()
         );
-        assert!(offline_stats
-            .verify
-            .expect("offline twin verifies too")
-            .proved());
+        let twin = offline_stats.verify.expect("offline twin verifies too");
+        assert_eq!(twin.mode, outcome.mode);
+        assert_eq!(twin.checks.len(), outcome.checks.len());
+        assert_eq!(twin.proved(), outcome.proved());
+        assert_eq!(twin.counterexample(), outcome.counterexample());
         service.shutdown();
     }
 

@@ -2,10 +2,11 @@
 # Non-test lines of code per crate and in total.
 #
 # A line counts when it sits in `crates/*/src/**/*.rs` or `src/*.rs`, before
-# the first line of its file that contains `#[cfg(test)]` (anywhere on the
-# line, comments included), is not blank and does not start with `//`
-# (leading whitespace ignored; this drops comments and doc comments).  The
-# facade `src/` is reported as `elf`.
+# the first line of its file that starts with `#[cfg(test)]` in column 0 (the
+# in-file test module), is not blank and does not start with `//` (leading
+# whitespace ignored; this drops comments and doc comments).  Indented
+# `#[cfg(test)]` items (test hooks inside non-test code) and mentions in
+# comments count as code.  The facade `src/` is reported as `elf`.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
@@ -15,7 +16,7 @@ cd "$(dirname "$0")/.."
 count() {
     find "$@" -name '*.rs' -print0 | sort -z | xargs -0 awk '
         FNR == 1 { in_tests = 0 }
-        /#\[cfg\(test\)\]/ { in_tests = 1 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
         in_tests || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
         { lines++ }
         END { print lines + 0 }

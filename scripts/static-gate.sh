@@ -178,3 +178,23 @@ if [ -n "$node_maps" ]; then
     exit 1
 fi
 echo "static-gate: elf-cec keeps per-node tables by slot"
+
+# One home for verification, one path to a decision: in `elf-core`, only the
+# flow (`pipeline.rs`) calls the SAT checker, and the classifier's decision
+# runs through `normalized_rows` / `predict_batch_self_normalized` and
+# `decide`.  A `check_equivalence` anywhere else in the non-test region is a
+# second gate coming back; a `pub fn classify_batch*` or
+# `pub fn predict_batch_with` is a second decision path coming back.
+twins=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    FILENAME !~ /pipeline\.rs$/ && /check_equivalence/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    /pub fn (classify_batch|predict_batch_with)/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+' crates/core/src/*.rs)
+if [ -n "$twins" ]; then
+    echo "$twins"
+    echo "static-gate: check_equivalence outside pipeline.rs or a classify_batch/predict_batch_with twin in non-test elf-core code" >&2
+    exit 1
+fi
+echo "static-gate: elf-core verifies in the flow only and decides through one path"
