@@ -14,9 +14,9 @@
 //! fanout edge never allocates per node.  Freed entries are recycled through
 //! an intrusive free chain.
 //!
-//! Arena slots of deleted nodes are recycled through a free list (see
-//! [`Aig::set_recycling`]): a long `rf; rw; rs` flow keeps the arena
-//! proportional to the number of live nodes instead of growing monotonically.
+//! Arena slots of deleted nodes are recycled through a free list by later
+//! insertions: a long `rf; rw; rs` flow keeps the arena proportional to the
+//! number of live nodes instead of growing monotonically.
 //! Recycling never invalidates bounds: issued [`NodeId`]s always index a
 //! valid slot, and [`NodeToken`] lets callers detect when a slot has been
 //! re-issued to a new node.
@@ -98,7 +98,7 @@ impl NodeToken {
 /// The structure supports in-place optimization: [`Aig::replace`] redirects
 /// all fanouts of a node to another literal and garbage-collects the cone
 /// that becomes unreferenced, which is the primitive used by refactoring.
-/// Freed slots are recycled by later insertions (see [`Aig::set_recycling`]).
+/// Freed slots are recycled by later insertions.
 ///
 /// # Examples
 ///
@@ -132,8 +132,8 @@ pub struct Aig {
     dead: Vec<bool>,
     /// Monotonic allocation stamp: strictly increasing over every node ever
     /// created, never reused.  All id-order-sensitive decisions (fanin
-    /// normalization, iteration order) use births, so graphs built with and
-    /// without slot recycling make identical structural choices.
+    /// normalization, iteration order) use births, so recycling a slot
+    /// never changes a structural choice.
     birth: Vec<u64>,
     /// Edit stamp: the `edit_clock` reading at the last write of the slot's
     /// kind, fanins or liveness (see [`Aig::edit_stamp`]).
@@ -150,8 +150,6 @@ pub struct Aig {
     // ---- slot recycling ----
     /// Slots of deleted nodes, recycled LIFO by later insertions.
     free_slots: Vec<u32>,
-    /// Whether `and()` pops from `free_slots` (on by default).
-    recycling: bool,
     /// Next birth stamp to issue.
     next_birth: u64,
     /// Next edit stamp to issue.
@@ -210,7 +208,6 @@ impl Aig {
             fanout_pool: Vec::new(),
             fanout_free: NIL,
             free_slots: Vec::new(),
-            recycling: true,
             next_birth: 1,
             edit_clock: 1,
             spec_active: false,
@@ -499,48 +496,29 @@ impl Aig {
     // Slot and fanout-pool management
     // ------------------------------------------------------------------
 
-    /// Enables or disables recycling of dead arena slots by future
-    /// insertions.
-    ///
-    /// Recycling is on by default.  Freed slots keep accumulating in the free
-    /// list either way; the flag only controls whether [`Aig::and`] and
-    /// [`Aig::add_input`] pop from it.  Thanks to birth-stamp ordering the
-    /// resulting graphs are structurally identical either way — only the slot
-    /// numbering (and therefore peak arena size) differs.
-    pub fn set_recycling(&mut self, enabled: bool) {
-        self.recycling = enabled;
-    }
-
-    /// Returns `true` if dead slots are recycled by future insertions.
-    pub fn recycling(&self) -> bool {
-        self.recycling
-    }
-
-    /// Allocates a fresh slot: pops the free list when recycling is enabled,
-    /// otherwise grows every column by one.  The slot comes back zeroed with
-    /// fresh birth and edit stamps; the caller fills kind/fanins/level.
+    /// Allocates a fresh slot: pops the free list, or grows every column by
+    /// one when it is empty.  The slot comes back zeroed with fresh birth
+    /// and edit stamps; the caller fills kind/fanins/level.
     fn alloc_slot(&mut self) -> NodeId {
         let stamp = self.next_birth;
         self.next_birth += 1;
-        if self.recycling {
-            if let Some(slot) = self.free_slots.pop() {
-                let idx = slot as usize;
-                debug_assert!(self.dead[idx], "free list holds a live slot");
-                debug_assert_eq!(
-                    self.fanout_head[idx], NIL,
-                    "freed slot still has fanout entries"
-                );
-                self.dead[idx] = false;
-                self.kind[idx] = KIND_CONST0;
-                self.fanin0[idx] = Lit::FALSE;
-                self.fanin1[idx] = Lit::FALSE;
-                self.refs[idx] = 0;
-                self.level[idx] = 0;
-                self.travid[idx] = 0;
-                self.birth[idx] = stamp;
-                self.stamp_edit(idx);
-                return NodeId::new(slot);
-            }
+        if let Some(slot) = self.free_slots.pop() {
+            let idx = slot as usize;
+            debug_assert!(self.dead[idx], "free list holds a live slot");
+            debug_assert_eq!(
+                self.fanout_head[idx], NIL,
+                "freed slot still has fanout entries"
+            );
+            self.dead[idx] = false;
+            self.kind[idx] = KIND_CONST0;
+            self.fanin0[idx] = Lit::FALSE;
+            self.fanin1[idx] = Lit::FALSE;
+            self.refs[idx] = 0;
+            self.level[idx] = 0;
+            self.travid[idx] = 0;
+            self.birth[idx] = stamp;
+            self.stamp_edit(idx);
+            return NodeId::new(slot);
         }
         let id = NodeId::new(self.kind.len() as u32);
         self.edited.push(0);
@@ -963,64 +941,19 @@ impl Aig {
     // ------------------------------------------------------------------
 
     /// Dereferences the maximum fanout-free cone (MFFC) rooted at `root`,
-    /// returning the number of AND nodes in the cone.
+    /// never descending past the `boundary` nodes (typically the leaves of a
+    /// cut; `&[]` walks the whole MFFC), and returns the number of AND nodes
+    /// in the cone.
     ///
     /// The reference counts of the cone's fanins are decremented as if the
-    /// cone had been deleted.  Call [`Aig::ref_mffc`] with the same root to
-    /// restore them.  This mirrors ABC's `Abc_NodeDeref_rec` and is used to
-    /// evaluate the gain of a resynthesis candidate without modifying the
-    /// graph.
-    pub fn deref_mffc(&mut self, root: NodeId) -> usize {
-        debug_assert!(self.is_and(root));
-        let mut count = 1;
-        let idx = root.as_usize();
-        let (f0, f1) = (self.fanin0[idx].node(), self.fanin1[idx].node());
-        for fanin in [f0, f1] {
-            let fidx = fanin.as_usize();
-            debug_assert!(self.refs[fidx] > 0, "dereferencing node with zero refs");
-            self.refs[fidx] -= 1;
-            if self.refs[fidx] == 0 && self.kind[fidx] == KIND_AND && !self.dead[fidx] {
-                count += self.deref_mffc(fanin);
-            }
-        }
-        count
-    }
-
-    /// Re-references the MFFC rooted at `root`, undoing [`Aig::deref_mffc`].
-    pub fn ref_mffc(&mut self, root: NodeId) -> usize {
-        debug_assert!(self.is_and(root));
-        let mut count = 1;
-        let idx = root.as_usize();
-        let (f0, f1) = (self.fanin0[idx].node(), self.fanin1[idx].node());
-        for fanin in [f0, f1] {
-            let fidx = fanin.as_usize();
-            let needs_recursion =
-                self.refs[fidx] == 0 && self.kind[fidx] == KIND_AND && !self.dead[fidx];
-            if needs_recursion {
-                count += self.ref_mffc(fanin);
-            }
-            self.refs[fidx] += 1;
-        }
-        count
-    }
-
-    /// Returns the size (number of AND nodes) of the MFFC rooted at `root`
-    /// without modifying the graph observably.
-    pub fn mffc_size(&mut self, root: NodeId) -> usize {
-        let size = self.deref_mffc(root);
-        let restored = self.ref_mffc(root);
-        debug_assert_eq!(size, restored);
-        size
-    }
-
-    /// Like [`Aig::deref_mffc`], but never descends past the `boundary` nodes
-    /// (typically the leaves of a cut).
-    ///
-    /// Boundary nodes have their reference count decremented when an edge
-    /// from the cone reaches them, but they are neither counted nor expanded,
-    /// because a resynthesized cut keeps using its leaves.  The returned
-    /// count is therefore the number of AND nodes a cut replacement is
-    /// guaranteed to free.
+    /// cone had been deleted; [`Aig::ref_mffc_bounded`] with the same root
+    /// and boundary restores them.  This mirrors ABC's `Abc_NodeDeref_rec`
+    /// and is used to evaluate the gain of a resynthesis candidate without
+    /// modifying the graph.  Boundary nodes have their reference count
+    /// decremented when an edge from the cone reaches them, but they are
+    /// neither counted nor expanded, because a resynthesized cut keeps using
+    /// its leaves.  The returned count is therefore the number of AND nodes
+    /// a cut replacement is guaranteed to free.
     pub fn deref_mffc_bounded(&mut self, root: NodeId, boundary: &[NodeId]) -> usize {
         debug_assert!(self.is_and(root));
         let mut count = 1;
@@ -1041,7 +974,8 @@ impl Aig {
         count
     }
 
-    /// Undoes [`Aig::deref_mffc_bounded`] with the same `root` and `boundary`.
+    /// Undoes [`Aig::deref_mffc_bounded`] with the same `root` and
+    /// `boundary`, returning the same count.
     pub fn ref_mffc_bounded(&mut self, root: NodeId, boundary: &[NodeId]) -> usize {
         debug_assert!(self.is_and(root));
         let mut count = 1;
@@ -1170,7 +1104,7 @@ impl Aig {
     /// recursively deletes fanins whose reference count drops to zero.
     ///
     /// The freed arena slots go onto the free list and may be re-issued to
-    /// later insertions (see [`Aig::set_recycling`]).
+    /// later insertions.
     pub fn delete_cone(&mut self, root: NodeId) {
         debug_assert!(self.is_and(root));
         debug_assert_eq!(self.refs[root.as_usize()], 0);
@@ -1283,7 +1217,6 @@ impl Aig {
     /// behind and drops dead arena slots.
     pub fn restrash(&self) -> Aig {
         let mut fresh = Aig::with_name(self.name.clone());
-        fresh.set_recycling(self.recycling);
         let mut map: Vec<Lit> = vec![Lit::FALSE; self.kind.len()];
         for &input in &self.inputs {
             map[input.as_usize()] = fresh.add_input();
@@ -1488,6 +1421,13 @@ mod tests {
         (aig, a, b)
     }
 
+    /// The size of `root`'s whole MFFC, with the reference counts restored.
+    fn mffc_size(aig: &mut Aig, root: NodeId) -> usize {
+        let size = aig.deref_mffc_bounded(root, &[]);
+        assert_eq!(aig.ref_mffc_bounded(root, &[]), size);
+        size
+    }
+
     #[test]
     fn constant_folding_rules() {
         let (mut aig, a, _) = two_input_aig();
@@ -1546,9 +1486,9 @@ mod tests {
         aig.add_output(f);
         aig.add_output(g);
         // t has two fanouts, so it is not in f's MFFC.
-        assert_eq!(aig.mffc_size(f.node()), 1);
+        assert_eq!(mffc_size(&mut aig, f.node()), 1);
         // g's MFFC is also just itself.
-        assert_eq!(aig.mffc_size(g.node()), 1);
+        assert_eq!(mffc_size(&mut aig, g.node()), 1);
         assert!(aig.check_invariants().is_empty());
     }
 
@@ -1561,7 +1501,7 @@ mod tests {
         let t1 = aig.and(c, d);
         let f = aig.and(t0, t1);
         aig.add_output(f);
-        assert_eq!(aig.mffc_size(f.node()), 3);
+        assert_eq!(mffc_size(&mut aig, f.node()), 3);
         assert!(aig.check_invariants().is_empty());
     }
 
@@ -1692,51 +1632,6 @@ mod tests {
         assert_eq!(aig.num_slots(), slots_before);
         assert_eq!(aig.num_free_slots(), 0);
         assert!(aig.check_invariants().is_empty());
-    }
-
-    #[test]
-    fn recycling_can_be_disabled() {
-        let (mut aig, a, b) = two_input_aig();
-        let c = aig.add_input();
-        aig.set_recycling(false);
-        assert!(!aig.recycling());
-        let old = aig.and(a, b);
-        aig.add_output(old);
-        let slots_before = aig.num_slots();
-        aig.replace(old.node(), a);
-        let fresh = aig.and(b, c);
-        assert_ne!(fresh.node(), old.node());
-        assert_eq!(aig.num_slots(), slots_before + 1);
-        assert!(aig.check_invariants().is_empty());
-    }
-
-    #[test]
-    fn recycling_preserves_structure_against_disabled_twin() {
-        // The same construction/replacement sequence must produce literally
-        // interchangeable results with and without recycling (ids may differ,
-        // structure may not).
-        let build = |recycle: bool| {
-            let mut aig = Aig::new();
-            aig.set_recycling(recycle);
-            let inputs = aig.add_inputs(4);
-            let t0 = aig.and(inputs[0], inputs[1]);
-            let t1 = aig.and(inputs[2], inputs[3]);
-            let f = aig.and(t0, t1);
-            aig.add_output(f);
-            aig.replace(t0.node(), inputs[0]);
-            let g = aig.xor(inputs[1], inputs[2]);
-            aig.add_output(g);
-            assert!(aig.check_invariants().is_empty(), "recycle={recycle}");
-            aig
-        };
-        let on = build(true);
-        let off = build(false);
-        assert_eq!(on.num_ands(), off.num_ands());
-        assert!(on.num_slots() <= off.num_slots());
-        assert_eq!(
-            crate::sim::check_equivalence(&on, &off, 8, 5),
-            crate::sim::EquivalenceResult::Equivalent
-        );
     }
 
     #[test]
@@ -1883,7 +1778,7 @@ mod tests {
         aig.add_output(top);
         let (stamps, clock) = (edit_stamps(&aig), aig.edit_clock());
         assert_eq!(aig.and(b, a), ab, "strash hit");
-        assert_eq!(aig.mffc_size(top.node()), 2);
+        assert_eq!(mffc_size(&mut aig, top.node()), 2);
         aig.deref_mffc_bounded(top.node(), &[ab.node()]);
         aig.ref_mffc_bounded(top.node(), &[ab.node()]);
         aig.add_output(!ab);

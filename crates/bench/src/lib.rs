@@ -22,12 +22,12 @@
 //!
 //! Every subcommand draws on one leave-one-out protocol,
 //! [`elf_core::Suite`].  Beside it, `scale` pushes a 1M-AND circuit through
-//! a pruned flow and `cec` SAT-proves pruned flows equivalent.
+//! a pruned flow.
 //!
 //! All binaries accept `--scale tiny|default|paper` (default: `default`) to
 //! trade fidelity against runtime, `--quick` for the cheapest smoke run,
 //! `--epochs N` to cap training epochs, `--seed N` and `--threads N`, and
-//! those that persist results (`paper table3`, `scale`, `cec`) take
+//! those that persist results (`paper table3`, `scale`) take
 //! `--json PATH`; an unknown flag or a malformed value is an error.
 //! Absolute runtimes differ from the paper (the baseline is this
 //! repository's own refactor implementation rather than ABC's C code), but

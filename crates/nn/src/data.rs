@@ -79,29 +79,12 @@ impl Dataset {
         self.labels.extend_from_slice(&other.labels);
     }
 
-    /// Splits the dataset into (train, validation) with the given validation
-    /// fraction, after a seeded shuffle.
-    pub fn split(&self, validation_fraction: f32, seed: u64) -> (Dataset, Dataset) {
-        let mut indices: Vec<usize> = (0..self.len()).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        shuffle_indices(&mut indices, &mut rng);
-        let valid_count = ((self.len() as f32) * validation_fraction).round() as usize;
-        let (valid_idx, train_idx) = indices.split_at(valid_count.min(self.len()));
-        let pick = |idx: &[usize]| {
-            Dataset::from_parts(
-                idx.iter().map(|&i| self.features[i].clone()).collect(),
-                idx.iter().map(|&i| self.labels[i]).collect(),
-            )
-        };
-        (pick(train_idx), pick(valid_idx))
-    }
-
     /// Splits the dataset into (train, validation) preserving the class
     /// balance of both sides (stratified split), after a seeded per-class
     /// shuffle.
     ///
-    /// Unlike [`Dataset::split`], a heavily imbalanced dataset is guaranteed
-    /// to keep at least one example of every represented class on each side
+    /// Unlike a plain shuffle split, a heavily imbalanced dataset is
+    /// guaranteed to keep at least one example of every represented class on each side
     /// (whenever the class has two or more examples and the fraction is
     /// non-zero), so validation recall is never undefined just because the
     /// shuffle dropped every positive from the validation slice.
@@ -344,50 +327,6 @@ pub fn mixup(dataset: &Dataset, count: usize, alpha: f32, seed: u64) -> Dataset 
     out
 }
 
-/// SMOTE-style oversampling: synthesizes minority-class examples by
-/// interpolating each minority example with one of its `k` nearest minority
-/// neighbours until the minority class reaches `target_count` examples.
-pub fn smote(dataset: &Dataset, target_count: usize, k: usize, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let minority: Vec<&Vec<f32>> = dataset
-        .features()
-        .iter()
-        .zip(dataset.labels())
-        .filter(|(_, &l)| l >= 0.5)
-        .map(|(f, _)| f)
-        .collect();
-    let mut out = dataset.clone();
-    if minority.len() < 2 {
-        return out;
-    }
-    let distance = |a: &[f32], b: &[f32]| -> f32 {
-        a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f32>()
-    };
-    while out.class_counts().1 < target_count {
-        let anchor = minority[rng.gen_range(0..minority.len())];
-        // k nearest minority neighbours of the anchor.
-        let mut by_distance: Vec<(f32, usize)> = minority
-            .iter()
-            .enumerate()
-            .map(|(idx, other)| (distance(anchor, other), idx))
-            .collect();
-        by_distance.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distances"));
-        let neighbours = &by_distance[1..(k + 1).min(by_distance.len())];
-        if neighbours.is_empty() {
-            break;
-        }
-        let (_, pick) = neighbours[rng.gen_range(0..neighbours.len())];
-        let lambda: f32 = rng.gen_range(0.0..1.0);
-        let synthetic: Vec<f32> = anchor
-            .iter()
-            .zip(minority[pick])
-            .map(|(a, b)| a + lambda * (b - a))
-            .collect();
-        out.push(synthetic, true);
-    }
-    out
-}
-
 /// Samples from a Beta(`a`, `b`) distribution (used by MixUp).
 fn sample_beta(a: f32, b: f32, rng: &mut impl Rng) -> f32 {
     let x = sample_gamma(a, rng);
@@ -447,14 +386,6 @@ mod tests {
         let matrix = data.to_matrix();
         assert_eq!(matrix.rows(), 20);
         assert_eq!(matrix.cols(), 2);
-    }
-
-    #[test]
-    fn split_partitions_all_examples() {
-        let data = toy_dataset();
-        let (train, valid) = data.split(0.25, 3);
-        assert_eq!(train.len() + valid.len(), data.len());
-        assert_eq!(valid.len(), 5);
     }
 
     #[test]
@@ -550,15 +481,6 @@ mod tests {
             // relation is preserved by convex combination.
             assert!((row[1] - 2.0 * row[0]).abs() < 1e-3);
         }
-    }
-
-    #[test]
-    fn smote_reaches_target_minority_count() {
-        let data = toy_dataset();
-        let augmented = smote(&data, 12, 3, 5);
-        assert!(augmented.class_counts().1 >= 12);
-        assert_eq!(augmented.class_counts().0, 16);
-        assert_eq!(augmented.num_features(), 2);
     }
 
     #[test]

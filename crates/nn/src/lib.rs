@@ -8,13 +8,13 @@
 //!
 //! * [`Matrix`], [`Dense`], [`Mlp`] — a small dense network with manual
 //!   backpropagation and batched inference;
-//! * [`Loss`] — binary cross entropy, weighted/class-balanced BCE and focal
-//!   loss (the paper's loss ablation);
+//! * [`Loss`] — binary cross entropy, weighted BCE and focal loss (the
+//!   paper's loss ablation);
 //! * [`Adam`] and [`CosineAnnealingWarmRestarts`] — the paper's optimizer and
 //!   learning-rate schedule;
-//! * [`Dataset`], [`Normalizer`], [`WeightedRandomSampler`], [`mixup`],
-//!   [`smote`] — the data pipeline (mean–variance normalization, balanced
-//!   resampling, MixUp/SMOTE augmentation);
+//! * [`Dataset`], [`Normalizer`], [`WeightedRandomSampler`], [`mixup`] — the
+//!   data pipeline (mean–variance normalization, balanced resampling, MixUp
+//!   augmentation, stratified validation splits);
 //! * [`train`] — the training loop with early stopping;
 //! * [`ConfusionMatrix`] — recall/accuracy reporting as in Tables VII/VIII.
 //!
@@ -45,7 +45,7 @@ mod optim;
 mod serialize;
 mod train;
 
-pub use data::{mixup, smote, Dataset, Normalizer, SharedNormalizer, WeightedRandomSampler};
+pub use data::{mixup, Dataset, Normalizer, SharedNormalizer, WeightedRandomSampler};
 pub use layer::{Activation, Dense};
 pub use loss::Loss;
 pub use matrix::Matrix;

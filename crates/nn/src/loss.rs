@@ -2,8 +2,7 @@
 //!
 //! The paper experimented with binary cross entropy, focal loss and
 //! class-balanced losses; plain BCE (optionally with a positive-class weight)
-//! worked best.  All variants are provided so the ablation benches can
-//! reproduce that comparison.
+//! worked best.  BCE, weighted BCE and focal loss are provided.
 
 use crate::matrix::Matrix;
 
@@ -32,18 +31,6 @@ pub enum Loss {
 }
 
 impl Loss {
-    /// Builds the class-balanced BCE of Cui et al. from the class counts:
-    /// each class is weighted by `(1 - beta) / (1 - beta^n_class)`, expressed
-    /// here as a positive-class weight relative to the negative class.
-    pub fn class_balanced(beta: f32, num_positive: usize, num_negative: usize) -> Self {
-        let effective = |n: usize| (1.0 - beta.powi(n.max(1) as i32)) / (1.0 - beta);
-        let w_pos = 1.0 / effective(num_positive);
-        let w_neg = 1.0 / effective(num_negative);
-        Loss::WeightedBce {
-            pos_weight: w_pos / w_neg,
-        }
-    }
-
     /// Mean loss of predictions `probs` (column vector) against `targets`.
     ///
     /// # Panics
@@ -174,18 +161,6 @@ mod tests {
         let miss_positive = Loss::WeightedBce { pos_weight: 10.0 }.value(&probs, &[1.0]);
         let plain = Loss::BinaryCrossEntropy.value(&probs, &[1.0]);
         assert!(miss_positive > plain);
-    }
-
-    #[test]
-    fn class_balanced_weight_grows_with_imbalance() {
-        let balanced = Loss::class_balanced(0.999, 100, 100);
-        let imbalanced = Loss::class_balanced(0.999, 10, 1000);
-        let weight = |l: Loss| match l {
-            Loss::WeightedBce { pos_weight } => pos_weight,
-            _ => panic!("expected weighted BCE"),
-        };
-        assert!(weight(imbalanced) > weight(balanced));
-        assert!((weight(balanced) - 1.0).abs() < 1e-3);
     }
 
     #[test]

@@ -364,9 +364,9 @@ mod tests {
         let tt = cut_truth_table(&aig, &cut);
         let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| l.lit()).collect();
         let expr = factor_truth_table(&tt);
-        let saved = aig.deref_mffc(f.node());
+        let saved = aig.deref_mffc_bounded(f.node(), &[]);
         let cost = count_new_nodes(&aig, &expr, &leaf_lits, Some(f.node()));
-        aig.ref_mffc(f.node());
+        aig.ref_mffc_bounded(f.node(), &[]);
         // a(b+c) needs 2 nodes; the whole 3-node MFFC is saved, so the gain
         // estimate is positive but bounded by the real improvement.
         assert!(saved as i64 - cost.new_nodes as i64 <= 1);

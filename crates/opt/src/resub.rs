@@ -131,7 +131,7 @@ impl PrunableOperator for Resubstitution {
                 .zip(1..)
                 .map(|(leaf, slot)| (leaf.lit(), slot)),
         );
-        let saved = aig.deref_mffc(node) as i64;
+        let saved = aig.deref_mffc_bounded(node, &[]) as i64;
         for &n in &cut.cone {
             if n == node || aig.refs(n) == 0 {
                 continue;
@@ -145,7 +145,7 @@ impl PrunableOperator for Resubstitution {
                 .expect("the simulation covers the whole cone");
             divisors.push((n.lit(), 1 + num_vars + position));
         }
-        aig.ref_mffc(node);
+        aig.ref_mffc_bounded(node, &[]);
 
         // 0-resubstitution: the root equals a divisor or its complement
         // (`d & d` is `d`).
@@ -250,14 +250,14 @@ mod tests {
 
         // Determine which cone nodes belong to the root's MFFC: after
         // dereferencing, exactly those have zero references.
-        let saved = aig.deref_mffc(node) as i64;
+        let saved = aig.deref_mffc_bounded(node, &[]) as i64;
         let mffc: Vec<NodeId> = cut
             .cone
             .iter()
             .copied()
             .filter(|&n| n == node || aig.refs(n) == 0)
             .collect();
-        aig.ref_mffc(node);
+        aig.ref_mffc_bounded(node, &[]);
 
         // Divisors: leaves and cone nodes outside the MFFC, not above the root.
         let mut divisors: Vec<(Lit, TruthTable)> = Vec::new();

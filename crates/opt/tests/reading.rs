@@ -41,7 +41,7 @@ fn check_cut(source: &Aig, cut: &Cut, deref: Deref) -> TruthTable {
     match deref {
         Deref::Nothing => {}
         Deref::Bounded => drop(dereferenced.deref_mffc_bounded(cut.root, &cut.leaves)),
-        Deref::Whole => drop(dereferenced.deref_mffc(cut.root)),
+        Deref::Whole => drop(dereferenced.deref_mffc_bounded(cut.root, &[])),
     }
 
     for config in [CutCacheConfig::disabled(), CutCacheConfig::default()] {

@@ -5,9 +5,8 @@
 //! system.
 //!
 //! An [`ElfService`] is constructed once from a trained
-//! [`ElfClassifier`](elf_core::ElfClassifier) (or trains on startup from a
-//! provided dataset) and amortizes it across many independent circuit
-//! requests:
+//! [`ElfClassifier`](elf_core::ElfClassifier) and amortizes it across many
+//! independent circuit requests:
 //!
 //! * **Admission** — clients hold [`ServiceHandle`]s and
 //!   [`submit`](ServiceHandle::submit) `(circuit, flow script)` jobs over a
@@ -21,13 +20,12 @@
 //!   counted in [`ServiceStats`].
 //! * **Sharding** — a fixed set of long-lived worker threads (the
 //!   [`ServeConfig::shards`] knob, following the workspace's
-//!   [`Parallelism`](elf_par::Parallelism) convention) pulls jobs from
-//!   per-shard deques, **stealing** from backlogged siblings when their own
-//!   runs dry — one giant circuit no longer convoys the jobs queued behind
-//!   it.  A worker runs its job's whole flow inline —
-//!   [`Flow::run`](elf_core::Flow::run) on the flow built at submission,
-//!   forward passes included — so graph mutation stays inside one worker,
-//!   sequential per job.
+//!   [`Parallelism`](elf_par::Parallelism) convention) pulls jobs from one
+//!   FIFO, each worker taking the oldest waiting job, so a giant circuit
+//!   ties up only the worker that took it.  A worker runs its job's whole
+//!   flow inline — [`Flow::run`](elf_core::Flow::run) on the flow built at
+//!   submission, forward passes included — so graph mutation stays inside
+//!   one worker, sequential per job.
 //! * **The model plane** — the classifier lives in a versioned
 //!   [`ModelRegistry`]: publish retrained versions, switch the default,
 //!   retire old ones, all while the service runs.  Plain `submit` uses the
@@ -38,8 +36,8 @@
 //! * **Responses** — each handle owns a private response channel:
 //!   [`recv`](ServiceHandle::recv)/[`try_recv`](ServiceHandle::try_recv)
 //!   deliver [`JobResponse`]s (optimized AIG plus per-job [`ServeStats`]:
-//!   pinned model version, queue depth, forward passes and rows, nodes
-//!   before/after, per-stage timings), and
+//!   pinned model version, queue depth, cache hits, timings, and the flow's
+//!   own [`FlowStats`](elf_core::FlowStats)), and
 //!   [`run_sync`](ServiceHandle::run_sync) is the blocking one-job
 //!   convenience.  Every job is answered even if its worker dies mid-job
 //!   (the response arrives with [`JobResponse::failed`] set) — clients can
@@ -147,7 +145,7 @@ pub use service::{
     ElfService, JobId, JobResponse, ServeConfig, ServeStats, ServiceHandle, ServiceStats,
     SubmitError,
 };
-// Convenience re-exports: the verification knob and its outcome live in
-// `elf-core`, but they are set and read through `ServeConfig`/`ServeStats`,
-// so serving callers should not need an explicit `elf-core` dependency.
-pub use elf_core::{VerifyMode, VerifyOutcome};
+// Convenience re-export: the verification knob lives in `elf-core`, but it
+// is set through `ServeConfig`, so serving callers should not need an
+// explicit `elf-core` dependency to switch it on.
+pub use elf_core::VerifyMode;

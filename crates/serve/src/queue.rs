@@ -1,24 +1,20 @@
-//! The bounded admission queue: per-shard deques with work stealing behind
-//! one mutex/condvar pair, plus the load-shedding admission policy.
+//! The bounded admission queue: one FIFO behind one mutex/condvar pair,
+//! plus the load-shedding admission policy.
 //!
 //! `std::sync::mpsc` cannot serve as the job queue directly because every
 //! shard worker must pull from the same stream (an mpsc `Receiver` has one
 //! owner), because graceful shutdown needs "closed" to mean *drain, then
-//! stop* rather than *drop everything* — and, since PR 7, because admission
-//! must be **bounded**: an unbounded FIFO in front of slow workers is an OOM
-//! under sustained traffic.  This queue gives all three:
+//! stop* rather than *drop everything*, and because admission must be
+//! **bounded**: an unbounded FIFO in front of slow workers is an OOM under
+//! sustained traffic.  This queue gives all three:
 //!
 //! * **Bounded admission** — at most `capacity` jobs wait at any time.  A
 //!   push against a full queue follows the caller's [`AdmissionPolicy`]:
 //!   block until a slot frees, shed immediately, or shed after a deadline.
-//! * **Per-shard deques with work stealing** — jobs are dealt round-robin
-//!   onto one deque per shard worker.  A worker drains its own deque front
-//!   first; when that runs dry it *steals the oldest job of the most
-//!   backlogged shard*, so one giant circuit occupying a worker no longer
-//!   convoys the jobs dealt behind it — an idle worker takes them over.
-//!   Which worker executes a job never changes the job's result (each job
-//!   runs start-to-finish on one worker), so stealing is invisible to the
-//!   determinism guarantee.
+//! * **One FIFO** — every worker pops the oldest waiting job.  A worker
+//!   busy with one giant circuit holds no jobs back: the others take the
+//!   next ones.  Which worker executes a job never changes the job's result
+//!   (each job runs start-to-finish on one worker).
 //! * **Drain-on-close** — `pop` blocks until a job arrives, and returns
 //!   `None` only once the queue is closed **and** empty; pushes against a
 //!   closed queue hand the job back so the caller keeps its circuit.
@@ -65,12 +61,8 @@ pub(crate) enum PushError<T> {
 }
 
 struct QueueState<T> {
-    /// One deque per shard worker; jobs are dealt round-robin at push.
-    shards: Vec<VecDeque<T>>,
-    /// Total queued jobs across all shards (the bounded quantity).
-    len: usize,
-    /// Round-robin deal cursor.
-    next_shard: usize,
+    /// The waiting jobs, oldest first.
+    jobs: VecDeque<T>,
     closed: bool,
     paused: bool,
     /// Threads currently blocked in `pop` / a full-queue `push` — lets tests
@@ -81,26 +73,7 @@ struct QueueState<T> {
     push_waiters: usize,
 }
 
-impl<T> QueueState<T> {
-    /// Takes the next job for `shard`: own deque first, then steal the
-    /// oldest job of the most backlogged other shard.
-    fn take(&mut self, shard: usize) -> Option<T> {
-        let own = shard % self.shards.len();
-        if let Some(job) = self.shards[own].pop_front() {
-            self.len -= 1;
-            return Some(job);
-        }
-        let victim = (0..self.shards.len())
-            .filter(|&s| s != own)
-            .max_by_key(|&s| self.shards[s].len())?;
-        let job = self.shards[victim].pop_front()?;
-        self.len -= 1;
-        Some(job)
-    }
-}
-
-/// A closable, bounded, multi-consumer queue of per-shard deques
-/// (see module docs).
+/// A closable, bounded, multi-consumer FIFO (see module docs).
 pub(crate) struct JobQueue<T> {
     state: Mutex<QueueState<T>>,
     capacity: usize,
@@ -111,14 +84,11 @@ pub(crate) struct JobQueue<T> {
 }
 
 impl<T> JobQueue<T> {
-    /// Creates a queue with one deque per shard and room for `capacity`
-    /// jobs in total (both clamped to at least 1).
-    pub(crate) fn new(shards: usize, capacity: usize) -> Self {
+    /// Creates a queue with room for `capacity` jobs (clamped to at least 1).
+    pub(crate) fn new(capacity: usize) -> Self {
         JobQueue {
             state: Mutex::new(QueueState {
-                shards: (0..shards.max(1)).map(|_| VecDeque::new()).collect(),
-                len: 0,
-                next_shard: 0,
+                jobs: VecDeque::new(),
                 closed: false,
                 paused: false,
                 #[cfg(test)]
@@ -133,7 +103,7 @@ impl<T> JobQueue<T> {
     }
 
     /// Locks the queue state.  A poisoned mutex only means some thread
-    /// panicked while holding the lock; the state itself (deques + counters)
+    /// panicked while holding the lock; the state itself (deque + flags)
     /// is kept consistent at every await point, so the queue keeps operating
     /// instead of cascading the panic into every worker and client.
     fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
@@ -153,12 +123,9 @@ impl<T> JobQueue<T> {
             if state.closed {
                 return Err(PushError::Closed(job));
             }
-            if state.len < self.capacity {
-                let shard = state.next_shard;
-                state.next_shard = (shard + 1) % state.shards.len();
-                state.shards[shard].push_back(job);
-                state.len += 1;
-                let depth = state.len;
+            if state.jobs.len() < self.capacity {
+                state.jobs.push_back(job);
+                let depth = state.jobs.len();
                 drop(state);
                 self.available.notify_one();
                 return Ok(depth);
@@ -205,18 +172,17 @@ impl<T> JobQueue<T> {
         }
     }
 
-    /// Blocks until a job is available for `shard` (its own deque, or one
-    /// stolen from a backlogged sibling), returning it together with the
-    /// number of jobs still waiting across all shards.  Returns `None` once
-    /// the queue is closed and fully drained — the worker-shutdown signal.
-    /// While the queue is paused, `pop` waits even if jobs are queued
-    /// (close overrides pause so shutdown always drains).
-    pub(crate) fn pop(&self, shard: usize) -> Option<(T, usize)> {
+    /// Blocks until a job is available, returning the oldest one together
+    /// with the number of jobs still waiting.  Returns `None` once the queue
+    /// is closed and fully drained — the worker-shutdown signal.  While the
+    /// queue is paused, `pop` waits even if jobs are queued (close overrides
+    /// pause so shutdown always drains).
+    pub(crate) fn pop(&self) -> Option<(T, usize)> {
         let mut state = self.lock();
         loop {
             if !state.paused || state.closed {
-                if let Some(job) = state.take(shard) {
-                    let depth = state.len;
+                if let Some(job) = state.jobs.pop_front() {
+                    let depth = state.jobs.len();
                     drop(state);
                     self.space.notify_one();
                     return Some((job, depth));
@@ -263,14 +229,9 @@ impl<T> JobQueue<T> {
         }
     }
 
-    /// Number of jobs currently waiting (across all shards).
+    /// Number of jobs currently waiting.
     pub(crate) fn depth(&self) -> usize {
-        self.lock().len
-    }
-
-    /// The admission bound.
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
+        self.lock().jobs.len()
     }
 
     /// Threads currently blocked in `pop` and in a full-queue `push` — the
@@ -297,7 +258,7 @@ mod tests {
     }
 
     fn unbounded<T>() -> JobQueue<T> {
-        JobQueue::new(1, usize::MAX)
+        JobQueue::new(usize::MAX)
     }
 
     #[test]
@@ -306,8 +267,8 @@ mod tests {
         assert_eq!(queue.push(1, AdmissionPolicy::Block).unwrap(), 1);
         assert_eq!(queue.push(2, AdmissionPolicy::Block).unwrap(), 2);
         assert_eq!(queue.depth(), 2);
-        assert_eq!(queue.pop(0), Some((1, 1)));
-        assert_eq!(queue.pop(0), Some((2, 0)));
+        assert_eq!(queue.pop(), Some((1, 1)));
+        assert_eq!(queue.pop(), Some((2, 0)));
         assert_eq!(queue.depth(), 0);
     }
 
@@ -320,8 +281,8 @@ mod tests {
             queue.push("b", AdmissionPolicy::Block),
             Err(PushError::Closed("b"))
         ));
-        assert_eq!(queue.pop(0), Some(("a", 0)));
-        assert_eq!(queue.pop(0), None);
+        assert_eq!(queue.pop(), Some(("a", 0)));
+        assert_eq!(queue.pop(), None);
     }
 
     #[test]
@@ -329,7 +290,7 @@ mod tests {
         let queue = Arc::new(unbounded::<u32>());
         let waiter = {
             let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.pop(0))
+            std::thread::spawn(move || queue.pop())
         };
         // Close only once the waiter has provably blocked.
         wait_for_waiters(&queue, 1, 0);
@@ -342,7 +303,7 @@ mod tests {
         let queue = Arc::new(unbounded::<u32>());
         let waiter = {
             let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.pop(0))
+            std::thread::spawn(move || queue.pop())
         };
         wait_for_waiters(&queue, 1, 0);
         queue.push(7, AdmissionPolicy::Block).unwrap();
@@ -352,7 +313,7 @@ mod tests {
 
     #[test]
     fn reject_policy_sheds_at_capacity_without_blocking() {
-        let queue = JobQueue::new(2, 2);
+        let queue = JobQueue::new(2);
         assert!(queue.push(1, AdmissionPolicy::Reject).is_ok());
         assert!(queue.push(2, AdmissionPolicy::Reject).is_ok());
         // The full queue hands the job straight back...
@@ -361,14 +322,13 @@ mod tests {
             Err(PushError::Overloaded(3))
         ));
         // ...and a freed slot admits again.
-        assert!(queue.pop(0).is_some());
+        assert!(queue.pop().is_some());
         assert_eq!(queue.push(4, AdmissionPolicy::Reject).unwrap(), 2);
-        assert_eq!(queue.capacity(), 2);
     }
 
     #[test]
     fn timeout_policy_sheds_after_the_deadline() {
-        let queue = JobQueue::new(1, 1);
+        let queue = JobQueue::new(1);
         queue.push(1, AdmissionPolicy::Timeout(2)).unwrap();
         // Nothing pops, so the second push must shed after ~2 ticks.
         assert!(matches!(
@@ -384,7 +344,7 @@ mod tests {
 
     #[test]
     fn blocked_push_wakes_on_pop_and_on_close() {
-        let queue = Arc::new(JobQueue::new(1, 1));
+        let queue = Arc::new(JobQueue::new(1));
         queue.push(1, AdmissionPolicy::Block).unwrap();
         let pusher = {
             let queue = Arc::clone(&queue);
@@ -392,7 +352,7 @@ mod tests {
         };
         wait_for_waiters(&queue, 0, 1);
         // Freeing the slot admits the blocked pusher.
-        assert_eq!(queue.pop(0), Some((1, 0)));
+        assert_eq!(queue.pop(), Some((1, 0)));
         assert_eq!(pusher.join().unwrap().ok(), Some(1));
         // A pusher blocked at close gets its job handed back.
         let pusher = {
@@ -405,28 +365,31 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_deal_and_work_stealing() {
-        let queue = JobQueue::new(2, 16);
+    fn jobs_leave_oldest_first_whichever_worker_pops() {
+        let queue = Arc::new(JobQueue::new(16));
         for job in 0..4 {
             queue.push(job, AdmissionPolicy::Block).unwrap();
         }
-        // Jobs 0,2 land on shard 0; jobs 1,3 on shard 1.  Shard 0 drains its
-        // own deque first...
-        assert_eq!(queue.pop(0), Some((0, 3)));
-        assert_eq!(queue.pop(0), Some((2, 2)));
-        // ...then steals shard 1's oldest job instead of idling.
-        assert_eq!(queue.pop(0), Some((1, 1)));
-        assert_eq!(queue.pop(1), Some((3, 0)));
+        // Two workers, each popping twice.  A round-robin deal onto
+        // per-worker deques would hand the first worker jobs 0 and 2.
+        let worker = |queue: &Arc<JobQueue<i32>>| {
+            let queue = Arc::clone(queue);
+            std::thread::spawn(move || [queue.pop(), queue.pop()])
+                .join()
+                .unwrap()
+        };
+        assert_eq!(worker(&queue), [Some((0, 3)), Some((1, 2))]);
+        assert_eq!(worker(&queue), [Some((2, 1)), Some((3, 0))]);
     }
 
     #[test]
     fn pause_holds_jobs_and_resume_releases_them() {
-        let queue = Arc::new(JobQueue::new(1, 8));
+        let queue = Arc::new(JobQueue::new(8));
         queue.set_paused(true);
         queue.push(5, AdmissionPolicy::Block).unwrap();
         let waiter = {
             let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.pop(0))
+            std::thread::spawn(move || queue.pop())
         };
         // The popper blocks even though a job is queued.
         wait_for_waiters(&queue, 1, 0);
@@ -437,7 +400,7 @@ mod tests {
         queue.set_paused(true);
         queue.push(6, AdmissionPolicy::Block).unwrap();
         queue.close();
-        assert_eq!(queue.pop(0), Some((6, 0)));
-        assert_eq!(queue.pop(0), None);
+        assert_eq!(queue.pop(), Some((6, 0)));
+        assert_eq!(queue.pop(), None);
     }
 }

@@ -1,5 +1,5 @@
 //! The versioned model plane: a [`ModelRegistry`] of published classifier
-//! versions with epoch-swap reads.
+//! versions with snapshot-swap reads.
 //!
 //! A long-lived service outlives any single trained model: retraining
 //! produces a new classifier that must go live **without restarting the
@@ -10,8 +10,8 @@
 //!   behind an id never change — "update" means *publish a new version*.
 //! * Readers never block writers and vice versa beyond one brief lock:
 //!   the registry keeps its whole table in an immutable [`Snapshot`] behind
-//!   an `Arc`; writers build a complete new snapshot and swap it in
-//!   (bumping the epoch), readers clone the current `Arc` out.
+//!   an `Arc`; writers build a complete new snapshot and swap it in,
+//!   readers clone the current `Arc` out.
 //! * In-flight jobs **pin** their version: a job resolves its classifier
 //!   `Arc` at submit time and holds it to completion, so a concurrent
 //!   publish/retire/set-default never changes what an already-admitted job
@@ -64,11 +64,10 @@ impl fmt::Display for ModelId {
     }
 }
 
-/// One immutable view of the registry: the epoch it was swapped in at, the
-/// default model, and every live version.
+/// One immutable view of the registry: the default model and every live
+/// version.
 #[derive(Debug)]
 struct Snapshot {
-    epoch: u64,
     default: ModelId,
     /// Sorted by id (publication order); small enough that linear scans beat
     /// any map.
@@ -84,7 +83,7 @@ impl Snapshot {
     }
 }
 
-/// A versioned table of published classifiers with atomic epoch-swap
+/// A versioned table of published classifiers with atomic snapshot-swap
 /// updates (see the module docs).
 ///
 /// # Examples
@@ -117,9 +116,6 @@ impl Snapshot {
 pub struct ModelRegistry {
     /// The current snapshot; writers replace the inner `Arc` wholesale.
     snapshot: Mutex<Arc<Snapshot>>,
-    /// Bumped on every successful mutation — a cheap "did anything change"
-    /// probe that never takes the lock.
-    epoch: AtomicU64,
     next_id: AtomicU64,
 }
 
@@ -130,11 +126,9 @@ impl ModelRegistry {
         let founding = ModelId(0);
         ModelRegistry {
             snapshot: Mutex::new(Arc::new(Snapshot {
-                epoch: 0,
                 default: founding,
                 models: vec![(founding, Arc::new(classifier))],
             })),
-            epoch: AtomicU64::new(0),
             next_id: AtomicU64::new(1),
         }
     }
@@ -146,15 +140,17 @@ impl ModelRegistry {
         Arc::clone(&self.snapshot.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Swaps in a new snapshot built by `build` from the current one,
-    /// bumping the epoch.  Returns `build`'s extra output.
-    fn swap<R>(&self, build: impl FnOnce(&Snapshot, u64) -> Option<(Snapshot, R)>) -> Option<R> {
+    /// Swaps in the snapshot `build` makes from the current one; `None`
+    /// from `build` leaves the table as it was.  Returns whether it swapped.
+    fn swap(&self, build: impl FnOnce(&Snapshot) -> Option<Snapshot>) -> bool {
         let mut slot = self.snapshot.lock().unwrap_or_else(PoisonError::into_inner);
-        let next_epoch = slot.epoch + 1;
-        let (snapshot, result) = build(&slot, next_epoch)?;
-        *slot = Arc::new(snapshot);
-        self.epoch.store(next_epoch, Ordering::Release);
-        Some(result)
+        match build(&slot) {
+            Some(snapshot) => {
+                *slot = Arc::new(snapshot);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Publishes a new classifier version, returning its fresh [`ModelId`].
@@ -162,36 +158,29 @@ impl ModelRegistry {
     /// default until [`ModelRegistry::set_default`] says so.
     pub fn publish(&self, classifier: ElfClassifier) -> ModelId {
         let id = ModelId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        self.swap(|current, epoch| {
+        self.swap(|current| {
             let mut models = current.models.clone();
             models.push((id, Arc::new(classifier)));
-            Some((
-                Snapshot {
-                    epoch,
-                    default: current.default,
-                    models,
-                },
-                (),
-            ))
+            Some(Snapshot {
+                default: current.default,
+                models,
+            })
         });
         id
     }
 
     /// Makes a published version the default for submissions that do not
-    /// select a model.  Fails (returning `false`) when the id is unknown or
-    /// retired.
+    /// select a model.  Fails (handing the id back) when the id is unknown
+    /// or retired.
     pub fn set_default(&self, id: ModelId) -> Result<(), ModelId> {
-        self.swap(|current, epoch| {
+        self.swap(|current| {
             current.get(id)?;
-            Some((
-                Snapshot {
-                    epoch,
-                    default: id,
-                    models: current.models.clone(),
-                },
-                (),
-            ))
+            Some(Snapshot {
+                default: id,
+                models: current.models.clone(),
+            })
         })
+        .then_some(())
         .ok_or(id)
     }
 
@@ -201,7 +190,7 @@ impl ModelRegistry {
     /// already pinned the version finish under it; its weights are freed
     /// when the last pin drops.
     pub fn retire(&self, id: ModelId) -> bool {
-        self.swap(|current, epoch| {
+        self.swap(|current| {
             if id == current.default || current.get(id).is_none() {
                 return None;
             }
@@ -211,16 +200,11 @@ impl ModelRegistry {
                 .filter(|(model, _)| *model != id)
                 .cloned()
                 .collect();
-            Some((
-                Snapshot {
-                    epoch,
-                    default: current.default,
-                    models,
-                },
-                (),
-            ))
+            Some(Snapshot {
+                default: current.default,
+                models,
+            })
         })
-        .is_some()
     }
 
     /// Resolves a published version to its classifier, pinning it for as
@@ -250,12 +234,6 @@ impl ModelRegistry {
     pub fn models(&self) -> Vec<ModelId> {
         self.load().models.iter().map(|(id, _)| *id).collect()
     }
-
-    /// The mutation epoch: bumped by every publish/retire/set-default.
-    /// Equal epochs guarantee an identical table.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
 }
 
 #[cfg(test)]
@@ -278,7 +256,6 @@ mod tests {
         assert_eq!(founding.as_u64(), 0);
         assert_eq!(registry.models(), vec![founding]);
         assert!(registry.get(founding).is_some());
-        assert_eq!(registry.epoch(), 0);
     }
 
     #[test]
@@ -290,7 +267,6 @@ mod tests {
         assert!(founding < v1 && v1 < v2);
         assert_eq!(registry.default_model(), founding);
         assert_eq!(registry.models(), vec![founding, v1, v2]);
-        assert_eq!(registry.epoch(), 2);
     }
 
     #[test]
@@ -312,8 +288,11 @@ mod tests {
         let founding = registry.default_model();
         assert!(!registry.retire(founding), "cannot retire the default");
         assert!(!registry.retire(ModelId(42)), "cannot retire the unknown");
-        let epoch = registry.epoch();
-        assert_eq!(registry.epoch(), epoch, "failed mutations don't bump");
+        assert_eq!(
+            registry.models(),
+            vec![founding],
+            "failed retires change nothing"
+        );
     }
 
     #[test]
@@ -336,16 +315,5 @@ mod tests {
         assert_eq!(Arc::strong_count(&weights), 2);
         drop(pinned);
         assert_eq!(Arc::strong_count(&weights), 1);
-    }
-
-    #[test]
-    fn epoch_equality_means_identical_tables() {
-        let registry = ModelRegistry::with_initial(classifier(1));
-        let before = registry.epoch();
-        let v1 = registry.publish(classifier(2));
-        assert_ne!(registry.epoch(), before);
-        registry.set_default(v1).unwrap();
-        let after_default = registry.epoch();
-        assert!(after_default > before + 1);
     }
 }

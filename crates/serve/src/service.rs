@@ -11,10 +11,8 @@ use std::time::{Duration, Instant};
 
 use elf_aig::Aig;
 use elf_core::{
-    CutCache, CutCacheStats, ElfClassifier, ElfOptions, Flow, FlowStats, ParseFlowError,
-    VerifyMode, VerifyOutcome,
+    CutCache, CutCacheStats, ElfClassifier, ElfOptions, Flow, FlowStats, ParseFlowError, VerifyMode,
 };
-use elf_nn::{Dataset, TrainConfig, TrainReport};
 use elf_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use elf_obs::names;
 use elf_par::Parallelism;
@@ -52,7 +50,7 @@ pub struct ServeConfig {
     /// The correctness gate: SAT-prove that every served job preserved its
     /// circuit's function ([`VerifyMode::Final`] — one check per job) or
     /// that every stage did ([`VerifyMode::PerStage`]).  The verdict rides
-    /// in [`ServeStats::verify`]; off by default.
+    /// in the job's [`FlowStats::verify`]; off by default.
     pub verify: VerifyMode,
 }
 
@@ -90,7 +88,7 @@ impl fmt::Display for JobId {
     }
 }
 
-/// Per-job serving statistics, alongside the usual per-stage [`FlowStats`].
+/// Per-job serving statistics around the flow's own [`FlowStats`].
 #[derive(Debug, Clone)]
 pub struct ServeStats {
     /// The classifier version this job was pruned with (pinned at
@@ -98,13 +96,6 @@ pub struct ServeStats {
     pub model: ModelId,
     /// Jobs still waiting in the admission queue when this job was picked up.
     pub queue_depth: usize,
-    /// Forward passes this job ran: one per pruned stage that went on to
-    /// prune or keep at least one cut.
-    pub inference_calls: usize,
-    /// Cuts those passes decided — the `pruned + kept` of every pruned
-    /// stage (a cut whose node an earlier commit of the same stage freed is
-    /// classified but not counted).
-    pub inference_rows: usize,
     /// Cut factorings this job resolved from the service-lifetime
     /// NPN-canonical cache (work an earlier job — or an earlier cut of this
     /// one — already paid for).  Zero when the cache is disabled.
@@ -112,21 +103,14 @@ pub struct ServeStats {
     /// Cut factorings this job computed and (capacity permitting) published
     /// to the shared cache.  Zero when the cache is disabled.
     pub cache_misses: u64,
-    /// Reachable AND count before the flow ran.
-    pub nodes_before: usize,
-    /// Reachable AND count after the flow ran.
-    pub nodes_after: usize,
     /// Time from submission to a shard worker picking the job up.
     pub queued_time: Duration,
     /// Time the shard worker spent executing the flow.
     pub service_time: Duration,
-    /// Per-stage statistics of the executed flow (stage timings, prune
-    /// rates, feature/classify split).
+    /// Statistics of the executed flow: AND counts before and after, stage
+    /// timings and prune counts, and the equivalence-checking outcome under
+    /// [`ServeConfig::verify`].  All-zero on failure placeholders.
     pub flow: FlowStats,
-    /// The equivalence-checking outcome when the service runs with
-    /// [`ServeConfig::verify`] enabled; `None` under [`VerifyMode::Off`]
-    /// and on failure placeholders.
-    pub verify: Option<VerifyOutcome>,
 }
 
 impl ServeStats {
@@ -135,16 +119,11 @@ impl ServeStats {
         ServeStats {
             model,
             queue_depth: 0,
-            inference_calls: 0,
-            inference_rows: 0,
             cache_hits: 0,
             cache_misses: 0,
-            nodes_before: 0,
-            nodes_after: 0,
             queued_time: Duration::ZERO,
             service_time: Duration::ZERO,
             flow: FlowStats::default(),
-            verify: None,
         }
     }
 }
@@ -269,10 +248,12 @@ pub struct ServiceStats {
     /// Submissions shed by [`AdmissionPolicy::Timeout`] after waiting out
     /// their admission deadline.
     pub jobs_timed_out: u64,
-    /// Forward passes run by served jobs (see [`ServeStats::inference_calls`]).
+    /// Forward passes run by served jobs: one per pruned stage that went on
+    /// to prune or keep at least one cut.
     pub inference_batches: u64,
-    /// Cuts decided across all forward passes (see
-    /// [`ServeStats::inference_rows`]).
+    /// Cuts decided across all forward passes: the `pruned + kept` of every
+    /// pruned stage (a cut whose node an earlier commit of the same stage
+    /// freed is classified but not counted).
     pub inference_rows: u64,
     /// Snapshot of the service-lifetime NPN-canonical cut-factoring cache:
     /// entries resident, lifetime hits and misses across all jobs.
@@ -330,11 +311,6 @@ impl Telemetry {
         }
     }
 
-    /// The backing registry (per-service, not the process-global one).
-    fn registry(&self) -> &Registry {
-        &self.metrics
-    }
-
     /// The forward passes of one finished job under `model`: the pass
     /// counter and the per-model row counter ([`names::INFER_ROWS`], label
     /// `model`).
@@ -345,7 +321,9 @@ impl Telemetry {
             .add(rows as u64);
     }
 
-    fn snapshot(&self) -> ServiceStats {
+    /// The counters as [`ServiceStats`], beside the cut cache's own
+    /// snapshot (the cache keeps its own atomics).
+    fn snapshot(&self, cut_cache: CutCacheStats) -> ServiceStats {
         // The per-model row counters are summed from a registry snapshot —
         // the stats struct stays a pure view.
         let snap = self.metrics.snapshot();
@@ -362,9 +340,7 @@ impl Telemetry {
             jobs_timed_out: self.jobs_timed_out.get(),
             inference_batches: self.batches.get(),
             inference_rows,
-            // The cache keeps its own atomics; `ElfService::stats_snapshot`
-            // fills this in from the shared handle.
-            cut_cache: CutCacheStats::default(),
+            cut_cache,
         }
     }
 }
@@ -449,11 +425,10 @@ struct Job {
     /// The classifier version pinned at submission.
     model: ModelId,
     aig: Aig,
-    /// The pruned flow, built at submission from the pinned classifier.
+    /// The pruned flow, built at submission from the pinned classifier, on
+    /// this job's view of the service-lifetime cut cache (same map as every
+    /// other job, private hit/miss counters for [`ServeStats`]).
     flow: Flow,
-    /// This job's view of the service-lifetime cut cache: same map as every
-    /// other job, private hit/miss counters for [`ServeStats`].
-    cache_view: CutCache,
     submitted_at: Instant,
     reply: ReplyGuard,
 }
@@ -473,16 +448,13 @@ struct Shared {
     registry: Arc<ModelRegistry>,
     /// The classifier the service was started with (registry id 0).
     founding: Arc<ElfClassifier>,
-    options: ElfOptions,
-    /// How much every served job's flow verifies ([`ServeConfig::verify`]).
-    verify: VerifyMode,
+    config: ServeConfig,
     /// The service-lifetime NPN-canonical cut-factoring cache, shared by
     /// every job (each through its own [`CutCache::job_view`]).  Like the
     /// model registry, it outlives individual jobs; unlike the registry it
     /// is pure acceleration — results are identical with it disabled.
     cut_cache: CutCache,
     queue: JobQueue<Job>,
-    admission: AdmissionPolicy,
     telemetry: Arc<Telemetry>,
     next_job_id: AtomicU64,
     /// Test hook: the next worker to pick up a job panics *outside* the
@@ -493,10 +465,9 @@ struct Shared {
 
 /// A long-lived serving instance of the ELF flow.
 ///
-/// Constructed once from a trained classifier (or trained on startup via
-/// [`ElfService::fit_and_start`]), the service owns a fixed shard of worker
-/// threads and accepts circuits over the channel API of [`ServiceHandle`].
-/// A worker runs its job's whole flow — forward passes included — inline on
+/// Constructed once from a trained classifier, the service owns a fixed
+/// shard of worker threads and accepts circuits over the channel API of
+/// [`ServiceHandle`].  A worker runs its job's whole flow — forward passes included — inline on
 /// the classifier version the job pinned.  Admission is **bounded**
 /// ([`ServeConfig::queue_bound`]) with a configurable full-queue policy
 /// ([`ServeConfig::admission`]), and the classifier lives in a versioned
@@ -541,7 +512,7 @@ struct Shared {
 /// let id = handle.submit(aig, "rf; rw").unwrap();
 /// let response = handle.recv().expect("one job is outstanding");
 /// assert_eq!(response.job_id, id);
-/// assert!(response.stats.nodes_after <= response.stats.nodes_before);
+/// assert!(response.stats.flow.ands_after <= response.stats.flow.ands_before);
 ///
 /// let stats = service.shutdown();
 /// assert_eq!(stats.jobs_served, 1);
@@ -549,18 +520,14 @@ struct Shared {
 #[derive(Debug)]
 pub struct ElfService {
     shared: Arc<Shared>,
-    config: ServeConfig,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl fmt::Debug for Shared {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Shared")
-            .field("options", &self.options)
-            .field("admission", &self.admission)
+            .field("config", &self.config)
             .field("queue_depth", &self.queue.depth())
-            .field("queue_bound", &self.queue.capacity())
-            .field("registry_epoch", &self.registry.epoch())
             .field("next_job_id", &self.next_job_id.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -596,11 +563,9 @@ impl ElfService {
         let shared = Arc::new(Shared {
             registry,
             founding,
-            options: config.options,
-            verify: config.verify,
+            config,
             cut_cache: CutCache::new(config.options.cut_cache),
-            queue: JobQueue::new(shards, config.queue_bound),
-            admission: config.admission,
+            queue: JobQueue::new(config.queue_bound),
             // Per-service registry: an isolated metric namespace so two
             // services in one process (or one per test) never mix counters.
             telemetry: Arc::new(Telemetry::new(Registry::new())),
@@ -615,7 +580,7 @@ impl ElfService {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("elf-serve-worker-{shard}"))
-                    .spawn(move || worker_loop(&shared, shard))
+                    .spawn(move || worker_loop(&shared))
             };
             match spawned {
                 Ok(worker) => workers.push(worker),
@@ -631,28 +596,7 @@ impl ElfService {
             }
         }
 
-        Ok(ElfService {
-            shared,
-            config,
-            workers,
-        })
-    }
-
-    /// Trains a classifier on `data` and starts a service around it — the
-    /// "train on startup" deployment mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset is empty or does not have six features
-    /// (see [`ElfClassifier::fit`]).
-    pub fn fit_and_start(
-        data: &Dataset,
-        train: &TrainConfig,
-        seed: u64,
-        config: ServeConfig,
-    ) -> (Self, TrainReport) {
-        let (classifier, report) = ElfClassifier::fit(data, train, seed);
-        (Self::start(classifier, config), report)
+        Ok(ElfService { shared, workers })
     }
 
     /// Creates a client handle with its own private response channel.
@@ -689,7 +633,7 @@ impl ElfService {
 
     /// The configuration the service was started with.
     pub fn config(&self) -> &ServeConfig {
-        &self.config
+        &self.shared.config
     }
 
     /// The flow options applied to served jobs ([`ServeConfig::options`]) —
@@ -697,17 +641,12 @@ impl ElfService {
     /// chained with `.with_verify(service.config().verify)` to check what
     /// the served job checked.
     pub fn options(&self) -> ElfOptions {
-        self.shared.options
+        self.shared.config.options
     }
 
     /// Jobs currently waiting for a shard worker.
     pub fn queue_depth(&self) -> usize {
         self.shared.queue.depth()
-    }
-
-    /// The admission bound ([`ServeConfig::queue_bound`], clamped to ≥ 1).
-    pub fn queue_capacity(&self) -> usize {
-        self.shared.queue.capacity()
     }
 
     /// Pauses the shard workers: in-flight jobs finish, then workers idle
@@ -726,38 +665,20 @@ impl ElfService {
 
     /// A live snapshot of the service-wide counters.
     pub fn stats(&self) -> ServiceStats {
-        self.stats_snapshot()
+        self.shared
+            .telemetry
+            .snapshot(self.shared.cut_cache.stats())
     }
 
-    /// A live snapshot of the service-lifetime cut-factoring cache alone
-    /// (also embedded in [`ServiceStats::cut_cache`]).
-    pub fn cut_cache_stats(&self) -> CutCacheStats {
-        self.shared.cut_cache.stats()
-    }
-
-    /// Telemetry counters plus the cut-cache snapshot, which lives outside
-    /// [`Telemetry`] (the cache keeps its own atomics).
-    fn stats_snapshot(&self) -> ServiceStats {
-        ServiceStats {
-            cut_cache: self.shared.cut_cache.stats(),
-            ..self.shared.telemetry.snapshot()
-        }
-    }
-
-    /// The service's metric registry (per-service, isolated from the
-    /// process-global [`Registry::global`]).  Served jobs record their flow
-    /// metrics here too — `elf_stage_*`, `elf_verify_*`, `elf_cut_cache_*`
-    /// alongside the serving families.
-    pub fn metrics(&self) -> Registry {
-        self.shared.telemetry.registry().clone()
-    }
-
-    /// A point-in-time snapshot of every metric the service has recorded —
-    /// the structured twin of [`ElfService::metrics_text`], and the input to
+    /// A point-in-time snapshot of every metric the service has recorded in
+    /// its own registry (isolated from the process-global
+    /// [`Registry::global`]): the serving families, and the `elf_stage_*`,
+    /// `elf_verify_*` and `elf_cut_cache_*` metrics of served flows.  The
+    /// structured twin of [`ElfService::metrics_text`], and the input to
     /// [`elf_obs::metrics::Snapshot::counter_space_diff`].
     pub fn metrics_snapshot(&self) -> elf_obs::metrics::Snapshot {
         self.refresh_gauges();
-        self.shared.telemetry.registry().snapshot()
+        self.shared.telemetry.metrics.snapshot()
     }
 
     /// Renders every service metric in Prometheus text exposition format —
@@ -765,7 +686,7 @@ impl ElfService {
     /// track (cut-cache residency, queue depth) are refreshed here.
     pub fn metrics_text(&self) -> String {
         self.refresh_gauges();
-        self.shared.telemetry.registry().render_text()
+        self.shared.telemetry.metrics.render_text()
     }
 
     /// Folds scrape-time gauges into the registry: cut-cache residency and
@@ -773,7 +694,7 @@ impl ElfService {
     fn refresh_gauges(&self) {
         self.shared
             .cut_cache
-            .fold_into(self.shared.telemetry.registry());
+            .fold_into(&self.shared.telemetry.metrics);
         self.shared
             .telemetry
             .queue_depth
@@ -787,7 +708,7 @@ impl ElfService {
     /// joined.  Returns the final counters.
     pub fn shutdown(mut self) -> ServiceStats {
         self.shutdown_inner();
-        self.stats_snapshot()
+        self.stats()
     }
 
     fn shutdown_inner(&mut self) {
@@ -813,17 +734,16 @@ impl Drop for ElfService {
     }
 }
 
-/// One shard worker: pull a job (own deque first, stealing when idle), run
-/// its flow, deliver the response to the submitting handle.
-fn worker_loop(shared: &Shared, shard: usize) {
+/// One shard worker: pull the oldest job, run its flow, deliver the
+/// response to the submitting handle.
+fn worker_loop(shared: &Shared) {
     let telemetry = &*shared.telemetry;
-    while let Some((job, queue_depth)) = shared.queue.pop(shard) {
+    while let Some((job, queue_depth)) = shared.queue.pop() {
         let Job {
             id,
             model,
             mut aig,
             flow,
-            cache_view,
             submitted_at,
             reply,
         } = job;
@@ -835,7 +755,6 @@ fn worker_loop(shared: &Shared, shard: usize) {
         }
         let queued_time = submitted_at.elapsed();
         let started = Instant::now();
-        let nodes_before = aig.num_reachable_ands();
 
         telemetry.queue_depth.set(queue_depth as i64);
         telemetry.queue_wait.record_duration(queued_time);
@@ -854,7 +773,7 @@ fn worker_loop(shared: &Shared, shard: usize) {
                 vec![("queue_depth", queue_depth as i64)],
             );
         }
-        let job_span = elf_obs::span!("job", nodes = nodes_before);
+        let job_span = elf_obs::span!("job", nodes = aig.num_reachable_ands());
 
         // A panic inside the flow (an operator invariant violation — an
         // internal bug) must not strand the client: catch it, deliver the
@@ -863,50 +782,38 @@ fn worker_loop(shared: &Shared, shard: usize) {
         // catch, at the cost of the worker thread.)  `AssertUnwindSafe` is
         // justified because the possibly half-mutated `aig` is only handed
         // back with `failed: true`, documented as unusable.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let stats = flow.run(&mut aig);
-            // Counted inside the guard: walking a graph a panicking operator
-            // left inconsistent could itself panic, and nothing after the
-            // catch may touch `aig`.
-            (stats, aig.num_reachable_ands())
-        }));
-        let (flow_stats, nodes_after, failed) = match outcome {
-            Ok((stats, nodes_after)) => (stats, nodes_after, false),
-            Err(_) => (FlowStats::default(), nodes_before, true),
-        };
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| flow.run(&mut aig)));
+        let failed = outcome.is_err();
+        let flow_stats = outcome.unwrap_or_default();
 
         let service_time = started.elapsed();
         drop(job_span);
         telemetry.job_service.record_duration(service_time);
         // A forward pass is a pruned stage that decided at least one cut; its
         // rows are the cuts it pruned or kept.
-        let (inference_calls, inference_rows) = flow_stats
+        let (passes, rows) = flow_stats
             .stages
             .iter()
             .filter_map(|stage| stage.elf.as_ref())
             .map(|elf| elf.pruned + elf.kept)
             .filter(|&rows| rows > 0)
-            .fold((0, 0), |(calls, total), rows| (calls + 1, total + rows));
-        if inference_calls > 0 {
-            telemetry.record_forward_passes(model, inference_calls, inference_rows);
+            .fold((0, 0), |(passes, total), rows| (passes + 1, total + rows));
+        if passes > 0 {
+            telemetry.record_forward_passes(model, passes, rows);
         }
         if failed {
             telemetry.jobs_failed.inc();
         } else {
             telemetry.jobs.inc();
         }
+        let cache = flow.cut_cache();
         let stats = ServeStats {
             model,
             queue_depth,
-            inference_calls,
-            inference_rows,
-            cache_hits: cache_view.local_hits(),
-            cache_misses: cache_view.local_misses(),
-            nodes_before,
-            nodes_after,
+            cache_hits: cache.map_or(0, CutCache::local_hits),
+            cache_misses: cache.map_or(0, CutCache::local_misses),
             queued_time,
             service_time,
-            verify: flow_stats.verify.clone(),
             flow: flow_stats,
         };
         reply.send(JobResponse {
@@ -1009,7 +916,8 @@ impl ServiceHandle {
         model: ModelId,
         classifier: Arc<ElfClassifier>,
     ) -> Result<JobId, SubmitError> {
-        let flow = match Flow::pruned_from_script(flow_script, &classifier, self.shared.options) {
+        let config = &self.shared.config;
+        let flow = match Flow::pruned_from_script(flow_script, &classifier, config.options) {
             Ok(flow) => flow,
             Err(error) => {
                 return Err(SubmitError::Script {
@@ -1021,22 +929,20 @@ impl ServiceHandle {
         // Swap the flow's own per-pipeline cache for a view of the
         // service-lifetime one: factoring work learned on earlier jobs
         // carries over, and the view's counters give this job its own hit
-        // rate.  Results are bit-identical either way.
-        let cache_view = self.shared.cut_cache.job_view();
-        // Served jobs record their flow metrics (stage counters, verify
-        // totals, cache hit deltas) into the *service* registry, so one
-        // scrape covers the whole serving stack.
+        // rate.  Results are bit-identical either way.  Served jobs record
+        // their flow metrics (stage counters, verify totals, cache hit
+        // deltas) into the *service* registry, so one scrape covers the
+        // whole serving stack.
         let flow = flow
-            .with_verify(self.shared.verify)
-            .with_cut_cache(cache_view.clone())
-            .with_metrics(self.shared.telemetry.registry().clone());
+            .with_verify(config.verify)
+            .with_cut_cache(self.shared.cut_cache.job_view())
+            .with_metrics(self.shared.telemetry.metrics.clone());
         let id = self.shared.next_job_id.fetch_add(1, Ordering::Relaxed);
         let job = Job {
             id,
             model,
             aig,
             flow,
-            cache_view,
             submitted_at: Instant::now(),
             reply: ReplyGuard::new(
                 id,
@@ -1045,7 +951,7 @@ impl ServiceHandle {
                 self.reply_tx.clone(),
             ),
         };
-        match self.shared.queue.push(job, self.shared.admission) {
+        match self.shared.queue.push(job, config.admission) {
             Ok(_) => {
                 self.outstanding += 1;
                 self.shared
@@ -1059,7 +965,7 @@ impl ServiceHandle {
             }),
             Err(PushError::Overloaded(job)) => {
                 let telemetry = &self.shared.telemetry;
-                match self.shared.admission {
+                match config.admission {
                     AdmissionPolicy::Reject => telemetry.jobs_rejected.inc(),
                     AdmissionPolicy::Timeout(_) => telemetry.jobs_timed_out.inc(),
                     // The queue never sheds under Block.
@@ -1220,8 +1126,8 @@ mod tests {
             "a killed worker's job must come back failed"
         );
 
-        // The surviving shard keeps serving (work stealing covers the dead
-        // worker's deque).
+        // The surviving shard keeps serving: it pops from the one queue the
+        // dead worker left behind.
         for salt in 1..4 {
             let response = handle.run_sync(circuit(salt), "rf; rw").unwrap();
             assert!(!response.failed);
@@ -1315,7 +1221,12 @@ mod tests {
 
         let response = handle.run_sync(original.clone(), "rf; rw; rs").unwrap();
         assert!(!response.failed);
-        let outcome = response.stats.verify.as_ref().expect("verify was enabled");
+        let outcome = response
+            .stats
+            .flow
+            .verify
+            .as_ref()
+            .expect("verify was enabled");
         assert_eq!(outcome.mode, VerifyMode::Final);
         assert_eq!(
             outcome.checks.len(),
@@ -1357,7 +1268,7 @@ mod tests {
         );
         let mut handle = service.handle();
         let response = handle.run_sync(circuit(1), "rf; rw").unwrap();
-        let outcome = response.stats.verify.expect("verify was enabled");
+        let outcome = response.stats.flow.verify.expect("verify was enabled");
         assert_eq!(outcome.checks.len(), 2, "one check per stage");
         assert!(outcome.checks.iter().all(|check| check.stage.is_some()));
         assert!(outcome.proved());
@@ -1389,7 +1300,7 @@ mod tests {
         // Acceleration only, never a different answer.
         assert_eq!(
             second.aig.num_reachable_ands(),
-            first.stats.nodes_after,
+            first.stats.flow.ands_after,
             "cache reuse must not change the served result"
         );
 

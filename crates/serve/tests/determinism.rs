@@ -198,7 +198,7 @@ fn run_sync_matches_batched_submission_and_preserves_function() {
         );
         assert!(response.aig.check_invariants().is_empty());
         assert_eq!(
-            response.stats.nodes_after,
+            response.stats.flow.ands_after,
             response.aig.num_reachable_ands()
         );
     }
@@ -239,8 +239,9 @@ fn fit_and_start_trains_on_startup_and_serves() {
         epochs: 3,
         ..Default::default()
     };
-    let (service, report) = ElfService::fit_and_start(&data, &train, 7, ServeConfig::default());
+    let (classifier, report) = ElfClassifier::fit(&data, &train, 7);
     assert!(report.epochs_run > 0);
+    let service = ElfService::start(classifier, ServeConfig::default());
     let (aig, script) = job_set().into_iter().next().expect("non-empty job set");
     let mut handle = service.handle();
     let response = handle.run_sync(aig.clone(), script).expect("run_sync");
@@ -280,7 +281,7 @@ fn worker_panic_delivers_a_failed_response_instead_of_hanging_clients() {
     while let Some(response) = handle.recv() {
         assert!(response.failed, "a broken model cannot serve a job");
         assert_eq!(
-            response.stats.nodes_after, response.stats.nodes_before,
+            response.stats.flow.ands_after, response.stats.flow.ands_before,
             "a failed job must not report the broken graph as a result"
         );
         failed += 1;

@@ -198,3 +198,23 @@ if [ -n "$twins" ]; then
     exit 1
 fi
 echo "static-gate: elf-core verifies in the flow only and decides through one path"
+
+# One queue, one MFFC walk, no recycling mode.  `elf-serve` schedules from one
+# FIFO: a `Vec<VecDeque` in its non-test region is the per-shard deques and
+# their stealing coming back.  `elf-aig` walks an MFFC through the bounded
+# pair only (`&[]` bounds nothing): a `pub fn deref_mffc(` / `ref_mffc(` is
+# the unbounded twin coming back.  Slot recycling has no off switch: a
+# `pub fn set_recycling` is the append-only mode coming back.
+modes=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    FILENAME ~ /serve/ && /Vec<VecDeque/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    FILENAME ~ /aig/ && /pub fn (set_recycling|deref_mffc\(|ref_mffc\()/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+' crates/serve/src/*.rs crates/aig/src/*.rs)
+if [ -n "$modes" ]; then
+    echo "$modes"
+    echo "static-gate: per-shard deques in non-test elf-serve code, or an unbounded MFFC walk or recycling switch in elf-aig" >&2
+    exit 1
+fi
+echo "static-gate: one job queue, one MFFC walk, no recycling mode"

@@ -17,7 +17,7 @@
 //! | [`nn`] (`elf-nn`) | Minimal MLP framework (Adam, cosine warm restarts, MixUp, stratified splits, metrics) |
 //! | [`par`] (`elf-par`) | Deterministic std-threads parallel engine (scoped pool, chunked queue, order-preserving gather) |
 //! | [`core`] (`elf-core`) | The ELF classifier, the generic pruned operator `Elf<O>`, script-style `Flow` pipelines and the experiment protocol |
-//! | [`serve`] (`elf-serve`) | Long-lived `ElfService`: bounded admission with load-shedding policies, work-stealing shard workers running each job's flow inline, versioned hot-swap `ModelRegistry`, channel request/response API |
+//! | [`serve`] (`elf-serve`) | Long-lived `ElfService`: one bounded FIFO with load-shedding policies, shard workers running each job's flow inline, versioned hot-swap `ModelRegistry`, channel request/response API |
 //! | [`cec`] (`elf-cec`) | SAT-based combinational equivalence checking: a zero-dependency CDCL solver, miter construction, fraig-style simulation-guided SAT sweeping — the correctness gate behind `core::VerifyMode` |
 //! | [`obs`] (`elf-obs`) | Zero-dependency observability: lock-free counters/gauges/log-bucketed latency histograms with a Prometheus text scrape, plus `ELF_TRACE`-gated tracing spans exported as Chrome `trace_event` JSON |
 //! | [`circuits`] (`elf-circuits`) | EPFL-style arithmetic, industrial-like and synthetic workload generators |
