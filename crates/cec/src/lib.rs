@@ -23,15 +23,20 @@
 //!    partition the miter's AND nodes into candidate-equivalence classes.
 //! 3. **SAT sweep** — each candidate is paired with the first node of its
 //!    class in topological order and the pairs are discharged in the
-//!    candidate's topological order, so every proved equivalence in a
-//!    candidate's fanin cone is already a clause when it is queried.  Each
-//!    pair gets two small incremental queries, each capped at a few
-//!    conflicts (a pair that needs more is left to the final query); proofs
-//!    become permanent clauses that merge the nodes, refutations become new
+//!    candidate's topological order, so every merge in a candidate's fanin
+//!    cone is known when it is reached.  A candidate whose fanins, read
+//!    through those merges, are its representative's is merged by
+//!    structure, with no SAT call.  Any other pair gets two small
+//!    incremental queries, each capped at a few conflicts (a pair that needs
+//!    more is left to the final query).  The CNF is loaded lazily: a query
+//!    adds the clauses of the cones it asks about, encoded through the
+//!    merges, and nothing else.  Proofs merge the candidate into its
+//!    representative for every later fanout; refutations become new
 //!    simulation patterns that split the classes.
-//! 4. **Final query** — the (now heavily constrained) miter output is
-//!    asked for satisfiability under a conflict budget; running out of
-//!    budget yields the honest [`Equivalence::Undecided`].
+//! 4. **Final query** — the miter output's cone is loaded through the
+//!    merges and asked for satisfiability under the rest of the conflict
+//!    budget; running out of budget yields the honest
+//!    [`Equivalence::Undecided`].
 //!
 //! The solver is written from scratch in this crate (watched literals over
 //! a flat clause arena, first-UIP learning, VSIDS from an indexed heap,
@@ -144,12 +149,14 @@ pub struct CecReport {
     pub miter_ands: usize,
     /// Candidate-equivalence classes with at least two members.
     pub candidate_classes: usize,
-    /// Candidate pairs proved equivalent during the sweep.
+    /// Candidate pairs proved equivalent during the sweep, by SAT or by
+    /// structure (fanins already merged with the representative's, no SAT
+    /// call).
     pub proved_pairs: usize,
     /// Candidate pairs refuted (their counterexamples refined the classes).
     pub disproved_pairs: usize,
     /// Candidate pairs abandoned at the per-pair conflict cap or when the
-    /// sweep's half of the budget ran out (pairs the sweep never reached are
+    /// sweep's half of the budget ran out (pairs the sweep never queried are
     /// not counted).
     pub undecided_pairs: usize,
     /// Individual SAT queries issued, including the final miter query.

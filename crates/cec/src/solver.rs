@@ -8,15 +8,16 @@
 //! running away.
 //!
 //! There is no clause-database reduction, no learnt-clause minimisation and
-//! no blocker literal, and that is a debt, not a design.  The sweep's FRAIG
-//! order decides every miter of this workspace's benchmark at a 3 000-conflict
-//! budget, so the debt now shows as the cost of a conflict late in a check,
-//! with every learnt clause still watched: `log2`'s sweep stops at its half
-//! of the budget, and its final query spends ≈ 140 µs per conflict against
-//! ≈ 14 µs on average.  Each of those levers changes which conflicts the
-//! search meets, so each lands with its own before/after on the conflict
-//! counts (ROADMAP item 6); what this module fixes is the cost *per*
-//! conflict.
+//! no blocker literal, and that is a debt, not a design.  It no longer
+//! shows on this workspace's benchmark: the sweep loads each query's cone
+//! alone and merges by structure, so every miter's sweep finishes inside
+//! its half of a 3 000-conflict budget (`log2`'s too) and leaves the final
+//! query little to search.  Minimisation is not the next lever either: a
+//! MiniSat-style recursive minimisation, tried on the search before cone
+//! loading, raised `log2`'s conflicts from 1 775 to 1 851 and its time with
+//! them.  Each such lever changes which conflicts the search meets, so each
+//! lands with its own before/after on the conflict counts (ROADMAP item 6);
+//! what this module fixes is the cost *per* conflict.
 //!
 //! # Containers
 //!
@@ -48,12 +49,14 @@
 //! conflicts into one solver) the predecessor's stale entries kept their
 //! pre-rescale bits and outranked every live key until they drained; here the
 //! heap is re-ordered on the rescaled activities, which is the intended
-//! order, and the two searches part ways.
+//! order, and the two searches part ways.  The two also part where a
+//! budget runs out: the predecessor gave up right after the conflict that
+//! spent it, this solver at the next decision (see [`Solver::solve`]).
 //!
 //! The clause database persists across [`Solver::solve`] calls, which is
 //! what makes the fraig-style sweep in [`crate::check_equivalence_with`]
-//! incremental: every proved internal equivalence is added as a pair of
-//! binary clauses that constrain all later queries.
+//! incremental: the sweep adds clauses between calls as it loads new
+//! cones, and every clause learnt along the way serves the later queries.
 
 use std::ops::Not;
 
@@ -374,7 +377,15 @@ impl Solver {
     }
 
     /// Solves under `assumptions` (each forced true for this call only),
-    /// spending at most `max_conflicts` conflicts when a budget is given.
+    /// under a budget of `max_conflicts` conflicts when one is given.
+    ///
+    /// The budget is checked where MiniSat's `withinBudget` sits: before a
+    /// decision.  [`SolveResult::Unknown`] comes at the first decision after
+    /// the budget is spent, so whatever the clauses learnt so far decide by
+    /// propagation alone (a failed assumption, a conflict at level 0, a full
+    /// assignment) is still answered.  Conflicts met by that propagation may
+    /// take the count past the budget, by at most the decision levels open
+    /// when it was reached.
     ///
     /// The solver is left at decision level 0 afterwards: learnt clauses are
     /// kept, so repeated calls get cheaper, and [`Solver::add_clause`] may
@@ -404,10 +415,6 @@ impl Solver {
                 self.cancel_until(backtrack);
                 self.record_learnt();
                 self.var_inc /= VAR_DECAY;
-                if budget_end.is_some_and(|end| self.conflicts >= end) {
-                    self.cancel_until(0);
-                    return SolveResult::Unknown;
-                }
                 if conflicts_in_restart >= limit {
                     conflicts_in_restart = 0;
                     restarts += 1;
@@ -442,6 +449,12 @@ impl Solver {
                     None => self.pick_branch(),
                 };
                 match decision {
+                    Some(p) if budget_end.is_some_and(|end| self.conflicts >= end) => {
+                        // A branch was popped from the heap: put it back.
+                        self.order.insert(p.var().0, &self.activity);
+                        self.cancel_until(0);
+                        return SolveResult::Unknown;
+                    }
                     Some(p) => {
                         self.trail_lim.push(self.trail.len());
                         self.enqueue(p, None);
@@ -840,6 +853,20 @@ mod tests {
         // With an ample budget the same instance resolves definitively.
         let result = solver.solve(&[], Some(1_000_000));
         assert_ne!(result, SolveResult::Unknown);
+    }
+
+    #[test]
+    fn a_budget_of_one_still_answers_what_its_learnt_clause_decides() {
+        // (a | b)(a | !b)(!a | b)(!a | !b): the first decision conflicts,
+        // the learnt unit then conflicts at level 0 by propagation alone.
+        let mut solver = Solver::new();
+        let v = vars(&mut solver, 2);
+        let (a, b) = (v[0], v[1]);
+        for (x, y) in [(true, true), (true, false), (false, true), (false, false)] {
+            assert!(solver.add_clause(&[a.lit(x), b.lit(y)]));
+        }
+        assert_eq!(solver.solve(&[], Some(1)), SolveResult::Unsat);
+        assert_eq!(solver.num_conflicts(), 2);
     }
 
     #[test]

@@ -4,15 +4,24 @@
 //! fraig-style sweep instead mines the miter for *internal* equivalences
 //! first: bit-parallel random simulation partitions the AND nodes into
 //! candidate-equivalence classes (nodes whose simulation words agree up to
-//! complementation), and each candidate pair is discharged with two small
-//! incremental SAT queries, in FRAIG order (Mishchenko et al., "FRAIGs: a
-//! unifying representation for logic synthesis and verification", 2005):
-//! candidates in topological order, each query under a small conflict cap.
-//! Proved pairs become permanent binary clauses that effectively merge the
-//! nodes for every later query; refuted pairs yield counterexample patterns
+//! complementation), and the candidate pairs are discharged in FRAIG order
+//! (Mishchenko et al., "FRAIGs: a unifying representation for logic
+//! synthesis and verification", 2005): candidates in topological order, so
+//! every merge in a candidate's fanin cone is known when it is reached.
+//!
+//! * A candidate whose fanins, read through those merges, are its
+//!   representative's is proved by structure, with no SAT call and no
+//!   clause loaded.
+//! * Any other pair gets two small incremental queries on the cones of its
+//!   two nodes alone ([`Encoding`] loads a node's cone when a query first
+//!   asks for it), each under a small conflict cap.  Each query asserts the
+//!   literal that sets an AND to 1 first, so an equivalence the merged
+//!   fanins already imply ends by propagation, as a failed assumption.
+//!
+//! Proved pairs are merged: every fanout loaded afterwards reads the
+//! representative's literal.  Refuted pairs yield counterexample patterns
 //! that are fed back into the simulation to split the classes further.  The
-//! final miter query then runs on a CNF that is already riddled with
-//! short-cuts.
+//! final miter query then loads the output's cone through the merges.
 //!
 //! The random rounds also decide the easy half of refutation: if the miter
 //! output is true on any simulated vector, that vector is the answer and the
@@ -65,36 +74,28 @@ pub(crate) fn solve_miter(m: &Aig, params: &CecParams) -> CecReport {
     }
 
     let mut solver = Solver::new();
-    let enc = Encoding::encode(m, &mut solver);
-    let start_conflicts = solver.num_conflicts();
-
+    let mut enc = Encoding::new(m, &mut solver);
     if let Some(sim) = &mut sim {
-        sweep(
-            m,
-            sim,
-            &mut solver,
-            &enc,
-            params,
-            &mut report,
-            start_conflicts,
-        );
+        sweep(m, sim, &mut solver, &mut enc, params, &mut report);
     }
 
-    let spent = solver.num_conflicts() - start_conflicts;
-    let final_budget = params.conflict_budget.saturating_sub(spent).max(1);
+    let out = enc.lit(m, &mut solver, out);
+    let final_budget = params
+        .conflict_budget
+        .saturating_sub(solver.num_conflicts())
+        .max(1);
     report.sat_calls += 1;
-    let result = solver.solve(&[enc.lit(out)], Some(final_budget));
-    report.result = match result {
+    report.result = match solver.solve(&[out], Some(final_budget)) {
         SolveResult::Unsat => Equivalence::Proved,
         SolveResult::Sat => Equivalence::CounterExample(
             m.inputs()
                 .iter()
-                .map(|&input| solver.model_value(enc.var(input)))
+                .map(|&input| enc.model_value(&solver, input))
                 .collect(),
         ),
         SolveResult::Unknown => Equivalence::Undecided(params.conflict_budget),
     };
-    report.conflicts = solver.num_conflicts() - start_conflicts;
+    report.conflicts = solver.num_conflicts();
     report
 }
 
@@ -196,15 +197,34 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// Conflicts one sweep query may spend.  A pair that needs more is left to
 /// the final query: in topological order an equivalence whose fanin cone is
-/// already merged is a local question, so a small cap decides nearly every
+/// already merged is a local question, which propagation through the cone
+/// or a learnt clause or two settles, so a small cap decides nearly every
 /// pair and stops one hard pair from eating the sweep's whole half of the
-/// budget.  On the `cec_verify` benchmark's sixteen equivalent pairs at 3 000
-/// conflicts (seeds 9 and 11, 2-core x86-64), caps of 3 / 5 / 10 / 20 / 50 /
-/// none took 87–88 / 123–126 / 93–96 / 120–125 / 189–191 / 228–230 ms, with
-/// every pair proved; a cap of 1 starves the sweep (698–791 ms, 3–5 pairs
-/// undecided).  10 spends the fewest conflicts and sits well clear of that
-/// cliff.
-const PAIR_CONFLICTS: u64 = 10;
+/// budget.
+///
+/// Grid on the `cec_verify` benchmark at 3 000 conflicts: `main_ms` over
+/// its sixteen equivalent pairs (median of five runs for caps 1 and 2, both
+/// of two runs otherwise; 2-core x86-64) and conflicts over all its checks,
+/// every check decided.  The last column is one check of two ripple adders
+/// whose full adders associate the sum's XORs differently (10 / 128 bits,
+/// default budget):
+///
+/// | cap |   seed 9 ms |  seed 11 ms | conflicts, seed 9 / 11 | XOR adders ms |
+/// |----:|------------:|------------:|-----------------------:|--------------:|
+/// |   1 |        26.7 |        29.2 |          2 037 / 2 100 |   1.8 / 102.7 |
+/// |   2 |        27.9 |        29.5 |          2 091 / 2 165 |    0.8 / 45.1 |
+/// |   3 | 33.2 / 35.8 | 35.1 / 31.1 |          2 182 / 2 256 |    0.8 / 35.0 |
+/// |   5 | 39.8 / 36.7 | 36.7 / 45.5 |          2 307 / 2 370 |    0.9 / 31.5 |
+/// |  10 | 54.0 / 50.3 | 56.2 / 49.6 |          2 560 / 2 629 |    0.8 / 33.5 |
+///
+/// A cap of 1 was a cliff while the solver checked its budget right after a
+/// conflict, abandoning a query that the learnt clause already decided; it
+/// checks before the next decision now.  1 is then the cheapest cap on the
+/// benchmark, by 1–4 % in the median, but an XOR that needs two conflicts is
+/// never merged under it, and on the adders nearly every pair falls to the
+/// final query (2 of 57 proved at 10 bits).  2 keeps most of those merges
+/// and costs less than half as much there.
+const PAIR_CONFLICTS: u64 = 2;
 
 /// The sweep's `(representative, candidate)` pairs and the number of
 /// candidate classes (signatures with at least two members).
@@ -229,54 +249,78 @@ fn candidate_pairs(sim: &Sim) -> (Vec<(NodeId, NodeId)>, usize) {
     (pairs, classes)
 }
 
+/// Whether `cand` equals `rep` by structure: both are ANDs over the same
+/// two fanins once those are read through the representative map.
+fn same_fanins(m: &Aig, enc: &Encoding, rep: NodeId, cand: NodeId) -> bool {
+    let fanins = |id| {
+        let (a, b) = m.fanins(id);
+        let (a, b) = (enc.repr(a), enc.repr(b));
+        (a.min(b), a.max(b))
+    };
+    m.is_and(rep) && fanins(rep) == fanins(cand)
+}
+
 /// Mines candidate equivalences from the random rounds `sim` holds and
-/// discharges them with incremental SAT, in the order of
-/// [`candidate_pairs`], each query capped at [`PAIR_CONFLICTS`].
+/// discharges them in the order of [`candidate_pairs`].
+///
+/// A candidate whose fanins, read through the merges so far, are its
+/// representative's is merged by structure: no SAT call, no clause, and its
+/// cone is never loaded.  Any other pair gets two incremental queries on
+/// the cones of the two nodes, each capped at [`PAIR_CONFLICTS`].  Each
+/// query asserts the literal that sets an AND to 1 first, so that an
+/// equivalence the merged fanins already imply fails that assumption by
+/// propagation alone.  Proved pairs are merged in `enc`: nothing loaded
+/// reads a candidate before its turn, and every fanout loaded after it reads
+/// its representative.  Refuted pairs refine `sim`.
 fn sweep(
     m: &Aig,
     sim: &mut Sim,
     solver: &mut Solver,
-    enc: &Encoding,
+    enc: &mut Encoding,
     params: &CecParams,
     report: &mut CecReport,
-    start_conflicts: u64,
 ) {
     let (pairs, classes) = candidate_pairs(sim);
     report.candidate_classes = classes;
 
     // The sweep may spend at most half the conflict budget; the final miter
-    // query gets the rest.
+    // query gets the rest.  Merges by structure cost nothing and go on after
+    // that half is spent.
     let sweep_budget = params.conflict_budget / 2;
     let mut input_words = vec![0u64; m.num_inputs()];
     for (rep, cand) in pairs {
-        let spent = solver.num_conflicts() - start_conflicts;
-        let Some(remaining) = sweep_budget.checked_sub(spent).filter(|&r| r > 0) else {
-            break;
-        };
-        let budget = Some(remaining.min(PAIR_CONFLICTS));
         let complemented = sim.phase(rep) != sim.phase(cand);
+        if !complemented && same_fanins(m, enc, rep, cand) {
+            enc.merge(cand, rep.lit());
+            report.proved_pairs += 1;
+            continue;
+        }
+        let Some(remaining) = sweep_budget
+            .checked_sub(solver.num_conflicts())
+            .filter(|&r| r > 0)
+        else {
+            continue;
+        };
         // Refinement rounds from earlier counterexamples may have split the
         // pair since the classes were formed.
         if !sim.still_matches(rep, cand, complemented) {
             continue;
         }
-        let lr = enc.var(rep).positive();
-        let lc = if complemented {
-            enc.var(cand).negative()
-        } else {
-            enc.var(cand).positive()
-        };
-        report.sat_calls += 2;
+        let budget = Some(remaining.min(PAIR_CONFLICTS));
+        let lr = enc.lit(m, solver, rep.lit());
+        let lc = enc.lit(m, solver, cand.lit().complement_if(complemented));
+        report.sat_calls += 1;
         let forward = solver.solve(&[lr, !lc], budget);
         let backward = match forward {
-            SolveResult::Unsat => solver.solve(&[!lr, lc], budget),
+            SolveResult::Unsat => {
+                report.sat_calls += 1;
+                solver.solve(&[lc, !lr], budget)
+            }
             other => other,
         };
         match (forward, backward) {
             (SolveResult::Unsat, SolveResult::Unsat) => {
-                // Proved: merge the nodes for all later queries.
-                solver.add_clause(&[!lr, lc]);
-                solver.add_clause(&[lr, !lc]);
+                enc.merge(cand, rep.lit().complement_if(complemented));
                 report.proved_pairs += 1;
             }
             (SolveResult::Sat, _) | (_, SolveResult::Sat) => {
@@ -284,7 +328,7 @@ fn sweep(
                 // Feed the distinguishing assignment back into the simulation
                 // so related classes split too.
                 for (word, &input) in input_words.iter_mut().zip(m.inputs()) {
-                    *word = if solver.model_value(enc.var(input)) {
+                    *word = if enc.model_value(solver, input) {
                         !0
                     } else {
                         0
@@ -302,37 +346,92 @@ mod tests {
     use super::*;
     use elf_aig::miter;
 
-    /// A ripple-carry adder; `majority` picks a structurally different full
-    /// adder (`a ^ (b ^ c)` with a three-AND majority carry).
-    fn adder(bits: usize, majority: bool) -> Aig {
+    /// A ripple-carry adder over a carry input, each sum `(a ^ b) ^ c`.  Its
+    /// lowest `majority` cells take the majority carry `ab | (a | b)c`, the
+    /// others the generate/propagate carry `ab | (a ^ b)c`.
+    fn adder(bits: usize, majority: usize) -> Aig {
         let mut aig = Aig::new();
         let a = aig.add_inputs(bits);
         let b = aig.add_inputs(bits);
-        let mut carry = Lit::FALSE;
+        let mut carry = aig.add_inputs(1)[0];
         for i in 0..bits {
-            let (sum, next) = if majority {
-                let bc = aig.xor(b[i], carry);
-                let ab = aig.and(a[i], b[i]);
-                let ac = aig.and(a[i], carry);
-                let both = aig.and(b[i], carry);
-                let either = aig.or(ab, ac);
-                (aig.xor(a[i], bc), aig.or(either, both))
-            } else {
-                let ab = aig.xor(a[i], b[i]);
-                let gen = aig.and(a[i], b[i]);
-                let prop = aig.and(ab, carry);
-                (aig.xor(ab, carry), aig.or(gen, prop))
-            };
-            carry = next;
+            let ab = aig.xor(a[i], b[i]);
+            let sum = aig.xor(ab, carry);
+            let gen = aig.and(a[i], b[i]);
+            let either = if i < majority { aig.or(a[i], b[i]) } else { ab };
+            let prop = aig.and(either, carry);
+            carry = aig.or(gen, prop);
             aig.add_output(sum);
         }
         aig.add_output(carry);
         aig
     }
 
+    fn empty_report() -> CecReport {
+        CecReport {
+            result: Equivalence::Undecided(0),
+            miter_ands: 0,
+            candidate_classes: 0,
+            proved_pairs: 0,
+            disproved_pairs: 0,
+            undecided_pairs: 0,
+            sat_calls: 0,
+            conflicts: 0,
+        }
+    }
+
+    #[test]
+    fn cells_above_the_one_that_differs_are_merged_by_structure() {
+        let params = CecParams::default();
+        // Sweeps two `bits`-wide adders that differ in the lowest cell only;
+        // returns the pairs proved by SAT outside the constant class (which
+        // holds the miter's output comparisons) and those proved by
+        // structure.
+        let sweep_twins = |bits: usize| {
+            let m = miter(&adder(bits, 0), &adder(bits, 1)).expect("same interfaces");
+            let mut sim = Sim::new(&m);
+            assert_eq!(sim.random_rounds(&m, &params, m.outputs()[0]), None);
+            let (pairs, _) = candidate_pairs(&sim);
+            let mut solver = Solver::new();
+            let mut enc = Encoding::new(&m, &mut solver);
+            let mut report = empty_report();
+            sweep(&m, &mut sim, &mut solver, &mut enc, &params, &mut report);
+            assert_eq!((report.disproved_pairs, report.undecided_pairs), (0, 0));
+
+            // A candidate is loaded only to be queried: a merged one that
+            // never was is proved by structure.
+            let merged: Vec<(NodeId, NodeId)> = pairs
+                .into_iter()
+                .filter(|&(_, cand)| enc.repr(cand.lit()) != cand.lit())
+                .collect();
+            assert_eq!(merged.len(), report.proved_pairs);
+            let by_sat = merged.iter().filter(|p| enc.is_loaded(p.1)).count();
+            let inner_by_sat = merged
+                .iter()
+                .filter(|p| enc.is_loaded(p.1) && p.0 != Lit::FALSE.node())
+                .count();
+
+            let full = solve_miter(&m, &params);
+            assert_eq!(full.result, Equivalence::Proved);
+            assert_eq!(full.proved_pairs, report.proved_pairs);
+            assert!(
+                full.sat_calls <= 2 * by_sat + 1,
+                "{} SAT calls for {by_sat} pairs proved by SAT",
+                full.sat_calls
+            );
+            (inner_by_sat, merged.len() - by_sat)
+        };
+        let (narrow, wide) = (sweep_twins(2), sweep_twins(8));
+        // Six more cells need no more SAT proofs, and each merges its five
+        // carry-dependent ANDs (the sum's three, the propagate, the carry)
+        // by structure.
+        assert_eq!(wide.0, narrow.0);
+        assert_eq!(wide.1, narrow.1 + 5 * 6, "{narrow:?} -> {wide:?}");
+    }
+
     #[test]
     fn candidates_come_in_topological_order_after_their_representatives() {
-        let m = miter(&adder(6, false), &adder(6, true)).expect("same interfaces");
+        let m = miter(&adder(6, 0), &adder(6, 6)).expect("same interfaces");
         let mut sim = Sim::new(&m);
         assert_eq!(
             sim.random_rounds(&m, &CecParams::default(), m.outputs()[0]),

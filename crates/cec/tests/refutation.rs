@@ -8,10 +8,21 @@
 //! simulation oracle of `elf-aig` and skipped: the property is about
 //! *broken* circuits, and the oracle's verdict doubles as a cross-check of
 //! the SAT result on the skipped cases.
+//!
+//! The differential property at the end guards the sweep's merges: an
+//! optimized circuit shares most of its structure with its input, so most
+//! of its miter is merged by structure, and a wrong merge would prove a
+//! broken circuit.  Its oracle is exhaustive enumeration, and the sweep must
+//! agree with the monolithic query.  Random simulation refutes nearly every
+//! plain fault before the sweep runs, so the property also checks the fault
+//! switched on for one input vector alone, under a sweep with too few random
+//! vectors to find it: its candidates are then faulty nodes that look like
+//! good ones, which is where a wrong merge would hide.
 
 use elf_aig::{check_equivalence as sim_check, Aig, EquivalenceResult, Lit, NodeId};
-use elf_cec::{check_equivalence, Equivalence};
+use elf_cec::{check_equivalence, check_equivalence_with, CecParams, Equivalence};
 use elf_circuits::{script_strategy, scripted_circuit};
+use elf_opt::{Refactor, Resubstitution, Rewrite};
 use proptest::prelude::*;
 
 /// One injected fault.
@@ -25,6 +36,15 @@ enum Fault {
     ConstantInput { pick: usize, side: bool },
     /// Complement the `pick`-th primary output.
     FlipOutput { pick: usize },
+    /// [`Fault::FlipFanin`] on the single input vector `minterm` (bit `i`
+    /// is input `i`) and on no other: the faulty cone then matches the good
+    /// one on almost every simulation vector, so the sweep takes its nodes
+    /// for candidates of the good ones and must refute them.
+    FlipFaninOn {
+        pick: usize,
+        side: bool,
+        minterm: u32,
+    },
 }
 
 /// Rebuilds `aig` node by node, injecting `fault` along the way.  The
@@ -50,7 +70,11 @@ fn inject(aig: &Aig, fault: Fault) -> Aig {
 
     let order = aig.topological_order();
     let target: Option<NodeId> = match fault {
-        Fault::FlipFanin { pick, .. } | Fault::ConstantInput { pick, .. } if !order.is_empty() => {
+        Fault::FlipFanin { pick, .. }
+        | Fault::ConstantInput { pick, .. }
+        | Fault::FlipFaninOn { pick, .. }
+            if !order.is_empty() =>
+        {
             Some(order[pick % order.len()])
         }
         _ => None,
@@ -72,6 +96,16 @@ fn inject(aig: &Aig, fault: Fault) -> Aig {
                         b = Lit::TRUE;
                     } else {
                         a = Lit::FALSE;
+                    }
+                }
+                Fault::FlipFaninOn { side, minterm, .. } => {
+                    let hit = inputs.iter().enumerate().fold(Lit::TRUE, |acc, (i, &x)| {
+                        mutated.and(acc, x.complement_if(minterm >> i & 1 == 0))
+                    });
+                    if side {
+                        b = mutated.xor(b, hit);
+                    } else {
+                        a = mutated.xor(a, hit);
                     }
                 }
                 Fault::FlipOutput { .. } => {}
@@ -128,8 +162,72 @@ fn assert_fault_is_caught(original: &Aig, fault: Fault) {
     }
 }
 
+/// `rf; rw; rs` with default parameters.
+fn rf_rw_rs(aig: &Aig) -> Aig {
+    let mut optimized = aig.clone();
+    Refactor::default().run(&mut optimized);
+    Rewrite::default().run(&mut optimized);
+    Resubstitution::default().run(&mut optimized);
+    optimized
+}
+
+/// Whether `a` and `b` agree on every input vector, by enumeration.
+fn agree_everywhere(a: &Aig, b: &Aig) -> bool {
+    let n = a.num_inputs();
+    (0u32..1 << n).all(|vector| {
+        let inputs: Vec<bool> = (0..n).map(|i| vector >> i & 1 == 1).collect();
+        a.evaluate(&inputs) == b.evaluate(&inputs)
+    })
+}
+
+/// Checks `other` against `original` with the default sweep, with the sweep
+/// on one simulation round (64 vectors, so that a single-vector fault over
+/// seven or more inputs mostly escapes it) and with the monolithic
+/// query: each must match the enumeration oracle, and a counterexample must
+/// replay.
+fn assert_checkers_match_enumeration(original: &Aig, other: &Aig) -> bool {
+    let equivalent = agree_everywhere(original, other);
+    let one_round = CecParams {
+        sim_rounds: 1,
+        ..CecParams::default()
+    };
+    let monolithic = CecParams {
+        sweep: false,
+        ..CecParams::default()
+    };
+    for params in [CecParams::default(), one_round, monolithic] {
+        match check_equivalence_with(original, other, &params).result {
+            Equivalence::Proved => assert!(equivalent, "a broken circuit proved ({params:?})"),
+            Equivalence::CounterExample(witness) => {
+                assert!(!equivalent, "an equivalent circuit refuted ({params:?})");
+                assert_ne!(original.evaluate(&witness), other.evaluate(&witness));
+            }
+            Equivalence::Undecided(_) => panic!("undecided on a toy circuit ({params:?})"),
+        }
+    }
+    equivalent
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn an_optimized_circuit_is_proved_and_its_flipped_fanin_refuted_as_enumeration_says(
+        inputs in 6usize..=10,
+        script in script_strategy(48),
+        pick in 0usize..256,
+        side in any::<bool>(),
+        minterm in any::<u32>(),
+    ) {
+        let original = scripted_circuit(inputs, &script);
+        let optimized = rf_rw_rs(&original);
+        prop_assert!(assert_checkers_match_enumeration(&original, &optimized));
+        let broken = inject(&optimized, Fault::FlipFanin { pick, side });
+        assert_checkers_match_enumeration(&original, &broken);
+        let minterm = minterm % (1 << inputs);
+        let rare = inject(&optimized, Fault::FlipFaninOn { pick, side, minterm });
+        assert_checkers_match_enumeration(&original, &rare);
+    }
 
     #[test]
     fn a_complemented_fanin_is_refuted_with_a_replayable_witness(

@@ -218,3 +218,18 @@ if [ -n "$modes" ]; then
     exit 1
 fi
 echo "static-gate: one job queue, one MFFC walk, no recycling mode"
+
+# Cone loading: `elf-cec` encodes a node when a query asks for it, so each
+# query propagates over the cone it can reach.  A `topological_order` in the
+# non-test region of the encoder is the whole-miter eager encoding coming back.
+eager=$(awk '
+    /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }
+    /topological_order/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+' crates/cec/src/cnf.rs)
+if [ -n "$eager" ]; then
+    echo "$eager"
+    echo "static-gate: topological_order in non-test crates/cec/src/cnf.rs (eager whole-miter encoding)" >&2
+    exit 1
+fi
+echo "static-gate: the CNF is loaded one cone at a time"
