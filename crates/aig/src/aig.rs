@@ -126,8 +126,6 @@ pub struct Aig {
     refs: Vec<u32>,
     /// Logic levels (0 for inputs/constant).
     level: Vec<u32>,
-    /// Traversal marks, compared against `travid_counter`.
-    travid: Vec<u32>,
     /// Liveness: `true` once the slot's node has been deleted.
     dead: Vec<bool>,
     /// Monotonic allocation stamp: strictly increasing over every node ever
@@ -164,7 +162,6 @@ pub struct Aig {
     outputs: Vec<Lit>,
     strash: HashMap<(u32, u32), NodeId>,
     num_ands: usize,
-    travid_counter: u32,
     levels_valid: bool,
     name: String,
     /// Reusable scratch (visit marks + DFS stack) for the `&mut self` cut
@@ -199,7 +196,6 @@ impl Aig {
             fanin1: vec![Lit::FALSE],
             refs: vec![0],
             level: vec![0],
-            travid: vec![0],
             dead: vec![false],
             birth: vec![0],
             edited: vec![0],
@@ -216,7 +212,6 @@ impl Aig {
             outputs: Vec::new(),
             strash: HashMap::new(),
             num_ands: 0,
-            travid_counter: 0,
             levels_valid: true,
             name: String::new(),
             cut_scratch: OwnCutScratch::default(),
@@ -482,16 +477,6 @@ impl Aig {
         ids.into_iter().map(NodeId::new)
     }
 
-    /// Iterates over all live node ids (constant, inputs and AND nodes) in
-    /// allocation (birth) order.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let mut ids: Vec<u32> = (0..self.kind.len() as u32)
-            .filter(|&i| !self.dead[i as usize])
-            .collect();
-        ids.sort_unstable_by_key(|&i| self.birth[i as usize]);
-        ids.into_iter().map(NodeId::new)
-    }
-
     // ------------------------------------------------------------------
     // Slot and fanout-pool management
     // ------------------------------------------------------------------
@@ -515,7 +500,6 @@ impl Aig {
             self.fanin1[idx] = Lit::FALSE;
             self.refs[idx] = 0;
             self.level[idx] = 0;
-            self.travid[idx] = 0;
             self.birth[idx] = stamp;
             self.stamp_edit(idx);
             return NodeId::new(slot);
@@ -528,7 +512,6 @@ impl Aig {
         self.fanin1.push(Lit::FALSE);
         self.refs.push(0);
         self.level.push(0);
-        self.travid.push(0);
         self.dead.push(false);
         self.birth.push(stamp);
         self.fanout_head.push(NIL);
@@ -785,11 +768,6 @@ impl Aig {
         self.or(t0, t1)
     }
 
-    /// Returns the exclusive-nor (equivalence) of two literals.
-    pub fn xnor(&mut self, a: Lit, b: Lit) -> Lit {
-        !self.xor(a, b)
-    }
-
     /// Returns the multiplexer `if sel then t else e`.
     pub fn mux(&mut self, sel: Lit, t: Lit, e: Lit) -> Lit {
         let a = self.and(sel, t);
@@ -869,33 +847,6 @@ impl Aig {
             .map(|lit| self.level[lit.node().as_usize()])
             .max()
             .unwrap_or(0)
-    }
-
-    /// Returns `true` if incrementally maintained levels are exact.
-    pub fn levels_are_valid(&self) -> bool {
-        self.levels_valid
-    }
-
-    // ------------------------------------------------------------------
-    // Traversal ids
-    // ------------------------------------------------------------------
-
-    /// Starts a new traversal, invalidating all previous visit marks.
-    pub fn new_traversal(&mut self) -> u32 {
-        self.travid_counter += 1;
-        self.travid_counter
-    }
-
-    /// Marks a node as visited in the current traversal.
-    #[inline]
-    pub fn mark_visited(&mut self, id: NodeId) {
-        self.travid[id.as_usize()] = self.travid_counter;
-    }
-
-    /// Returns `true` if the node was marked in the current traversal.
-    #[inline]
-    pub fn is_visited(&self, id: NodeId) -> bool {
-        self.travid[id.as_usize()] == self.travid_counter
     }
 
     // ------------------------------------------------------------------
@@ -1076,28 +1027,6 @@ impl Aig {
         self.fanin0[fidx] = f0;
         self.fanin1[fidx] = f1;
         self.stamp_edit(fidx);
-    }
-
-    /// Returns `true` if `target` appears in the transitive fanin cone of `root`.
-    pub fn cone_contains(&mut self, root: NodeId, target: NodeId) -> bool {
-        if root == target {
-            return true;
-        }
-        self.new_traversal();
-        self.cone_contains_rec(root, target)
-    }
-
-    fn cone_contains_rec(&mut self, root: NodeId, target: NodeId) -> bool {
-        if root == target {
-            return true;
-        }
-        if self.is_visited(root) || self.kind[root.as_usize()] != KIND_AND {
-            return false;
-        }
-        self.mark_visited(root);
-        let idx = root.as_usize();
-        let (f0, f1) = (self.fanin0[idx].node(), self.fanin1[idx].node());
-        self.cone_contains_rec(f0, target) || self.cone_contains_rec(f1, target)
     }
 
     /// Deletes the AND node `root` (which must have no remaining fanouts) and

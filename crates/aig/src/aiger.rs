@@ -471,6 +471,17 @@ pub fn from_binary(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
             1,
         ));
     }
+    // Inputs are implicit in the binary format: they cost no bytes, but each
+    // costs a node.  The ANDs and outputs reference at most 2·A + O of them,
+    // so a header promising far more (say `aig 16777216 16777216 0 0 0`, 28
+    // bytes for a gigabyte of inputs) describes no circuit worth building.
+    let referenced = 2 * u64::from(num_ands) + u64::from(num_outputs);
+    if u64::from(num_inputs) > referenced.max(1 << 16) {
+        return Err(ParseAigerError::new(
+            "header declares more inputs than its gates and outputs can reference",
+            1,
+        ));
+    }
 
     let mut aig = Aig::new();
     let mut lit_of_var: Vec<Option<Lit>> = vec![None; (max_var + 1) as usize];
@@ -604,12 +615,6 @@ pub fn read_file(path: impl AsRef<Path>) -> Result<Aig, Box<dyn Error + Send + S
     let text = String::from_utf8(bytes)
         .map_err(|_| ParseAigerError::new("non-UTF-8 contents without an `aig` header", 0))?;
     Ok(from_ascii(&text)?)
-}
-
-/// Identifier helper re-exported for documentation completeness.
-#[doc(hidden)]
-pub fn _node_for_docs() -> NodeId {
-    NodeId::CONST0
 }
 
 #[cfg(test)]
@@ -820,6 +825,9 @@ mod tests {
         assert!(from_ascii("aag 4294967294 4294967294 0 0 0\n").is_err());
         // More gates than the buffer could possibly encode.
         assert!(from_binary(b"aig 67108862 2 0 0 67108860\n").is_err());
+        // Sixteen million implicit inputs from 28 bytes: more inputs than
+        // any gate or output could reference.
+        assert!(from_binary(b"aig 16777216 16777216 0 0 0\n").is_err());
         // ASCII overflow of I + A likewise errors.
         assert!(from_ascii("aag 1 4294967295 0 0 2\n").is_err());
     }

@@ -237,8 +237,7 @@ impl CutFeatures {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CutScratch {
-    /// Per-slot visit marks, compared against `travid` (same scheme as the
-    /// graph's own traversal ids, but private to this scratch).
+    /// Per-slot visit marks, compared against `travid`.
     marks: Vec<u32>,
     travid: u32,
     /// Reusable DFS stack for cone collection.
@@ -404,6 +403,32 @@ impl Aig {
             cost += 1;
         }
         Some(cost)
+    }
+
+    /// Returns `true` if `target` appears in the transitive fanin cone of
+    /// `root`.  The walk marks nodes in the graph's own cut scratch.
+    pub fn cone_contains(&mut self, root: NodeId, target: NodeId) -> bool {
+        let mut scratch = self.take_cut_scratch();
+        scratch.begin(self.num_slots());
+        let mut stack = std::mem::take(&mut scratch.stack);
+        stack.clear();
+        stack.push(root);
+        let mut found = false;
+        while let Some(id) = stack.pop() {
+            if id == target {
+                found = true;
+                break;
+            }
+            if scratch.is_marked(id) || !self.is_and(id) {
+                continue;
+            }
+            scratch.mark(id);
+            let (f0, f1) = self.fanins(id);
+            stack.extend([f0.node(), f1.node()]);
+        }
+        scratch.stack = stack;
+        self.put_cut_scratch(scratch);
+        found
     }
 
     /// Collects the internal nodes (root included) of the cone rooted at

@@ -36,8 +36,7 @@ fn bench_inference(c: &mut Criterion) {
 
     // A pruned pass's decision: standardize the batch with its own
     // statistics, one forward pass, threshold.
-    let classify =
-        |batch: &[[f32; 6]]| classifier.decide(&classifier.predict_batch_self_normalized(batch));
+    let classify = |batch: &[[f32; 6]]| classifier.classify(batch, Parallelism::sequential());
     group.bench_function("batched_inference_all_cuts", |b| {
         b.iter(|| std::hint::black_box(classify(&features)));
     });

@@ -2,16 +2,15 @@
 //!
 //! ```text
 //! paper <subcommand> [--quick] [--scale tiny|default|paper] [--epochs N]
-//!       [--seed N] [--threads N] [--json PATH] [--sweep-threads 1,2,4]
+//!       [--seed N] [--threads N] [--sweep-threads 1,2,4]
 //! ```
 //!
 //! Every comparison and quality table runs the leave-one-out protocol of
 //! [`Suite`]: each circuit is pruned by a classifier trained on the others.
 //! `--threads N` (or `ELF_THREADS`) fans that protocol out one held-out
 //! circuit per worker; the rows are identical for every thread count, only
-//! the wall clock moves.  `--json PATH` persists `table3`'s rows, and
-//! `--sweep-threads 1,2,4` makes `table1` recompute its rows at each worker
-//! count and assert them identical.  An unknown subcommand, flag or value
+//! the wall clock moves.  `--sweep-threads 1,2,4` makes `table1` recompute
+//! its rows at each worker count and assert them identical.  An unknown subcommand, flag or value
 //! exits with status 2 and the usage line.
 
 use std::fs;
@@ -19,8 +18,7 @@ use std::time::{Duration, Instant};
 
 use elf_aig::FEATURE_NAMES;
 use elf_bench::{
-    comparison_rows_json, geometric_mean, paper, print_comparison_table, print_quality_table,
-    take_flag, write_json_file, HarnessOptions,
+    geometric_mean, paper, print_comparison_table, print_quality_table, take_flag, HarnessOptions,
 };
 use elf_core::experiment::{circuit_stats, CircuitStatsRow};
 use elf_core::{collect_labeled_cuts, BenchCircuit, ComparisonRow, Parallelism, Suite};
@@ -35,7 +33,7 @@ mod tsne;
 const USAGE: &str =
     "usage: paper <table1|table2|table3|table4|table5|table6|table7|table8|rewrite|\
 fig1|fig3|fig4|summary> [--quick] [--scale tiny|default|paper] [--epochs N] [--seed N] \
-[--threads N] [--json PATH (table3)] [--sweep-threads 1,2,4 (table1)]";
+[--threads N] [--sweep-threads 1,2,4 (table1)]";
 
 /// A subcommand: prints one paper artifact.
 type Artifact = fn(&Command);
@@ -60,7 +58,6 @@ const SUBCOMMANDS: [(&str, Artifact); 13] = [
 /// A parsed command line.
 #[derive(Debug)]
 struct Command {
-    name: &'static str,
     run: Artifact,
     options: HarnessOptions,
     /// `table1`'s `--sweep-threads` worker counts.
@@ -81,11 +78,7 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
         None => None,
     };
     let options = HarnessOptions::parse(&rest)?;
-    if options.json.is_some() && name != "table3" {
-        return Err("--json applies to table3 only".into());
-    }
     Ok(Command {
-        name,
         run,
         options,
         sweep,
@@ -247,9 +240,6 @@ fn table3(command: &Command) {
         ),
         &rows,
     );
-    if let Some(path) = &options.json {
-        write_json_file(path, &comparison_rows_json(command.name, options, &rows));
-    }
     println!();
     println!(
         "Paper reference: speed-ups 2.50x-7.69x (mean {:.2}x), And increase at most {:+.2} %, levels unchanged.",
@@ -653,7 +643,6 @@ mod tests {
     fn every_subcommand_parses_and_is_in_the_usage_line() {
         for (name, _) in SUBCOMMANDS {
             let command = parse(&[name, "--quick"]).expect("parses");
-            assert_eq!(command.name, name);
             assert_eq!(command.options.scale, Scale::Tiny);
             assert!(USAGE.contains(name), "{name} missing from the usage line");
         }
@@ -664,8 +653,6 @@ mod tests {
         let command = parse(&["table1", "--sweep-threads", "1,2,4", "--quick"]).expect("parses");
         assert_eq!(command.sweep, Some(vec![1, 2, 4]));
         assert_eq!(command.options.epochs, 3);
-        let command = parse(&["table3", "--json", "t.json"]).expect("parses");
-        assert!(command.options.json.is_some());
         assert_eq!(parse(&["table3"]).map(|c| c.sweep), Ok(None));
     }
 
@@ -697,8 +684,8 @@ mod tests {
             "--sweep-threads applies to table1 only"
         );
         assert_eq!(
-            error(&["table7", "--json", "t.json"]),
-            "--json applies to table3 only"
+            error(&["table3", "--json", "t.json"]),
+            "unknown argument `--json`"
         );
     }
 }

@@ -4,22 +4,21 @@
 //! checks that free-list recycling keeps the arena proportional to the live
 //! nodes across a second optimization pass.
 //!
-//! `--nodes N` overrides the gate target; `--json <path>` persists the
-//! timings.  The final arena-density assertion (slots ≤ 1.1× live nodes
-//! after re-optimizing an already-dense graph) is the bench's regression
-//! gate: before slot recycling the arena only ever grew.
+//! `--nodes N` overrides the gate target.  The final arena-density assertion
+//! (slots ≤ 1.1× live nodes after re-optimizing an already-dense graph) is
+//! the bench's regression gate: before slot recycling the arena only ever
+//! grew.
 
 use std::time::Instant;
 
-use elf_bench::{take_flag, write_json_file, HarnessOptions, Json};
+use elf_bench::{take_flag, HarnessOptions};
 use elf_circuits::{generate_large_circuit, scripted_circuit};
 use elf_core::{circuit_dataset, ElfClassifier, ElfOptions, Flow};
 use elf_nn::TrainConfig;
 use elf_opt::{PrunableOperator, Refactor, RefactorParams};
 use elf_par::Parallelism;
 
-const USAGE: &str = "usage: scale [--quick] [--nodes N] [--epochs N] [--seed N] [--threads N] \
-[--json PATH]";
+const USAGE: &str = "usage: scale [--quick] [--nodes N] [--epochs N] [--seed N] [--threads N]";
 
 /// Parses the arguments after the program name into the harness options,
 /// the `--quick` switch and the `--nodes` target.
@@ -133,22 +132,5 @@ fn main() {
         "arena grew to {ratio:.3}x the live nodes — slot recycling regressed"
     );
 
-    if let Some(path) = &options.json {
-        let value = Json::Obj(vec![
-            Json::field("bench", Json::Str("scale".to_string())),
-            Json::field("target_ands", Json::Int(target as i64)),
-            Json::field("seed", Json::Int(options.seed as i64)),
-            Json::field("generate_s", Json::Num(gen_secs)),
-            Json::field("cut_enumeration_s", Json::Num(cut_secs)),
-            Json::field("flow_s", Json::Num(flow_secs)),
-            Json::field("churn_s", Json::Num(churn_secs)),
-            Json::field("ands_before", Json::Int(ands_before as i64)),
-            Json::field("ands_after", Json::Int(aig.num_ands() as i64)),
-            Json::field("arena_slots", Json::Int(dense.num_slots() as i64)),
-            Json::field("live_nodes", Json::Int(dense.num_live_nodes() as i64)),
-            Json::field("arena_over_live", Json::Num(ratio)),
-        ]);
-        write_json_file(path, &value);
-    }
     println!("scale bench passed (arena stays within 1.1x of live nodes).");
 }

@@ -26,15 +26,13 @@
 //!
 //! All binaries accept `--scale tiny|default|paper` (default: `default`) to
 //! trade fidelity against runtime, `--quick` for the cheapest smoke run,
-//! `--epochs N` to cap training epochs, `--seed N` and `--threads N`, and
-//! those that persist results (`paper table3`, `scale`) take
-//! `--json PATH`; an unknown flag or a malformed value is an error.
+//! `--epochs N` to cap training epochs, `--seed N` and `--threads N`; an
+//! unknown flag or a malformed value is an error.
 //! Absolute runtimes differ from the paper (the baseline is this
 //! repository's own refactor implementation rather than ABC's C code), but
 //! the relative behaviour — speed-up factors, near-zero area loss, recall and
 //! accuracy ranges — is directly comparable.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use elf_circuits::epfl::{arithmetic_suite, Scale};
@@ -59,8 +57,6 @@ pub struct HarnessOptions {
     pub seed: u64,
     /// Worker-thread count (`--threads N`); `None` defers to `ELF_THREADS`.
     pub threads: Option<usize>,
-    /// Path to persist machine-readable results to (`--json <path>`).
-    pub json: Option<PathBuf>,
 }
 
 impl Default for HarnessOptions {
@@ -72,7 +68,6 @@ impl Default for HarnessOptions {
             epochs: 30,
             seed: 0xE1F,
             threads: None,
-            json: None,
         }
     }
 }
@@ -115,7 +110,6 @@ impl HarnessOptions {
                 // `--threads 0` means sequential, the same clamp as
                 // `Parallelism::threads`.
                 "--threads" => options.threads = Some(number::<usize>(flag, value()?)?.max(1)),
-                "--json" => options.json = Some(PathBuf::from(value()?)),
                 _ => return Err(format!("unknown argument `{flag}`")),
             }
         }
@@ -211,142 +205,6 @@ pub fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, S
 
 fn millis(duration: Duration) -> f64 {
     duration.as_secs_f64() * 1e3
-}
-
-/// Minimal JSON value for the `--json` output mode (the container vendors no
-/// serde; the harness only needs objects, arrays, strings and numbers).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// A floating-point number (rendered with up to full precision; NaN and
-    /// infinities render as `null`).
-    Num(f64),
-    /// An integer.
-    Int(i64),
-    /// A string (escaped on render).
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-    /// An ordered array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Convenience constructor for object members.
-    pub fn field(key: &str, value: Json) -> (String, Json) {
-        (key.to_string(), value)
-    }
-
-    /// Renders the value as compact JSON.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            Json::Num(x) => {
-                if x.is_finite() {
-                    out.push_str(&format!("{x}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Int(x) => out.push_str(&format!("{x}")),
-            Json::Bool(x) => out.push_str(if *x { "true" } else { "false" }),
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str(key.clone()).render_into(out);
-                    out.push(':');
-                    value.render_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Writes `value` as JSON (plus a trailing newline) to `path`, creating
-/// parent directories as needed.  Errors are reported, not fatal — a bench
-/// run's printed results stay usable even if persisting them fails.
-pub fn write_json_file(path: &std::path::Path, value: &Json) {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match std::fs::write(path, value.render() + "\n") {
-        Ok(()) => println!("results written to {}", path.display()),
-        Err(error) => eprintln!("failed to write {}: {error}", path.display()),
-    }
-}
-
-/// Serializes comparison rows (Tables III–V layout) to JSON, including the
-/// aggregate mean speed-up and worst-case And increase.
-pub fn comparison_rows_json(bench: &str, options: &HarnessOptions, rows: &[ComparisonRow]) -> Json {
-    let row_values: Vec<Json> = rows
-        .iter()
-        .map(|row| {
-            Json::Obj(vec![
-                Json::field("design", Json::Str(row.name.clone())),
-                Json::field("nodes_before", Json::Int(row.nodes_before as i64)),
-                Json::field("baseline_ms", Json::Num(millis(row.baseline_runtime))),
-                Json::field("baseline_ands", Json::Int(row.baseline_ands as i64)),
-                Json::field("baseline_level", Json::Int(row.baseline_level as i64)),
-                Json::field("elf_ms", Json::Num(millis(row.elf_runtime))),
-                Json::field("elf_ands", Json::Int(row.elf_ands as i64)),
-                Json::field("elf_level", Json::Int(row.elf_level as i64)),
-                Json::field("speedup", Json::Num(row.speedup())),
-                Json::field("d_and_percent", Json::Num(row.and_difference_percent())),
-                Json::field("d_level_percent", Json::Num(row.level_difference_percent())),
-            ])
-        })
-        .collect();
-    let mean_speedup = geometric_mean(rows.iter().map(ComparisonRow::speedup));
-    let worst = rows
-        .iter()
-        .map(ComparisonRow::and_difference_percent)
-        .fold(0.0, f64::max);
-    Json::Obj(vec![
-        Json::field("bench", Json::Str(bench.to_string())),
-        Json::field("scale", Json::Str(format!("{:?}", options.scale))),
-        Json::field("seed", Json::Int(options.seed as i64)),
-        Json::field("threads", Json::Str(options.parallelism().to_string())),
-        Json::field("rows", Json::Arr(row_values)),
-        Json::field("mean_speedup", Json::Num(mean_speedup)),
-        Json::field("worst_and_increase_percent", Json::Num(worst)),
-    ])
 }
 
 /// Prints a baseline-vs-ELF comparison table in the layout of Tables III–V.
@@ -514,10 +372,6 @@ mod tests {
         assert_eq!(parse(&["--seed", "42"]).map(|o| o.seed), Ok(42));
         assert_eq!(parse(&["--threads", "3"]).map(|o| o.threads), Ok(Some(3)));
         assert_eq!(parse(&["--threads", "0"]).map(|o| o.threads), Ok(Some(1)));
-        assert_eq!(
-            parse(&["--json", "out/t.json"]).map(|o| o.json),
-            Ok(Some(PathBuf::from("out/t.json")))
-        );
     }
 
     #[test]
@@ -550,7 +404,7 @@ mod tests {
             error(&["--threads", "2.5"]),
             "--threads has malformed value `2.5`"
         );
-        for flag in ["--scale", "--epochs", "--seed", "--threads", "--json"] {
+        for flag in ["--scale", "--epochs", "--seed", "--threads"] {
             assert_eq!(error(&[flag]), format!("{flag} is missing its value"));
         }
     }

@@ -49,7 +49,7 @@ pub const RECALL_TARGET: f64 = 0.95;
 /// The trained weights live behind shared handles
 /// ([`SharedMlp`]/[`SharedNormalizer`]): **cloning a classifier never copies
 /// a weight matrix**, it bumps two reference counts.  That makes per-request
-/// clones — e.g. [`crate::Flow::pruned_from_script`] building one `Elf`
+/// clones — e.g. [`crate::Flow::pruned_from_script`] building one pruned
 /// stage per script token, or a serving layer pinning a model version per
 /// job — allocation-free on the weight path, while `set_threshold` still
 /// works per clone (the threshold is plain data next to the handles).
@@ -57,7 +57,7 @@ pub const RECALL_TARGET: f64 = 0.95;
 /// # Examples
 ///
 /// ```
-/// use elf_core::ElfClassifier;
+/// use elf_core::{ElfClassifier, Parallelism};
 /// use elf_nn::Dataset;
 ///
 /// let mut data = Dataset::new();
@@ -66,11 +66,13 @@ pub const RECALL_TARGET: f64 = 0.95;
 ///     data.push(vec![x, x, 10.0, 20.0, 1.0, 5.0], i % 10 == 0);
 /// }
 /// let (classifier, _report) = ElfClassifier::fit(&data, &Default::default(), 42);
-/// let probabilities = classifier.predict_batch_self_normalized(&[
-///     [1.0, 1.0, 10.0, 20.0, 1.0, 5.0],
-///     [9.0, 9.0, 10.0, 20.0, 1.0, 5.0],
-/// ]);
-/// let decisions = classifier.decide(&probabilities);
+/// let decisions = classifier.classify(
+///     &[
+///         [1.0, 1.0, 10.0, 20.0, 1.0, 5.0],
+///         [9.0, 9.0, 10.0, 20.0, 1.0, 5.0],
+///     ],
+///     Parallelism::sequential(),
+/// );
 /// assert_eq!(decisions.len(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -151,18 +153,12 @@ impl ElfClassifier {
     }
 
     /// Creates a classifier from already-trained parts, freezing them into
-    /// shared handles.
+    /// shared handles.  Several classifiers over one set of weights (e.g.
+    /// different thresholds) are clones with [`ElfClassifier::set_threshold`].
     pub fn from_parts(normalizer: Normalizer, model: Mlp, threshold: f32) -> Self {
-        Self::from_shared(normalizer.into_shared(), model.into_shared(), threshold)
-    }
-
-    /// Creates a classifier around *existing* shared weight handles — no
-    /// copy, no new allocation.  The way to build several classifiers (e.g.
-    /// different thresholds) over one set of trained weights.
-    pub fn from_shared(normalizer: SharedNormalizer, model: SharedMlp, threshold: f32) -> Self {
         ElfClassifier {
-            normalizer,
-            model,
+            normalizer: normalizer.into_shared(),
+            model: model.into_shared(),
             threshold,
         }
     }
@@ -178,20 +174,9 @@ impl ElfClassifier {
         self.threshold = threshold;
     }
 
-    /// The fused normalizer.
-    pub fn normalizer(&self) -> &Normalizer {
-        self.normalizer.as_ref()
-    }
-
     /// The underlying network.
     pub fn model(&self) -> &Mlp {
         self.model.as_ref()
-    }
-
-    /// The shared handle to the fused normalizer — clone it to share the
-    /// statistics without copying them.
-    pub fn normalizer_handle(&self) -> &SharedNormalizer {
-        &self.normalizer
     }
 
     /// The shared handle to the underlying network's weights.
@@ -212,9 +197,8 @@ impl ElfClassifier {
     /// the training statistics for batches of fewer than two rows exactly
     /// like [`ElfClassifier::predict_batch_self_normalized`].
     ///
-    /// Together with [`ElfClassifier::decide`] this splits classification
-    /// around the forward pass, which is how the batched ELF pass (and a
-    /// benchmark probing one layer at a time) times each half on its own.
+    /// The first half of [`ElfClassifier::classify`]: a benchmark probing
+    /// one layer at a time times it apart from the forward pass.
     pub fn normalized_rows(
         &self,
         features: &[[f32; NUM_FEATURES]],
@@ -250,21 +234,30 @@ impl ElfClassifier {
         self.model.predict_with(&rows, Parallelism::sequential())
     }
 
-    /// Applies the decision threshold to a vector of predicted probabilities:
+    /// The keep/prune decision for one circuit's batch of cut features:
     /// `true` means "attempt resynthesis".
     ///
-    /// The other half of [`ElfClassifier::normalized_rows`]: probabilities
-    /// from a forward pass become keep/prune decisions.
-    pub fn decide(&self, probabilities: &[f32]) -> Vec<bool> {
+    /// The batch is standardized with its own statistics
+    /// ([`ElfClassifier::normalized_rows`]), run through the network
+    /// (row-chunked across `parallelism`'s workers; bit-identical for every
+    /// thread count) and thresholded.  This is the one decision function:
+    /// every pruned pass and [`ElfClassifier::evaluate`] call it.
+    pub fn classify(
+        &self,
+        features: &[[f32; NUM_FEATURES]],
+        parallelism: Parallelism,
+    ) -> Vec<bool> {
+        let rows = self.normalized_rows(features, true);
+        let probabilities = self.model.predict_with(&rows, parallelism);
         probabilities.iter().map(|p| *p >= self.threshold).collect()
     }
 
     /// Evaluates the classifier against ground-truth labels, returning the
     /// confusion matrix used by Tables VII and VIII.  The features are one
-    /// circuit's batch, standardized with its own statistics as a pruned
-    /// pass standardizes them.
+    /// circuit's batch, decided as a pruned pass decides them
+    /// ([`ElfClassifier::classify`]).
     pub fn evaluate(&self, features: &[[f32; NUM_FEATURES]], labels: &[bool]) -> ConfusionMatrix {
-        let predictions = self.decide(&self.predict_batch_self_normalized(features));
+        let predictions = self.classify(features, Parallelism::sequential());
         ConfusionMatrix::from_predictions(&predictions, labels)
     }
 
@@ -294,7 +287,9 @@ impl ElfClassifier {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseClassifierError`] if any section is malformed.
+    /// Returns a [`ParseClassifierError`] if any section is malformed, if
+    /// `mean` or `std` does not hold one value per feature, or if the
+    /// network's layers do not chain from the six features to one output.
     pub fn from_text(text: &str) -> Result<Self, ParseClassifierError> {
         let mut lines = text.lines();
         let parse_err = ParseClassifierError::new;
@@ -318,9 +313,23 @@ impl ElfClassifier {
             lines.next().ok_or_else(|| parse_err("missing std"))?,
             "std ",
         )?;
+        if mean.len() != NUM_FEATURES || std.len() != NUM_FEATURES {
+            return Err(parse_err("mean and std must hold one value per feature"));
+        }
         let rest: Vec<&str> = lines.collect();
         let model = model_from_text(&rest.join("\n"))
             .map_err(|e| ParseClassifierError::new(format!("model section: {e}")))?;
+        let outputs = model
+            .layers()
+            .iter()
+            .try_fold(NUM_FEATURES, |width, layer| {
+                (layer.inputs() == width).then_some(layer.outputs())
+            });
+        if outputs != Some(1) {
+            return Err(parse_err(
+                "model layers must chain from the features to one output",
+            ));
+        }
         Ok(ElfClassifier {
             normalizer: Normalizer::from_stats(mean, std).into_shared(),
             model: model.into_shared(),
@@ -351,7 +360,7 @@ mod tests {
     /// Keep/prune decisions for one circuit's batch, the way a pruned pass
     /// decides them.
     fn classify(classifier: &ElfClassifier, features: &[[f32; NUM_FEATURES]]) -> Vec<bool> {
-        classifier.decide(&classifier.predict_batch_self_normalized(features))
+        classifier.classify(features, Parallelism::sequential())
     }
 
     /// Probabilities under the training statistics: what a batch of fewer
@@ -444,6 +453,55 @@ mod tests {
     }
 
     #[test]
+    fn malformed_text_is_an_error_not_a_panic() {
+        let data = synthetic_dataset(100);
+        let (classifier, _) = ElfClassifier::fit(&data, &quick_config(), 19);
+        let text = classifier.to_text();
+        let lines: Vec<&str> = text.lines().collect();
+        let with = |index: usize, line: &str| {
+            let mut lines = lines.clone();
+            lines[index] = line;
+            lines.join("\n")
+        };
+        let layer = |inputs: usize, outputs: usize| {
+            format!(
+                "layer {inputs} {outputs} sigmoid\n{}\n{}",
+                vec!["0"; inputs * outputs].join(" "),
+                vec!["0"; outputs].join(" ")
+            )
+        };
+        let header = "threshold 0.5\nmean 0 0 0 0 0 0\nstd 1 1 1 1 1 1";
+        let cases = [
+            // `mean` and `std` of different lengths.
+            with(1, "mean 0 0 0 0 0"),
+            // Both of the same wrong length.
+            with(1, "mean 0 0 0 0 0 0 0").replace("std ", "std 1 "),
+            // A layer count no allocation can hold.
+            format!("{header}\nmlp 18446744073709551615"),
+            // A weight count that overflows.
+            format!("{header}\nmlp 1\nlayer 4294967296 4294967297 relu\n\n0"),
+            // Layers that do not start at the feature count...
+            format!("{header}\nmlp 1\n{}", layer(5, 1)),
+            // ...do not chain...
+            format!("{header}\nmlp 2\n{}\n{}", layer(6, 3), layer(2, 1)),
+            // ...or do not end in one output.
+            format!("{header}\nmlp 1\n{}", layer(6, 2)),
+            format!("{header}\nmlp 0"),
+        ];
+        for case in &cases {
+            assert!(ElfClassifier::from_text(case).is_err(), "accepted:\n{case}");
+        }
+        let chained = format!("{header}\nmlp 2\n{}\n{}", layer(6, 3), layer(3, 1));
+        let parsed = ElfClassifier::from_text(&chained).expect("a chained model parses");
+        assert_eq!(
+            parsed
+                .classify(&[[1.0; 6], [2.0; 6]], Parallelism::sequential())
+                .len(),
+            2
+        );
+    }
+
+    #[test]
     fn empty_batch_is_handled() {
         let data = synthetic_dataset(100);
         let (classifier, _) = ElfClassifier::fit(&data, &quick_config(), 11);
@@ -508,7 +566,8 @@ mod tests {
                 "rows={}",
                 features.len()
             );
-            assert_eq!(classifier.decide(&probs), classify(&classifier, features));
+            let decided: Vec<bool> = probs.iter().map(|p| *p >= classifier.threshold()).collect();
+            assert_eq!(decided, classify(&classifier, features));
         }
     }
 
@@ -518,7 +577,6 @@ mod tests {
         let data = synthetic_dataset(120);
         let (classifier, _) = ElfClassifier::fit(&data, &quick_config(), 21);
         let model = Arc::clone(classifier.model_handle());
-        let normalizer = Arc::clone(classifier.normalizer_handle());
         let before = Arc::strong_count(&model);
         let clones: Vec<ElfClassifier> = (0..5).map(|_| classifier.clone()).collect();
         // Five clones are five new strong references to the *same* weights —
@@ -526,12 +584,13 @@ mod tests {
         assert_eq!(Arc::strong_count(&model), before + 5);
         for clone in &clones {
             assert!(Arc::ptr_eq(clone.model_handle(), &model));
-            assert!(Arc::ptr_eq(clone.normalizer_handle(), &normalizer));
+            assert!(Arc::ptr_eq(&clone.normalizer, &classifier.normalizer));
         }
         drop(clones);
         assert_eq!(Arc::strong_count(&model), before);
         // A different threshold over the same weights still shares them.
-        let tuned = ElfClassifier::from_shared(normalizer, Arc::clone(&model), 0.2);
+        let mut tuned = classifier.clone();
+        tuned.set_threshold(0.2);
         assert!(Arc::ptr_eq(tuned.model_handle(), classifier.model_handle()));
         assert_eq!(tuned.threshold(), 0.2);
         assert_eq!(

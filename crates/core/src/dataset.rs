@@ -55,14 +55,9 @@ pub fn cuts_to_dataset(cuts: &[LabeledCut]) -> Dataset {
     data
 }
 
-/// Collects a dataset directly from a circuit, labelled by `operator`.
-pub fn circuit_dataset_with<O: PrunableOperator>(operator: &O, aig: &Aig) -> Dataset {
-    cuts_to_dataset(&collect_labeled_cuts_with(operator, aig))
-}
-
 /// Collects a dataset directly from a circuit (refactor labels).
 pub fn circuit_dataset(aig: &Aig, params: &RefactorParams) -> Dataset {
-    circuit_dataset_with(&Refactor::new(*params), aig)
+    cuts_to_dataset(&collect_labeled_cuts(aig, params))
 }
 
 /// Standardizes a circuit's feature dataset with its own statistics.
@@ -165,7 +160,7 @@ mod tests {
         assert_eq!(cuts.len(), stats.nodes_visited);
         let committed = cuts.iter().filter(|c| c.committed).count();
         assert_eq!(committed, stats.cuts_committed);
-        let data = circuit_dataset_with(&operator, &aig);
+        let data = cuts_to_dataset(&cuts);
         assert_eq!(data.len(), cuts.len());
         assert_eq!(data.num_features(), NUM_FEATURES);
     }

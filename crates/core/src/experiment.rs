@@ -10,7 +10,7 @@ use elf_par::Parallelism;
 
 use crate::classifier::ElfClassifier;
 use crate::dataset::{
-    circuit_dataset_with, collect_labeled_cuts_with, cuts_to_arrays, standardize_per_circuit,
+    collect_labeled_cuts_with, cuts_to_arrays, cuts_to_dataset, standardize_per_circuit,
     BenchCircuit,
 };
 use crate::flow::{Elf, ElfConfig, ElfOptions, ElfStats};
@@ -242,7 +242,8 @@ impl<O: PrunableOperator + Clone + Sync> Suite<O> {
     /// worker of `config.elf.parallelism`.
     pub fn new(circuits: Vec<BenchCircuit>, operator: O, config: ExperimentConfig) -> Self {
         let datasets = config.elf.parallelism.map(&circuits, |_, circuit| {
-            standardize_per_circuit(&circuit_dataset_with(&operator, &circuit.aig))
+            let cuts = collect_labeled_cuts_with(&operator, &circuit.aig);
+            standardize_per_circuit(&cuts_to_dataset(&cuts))
         });
         Suite {
             circuits,

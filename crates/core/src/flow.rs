@@ -84,7 +84,7 @@ impl ElfStats {
 ///
 /// [`ElfRefactor`] (= `Elf<Refactor>`) is the paper's operator;
 /// `Elf<Rewrite>` is the conclusion's first extension target and trains
-/// through the same dataset machinery ([`crate::circuit_dataset_with`]).
+/// through the same dataset machinery ([`crate::Suite::new`]).
 ///
 /// A pass checks nothing; to SAT-prove it preserved the circuit's function,
 /// run it as a [`Flow`](crate::Flow) stage under
@@ -126,9 +126,8 @@ impl<O: PrunableOperator> Elf<O> {
     /// per node, whether the operator is worth attempting.
     ///
     /// The operator receives a fresh cut-factoring cache sized by
-    /// [`ElfOptions::cut_cache`]; callers that want several passes (or
-    /// several concurrent jobs) to share one cache override it afterwards
-    /// with [`Elf::set_cut_cache`].
+    /// [`ElfOptions::cut_cache`]; a [`Flow`](crate::Flow) is how several
+    /// passes share one cache.
     pub fn with_operator(classifier: ElfClassifier, mut operator: O, options: ElfOptions) -> Self {
         operator.set_cut_cache(CutCache::new(options.cut_cache));
         Elf {
@@ -136,18 +135,6 @@ impl<O: PrunableOperator> Elf<O> {
             operator,
             options,
         }
-    }
-
-    /// Replaces the wrapped operator's cut-factoring cache, typically with a
-    /// handle shared across stages or jobs (see [`CutCache::job_view`]).
-    /// Purely a performance knob: results are bit-identical either way.
-    pub fn set_cut_cache(&mut self, cache: CutCache) {
-        self.operator.set_cut_cache(cache);
-    }
-
-    /// The wrapped classifier.
-    pub fn classifier(&self) -> &ElfClassifier {
-        &self.classifier
     }
 
     /// The wrapped operator.
@@ -160,53 +147,56 @@ impl<O: PrunableOperator> Elf<O> {
         self.options
     }
 
-    /// Runs one ELF pass over the graph (Algorithm 2), using the configured
-    /// [`ElfOptions::parallelism`] for collection and inference.
+    /// Runs one ELF pass over the graph (Algorithm 2) with the configured
+    /// [`ElfOptions::parallelism`]: the operator sweeps every node's
+    /// features, [`ElfClassifier::classify`] decides the whole batch at
+    /// once, and the operator resynthesizes the kept nodes.  A pruned
+    /// [`Flow`](crate::Flow) stage runs the very same pass.  Graph mutation
+    /// is sequential, so the result is identical for every thread count.
     pub fn run(&self, aig: &mut Aig) -> ElfStats {
-        self.run_with(aig, self.options.parallelism)
-    }
-
-    /// Runs one ELF pass with an explicit worker-thread count, overriding
-    /// the configured [`ElfOptions::parallelism`].
-    ///
-    /// The operator sweeps every node's features, this classifies them in
-    /// one batch — standardize the batch with its own statistics (paper
-    /// Section IV-A), run the forward pass (row-chunked across the workers),
-    /// threshold — and the operator resynthesizes the kept nodes.  Only the
-    /// embarrassingly parallel phases fan out — per-node cut collection /
-    /// feature extraction and the batched forward pass.  Graph mutation
-    /// always stays sequential, which is why the resulting AIG is
-    /// node-for-node identical for every thread count.
-    pub fn run_with(&self, aig: &mut Aig, parallelism: Parallelism) -> ElfStats {
-        let start = Instant::now();
-        let (mut feature_time, mut classify_time) = (Duration::ZERO, Duration::ZERO);
-        let op = self.operator.run_batched(aig, parallelism, |features| {
-            feature_time = start.elapsed();
-            let classify_start = Instant::now();
-            let _span = elf_obs::span!("classify", cuts = features.len());
-            let rows: Vec<[f32; NUM_FEATURES]> =
-                features.iter().map(|(_, f)| f.to_array()).collect();
-            let rows = self.classifier.normalized_rows(&rows, true);
-            let probabilities = self.classifier.model().predict_with(&rows, parallelism);
-            let keep = self.classifier.decide(&probabilities);
-            classify_time = classify_start.elapsed();
-            keep
-        });
-        // What the classifier pruned and kept is what the pass driver counted.
-        ElfStats {
-            op,
-            feature_time,
-            classify_time,
-            pruned: op.cuts_pruned,
-            kept: op.cuts_resynthesized,
-            total_time: start.elapsed(),
-        }
+        pruned_pass(
+            &self.operator,
+            &self.classifier,
+            self.options.parallelism,
+            aig,
+        )
     }
 
     /// Runs ELF `applications` times in sequence (the paper's "ELF x 2"),
     /// returning the per-pass statistics.
     pub fn run_repeated(&self, aig: &mut Aig, applications: usize) -> Vec<ElfStats> {
         (0..applications).map(|_| self.run(aig)).collect()
+    }
+}
+
+/// One classifier-pruned pass of `operator` over `aig` — the pass behind
+/// [`Elf::run`] and every pruned [`Flow`](crate::Flow) stage.  Only the
+/// sweep and the forward pass fan out over `parallelism`.
+pub(crate) fn pruned_pass<O: PrunableOperator>(
+    operator: &O,
+    classifier: &ElfClassifier,
+    parallelism: Parallelism,
+    aig: &mut Aig,
+) -> ElfStats {
+    let start = Instant::now();
+    let (mut feature_time, mut classify_time) = (Duration::ZERO, Duration::ZERO);
+    let op = operator.run_batched(aig, parallelism, |features| {
+        feature_time = start.elapsed();
+        let classify_start = Instant::now();
+        let _span = elf_obs::span!("classify", cuts = features.len());
+        let rows: Vec<[f32; NUM_FEATURES]> = features.iter().map(|(_, f)| f.to_array()).collect();
+        let keep = classifier.classify(&rows, parallelism);
+        classify_time = classify_start.elapsed();
+        keep
+    });
+    // What the classifier pruned and kept is what the pass driver counted.
+    ElfStats {
+        op,
+        feature_time,
+        classify_time,
+        pruned: op.cuts_pruned,
+        kept: op.cuts_resynthesized,
+        total_time: start.elapsed(),
     }
 }
 

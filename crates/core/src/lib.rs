@@ -12,17 +12,24 @@
 //! The pieces:
 //!
 //! * [`ElfClassifier`] — mean–variance normalization fused with the paper's
-//!   325-parameter MLP, trained and evaluated in batch;
-//! * [`circuit_dataset_with`] — operator-generic training-data collection by
-//!   running any baseline [`elf_opt::PrunableOperator`] in recording mode
-//!   (plus the original refactor-specific convenience [`circuit_dataset`]);
+//!   325-parameter MLP, trained in batch.  One method,
+//!   [`ElfClassifier::classify`], makes every keep/prune decision:
+//!   standardize one circuit's batch with its own statistics, run the
+//!   forward pass, threshold.  Pruned passes and
+//!   [`ElfClassifier::evaluate`] (Tables VII and VIII) both call it;
+//! * [`circuit_dataset`] / [`collect_labeled_cuts_with`] — training-data
+//!   collection by running a baseline [`elf_opt::PrunableOperator`] in
+//!   recording mode;
 //! * [`Elf`] — the pruned operator (Algorithm 2), generic over the wrapped
 //!   operator: collect features for every cut, classify the whole batch
 //!   once, then resynthesize only the surviving nodes.  [`ElfRefactor`]
 //!   (= `Elf<Refactor>`) is the paper's instantiation; `Elf<Rewrite>` is the
 //!   conclusion's first extension target;
-//! * [`Flow`] — script-style pipelines (`rf; rw; rs`) mixing plain and
-//!   classifier-pruned stages, with uniform per-stage [`FlowStats`];
+//! * [`Flow`] — script-style pipelines (`rf; rw; rs`).  A stage is an
+//!   operator plus an optional classifier, so plain and pruned stages mix
+//!   freely; a pruned stage runs the very pass [`Elf::run`] runs.  The flow
+//!   holds one thread count and, optionally, one cut cache shared by every
+//!   stage, and reports uniform per-stage [`FlowStats`];
 //! * [`VerifyMode`] — the correctness gate: a [`Flow`] built with
 //!   [`Flow::with_verify`] SAT-proves (via `elf-cec`) that a run preserved
 //!   the circuit's function, per stage or end to end, with the verdict
@@ -87,8 +94,8 @@ mod verify;
 
 pub use classifier::{ElfClassifier, ParseClassifierError, DEFAULT_THRESHOLD, RECALL_TARGET};
 pub use dataset::{
-    circuit_dataset, circuit_dataset_with, collect_labeled_cuts, collect_labeled_cuts_with,
-    cuts_to_arrays, cuts_to_dataset, standardize_per_circuit, BenchCircuit,
+    circuit_dataset, collect_labeled_cuts, collect_labeled_cuts_with, cuts_to_arrays,
+    cuts_to_dataset, standardize_per_circuit, BenchCircuit,
 };
 pub use experiment::{
     circuit_stats, compare_with_operator, CircuitStatsRow, ComparisonRow, ExperimentConfig,

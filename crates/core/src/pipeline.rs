@@ -6,6 +6,13 @@
 //! per-stage statistics ([`FlowStats`]) thanks to the shared
 //! [`OpStats`] every [`elf_opt::PrunableOperator`] pass returns.
 //!
+//! Every stage has one shape: an operator (refactor, rewrite or resub,
+//! built once when the stage is added) plus an optional classifier.  Without
+//! one the stage runs the operator's plain pass; with one it runs the same
+//! pruned pass as [`Elf::run`](crate::Elf::run), whose keep/prune decisions
+//! all come from [`ElfClassifier::classify`].  The flow's one thread count
+//! and its one shared cut cache, when attached, apply to every stage.
+//!
 //! # Examples
 //!
 //! ```
@@ -49,29 +56,70 @@ use elf_opt::{
 use elf_par::Parallelism;
 
 use crate::classifier::ElfClassifier;
-use crate::flow::{Elf, ElfOptions, ElfStats};
+use crate::flow::{pruned_pass, ElfOptions, ElfStats};
 use crate::verify::{VerifyCheck, VerifyMode, VerifyOutcome};
 
-/// One stage of a [`Flow`].
+/// The operator of a [`Stage`], built once when the stage is added.
 #[derive(Debug, Clone)]
-enum Stage {
-    Refactor(RefactorParams),
-    Rewrite(RewriteParams),
-    Resub(ResubParams),
-    ElfRefactor(Box<Elf<Refactor>>),
-    ElfRewrite(Box<Elf<Rewrite>>),
-    ElfResub(Box<Elf<Resubstitution>>),
+enum Operator {
+    Refactor(Refactor),
+    Rewrite(Rewrite),
+    Resub(Resubstitution),
+}
+
+impl Operator {
+    fn set_cut_cache(&mut self, cache: &CutCache) {
+        match self {
+            Operator::Refactor(op) => op.set_cut_cache(cache.clone()),
+            Operator::Rewrite(op) => op.set_cut_cache(cache.clone()),
+            Operator::Resub(op) => op.set_cut_cache(cache.clone()),
+        }
+    }
+}
+
+/// One stage of a [`Flow`]: an operator, pruned when it carries a
+/// classifier.
+#[derive(Debug, Clone)]
+struct Stage {
+    operator: Operator,
+    classifier: Option<ElfClassifier>,
 }
 
 impl Stage {
     fn name(&self) -> &'static str {
-        match self {
-            Stage::Refactor(_) => Refactor::NAME,
-            Stage::Rewrite(_) => Rewrite::NAME,
-            Stage::Resub(_) => Resubstitution::NAME,
-            Stage::ElfRefactor(_) => "elf-refactor",
-            Stage::ElfRewrite(_) => "elf-rewrite",
-            Stage::ElfResub(_) => "elf-resub",
+        let pruned = self.classifier.is_some();
+        match (&self.operator, pruned) {
+            (Operator::Refactor(_), false) => Refactor::NAME,
+            (Operator::Rewrite(_), false) => Rewrite::NAME,
+            (Operator::Resub(_), false) => Resubstitution::NAME,
+            (Operator::Refactor(_), true) => "elf-refactor",
+            (Operator::Rewrite(_), true) => "elf-rewrite",
+            (Operator::Resub(_), true) => "elf-resub",
+        }
+    }
+
+    /// Runs the stage: the plain pass, or the pruned pass when the stage
+    /// carries a classifier.
+    fn run(&self, aig: &mut Aig, parallelism: Parallelism) -> (OpStats, Option<ElfStats>) {
+        match &self.operator {
+            Operator::Refactor(op) => self.run_operator(op, aig, parallelism),
+            Operator::Rewrite(op) => self.run_operator(op, aig, parallelism),
+            Operator::Resub(op) => self.run_operator(op, aig, parallelism),
+        }
+    }
+
+    fn run_operator<O: PrunableOperator>(
+        &self,
+        operator: &O,
+        aig: &mut Aig,
+        parallelism: Parallelism,
+    ) -> (OpStats, Option<ElfStats>) {
+        match &self.classifier {
+            None => (operator.run(aig), None),
+            Some(classifier) => {
+                let stats = pruned_pass(operator, classifier, parallelism, aig);
+                (stats.op, Some(stats))
+            }
         }
     }
 }
@@ -143,12 +191,16 @@ impl Error for ParseFlowError {}
 ///
 /// Build with the chaining methods ([`Flow::refactor`], [`Flow::elf_rewrite`],
 /// ...) or parse an ABC-style script with [`Flow::from_script`], then execute
-/// with [`Flow::run`].
+/// with [`Flow::run`].  Every stage is an operator plus an optional
+/// classifier: a stage with one runs the pruned pass (sweep, one batched
+/// [`ElfClassifier::classify`], resynthesis of the kept nodes), a stage
+/// without one the plain pass.
 #[derive(Debug, Clone, Default)]
 pub struct Flow {
     stages: Vec<Stage>,
-    /// When set, overrides the parallelism of every classifier-pruned stage.
-    parallelism: Option<Parallelism>,
+    /// Worker-thread count of the pruned stages' sweep and forward pass
+    /// (plain stages, and graph mutation, are sequential).
+    parallelism: Parallelism,
     /// How much SAT-based equivalence checking the run performs.
     verify: VerifyMode,
     /// When set, every stage — pruned and plain — factors cut functions
@@ -195,8 +247,9 @@ impl Flow {
     }
 
     /// Parses an ABC-style script into a fully classifier-pruned pipeline:
-    /// every stage is the `Elf`-wrapped counterpart of the plain operator,
-    /// sharing one trained classifier and one set of [`ElfOptions`].
+    /// every stage is the pruned counterpart of the plain operator, all of
+    /// them sharing one trained classifier, `options.parallelism` and one
+    /// cut cache sized by `options.cut_cache`.
     ///
     /// Building the pipeline is **weight-allocation-free**: each stage's
     /// classifier clone shares the trained weights behind the classifier's
@@ -217,24 +270,15 @@ impl Flow {
         classifier: &ElfClassifier,
         options: ElfOptions,
     ) -> Result<Self, ParseFlowError> {
-        let mut flow = Flow::new();
+        let mut flow = Flow::new()
+            .with_parallelism(options.parallelism)
+            .with_cut_cache(CutCache::new(options.cut_cache));
         for word in Self::script_words(script) {
+            let classifier = classifier.clone();
             flow = match word {
-                "rf" | "refactor" => flow.elf_refactor(Elf::with_operator(
-                    classifier.clone(),
-                    Refactor::default(),
-                    options,
-                )),
-                "rw" | "rewrite" => flow.elf_rewrite(Elf::with_operator(
-                    classifier.clone(),
-                    Rewrite::default(),
-                    options,
-                )),
-                "rs" | "resub" => flow.elf_resub(Elf::with_operator(
-                    classifier.clone(),
-                    Resubstitution::default(),
-                    options,
-                )),
+                "rf" | "refactor" => flow.elf_refactor(RefactorParams::default(), classifier),
+                "rw" | "rewrite" => flow.elf_rewrite(RewriteParams::default(), classifier),
+                "rs" | "resub" => flow.elf_resub(ResubParams::default(), classifier),
                 unknown => {
                     return Err(ParseFlowError {
                         token: unknown.to_string(),
@@ -242,10 +286,7 @@ impl Flow {
                 }
             };
         }
-        // One cache for the whole pipeline: `rf` and `rw` meet the same NPN
-        // classes, so sharing beats the per-stage caches `with_operator`
-        // just built.  Bit-identical either way.
-        Ok(flow.with_cut_cache(CutCache::new(options.cut_cache)))
+        Ok(flow)
     }
 
     /// The words of an ABC-style script: separator and whitespace handling
@@ -254,18 +295,13 @@ impl Flow {
         script.split([';', ',']).flat_map(str::split_whitespace)
     }
 
-    /// Overrides the worker-thread count of every classifier-pruned stage
-    /// (plain stages mutate the graph sequentially and have no parallel
-    /// phase).  Without this knob each pruned stage uses its own configured
-    /// [`ElfOptions::parallelism`].
+    /// Sets the worker-thread count of the pruned stages' sweep and forward
+    /// pass (plain stages mutate the graph sequentially and have no parallel
+    /// phase).  Defaults to `ELF_THREADS`; results are identical for every
+    /// count.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = Some(parallelism);
+        self.parallelism = parallelism;
         self
-    }
-
-    /// The flow-wide parallelism override, if any.
-    pub fn parallelism(&self) -> Option<Parallelism> {
-        self.parallelism
     }
 
     /// Selects how much SAT-based equivalence checking the run performs:
@@ -278,11 +314,6 @@ impl Flow {
         self
     }
 
-    /// The configured verification mode.
-    pub fn verify(&self) -> VerifyMode {
-        self.verify
-    }
-
     /// Shares one NPN-canonical cut-factoring cache across every stage of
     /// the flow — the stages already added and any added later, pruned and
     /// plain alike.  A serving layer passes a per-job view of its
@@ -291,7 +322,7 @@ impl Flow {
     /// node-for-node identical whatever cache (or none) is attached.
     pub fn with_cut_cache(mut self, cache: CutCache) -> Self {
         for stage in &mut self.stages {
-            Self::attach_cache(stage, &cache);
+            stage.operator.set_cut_cache(&cache);
         }
         self.cut_cache = Some(cache);
         self
@@ -314,66 +345,50 @@ impl Flow {
         self
     }
 
-    /// The metrics registry runs record into, when one was attached.
-    pub fn metrics(&self) -> Option<&Registry> {
-        self.metrics.as_ref()
-    }
-
-    /// Points a pruned stage at the flow-shared cache.  Plain stages carry
-    /// parameters only — their operators are built (and wired) per run.
-    fn attach_cache(stage: &mut Stage, cache: &CutCache) {
-        match stage {
-            Stage::Refactor(_) | Stage::Rewrite(_) | Stage::Resub(_) => {}
-            Stage::ElfRefactor(elf) => elf.set_cut_cache(cache.clone()),
-            Stage::ElfRewrite(elf) => elf.set_cut_cache(cache.clone()),
-            Stage::ElfResub(elf) => elf.set_cut_cache(cache.clone()),
+    /// Appends a stage; a flow-shared cut cache, if any, is attached to it
+    /// as to every other stage.
+    fn push(mut self, operator: Operator, classifier: Option<ElfClassifier>) -> Self {
+        self.stages.push(Stage {
+            operator,
+            classifier,
+        });
+        match self.cut_cache.take() {
+            Some(cache) => self.with_cut_cache(cache),
+            None => self,
         }
-    }
-
-    /// Registers a freshly pushed stage with the shared cache, if any.
-    fn wire_last_stage(mut self) -> Self {
-        if let Some(cache) = self.cut_cache.clone() {
-            if let Some(stage) = self.stages.last_mut() {
-                Self::attach_cache(stage, &cache);
-            }
-        }
-        self
     }
 
     /// Appends a plain refactor stage.
-    pub fn refactor(mut self, params: RefactorParams) -> Self {
-        self.stages.push(Stage::Refactor(params));
-        self
+    pub fn refactor(self, params: RefactorParams) -> Self {
+        self.push(Operator::Refactor(Refactor::new(params)), None)
     }
 
     /// Appends a plain rewrite stage.
-    pub fn rewrite(mut self, params: RewriteParams) -> Self {
-        self.stages.push(Stage::Rewrite(params));
-        self
+    pub fn rewrite(self, params: RewriteParams) -> Self {
+        self.push(Operator::Rewrite(Rewrite::new(params)), None)
     }
 
     /// Appends a plain resubstitution stage.
-    pub fn resub(mut self, params: ResubParams) -> Self {
-        self.stages.push(Stage::Resub(params));
-        self
+    pub fn resub(self, params: ResubParams) -> Self {
+        self.push(Operator::Resub(Resubstitution::new(params)), None)
     }
 
-    /// Appends a classifier-pruned refactor stage.
-    pub fn elf_refactor(mut self, elf: Elf<Refactor>) -> Self {
-        self.stages.push(Stage::ElfRefactor(Box::new(elf)));
-        self.wire_last_stage()
+    /// Appends a refactor stage pruned by `classifier`.
+    pub fn elf_refactor(self, params: RefactorParams, classifier: ElfClassifier) -> Self {
+        self.push(Operator::Refactor(Refactor::new(params)), Some(classifier))
     }
 
-    /// Appends a classifier-pruned rewrite stage.
-    pub fn elf_rewrite(mut self, elf: Elf<Rewrite>) -> Self {
-        self.stages.push(Stage::ElfRewrite(Box::new(elf)));
-        self.wire_last_stage()
+    /// Appends a rewrite stage pruned by `classifier`.
+    pub fn elf_rewrite(self, params: RewriteParams, classifier: ElfClassifier) -> Self {
+        self.push(Operator::Rewrite(Rewrite::new(params)), Some(classifier))
     }
 
-    /// Appends a classifier-pruned resubstitution stage.
-    pub fn elf_resub(mut self, elf: Elf<Resubstitution>) -> Self {
-        self.stages.push(Stage::ElfResub(Box::new(elf)));
-        self.wire_last_stage()
+    /// Appends a resubstitution stage pruned by `classifier`.
+    pub fn elf_resub(self, params: ResubParams, classifier: ElfClassifier) -> Self {
+        self.push(
+            Operator::Resub(Resubstitution::new(params)),
+            Some(classifier),
+        )
     }
 
     /// Number of stages in the flow.
@@ -409,14 +424,7 @@ impl Flow {
             let stage_snapshot = (self.verify == VerifyMode::PerStage).then(|| aig.clone());
             let stage_span = elf_obs::span!(stage.name(), ands = aig.num_reachable_ands());
             let stage_start = Instant::now();
-            let (op, elf): (OpStats, Option<ElfStats>) = match stage {
-                Stage::Refactor(params) => (self.run_plain(Refactor::new(*params), aig), None),
-                Stage::Rewrite(params) => (self.run_plain(Rewrite::new(*params), aig), None),
-                Stage::Resub(params) => (self.run_plain(Resubstitution::new(*params), aig), None),
-                Stage::ElfRefactor(elf) => self.run_pruned(elf, aig),
-                Stage::ElfRewrite(elf) => self.run_pruned(elf, aig),
-                Stage::ElfResub(elf) => self.run_pruned(elf, aig),
-            };
+            let (op, elf) = stage.run(aig, self.parallelism);
             let runtime = stage_start.elapsed();
             drop(stage_span);
             op.record_into(&registry, stage.name());
@@ -502,27 +510,6 @@ impl Flow {
             runtime,
             conflicts: report.conflicts,
         }
-    }
-
-    /// Runs a plain stage's freshly built operator, wired to the flow-shared
-    /// cut cache when there is one.
-    fn run_plain<O: PrunableOperator>(&self, mut operator: O, aig: &mut Aig) -> OpStats {
-        if let Some(cache) = &self.cut_cache {
-            operator.set_cut_cache(cache.clone());
-        }
-        operator.run(aig)
-    }
-
-    /// Runs a pruned stage with the flow-wide worker-thread override when
-    /// set, the stage's own configuration otherwise.
-    fn run_pruned<O: PrunableOperator>(
-        &self,
-        elf: &Elf<O>,
-        aig: &mut Aig,
-    ) -> (OpStats, Option<ElfStats>) {
-        let parallelism = self.parallelism.unwrap_or(elf.options().parallelism);
-        let stats = elf.run_with(aig, parallelism);
-        (stats.op, Some(stats))
     }
 }
 
@@ -655,14 +642,9 @@ mod tests {
     fn mixed_pipeline_runs_pruned_and_plain_stages() {
         let mut aig = redundant_circuit();
         let golden = aig.clone();
-        let elf_rewrite = Elf::with_operator(
-            always_keep_classifier(),
-            Rewrite::default(),
-            ElfOptions::default(),
-        );
         let stats = Flow::new()
             .refactor(RefactorParams::default())
-            .elf_rewrite(elf_rewrite)
+            .elf_rewrite(RewriteParams::default(), always_keep_classifier())
             .resub(ResubParams::default())
             .run(&mut aig);
         assert_eq!(
@@ -708,9 +690,9 @@ mod tests {
             ElfOptions::default(),
         )
         .unwrap();
-        assert_eq!(flow.verify(), VerifyMode::Off, "parsing turns no check on");
+        let unchecked = flow.run(&mut redundant_circuit());
+        assert!(unchecked.verify.is_none(), "parsing turns no check on");
         let flow = flow.with_verify(VerifyMode::Final);
-        assert_eq!(flow.verify(), VerifyMode::Final);
         let mut aig = redundant_circuit();
         let stats = flow.run(&mut aig);
         let outcome = stats.verify.expect("verify was requested");

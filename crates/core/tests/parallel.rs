@@ -58,16 +58,21 @@ fn structure(aig: &Aig) -> (Vec<StructuralNode>, Vec<(u32, bool)>) {
 /// Runs one pruned pass sequentially and at every parallel thread count and
 /// asserts identical decisions, statistics and result networks.
 fn check_elf_determinism<O: PrunableOperator + Clone>(operator: O, source: &Aig) {
-    let elf = Elf::with_operator(mixed_classifier(), operator, ElfOptions::default());
+    let elf = |parallelism| {
+        let options = ElfOptions {
+            parallelism,
+            ..ElfOptions::default()
+        };
+        Elf::with_operator(mixed_classifier(), operator.clone(), options)
+    };
 
     let mut sequential_aig = source.clone();
-    let sequential_stats = elf.run_with(&mut sequential_aig, Parallelism::sequential());
+    let sequential_stats = elf(Parallelism::sequential()).run(&mut sequential_aig);
     let sequential_structure = structure(&sequential_aig);
 
     for threads in THREAD_COUNTS {
         let mut parallel_aig = source.clone();
-        let parallel_stats: ElfStats =
-            elf.run_with(&mut parallel_aig, Parallelism::threads(threads));
+        let parallel_stats: ElfStats = elf(Parallelism::threads(threads)).run(&mut parallel_aig);
         assert_eq!(
             (sequential_stats.pruned, sequential_stats.kept),
             (parallel_stats.pruned, parallel_stats.kept),
@@ -127,7 +132,6 @@ fn stress_repeated_parallel_flow_runs_hash_identically() {
     let flow = Flow::pruned_from_script("rf; rw; rs", &mixed_classifier(), ElfOptions::default())
         .expect("script parses")
         .with_parallelism(max_threads);
-    assert_eq!(flow.parallelism(), Some(max_threads));
 
     // Reference: the identical flow forced sequential.
     let mut reference_aig = source.clone();
@@ -156,9 +160,9 @@ fn stress_repeated_parallel_flow_runs_hash_identically() {
     );
 }
 
-/// The flow-wide override really reaches every pruned stage: a flow whose
-/// stages are configured sequential but overridden to 7 threads still equals
-/// the all-sequential result.
+/// The flow's one thread count reaches every pruned stage: a flow parsed
+/// with sequential options and then set to 7 threads still equals the
+/// all-sequential result.
 #[test]
 fn flow_override_is_applied_and_deterministic() {
     let source = stress_circuit();

@@ -99,7 +99,8 @@ pub fn model_from_text(text: &str) -> Result<Mlp, ParseModelError> {
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| ParseModelError::new("missing layer count"))?;
-    let mut layers = Vec::with_capacity(count);
+    // The count is untrusted: layers are pushed as they parse, not reserved.
+    let mut layers = Vec::new();
     for _ in 0..count {
         let meta = lines
             .next()
@@ -122,7 +123,7 @@ pub fn model_from_text(text: &str) -> Result<Mlp, ParseModelError> {
                 .next()
                 .ok_or_else(|| ParseModelError::new("missing weight row"))?,
         )?;
-        if weights.len() != inputs * outputs {
+        if inputs.checked_mul(outputs) != Some(weights.len()) {
             return Err(ParseModelError::new("weight count mismatch"));
         }
         let bias = parse_floats(
@@ -174,5 +175,8 @@ mod tests {
         assert!(model_from_text("mlp 1\nlayer 2 2 bogus\n1 2 3 4\n0 0\n").is_err());
         assert!(model_from_text("mlp 1\nlayer 2 2 relu\n1 2 3\n0 0\n").is_err());
         assert!(model_from_text("mlp 1\nlayer 2 2 relu\n1 2 3 4\n0\n").is_err());
+        // Counts nothing could hold are errors, not allocations or overflows.
+        assert!(model_from_text("mlp 18446744073709551615\n").is_err());
+        assert!(model_from_text("mlp 1\nlayer 4294967296 4294967297 relu\n\n0\n").is_err());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Zero-dependency observability for the ELF stack: a lock-free
 //! [`metrics`] registry (counters, gauges, log-bucketed latency
-//! histograms with exact p50/p90/p99/max readout, Prometheus-style text
+//! histograms with exact p50/p99/max readout, Prometheus-style text
 //! exposition) and a [`trace`] facade (RAII [`span!`] guards, per-thread
 //! ring buffers, `ELF_TRACE` gating, Chrome `trace_event` export with a
 //! round-trip [`chrome`] parser).

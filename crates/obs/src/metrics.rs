@@ -89,11 +89,6 @@ impl Gauge {
         self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Raises the reading to `v` if `v` is larger (running maximum).
-    pub fn set_max(&self, v: i64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current reading.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
@@ -273,11 +268,6 @@ impl HistogramSnapshot {
         self.quantile(0.50)
     }
 
-    /// 90th-percentile sample (bucket-resolution).
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
     /// 99th-percentile sample (bucket-resolution).
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
@@ -382,11 +372,6 @@ impl Registry {
     /// The gauge registered under `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
         resolve(&self.inner.gauges, name)
-    }
-
-    /// The gauge `name{labels…}`.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        self.gauge(&labeled(name, labels))
     }
 
     /// The histogram registered under `name`.

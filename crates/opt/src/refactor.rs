@@ -34,6 +34,7 @@ pub struct RefactorParams {
     pub min_leaves: usize,
 }
 
+/// The paper's baseline invocation, `refactor -l`.
 impl Default for RefactorParams {
     fn default() -> Self {
         RefactorParams {
@@ -43,13 +44,6 @@ impl Default for RefactorParams {
             try_complement: true,
             min_leaves: 3,
         }
-    }
-}
-
-impl RefactorParams {
-    /// Parameters matching the paper's baseline invocation `refactor -l`.
-    pub fn paper_baseline() -> Self {
-        Self::default()
     }
 }
 

@@ -111,14 +111,14 @@ fn a_batched_pruned_pass_amortises_its_window_store() {
         0.0,
     );
     let options = ElfOptions {
+        parallelism: Parallelism::sequential(),
         cut_cache: CutCacheConfig::disabled(),
-        ..ElfOptions::default()
     };
     let elf = Elf::with_operator(keep_all, Refactor::default(), options);
-    let first = elf.run_with(&mut source.clone(), Parallelism::sequential());
+    let first = elf.run(&mut source.clone());
     let mut aig = source.clone();
     let before = ALLOCATIONS.with(Cell::get);
-    let stats = elf.run_with(&mut aig, Parallelism::sequential());
+    let stats = elf.run(&mut aig);
     let allocations = ALLOCATIONS.with(Cell::get) - before;
 
     assert_eq!(stats.op.cuts_committed, first.op.cuts_committed);

@@ -10,10 +10,7 @@
 
 use elf::aig::aiger;
 use elf::circuits::industrial::{generate_industrial, TABLE2_PROFILES};
-use elf::core::{
-    circuit_dataset, collect_labeled_cuts, cuts_to_arrays, ElfClassifier, ElfConfig, ElfRefactor,
-    Flow,
-};
+use elf::core::{circuit_dataset, collect_labeled_cuts, cuts_to_arrays, ElfClassifier, Flow};
 use elf::nn::{Dataset, TrainConfig};
 use elf::opt::{RefactorParams, ResubParams, RewriteParams};
 
@@ -82,9 +79,8 @@ fn main() {
 
     // Accelerated: the same pipeline with the refactor stage pruned by the
     // trained classifier.
-    let elf = ElfRefactor::new(classifier, ElfConfig::default());
     let pruned_flow = Flow::new()
-        .elf_refactor(elf)
+        .elf_refactor(params, classifier)
         .rewrite(RewriteParams::default())
         .resub(ResubParams::default());
     let mut elf_aig = target.clone();

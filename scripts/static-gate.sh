@@ -181,10 +181,10 @@ echo "static-gate: elf-cec keeps per-node tables by slot"
 
 # One home for verification, one path to a decision: in `elf-core`, only the
 # flow (`pipeline.rs`) calls the SAT checker, and the classifier's decision
-# runs through `normalized_rows` / `predict_batch_self_normalized` and
-# `decide`.  A `check_equivalence` anywhere else in the non-test region is a
-# second gate coming back; a `pub fn classify_batch*` or
-# `pub fn predict_batch_with` is a second decision path coming back.
+# runs through `ElfClassifier::classify`.  A `check_equivalence` anywhere
+# else in the non-test region is a second gate coming back; a
+# `pub fn classify_batch*` or `pub fn predict_batch_with` is a second
+# decision path coming back.
 twins=$(awk '
     FNR == 1 { in_tests = 0 }
     /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -233,3 +233,24 @@ if [ -n "$eager" ]; then
     exit 1
 fi
 echo "static-gate: the CNF is loaded one cone at a time"
+
+# One way to run a pruned pass: in `elf-core`, a flow stage is an operator
+# plus an optional classifier, and `Elf::run` and `Flow::run` share one
+# crate-private pruned pass at one thread count.  A `fn run_with` or an
+# `Option<Parallelism>` in the non-test region is the per-call thread-count
+# override and its precedence rule coming back; a `predict_with(` outside
+# `classifier.rs` is a second keep/prune decision composed beside
+# `ElfClassifier::classify`.
+passes=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /fn run_with|Option<Parallelism>/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    FILENAME !~ /classifier\.rs$/ && /predict_with\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+' crates/core/src/*.rs)
+if [ -n "$passes" ]; then
+    echo "$passes"
+    echo "static-gate: run_with or Option<Parallelism> in non-test elf-core code, or predict_with( outside classifier.rs" >&2
+    exit 1
+fi
+echo "static-gate: one pruned pass and one decision function in elf-core"

@@ -225,7 +225,7 @@ fn flow_pipeline_mixes_plain_and_pruned_stages() {
     let golden = suite.circuits()[held_out].aig.clone();
     let mut optimized = golden.clone();
     let flow = Flow::new()
-        .elf_refactor(ElfRefactor::new(classifier, config.elf))
+        .elf_refactor(config.elf.refactor, classifier)
         .rewrite(RewriteParams::default())
         .resub(ResubParams::default());
     assert_eq!(flow.stage_names(), vec!["elf-refactor", "rewrite", "resub"]);
