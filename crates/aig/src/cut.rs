@@ -42,8 +42,9 @@ use crate::lit::NodeId;
 /// A reconvergence-driven cut rooted at a single AND node.
 ///
 /// `leaves` are the boundary nodes (inputs of the cut), `cone` contains the
-/// internal nodes including the root (fanout-ordered from root downwards is
-/// not guaranteed; use [`Cut::cone_topological`] for evaluation order).
+/// internal nodes including the root, in the order the cut engine collected
+/// them — not an evaluation order: an operator that evaluates the cone
+/// orders it itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cut {
     /// The root node of the cut.
@@ -74,53 +75,6 @@ impl Cut {
     /// Number of nodes spanned by the cut (internal nodes plus leaves).
     pub fn size(&self) -> usize {
         self.cone.len() + self.leaves.len()
-    }
-
-    /// Returns the internal cone nodes in topological (fanin-before-fanout)
-    /// order, ending with the root.
-    pub fn cone_topological(&self, aig: &Aig) -> Vec<NodeId> {
-        let mut order = Vec::with_capacity(self.cone.len());
-        self.cone_topological_into(aig, &mut CutScratch::new(), &mut order);
-        order
-    }
-
-    /// [`Cut::cone_topological`] written to `order` (cleared first), walking
-    /// on the buffers of `scratch`; the work is bounded by the cone, never by
-    /// the graph.
-    pub fn cone_topological_into(
-        &self,
-        aig: &Aig,
-        scratch: &mut CutScratch,
-        order: &mut Vec<NodeId>,
-    ) {
-        // Membership and the visited mark share one scan: a node's position
-        // in `cone` indexes its mark.
-        let CutScratch {
-            visited,
-            walk: stack,
-            ..
-        } = scratch;
-        visited.clear();
-        visited.resize(self.cone.len(), false);
-        order.clear();
-        stack.clear();
-        stack.push((self.root, false));
-        while let Some((id, expanded)) = stack.pop() {
-            if expanded {
-                order.push(id);
-                continue;
-            }
-            let Some(position) = self.cone.iter().position(|&member| member == id) else {
-                continue;
-            };
-            if std::mem::replace(&mut visited[position], true) {
-                continue;
-            }
-            stack.push((id, true));
-            let (f0, f1) = aig.fanins(id);
-            stack.push((f0.node(), false));
-            stack.push((f1.node(), false));
-        }
     }
 }
 
@@ -242,10 +196,6 @@ pub struct CutScratch {
     travid: u32,
     /// Reusable DFS stack for cone collection.
     stack: Vec<NodeId>,
-    /// [`Cut::cone_topological_into`]'s marks, one per cone node, and its
-    /// stack of (node, already expanded).
-    visited: Vec<bool>,
-    walk: Vec<(NodeId, bool)>,
 }
 
 impl CutScratch {
@@ -279,11 +229,7 @@ impl CutScratch {
     /// Whether no buffer has been grown yet.
     #[cfg(test)]
     pub(crate) fn is_pristine(&self) -> bool {
-        self.marks.capacity()
-            + self.stack.capacity()
-            + self.visited.capacity()
-            + self.walk.capacity()
-            == 0
+        self.marks.capacity() + self.stack.capacity() == 0
     }
 }
 
@@ -553,24 +499,6 @@ mod tests {
         let cut = aig.reconvergence_cut(f.node(), &params);
         assert!(cut.num_leaves() <= 6);
         assert!(cut.cone.contains(&f.node()));
-    }
-
-    #[test]
-    fn cone_topological_ends_with_root() {
-        let (mut aig, f) = reconvergent_aig();
-        let cut = aig.reconvergence_cut(f.node(), &CutParams::default());
-        let order = cut.cone_topological(&aig);
-        assert_eq!(order.len(), cut.cone.len());
-        assert_eq!(*order.last().unwrap(), f.node());
-        // Fanins must appear before fanouts.
-        for (i, &id) in order.iter().enumerate() {
-            let (f0, f1) = aig.fanins(id);
-            for fanin in [f0.node(), f1.node()] {
-                if let Some(pos) = order.iter().position(|&x| x == fanin) {
-                    assert!(pos < i);
-                }
-            }
-        }
     }
 
     #[test]

@@ -6,26 +6,84 @@
 //! ids follow the order `Aig::and` is called in, so that order is part of
 //! every fingerprint (the arena itself lists a balanced tree level by level,
 //! which is not it).
+//!
+//! # Counting stops where the reading cannot win
+//!
+//! A reading of the form gains `saved − new`, where `saved` is the size of
+//! the cut-bounded MFFC and `new` the nodes the form adds.  The operator
+//! takes a reading only when its gain reaches a *floor*: 1 (0 under
+//! `zero_gain`), and one more than the best gain already found — the first
+//! reading of a cut for the second, and rewrite's earlier cuts of the same
+//! root.  So [`best_reading`] counts each reading's new nodes under the
+//! limit `saved − floor` and abandons it once past it, as ABC's
+//! `Dec_GraphToNetworkCount` stops at `NodeMax` (Mishchenko et al.,
+//! "DAG-aware AIG rewriting", DAC'06).  The count only grows, so an
+//! abandoned reading would have gained less than the floor; a reading
+//! counted to the end has its exact count and level.  A reading below the
+//! floor is never taken, so every accept and commit is the one the
+//! unbounded count makes — node for node, as the `#[cfg(test)]` reference
+//! of this file checks.  Most cuts free one node (`saved` = 1, limit 0):
+//! their readings stop at the first new gate instead of counting ~60.
 
-use elf_aig::{Aig, Cut, CutScratch, Lit, NodeId};
+use elf_aig::{Aig, Cut, Lit, NodeId};
 use elf_sop::{FactoredForm, Gate, Term, TruthTable, MAX_VARS};
 
 use crate::cache::NpnTransform;
 
-/// The buffers a cut is simulated in: the walk that orders its cone, the
-/// order, and one table per leaf and cone node.
+/// A `u32` per graph slot that forgets every entry at once: an entry is
+/// live while its epoch is the map's, so starting over costs an increment,
+/// not a pass over the graph.
+#[derive(Debug, Default)]
+pub(crate) struct SlotMap {
+    entries: Vec<(u32, u32)>,
+    epoch: u32,
+}
+
+impl SlotMap {
+    /// Forgets every entry and makes room for each slot of `aig` (commits
+    /// add nodes while a pass runs).
+    pub(crate) fn clear(&mut self, aig: &Aig) {
+        if self.entries.len() < aig.num_slots() {
+            self.entries.resize(aig.num_slots(), (0, 0));
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: entries of epochs 1, 2, … would come back to life.
+            self.entries.fill((0, 0));
+            self.epoch = 1;
+        }
+    }
+
+    pub(crate) fn insert(&mut self, id: NodeId, value: u32) {
+        self.entries[id.as_usize()] = (self.epoch, value);
+    }
+
+    pub(crate) fn get(&self, id: NodeId) -> Option<u32> {
+        let (epoch, value) = self.entries[id.as_usize()];
+        (epoch == self.epoch).then_some(value)
+    }
+}
+
+/// The buffers a cut is simulated in: the order of its cone, one table per
+/// leaf and cone node, where each one's table sits, and the walk that
+/// orders the cone.
 #[derive(Debug, Default)]
 pub(crate) struct Simulation {
-    walk: CutScratch,
-    /// The cone in evaluation order ([`Cut::cone_topological`], the root last).
+    /// The cone in evaluation order, the root last.
     pub(crate) order: Vec<NodeId>,
     /// The tables, laid out as [`simulate_cut`] documents.
     pub(crate) tables: Vec<u64>,
+    /// The table slot of each leaf and cone node, by graph slot.
+    pub(crate) slots: SlotMap,
+    /// The depth-first stack of (node, already expanded).
+    walk: Vec<(NodeId, bool)>,
 }
 
 /// Computes the truth table of the cut's root as a function of its leaves.
 ///
-/// Leaf `i` of the cut corresponds to truth-table variable `i`.
+/// Leaf `i` of the cut corresponds to truth-table variable `i`.  Each call
+/// simulates in fresh buffers, the slot map among them, which is sized to
+/// the graph; the operators reuse theirs across a pass.
 ///
 /// # Panics
 ///
@@ -47,29 +105,56 @@ pub(crate) fn cut_truth_table_in(aig: &Aig, cut: &Cut, simulation: &mut Simulati
 /// cone in evaluation order in `simulation.order` and returns the number of
 /// words per table.
 ///
-/// `simulation.tables` becomes one flat buffer sized to the cut — per-call
-/// work must not scale with the arena.  Slot 0 stays constant false, slot
-/// `1 + i` holds leaf `i`'s projection and slot `1 + num_leaves + j` the
-/// `j`-th node of the order; a fanin is found by position among the handful
-/// of leaves and earlier cone nodes.  Below six leaves a slot's single word
-/// repeats the `2^n`-bit table to fill all 64 bits, so two slots are equal as
-/// words exactly when they are equal as functions.
+/// The order is a depth-first walk from the root that stops at the leaves,
+/// second fanin first, a node placed after its fanins (every fanin of a cone
+/// node is a leaf or a cone node).  `simulation.tables` becomes one flat
+/// buffer sized to the cut — per-call work must not scale with the arena.
+/// Slot 0 stays constant false, slot `1 + i` holds leaf `i`'s projection and
+/// slot `1 + num_leaves + j` the `j`-th node of the order;
+/// `simulation.slots` maps the constant, each leaf and each cone node to its
+/// slot, so a fanin is found in O(1).  Below six leaves a slot's single word
+/// repeats the `2^n`-bit table to fill all 64 bits, so two slots are equal
+/// as words exactly when they are equal as functions.
 ///
 /// # Panics
 ///
 /// Panics if the cut has more than [`elf_sop::MAX_VARS`] leaves.
 pub(crate) fn simulate_cut(aig: &Aig, cut: &Cut, simulation: &mut Simulation) -> usize {
     let Simulation {
-        walk,
         order,
         tables,
+        slots,
+        walk,
     } = simulation;
     let num_vars = cut.num_leaves();
     assert!(
         num_vars <= elf_sop::MAX_VARS,
         "cut with {num_vars} leaves exceeds the supported truth-table width"
     );
-    cut.cone_topological_into(aig, walk, order);
+    slots.clear(aig);
+    for (&leaf, slot) in cut.leaves.iter().zip(1..) {
+        slots.insert(leaf, slot);
+    }
+    slots.insert(NodeId::CONST0, 0);
+    order.clear();
+    walk.clear();
+    walk.push((cut.root, false));
+    while let Some((id, expanded)) = walk.pop() {
+        if expanded {
+            slots.insert(id, (1 + num_vars + order.len()) as u32);
+            order.push(id);
+            continue;
+        }
+        if slots.get(id).is_some() {
+            continue;
+        }
+        // Reached: its slot is set once its fanins have theirs.
+        slots.insert(id, u32::MAX);
+        walk.push((id, true));
+        let (f0, f1) = aig.fanins(id);
+        walk.push((f0.node(), false));
+        walk.push((f1.node(), false));
+    }
     assert_eq!(
         order.last(),
         Some(&cut.root),
@@ -88,23 +173,19 @@ pub(crate) fn simulate_cut(aig: &Aig, cut: &Cut, simulation: &mut Simulation) ->
         }
     }
     // Where a fanin's table starts, and the mask that complements it.
-    let operand = |lit: Lit, done: usize| -> (usize, u64) {
-        let slot = if lit.node().is_const0() {
-            0
-        } else {
-            1 + cut
-                .leaves
-                .iter()
-                .chain(&order[..done])
-                .position(|&id| id == lit.node())
-                .expect("fanin of a cone node must be a leaf or an earlier cone node")
-        };
-        (slot * words, if lit.is_complemented() { !0 } else { 0 })
+    let operand = |lit: Lit| -> (usize, u64) {
+        let slot = slots
+            .get(lit.node())
+            .expect("a fanin is mapped before its fanout");
+        (
+            slot as usize * words,
+            if lit.is_complemented() { !0 } else { 0 },
+        )
     };
     for (done, &node) in order.iter().enumerate() {
         let (f0, f1) = aig.fanins(node);
-        let (at0, flip0) = operand(f0, done);
-        let (at1, flip1) = operand(f1, done);
+        let (at0, flip0) = operand(f0);
+        let (at1, flip1) = operand(f1);
         let (earlier, table) = tables.split_at_mut((1 + num_vars + done) * words);
         for (index, word) in table[..words].iter_mut().enumerate() {
             *word = (earlier[at0 + index] ^ flip0) & (earlier[at1 + index] ^ flip1);
@@ -139,54 +220,57 @@ pub fn count_new_nodes(
     leaf_lits: &[Lit],
     root: Option<NodeId>,
 ) -> ImplementationCost {
-    let mut new_nodes = 0usize;
-    let level = count_rec(aig, expr, expr.root(), leaf_lits, root, &mut new_nodes).1;
+    let mut budget = usize::MAX;
+    let (_, level) = count_rec(aig, expr, expr.root(), leaf_lits, root, &mut budget)
+        .expect("no count exceeds usize::MAX");
+    let new_nodes = usize::MAX - budget;
     ImplementationCost { new_nodes, level }
 }
 
 /// Recursive helper: returns (literal if the sub-expression already exists,
-/// estimated level).
+/// estimated level), taking one from `budget` per new node, or `None` as
+/// soon as a new node finds it spent (see the module docs).
 fn count_rec(
     aig: &Aig,
     expr: &FactoredForm,
     term: Term,
     leaf_lits: &[Lit],
     root: Option<NodeId>,
-    new_nodes: &mut usize,
-) -> (Option<Lit>, u32) {
+    budget: &mut usize,
+) -> Option<(Option<Lit>, u32)> {
     match term {
-        Term::Const(value) => (Some(aig.constant(value)), 0),
+        Term::Const(value) => Some((Some(aig.constant(value)), 0)),
         Term::Literal { var, negated } => {
             let lit = leaf_lits[usize::from(var)].complement_if(negated);
-            (Some(lit), aig.level(lit.node()))
+            Some((Some(lit), aig.level(lit.node())))
         }
         Term::Gate(index) => {
             let Gate {
                 or,
                 operands: [a, b],
             } = expr.gates()[index as usize];
-            let (la, level_a) = count_rec(aig, expr, a, leaf_lits, root, new_nodes);
-            let (lb, level_b) = count_rec(aig, expr, b, leaf_lits, root, new_nodes);
-            let level = 1 + level_a.max(level_b);
+            let (la, level_a) = count_rec(aig, expr, a, leaf_lits, root, budget)?;
+            let (lb, level_b) = count_rec(aig, expr, b, leaf_lits, root, budget)?;
             let found = match (la, lb) {
                 // a | b is the complement of !a & !b.
                 (Some(x), Some(y)) => aig.and_lookup(x.complement_if(or), y.complement_if(or)),
                 _ => None,
             };
-            let Some(lit) = found else {
-                *new_nodes += 1;
-                return (None, level);
-            };
-            let node = lit.node();
             // Nodes in the dereferenced MFFC (refs == 0) and the root itself
             // will be deleted by the commit, so reusing them still costs one
             // node.
-            if Some(node) == root || (aig.is_and(node) && aig.refs(node) == 0) {
-                *new_nodes += 1;
+            let reused = found.map(Lit::node).is_some_and(|node| {
+                Some(node) != root && !(aig.is_and(node) && aig.refs(node) == 0)
+            });
+            if !reused {
+                *budget = budget.checked_sub(1)?;
             }
-            // Constant folding may collapse the operator; the existing
-            // literal's own level is a better estimate.
-            (Some(lit.complement_if(or)), aig.level(node))
+            Some(match found {
+                None => (None, 1 + level_a.max(level_b)),
+                // Constant folding may collapse the operator; the existing
+                // literal's own level is a better estimate.
+                Some(lit) => (Some(lit.complement_if(or)), aig.level(lit.node())),
+            })
         }
     }
 }
@@ -233,7 +317,9 @@ pub(crate) struct Reading {
 /// for the cut over `leaf_lits` rooted at `node` — the function's, then the
 /// complement's where it is one of its own — with the cut-bounded MFFC of
 /// `node`, `saved` nodes, dereferenced.  Returns the one of highest gain
-/// among those not above `level_bound`, the first on a tie.
+/// among those that meet both bounds — a level not above `level_bound` and
+/// a gain of at least `floor` — the first on a tie; each reading's count
+/// stops where its gain falls below the floor (see the module docs).
 pub(crate) fn best_reading(
     aig: &Aig,
     form: &FactoredForm,
@@ -241,24 +327,29 @@ pub(crate) fn best_reading(
     leaf_lits: &[Lit],
     node: NodeId,
     saved: i64,
-    level_bound: Option<u32>,
+    (level_bound, mut floor): (Option<u32>, i64),
 ) -> Option<Reading> {
     let mut best: Option<Reading> = None;
     for (transform, complemented) in [(Some(transform), false), (complement, true)] {
         let Some(transform) = transform else { continue };
+        // Past `saved - floor` new nodes the gain is below the floor.
+        let Ok(limit) = usize::try_from(saved - floor) else {
+            break;
+        };
         let lits = transform.leaf_map(leaf_lits);
-        let cost = count_new_nodes(aig, form, &lits, Some(node));
-        if level_bound.is_some_and(|bound| cost.level > bound) {
+        let mut budget = limit;
+        let counted = count_rec(aig, form, form.root(), &lits, Some(node), &mut budget);
+        let Some((_, level)) = counted else { continue };
+        if level_bound.is_some_and(|bound| level > bound) {
             continue;
         }
-        let gain = saved - cost.new_nodes as i64;
-        if best.is_none_or(|best| gain > best.gain) {
-            best = Some(Reading {
-                lits,
-                complemented: transform.output_negated() != complemented,
-                gain,
-            });
-        }
+        let gain = saved - (limit - budget) as i64;
+        floor = gain + 1;
+        best = Some(Reading {
+            lits,
+            complemented: transform.output_negated() != complemented,
+            gain,
+        });
     }
     best
 }
@@ -291,8 +382,222 @@ pub(crate) fn commit_replacement(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CutCache;
     use elf_aig::CutParams;
-    use elf_sop::factor_truth_table;
+    use elf_circuits::epfl::{arithmetic_suite, Scale};
+    use elf_sop::{factor_truth_table, FactorScratch};
+    use proptest::prelude::{any, prop_assert_eq, ProptestConfig};
+
+    /// The oracle of the cone order: the depth-first walk `simulate_cut`
+    /// orders the cone by, as `elf-aig` ran it — cone membership by a linear
+    /// scan, one visited flag per cone position — kept verbatim.
+    fn cone_topological_oracle(cut: &Cut, aig: &Aig) -> Vec<NodeId> {
+        let mut visited = vec![false; cut.cone.len()];
+        let mut order = Vec::with_capacity(cut.cone.len());
+        let mut stack = vec![(cut.root, false)];
+        while let Some((id, expanded)) = stack.pop() {
+            if expanded {
+                order.push(id);
+                continue;
+            }
+            let Some(position) = cut.cone.iter().position(|&member| member == id) else {
+                continue;
+            };
+            if std::mem::replace(&mut visited[position], true) {
+                continue;
+            }
+            stack.push((id, true));
+            let (f0, f1) = aig.fanins(id);
+            stack.push((f0.node(), false));
+            stack.push((f1.node(), false));
+        }
+        order
+    }
+
+    /// The oracle of the tables: each fanin found by its position among the
+    /// leaves and the earlier nodes of the oracle's order.
+    fn tables_oracle(aig: &Aig, cut: &Cut) -> Vec<u64> {
+        let order = cone_topological_oracle(cut, aig);
+        let num_vars = cut.num_leaves();
+        let words = 1usize << num_vars.saturating_sub(6);
+        let mut tables = vec![0; words];
+        for var in 0..num_vars {
+            tables.extend((0..words).map(|index| TruthTable::var_word(var, index)));
+        }
+        for (done, &node) in order.iter().enumerate() {
+            let (f0, f1) = aig.fanins(node);
+            let word = |lit: Lit, index: usize| {
+                let slot = if lit.node().is_const0() {
+                    0
+                } else {
+                    let mut members = cut.leaves.iter().chain(&order[..done]);
+                    1 + members.position(|&id| id == lit.node()).unwrap()
+                };
+                tables[slot * words + index] ^ if lit.is_complemented() { !0 } else { 0 }
+            };
+            let table: Vec<u64> = (0..words).map(|i| word(f0, i) & word(f1, i)).collect();
+            tables.extend(table);
+        }
+        tables
+    }
+
+    /// `best_reading` as it was before the bound: every reading counted in
+    /// full, the strict maximum among those not above `level_bound`, with
+    /// no floor — the caller applies the accept rule.
+    fn best_reading_unbounded(
+        aig: &Aig,
+        form: &FactoredForm,
+        (transform, complement): (NpnTransform, Option<NpnTransform>),
+        leaf_lits: &[Lit],
+        node: NodeId,
+        saved: i64,
+        level_bound: Option<u32>,
+    ) -> Option<Reading> {
+        let mut best: Option<Reading> = None;
+        for (transform, complemented) in [(Some(transform), false), (complement, true)] {
+            let Some(transform) = transform else { continue };
+            let lits = transform.leaf_map(leaf_lits);
+            let cost = count_new_nodes(aig, form, &lits, Some(node));
+            if level_bound.is_some_and(|bound| cost.level > bound) {
+                continue;
+            }
+            let gain = saved - cost.new_nodes as i64;
+            if best.is_none_or(|best| gain > best.gain) {
+                best = Some(Reading {
+                    lits,
+                    complemented: transform.output_negated() != complemented,
+                    gain,
+                });
+            }
+        }
+        best
+    }
+
+    /// What a caller commits off a reading.
+    fn decision(reading: Option<Reading>) -> Option<([Lit; MAX_VARS], bool, i64)> {
+        reading.map(|r| (r.lits, r.complemented, r.gain))
+    }
+
+    /// The cone order is the oracle's walk, node for node, fanins before
+    /// fanouts, the root last; and the tables are the oracle's.
+    #[test]
+    fn simulation_order_is_the_cone_walk_and_ends_with_root() {
+        let mut simulation = Simulation::default();
+        for (name, mut aig) in arithmetic_suite(Scale::Tiny) {
+            let nodes: Vec<NodeId> = aig.and_ids().collect();
+            for node in nodes {
+                let cut = aig.reconvergence_cut(node, &CutParams::default());
+                simulate_cut(&aig, &cut, &mut simulation);
+                let order = &simulation.order;
+                assert_eq!(
+                    *order,
+                    cone_topological_oracle(&cut, &aig),
+                    "{name} {node:?}"
+                );
+                assert_eq!(order.len(), cut.cone.len(), "{name} {node:?}");
+                assert_eq!(order.last(), Some(&node), "{name} {node:?}");
+                for (i, &id) in order.iter().enumerate() {
+                    let (f0, f1) = aig.fanins(id);
+                    for fanin in [f0.node(), f1.node()] {
+                        if let Some(at) = order.iter().position(|&x| x == fanin) {
+                            assert!(at < i, "{name} {node:?}: fanin after fanout");
+                        }
+                    }
+                }
+                assert_eq!(
+                    simulation.tables,
+                    tables_oracle(&aig, &cut),
+                    "{name} {node:?}"
+                );
+            }
+        }
+    }
+
+    /// When the epoch wraps, every entry is forgotten — none of an old
+    /// epoch comes back to life — and the tables stay right.
+    #[test]
+    fn slot_map_epoch_wrap_forgets_every_entry() {
+        let (_, mut aig) = arithmetic_suite(Scale::Tiny).swap_remove(0);
+        let nodes: Vec<NodeId> = aig.and_ids().collect();
+        let cuts: Vec<Cut> = nodes
+            .iter()
+            .map(|&node| aig.reconvergence_cut(node, &CutParams::default()))
+            .collect();
+        let mut simulation = Simulation::default();
+        // Epoch 1 maps the first cut's nodes, and the wrap lands on 1 again.
+        simulate_cut(&aig, &cuts[0], &mut simulation);
+        simulation.slots.epoch = u32::MAX;
+        simulation.slots.clear(&aig);
+        assert_eq!(simulation.slots.epoch, 1);
+        assert!(cuts[0]
+            .leaves
+            .iter()
+            .chain(&cuts[0].cone)
+            .all(|&id| simulation.slots.get(id).is_none()));
+        simulation.slots.epoch = u32::MAX - 2;
+        for cut in cuts.iter().take(8) {
+            simulate_cut(&aig, cut, &mut simulation);
+            assert_eq!(
+                simulation.tables,
+                tables_oracle(&aig, cut),
+                "{:?}",
+                cut.root
+            );
+        }
+        assert_eq!(simulation.slots.epoch, 6, "the map wrapped on the way");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Counting under the floor decides what counting every node does:
+        /// per cut with nothing found before it (refactor), and with the
+        /// best of the root's earlier cuts raising the floor (rewrite) — the
+        /// same reading taken, or none on both sides.
+        #[test]
+        fn bounded_readings_decide_as_the_unbounded_count(
+            script in elf_circuits::script_strategy(40),
+            zero_gain in any::<bool>(),
+            preserve_level in any::<bool>(),
+        ) {
+            let mut aig = elf_circuits::scripted_circuit(6, &script);
+            let cache = CutCache::disabled();
+            let (mut factor, mut form) = (FactorScratch::default(), FactoredForm::default());
+            let accepted = i64::from(!zero_gain);
+            let nodes: Vec<NodeId> = aig.and_ids().filter(|&id| aig.refs(id) > 0).collect();
+            for node in nodes {
+                let level_bound = preserve_level.then(|| aig.level(node));
+                let (mut bounded, mut reference) = (None::<Reading>, None::<Reading>);
+                for max_leaves in [3, 4, 6, 8, 10] {
+                    let cut = aig.reconvergence_cut(node, &CutParams::with_max_leaves(max_leaves));
+                    let truth = cut_truth_table(&aig, &cut);
+                    let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| l.lit()).collect();
+                    let readings = cache.factor_both_into(&truth, &mut factor, &mut form);
+                    let saved = aig.deref_mffc_bounded(node, &cut.leaves) as i64;
+                    let weigh = |floor| {
+                        best_reading(&aig, &form, readings, &leaf_lits, node, saved, (level_bound, floor))
+                    };
+                    let full =
+                        best_reading_unbounded(&aig, &form, readings, &leaf_lits, node, saved, level_bound);
+                    prop_assert_eq!(
+                        decision(weigh(accepted)),
+                        decision(full.filter(|r| r.gain >= accepted))
+                    );
+                    if let Some(reading) = weigh(bounded.map_or(accepted, |best| best.gain + 1)) {
+                        bounded = Some(reading);
+                    }
+                    if let Some(reading) = full.filter(|r| reference.is_none_or(|best| r.gain > best.gain)) {
+                        reference = Some(reading);
+                    }
+                    aig.ref_mffc_bounded(node, &cut.leaves);
+                }
+                prop_assert_eq!(
+                    decision(bounded),
+                    decision(reference.filter(|r| r.gain >= accepted))
+                );
+            }
+        }
+    }
 
     fn or_of_ands() -> (Aig, Lit) {
         let mut aig = Aig::new();

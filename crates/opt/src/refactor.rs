@@ -157,16 +157,15 @@ impl PrunableOperator for Refactor {
         // the cut's leaves: the resynthesized implementation keeps using the
         // leaves, so logic below them can never be reclaimed by this commit.
         let saved = aig.deref_mffc_bounded(node, &cut.leaves) as i64;
+        // Only a reading that gains at least one node (zero with
+        // `zero_gain`) is accepted.
         let level_bound = self.params.preserve_level.then(|| aig.level(node));
+        let bounds = (level_bound, i64::from(!self.params.zero_gain));
         let readings = (transform, complement);
-        let best = best_reading(aig, form, readings, leaf_lits, node, saved, level_bound);
+        let best = best_reading(aig, form, readings, leaf_lits, node, saved, bounds);
         aig.ref_mffc_bounded(node, &cut.leaves);
 
         let best = best?;
-        let accept = best.gain > 0 || (self.params.zero_gain && best.gain >= 0);
-        if !accept {
-            return None;
-        }
         commit_replacement(aig, Self::NAME, node, |aig| {
             build_expr(aig, form, &best.lits).complement_if(best.complemented)
         })

@@ -16,7 +16,8 @@
 //! * **Window.**  The node's reconvergence-driven cut ([`ResubParams::cut`]),
 //!   skipped below two leaves or two cone nodes.  It is simulated *once*:
 //!   one flat word buffer holds the table of every leaf and cone node, and a
-//!   divisor is a literal plus its slot in that buffer.
+//!   divisor is a literal plus its slot in that buffer, read off the
+//!   simulation's slot map in O(1).
 //! * **Divisors.**  The leaves in cut order, then the cone nodes in
 //!   `Cut::cone` order that are neither the root nor inside its MFFC nor
 //!   (with `preserve_level`) above its level.
@@ -116,14 +117,15 @@ impl PrunableOperator for Resubstitution {
         }
         let num_vars = cut.num_leaves();
         let words = simulate_cut(aig, cut, simulation);
-        let (order, tables) = (&simulation.order, &simulation.tables);
+        let (order, tables, slots) = (&simulation.order, &simulation.tables, &simulation.slots);
         let table = |slot: usize| &tables[slot * words..][..words];
         let root_tt = table(num_vars + order.len());
         let root_level = aig.level(node);
 
         // Divisors: leaves and cone nodes outside the MFFC, not above the
         // root.  With the root's MFFC dereferenced, exactly the cone nodes
-        // inside it have zero references.
+        // inside it have zero references.  A cone node's table slot is the
+        // one the simulation mapped it to.
         divisors.clear();
         divisors.extend(
             cut.leaves
@@ -139,11 +141,8 @@ impl PrunableOperator for Resubstitution {
             if self.params.preserve_level && aig.level(n) > root_level {
                 continue;
             }
-            let position = order
-                .iter()
-                .position(|&id| id == n)
-                .expect("the simulation covers the whole cone");
-            divisors.push((n.lit(), 1 + num_vars + position));
+            let slot = slots.get(n).expect("the simulation covers the whole cone");
+            divisors.push((n.lit(), slot as usize));
         }
         aig.ref_mffc_bounded(node, &[]);
 

@@ -40,14 +40,16 @@
 //! The cut sets live in one positional scratch ([`CutWindow`]: set `i`
 //! belongs to window node `i`, leaves in one flat buffer with stride
 //! `cut_size`, a 64-bit leaf signature per cut to reject oversized unions
-//! before they are built, an epoch-stamped mark per graph node that says
-//! whether the window holds it and where), owned by the pass and reused
+//! before they are built, an epoch-stamped slot map that says whether the
+//! window holds a graph node and where), owned by the pass and reused
 //! across its nodes.
 
 use elf_aig::{Aig, Cut, CutParams, NodeId};
 use elf_sop::MAX_VARS;
 
-use crate::build::{best_reading, build_expr, commit_replacement, cut_truth_table_in, Reading};
+use crate::build::{
+    best_reading, build_expr, commit_replacement, cut_truth_table_in, Reading, SlotMap,
+};
 use crate::cache::CutCache;
 use crate::operator::{OpStats, PassScratch, PrunableOperator};
 
@@ -141,6 +143,9 @@ impl Rewrite {
         } = scratch;
         let root_cuts = self.enumerate_cuts(aig, node, window);
         let level_bound = self.params.preserve_level.then(|| aig.level(node));
+        // Only a reading that gains at least one node (zero with
+        // `zero_gain`) is accepted.
+        let accepted = i64::from(!self.params.zero_gain);
         // The best reading so far; the form it reads is `best_form`.
         let mut best: Option<Reading> = None;
         for index in root_cuts {
@@ -157,18 +162,17 @@ impl Rewrite {
             // is weighed only where it is not the first reading complemented
             // (same AIG, same gain: `gain > best` could never pick it).
             let readings = self.cache.factor_both_into(&truth, factor, form);
-            let reading = best_reading(aig, form, readings, leaf_lits, node, saved, level_bound);
+            // A later cut wins only by gaining more than the best so far.
+            let floor = best.map_or(accepted, |best| best.gain + 1);
+            let bounds = (level_bound, floor);
+            let reading = best_reading(aig, form, readings, leaf_lits, node, saved, bounds);
             aig.ref_mffc_bounded(node, &cut.leaves);
-            if let Some(reading) = reading.filter(|r| best.is_none_or(|best| r.gain > best.gain)) {
-                best = Some(reading);
+            if reading.is_some() {
+                best = reading;
                 std::mem::swap(form, best_form);
             }
         }
         let best = best?;
-        let accept = best.gain > 0 || (self.params.zero_gain && best.gain >= 0);
-        if !accept {
-            return None;
-        }
         commit_replacement(aig, Self::NAME, node, |aig| {
             build_expr(aig, best_form, &best.lits).complement_if(best.complemented)
         })
@@ -322,10 +326,8 @@ pub(crate) struct CutWindow {
     ends: Vec<usize>,
     /// The candidates of the node being merged, one bucket per length.
     merged: CutList,
-    /// `marks[id] / WINDOW` is the epoch of the last window that held node
-    /// `id`, `marks[id] % WINDOW` its position in that window's `cone`.
-    marks: Vec<u64>,
-    epoch: u64,
+    /// The position in `cone` of each node this window holds.
+    positions: SlotMap,
     cone_stack: Vec<(NodeId, bool)>,
     stack: Vec<NodeId>,
 }
@@ -336,44 +338,33 @@ impl CutWindow {
     fn local_cone(&mut self, aig: &Aig, root: NodeId) {
         let CutWindow {
             cone,
-            marks,
-            epoch,
+            positions,
             cone_stack: stack,
             ..
         } = self;
-        // Commits add nodes while the pass runs.
-        if marks.len() < aig.num_slots() {
-            marks.resize(aig.num_slots(), 0);
-        }
-        *epoch += 1;
-        let unplaced = *epoch * WINDOW as u64;
+        positions.clear(aig);
         let mut visited = 0;
         cone.clear();
         stack.clear();
         stack.push((root, false));
         while let Some((id, expanded)) = stack.pop() {
             if expanded {
-                marks[id.as_usize()] = unplaced + cone.len() as u64;
+                positions.insert(id, cone.len() as u32);
                 cone.push(id);
                 continue;
             }
-            let seen = marks[id.as_usize()] / WINDOW as u64 == *epoch;
+            let seen = positions.get(id).is_some();
             if seen || !aig.is_and(id) || visited >= WINDOW {
                 continue;
             }
-            marks[id.as_usize()] = unplaced;
+            // Marked as seen; placed once its fanins are.
+            positions.insert(id, 0);
             visited += 1;
             stack.push((id, true));
             let (f0, f1) = aig.fanins(id);
             stack.push((f0.node(), false));
             stack.push((f1.node(), false));
         }
-    }
-
-    /// The position of `id` in `cone`, if the window holds it.
-    fn position(&self, id: NodeId) -> Option<usize> {
-        let mark = self.marks[id.as_usize()];
-        (mark / WINDOW as u64 == self.epoch).then_some((mark % WINDOW as u64) as usize)
     }
 
     /// Where the cut set of window node `position` sits in `cuts`.
@@ -390,8 +381,8 @@ impl CutWindow {
     /// node (fanins come first in `cone`, so it is complete), or the trivial
     /// cut, written to `spare`, of a node outside the window.
     fn fanin_set(&mut self, fanin: NodeId, spare: usize) -> std::ops::Range<usize> {
-        match self.position(fanin) {
-            Some(position) => self.set(position),
+        match self.positions.get(fanin) {
+            Some(position) => self.set(position as usize),
             None => {
                 self.cuts.set(spare, &[fanin]);
                 spare..spare + 1

@@ -254,3 +254,24 @@ if [ -n "$passes" ]; then
     exit 1
 fi
 echo "static-gate: one pruned pass and one decision function in elf-core"
+
+# Linear-time cut simulation: `simulate_cut` orders the cone itself and maps
+# each leaf and cone node to its table slot in an epoch-stamped slot map, and
+# resub reads its divisors' slots off that map.  A `.position(` in the
+# non-test region of `build.rs` or `resub.rs` is the O(cone²) fanin scan
+# coming back; a `cone_topological` in non-test `crates/*/src` is the second
+# cone walk coming back (it survives as the `#[cfg(test)]` oracle of
+# `build.rs`).
+scans=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    FILENAME ~ /crates\/opt\/src\/(build|resub)\.rs$/ && /\.position\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    /cone_topological/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+')
+if [ -n "$scans" ]; then
+    echo "$scans"
+    echo "static-gate: .position( in non-test build.rs/resub.rs, or cone_topological in non-test crates/*/src" >&2
+    exit 1
+fi
+echo "static-gate: cut simulation finds fanins and divisors in O(1)"
