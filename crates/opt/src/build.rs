@@ -1,11 +1,22 @@
 //! Shared helpers for cut resynthesis: evaluating a cut's function and
 //! counting or building the AIG implementation of a factored form.
 //!
-//! [`count_new_nodes`] and [`build_expr`] walk the form's arena from the root
-//! by index, first operand before second, a gate after its operands: node
-//! ids follow the order `Aig::and` is called in, so that order is part of
-//! every fingerprint (the arena itself lists a balanced tree level by level,
-//! which is not it).
+//! [`build_expr`] walks the form's arena from the root by index, first
+//! operand before second, a gate after its operands: node ids follow the
+//! order `Aig::and` is called in, so that order is part of every fingerprint
+//! (the arena itself lists a balanced tree level by level, which is not it).
+//!
+//! # Counting in arena order
+//!
+//! Counting does not edit the graph, so what it finds for a gate — the
+//! literal it already exists as, its level, and whether it is new or reused
+//! — depends on the gate's two operands only, and an operand names a
+//! literal, a constant or an earlier gate.  [`ArenaCount`] therefore counts
+//! the gates in the order the arena lists them, one entry per gate, and
+//! reaches the total and the root level the walk from the root reaches: the
+//! form is a tree whose every gate is used once, so the two orders visit the
+//! same gates with the same operands.  [`count_new_nodes`] is that count
+//! over the whole arena.
 //!
 //! # Counting stops where the reading cannot win
 //!
@@ -14,21 +25,26 @@
 //! takes a reading only when its gain reaches a *floor*: 1 (0 under
 //! `zero_gain`), and one more than the best gain already found — the first
 //! reading of a cut for the second, and rewrite's earlier cuts of the same
-//! root.  So [`best_reading`] counts each reading's new nodes under the
-//! limit `saved − floor` and abandons it once past it, as ABC's
+//! root.  So [`best_reading`] counts each reading under the limit
+//! `saved − floor` and drops it once past it, as ABC's
 //! `Dec_GraphToNetworkCount` stops at `NodeMax` (Mishchenko et al.,
-//! "DAG-aware AIG rewriting", DAC'06).  The count only grows, so an
-//! abandoned reading would have gained less than the floor; a reading
-//! counted to the end has its exact count and level.  A reading below the
-//! floor is never taken, so every accept and commit is the one the
-//! unbounded count makes — node for node, as the `#[cfg(test)]` reference
-//! of this file checks.  Most cuts free one node (`saved` = 1, limit 0):
-//! their readings stop at the first new gate instead of counting ~60.
+//! "DAG-aware AIG rewriting", DAC'06).  It counts *while the form is
+//! written*: the cache shows it each gate as factoring appends it (or a hit
+//! replays it), and the factoring stops at the gate where every reading has
+//! passed its limit — on most cuts a few gates into a form of ~60.  A count
+//! only grows, and the count of a prefix of the arena is at most the count
+//! of the whole, so a dropped reading would have gained less than the floor,
+//! and a reading counted to the end has its exact count and level.  Both
+//! readings are counted under the floor the cut started with; the second is
+//! then held to the floor the first one raised.  Every accept and commit is
+//! therefore the one the unbounded count makes — node for node, as the
+//! `#[cfg(test)]` reference of this file checks.
 
 use elf_aig::{Aig, Cut, Lit, NodeId};
 use elf_sop::{FactoredForm, Gate, Term, TruthTable, MAX_VARS};
 
-use crate::cache::NpnTransform;
+use crate::cache::{canonicalize_both, CutCache};
+use crate::operator::PassScratch;
 
 /// A `u32` per graph slot that forgets every entry at once: an entry is
 /// live while its epoch is the map's, so starting over costs an increment,
@@ -220,58 +236,79 @@ pub fn count_new_nodes(
     leaf_lits: &[Lit],
     root: Option<NodeId>,
 ) -> ImplementationCost {
-    let mut budget = usize::MAX;
-    let (_, level) = count_rec(aig, expr, expr.root(), leaf_lits, root, &mut budget)
-        .expect("no count exceeds usize::MAX");
-    let new_nodes = usize::MAX - budget;
+    let mut count = ArenaCount::default();
+    count.start(leaf_lits, Some(usize::MAX));
+    for &gate in expr.gates() {
+        count.gate(aig, root, gate);
+    }
+    let new_nodes = usize::MAX - count.budget.expect("no count exceeds usize::MAX");
+    let level = count.term(aig, expr.root()).1;
     ImplementationCost { new_nodes, level }
 }
 
-/// Recursive helper: returns (literal if the sub-expression already exists,
-/// estimated level), taking one from `budget` per new node, or `None` as
-/// soon as a new node finds it spent (see the module docs).
-fn count_rec(
-    aig: &Aig,
-    expr: &FactoredForm,
-    term: Term,
-    leaf_lits: &[Lit],
-    root: Option<NodeId>,
-    budget: &mut usize,
-) -> Option<(Option<Lit>, u32)> {
-    match term {
-        Term::Const(value) => Some((Some(aig.constant(value)), 0)),
-        Term::Literal { var, negated } => {
-            let lit = leaf_lits[usize::from(var)].complement_if(negated);
-            Some((Some(lit), aig.level(lit.node())))
+/// One reading's count of the nodes a form adds, taken gate by gate in
+/// arena order (see the module docs).
+#[derive(Debug, Default)]
+pub(crate) struct ArenaCount {
+    /// The literals the form's variables are read as.
+    lits: [Lit; MAX_VARS],
+    /// Per gate counted: the literal it already exists as, if any, and its
+    /// estimated level.
+    gates: Vec<(Option<Lit>, u32)>,
+    /// How many more new nodes the reading may add; `None` once it has lost.
+    budget: Option<usize>,
+}
+
+impl ArenaCount {
+    fn start(&mut self, lits: &[Lit], budget: Option<usize>) {
+        for (slot, &lit) in self.lits.iter_mut().zip(lits) {
+            *slot = lit;
         }
-        Term::Gate(index) => {
-            let Gate {
-                or,
-                operands: [a, b],
-            } = expr.gates()[index as usize];
-            let (la, level_a) = count_rec(aig, expr, a, leaf_lits, root, budget)?;
-            let (lb, level_b) = count_rec(aig, expr, b, leaf_lits, root, budget)?;
-            let found = match (la, lb) {
-                // a | b is the complement of !a & !b.
-                (Some(x), Some(y)) => aig.and_lookup(x.complement_if(or), y.complement_if(or)),
-                _ => None,
-            };
-            // Nodes in the dereferenced MFFC (refs == 0) and the root itself
-            // will be deleted by the commit, so reusing them still costs one
-            // node.
-            let reused = found.map(Lit::node).is_some_and(|node| {
-                Some(node) != root && !(aig.is_and(node) && aig.refs(node) == 0)
-            });
-            if !reused {
-                *budget = budget.checked_sub(1)?;
+        self.gates.clear();
+        self.budget = budget;
+    }
+
+    /// What `term` already exists as, if anything, and its estimated level.
+    fn term(&self, aig: &Aig, term: Term) -> (Option<Lit>, u32) {
+        match term {
+            Term::Const(value) => (Some(aig.constant(value)), 0),
+            Term::Literal { var, negated } => {
+                let lit = self.lits[usize::from(var)].complement_if(negated);
+                (Some(lit), aig.level(lit.node()))
             }
-            Some(match found {
-                None => (None, 1 + level_a.max(level_b)),
-                // Constant folding may collapse the operator; the existing
-                // literal's own level is a better estimate.
-                Some(lit) => (Some(lit.complement_if(or)), aig.level(lit.node())),
-            })
+            Term::Gate(index) => self.gates[index as usize],
         }
+    }
+
+    /// Counts the form's next gate; `root` is the node being resynthesized
+    /// (see [`count_new_nodes`]).
+    fn gate(&mut self, aig: &Aig, root: Option<NodeId>, gate: Gate) {
+        let Gate {
+            or,
+            operands: [a, b],
+        } = gate;
+        let (la, level_a) = self.term(aig, a);
+        let (lb, level_b) = self.term(aig, b);
+        let found = match (la, lb) {
+            // a | b is the complement of !a & !b.
+            (Some(x), Some(y)) => aig.and_lookup(x.complement_if(or), y.complement_if(or)),
+            _ => None,
+        };
+        // Nodes in the dereferenced MFFC (refs == 0) and the root itself
+        // will be deleted by the commit, so reusing them still costs one
+        // node.
+        let reused = found
+            .map(Lit::node)
+            .is_some_and(|node| Some(node) != root && !(aig.is_and(node) && aig.refs(node) == 0));
+        if !reused {
+            self.budget = self.budget.and_then(|left| left.checked_sub(1));
+        }
+        self.gates.push(match found {
+            None => (None, 1 + level_a.max(level_b)),
+            // Constant folding may collapse the operator; the existing
+            // literal's own level is a better estimate.
+            Some(lit) => (Some(lit.complement_if(or)), aig.level(lit.node())),
+        });
     }
 }
 
@@ -313,40 +350,62 @@ pub(crate) struct Reading {
     pub(crate) gain: i64,
 }
 
-/// Weighs the readings of `form` that `CutCache::factor_both_into` returned
-/// for the cut over `leaf_lits` rooted at `node` — the function's, then the
-/// complement's where it is one of its own — with the cut-bounded MFFC of
-/// `node`, `saved` nodes, dereferenced.  Returns the one of highest gain
-/// among those that meet both bounds — a level not above `level_bound` and
-/// a gain of at least `floor` — the first on a tie; each reading's count
-/// stops where its gain falls below the floor (see the module docs).
+/// Resynthesizes `scratch.cut`, whose root's cut-bounded MFFC — `saved`
+/// nodes — is dereferenced, and weighs its readings: the function's and,
+/// where it is one of its own and `try_complement` is set, the
+/// complement's.  Simulates the cut, canonicalizes once, maps the leaves for
+/// each reading, and counts both while `cache` writes the representative's
+/// form into `scratch.form`, which stops at the gate where both have lost
+/// (see the module docs).  Returns the reading of highest gain among those
+/// that meet both bounds — a level not above `level_bound` and a gain of at
+/// least `floor` — the first on a tie; `scratch.form` is whole whenever one
+/// is returned.
 pub(crate) fn best_reading(
     aig: &Aig,
-    form: &FactoredForm,
-    (transform, complement): (NpnTransform, Option<NpnTransform>),
-    leaf_lits: &[Lit],
-    node: NodeId,
+    cache: &CutCache,
+    scratch: &mut PassScratch,
     saved: i64,
-    (level_bound, mut floor): (Option<u32>, i64),
+    (level_bound, floor, try_complement): (Option<u32>, i64, bool),
 ) -> Option<Reading> {
-    let mut best: Option<Reading> = None;
-    for (transform, complemented) in [(Some(transform), false), (complement, true)] {
-        let Some(transform) = transform else { continue };
-        // Past `saved - floor` new nodes the gain is below the floor.
-        let Ok(limit) = usize::try_from(saved - floor) else {
-            break;
+    let (cut, counts) = (&scratch.cut, &mut scratch.counts);
+    let truth = cut_truth_table_in(aig, cut, &mut scratch.simulation);
+    let mut leaf_lits = [Lit::FALSE; MAX_VARS];
+    for (lit, leaf) in leaf_lits.iter_mut().zip(&cut.leaves) {
+        *lit = leaf.lit();
+    }
+    let (canonical, transform, complement) = canonicalize_both(&truth);
+    let readings = [Some(transform), complement.filter(|_| try_complement)];
+    // Past `saved - floor` new nodes the gain is below the floor.
+    let limit = usize::try_from(saved - floor).ok();
+    for (count, reading) in counts.iter_mut().zip(readings) {
+        let lits = reading.map_or([Lit::FALSE; MAX_VARS], |t| t.leaf_map(&leaf_lits));
+        count.start(&lits, reading.and(limit));
+    }
+    let form = &mut scratch.form;
+    cache.form_into(canonical, &mut scratch.factor, form, |form| {
+        let gate = form.gates()[form.num_gates() - 1];
+        let mut live = false;
+        for count in counts.iter_mut().filter(|count| count.budget.is_some()) {
+            count.gate(aig, Some(cut.root), gate);
+            live |= count.budget.is_some();
+        }
+        live
+    });
+    let (mut best, mut raised) = (None, floor);
+    for ((count, reading), complemented) in counts.iter().zip(readings).zip([false, true]) {
+        // A reading with budget left was counted over the whole form.
+        let (Some(transform), Some(left)) = (reading, count.budget) else {
+            continue;
         };
-        let lits = transform.leaf_map(leaf_lits);
-        let mut budget = limit;
-        let counted = count_rec(aig, form, form.root(), &lits, Some(node), &mut budget);
-        let Some((_, level)) = counted else { continue };
-        if level_bound.is_some_and(|bound| level > bound) {
+        // It needed `left` fewer than the `saved - floor` new nodes allowed.
+        let gain = floor + left as i64;
+        let level = count.term(aig, form.root()).1;
+        if gain < raised || level_bound.is_some_and(|bound| level > bound) {
             continue;
         }
-        let gain = saved - (limit - budget) as i64;
-        floor = gain + 1;
+        raised = gain + 1;
         best = Some(Reading {
-            lits,
+            lits: count.lits,
             complemented: transform.output_negated() != complemented,
             gain,
         });
@@ -382,7 +441,8 @@ pub(crate) fn commit_replacement(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CutCache;
+    use crate::cache::NpnTransform;
+    use crate::CutCacheConfig;
     use elf_aig::CutParams;
     use elf_circuits::epfl::{arithmetic_suite, Scale};
     use elf_sop::{factor_truth_table, FactorScratch};
@@ -441,9 +501,9 @@ mod tests {
         tables
     }
 
-    /// `best_reading` as it was before the bound: every reading counted in
-    /// full, the strict maximum among those not above `level_bound`, with
-    /// no floor — the caller applies the accept rule.
+    /// `best_reading` as it was before the bound: the readings of a whole
+    /// form, each counted in full, the strict maximum among those not above
+    /// `level_bound`, with no floor — the caller applies the accept rule.
     fn best_reading_unbounded(
         aig: &Aig,
         form: &FactoredForm,
@@ -550,51 +610,64 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Counting under the floor decides what counting every node does:
-        /// per cut with nothing found before it (refactor), and with the
-        /// best of the root's earlier cuts raising the floor (rewrite) — the
-        /// same reading taken, or none on both sides.
+        /// Counting while the form is written, under the floor, decides what
+        /// counting every node of the whole form does: per cut with nothing
+        /// found before it (refactor), and with the best of the root's
+        /// earlier cuts raising the floor (rewrite) — the same reading taken,
+        /// or none on both sides; on a disabled cache, and on one enabled
+        /// cache met cold and then warm.  Whenever a reading is taken, the
+        /// form it reads is the whole form.
         #[test]
         fn bounded_readings_decide_as_the_unbounded_count(
             script in elf_circuits::script_strategy(40),
             zero_gain in any::<bool>(),
             preserve_level in any::<bool>(),
+            try_complement in any::<bool>(),
         ) {
             let mut aig = elf_circuits::scripted_circuit(6, &script);
-            let cache = CutCache::disabled();
-            let (mut factor, mut form) = (FactorScratch::default(), FactoredForm::default());
+            let (mut scratch, mut factor) = (PassScratch::new(), FactorScratch::default());
+            let mut whole = FactoredForm::default();
             let accepted = i64::from(!zero_gain);
             let nodes: Vec<NodeId> = aig.and_ids().filter(|&id| aig.refs(id) > 0).collect();
-            for node in nodes {
-                let level_bound = preserve_level.then(|| aig.level(node));
-                let (mut bounded, mut reference) = (None::<Reading>, None::<Reading>);
-                for max_leaves in [3, 4, 6, 8, 10] {
-                    let cut = aig.reconvergence_cut(node, &CutParams::with_max_leaves(max_leaves));
-                    let truth = cut_truth_table(&aig, &cut);
-                    let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| l.lit()).collect();
-                    let readings = cache.factor_both_into(&truth, &mut factor, &mut form);
-                    let saved = aig.deref_mffc_bounded(node, &cut.leaves) as i64;
-                    let weigh = |floor| {
-                        best_reading(&aig, &form, readings, &leaf_lits, node, saved, (level_bound, floor))
-                    };
-                    let full =
-                        best_reading_unbounded(&aig, &form, readings, &leaf_lits, node, saved, level_bound);
+            let enabled = CutCache::new(CutCacheConfig::default());
+            for cache in [CutCache::disabled(), enabled.clone(), enabled] {
+                for &node in &nodes {
+                    let level_bound = preserve_level.then(|| aig.level(node));
+                    let (mut bounded, mut reference) = (None::<Reading>, None::<Reading>);
+                    for max_leaves in [3, 4, 6, 8, 10] {
+                        let cut = aig.reconvergence_cut(node, &CutParams::with_max_leaves(max_leaves));
+                        let truth = cut_truth_table(&aig, &cut);
+                        let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| l.lit()).collect();
+                        let (transform, complement) =
+                            CutCache::disabled().factor_both_into(&truth, &mut factor, &mut whole);
+                        let readings = (transform, complement.filter(|_| try_complement));
+                        let saved = aig.deref_mffc_bounded(node, &cut.leaves) as i64;
+                        let full =
+                            best_reading_unbounded(&aig, &whole, readings, &leaf_lits, node, saved, level_bound);
+                        scratch.cut.clone_from(&cut);
+                        let mut weigh = |floor| {
+                            let bounds = (level_bound, floor, try_complement);
+                            let reading = best_reading(&aig, &cache, &mut scratch, saved, bounds);
+                            assert!(reading.is_none() || scratch.form == whole, "a reading of part of a form");
+                            reading
+                        };
+                        prop_assert_eq!(
+                            decision(weigh(accepted)),
+                            decision(full.filter(|r| r.gain >= accepted))
+                        );
+                        if let Some(reading) = weigh(bounded.map_or(accepted, |best| best.gain + 1)) {
+                            bounded = Some(reading);
+                        }
+                        if let Some(reading) = full.filter(|r| reference.is_none_or(|best| r.gain > best.gain)) {
+                            reference = Some(reading);
+                        }
+                        aig.ref_mffc_bounded(node, &cut.leaves);
+                    }
                     prop_assert_eq!(
-                        decision(weigh(accepted)),
-                        decision(full.filter(|r| r.gain >= accepted))
+                        decision(bounded),
+                        decision(reference.filter(|r| r.gain >= accepted))
                     );
-                    if let Some(reading) = weigh(bounded.map_or(accepted, |best| best.gain + 1)) {
-                        bounded = Some(reading);
-                    }
-                    if let Some(reading) = full.filter(|r| reference.is_none_or(|best| r.gain > best.gain)) {
-                        reference = Some(reading);
-                    }
-                    aig.ref_mffc_bounded(node, &cut.leaves);
                 }
-                prop_assert_eq!(
-                    decision(bounded),
-                    decision(reference.filter(|r| r.gain >= accepted))
-                );
             }
         }
     }

@@ -20,7 +20,7 @@
 //!
 //! A factored form is a flat arena ([`FactoredForm`]); the map holds one per
 //! class.  [`CutCache::factor_both_into`] copies the entry into the caller's
-//! form while the read lock is held — a `memcpy` into warm capacity, so no
+//! form while the read lock is held — gate by gate into warm capacity, so no
 //! lock outlives the call — and returns the transform.  The transform is
 //! then applied where it is cheap: to the at most ten leaf literals, once
 //! per cut ([`NpnTransform::leaf_map`]: canonical variable `placement[v]` is
@@ -56,6 +56,16 @@
 //! capacity, `misses` and `entries` are what they were and `hits` is lower
 //! by exactly one per cut factored, so hit *rates* read lower by
 //! construction.
+//!
+//! The operators count a reading's gain while its form is being written and
+//! stop at the gate where every reading has lost (`crate::build`).  So the
+//! one lookup takes the same watcher as `elf_sop::factor_truth_table_into`:
+//! a hit replays the stored gates in order and stops with the watcher
+//! ([`FactoredForm::replay`]), a disabled cache factors and stops, and a
+//! miss always factors to the end — the entry it stores is shared, and must
+//! be the whole form however early the cut that missed gave up.  The
+//! lookup itself is made for every cut, decided or not, so `hits`,
+//! `misses` and `entries` do not depend on where a count stopped.
 //!
 //! # Determinism contract
 //!
@@ -209,7 +219,9 @@ pub fn semi_canonicalize(function: &TruthTable) -> (TruthTable, NpnTransform) {
 /// to equal words — the transform `semi_canonicalize(&!function)` records.
 /// In every other case that transform is the returned one with the output
 /// complement toggled.
-fn canonicalize_both(function: &TruthTable) -> (TruthTable, NpnTransform, Option<NpnTransform>) {
+pub(crate) fn canonicalize_both(
+    function: &TruthTable,
+) -> (TruthTable, NpnTransform, Option<NpnTransform>) {
     use std::cmp::Ordering::{Equal, Greater, Less};
 
     let one_sided = |(canonical, transform)| (canonical, transform, None);
@@ -401,9 +413,9 @@ impl CutCache {
     /// Pure in its argument regardless of cache state (see the module docs),
     /// and functionally sound: the result's truth table equals `function`.
     pub fn factor(&self, function: &TruthTable) -> FactoredForm {
-        let (canonical, transform) = semi_canonicalize(function);
         let mut form = FactoredForm::default();
-        self.canonical_form_into(canonical, &mut FactorScratch::default(), &mut form);
+        let (transform, _) =
+            self.factor_both_into(function, &mut FactorScratch::default(), &mut form);
         transform.decanonicalize(&form)
     }
 
@@ -426,31 +438,41 @@ impl CutCache {
         form: &mut FactoredForm,
     ) -> (NpnTransform, Option<NpnTransform>) {
         let (canonical, transform, complement) = canonicalize_both(function);
-        self.canonical_form_into(canonical, scratch, form);
+        self.form_into(canonical, scratch, form, |_| true);
         (transform, complement)
     }
 
-    /// Writes the factored form of the representative `canonical` to `form`:
-    /// copied from the map on a hit, factored (then stored) on a miss.
-    fn canonical_form_into(
+    /// Writes the factored form of the representative `canonical` to `form`,
+    /// showing `watch` each gate as `elf_sop::factor_truth_table_into` does
+    /// and stopping where it returns `false` (see the module docs): replayed
+    /// from the map on a hit, factored on a disabled cache, and on a miss
+    /// factored to the end whatever `watch` says, then stored.
+    pub(crate) fn form_into(
         &self,
         canonical: TruthTable,
         scratch: &mut FactorScratch,
         form: &mut FactoredForm,
+        mut watch: impl FnMut(&FactoredForm) -> bool,
     ) {
         let Some(shared) = &self.shared else {
-            return factor_truth_table_into(&canonical, scratch, form);
+            return factor_truth_table_into(&canonical, scratch, form, watch);
         };
         if let Ok(map) = shared.map.read() {
             if let Some(expr) = map.get(&canonical) {
                 shared.hits.fetch_add(1, Ordering::Relaxed);
                 self.view.hits.fetch_add(1, Ordering::Relaxed);
-                return form.clone_from(expr);
+                return form.replay(expr, watch);
             }
         }
         shared.misses.fetch_add(1, Ordering::Relaxed);
         self.view.misses.fetch_add(1, Ordering::Relaxed);
-        factor_truth_table_into(&canonical, scratch, form);
+        // The entry is shared: it is the whole form, however early the
+        // watcher stops watching.
+        let mut watching = true;
+        factor_truth_table_into(&canonical, scratch, form, |form| {
+            watching = watching && watch(form);
+            true
+        });
         if let Ok(mut map) = shared.map.write() {
             // Two racing misses insert the same value (the entry is a pure
             // function of the key), so last-writer-wins is harmless.
@@ -776,6 +798,39 @@ mod tests {
             let mut bare = FactoredForm::default();
             let transforms = CutCache::disabled().factor_both_into(&function, &mut scratch, &mut bare);
             prop_assert_eq!((transforms, bare), ((transform, complement), form));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A miss stores the whole form however early its watcher stopped
+        /// (here at the first gate), and a hit replays the entry gate by gate
+        /// up to where its watcher stops.
+        #[test]
+        fn a_miss_stores_the_whole_form_however_early_its_watcher_stops(
+            function in (1usize..=10).prop_flat_map(arbitrary_function)
+        ) {
+            let cache = CutCache::new(CutCacheConfig::default());
+            let (canonical, _, _) = canonicalize_both(&function);
+            let whole = factor_truth_table(&canonical);
+            let first = whole.num_gates().min(1);
+            let (mut scratch, mut form) = (FactorScratch::default(), FactoredForm::default());
+            let mut shown = 0;
+            cache.form_into(canonical.clone(), &mut scratch, &mut form, |_| {
+                shown += 1;
+                false
+            });
+            prop_assert_eq!(shown, first);
+            let shared = cache.shared.as_ref().expect("enabled");
+            let entry = shared.map.read().expect("no panic holds the lock")[&canonical].clone();
+            prop_assert_eq!(&entry, &whole);
+
+            cache.form_into(canonical.clone(), &mut scratch, &mut form, |_| false);
+            prop_assert_eq!(form.gates(), &whole.gates()[..first]);
+            cache.form_into(canonical, &mut scratch, &mut form, |_| true);
+            prop_assert_eq!(&form, &whole);
+            prop_assert_eq!((cache.local_hits(), cache.local_misses()), (2, 1));
         }
     }
 

@@ -46,7 +46,7 @@ use elf_aig::{Aig, Cut, CutFeatures, CutParams, CutScratch, Lit, NodeId};
 use elf_par::Parallelism;
 use elf_sop::{FactorScratch, FactoredForm};
 
-use crate::build::Simulation;
+use crate::build::{ArenaCount, Simulation};
 use crate::cache::CutCache;
 use crate::rewrite::CutWindow;
 
@@ -220,14 +220,14 @@ pub struct LabeledCut {
 pub struct PassScratch {
     /// The node's feature window, then whichever cut the operator weighs.
     pub(crate) cut: Cut,
-    /// The literals of the weighed cut's leaves.
-    pub(crate) leaf_lits: Vec<Lit>,
     /// The buffers cuts are simulated in ([`crate::build::simulate_cut`]).
     pub(crate) simulation: Simulation,
     /// The stacks a cache miss factors on.
     pub(crate) factor: FactorScratch,
     /// The form of the weighed cut's NPN representative.
     pub(crate) form: FactoredForm,
+    /// The counts of the weighed cut's two readings.
+    pub(crate) counts: [ArenaCount; 2],
     /// Rewrite's best form so far among a node's cuts.
     pub(crate) best_form: FactoredForm,
     /// Rewrite's cut sets.
@@ -240,10 +240,10 @@ impl PassScratch {
     pub(crate) fn new() -> Self {
         PassScratch {
             cut: Cut::empty(),
-            leaf_lits: Vec::new(),
             simulation: Simulation::default(),
             factor: FactorScratch::default(),
             form: FactoredForm::default(),
+            counts: Default::default(),
             best_form: FactoredForm::default(),
             window: CutWindow::default(),
             divisors: Vec::new(),

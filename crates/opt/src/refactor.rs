@@ -9,7 +9,7 @@
 
 use elf_aig::{Aig, CutParams, NodeId};
 
-use crate::build::{best_reading, build_expr, commit_replacement, cut_truth_table_in};
+use crate::build::{best_reading, build_expr, commit_replacement};
 use crate::cache::CutCache;
 use crate::operator::{OpStats, PassScratch, PrunableOperator};
 
@@ -25,9 +25,10 @@ pub struct RefactorParams {
     pub preserve_level: bool,
     /// Also weigh the implementation of the complemented cut function and
     /// keep the better of the two.  Both are read off one form, from one
-    /// [`CutCache::factor_both_into`] call; the complement's is evaluated
-    /// only where it can differ from the first one complemented (which is
-    /// the same AIG at the same cost and can never be the better one).
+    /// cache lookup (the one [`CutCache::factor_both_into`] makes); the
+    /// complement's is evaluated only where it can differ from the first one
+    /// complemented (which is the same AIG at the same cost and can never be
+    /// the better one).
     pub try_complement: bool,
     /// Cuts with fewer leaves than this are not resynthesized (they cannot
     /// yield a gain).
@@ -126,14 +127,7 @@ impl PrunableOperator for Refactor {
         scratch: &mut PassScratch,
         holds_window: bool,
     ) -> Option<i64> {
-        let PassScratch {
-            cut,
-            leaf_lits,
-            simulation,
-            factor,
-            form,
-            ..
-        } = scratch;
+        let cut = &mut scratch.cut;
         if !holds_window {
             aig.reconvergence_cut_into(node, &self.params.cut, cut);
         }
@@ -141,31 +135,23 @@ impl PrunableOperator for Refactor {
             return None;
         }
 
-        // Resynthesize: truth table -> NPN representative -> ISOP ->
-        // factored form, once per cut whether or not the cache memoizes.
-        // Both polarities share the representative's form; the complement
-        // is a candidate of its own only where `factor_both_into` hands back
-        // a second way to read it.
-        let truth = cut_truth_table_in(aig, cut, simulation);
-        leaf_lits.clear();
-        leaf_lits.extend(cut.leaves.iter().map(|&l| l.lit()));
-        let (transform, complement) = self.cache.factor_both_into(&truth, factor, form);
-        let complement = complement.filter(|_| self.params.try_complement);
-
-        // Evaluate the gain of each candidate with the cut-bounded MFFC
-        // temporarily dereferenced, exactly like ABC.  The MFFC is bounded by
-        // the cut's leaves: the resynthesized implementation keeps using the
-        // leaves, so logic below them can never be reclaimed by this commit.
+        // Weigh the candidates with the cut-bounded MFFC temporarily
+        // dereferenced, exactly like ABC.  The MFFC is bounded by the cut's
+        // leaves: the resynthesized implementation keeps using the leaves, so
+        // logic below them can never be reclaimed by this commit.  The cut
+        // is resynthesized — truth table -> NPN representative -> ISOP ->
+        // factored form, once per cut whether or not the cache memoizes —
+        // and counted as it is factored, up to where no reading can win.
         let saved = aig.deref_mffc_bounded(node, &cut.leaves) as i64;
         // Only a reading that gains at least one node (zero with
         // `zero_gain`) is accepted.
         let level_bound = self.params.preserve_level.then(|| aig.level(node));
-        let bounds = (level_bound, i64::from(!self.params.zero_gain));
-        let readings = (transform, complement);
-        let best = best_reading(aig, form, readings, leaf_lits, node, saved, bounds);
-        aig.ref_mffc_bounded(node, &cut.leaves);
+        let floor = i64::from(!self.params.zero_gain);
+        let bounds = (level_bound, floor, self.params.try_complement);
+        let best = best_reading(aig, &self.cache, scratch, saved, bounds);
+        aig.ref_mffc_bounded(node, &scratch.cut.leaves);
 
-        let best = best?;
+        let (best, form) = (best?, &scratch.form);
         commit_replacement(aig, Self::NAME, node, |aig| {
             build_expr(aig, form, &best.lits).complement_if(best.complemented)
         })

@@ -47,9 +47,7 @@
 use elf_aig::{Aig, Cut, CutParams, NodeId};
 use elf_sop::MAX_VARS;
 
-use crate::build::{
-    best_reading, build_expr, commit_replacement, cut_truth_table_in, Reading, SlotMap,
-};
+use crate::build::{best_reading, build_expr, commit_replacement, Reading, SlotMap};
 use crate::cache::CutCache;
 use crate::operator::{OpStats, PassScratch, PrunableOperator};
 
@@ -125,23 +123,13 @@ impl Rewrite {
         PrunableOperator::run(self, aig)
     }
 
-    /// Attempts to rewrite a single node over the readings
-    /// [`CutCache::factor_both_into`] offers for each of its cuts — the
+    /// Attempts to rewrite a single node over the readings one cache lookup
+    /// (as in [`CutCache::factor_both_into`]) offers for each of its cuts — the
     /// implementation of the cut function and, where worth weighing, of its
     /// complement — returning `Some(achieved_gain)` when a rewrite was
     /// committed (zero for accepted zero-gain rewrites).
     fn rewrite_node(&self, aig: &mut Aig, node: NodeId, scratch: &mut PassScratch) -> Option<i64> {
-        let PassScratch {
-            cut,
-            leaf_lits,
-            simulation,
-            factor,
-            form,
-            best_form,
-            window,
-            ..
-        } = scratch;
-        let root_cuts = self.enumerate_cuts(aig, node, window);
+        let root_cuts = self.enumerate_cuts(aig, node, &mut scratch.window);
         let level_bound = self.params.preserve_level.then(|| aig.level(node));
         // Only a reading that gains at least one node (zero with
         // `zero_gain`) is accepted.
@@ -149,30 +137,27 @@ impl Rewrite {
         // The best reading so far; the form it reads is `best_form`.
         let mut best: Option<Reading> = None;
         for index in root_cuts {
-            if window.cuts.lens[index] < 3 {
+            if scratch.window.cuts.lens[index] < 3 {
                 continue;
             }
-            window.load_cut(aig, node, index, cut);
-            let truth = cut_truth_table_in(aig, cut, simulation);
-            leaf_lits.clear();
-            leaf_lits.extend(cut.leaves.iter().map(|&l| l.lit()));
+            scratch.window.load_cut(aig, node, index, &mut scratch.cut);
             // The reclaimable logic is the MFFC bounded by this cut's leaves.
-            let saved = aig.deref_mffc_bounded(node, &cut.leaves) as i64;
+            let saved = aig.deref_mffc_bounded(node, &scratch.cut.leaves) as i64;
             // One NPN-memoized lookup serves both polarities; the complement
             // is weighed only where it is not the first reading complemented
-            // (same AIG, same gain: `gain > best` could never pick it).
-            let readings = self.cache.factor_both_into(&truth, factor, form);
-            // A later cut wins only by gaining more than the best so far.
+            // (same AIG, same gain: `gain > best` could never pick it).  A
+            // later cut wins only by gaining more than the best so far, and
+            // the form is counted as it is written, up to where it loses.
             let floor = best.map_or(accepted, |best| best.gain + 1);
-            let bounds = (level_bound, floor);
-            let reading = best_reading(aig, form, readings, leaf_lits, node, saved, bounds);
-            aig.ref_mffc_bounded(node, &cut.leaves);
+            let bounds = (level_bound, floor, true);
+            let reading = best_reading(aig, &self.cache, scratch, saved, bounds);
+            aig.ref_mffc_bounded(node, &scratch.cut.leaves);
             if reading.is_some() {
                 best = reading;
-                std::mem::swap(form, best_form);
+                std::mem::swap(&mut scratch.form, &mut scratch.best_form);
             }
         }
-        let best = best?;
+        let (best, best_form) = (best?, &scratch.best_form);
         commit_replacement(aig, Self::NAME, node, |aig| {
             build_expr(aig, best_form, &best.lits).complement_if(best.complemented)
         })

@@ -21,6 +21,15 @@
 //! a cover is never read again once divided) and pops it on return; cubes
 //! and disjunctions are reduced pairwise, in place, on one term stack.  A
 //! warm scratch factors without touching the allocator.
+//!
+//! # Watching the gates go in
+//!
+//! [`factor_truth_table_into`] shows a watcher each gate as it is appended,
+//! the form holding every gate so far, and stops the factoring where the
+//! watcher returns `false`.  Gates are only ever appended, so the gates of a
+//! stopped form are a prefix of the complete form's, gate for gate: a caller
+//! that counts what each gate costs (the operators' gain count) can give up
+//! as soon as the count has decided, without the rest of the form.
 
 use std::fmt;
 
@@ -136,6 +145,21 @@ impl FactoredForm {
         Term::Gate(index)
     }
 
+    /// Copies `source` into `self` gate by gate, showing `watch` each gate
+    /// as factoring appended it, and stops where `watch` returns `false`
+    /// (see the module docs).
+    pub fn replay(&mut self, source: &FactoredForm, mut watch: impl FnMut(&FactoredForm) -> bool) {
+        self.gates.clear();
+        self.root = Term::Const(false);
+        let complete = source.gates.iter().all(|&gate| {
+            self.gates.push(gate);
+            watch(self)
+        });
+        if complete {
+            self.root = source.root;
+        }
+    }
+
     /// Number of binary gates (AND/OR nodes) in the expression, which equals
     /// the number of AIG AND nodes needed to implement it.
     pub fn num_gates(&self) -> usize {
@@ -243,40 +267,56 @@ pub fn factor(sop: &Sop) -> FactoredForm {
 pub fn factor_into(sop: &Sop, scratch: &mut FactorScratch, form: &mut FactoredForm) {
     scratch.cubes.clear();
     scratch.cubes.extend_from_slice(sop.cubes());
-    factor_cover(scratch, form);
+    factor_cover(scratch, form, |_| true);
 }
 
 /// Factors a truth table by first computing its irredundant SOP.
 pub fn factor_truth_table(function: &TruthTable) -> FactoredForm {
     let mut form = FactoredForm::default();
-    factor_truth_table_into(function, &mut FactorScratch::default(), &mut form);
+    factor_truth_table_into(function, &mut FactorScratch::default(), &mut form, |_| true);
     form
 }
 
 /// [`factor_truth_table`] into the caller's form, working in the caller's
-/// buffers: the cover goes straight onto the cube stack.
+/// buffers (the cover goes straight onto the cube stack), showing `watch`
+/// each gate as it is appended and stopping where it returns `false` (see
+/// the module docs).  A stopped form holds the gates shown so far under a
+/// constant-false root; a watcher that never stops it, `|_| true`, makes
+/// this [`factor_truth_table`].
 pub fn factor_truth_table_into(
     function: &TruthTable,
     scratch: &mut FactorScratch,
     form: &mut FactoredForm,
+    watch: impl FnMut(&FactoredForm) -> bool,
 ) {
     Sop::isop_into(function, &mut scratch.cubes, &mut scratch.words);
-    factor_cover(scratch, form);
+    factor_cover(scratch, form, watch);
 }
 
-/// Factors the cover `scratch.cubes` holds into `form`.
-fn factor_cover(scratch: &mut FactorScratch, form: &mut FactoredForm) {
+/// Factors the cover `scratch.cubes` holds into `form` under `watch`.
+fn factor_cover(
+    scratch: &mut FactorScratch,
+    form: &mut FactoredForm,
+    mut watch: impl FnMut(&FactoredForm) -> bool,
+) {
     let FactorScratch { cubes, terms, .. } = scratch;
+    // A stopped run leaves terms of its reductions behind, which would pile
+    // up; a watched form's root is constant false until the run ends.
+    terms.clear();
     form.gates.clear();
-    form.root = if cubes.is_empty() {
-        Term::Const(false)
-    } else if cubes.contains(&Cube::TAUTOLOGY) {
-        Term::Const(true)
-    } else {
+    form.root = Term::Const(false);
+    if cubes.contains(&Cube::TAUTOLOGY) {
+        form.root = Term::Const(true);
+    } else if !cubes.is_empty() {
         let counts = count_literals(cubes);
         let end = cubes.len();
-        Factoring { cubes, terms, form }.cover(0, end, &counts)
-    };
+        let emit = |or, a, b| {
+            let term = form.push(or, a, b);
+            watch(form).then_some(term)
+        };
+        let root = Factoring { cubes, terms, emit }.cover(0, end, &counts);
+        form.root = root.unwrap_or(Term::Const(false));
+    }
 }
 
 /// Cubes per literal: the positive literal of variable `v` at `v`, the
@@ -313,18 +353,21 @@ fn most_frequent_literal(counts: &LiteralCounts) -> Option<(usize, bool)> {
     best.map(|(var, positive, _)| (var, positive))
 }
 
-/// One run of [`factor_cover`]: the two stacks and the form being written.
-struct Factoring<'a> {
+/// One run of [`factor_cover`]: the two stacks, and `emit`, which appends a
+/// gate to the form and returns its term, or `None` once the watcher has
+/// stopped the run.  Each step returns `None` from then on, leaving the
+/// stacks as they were.
+struct Factoring<'a, E: FnMut(bool, Term, Term) -> Option<Term>> {
     cubes: &'a mut Vec<Cube>,
     terms: &'a mut Vec<Term>,
-    form: &'a mut FactoredForm,
+    emit: E,
 }
 
-impl Factoring<'_> {
+impl<E: FnMut(bool, Term, Term) -> Option<Term>> Factoring<'_, E> {
     /// Factors the cover `cubes[start..end]` — at least one cube, none the
     /// tautology — in which each literal occurs `counts` times.  The range is
     /// consumed: dividing compacts the remainder into its front.
-    fn cover(&mut self, start: usize, end: usize, counts: &LiteralCounts) -> Term {
+    fn cover(&mut self, start: usize, end: usize, counts: &LiteralCounts) -> Option<Term> {
         if end - start == 1 {
             return self.cube(self.cubes[start]);
         }
@@ -332,7 +375,7 @@ impl Factoring<'_> {
             // No shared literal: the cover is already a simple OR of cubes.
             let base = self.terms.len();
             for index in start..end {
-                let term = self.cube(self.cubes[index]);
+                let term = self.cube(self.cubes[index])?;
                 self.terms.push(term);
             }
             return self.reduce(base, true);
@@ -366,20 +409,20 @@ impl Factoring<'_> {
         let product = if self.cubes[top..].contains(&Cube::TAUTOLOGY) {
             lit
         } else {
-            let quotient = self.cover(top, self.cubes.len(), &quotient_counts);
-            self.form.push(false, lit, quotient)
+            let quotient = self.cover(top, self.cubes.len(), &quotient_counts)?;
+            (self.emit)(false, lit, quotient)?
         };
         self.cubes.truncate(top);
         if remainder_end == start {
-            product
+            Some(product)
         } else {
-            let remainder = self.cover(start, remainder_end, &remainder_counts);
-            self.form.push(true, product, remainder)
+            let remainder = self.cover(start, remainder_end, &remainder_counts)?;
+            (self.emit)(true, product, remainder)
         }
     }
 
     /// The balanced AND tree of a cube's literals, lowest variable first.
-    fn cube(&mut self, cube: Cube) -> Term {
+    fn cube(&mut self, cube: Cube) -> Option<Term> {
         let base = self.terms.len();
         let mut rest = cube.pos | cube.neg;
         while rest != 0 {
@@ -396,13 +439,13 @@ impl Factoring<'_> {
     /// Pops `terms[base..]` (at least one term) and returns their balanced
     /// AND or OR tree: neighbours are paired level by level, in place, an odd
     /// last term moving up unpaired.
-    fn reduce(&mut self, base: usize, or: bool) -> Term {
+    fn reduce(&mut self, base: usize, or: bool) -> Option<Term> {
         let mut len = self.terms.len() - base;
         assert!(len > 0, "cannot reduce an empty term list");
         while len > 1 {
             for pair in 0..len / 2 {
                 let [a, b] = [0, 1].map(|side| self.terms[base + 2 * pair + side]);
-                self.terms[base + pair] = self.form.push(or, a, b);
+                self.terms[base + pair] = (self.emit)(or, a, b)?;
             }
             if len % 2 == 1 {
                 self.terms[base + len / 2] = self.terms[base + len - 1];
@@ -411,7 +454,7 @@ impl Factoring<'_> {
         }
         let term = self.terms[base];
         self.terms.truncate(base);
-        term
+        Some(term)
     }
 }
 
@@ -853,8 +896,50 @@ mod tests {
             for function in &functions {
                 assert_matches_boxed(&Sop::isop(function), &mut scratch, &mut form);
                 let mut via_table = FactoredForm::default();
-                factor_truth_table_into(function, &mut scratch, &mut via_table);
+                factor_truth_table_into(function, &mut scratch, &mut via_table, |_| true);
                 proptest::prop_assert_eq!(&via_table, &form);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(384))]
+
+        /// A watcher shown each gate as it is appended, stopping at gate `k`,
+        /// leaves exactly the first `k` gates of the complete form — factored
+        /// or replayed — and the scratch the stopped run left behind factors
+        /// the next function as a cold one does, its term stack emptied.
+        #[test]
+        fn a_stopped_factoring_is_a_prefix_and_leaves_the_scratch_clean(
+            functions in proptest::collection::vec(
+                proptest::prelude::Strategy::prop_flat_map(1usize..=11, arbitrary_function),
+                2..5,
+            ),
+            stops in proptest::collection::vec(proptest::prelude::any::<usize>(), 5),
+        ) {
+            let (mut scratch, mut form) = (FactorScratch::default(), FactoredForm::default());
+            for (function, stop) in functions.iter().zip(&stops) {
+                let complete = factor(&Sop::isop(function));
+                let mut warm = FactoredForm::default();
+                factor_truth_table_into(function, &mut scratch, &mut warm, |_| true);
+                proptest::prop_assert_eq!(&warm, &complete);
+                // What a stopped run left on the term stack is not carried on.
+                proptest::prop_assert!(scratch.terms.is_empty());
+                let k = 1 + stop % complete.num_gates().max(1);
+                let mut shown = Vec::new();
+                let watch = |form: &FactoredForm| {
+                    shown.push(form.num_gates());
+                    form.num_gates() < k
+                };
+                factor_truth_table_into(function, &mut scratch, &mut form, watch);
+                let k = k.min(complete.num_gates());
+                proptest::prop_assert_eq!(shown, (1..=k).collect::<Vec<_>>());
+                proptest::prop_assert_eq!(form.gates(), &complete.gates()[..k]);
+                let mut replayed = FactoredForm::default();
+                replayed.replay(&complete, |form| form.num_gates() < k);
+                proptest::prop_assert_eq!(replayed.gates(), form.gates());
+                replayed.replay(&complete, |_| true);
+                proptest::prop_assert_eq!(&replayed, &complete);
             }
         }
     }

@@ -275,3 +275,23 @@ if [ -n "$scans" ]; then
     exit 1
 fi
 echo "static-gate: cut simulation finds fanins and divisors in O(1)"
+
+# Counting while factoring: each reading's gain is counted gate by gate as the
+# cache writes the form, and the factoring stops at the gate where every
+# reading has lost.  A `count_rec` in the non-test region of `crates/opt/src`
+# is the root-first recount of a finished form coming back; a
+# `factor_truth_table_into(` outside `cache.rs` is a second place forms are
+# made, beside the one lookup that replays, factors and stores them.
+counting=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /count_rec/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    FILENAME !~ /cache\.rs$/ && /factor_truth_table_into\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+' crates/opt/src/*.rs)
+if [ -n "$counting" ]; then
+    echo "$counting"
+    echo "static-gate: count_rec in non-test crates/opt/src, or factor_truth_table_into( outside cache.rs" >&2
+    exit 1
+fi
+echo "static-gate: gains are counted while the form is written, and forms are made in cache.rs"
