@@ -565,17 +565,6 @@ pub fn write_ascii_file(aig: &Aig, path: impl AsRef<Path>) -> std::io::Result<()
     writer.flush()
 }
 
-/// Reads an ASCII AIGER file from `path`.
-///
-/// # Errors
-///
-/// Returns an I/O error if the file cannot be read, or a boxed
-/// [`ParseAigerError`] if its contents are not valid AIGER.
-pub fn read_ascii_file(path: impl AsRef<Path>) -> Result<Aig, Box<dyn Error + Send + Sync>> {
-    let text = fs::read_to_string(path)?;
-    Ok(from_ascii(&text)?)
-}
-
 /// Writes the AIG to `path` in binary AIGER format, streaming through a
 /// [`BufWriter`] so the full image is never materialized in memory.
 ///
@@ -586,17 +575,6 @@ pub fn write_binary_file(aig: &Aig, path: impl AsRef<Path>) -> std::io::Result<(
     let mut writer = BufWriter::new(fs::File::create(path)?);
     write_binary_to(aig, &mut writer)?;
     writer.flush()
-}
-
-/// Reads a binary AIGER file from `path`.
-///
-/// # Errors
-///
-/// Returns an I/O error if the file cannot be read, or a boxed
-/// [`ParseAigerError`] if its contents are not valid binary AIGER.
-pub fn read_binary_file(path: impl AsRef<Path>) -> Result<Aig, Box<dyn Error + Send + Sync>> {
-    let bytes = fs::read(path)?;
-    Ok(from_binary(&bytes)?)
 }
 
 /// Reads an AIGER file of either format, dispatching on the header magic
@@ -693,7 +671,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.aag");
         write_ascii_file(&aig, &path).unwrap();
-        let parsed = read_ascii_file(&path).unwrap();
+        let parsed = read_file(&path).unwrap();
         assert_eq!(
             check_equivalence(&aig, &parsed, 4, 3),
             EquivalenceResult::Equivalent
@@ -839,7 +817,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let binary_path = dir.join("sample.aig");
         write_binary_file(&aig, &binary_path).unwrap();
-        let parsed = read_binary_file(&binary_path).unwrap();
+        let parsed = read_file(&binary_path).unwrap();
         assert_eq!(
             check_equivalence(&aig, &parsed, 8, 7),
             EquivalenceResult::Equivalent

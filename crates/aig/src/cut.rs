@@ -150,18 +150,6 @@ impl CutFeatures {
             self.leaves,
         ]
     }
-
-    /// Builds features from an array in [`FEATURE_NAMES`] order.
-    pub fn from_array(values: [f32; NUM_FEATURES]) -> Self {
-        CutFeatures {
-            root_fanout: values[0],
-            root_level: values[1],
-            cut_fanout: values[2],
-            cut_size: values[3],
-            reconvergent: values[4],
-            leaves: values[5],
-        }
-    }
 }
 
 /// Reusable, graph-independent scratch state for read-only cut computation.
@@ -562,7 +550,7 @@ mod tests {
             reconvergent: 2.0,
             leaves: 4.0,
         };
-        assert_eq!(CutFeatures::from_array(features.to_array()), features);
+        assert_eq!(features.to_array(), [3.0, 9.0, 10.0, 9.0, 2.0, 4.0]);
         assert_eq!(FEATURE_NAMES.len(), NUM_FEATURES);
     }
 }

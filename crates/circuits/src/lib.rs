@@ -30,7 +30,6 @@
 
 pub mod epfl;
 pub mod industrial;
-pub mod large;
 pub mod scripted;
 pub mod synthetic;
 pub mod words;
@@ -40,6 +39,7 @@ pub use industrial::{
     generate_industrial, generate_random_netlist, industrial_suite, IndustrialProfile,
     TABLE2_PROFILES,
 };
-pub use large::{generate_large_circuit, LargeCircuitSpec};
 pub use scripted::{script_strategy, scripted_circuit, GateChoice};
-pub use synthetic::{generate_synthetic, synthetic_suite, SyntheticSpec, TABLE6_SPECS};
+pub use synthetic::{
+    generate_large_circuit, generate_synthetic, synthetic_suite, SyntheticSpec, TABLE6_SPECS,
+};

@@ -10,10 +10,10 @@ use crate::matrix::Matrix;
 ///
 /// Serving layers fan one trained model out to many flows, jobs and worker
 /// threads; cloning the handle bumps a reference count instead of copying
-/// the weight matrices ([`Mlp::weight_bytes`] of them), so a per-request
-/// clone allocates **zero** weight bytes.  The weights behind a handle are
-/// immutable — retraining produces a *new* model (and a new handle), which
-/// is what lets in-flight users keep the exact version they started with.
+/// the weight matrices, so a per-request clone allocates **zero** weight
+/// bytes.  The weights behind a handle are immutable — retraining produces a
+/// *new* model (and a new handle), which is what lets in-flight users keep
+/// the exact version they started with.
 pub type SharedMlp = std::sync::Arc<Mlp>;
 
 /// A feed-forward neural network (multi-layer perceptron).
@@ -106,12 +106,6 @@ impl Mlp {
     /// Total number of trainable parameters.
     pub fn num_params(&self) -> usize {
         self.layers.iter().map(Dense::num_params).sum()
-    }
-
-    /// Bytes of weight storage a deep copy of this model would allocate —
-    /// what sharing a [`SharedMlp`] handle saves per clone.
-    pub fn weight_bytes(&self) -> usize {
-        self.num_params() * std::mem::size_of::<f32>()
     }
 
     /// Freezes the trained model into a [`SharedMlp`] handle.

@@ -2,7 +2,7 @@
 //!
 //! Zero-dependency observability for the ELF stack: a lock-free
 //! [`metrics`] registry (counters, gauges, log-bucketed latency
-//! histograms with exact p50/p99/max readout, Prometheus-style text
+//! histograms with quantile and exact-max readout, Prometheus-style text
 //! exposition) and a [`trace`] facade (RAII [`span!`] guards, per-thread
 //! ring buffers, `ELF_TRACE` gating, Chrome `trace_event` export with a
 //! round-trip [`chrome`] parser).
@@ -34,12 +34,6 @@ pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};
 pub use trace::{JobScope, Span};
-
-/// The process-wide default [`Registry`] (shorthand for
-/// [`Registry::global`]).
-pub fn global() -> Registry {
-    Registry::global()
-}
 
 /// Opens an RAII trace span: `span!("rf")`, `span!("rf", node_count = n)`.
 ///

@@ -268,11 +268,6 @@ impl HistogramSnapshot {
         self.quantile(0.50)
     }
 
-    /// 99th-percentile sample (bucket-resolution).
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
     /// The metric family: the name with any `{label…}` suffix stripped.
     pub fn family(&self) -> &str {
         family_of(&self.name)

@@ -15,12 +15,12 @@
 //! a form is one `memcpy`, dropping it one `free`, and a consumer walks it
 //! from the root by index.
 //!
-//! [`factor_into`] writes into a caller-owned form from the two stacks of a
-//! [`FactorScratch`]: the cover sits at the bottom of one cube stack, each
-//! division pushes its quotient on top (the remainder is compacted in place,
-//! a cover is never read again once divided) and pops it on return; cubes
-//! and disjunctions are reduced pairwise, in place, on one term stack.  A
-//! warm scratch factors without touching the allocator.
+//! [`factor_truth_table_into`] writes into a caller-owned form from the two
+//! stacks of a [`FactorScratch`]: the cover sits at the bottom of one cube
+//! stack, each division pushes its quotient on top (the remainder is
+//! compacted in place, a cover is never read again once divided) and pops it
+//! on return; cubes and disjunctions are reduced pairwise, in place, on one
+//! term stack.  A warm scratch factors without touching the allocator.
 //!
 //! # Watching the gates go in
 //!
@@ -239,8 +239,8 @@ impl fmt::Display for FactoredForm {
     }
 }
 
-/// The buffers [`factor_into`] and [`factor_truth_table_into`] work in; they
-/// grow to the largest cover met and are reused from then on.
+/// The buffers [`factor_truth_table_into`] works in; they grow to the
+/// largest cover met and are reused from then on.
 #[derive(Debug, Default)]
 pub struct FactorScratch {
     /// The cover being factored, then the quotients of the divisions in
@@ -258,16 +258,13 @@ pub struct FactorScratch {
 /// (`factor(s).to_truth_table() == s.to_truth_table()`) and typically needs
 /// far fewer binary gates than the flat SOP.
 pub fn factor(sop: &Sop) -> FactoredForm {
+    let mut scratch = FactorScratch {
+        cubes: sop.cubes().to_vec(),
+        ..FactorScratch::default()
+    };
     let mut form = FactoredForm::default();
-    factor_into(sop, &mut FactorScratch::default(), &mut form);
+    factor_cover(&mut scratch, &mut form, |_| true);
     form
-}
-
-/// [`factor`] into the caller's form, working in the caller's buffers.
-pub fn factor_into(sop: &Sop, scratch: &mut FactorScratch, form: &mut FactoredForm) {
-    scratch.cubes.clear();
-    scratch.cubes.extend_from_slice(sop.cubes());
-    factor_cover(scratch, form, |_| true);
 }
 
 /// Factors a truth table by first computing its irredundant SOP.
@@ -606,7 +603,7 @@ mod tests {
     }
 
     /// The boxed tree and the `Vec`-per-division factoring this module used
-    /// before the arena, kept verbatim: the oracle [`factor_into`] is compared
+    /// before the arena, kept verbatim: the oracle [`factor`] is compared
     /// against tree for tree.
     mod boxed {
         use std::fmt;
@@ -861,13 +858,12 @@ mod tests {
         })
     }
 
-    /// Factors `sop` both ways, into a scratch and a form that have met other
-    /// covers before, and expects one tree: equal as trees, in print, in
-    /// every count and as functions.
-    fn assert_matches_boxed(sop: &Sop, scratch: &mut FactorScratch, form: &mut FactoredForm) {
+    /// Factors `sop` both ways and expects one tree: equal as trees, in
+    /// print, in every count and as functions.  Returns the flat form.
+    fn assert_matches_boxed(sop: &Sop) -> FactoredForm {
         let oracle = boxed::factor(sop);
-        factor_into(sop, scratch, form);
-        assert_eq!(boxed_tree(form), oracle, "cover {sop}");
+        let form = factor(sop);
+        assert_eq!(boxed_tree(&form), oracle, "cover {sop}");
         assert_eq!(form.to_string(), oracle.to_string());
         assert_eq!(form.num_gates(), oracle.num_gates());
         assert_eq!(form.num_literals(), oracle.num_literals());
@@ -877,14 +873,15 @@ mod tests {
             form.to_truth_table(num_vars),
             oracle.to_truth_table(num_vars)
         );
-        assert_eq!(*form, factor(sop), "a warm scratch changes nothing");
+        form
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(768))]
 
         /// The arena factoring is the boxed one, tree for tree, on every
-        /// function family the ISOP is tested on.
+        /// function family the ISOP is tested on, and a scratch that has met
+        /// other functions before changes nothing.
         #[test]
         fn flat_factoring_matches_the_boxed_oracle(
             functions in proptest::collection::vec(
@@ -892,9 +889,9 @@ mod tests {
                 1..4,
             )
         ) {
-            let (mut scratch, mut form) = (FactorScratch::default(), FactoredForm::default());
+            let mut scratch = FactorScratch::default();
             for function in &functions {
-                assert_matches_boxed(&Sop::isop(function), &mut scratch, &mut form);
+                let form = assert_matches_boxed(&Sop::isop(function));
                 let mut via_table = FactoredForm::default();
                 factor_truth_table_into(function, &mut scratch, &mut via_table, |_| true);
                 proptest::prop_assert_eq!(&via_table, &form);
@@ -946,7 +943,6 @@ mod tests {
 
     #[test]
     fn flat_factoring_matches_the_boxed_oracle_on_the_corner_covers() {
-        let (mut scratch, mut form) = (FactorScratch::default(), FactoredForm::default());
         let literal = |var, positive| Cube::literal(var, positive);
         let covers = [
             // Constants, of no variable and of some.
@@ -991,12 +987,12 @@ mod tests {
             ),
         ];
         for sop in &covers {
-            assert_matches_boxed(sop, &mut scratch, &mut form);
+            assert_matches_boxed(sop);
         }
         // Parity has the longest covers: 2^(n-1) cubes without a don't-care.
         for num_vars in 1..=11 {
             let parity = TruthTable::from_fn(num_vars, |m| m.count_ones() % 2 == 1);
-            assert_matches_boxed(&Sop::isop(&parity), &mut scratch, &mut form);
+            assert_matches_boxed(&Sop::isop(&parity));
         }
     }
 

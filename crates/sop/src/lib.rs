@@ -10,8 +10,8 @@
 //! 3. The cover is algebraically [factored](factor) into a [`FactoredForm`],
 //!    whose binary gate count is the size of the resynthesized cut.  The form
 //!    is one flat arena of [`Gate`]s over [`Term`]s; the `_into` variants
-//!    ([`Sop::isop_into`], [`factor_into`], [`factor_truth_table_into`]) work
-//!    in a caller's [`FactorScratch`] and allocate nothing once it is warm.
+//!    ([`Sop::isop_into`], [`factor_truth_table_into`]) work in a caller's
+//!    buffers and allocate nothing once they are warm.
 //!
 //! # Examples
 //!
@@ -34,7 +34,6 @@ mod truth;
 
 pub use cover::{Cube, Sop};
 pub use factor::{
-    factor, factor_into, factor_truth_table, factor_truth_table_into, FactorScratch, FactoredForm,
-    Gate, Term,
+    factor, factor_truth_table, factor_truth_table_into, FactorScratch, FactoredForm, Gate, Term,
 };
 pub use truth::{TruthTable, MAX_VARS};

@@ -74,8 +74,8 @@ fi
 echo "static-gate: rewrite and resub stay off the heap"
 
 # Resynthesis stays off the heap too: a factored form is one flat arena,
-# written by `factor_into` from two reusable stacks and read by the operators
-# through the NPN transform.  A `Box` in the non-test region of the factoring
+# written by `factor_truth_table_into` from two reusable stacks and read by
+# the operators through the NPN transform.  A `Box` in the non-test region of the factoring
 # or of the code that counts, builds or caches forms is the boxed tree coming
 # back (it survives only as the `#[cfg(test)]` oracles); a `decanonicalize(`
 # call in an operator is the per-cut rebuild of the form coming back.
@@ -120,7 +120,7 @@ echo "static-gate: cut features are counted from the fanin side"
 # One batched entry: a pruned pass sweeps, classifies and mutates through
 # `PrunableOperator::run_batched`, which reuses the sweep's windows.  A
 # `run_decided` outside tests is the second, window-less phase 3 coming back.
-decided=$(find crates/*/src crates/bench/benches src examples -name '*.rs' -print0 | xargs -0 awk '
+decided=$(find crates/*/src src examples -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
     /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
@@ -295,3 +295,19 @@ if [ -n "$counting" ]; then
     exit 1
 fi
 echo "static-gate: gains are counted while the form is written, and forms are made in cache.rs"
+
+# One bench harness: `elf-perf` (its own package, named by BENCHMARK.json)
+# times every layer with interleaved arms and a reported spread.  A
+# `[[bench]]` table or a `criterion` dependency in a workspace manifest, or a
+# `crates/*/benches/` directory, is the second, unmeasured harness coming back.
+harness=$(
+    grep -nE '^[[:space:]]*\[\[bench\]\]|^[[:space:]]*criterion[[:space:]]*[.=]|dependencies\.criterion\]' \
+        Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml || true
+    find crates -mindepth 2 -maxdepth 2 -type d -name benches
+)
+if [ -n "$harness" ]; then
+    echo "$harness"
+    echo "static-gate: a [[bench]] table, criterion dependency or crates/*/benches/ directory; elf-perf is the one benchmark (see elf-perf/README.md)" >&2
+    exit 1
+fi
+echo "static-gate: one bench harness (elf-perf)"
