@@ -1,6 +1,14 @@
 //! Cubes, sum-of-products covers, and the Minato–Morreale irredundant SOP.
+//!
+//! The recursion runs on `u64` words: in registers up to six variables, on
+//! half-slices above.  Each level passes its children the prefix cube — the
+//! split literals of every level above — so a cube is pushed complete and
+//! never revisited.  At three variables or fewer a bound is one byte
+//! repeated, and the interval's cubes and cover are one read of a table of
+//! all 3^8 intervals, which the same recursion fills once per process.
 
 use std::fmt;
+use std::sync::LazyLock;
 
 use crate::truth::{TruthTable, ELEMENTARY};
 
@@ -200,24 +208,7 @@ impl Sop {
     /// the recursion working in `buffer`, so a caller covering many functions
     /// allocates for the largest only.
     pub fn isop_into(function: &TruthTable, cubes: &mut Vec<Cube>, buffer: &mut Vec<u64>) {
-        let num_vars = function.num_vars();
-        let words = function.words();
-        cubes.clear();
-        if num_vars <= 6 {
-            // Repeat the table over the unused high variables so that "all
-            // ones" and the cofactor shifts need no width-dependent mask.
-            let table = (num_vars..6).fold(words[0], |w, var| w | w << (1usize << var));
-            let cover = isop_word(cubes, table, table, num_vars);
-            debug_assert_eq!(cover, table, "ISOP must reproduce the function exactly");
-        } else {
-            // One buffer for the whole recursion: the cover, then four
-            // half-width temporaries per level (4 * (1/2 + 1/4 + ..) < 4).
-            buffer.clear();
-            buffer.resize(5 * words.len(), 0);
-            let (cover, scratch) = buffer.split_at_mut(words.len());
-            isop_slices(cubes, words, words, cover, scratch);
-            debug_assert_eq!(cover, words, "ISOP must reproduce the function exactly");
-        }
+        isop_interval(function, function, cubes, buffer);
     }
 }
 
@@ -231,20 +222,136 @@ impl fmt::Display for Sop {
     }
 }
 
+/// Writes to `cubes` (cleared first) a Minato–Morreale ISOP of the interval
+/// `[lower, upper]`: two tables over the same variables with `lower ⊆ upper`.
+/// [`Sop::isop_into`] is the interval `[function, function]`.
+fn isop_interval(
+    lower: &TruthTable,
+    upper: &TruthTable,
+    cubes: &mut Vec<Cube>,
+    buffer: &mut Vec<u64>,
+) {
+    let num_vars = lower.num_vars();
+    cubes.clear();
+    if num_vars <= 6 {
+        // Repeat the tables over the unused high variables so that "all
+        // ones" and the cofactor shifts need no width-dependent mask.
+        let repeat = |w: u64| (num_vars..6).fold(w, |w, var| w | w << (1usize << var));
+        let (lower, upper) = (repeat(lower.words()[0]), repeat(upper.words()[0]));
+        let cover = isop_word::<true>(cubes, lower, upper, num_vars, Cube::TAUTOLOGY);
+        debug_assert!(
+            lower & !cover == 0 && cover & !upper == 0,
+            "ISOP must lie in the interval"
+        );
+    } else {
+        let (lower, upper) = (lower.words(), upper.words());
+        // One buffer for the whole recursion: the cover, then four
+        // half-width temporaries per level (4 * (1/2 + 1/4 + ..) < 4).
+        buffer.clear();
+        buffer.resize(5 * lower.len(), 0);
+        let (cover, scratch) = buffer.split_at_mut(lower.len());
+        isop_slices(cubes, lower, upper, cover, scratch, Cube::TAUTOLOGY);
+        debug_assert!(
+            (cover.iter().zip(lower.iter().zip(upper)))
+                .all(|(c, (l, u))| l & !c == 0 && c & !u == 0),
+            "ISOP must lie in the interval"
+        );
+    }
+}
+
+/// A byte repeated over a word: the table of a function of the three lowest
+/// variables from its eight minterms.
+const REPEAT_BYTE: u64 = 0x0101_0101_0101_0101;
+
+/// `TRIT[byte]` is the base-3 number whose digit `i` is bit `i` of `byte`.
+/// For `lower ⊆ upper`, `TRIT[lower] + TRIT[upper]` numbers the interval in
+/// `0..3^8`: digit `i` is 0 if minterm `i` lies outside `upper`, 1 if it lies
+/// in `upper` only and 2 if it lies in `lower`.
+const TRIT: [u16; 256] = {
+    let mut trit = [0; 256];
+    let mut byte = 1;
+    while byte < 256 {
+        // The lowest set bit's digit plus the number of the bits above it.
+        trit[byte] = 3u16.pow(byte.trailing_zeros()) + trit[byte & (byte - 1)];
+        byte += 1;
+    }
+    trit
+};
+
+/// The ISOP of every interval over the three lowest variables, numbered as
+/// in [`TRIT`].  An entry holds the cover in bits 0..8, the number of cubes
+/// (at most four) in bits 8..11, and cube `i` in the six bits from
+/// `11 + 6 i`: its positive literals, then its negative ones.  Filled once
+/// per process by the word recursion itself, with the table turned off.
+static INTERVAL_ISOP: LazyLock<[u64; 6561]> = LazyLock::new(|| {
+    let mut table = [0; 6561];
+    let mut cubes = Vec::with_capacity(4);
+    for lower in 0..256usize {
+        // Every `upper ⊇ lower`: `lower` plus each subset of the rest.
+        let free = !lower & 0xff;
+        let mut extra = free;
+        loop {
+            let upper = lower | extra;
+            cubes.clear();
+            let (l, u) = (lower as u64 * REPEAT_BYTE, upper as u64 * REPEAT_BYTE);
+            let cover = isop_word::<false>(&mut cubes, l, u, 3, Cube::TAUTOLOGY);
+            assert!(
+                cubes.len() <= 4,
+                "a three-variable ISOP has at most four cubes"
+            );
+            let mut entry = (cover & 0xff) | (cubes.len() as u64) << 8;
+            for (i, cube) in cubes.iter().enumerate() {
+                entry |= u64::from(cube.pos | cube.neg << 3) << (11 + 6 * i);
+            }
+            table[usize::from(TRIT[lower] + TRIT[upper])] = entry;
+            if extra == 0 {
+                break;
+            }
+            extra = (extra - 1) & free;
+        }
+    }
+    table
+});
+
+/// [`isop_word`] at `top <= 3`, read from [`INTERVAL_ISOP`]: both bounds are
+/// their low byte repeated.
+fn isop_byte(cubes: &mut Vec<Cube>, lower: u64, upper: u64, prefix: Cube) -> u64 {
+    let entry = INTERVAL_ISOP[usize::from(TRIT[lower as u8 as usize] + TRIT[upper as u8 as usize])];
+    cubes.extend((0..entry >> 8 & 7).map(|i| {
+        let literals = (entry >> (11 + 6 * i)) as u32;
+        Cube {
+            pos: prefix.pos | literals & 7,
+            neg: prefix.neg | literals >> 3 & 7,
+        }
+    }));
+    (entry & 0xff) * REPEAT_BYTE
+}
+
 /// Minato–Morreale ISOP of the interval `[lower, upper]` over the variables
 /// below `top <= 6`, entirely in registers.  Both bounds are full 64-bit
 /// tables that do not depend on any variable `>= top`.
 ///
-/// Appends the cubes to `cubes` — those with the negative literal of the
-/// split variable, then those with the positive one, then the rest — and
-/// returns the function they cover.
-fn isop_word(cubes: &mut Vec<Cube>, lower: u64, upper: u64, top: usize) -> u64 {
+/// Appends the cubes to `cubes`, each with the literals of `prefix` (the
+/// split literals of the levels above) — those with the negative literal of
+/// the split variable, then those with the positive one, then the rest — and
+/// returns the function they cover.  With `TABLE`, an interval at `top <= 3`
+/// is read from [`INTERVAL_ISOP`], which this recursion fills without it.
+fn isop_word<const TABLE: bool>(
+    cubes: &mut Vec<Cube>,
+    lower: u64,
+    upper: u64,
+    top: usize,
+    prefix: Cube,
+) -> u64 {
     debug_assert_eq!(lower & !upper, 0, "lower bound must imply upper bound");
     if lower == 0 {
         return 0;
     }
+    if TABLE && top <= 3 {
+        return isop_byte(cubes, lower, upper, prefix);
+    }
     if upper == !0 {
-        cubes.push(Cube::TAUTOLOGY);
+        cubes.push(prefix);
         return !0;
     }
     // The topmost variable either bound depends on.
@@ -262,13 +369,13 @@ fn isop_word(cubes: &mut Vec<Cube>, lower: u64, upper: u64, top: usize) -> u64 {
     let (l0, l1) = (cofactor0(lower), cofactor1(lower));
     let (u0, u1) = (cofactor0(upper), cofactor1(upper));
 
-    let start0 = cubes.len();
-    let cover0 = isop_word(cubes, l0 & !u1, u0, var);
-    let start1 = cubes.len();
-    let cover1 = isop_word(cubes, l1 & !u0, u1, var);
-    add_split_literal(cubes, start0, start1, var);
+    let prefix0 = prefix.with_literal(var, false);
+    let cover0 = isop_word::<TABLE>(cubes, l0 & !u1, u0, var, prefix0);
+    let prefix1 = prefix.with_literal(var, true);
+    let cover1 = isop_word::<TABLE>(cubes, l1 & !u0, u1, var, prefix1);
     // Remaining minterms can be covered without mentioning `var`.
-    let cover_star = isop_word(cubes, (l0 & !cover0) | (l1 & !cover1), u0 & u1, var);
+    let rest = (l0 & !cover0) | (l1 & !cover1);
+    let cover_star = isop_word::<TABLE>(cubes, rest, u0 & u1, var, prefix);
     (cover0 & !mask) | (cover1 & mask) | cover_star
 }
 
@@ -282,13 +389,14 @@ fn isop_slices(
     upper: &[u64],
     cover: &mut [u64],
     scratch: &mut [u64],
+    prefix: Cube,
 ) {
     if lower.iter().all(|&w| w == 0) {
         cover.fill(0);
         return;
     }
     if upper.iter().all(|&w| w == !0) {
-        cubes.push(Cube::TAUTOLOGY);
+        cubes.push(prefix);
         cover.fill(!0);
         return;
     }
@@ -303,7 +411,7 @@ fn isop_slices(
         len = half;
     }
     if len == 1 {
-        cover.fill(isop_word(cubes, lower[0], upper[0], 6));
+        cover.fill(isop_word::<true>(cubes, lower[0], upper[0], 6, prefix));
         return;
     }
     let half = len / 2;
@@ -315,23 +423,22 @@ fn isop_slices(
     let (upper_star, mine) = mine.split_at_mut(half);
     let (cover0, cover1) = mine.split_at_mut(half);
 
-    let start0 = cubes.len();
     for (b, (l, u)) in bound.iter_mut().zip(l0.iter().zip(u1)) {
         *b = l & !u;
     }
-    isop_slices(cubes, bound, u0, cover0, scratch);
-    let start1 = cubes.len();
+    let prefix0 = prefix.with_literal(var, false);
+    isop_slices(cubes, bound, u0, cover0, scratch, prefix0);
     for (b, (l, u)) in bound.iter_mut().zip(l1.iter().zip(u0)) {
         *b = l & !u;
     }
-    isop_slices(cubes, bound, u1, cover1, scratch);
-    add_split_literal(cubes, start0, start1, var);
+    let prefix1 = prefix.with_literal(var, true);
+    isop_slices(cubes, bound, u1, cover1, scratch, prefix1);
     for i in 0..half {
         bound[i] = (l0[i] & !cover0[i]) | (l1[i] & !cover1[i]);
         upper_star[i] = u0[i] & u1[i];
     }
     let (low, high) = cover[..len].split_at_mut(half);
-    isop_slices(cubes, bound, upper_star, low, scratch);
+    isop_slices(cubes, bound, upper_star, low, scratch, prefix);
     for i in 0..half {
         high[i] = cover1[i] | low[i];
         low[i] |= cover0[i];
@@ -340,17 +447,6 @@ fn isop_slices(
     while len < cover.len() {
         cover.copy_within(..len, len);
         len *= 2;
-    }
-}
-
-/// Adds the negative literal of `var` to `cubes[start0..start1]` and the
-/// positive one to `cubes[start1..]`.
-fn add_split_literal(cubes: &mut [Cube], start0: usize, start1: usize, var: usize) {
-    for cube in &mut cubes[start0..start1] {
-        cube.neg |= 1 << var;
-    }
-    for cube in &mut cubes[start1..] {
-        cube.pos |= 1 << var;
     }
 }
 
@@ -466,15 +562,25 @@ pub(crate) mod tests {
 
         /// The word-slice recursion emits exactly the cubes of the
         /// table-at-a-time one, in the same order — on tables narrower than
-        /// a word, on one word, and on up to 64 words.
+        /// a word, on one word, and on up to 64 words; for a complete
+        /// function and for an interval `[lower, lower | slack]`.
         #[test]
         fn isop_matches_the_table_oracle_cube_for_cube(
-            function in (1usize..=12).prop_flat_map(arbitrary_function)
+            bounds in (1usize..=12)
+                .prop_flat_map(|n| (arbitrary_function(n), arbitrary_function(n)))
         ) {
-            let (cubes, cover) = isop_rec(&function, &function, function.num_vars());
-            prop_assert_eq!(&cover, &function);
-            let sop = Sop::isop(&function);
+            let (function, slack) = &bounds;
+            let (cubes, cover) = isop_rec(function, function, function.num_vars());
+            prop_assert_eq!(&cover, function);
+            let sop = Sop::isop(function);
             prop_assert_eq!(sop.cubes(), &cubes[..]);
+
+            let upper = function | slack;
+            let (cubes, cover) = isop_rec(function, &upper, function.num_vars());
+            prop_assert!(function.implies(&cover) && cover.implies(&upper));
+            let mut interval = Vec::new();
+            isop_interval(function, &upper, &mut interval, &mut Vec::new());
+            prop_assert_eq!(interval, cubes);
         }
     }
 
@@ -515,6 +621,45 @@ pub(crate) mod tests {
             let function = TruthTable::from_words(vec![bits], 3);
             let (cubes, _) = isop_rec(&function, &function, 3);
             assert_eq!(Sop::isop(&function).cubes(), &cubes[..], "table {bits:#x}");
+        }
+    }
+
+    /// Every interval over three variables, read from the table the way the
+    /// recursion reads it, gives the oracle's cubes in order and its cover.
+    /// The intervals are numbered here minterm by minterm, and `TRIT` must
+    /// give each that number, so a wrong index fails as surely as a wrong
+    /// entry.
+    #[test]
+    fn the_interval_table_matches_the_oracle_on_every_three_variable_interval() {
+        for number in 0..6561usize {
+            let (mut lower, mut upper, mut digits) = (0u64, 0u64, number);
+            for minterm in 0..8 {
+                match digits % 3 {
+                    2 => lower |= 1 << minterm,
+                    1 => upper |= 1 << minterm,
+                    _ => {}
+                }
+                digits /= 3;
+            }
+            upper |= lower;
+            let index = usize::from(TRIT[lower as usize] + TRIT[upper as usize]);
+            assert_eq!(index, number, "interval [{lower:#04x}, {upper:#04x}]");
+
+            let mut cubes = Vec::new();
+            let cover = isop_byte(
+                &mut cubes,
+                lower * REPEAT_BYTE,
+                upper * REPEAT_BYTE,
+                Cube::TAUTOLOGY,
+            );
+            let table = |bits: u64| TruthTable::from_words(vec![bits], 3);
+            let (expected, expected_cover) = isop_rec(&table(lower), &table(upper), 3);
+            assert_eq!(cubes, expected, "interval [{lower:#04x}, {upper:#04x}]");
+            assert_eq!(
+                cover,
+                expected_cover.words()[0] * REPEAT_BYTE,
+                "interval [{lower:#04x}, {upper:#04x}]"
+            );
         }
     }
 

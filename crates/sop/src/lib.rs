@@ -6,7 +6,10 @@
 //!
 //! 1. The cut's function is expressed as a [`TruthTable`] over its leaves.
 //! 2. The truth table is converted to an irredundant sum-of-products cover
-//!    ([`Sop::isop`], the Minato–Morreale algorithm).
+//!    ([`Sop::isop`], the Minato–Morreale algorithm).  The recursion pushes
+//!    each cube complete, with the split literals of the levels above it,
+//!    and reads every interval over the three lowest variables from one
+//!    table filled once per process.
 //! 3. The cover is algebraically [factored](factor) into a [`FactoredForm`],
 //!    whose binary gate count is the size of the resynthesized cut.  The form
 //!    is one flat arena of [`Gate`]s over [`Term`]s; the `_into` variants

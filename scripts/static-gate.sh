@@ -12,7 +12,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-GATED_DIRS=(crates/serve/src crates/cec/src crates/obs/src)
+GATED_DIRS=(crates/serve/src crates/cec/src crates/obs/src crates/core/src)
 
 status=0
 for dir in "${GATED_DIRS[@]}"; do
@@ -311,3 +311,21 @@ if [ -n "$harness" ]; then
     exit 1
 fi
 echo "static-gate: one bench harness (elf-perf)"
+
+# Cubes pushed whole: the Minato–Morreale recursion hands each level the
+# split literals of the levels above and pushes every cube complete, and an
+# interval over the three lowest variables is one table read.  An
+# `add_split_literal`, a `for` over `&mut cubes` or a `cubes[..]` range
+# written to in the non-test region of `cover.rs` is the pass that added the
+# literals after the fact, once per level, coming back.
+after=$(awk '
+    /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }
+    /add_split_literal|in &mut cubes|cubes(\[[^]]*\])?\.iter_mut\(|cubes\[[^]]*\.\./ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+' crates/sop/src/cover.rs)
+if [ -n "$after" ]; then
+    echo "$after"
+    echo "static-gate: split literals added to pushed cubes after the fact in non-test crates/sop/src/cover.rs" >&2
+    exit 1
+fi
+echo "static-gate: ISOP pushes every cube whole"
