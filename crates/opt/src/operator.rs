@@ -213,7 +213,9 @@ pub struct LabeledCut {
 /// The buffers one pass reuses across its nodes, so that a pass allocates
 /// once rather than per node.  The driver owns it and lends it to every
 /// [`PrunableOperator::resynthesize`] call; apart from `cut` when the call
-/// says it holds the node's window, the contents are stale between calls.
+/// says it holds the node's window, and rewrite's cut sets of complete
+/// nodes, kept while the graph's edit clock stands still, the contents are
+/// stale between calls.  So one scratch serves one pass over one graph.
 ///
 /// Nameable only inside this crate: operators are implemented here.
 #[derive(Debug)]

@@ -36,13 +36,34 @@
 //!   formed (a stable sort, then a truncation).  So each length is a bucket
 //!   in insertion order, and a candidate that arrives at a bucket already
 //!   holding `cuts_per_node` cuts can be discarded unseen.
+//! * **Complete nodes.**  A window node whose whole fanin cone lies in the
+//!   window has the cut set the bottom-up merge gives it in *any* window
+//!   that holds its cone, so the pass keeps such sets across roots while the
+//!   graph is unedited.  Exactness:
+//!   - the walk turns an unseen AND node away only once the window holds
+//!     [`WINDOW`] nodes;
+//!   - a node placed before that first refusal had its whole fanin cone
+//!     walked, so every AND node below it is in the window, and its cut set
+//!     depends only on the graph and the parameters — it is the same in
+//!     every root's window that places it before that root's first refusal;
+//!   - the nodes placed after the first refusal are the open ancestors of
+//!     the refused node, so the complete nodes are exactly a prefix of the
+//!     window: all of it, or the nodes placed before the first refusal;
+//!   - enumeration reads only the kind and fanins of a node, every write of
+//!     those stamps the slot and advances [`Aig::edit_clock`], and reference
+//!     counts (which the MFFC walks change) do not advance it.  So a stored
+//!     set is exact while the clock and the parameters have not moved, and
+//!     the store is flushed when either has.
 //!
 //! The cut sets live in one positional scratch ([`CutWindow`]: set `i`
 //! belongs to window node `i`, leaves in one flat buffer with stride
 //! `cut_size`, a 64-bit leaf signature per cut to reject oversized unions
 //! before they are built, an epoch-stamped slot map that says whether the
 //! window holds a graph node and where), owned by the pass and reused
-//! across its nodes.
+//! across its nodes.  The sets of complete nodes stay in that buffer from
+//! one root to the next, and a slot map says which node each belongs to, so
+//! a root merges only the few nodes of its window that are not complete or
+//! not yet stored, and reads the others' sets where they lie.
 
 use elf_aig::{Aig, Cut, CutParams, NodeId};
 use elf_sop::MAX_VARS;
@@ -178,15 +199,31 @@ impl Rewrite {
             cuts_per_node,
             ..
         } = self.params;
+        // Stored sets are exact while the graph and the parameters they
+        // were merged under hold (module docs, "Complete nodes").
+        let key = (aig.edit_clock(), cut_size, cuts_per_node);
+        if window.store.key != Some(key) {
+            window.store.flush(aig, key);
+        }
         window.local_cone(aig, node);
         window.cuts.stride = cut_size;
         window.merged.stride = cut_size;
-        window.ends.clear();
-        // Cuts 0 and 1 are spare: the trivial cut of a fanin outside the window.
-        let mut end = 2;
+        window.sets.clear();
+        // The sets this root merges and cannot store follow the store's.
+        let mut end = window.store.end;
         window.cuts.reserve(end);
         for position in 0..window.cone.len() {
             let id = window.cone[position];
+            let complete = position < window.complete;
+            let stored = if complete { window.store.set(id) } else { None };
+            if let Some(stored) = stored {
+                #[cfg(test)]
+                {
+                    window.served.0 += 1;
+                }
+                window.sets.push(stored);
+                continue;
+            }
             let (f0, f1) = aig.fanins(id);
             let set0 = window.fanin_set(f0.node(), 0);
             let set1 = window.fanin_set(f1.node(), 1);
@@ -246,7 +283,14 @@ impl Rewrite {
                 cuts.copy_from(end, merged, bucket * capacity, take);
                 end += take;
             }
-            window.ends.push(end);
+            window.sets.push(start..end);
+            if complete {
+                window.store.insert(id, start..end);
+            }
+        }
+        #[cfg(test)]
+        {
+            window.served.1 += window.cone.len();
         }
         let root = window.cone.len().checked_sub(1);
         root.map_or(0..0, |root| window.set(root))
@@ -299,27 +343,82 @@ impl CutList {
     }
 }
 
+/// Which cut sets of [`CutWindow::cuts`] belong to the complete window
+/// nodes the pass has met since the graph was last edited (module docs,
+/// "Complete nodes").  The stored sets lie from cut 2 up to `end`; a root's
+/// merges append after them, and the complete nodes' merges come first, so
+/// the sets a root stores extend that run.
+#[derive(Debug, Default)]
+struct CutStore {
+    /// The edit clock, `cut_size` and `cuts_per_node` the sets were merged
+    /// under; `None` before the first enumeration.
+    key: Option<(u64, usize, usize)>,
+    end: usize,
+    sets: Vec<std::ops::Range<usize>>,
+    /// The index in `sets` of each stored node's set.
+    nodes: SlotMap,
+}
+
+impl CutStore {
+    /// Forgets every set; the ones stored from now on are merged under `key`.
+    fn flush(&mut self, aig: &Aig, key: (u64, usize, usize)) {
+        self.key = Some(key);
+        // Cuts 0 and 1 are spare: the trivial cut of a fanin outside the window.
+        self.end = 2;
+        self.sets.clear();
+        self.nodes.clear(aig);
+    }
+
+    /// Where `node`'s stored set sits, if it has one.
+    fn set(&self, node: NodeId) -> Option<std::ops::Range<usize>> {
+        let set = self.nodes.get(node)?;
+        Some(self.sets[set as usize].clone())
+    }
+
+    /// Stores the cuts `set`, which start where the stored sets end, as
+    /// `node`'s set.
+    fn insert(&mut self, node: NodeId, set: std::ops::Range<usize>) {
+        debug_assert_eq!(set.start, self.end);
+        self.end = set.end;
+        self.nodes.insert(node, self.sets.len() as u32);
+        self.sets.push(set);
+    }
+}
+
 /// The cut sets of one root's window, held by position, plus the traversal
-/// buffers that build it: the rewrite operator's share of the pass scratch.
+/// buffers that build it and the store of complete nodes' sets that spares
+/// their merge: the rewrite operator's share of the pass scratch.  One
+/// window serves one graph: the store trusts the graph's edit clock.
 #[derive(Debug, Default)]
 pub(crate) struct CutWindow {
     /// The window's AND nodes, fanins before fanouts, the root last.
     cone: Vec<NodeId>,
-    /// Set `i` — the cuts up to `ends[i]` from where set `i - 1` ends, the
-    /// first set from cut 2 — is `cone[i]`'s.
+    /// How many nodes at the front of `cone` are complete: their whole
+    /// fanin cone lies in the window.
+    complete: usize,
+    /// Every cut set: two spare cuts, the store's sets, then the sets the
+    /// last root merged and could not store.
     cuts: CutList,
-    ends: Vec<usize>,
+    /// Where `cone[i]`'s set sits in `cuts`.
+    sets: Vec<std::ops::Range<usize>>,
     /// The candidates of the node being merged, one bucket per length.
     merged: CutList,
     /// The position in `cone` of each node this window holds.
     positions: SlotMap,
+    /// Which sets of `cuts` are complete nodes', kept across roots.
+    store: CutStore,
     cone_stack: Vec<(NodeId, bool)>,
     stack: Vec<NodeId>,
+    /// Window nodes whose set came from the store, and all window nodes.
+    #[cfg(test)]
+    served: (usize, usize),
 }
 
 impl CutWindow {
     /// Collects the AND nodes of the transitive fanin cone of `root` into
-    /// `cone`, in topological order, truncated to [`WINDOW`] nodes.
+    /// `cone`, in topological order, truncated to [`WINDOW`] nodes, and
+    /// records how many of them are complete: those placed before the walk
+    /// first turned a node away.
     fn local_cone(&mut self, aig: &Aig, root: NodeId) {
         let CutWindow {
             cone,
@@ -329,6 +428,7 @@ impl CutWindow {
         } = self;
         positions.clear(aig);
         let mut visited = 0;
+        let mut complete = None;
         cone.clear();
         stack.clear();
         stack.push((root, false));
@@ -339,7 +439,11 @@ impl CutWindow {
                 continue;
             }
             let seen = positions.get(id).is_some();
-            if seen || !aig.is_and(id) || visited >= WINDOW {
+            if seen || !aig.is_and(id) {
+                continue;
+            }
+            if visited >= WINDOW {
+                complete.get_or_insert(cone.len());
                 continue;
             }
             // Marked as seen; placed once its fanins are.
@@ -350,20 +454,16 @@ impl CutWindow {
             stack.push((f0.node(), false));
             stack.push((f1.node(), false));
         }
+        self.complete = complete.unwrap_or(cone.len());
     }
 
     /// Where the cut set of window node `position` sits in `cuts`.
     fn set(&self, position: usize) -> std::ops::Range<usize> {
-        let start = if position == 0 {
-            2
-        } else {
-            self.ends[position - 1]
-        };
-        start..self.ends[position]
+        self.sets[position].clone()
     }
 
     /// Where the cut set of `fanin` sits in `cuts`: the set of the window
-    /// node (fanins come first in `cone`, so it is complete), or the trivial
+    /// node (fanins come first in `cone`, so it is formed), or the trivial
     /// cut, written to `spare`, of a node outside the window.
     fn fanin_set(&mut self, fanin: NodeId, spare: usize) -> std::ops::Range<usize> {
         match self.positions.get(fanin) {
@@ -577,11 +677,22 @@ mod tests {
         })
     }
 
-    /// The cuts the operator weighs at `node`, as the oracle lists them.
+    /// The cuts the operator weighs at `node`, as the oracle lists them,
+    /// enumerated through a fresh window (its store cold).
     fn enumerated(rewrite: &Rewrite, aig: &Aig, node: NodeId) -> Vec<Cut> {
-        let mut window = CutWindow::default();
+        enumerated_in(rewrite, aig, node, &mut CutWindow::default())
+    }
+
+    /// [`enumerated`] through the caller's window, whose store may hold the
+    /// sets of earlier enumerations.
+    fn enumerated_in(
+        rewrite: &Rewrite,
+        aig: &Aig,
+        node: NodeId,
+        window: &mut CutWindow,
+    ) -> Vec<Cut> {
         let mut cuts = Vec::new();
-        for index in rewrite.enumerate_cuts(aig, node, &mut window) {
+        for index in rewrite.enumerate_cuts(aig, node, window) {
             if window.cuts.leaves(index) == [node] {
                 continue;
             }
@@ -590,6 +701,25 @@ mod tests {
             cuts.push(cut);
         }
         cuts
+    }
+
+    /// Compares every AND node's cuts with the oracle's: each enumerated
+    /// through a fresh window, then all through one window kept across them
+    /// as a pass keeps it, in arena order and then in reverse.  Returns the
+    /// first node that differs and whether its window was fresh or kept.
+    fn oracle_mismatch(rewrite: &Rewrite, aig: &Aig) -> Option<(NodeId, &'static str)> {
+        let nodes: Vec<NodeId> = aig.and_ids().collect();
+        let oracle: Vec<Vec<Cut>> = nodes
+            .iter()
+            .map(|&node| enumerate_cuts_oracle(rewrite, aig, node))
+            .collect();
+        let fresh = (0..nodes.len()).find(|&i| enumerated(rewrite, aig, nodes[i]) != oracle[i]);
+        let mut window = CutWindow::default();
+        let mut kept = (0..nodes.len())
+            .chain((0..nodes.len()).rev())
+            .filter(|&i| enumerated_in(rewrite, aig, nodes[i], &mut window) != oracle[i]);
+        let fresh = fresh.map(|i| (nodes[i], "fresh"));
+        fresh.or_else(|| kept.next().map(|i| (nodes[i], "kept")))
     }
 
     /// Walks the live AND nodes under its own token guard, so a reference
@@ -707,7 +837,8 @@ mod tests {
 
         /// The positional window lists the cuts the `Vec`-of-`Vec`s oracle
         /// lists — same cuts, same leaf order, same sequence, same cones —
-        /// at every node, for every cut width and every truncation.
+        /// at every node, for every cut width and every truncation, whether
+        /// its store is cold or warm from the other roots.
         #[test]
         fn enumeration_matches_the_oracle_cut_for_cut(
             script in elf_circuits::script_strategy(40),
@@ -716,18 +847,78 @@ mod tests {
         ) {
             let rewrite = Rewrite::new(RewriteParams { cut_size, cuts_per_node, ..Default::default() });
             let aig = elf_circuits::scripted_circuit(6, &script);
-            for node in aig.and_ids() {
-                prop_assert_eq!(
-                    enumerated(&rewrite, &aig, node),
-                    enumerate_cuts_oracle(&rewrite, &aig, node)
-                );
-            }
+            prop_assert_eq!(oracle_mismatch(&rewrite, &aig), None);
         }
+    }
+
+    /// An edit inside a root's fanin cone moves the edit clock, and the
+    /// window's next enumeration lists the edited graph's cuts, not the
+    /// ones it stored before the edit.
+    #[test]
+    fn an_edit_flushes_the_store() {
+        let mut aig = elf_circuits::epfl::multiplier(Scale::Tiny);
+        let rewrite = Rewrite::default();
+        let mut window = CutWindow::default();
+        for node in aig.and_ids() {
+            enumerated_in(&rewrite, &aig, node, &mut window);
+        }
+        // Down an output's deepest fanins to a node of level 2; the root two
+        // levels above it is complete in its window, so its set is stored.
+        let deeper = |aig: &Aig, id: NodeId| {
+            let (f0, f1) = aig.fanins(id);
+            if aig.level(f0.node()) >= aig.level(f1.node()) {
+                f0
+            } else {
+                f1
+            }
+        };
+        let mut path = vec![aig.outputs()[aig.outputs().len() / 2].node()];
+        while let Some(&id) = path.last().filter(|&&id| aig.level(id) > 2) {
+            path.push(deeper(&aig, id).node());
+        }
+        let (edited_node, root) = (path[path.len() - 1], path[path.len() - 3]);
+        let listed = enumerated_in(&rewrite, &aig, root, &mut window);
+        let replacement = deeper(&aig, edited_node);
+        aig.replace(edited_node, replacement);
+        let edited = enumerated_in(&rewrite, &aig, root, &mut window);
+        assert_ne!(edited, listed, "the edit changes the root's cuts");
+        assert_eq!(edited, enumerate_cuts_oracle(&rewrite, &aig, root));
+        for node in aig.and_ids() {
+            assert_eq!(
+                enumerated_in(&rewrite, &aig, node, &mut window),
+                enumerate_cuts_oracle(&rewrite, &aig, node),
+                "{node:?}"
+            );
+        }
+    }
+
+    /// A rewrite pass serves most of its window nodes from the store: a
+    /// store that stays cold fails here, not only in the benchmark.
+    #[test]
+    fn a_pass_serves_most_window_nodes_from_the_store() {
+        let mut aig = elf_circuits::epfl::multiplier(Scale::Tiny);
+        let mut twin = aig.clone();
+        let rewrite = Rewrite::default();
+        let stats = rewrite.run(&mut twin);
+        let mut scratch = PassScratch::new();
+        let committed = reference_pass(&mut aig, |aig, node| {
+            rewrite
+                .resynthesize(aig, node, &mut scratch, false)
+                .is_some()
+        });
+        assert_eq!(committed, stats.cuts_committed);
+        assert_eq!(structure(&aig), structure(&twin));
+        let (stored, all) = scratch.window.served;
+        assert!(
+            2 * stored > all,
+            "{stored} of {all} window nodes from the store"
+        );
     }
 
     /// The scripted circuits never fill a 64-node window; the multiplier's
     /// deep cones do, so here nodes past the window are leaves, buckets fill
-    /// up and the truncation bites.
+    /// up and the truncation bites, and only a prefix of a window is
+    /// complete: a stored set served to a node past it would differ.
     #[test]
     fn enumeration_matches_the_oracle_on_truncated_windows() {
         let aig = elf_circuits::epfl::multiplier(Scale::Tiny);
@@ -748,13 +939,11 @@ mod tests {
                     cuts_per_node,
                     ..Default::default()
                 });
-                for &node in nodes.iter().skip(cut_size).step_by(7) {
-                    assert_eq!(
-                        enumerated(&rewrite, &aig, node),
-                        enumerate_cuts_oracle(&rewrite, &aig, node),
-                        "cut_size {cut_size}, cuts_per_node {cuts_per_node}, {node:?}"
-                    );
-                }
+                assert_eq!(
+                    oracle_mismatch(&rewrite, &aig),
+                    None,
+                    "cut_size {cut_size}, cuts_per_node {cuts_per_node}"
+                );
             }
         }
     }

@@ -44,7 +44,7 @@ echo "static-gate: clean (${GATED_DIRS[*]})"
 # region of the operator or flow crates is a second copy of that loop.
 guards=$(awk '
     FNR == 1 { in_tests = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
     /token_is_current/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
 ' crates/opt/src/*.rs crates/core/src/*.rs)
@@ -61,7 +61,7 @@ echo "static-gate: one pass loop ($guards)"
 # oracles; either shape in the non-test region is the slow path coming back.
 heap=$(awk '
     FNR == 1 { in_tests = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
     /Vec<Vec<NodeId>>/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
     FILENAME ~ /resub\.rs$/ && /cut_truth_table/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
@@ -81,7 +81,7 @@ echo "static-gate: rewrite and resub stay off the heap"
 # call in an operator is the per-cut rebuild of the form coming back.
 boxed=$(awk '
     FNR == 1 { in_tests = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
     FILENAME !~ /(refactor|rewrite)\.rs$/ && /Box<FactoredForm>|Box::new\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
     FILENAME ~ /(refactor|rewrite)\.rs$/ && /decanonicalize\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
@@ -104,7 +104,7 @@ if ! grep -q 'pub fn cut_features(' crates/aig/src/cut.rs; then
     exit 1
 fi
 scan=$(awk '
-    /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+    /^#\[cfg\(test\)\]/ { exit }
     /pub fn cut_features\(/ { inside = 1 }
     !inside || /^[[:space:]]*\/\// { next }
     /fanouts\(|contains\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
@@ -264,7 +264,7 @@ echo "static-gate: one pruned pass and one decision function in elf-core"
 # `build.rs`).
 scans=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
     FILENAME ~ /crates\/opt\/src\/(build|resub)\.rs$/ && /\.position\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
     /cone_topological/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
@@ -284,7 +284,7 @@ echo "static-gate: cut simulation finds fanins and divisors in O(1)"
 # made, beside the one lookup that replays, factors and stores them.
 counting=$(awk '
     FNR == 1 { in_tests = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
     /count_rec/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
     FILENAME !~ /cache\.rs$/ && /factor_truth_table_into\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
@@ -329,3 +329,32 @@ if [ -n "$after" ]; then
     exit 1
 fi
 echo "static-gate: ISOP pushes every cube whole"
+
+# Cut sets kept across roots: rewrite's window stores the cut sets of its
+# complete nodes (the prefix of the window whose whole fanin cone it holds)
+# and serves them to later roots until the graph's edit clock moves.  An
+# `enumerate_cuts` in the non-test region of `rewrite.rs` that reads no
+# `edit_clock()` or neither reads nor fills the store, or a `local_cone` that
+# no longer records `complete`, is the per-root merge of every window node
+# coming back.
+store=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }
+    /fn enumerate_cuts\(/ { inside = "enumerate" }
+    /fn local_cone\(/ { inside = "cone" }
+    inside == "enumerate" && /edit_clock\(\)/ { found["edit_clock() read in enumerate_cuts"] = 1 }
+    inside == "enumerate" && /store\.set\(/ { found["store read in enumerate_cuts"] = 1 }
+    inside == "enumerate" && /store\.insert\(/ { found["store filled in enumerate_cuts"] = 1 }
+    inside == "cone" && /self\.complete = / { found["complete recorded in local_cone"] = 1 }
+    /^    }$/ { inside = "" }
+    END {
+        n = split("edit_clock() read in enumerate_cuts|store read in enumerate_cuts|store filled in enumerate_cuts|complete recorded in local_cone", wanted, "|")
+        for (i = 1; i <= n; i++) if (!(wanted[i] in found)) print "crates/opt/src/rewrite.rs: no " wanted[i]
+    }
+' crates/opt/src/rewrite.rs)
+if [ -n "$store" ]; then
+    echo "$store"
+    echo "static-gate: rewrite enumerates without its store of complete nodes' cut sets in non-test crates/opt/src/rewrite.rs" >&2
+    exit 1
+fi
+echo "static-gate: rewrite keeps complete nodes' cut sets until the graph is edited"
