@@ -11,11 +11,23 @@
 //! is stored as two LEB128-style variable-length deltas
 //! (`lhs - rhs0`, `rhs0 - rhs1`) instead of an ASCII line — typically 2–3
 //! bytes per gate.
+//!
+//! Both readers share one core — the header checks, the variable table, the
+//! literal resolution and the tail that adds the outputs and reads the `c`
+//! name section — and keep only their own loops.  The input is untrusted, so
+//! **nothing is sized by a header field**: outputs are pushed as they parse,
+//! and the variable table grows as the file defines variables — a dense
+//! prefix while they come roughly in order, a map past it — so its memory
+//! follows the variables defined, not the indices named or the header's M.
+//! The binary format's implicit inputs, the one thing built without reading
+//! a byte per item, are bounded by what the gates and outputs can reference,
+//! and those by the bytes present.
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::fs;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 use crate::aig::Aig;
@@ -36,7 +48,8 @@ impl ParseAigerError {
         }
     }
 
-    /// The 1-based line on which the error occurred (0 for header-level errors).
+    /// The 1-based line on which the error occurred (0 for errors at the end
+    /// of the input or inside the binary gate section).
     pub fn line(&self) -> usize {
         self.line
     }
@@ -54,24 +67,14 @@ impl fmt::Display for ParseAigerError {
 
 impl Error for ParseAigerError {}
 
-/// Implementation limit on the number of AIGER variables a parsed file may
+/// Implementation limit on the largest AIGER variable index a file may
 /// declare (2²⁶ ≈ 67 M — two orders of magnitude above the largest EPFL
-/// benchmark).  The parsers allocate an index-to-literal table sized by the
-/// header's declared maximum, so without a cap a 20-byte crafted header
-/// could demand a multi-gigabyte allocation before any content is read.
+/// benchmark).  A file may define any variable up to its declared M.
 const MAX_DECLARED_VARS: u32 = 1 << 26;
 
-/// Validates a header's declared variable count against
-/// [`MAX_DECLARED_VARS`].
-fn check_declared_vars(max_var: u32) -> Result<(), ParseAigerError> {
-    if max_var > MAX_DECLARED_VARS {
-        return Err(ParseAigerError::new(
-            format!("header declares {max_var} variables (limit {MAX_DECLARED_VARS})"),
-            1,
-        ));
-    }
-    Ok(())
-}
+/// Variables the reader's dense table may run ahead of twice the count
+/// defined, so files with small gaps in their numbering stay dense.
+const DENSE_SLACK: usize = 1 << 16;
 
 /// An AIG canonicalized for serialization: compacted (re-strashed) so node
 /// indices are dense, with AIGER variable indices assigned inputs-first and
@@ -109,69 +112,61 @@ impl Canonical {
         }
     }
 
-    fn max_var(&self) -> usize {
-        self.compact.num_inputs() + self.order.len()
+    fn header(&self, magic: &str) -> String {
+        let (inputs, ands) = (self.compact.num_inputs(), self.order.len());
+        let outputs = self.compact.num_outputs();
+        format!("{magic} {} {inputs} 0 {outputs} {ands}\n", inputs + ands)
     }
 
-    fn header(&self, format: &str) -> String {
-        format!(
-            "{format} {} {} 0 {} {}\n",
-            self.max_var(),
-            self.compact.num_inputs(),
-            self.compact.num_outputs(),
-            self.order.len()
-        )
+    /// The output lines, which both formats write as text.
+    fn outputs(&self) -> String {
+        let lits = self.compact.outputs().iter().map(|&lit| self.lit_of(lit));
+        lits.map(|lit| format!("{lit}\n")).collect()
     }
 
-    /// The AND definition of `id`: `(lhs, rhs0, rhs1)` with the AIGER
-    /// ordering requirement `lhs > rhs0 >= rhs1` already applied.
-    fn and_literals(&self, id: NodeId) -> (u32, u32, u32) {
-        let (f0, f1) = self.compact.fanins(id);
-        let lhs = 2 * self.var_of_node[id.as_usize()];
-        let (a, b) = (self.lit_of(f0), self.lit_of(f1));
-        let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
-        (lhs, hi, lo)
+    /// The AND definitions as `(lhs, rhs0, rhs1)` in variable order, with the
+    /// AIGER ordering requirement `lhs > rhs0 >= rhs1` already applied.
+    fn ands(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+        self.order.iter().map(|&id| {
+            let (f0, f1) = self.compact.fanins(id);
+            let (a, b) = (self.lit_of(f0), self.lit_of(f1));
+            (2 * self.var_of_node[id.as_usize()], a.max(b), a.min(b))
+        })
+    }
+
+    /// The comment section carrying the design name, empty when it has none.
+    fn tail(&self) -> String {
+        match self.compact.name() {
+            "" => String::new(),
+            name => format!("c\n{name}\n"),
+        }
     }
 }
 
 /// Serializes the AIG to the ASCII AIGER format.
 ///
 /// The graph is compacted (re-strashed) first so that node indices are dense
-/// and topologically ordered, as the format requires.  This materializes the
-/// whole image in memory; prefer [`write_ascii_to`] (or
-/// [`write_ascii_file`], which buffers through it) for million-node dumps.
+/// and topologically ordered, as the format requires.
 pub fn to_ascii(aig: &Aig) -> String {
-    let mut out = Vec::new();
-    write_ascii_to(aig, &mut out).expect("writing to a Vec cannot fail");
-    String::from_utf8(out).expect("ASCII AIGER output is valid UTF-8")
+    let canonical = Canonical::build(aig);
+    let mut out = canonical.header("aag");
+    for var in 1..=canonical.compact.num_inputs() {
+        out += &format!("{}\n", 2 * var);
+    }
+    out += &canonical.outputs();
+    for (lhs, hi, lo) in canonical.ands() {
+        out += &format!("{lhs} {hi} {lo}\n");
+    }
+    out + &canonical.tail()
 }
 
-/// Streams the AIG in ASCII AIGER format into `writer`, producing exactly the
-/// bytes [`to_ascii`] would return without building the full image in memory.
-///
-/// The writer is used line-by-line; wrap files in a
-/// [`BufWriter`] (as [`write_ascii_file`] does).
+/// Writes the bytes [`to_ascii`] returns into `writer`.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from the writer.
 pub fn write_ascii_to(aig: &Aig, writer: &mut impl Write) -> io::Result<()> {
-    let canonical = Canonical::build(aig);
-    writer.write_all(canonical.header("aag").as_bytes())?;
-    for i in 0..canonical.compact.num_inputs() {
-        writeln!(writer, "{}", 2 * (i + 1))?;
-    }
-    for output in canonical.compact.outputs() {
-        writeln!(writer, "{}", canonical.lit_of(*output))?;
-    }
-    for id in &canonical.order {
-        let (lhs, hi, lo) = canonical.and_literals(*id);
-        writeln!(writer, "{lhs} {hi} {lo}")?;
-    }
-    if !canonical.compact.name().is_empty() {
-        writeln!(writer, "c\n{}", canonical.compact.name())?;
-    }
-    Ok(())
+    writer.write_all(to_ascii(aig).as_bytes())
 }
 
 /// Serializes the AIG to the binary AIGER (`aig`) format.
@@ -182,77 +177,222 @@ pub fn write_ascii_to(aig: &Aig, writer: &mut impl Write) -> io::Result<()> {
 /// 7-bit variable-length integers (high bit = continuation).  Input
 /// definitions are implicit in the binary format.
 pub fn to_binary(aig: &Aig) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_binary_to(aig, &mut out).expect("writing to a Vec cannot fail");
+    let canonical = Canonical::build(aig);
+    let mut out = (canonical.header("aig") + &canonical.outputs()).into_bytes();
+    for (lhs, hi, lo) in canonical.ands() {
+        debug_assert!(lhs > hi && hi >= lo, "topological order violated");
+        for mut delta in [lhs - hi, hi - lo] {
+            while delta >= 0x80 {
+                out.push((delta & 0x7F) as u8 | 0x80);
+                delta >>= 7;
+            }
+            out.push(delta as u8);
+        }
+    }
+    out.extend_from_slice(canonical.tail().as_bytes());
     out
 }
 
-/// Streams the AIG in binary AIGER format into `writer`, producing exactly
-/// the bytes [`to_binary`] would return without building the full image in
-/// memory.
-///
-/// The writer is used in small increments; wrap files in a
-/// [`BufWriter`] (as [`write_binary_file`] does).
+/// Writes the bytes [`to_binary`] returns into `writer`.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from the writer.
 pub fn write_binary_to(aig: &Aig, writer: &mut impl Write) -> io::Result<()> {
-    let canonical = Canonical::build(aig);
-    writer.write_all(canonical.header("aig").as_bytes())?;
-    for output in canonical.compact.outputs() {
-        writeln!(writer, "{}", canonical.lit_of(*output))?;
-    }
-    for id in &canonical.order {
-        let (lhs, hi, lo) = canonical.and_literals(*id);
-        debug_assert!(lhs > hi && hi >= lo, "topological order violated");
-        write_delta(writer, lhs - hi)?;
-        write_delta(writer, hi - lo)?;
-    }
-    if !canonical.compact.name().is_empty() {
-        writeln!(writer, "c\n{}", canonical.compact.name())?;
-    }
-    Ok(())
+    writer.write_all(&to_binary(aig))
 }
 
-/// Writes a LEB128-style variable-length delta (7 bits per byte, high bit
-/// set on every byte but the last).
-fn write_delta(writer: &mut impl Write, mut delta: u32) -> io::Result<()> {
-    // At most five bytes for a u32.
-    let mut buf = [0u8; 5];
-    let mut len = 0;
-    loop {
-        let byte = (delta & 0x7F) as u8;
-        delta >>= 7;
-        if delta == 0 {
-            buf[len] = byte;
-            len += 1;
-            break;
-        }
-        buf[len] = byte | 0x80;
-        len += 1;
-    }
-    writer.write_all(&buf[..len])
+/// A position in either format's bytes, with the number of the line read
+/// last.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    line: usize,
 }
 
-/// Reads one variable-length delta starting at `*pos`, advancing it.
-fn read_delta(bytes: &[u8], pos: &mut usize) -> Result<u32, ParseAigerError> {
-    let mut value: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = *bytes.get(*pos).ok_or_else(|| {
-            ParseAigerError::new("unexpected end of file inside the binary AND section", 0)
-        })? as u64;
-        *pos += 1;
-        if shift > 28 {
-            return Err(ParseAigerError::new("delta encoding exceeds 32 bits", 0));
+impl<'a> Cursor<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Cursor {
+            bytes,
+            pos: 0,
+            line: 0,
         }
-        value |= (byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            return u32::try_from(value)
-                .map_err(|_| ParseAigerError::new("delta encoding exceeds 32 bits", 0));
+    }
+
+    fn error(&self, message: impl Into<String>) -> ParseAigerError {
+        ParseAigerError::new(message, self.line)
+    }
+
+    /// The bytes after the last line or delta read.
+    fn rest(&self) -> &'a [u8] {
+        &self.bytes[self.pos..]
+    }
+
+    /// The next non-blank text line, trimmed.
+    fn text_line(&mut self) -> Result<&'a str, ParseAigerError> {
+        while !self.rest().is_empty() {
+            let rest = self.rest();
+            let len = rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+            self.pos += (len + 1).min(rest.len());
+            self.line += 1;
+            let text =
+                std::str::from_utf8(&rest[..len]).map_err(|_| self.error("non-UTF-8 text"))?;
+            if !text.trim().is_empty() {
+                return Ok(text.trim());
+            }
         }
-        shift += 7;
+        Err(ParseAigerError::new("unexpected end of file", 0))
+    }
+
+    /// The next text line as exactly `N` numbers, after the word `magic`
+    /// when one is given; `shape` names the expected line in errors.
+    fn numbers<const N: usize>(
+        &mut self,
+        magic: Option<&str>,
+        shape: &str,
+    ) -> Result<[u32; N], ParseAigerError> {
+        let mut fields = self.text_line()?.split_whitespace();
+        let malformed = || self.error(format!("line must be `{shape}`"));
+        if magic.is_some_and(|magic| fields.next() != Some(magic)) {
+            return Err(malformed());
+        }
+        let mut numbers = [0u32; N];
+        for slot in &mut numbers {
+            let field = fields.next().ok_or_else(malformed)?;
+            *slot = field
+                .parse()
+                .map_err(|_| self.error(format!("invalid number `{field}`")))?;
+        }
+        match fields.next() {
+            Some(_) => Err(malformed()),
+            None => Ok(numbers),
+        }
+    }
+
+    /// One LEB128-style delta of the binary gate section.
+    fn delta(&mut self) -> Result<u32, ParseAigerError> {
+        let mut value = 0u64;
+        for shift in [0, 7, 14, 21, 28] {
+            let byte = *self.bytes.get(self.pos).ok_or_else(|| {
+                ParseAigerError::new("unexpected end of file inside the binary AND section", 0)
+            })?;
+            self.pos += 1;
+            value |= u64::from(byte & 0x7F) << shift;
+            if byte & 0x80 == 0 {
+                return u32::try_from(value)
+                    .map_err(|_| ParseAigerError::new("delta encoding exceeds 32 bits", 0));
+            }
+        }
+        Err(ParseAigerError::new("delta encoding exceeds 32 bits", 0))
+    }
+}
+
+/// What both readers build: the graph, the table from AIGER variable to
+/// literal, and the outputs, whose literals may name gates defined after them.
+struct Reader {
+    aig: Aig,
+    /// The header's M: the largest variable the file may define.
+    max_var: u32,
+    /// Each variable's literal, `None` until defined, over a prefix of the
+    /// variables that grows as the file defines them but never past
+    /// [`DENSE_SLACK`] plus twice the count defined: a file that names one
+    /// huge index costs one `sparse` entry, not a table up to it.
+    lits: Vec<Option<Lit>>,
+    /// The defined variables beyond `lits`.
+    sparse: HashMap<u32, Lit>,
+    /// Variables defined so far.
+    defined: usize,
+    /// `(raw literal, line)` of each output read so far.
+    outputs: Vec<(u32, usize)>,
+}
+
+impl Reader {
+    /// Reads a `magic M I L O A` header and checks what both formats
+    /// require: no latches, M within [`MAX_DECLARED_VARS`] and I + A ≤ M.
+    /// Returns the reader with `(I, O, A)`.
+    fn start(cursor: &mut Cursor<'_>, magic: &str) -> Result<(Self, [u32; 3]), ParseAigerError> {
+        let shape = format!("{magic} M I L O A");
+        let [max_var, inputs, latches, outputs, ands] = cursor.numbers(Some(magic), &shape)?;
+        if latches != 0 {
+            return Err(cursor.error("sequential AIGER files (latches) are not supported"));
+        }
+        if max_var > MAX_DECLARED_VARS {
+            return Err(cursor.error(format!(
+                "header declares {max_var} variables (limit {MAX_DECLARED_VARS})"
+            )));
+        }
+        if inputs.checked_add(ands).is_none_or(|total| total > max_var) {
+            return Err(cursor.error("maximum variable index too small"));
+        }
+        let reader = Reader {
+            aig: Aig::new(),
+            max_var,
+            lits: vec![Some(Lit::FALSE)],
+            sparse: HashMap::new(),
+            defined: 0,
+            outputs: Vec::new(),
+        };
+        Ok((reader, [inputs, outputs, ands]))
+    }
+
+    fn lookup(&self, var: u32) -> Option<Lit> {
+        let dense = self.lits.get(var as usize).copied().flatten();
+        dense.or_else(|| self.sparse.get(&var).copied())
+    }
+
+    fn define(&mut self, var: u32, lit: Lit, line: usize) -> Result<(), ParseAigerError> {
+        if var > self.max_var || self.lookup(var).is_some() {
+            return Err(ParseAigerError::new(
+                format!("variable {var} defined twice or beyond M"),
+                line,
+            ));
+        }
+        self.defined += 1;
+        let slot = var as usize;
+        if slot >= self.lits.len() && slot <= 2 * self.defined + DENSE_SLACK {
+            self.lits.resize(slot + 1, None);
+        }
+        match self.lits.get_mut(slot) {
+            Some(entry) => *entry = Some(lit),
+            None => {
+                self.sparse.insert(var, lit);
+            }
+        }
+        Ok(())
+    }
+
+    fn input(&mut self, var: u32, line: usize) -> Result<(), ParseAigerError> {
+        let lit = self.aig.add_input();
+        self.define(var, lit, line)
+    }
+
+    fn and(&mut self, lhs: u32, rhs0: u32, rhs1: u32, line: usize) -> Result<(), ParseAigerError> {
+        let a = self.resolve(rhs0, line)?;
+        let b = self.resolve(rhs1, line)?;
+        let lit = self.aig.and(a, b);
+        self.define(lhs / 2, lit, line)
+    }
+
+    fn resolve(&self, raw: u32, line: usize) -> Result<Lit, ParseAigerError> {
+        self.lookup(raw / 2)
+            .map(|lit| lit.complement_if(raw % 2 == 1))
+            .ok_or_else(|| ParseAigerError::new(format!("literal {raw} is not defined"), line))
+    }
+
+    /// Adds the outputs in the order they were read, then takes the design
+    /// name from the line after a `c` line in `rest`, if there is one.
+    fn finish(mut self, rest: &[u8]) -> Result<Aig, ParseAigerError> {
+        for &(raw, line) in &self.outputs {
+            let lit = self.resolve(raw, line)?;
+            self.aig.add_output(lit);
+        }
+        let mut lines = rest.split(|&b| b == b'\n');
+        if lines.by_ref().any(|line| line.trim_ascii() == b"c") {
+            if let Some(name) = lines.next().and_then(|line| std::str::from_utf8(line).ok()) {
+                self.aig.set_name(name.trim());
+            }
+        }
+        Ok(self.aig)
     }
 }
 
@@ -264,144 +404,27 @@ fn read_delta(bytes: &[u8], pos: &mut usize) -> Result<u32, ParseAigerError> {
 /// latches, literals are out of range, or an AND definition references an
 /// undefined literal.
 pub fn from_ascii(text: &str) -> Result<Aig, ParseAigerError> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| ParseAigerError::new("empty input", 0))?;
-    let fields: Vec<&str> = header.split_whitespace().collect();
-    if fields.len() != 6 || fields[0] != "aag" {
-        return Err(ParseAigerError::new("header must be `aag M I L O A`", 1));
-    }
-    let parse = |s: &str, line: usize| {
-        s.parse::<u32>()
-            .map_err(|_| ParseAigerError::new(format!("invalid number `{s}`"), line))
-    };
-    let max_var = parse(fields[1], 1)?;
-    let num_inputs = parse(fields[2], 1)?;
-    let num_latches = parse(fields[3], 1)?;
-    let num_outputs = parse(fields[4], 1)?;
-    let num_ands = parse(fields[5], 1)?;
-    if num_latches != 0 {
-        return Err(ParseAigerError::new(
-            "sequential AIGER files (latches) are not supported",
-            1,
-        ));
-    }
-    check_declared_vars(max_var)?;
-    if num_inputs
-        .checked_add(num_ands)
-        .is_none_or(|total| max_var < total)
-    {
-        return Err(ParseAigerError::new("maximum variable index too small", 1));
-    }
-
-    let mut aig = Aig::new();
-    // Map from AIGER variable index to literal in our graph.
-    let mut lit_of_var: Vec<Option<Lit>> = vec![None; (max_var + 1) as usize];
-    lit_of_var[0] = Some(Lit::FALSE);
-
-    let take_line = |lines: &mut std::iter::Enumerate<std::str::Lines<'_>>| {
-        for (idx, line) in lines.by_ref() {
-            let trimmed = line.trim();
-            if !trimmed.is_empty() {
-                return Ok((idx + 1, trimmed.to_string()));
-            }
-        }
-        Err(ParseAigerError::new("unexpected end of file", 0))
-    };
-
-    // Inputs.
-    for _ in 0..num_inputs {
-        let (line_no, line) = take_line(&mut lines)?;
-        let raw = parse(&line, line_no)?;
+    let mut cursor = Cursor::new(text.as_bytes());
+    let (mut reader, [inputs, outputs, ands]) = Reader::start(&mut cursor, "aag")?;
+    for _ in 0..inputs {
+        let [raw] = cursor.numbers(None, "input literal")?;
         if raw % 2 != 0 || raw == 0 {
-            return Err(ParseAigerError::new(
-                "input literal must be even and nonzero",
-                line_no,
-            ));
+            return Err(cursor.error("input literal must be even and nonzero"));
         }
-        let lit = aig.add_input();
-        let var = (raw / 2) as usize;
-        if var >= lit_of_var.len() || lit_of_var[var].is_some() {
-            return Err(ParseAigerError::new(
-                "duplicate or out-of-range input",
-                line_no,
-            ));
-        }
-        lit_of_var[var] = Some(lit);
+        reader.input(raw / 2, cursor.line)?;
     }
-
-    // Outputs are recorded and resolved after the AND section.
-    let mut output_raws = Vec::with_capacity(num_outputs as usize);
-    for _ in 0..num_outputs {
-        let (line_no, line) = take_line(&mut lines)?;
-        output_raws.push((line_no, parse(&line, line_no)?));
+    for _ in 0..outputs {
+        let [raw] = cursor.numbers(None, "output literal")?;
+        reader.outputs.push((raw, cursor.line));
     }
-
-    // AND definitions.
-    for _ in 0..num_ands {
-        let (line_no, line) = take_line(&mut lines)?;
-        let nums: Vec<&str> = line.split_whitespace().collect();
-        if nums.len() != 3 {
-            return Err(ParseAigerError::new(
-                "AND line must have three literals",
-                line_no,
-            ));
-        }
-        let lhs = parse(nums[0], line_no)?;
-        let rhs0 = parse(nums[1], line_no)?;
-        let rhs1 = parse(nums[2], line_no)?;
+    for _ in 0..ands {
+        let [lhs, rhs0, rhs1] = cursor.numbers(None, "lhs rhs0 rhs1")?;
         if lhs % 2 != 0 {
-            return Err(ParseAigerError::new(
-                "AND output literal must be even",
-                line_no,
-            ));
+            return Err(cursor.error("AND output literal must be even"));
         }
-        let resolve = |raw: u32| -> Result<Lit, ParseAigerError> {
-            let var = (raw / 2) as usize;
-            lit_of_var
-                .get(var)
-                .copied()
-                .flatten()
-                .map(|lit| lit.complement_if(raw % 2 == 1))
-                .ok_or_else(|| {
-                    ParseAigerError::new(format!("literal {raw} used before definition"), line_no)
-                })
-        };
-        let a = resolve(rhs0)?;
-        let b = resolve(rhs1)?;
-        let lit = aig.and(a, b);
-        let var = (lhs / 2) as usize;
-        if var >= lit_of_var.len() || lit_of_var[var].is_some() {
-            return Err(ParseAigerError::new(
-                "duplicate or out-of-range AND definition",
-                line_no,
-            ));
-        }
-        lit_of_var[var] = Some(lit);
+        reader.and(lhs, rhs0, rhs1, cursor.line)?;
     }
-
-    for (line_no, raw) in output_raws {
-        let var = (raw / 2) as usize;
-        let lit = lit_of_var
-            .get(var)
-            .copied()
-            .flatten()
-            .map(|lit| lit.complement_if(raw % 2 == 1))
-            .ok_or_else(|| {
-                ParseAigerError::new(format!("undefined output literal {raw}"), line_no)
-            })?;
-        aig.add_output(lit);
-    }
-
-    // Optional comment section carries the design name.
-    let rest: Vec<&str> = lines.map(|(_, l)| l).collect();
-    if let Some(pos) = rest.iter().position(|l| l.trim() == "c") {
-        if let Some(name) = rest.get(pos + 1) {
-            aig.set_name(name.trim());
-        }
-    }
-    Ok(aig)
+    reader.finish(cursor.rest())
 }
 
 /// Parses a binary AIGER (`aig`) buffer into an [`Aig`].
@@ -412,102 +435,35 @@ pub fn from_ascii(text: &str) -> Result<Aig, ParseAigerError> {
 /// latches, the gate section is truncated, or a delta breaks the AIGER
 /// ordering requirement `lhs > rhs0 >= rhs1`.
 pub fn from_binary(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
-    fn take_text_line(
-        bytes: &[u8],
-        pos: &mut usize,
-        what: &str,
-    ) -> Result<String, ParseAigerError> {
-        let start = *pos;
-        let end = bytes[start..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .map(|offset| start + offset)
-            .ok_or_else(|| ParseAigerError::new(format!("unexpected end of file in {what}"), 0))?;
-        *pos = end + 1;
-        String::from_utf8(bytes[start..end].to_vec())
-            .map_err(|_| ParseAigerError::new(format!("non-UTF-8 text in {what}"), 0))
+    let mut cursor = Cursor::new(bytes);
+    let (mut reader, [inputs, outputs, ands]) = Reader::start(&mut cursor, "aig")?;
+    // Inputs are 1..=I and ANDs I+1..=I+A, in definition order.
+    if reader.max_var != inputs + ands {
+        return Err(cursor.error("binary AIGER requires M = I + A"));
     }
-
-    let mut pos = 0usize;
-    let header = take_text_line(bytes, &mut pos, "header")?;
-    let fields: Vec<&str> = header.split_whitespace().collect();
-    if fields.len() != 6 || fields[0] != "aig" {
-        return Err(ParseAigerError::new("header must be `aig M I L O A`", 1));
+    // Every output is a line of at least two bytes and every AND at least two
+    // delta bytes, so the bytes left bound both counts.
+    if 2 * (u64::from(outputs) + u64::from(ands)) > cursor.rest().len() as u64 {
+        return Err(cursor.error("header declares more outputs and ANDs than the file holds"));
     }
-    let parse = |s: &str| {
-        s.parse::<u32>()
-            .map_err(|_| ParseAigerError::new(format!("invalid number `{s}`"), 1))
-    };
-    let max_var = parse(fields[1])?;
-    let num_inputs = parse(fields[2])?;
-    let num_latches = parse(fields[3])?;
-    let num_outputs = parse(fields[4])?;
-    let num_ands = parse(fields[5])?;
-    if num_latches != 0 {
-        return Err(ParseAigerError::new(
-            "sequential AIGER files (latches) are not supported",
-            1,
-        ));
+    // Implicit inputs cost no bytes but a node each; the ANDs and outputs
+    // reference at most 2·A + O of them, so a header promising far more
+    // (say `aig 16777216 16777216 0 0 0`, 28 bytes for a gigabyte of inputs)
+    // describes no circuit worth building.
+    if u64::from(inputs) > (2 * u64::from(ands) + u64::from(outputs)).max(1 << 16) {
+        return Err(cursor.error("header declares more inputs than its ANDs and outputs reference"));
     }
-    check_declared_vars(max_var)?;
-    // The binary format requires contiguous variable numbering: inputs are
-    // 1..=I implicitly, ANDs are I+1..=I+A in definition order.  Checked
-    // addition: a crafted header must not wrap around into a "valid" M.
-    if num_inputs
-        .checked_add(num_ands)
-        .is_none_or(|total| max_var != total)
-    {
-        return Err(ParseAigerError::new("binary AIGER requires M = I + A", 1));
+    for var in 1..=inputs {
+        reader.input(var, cursor.line)?;
     }
-    // Every AND costs at least two delta bytes, so the gate section alone
-    // bounds the plausible file size — reject headers that promise more
-    // gates than the buffer could possibly hold before allocating for them.
-    if (num_ands as usize)
-        .checked_mul(2)
-        .is_none_or(|g| g > bytes.len())
-    {
-        return Err(ParseAigerError::new(
-            "header declares more AND gates than the file can contain",
-            1,
-        ));
+    for _ in 0..outputs {
+        let [raw] = cursor.numbers(None, "output literal")?;
+        reader.outputs.push((raw, cursor.line));
     }
-    // Inputs are implicit in the binary format: they cost no bytes, but each
-    // costs a node.  The ANDs and outputs reference at most 2·A + O of them,
-    // so a header promising far more (say `aig 16777216 16777216 0 0 0`, 28
-    // bytes for a gigabyte of inputs) describes no circuit worth building.
-    let referenced = 2 * u64::from(num_ands) + u64::from(num_outputs);
-    if u64::from(num_inputs) > referenced.max(1 << 16) {
-        return Err(ParseAigerError::new(
-            "header declares more inputs than its gates and outputs can reference",
-            1,
-        ));
-    }
-
-    let mut aig = Aig::new();
-    let mut lit_of_var: Vec<Option<Lit>> = vec![None; (max_var + 1) as usize];
-    lit_of_var[0] = Some(Lit::FALSE);
-    for var in 1..=num_inputs {
-        lit_of_var[var as usize] = Some(aig.add_input());
-    }
-
-    // Output literals are ASCII lines; they may reference AND variables
-    // defined later, so resolve them after the gate section.
-    let mut output_raws = Vec::with_capacity(num_outputs as usize);
-    for index in 0..num_outputs {
-        let line = take_text_line(bytes, &mut pos, "output section")?;
-        let raw = line.trim().parse::<u32>().map_err(|_| {
-            ParseAigerError::new(
-                format!("invalid output literal `{}`", line.trim()),
-                (index + 2) as usize,
-            )
-        })?;
-        output_raws.push(raw);
-    }
-
-    for index in 0..num_ands {
-        let lhs = 2 * (num_inputs + index + 1);
-        let delta0 = read_delta(bytes, &mut pos)?;
-        let delta1 = read_delta(bytes, &mut pos)?;
+    for var in inputs + 1..=reader.max_var {
+        let lhs = 2 * var;
+        let delta0 = cursor.delta()?;
+        let delta1 = cursor.delta()?;
         let rhs0 = lhs
             .checked_sub(delta0)
             .filter(|_| delta0 >= 1)
@@ -517,64 +473,27 @@ pub fn from_binary(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
         let rhs1 = rhs0.checked_sub(delta1).ok_or_else(|| {
             ParseAigerError::new(format!("AND {lhs}: delta {delta1} breaks rhs0 >= rhs1"), 0)
         })?;
-        let resolve = |raw: u32| -> Result<Lit, ParseAigerError> {
-            lit_of_var
-                .get((raw / 2) as usize)
-                .copied()
-                .flatten()
-                .map(|lit| lit.complement_if(raw % 2 == 1))
-                .ok_or_else(|| {
-                    ParseAigerError::new(format!("literal {raw} used before definition"), 0)
-                })
-        };
-        let a = resolve(rhs0)?;
-        let b = resolve(rhs1)?;
-        let lit = aig.and(a, b);
-        lit_of_var[(lhs / 2) as usize] = Some(lit);
+        reader.and(lhs, rhs0, rhs1, 0)?;
     }
-
-    for raw in output_raws {
-        let lit = lit_of_var
-            .get((raw / 2) as usize)
-            .copied()
-            .flatten()
-            .map(|lit| lit.complement_if(raw % 2 == 1))
-            .ok_or_else(|| ParseAigerError::new(format!("undefined output literal {raw}"), 0))?;
-        aig.add_output(lit);
-    }
-
-    // Optional comment section carries the design name, as in ASCII.
-    if bytes.get(pos) == Some(&b'c') && bytes.get(pos + 1) == Some(&b'\n') {
-        pos += 2;
-        if let Ok(name) = take_text_line(bytes, &mut pos, "comment section") {
-            aig.set_name(name.trim());
-        }
-    }
-    Ok(aig)
+    reader.finish(cursor.rest())
 }
 
-/// Writes the AIG to `path` in ASCII AIGER format, streaming through a
-/// [`BufWriter`] so the full image is never materialized in memory.
+/// Writes the AIG to `path` in ASCII AIGER format.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from the filesystem.
 pub fn write_ascii_file(aig: &Aig, path: impl AsRef<Path>) -> std::io::Result<()> {
-    let mut writer = BufWriter::new(fs::File::create(path)?);
-    write_ascii_to(aig, &mut writer)?;
-    writer.flush()
+    fs::write(path, to_ascii(aig))
 }
 
-/// Writes the AIG to `path` in binary AIGER format, streaming through a
-/// [`BufWriter`] so the full image is never materialized in memory.
+/// Writes the AIG to `path` in binary AIGER format.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from the filesystem.
 pub fn write_binary_file(aig: &Aig, path: impl AsRef<Path>) -> std::io::Result<()> {
-    let mut writer = BufWriter::new(fs::File::create(path)?);
-    write_binary_to(aig, &mut writer)?;
-    writer.flush()
+    fs::write(path, to_binary(aig))
 }
 
 /// Reads an AIGER file of either format, dispatching on the header magic
@@ -808,6 +727,12 @@ mod tests {
         assert!(from_binary(b"aig 16777216 16777216 0 0 0\n").is_err());
         // ASCII overflow of I + A likewise errors.
         assert!(from_ascii("aag 1 4294967295 0 0 2\n").is_err());
+        // Four billion outputs from 23 bytes: nothing is reserved for them.
+        // ASCII runs out of lines; binary has too few bytes left to hold them.
+        assert!(from_ascii("aag 0 0 0 4294967295 0\n").is_err());
+        assert!(from_binary(b"aig 0 0 0 4294967295 0\n").is_err());
+        // Implicit inputs bounded by an output count the file cannot hold.
+        assert!(from_binary(b"aig 67108864 67108864 0 67108864 0\n").is_err());
     }
 
     #[test]

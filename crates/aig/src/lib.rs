@@ -17,7 +17,7 @@
 //!   — the entry point of SAT-based equivalence checking in `elf-cec`;
 //! * [reconvergence-driven cuts](Aig::reconvergence_cut) and the six
 //!   structural [`CutFeatures`] used by the ELF classifier;
-//! * ASCII [AIGER](aiger) input/output.
+//! * [AIGER](aiger) input/output, ASCII and binary.
 //!
 //! # Examples
 //!

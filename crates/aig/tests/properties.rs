@@ -88,7 +88,8 @@ proptest! {
         );
     }
 
-    /// AIGER text round-trips preserve the function.
+    /// AIGER text round-trips preserve the function, and in both formats a
+    /// parsed file serializes back to the identical bytes.
     #[test]
     fn aiger_round_trip(ops in gate_ops(30)) {
         let aig = build_circuit(4, &ops);
@@ -98,6 +99,10 @@ proptest! {
             check_equivalence(&aig, &parsed, 8, 5),
             EquivalenceResult::Equivalent
         );
+        prop_assert_eq!(elf_aig::aiger::to_ascii(&parsed), text);
+        let binary = elf_aig::aiger::to_binary(&aig);
+        let parsed = elf_aig::aiger::from_binary(&binary).unwrap();
+        prop_assert_eq!(elf_aig::aiger::to_binary(&parsed), binary);
     }
 
     /// Structural hashing is idempotent: building the same AND twice returns

@@ -10,7 +10,12 @@
 //! phase 1's feature sweep, whose window store must amortise — grow a few
 //! times per pass, never once per node — and the classifier's batch.
 //!
-//! The count is per thread, and a test function is alone on its thread.
+//! The AIGER reader sizes nothing by its untrusted header: a 21-byte file
+//! declaring 2²⁶ variables and defining none allocates a few bytes, where a
+//! table sized by the header took 512 MiB; nor by the indices the file
+//! names: one input at index 2²⁶ costs a map entry.
+//!
+//! The counts are per thread, and a test function is alone on its thread.
 
 // A global allocator cannot be written without `unsafe impl`; this test
 // binary is the workspace's one exception to `unsafe_code = "deny"`.
@@ -27,16 +32,25 @@ use elf_opt::{CutCache, CutCacheConfig, PrunableOperator, Refactor, RefactorPara
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a reallocation counts its new
+    /// size whole).
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one allocation of `size` bytes on this thread.
+fn count(size: usize) {
+    ALLOCATIONS.with(|count| count.set(count.get() + 1));
+    BYTES.with(|bytes| bytes.set(bytes.get() + size));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a const-initialized thread-local
-// `Cell` without a destructor, so touching it neither allocates nor unwinds.
+// `GlobalAlloc` contract; the counters are const-initialized thread-local
+// `Cell`s without a destructor, so touching them neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|count| count.set(count.get() + 1));
+        count(layout.size());
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
@@ -47,7 +61,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|count| count.set(count.get() + 1));
+        count(new_size);
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -132,5 +146,41 @@ fn a_batched_pruned_pass_amortises_its_window_store() {
     assert!(
         per_node <= BATCHED_CEILING,
         "{per_node:.2} allocations per node: {allocations} over {stats:?}"
+    );
+}
+
+/// Bytes above which parsing a header-only AIGER file allocates by what the
+/// header declares.  A variable table sized by the header's M took 512 MiB
+/// for the empty `aag` header below.
+const HEADER_ONLY_CEILING: usize = 1 << 20;
+
+#[test]
+fn a_header_only_aiger_file_allocates_nothing_it_declares() {
+    let before = BYTES.with(Cell::get);
+    let aig = elf_aig::aiger::from_ascii("aag 67108864 0 0 0 0\n").expect("an empty circuit");
+    let bytes = BYTES.with(Cell::get) - before;
+    assert_eq!(aig.num_inputs() + aig.num_outputs(), 0);
+    assert!(
+        bytes < HEADER_ONLY_CEILING,
+        "{bytes} bytes for an empty circuit"
+    );
+
+    // One input named by the largest index the header allows: a map entry,
+    // not a table up to it.
+    let before = BYTES.with(Cell::get);
+    let aig = elf_aig::aiger::from_ascii("aag 67108864 1 0 1 0\n134217728\n134217729\n")
+        .expect("one inverter");
+    let bytes = BYTES.with(Cell::get) - before;
+    assert_eq!(aig.evaluate(&[false]), vec![true]);
+    assert!(bytes < HEADER_ONLY_CEILING, "{bytes} bytes for one input");
+
+    // 2²⁶ implicit inputs and outputs promised in 35 bytes: rejected before
+    // anything is built for them.
+    let before = BYTES.with(Cell::get);
+    assert!(elf_aig::aiger::from_binary(b"aig 67108864 67108864 0 67108864 0\n").is_err());
+    let bytes = BYTES.with(Cell::get) - before;
+    assert!(
+        bytes < HEADER_ONLY_CEILING,
+        "{bytes} bytes for a rejected header"
     );
 }

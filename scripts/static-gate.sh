@@ -3,7 +3,8 @@
 # must not reach for `.unwrap()` / `.expect(...)` in non-test code.  A panic
 # in a long-lived service thread (or inside the correctness gate itself)
 # turns one bad job into a poisoned worker; these crates plumb errors
-# instead, and this gate keeps it that way.
+# instead, and this gate keeps it that way.  `elf-aig` is gated too: it reads
+# untrusted AIGER files, whose every defect must come back as an error.
 #
 # Test code (everything from the first `#[cfg(test)]` line onward) and doc
 # comments (whose examples run as doctests) are exempt: panicking asserts
@@ -12,7 +13,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-GATED_DIRS=(crates/serve/src crates/cec/src crates/obs/src crates/core/src)
+GATED_DIRS=(crates/serve/src crates/cec/src crates/obs/src crates/core/src crates/aig/src)
 
 status=0
 for dir in "${GATED_DIRS[@]}"; do
