@@ -354,6 +354,14 @@ impl Aig {
         (self.fanin0[idx], self.fanin1[idx])
     }
 
+    /// The fanin literals of `id` when its slot holds an AND node, dead or
+    /// alive (the kind alone decides, as for [`Node::is_and`]).
+    #[inline]
+    pub(crate) fn and_fanins(&self, id: NodeId) -> Option<(Lit, Lit)> {
+        let idx = id.as_usize();
+        (self.kind[idx] == KIND_AND).then(|| (self.fanin0[idx], self.fanin1[idx]))
+    }
+
     /// Returns the structural reference count (fanout count) of a node.
     #[inline]
     pub fn refs(&self, id: NodeId) -> u32 {

@@ -10,6 +10,22 @@
 //! Section III-C, Figure 2): root fanout, root level, total cut fanout, cut
 //! size, number of reconvergent nodes and number of leaves.
 //!
+//! # Choosing the leaf to expand
+//!
+//! Each round replaces the leaf of lowest expansion cost (the number of its
+//! fanins not yet in the cut) that the cost and leaf bounds still allow,
+//! the first such leaf in the list on a tie, by its fanins (`swap_remove`,
+//! then the new leaves pushed in fanin order).  A leaf's cost changes only
+//! when one of its fanins is newly marked, so [`CutScratch`] keeps every
+//! leaf's cost and fanins beside the leaf list, lowers a cost when an
+//! expansion marks one of that leaf's fanins, and reads the graph only for
+//! the leaves an expansion adds.  Both bounds cap the cost, so the pick is
+//! the smallest `(cost, index)` key over all leaves — one compare per leaf,
+//! no branch — followed by one check of that key's cost against the bounds.
+//! The engine that re-evaluated every leaf's cost from the graph each round
+//! survives under `#[cfg(test)]` as the oracle the cuts are compared with,
+//! leaf for leaf and in order.
+//!
 //! # Counting the features from the fanin side
 //!
 //! Two of the features are defined over fanout edges: the *cut fanout* is
@@ -18,8 +34,8 @@
 //! is a leaf, or a cone node other than the root, with two or more consumers
 //! inside the cone.  Walking fanout lists to count them costs the fanout of
 //! every leaf — dozens of edges for a primary input of a multiplier — and a
-//! cone lookup per edge.  [`Aig::cut_features`] reads the same numbers off
-//! the cone's fanin edges instead:
+//! cone lookup per edge.  [`Aig::cut_features_with`] reads the same numbers
+//! off the cone's fanin edges instead:
 //!
 //! * every AND node has exactly two fanin edges, and the fanout list of a
 //!   node holds exactly one record per fanin edge that names it plus one per
@@ -32,9 +48,14 @@
 //! * and the cut fanout is `Σ refs` over the cone minus the cone's fanin
 //!   edges that land inside the cone.
 //!
-//! The counts are equal, so the `f32` features are bit-identical to the
-//! fanout scan, which survives as the oracle of
-//! `crates/opt/tests/features.rs`.
+//! Each cone fanin edge is tallied once in a per-slot count column of the
+//! scratch, each leaf and cone node reads its count, and the edges are
+//! walked once more to put the column back to zero: `O(|cone| + |leaves|)`
+//! per cut, whatever the leaves' fanout, where comparing every cone edge
+//! with blocks of 64 leaves and cone nodes was `O(|cone| × (|cone| +
+//! |leaves|) / 64)` lane compares.  The counts are equal, so the `f32`
+//! features are bit-identical to the fanout scan, which survives as the
+//! oracle of `crates/opt/tests/features.rs`.
 
 use crate::aig::Aig;
 use crate::lit::NodeId;
@@ -184,7 +205,28 @@ pub struct CutScratch {
     travid: u32,
     /// Reusable DFS stack for cone collection.
     stack: Vec<NodeId>,
+    /// Per leaf of the cut being formed, in leaf order: its expansion cost
+    /// and the fanins that cost still counts.
+    leaf_costs: Vec<LeafCost>,
+    /// Per slot: the cone fanin edges naming it, zero between calls of
+    /// [`Aig::cut_features_with`].
+    counts: Vec<u32>,
 }
+
+/// What expanding one leaf of the cut being formed would cost.
+#[derive(Debug, Clone, Copy)]
+struct LeafCost {
+    /// The leaf's fanins not yet in the cut ([`NO_EXPANSION`] for a leaf
+    /// that is not an AND node).
+    cost: u32,
+    /// The fanins `cost` counts, a marked node (the leaf itself) standing in
+    /// for one it never will: a repeated fanin, or both of a non-AND leaf.
+    fanins: [NodeId; 2],
+}
+
+/// The cost of a leaf that cannot be expanded (an input or the constant).
+/// Above every real cost (at most 2), so no bound ever admits it.
+const NO_EXPANSION: u32 = 3;
 
 impl CutScratch {
     /// Creates an empty scratch; buffers grow on first use.
@@ -217,7 +259,11 @@ impl CutScratch {
     /// Whether no buffer has been grown yet.
     #[cfg(test)]
     pub(crate) fn is_pristine(&self) -> bool {
-        self.marks.capacity() + self.stack.capacity() == 0
+        self.marks.capacity()
+            + self.stack.capacity()
+            + self.leaf_costs.capacity()
+            + self.counts.capacity()
+            == 0
     }
 }
 
@@ -279,64 +325,85 @@ impl Aig {
         cut.leaves.clear();
         cut.cone.clear();
         scratch.begin(self.num_slots());
+        scratch.leaf_costs.clear();
         scratch.mark(root);
+        // Both bounds cap the cost, and no real cost exceeds 2.
+        let cost_cap = params.max_expansion_cost.min(2) as u32;
         let (f0, f1) = self.fanins(root);
-        let leaves = &mut cut.leaves;
-        for fanin in [f0.node(), f1.node()] {
-            if !scratch.is_marked(fanin) {
-                scratch.mark(fanin);
-                leaves.push(fanin);
-            }
-        }
+        let mut fanins = [f0.node(), f1.node()];
         loop {
-            let mut best: Option<(usize, usize)> = None; // (cost, index into leaves)
-            for (index, &leaf) in leaves.iter().enumerate() {
-                let cost = self.leaf_expansion_cost(leaf, scratch);
-                let Some(cost) = cost else { continue };
-                if cost > params.max_expansion_cost {
-                    continue;
-                }
-                // Expanding replaces one leaf by `cost` new leaves.
-                if leaves.len() - 1 + cost > params.max_leaves {
-                    continue;
-                }
-                match best {
-                    Some((best_cost, _)) if best_cost <= cost => {}
-                    _ => best = Some((cost, index)),
-                }
-                if cost == 0 {
-                    break;
-                }
+            let best = self.add_leaves(root, fanins, scratch, &mut cut.leaves);
+            let Some(more) = cut.leaves.len().checked_sub(1) else {
+                break;
+            };
+            // Expanding replaces one leaf by `cost` new leaves, so the leaf
+            // bound admits a cost up to `max_leaves - (leaves - 1)` (at least
+            // 1: no expansion grows the list past the bound).
+            let room = u32::try_from(params.max_leaves - more).unwrap_or(u32::MAX);
+            if (best >> 32) as u32 > cost_cap.min(room) {
+                break;
             }
-            let Some((_, index)) = best else { break };
-            let leaf = leaves.swap_remove(index);
+            let index = best as u32 as usize;
+            let leaf = cut.leaves.swap_remove(index);
+            scratch.leaf_costs.swap_remove(index);
             let (f0, f1) = self.fanins(leaf);
-            for fanin in [f0.node(), f1.node()] {
-                if !scratch.is_marked(fanin) {
-                    scratch.mark(fanin);
-                    leaves.push(fanin);
-                }
-            }
+            fanins = [f0.node(), f1.node()];
         }
         self.collect_cone_with(root, scratch, cut);
     }
 
-    /// Cost of expanding `leaf`: the number of its fanins that are not yet in
-    /// the cut.  Returns `None` for leaves that cannot be expanded (inputs and
-    /// the constant node).
-    fn leaf_expansion_cost(&self, leaf: NodeId, scratch: &CutScratch) -> Option<usize> {
-        if !self.node(leaf).is_and() {
-            return None;
+    /// Marks the unmarked ones of `fanins` and appends them to `leaves` in
+    /// that order, lowers the cost of every earlier leaf that counted one of
+    /// them, records each new leaf's cost, and returns the smallest
+    /// `(cost, index)` key over all leaves (`u64::MAX` when there are none):
+    /// the first leaf of lowest cost.  A leaf index fits 32 bits, the leaves
+    /// being distinct slots.
+    fn add_leaves(
+        &self,
+        root: NodeId,
+        fanins: [NodeId; 2],
+        scratch: &mut CutScratch,
+        leaves: &mut Vec<NodeId>,
+    ) -> u64 {
+        let earlier = leaves.len();
+        // The root is marked and is no leaf's fanin: it matches nothing.
+        let mut marked = [root; 2];
+        for (slot, fanin) in marked.iter_mut().zip(fanins) {
+            if !scratch.is_marked(fanin) {
+                scratch.mark(fanin);
+                leaves.push(fanin);
+                *slot = fanin;
+            }
         }
-        let (f0, f1) = self.fanins(leaf);
-        let mut cost = 0;
-        if !scratch.is_marked(f0.node()) {
-            cost += 1;
+        let mut best = u64::MAX;
+        for (leaf, index) in scratch.leaf_costs.iter_mut().zip(0u64..) {
+            let [g0, g1] = leaf.fanins;
+            leaf.cost -= u32::from(g0 == marked[0])
+                + u32::from(g0 == marked[1])
+                + u32::from(g1 == marked[0])
+                + u32::from(g1 == marked[1]);
+            best = best.min((u64::from(leaf.cost) << 32) | index);
         }
-        if !scratch.is_marked(f1.node()) && f0.node() != f1.node() {
-            cost += 1;
+        for (&leaf, index) in leaves[earlier..].iter().zip(earlier as u64..) {
+            let entry = match self.and_fanins(leaf) {
+                Some((g0, g1)) => {
+                    let (g0, g1) = (g0.node(), g1.node());
+                    // A repeated fanin counts once.
+                    let g1 = if g1 == g0 { leaf } else { g1 };
+                    LeafCost {
+                        cost: u32::from(!scratch.is_marked(g0)) + u32::from(!scratch.is_marked(g1)),
+                        fanins: [g0, g1],
+                    }
+                }
+                None => LeafCost {
+                    cost: NO_EXPANSION,
+                    fanins: [leaf, leaf],
+                },
+            };
+            scratch.leaf_costs.push(entry);
+            best = best.min((u64::from(entry.cost) << 32) | index);
         }
-        Some(cost)
+        best
     }
 
     /// Returns `true` if `target` appears in the transitive fanin cone of
@@ -394,45 +461,63 @@ impl Aig {
 
     /// Computes the six ELF cut features for an already-computed cut.
     ///
+    /// [`Aig::cut_features_with`] on a scratch kept per thread, for callers
+    /// that hold none.
+    pub fn cut_features(&self, cut: &Cut) -> CutFeatures {
+        thread_local! {
+            static SCRATCH: std::cell::Cell<CutScratch> = std::cell::Cell::default();
+        }
+        SCRATCH.with(|cell| {
+            let mut scratch = cell.take();
+            let features = self.cut_features_with(cut, &mut scratch);
+            cell.set(scratch);
+            features
+        })
+    }
+
+    /// Computes the six ELF cut features for an already-computed cut,
+    /// tallying edges in `scratch`'s count column.
+    ///
     /// The two counts that concern edges — the cut fanout and the
     /// reconvergent nodes — are defined over fanouts but read from the fanin
-    /// side, which gives the same counts (see the module docs): one pass over
-    /// the cone's `2 × |cone|` fanin edges per 64 leaves or cone nodes, plus
-    /// the cone's `refs`.  Nothing in it grows with a leaf's fanout, which is
-    /// what makes the paper's "gathered during cut construction at
-    /// negligible cost" true when a leaf is a primary input with dozens of
-    /// consumers.
-    pub fn cut_features(&self, cut: &Cut) -> CutFeatures {
+    /// side, which gives the same counts (see the module docs): the cone's
+    /// `2 × |cone|` fanin edges are tallied per slot, each leaf and cone node
+    /// reads its tally, and the edges are walked again to clear it.  Nothing
+    /// in it grows with a leaf's fanout, which is what makes the paper's
+    /// "gathered during cut construction at negligible cost" true when a
+    /// leaf is a primary input with dozens of consumers.
+    pub fn cut_features_with(&self, cut: &Cut, scratch: &mut CutScratch) -> CutFeatures {
+        let counts = &mut scratch.counts;
+        if counts.len() < self.num_slots() {
+            counts.resize(self.num_slots(), 0);
+        }
         // Every fanout edge of a cone node is counted by `refs`; those whose
         // consumer is in the cone are exactly the cone's fanin edges that
         // land in the cone.
-        let refs: usize = cut.cone.iter().map(|&node| self.refs(node) as usize).sum();
-        let mut internal_edges = 0usize;
+        let mut refs = 0usize;
+        for &consumer in &cut.cone {
+            refs += self.refs(consumer) as usize;
+            let (f0, f1) = self.fanins(consumer);
+            counts[f0.node().as_usize()] += 1;
+            counts[f1.node().as_usize()] += 1;
+        }
         // A node with two or more consumers in the cone is the fanin of two
         // or more cone edges.  The root is the fanin of none (the graph is
         // acyclic), so it never counts.
         let mut reconvergent = 0usize;
-        let blocks = cut
-            .leaves
-            .chunks(64)
-            .map(|block| (block, false))
-            .chain(cut.cone.chunks(64).map(|block| (block, true)));
-        for (block, in_cone) in blocks {
-            // `counts[i]`: the cone edges whose fanin is `block[i]` (a
-            // branch-free compare per lane, which the compiler vectorizes).
-            let mut counts = [0u32; 64];
-            let counts = &mut counts[..block.len()];
-            for &consumer in &cut.cone {
-                let (f0, f1) = self.fanins(consumer);
-                let (f0, f1) = (f0.node(), f1.node());
-                for (count, &node) in counts.iter_mut().zip(block) {
-                    *count += u32::from(node == f0) + u32::from(node == f1);
-                }
-            }
-            reconvergent += counts.iter().filter(|&&count| count >= 2).count();
-            if in_cone {
-                internal_edges += counts.iter().sum::<u32>() as usize;
-            }
+        for &leaf in &cut.leaves {
+            reconvergent += usize::from(counts[leaf.as_usize()] >= 2);
+        }
+        let mut internal_edges = 0usize;
+        for &node in &cut.cone {
+            let count = counts[node.as_usize()];
+            reconvergent += usize::from(count >= 2);
+            internal_edges += count as usize;
+        }
+        for &consumer in &cut.cone {
+            let (f0, f1) = self.fanins(consumer);
+            counts[f0.node().as_usize()] = 0;
+            counts[f1.node().as_usize()] = 0;
         }
         CutFeatures {
             root_fanout: self.refs(cut.root) as f32,
@@ -449,6 +534,228 @@ impl Aig {
 mod tests {
     use super::*;
     use crate::lit::Lit;
+    use proptest::prelude::*;
+
+    /// The rescan engine the incremental one replaced, kept as its oracle:
+    /// every round re-evaluates every leaf's cost through a node snapshot
+    /// and expands the first leaf of lowest cost the bounds allow.
+    fn reconvergence_cut_rescan(
+        aig: &Aig,
+        root: NodeId,
+        params: &CutParams,
+        scratch: &mut CutScratch,
+        cut: &mut Cut,
+    ) {
+        assert!(aig.is_and(root), "cut root must be a live AND node");
+        assert!(params.max_leaves >= 2, "a cut needs at least two leaves");
+        cut.root = root;
+        cut.leaves.clear();
+        cut.cone.clear();
+        scratch.begin(aig.num_slots());
+        scratch.mark(root);
+        let (f0, f1) = aig.fanins(root);
+        let leaves = &mut cut.leaves;
+        for fanin in [f0.node(), f1.node()] {
+            if !scratch.is_marked(fanin) {
+                scratch.mark(fanin);
+                leaves.push(fanin);
+            }
+        }
+        loop {
+            let mut best: Option<(usize, usize)> = None; // (cost, index into leaves)
+            for (index, &leaf) in leaves.iter().enumerate() {
+                let cost = leaf_expansion_cost(aig, leaf, scratch);
+                let Some(cost) = cost else { continue };
+                if cost > params.max_expansion_cost {
+                    continue;
+                }
+                // Expanding replaces one leaf by `cost` new leaves.
+                if leaves.len() - 1 + cost > params.max_leaves {
+                    continue;
+                }
+                match best {
+                    Some((best_cost, _)) if best_cost <= cost => {}
+                    _ => best = Some((cost, index)),
+                }
+                if cost == 0 {
+                    break;
+                }
+            }
+            let Some((_, index)) = best else { break };
+            let leaf = leaves.swap_remove(index);
+            let (f0, f1) = aig.fanins(leaf);
+            for fanin in [f0.node(), f1.node()] {
+                if !scratch.is_marked(fanin) {
+                    scratch.mark(fanin);
+                    leaves.push(fanin);
+                }
+            }
+        }
+        aig.collect_cone_with(root, scratch, cut);
+    }
+
+    /// Cost of expanding `leaf`: the number of its fanins that are not yet in
+    /// the cut.  `None` for leaves that cannot be expanded.
+    fn leaf_expansion_cost(aig: &Aig, leaf: NodeId, scratch: &CutScratch) -> Option<usize> {
+        if !aig.node(leaf).is_and() {
+            return None;
+        }
+        let (f0, f1) = aig.fanins(leaf);
+        let mut cost = 0;
+        if !scratch.is_marked(f0.node()) {
+            cost += 1;
+        }
+        if !scratch.is_marked(f1.node()) && f0.node() != f1.node() {
+            cost += 1;
+        }
+        Some(cost)
+    }
+
+    /// A gate script: `(kind, a, b, c)`, operands picked modulo the signals
+    /// built so far, as `elf_circuits::scripted_circuit` replays them.
+    fn scripted(num_inputs: usize, script: &[(u8, usize, usize, usize)]) -> Aig {
+        let mut aig = Aig::new();
+        let mut signals = aig.add_inputs(num_inputs);
+        for &(kind, a, b, c) in script {
+            let pick = |i: usize| signals[i % signals.len()];
+            let (x, y, z) = (pick(a), pick(b), pick(c));
+            let lit = match kind % 5 {
+                0 => aig.and(x, !y),
+                1 => aig.xor(x, y),
+                2 => aig.mux(x, y, z),
+                3 => aig.maj(x, y, z),
+                _ => {
+                    let (t0, t1) = (aig.and(x, y), aig.and(x, z));
+                    aig.or(t0, t1)
+                }
+            };
+            signals.push(lit);
+        }
+        for &lit in signals.iter().rev().take(3) {
+            aig.add_output(lit);
+        }
+        aig.cleanup();
+        aig
+    }
+
+    /// What an operator pass does to a graph's structure, without the
+    /// operator: nodes replaced by other signals (fanins rewired, cones
+    /// freed), then new gates built into the recycled slots.  Leaves
+    /// duplicate-fanin nodes, dangling nodes and slots out of topological
+    /// order behind.
+    fn churn(aig: &mut Aig, edits: &[(usize, usize, bool)]) {
+        for &(pick_old, pick_new, complement) in edits {
+            let ands: Vec<NodeId> = aig.and_ids().collect();
+            let live: Vec<NodeId> = (0..aig.num_slots() as u32)
+                .map(NodeId::new)
+                .filter(|&id| !aig.is_dead(id))
+                .collect();
+            let Some(&old) = ands.get(pick_old % ands.len().max(1)) else {
+                return;
+            };
+            let new = live[pick_new % live.len()].lit().complement_if(complement);
+            if new.node() != old && !aig.cone_contains(new.node(), old) {
+                aig.replace(old, new);
+            }
+            let (a, b) = (
+                live[pick_new % live.len()],
+                live[(pick_old * 7 + 1) % live.len()],
+            );
+            if !aig.is_dead(a) && !aig.is_dead(b) {
+                aig.and(a.lit(), !b.lit());
+            }
+        }
+    }
+
+    /// Forms every live AND node's cut with `scratch` and with the oracle on
+    /// a fresh scratch, returning how many cuts agreed (leaves and cone,
+    /// order included); the count column is back to zero after each
+    /// feature call.
+    fn check_against_rescan(aig: &Aig, params: &CutParams, scratch: &mut CutScratch) -> usize {
+        let (mut cut, mut expected) = (Cut::empty(), Cut::empty());
+        let mut oracle = CutScratch::new();
+        let nodes: Vec<NodeId> = aig.and_ids().collect();
+        for &node in &nodes {
+            aig.reconvergence_cut_with(node, params, scratch, &mut cut);
+            reconvergence_cut_rescan(aig, node, params, &mut oracle, &mut expected);
+            assert_eq!(cut, expected, "node {node:?} at {params:?}");
+            let features = aig.cut_features_with(&cut, scratch);
+            assert_eq!(features, aig.cut_features(&cut));
+            assert!(scratch.counts.iter().all(|&count| count == 0));
+        }
+        nodes.len()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn incremental_cuts_equal_the_rescan_engine(
+            script in prop::collection::vec((any::<u8>(), 0usize..64, 0usize..64, 0usize..64), 1..50),
+            edits in prop::collection::vec((0usize..256, 0usize..256, any::<bool>()), 0..24),
+            max_leaves in 2usize..=16,
+        ) {
+            let mut aig = scripted(6, &script);
+            let mut scratch = CutScratch::new();
+            for round in 0..2 {
+                for max_expansion_cost in 0..=3 {
+                    let params = CutParams { max_leaves, max_expansion_cost };
+                    check_against_rescan(&aig, &params, &mut scratch);
+                }
+                if round == 0 {
+                    churn(&mut aig, &edits);
+                    prop_assert!(aig.check_invariants().is_empty());
+                }
+            }
+        }
+    }
+
+    /// Any leaf bound, however large, picks as the rescan engine does.
+    #[test]
+    fn an_unbounded_leaf_count_picks_as_the_rescan_engine() {
+        let script: Vec<_> = (0..40u8)
+            .map(|i| (i, 3 * i as usize, 5 * i as usize + 1, i as usize))
+            .collect();
+        let aig = scripted(8, &script);
+        let mut scratch = CutScratch::new();
+        for max_expansion_cost in 0..=3 {
+            for max_leaves in [17, 64, u32::MAX as usize, usize::MAX] {
+                let params = CutParams {
+                    max_leaves,
+                    max_expansion_cost,
+                };
+                assert!(check_against_rescan(&aig, &params, &mut scratch) > 40);
+            }
+        }
+    }
+
+    /// A scratch whose visit epoch wraps mid-use forms the same cuts, and
+    /// its count column stays at zero.
+    #[test]
+    fn a_scratch_reused_across_an_epoch_wrap_forms_the_same_cuts() {
+        let script: Vec<_> = (0..30u8)
+            .map(|i| (i, 7 * i as usize, 3 * i as usize + 2, i as usize + 1))
+            .collect();
+        let mut aig = scripted(5, &script);
+        churn(&mut aig, &[(3, 11, true), (9, 2, false), (1, 40, true)]);
+        let params = CutParams::default();
+        let first = aig.and_ids().next().expect("a circuit with AND nodes");
+        let last = aig.and_ids().last().expect("a circuit with AND nodes");
+        let (mut cut, mut expected) = (Cut::empty(), Cut::empty());
+        let mut scratch = CutScratch::new();
+        // The last node's window is collected under epoch 2.
+        aig.reconvergence_cut_with(last, &params, &mut scratch, &mut cut);
+        // The wrap falls between the first node's two epochs, so the next
+        // window is formed under epoch 2 again.
+        scratch.travid = u32::MAX - 1;
+        aig.reconvergence_cut_with(first, &params, &mut scratch, &mut cut);
+        assert_eq!(scratch.travid, 1, "the epoch wrapped");
+        aig.reconvergence_cut_with(last, &params, &mut scratch, &mut cut);
+        reconvergence_cut_rescan(&aig, last, &params, &mut CutScratch::new(), &mut expected);
+        assert_eq!(cut, expected);
+        let formed = check_against_rescan(&aig, &params, &mut scratch);
+        assert!(formed > 8, "{formed} cuts");
+    }
 
     /// Builds a small AIG with known reconvergence: f = (a & b) | (a & c).
     fn reconvergent_aig() -> (Aig, Lit) {

@@ -189,29 +189,63 @@ impl ElfClassifier {
         &self.model
     }
 
+    /// The feature batch standardized for the network, in one buffer: with
+    /// `own_statistics`, by the batch's own per-feature mean and standard
+    /// deviation (computed as [`Normalizer::fit`] computes them, so the rows
+    /// are bit-identical to fitting a normalizer on the batch), falling back
+    /// to the training statistics for batches of fewer than two rows;
+    /// otherwise by the training statistics.
+    fn standardize(
+        &self,
+        features: &[[f32; NUM_FEATURES]],
+        own_statistics: bool,
+    ) -> Vec<[f32; NUM_FEATURES]> {
+        let (mean, std) = if own_statistics && features.len() >= 2 {
+            let n = features.len() as f32;
+            let mut mean = [0.0f32; NUM_FEATURES];
+            for row in features {
+                for (m, v) in mean.iter_mut().zip(row) {
+                    *m += v;
+                }
+            }
+            for m in &mut mean {
+                *m /= n;
+            }
+            let mut var = [0.0f32; NUM_FEATURES];
+            for row in features {
+                for ((v, x), m) in var.iter_mut().zip(row).zip(&mean) {
+                    *v += (x - m) * (x - m);
+                }
+            }
+            (mean, var.map(|v| (v / n).sqrt().max(1e-6)))
+        } else {
+            let (mean, std) = (self.normalizer.mean(), self.normalizer.std());
+            (
+                std::array::from_fn(|i| mean[i]),
+                std::array::from_fn(|i| std[i]),
+            )
+        };
+        features
+            .iter()
+            .map(|row| std::array::from_fn(|i| (row[i] - mean[i]) / std[i]))
+            .collect()
+    }
+
     /// The normalization half of the fused classifier: the feature batch as
     /// the model-ready rows a forward pass consumes.
     ///
     /// With `self_normalize` the batch is standardized with its *own*
     /// statistics (the paper's per-circuit normalization), falling back to
     /// the training statistics for batches of fewer than two rows exactly
-    /// like [`ElfClassifier::predict_batch_self_normalized`].
-    ///
-    /// The first half of [`ElfClassifier::classify`]: a benchmark probing
-    /// one layer at a time times it apart from the forward pass.
+    /// like [`ElfClassifier::classify`], which standardizes the same way
+    /// without a `Vec` per row.
     pub fn normalized_rows(
         &self,
         features: &[[f32; NUM_FEATURES]],
         self_normalize: bool,
     ) -> Vec<Vec<f32>> {
-        if !self_normalize || features.len() < 2 {
-            return self.normalizer.transform_rows(features);
-        }
-        let dataset = Dataset::from_parts(
-            features.iter().map(|f| f.to_vec()).collect(),
-            vec![0.0; features.len()],
-        );
-        Normalizer::fit(&dataset).transform_rows(features)
+        let rows = self.standardize(features, self_normalize);
+        rows.iter().map(|row| row.to_vec()).collect()
     }
 
     /// Predicted probability that each cut will be successfully resynthesized,
@@ -230,24 +264,25 @@ impl ElfClassifier {
         if features.is_empty() {
             return Vec::new();
         }
-        let rows = self.normalized_rows(features, true);
+        let rows = self.standardize(features, true);
         self.model.predict_with(&rows, Parallelism::sequential())
     }
 
     /// The keep/prune decision for one circuit's batch of cut features:
     /// `true` means "attempt resynthesis".
     ///
-    /// The batch is standardized with its own statistics
-    /// ([`ElfClassifier::normalized_rows`]), run through the network
-    /// (row-chunked across `parallelism`'s workers; bit-identical for every
-    /// thread count) and thresholded.  This is the one decision function:
-    /// every pruned pass and [`ElfClassifier::evaluate`] call it.
+    /// The batch is standardized with its own statistics into one buffer
+    /// (the rows of [`ElfClassifier::normalized_rows`]), run through the
+    /// network ([`Mlp::predict`], row-chunked across `parallelism`'s
+    /// workers; bit-identical for every thread count) and thresholded.  This
+    /// is the one decision function: every pruned pass and
+    /// [`ElfClassifier::evaluate`] call it.
     pub fn classify(
         &self,
         features: &[[f32; NUM_FEATURES]],
         parallelism: Parallelism,
     ) -> Vec<bool> {
-        let rows = self.normalized_rows(features, true);
+        let rows = self.standardize(features, true);
         let probabilities = self.model.predict_with(&rows, parallelism);
         probabilities.iter().map(|p| *p >= self.threshold).collect()
     }
@@ -534,6 +569,60 @@ mod tests {
         let p_pos = classifier.predict_batch_self_normalized(&positive)[0];
         let p_neg = classifier.predict_batch_self_normalized(&negative)[0];
         assert_ne!(p_pos.to_bits(), p_neg.to_bits());
+    }
+
+    #[test]
+    fn own_statistics_are_a_normalizer_fitted_on_the_batch() {
+        let data = synthetic_dataset(150);
+        let (classifier, _) = ElfClassifier::fit(&data, &quick_config(), 23);
+        for rows in [2, 3, 37] {
+            let features: Vec<[f32; 6]> = (0..rows)
+                .map(|i| {
+                    let x = i as f32;
+                    [x % 7.0, 3.0 * x, x % 13.0, 8.0, x % 5.0, 1.0 / (1.0 + x)]
+                })
+                .collect();
+            let batch = Dataset::from_parts(
+                features.iter().map(|f| f.to_vec()).collect(),
+                vec![0.0; rows],
+            );
+            let fitted = Normalizer::fit(&batch);
+            let expected: Vec<Vec<u32>> = features
+                .iter()
+                .map(|f| {
+                    fitted
+                        .transform_row(f)
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect()
+                })
+                .collect();
+            let standardized: Vec<Vec<u32>> = classifier
+                .normalized_rows(&features, true)
+                .iter()
+                .map(|row| row.iter().map(|v| v.to_bits()).collect())
+                .collect();
+            assert_eq!(standardized, expected, "{rows} rows");
+        }
+    }
+
+    #[test]
+    fn a_one_row_batch_is_classified_under_the_training_statistics() {
+        // Self-statistics would standardize a lone row to all zeros; the
+        // threshold sits between the two readings, so only the training
+        // statistics give the decision checked.
+        let data = synthetic_dataset(200);
+        let (mut classifier, _) = ElfClassifier::fit(&data, &quick_config(), 13);
+        for row in [
+            [1.0f32, 5.0, 2.0, 12.0, 4.0, 6.0],
+            [5.0, 20.0, 15.0, 8.0, 0.0, 8.0],
+        ] {
+            let trained = predict_trained(&classifier, &[row])[0];
+            let zeros = classifier.model().predict(&[[0.0f32; NUM_FEATURES]])[0];
+            assert_ne!(trained.to_bits(), zeros.to_bits());
+            classifier.set_threshold(trained.max(zeros));
+            assert_eq!(classify(&classifier, &[row]), vec![trained >= zeros]);
+        }
     }
 
     #[test]

@@ -213,18 +213,6 @@ impl Normalizer {
             .collect()
     }
 
-    /// Normalizes a batch of feature rows into the row layout
-    /// [`Mlp::predict`](crate::Mlp::predict) consumes.
-    ///
-    /// Accepts anything row-shaped (`Vec<f32>`, `[f32; N]`, slices), so the
-    /// fixed-width feature arrays of the synthesis layer normalize without an
-    /// intermediate copy into `Vec`s.
-    pub fn transform_rows<R: AsRef<[f32]>>(&self, rows: &[R]) -> Vec<Vec<f32>> {
-        rows.iter()
-            .map(|row| self.transform_row(row.as_ref()))
-            .collect()
-    }
-
     /// Freezes the fitted statistics into a [`SharedNormalizer`] handle.
     pub fn into_shared(self) -> SharedNormalizer {
         std::sync::Arc::new(self)
@@ -439,20 +427,6 @@ mod tests {
         // Round trip on a single row.
         let row = norm.transform_row(&[0.0, 0.0]);
         assert!(row[0] < 0.0);
-    }
-
-    #[test]
-    fn transform_rows_matches_per_row_transform_for_any_row_shape() {
-        let data = toy_dataset();
-        let norm = Normalizer::fit(&data);
-        let arrays: [[f32; 2]; 3] = [[0.0, 0.0], [5.0, 10.0], [19.0, 38.0]];
-        let vecs: Vec<Vec<f32>> = arrays.iter().map(|a| a.to_vec()).collect();
-        let from_arrays = norm.transform_rows(&arrays);
-        let from_vecs = norm.transform_rows(&vecs);
-        assert_eq!(from_arrays, from_vecs);
-        for (row, expected) in arrays.iter().zip(&from_arrays) {
-            assert_eq!(&norm.transform_row(row), expected);
-        }
     }
 
     #[test]

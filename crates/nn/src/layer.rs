@@ -25,6 +25,20 @@ impl Activation {
         }
     }
 
+    /// Applies the activation to every value of a slice (the match taken
+    /// once, so the loop vectorizes).
+    pub(crate) fn apply_all(self, values: &mut [f32]) {
+        match self {
+            Activation::Relu => values
+                .iter_mut()
+                .for_each(|v| *v = Activation::Relu.apply(*v)),
+            Activation::Sigmoid => values
+                .iter_mut()
+                .for_each(|v| *v = Activation::Sigmoid.apply(*v)),
+            Activation::Identity => {}
+        }
+    }
+
     /// Derivative of the activation expressed in terms of its *output* value.
     pub fn derivative_from_output(self, y: f32) -> f32 {
         match self {

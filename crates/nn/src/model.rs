@@ -6,6 +6,13 @@ use rand::SeedableRng;
 use crate::layer::{Activation, Dense};
 use crate::matrix::Matrix;
 
+/// Rows [`Mlp::predict`] carries through the network at a time.
+const BLOCK_ROWS: usize = 16;
+
+/// The widest layer [`Mlp::predict`] runs in stack buffers (the paper's
+/// network is 12 wide).
+const STACK_WIDTH: usize = 16;
+
 /// A cheaply-cloneable shared handle to trained [`Mlp`] weights.
 ///
 /// Serving layers fan one trained model out to many flows, jobs and worker
@@ -191,14 +198,71 @@ impl Mlp {
         }
     }
 
-    /// Convenience: computes output probabilities for a batch of feature rows.
-    pub fn predict(&self, features: &[Vec<f32>]) -> Vec<f32> {
-        if features.is_empty() {
-            return Vec::new();
+    /// Computes the network's first output for every feature row: the one
+    /// inference kernel.
+    ///
+    /// Rows go through the network 16 at a time, each layer's values held
+    /// feature-major (the block's rows side by side per feature) in two
+    /// ping-pong buffers — on the stack while no layer is wider than 16,
+    /// one heap buffer per call otherwise — so every multiply-add runs
+    /// across the block's rows at once and inference allocates only the
+    /// returned `Vec`.  Each value is accumulated as [`Mlp::forward`]
+    /// accumulates it: from `0.0` over ascending inputs, then the bias,
+    /// then the activation, so the probabilities equal the first column of
+    /// `forward` bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's length is not the network's input count.
+    pub fn predict<R: AsRef<[f32]>>(&self, features: &[R]) -> Vec<f32> {
+        let mut probabilities = Vec::with_capacity(features.len());
+        let width = self
+            .layers
+            .iter()
+            .map(|layer| layer.inputs().max(layer.outputs()))
+            .fold(1, usize::max);
+        let mut stack = [0.0f32; 2 * BLOCK_ROWS * STACK_WIDTH];
+        let mut heap = Vec::new();
+        let buffer: &mut [f32] = if width <= STACK_WIDTH {
+            &mut stack
+        } else {
+            heap.resize(2 * BLOCK_ROWS * width, 0.0);
+            &mut heap
+        };
+        let (mut input, mut output) = buffer.split_at_mut(buffer.len() / 2);
+        let inputs = self.num_inputs();
+        for block in features.chunks(BLOCK_ROWS) {
+            for (r, row) in block.iter().enumerate() {
+                let row = row.as_ref();
+                assert_eq!(row.len(), inputs, "a row holds one value per input");
+                for (k, &value) in row.iter().enumerate() {
+                    input[k * BLOCK_ROWS + r] = value;
+                }
+            }
+            for layer in &self.layers {
+                let (weights, outputs) = (layer.weights.data(), layer.outputs());
+                let lanes = output.chunks_exact_mut(BLOCK_ROWS);
+                for ((j, lane), &bias) in lanes.enumerate().zip(&layer.bias) {
+                    let mut acc = [0.0f32; BLOCK_ROWS];
+                    let values = input.chunks_exact(BLOCK_ROWS);
+                    for (x, row) in values.zip(weights.chunks_exact(outputs)) {
+                        let w = row[j];
+                        for (a, &x) in acc.iter_mut().zip(x) {
+                            *a += x * w;
+                        }
+                    }
+                    for (y, a) in lane.iter_mut().zip(acc) {
+                        *y = a + bias;
+                    }
+                }
+                layer
+                    .activation()
+                    .apply_all(&mut output[..outputs * BLOCK_ROWS]);
+                std::mem::swap(&mut input, &mut output);
+            }
+            probabilities.extend_from_slice(&input[..block.len()]);
         }
-        let matrix = Matrix::from_rows(features);
-        let out = self.forward(&matrix);
-        (0..out.rows()).map(|i| out.get(i, 0)).collect()
+        probabilities
     }
 
     /// Computes output probabilities with the batch split into row chunks
@@ -223,9 +287,9 @@ impl Mlp {
     /// let par = model.predict_with(&rows, Parallelism::threads(4));
     /// assert_eq!(seq, par);
     /// ```
-    pub fn predict_with(
+    pub fn predict_with<R: AsRef<[f32]> + Sync>(
         &self,
-        features: &[Vec<f32>],
+        features: &[R],
         parallelism: elf_par::Parallelism,
     ) -> Vec<f32> {
         let _span = elf_obs::span!("nn_forward", rows = features.len());
@@ -238,7 +302,7 @@ impl Mlp {
             .len()
             .div_ceil(parallelism.num_threads() * 4)
             .max(1);
-        let chunks: Vec<&[Vec<f32>]> = features.chunks(chunk_len).collect();
+        let chunks: Vec<&[R]> = features.chunks(chunk_len).collect();
         parallelism
             .map(&chunks, |_, chunk| self.predict(chunk))
             .into_iter()
@@ -318,10 +382,43 @@ mod tests {
     #[test]
     fn predict_handles_empty_input() {
         let model = Mlp::paper_architecture(1);
-        assert!(model.predict(&[]).is_empty());
+        let none: &[Vec<f32>] = &[];
+        assert!(model.predict(none).is_empty());
         assert!(model
-            .predict_with(&[], elf_par::Parallelism::threads(4))
+            .predict_with(none, elf_par::Parallelism::threads(4))
             .is_empty());
+    }
+
+    /// `predict` equals the first column of `forward` bit for bit at every
+    /// batch size around the kernel's block, on the paper's network and on
+    /// one, loaded from text, wider than the stack buffers.
+    #[test]
+    fn predict_equals_forward_bit_for_bit() {
+        let wide = Mlp::new(&[6, 40, 17, 3], Activation::Relu, Activation::Sigmoid, 11);
+        let wide = crate::model_from_text(&crate::model_to_text(&wide)).expect("a round trip");
+        for model in [Mlp::paper_architecture(3), wide] {
+            for rows in [0, 1, 2, 15, 16, 17, 40] {
+                let batch: Vec<[f32; 6]> = (0..rows)
+                    .map(|r| std::array::from_fn(|k| ((r * 7 + k * 5) % 13) as f32 / 2.5 - 2.0))
+                    .collect();
+                let vectors: Vec<Vec<f32>> = batch.iter().map(|row| row.to_vec()).collect();
+                let predicted: Vec<u32> =
+                    model.predict(&batch).iter().map(|p| p.to_bits()).collect();
+                let expected: Vec<u32> = if rows == 0 {
+                    Vec::new()
+                } else {
+                    let out = model.forward(&Matrix::from_rows(&vectors));
+                    (0..rows).map(|r| out.get(r, 0).to_bits()).collect()
+                };
+                assert_eq!(predicted, expected, "{rows} rows");
+                let from_vectors: Vec<u32> = model
+                    .predict(&vectors)
+                    .iter()
+                    .map(|p| p.to_bits())
+                    .collect();
+                assert_eq!(from_vectors, expected, "{rows} rows");
+            }
+        }
     }
 
     #[test]

@@ -91,8 +91,8 @@ pub(crate) struct Simulation {
     pub(crate) tables: Vec<u64>,
     /// The table slot of each leaf and cone node, by graph slot.
     pub(crate) slots: SlotMap,
-    /// The depth-first stack of (node, already expanded).
-    walk: Vec<(NodeId, bool)>,
+    /// The depth-first stack of nodes to place.
+    walk: Vec<NodeId>,
 }
 
 /// Computes the truth table of the cut's root as a function of its leaves.
@@ -152,33 +152,10 @@ pub(crate) fn simulate_cut(aig: &Aig, cut: &Cut, simulation: &mut Simulation) ->
         slots.insert(leaf, slot);
     }
     slots.insert(NodeId::CONST0, 0);
-    order.clear();
-    walk.clear();
-    walk.push((cut.root, false));
-    while let Some((id, expanded)) = walk.pop() {
-        if expanded {
-            slots.insert(id, (1 + num_vars + order.len()) as u32);
-            order.push(id);
-            continue;
-        }
-        if slots.get(id).is_some() {
-            continue;
-        }
-        // Reached: its slot is set once its fanins have theirs.
-        slots.insert(id, u32::MAX);
-        walk.push((id, true));
-        let (f0, f1) = aig.fanins(id);
-        walk.push((f0.node(), false));
-        walk.push((f1.node(), false));
-    }
-    assert_eq!(
-        order.last(),
-        Some(&cut.root),
-        "root is part of its own cone"
-    );
     let words = 1usize << num_vars.saturating_sub(6);
     tables.clear();
-    tables.resize((1 + num_vars + order.len()) * words, 0);
+    // Sized for the cone the cut lists, grown if the walk places more.
+    tables.resize((1 + num_vars + cut.cone.len()) * words, 0);
     for (var, table) in tables[words..]
         .chunks_exact_mut(words)
         .take(num_vars)
@@ -188,25 +165,45 @@ pub(crate) fn simulate_cut(aig: &Aig, cut: &Cut, simulation: &mut Simulation) ->
             *word = TruthTable::var_word(var, index);
         }
     }
-    // Where a fanin's table starts, and the mask that complements it.
-    let operand = |lit: Lit| -> (usize, u64) {
-        let slot = slots
-            .get(lit.node())
-            .expect("a fanin is mapped before its fanout");
-        (
-            slot as usize * words,
-            if lit.is_complemented() { !0 } else { 0 },
-        )
-    };
-    for (done, &node) in order.iter().enumerate() {
-        let (f0, f1) = aig.fanins(node);
-        let (at0, flip0) = operand(f0);
-        let (at1, flip1) = operand(f1);
-        let (earlier, table) = tables.split_at_mut((1 + num_vars + done) * words);
+    // A node is placed once both its fanins have a slot: at once when they
+    // have one, or else after the walk, to which it goes back under its
+    // fanins (the second on top), has placed them.
+    order.clear();
+    walk.clear();
+    walk.push(cut.root);
+    while let Some(id) = walk.pop() {
+        if slots.get(id).is_some() {
+            continue;
+        }
+        let (f0, f1) = aig.fanins(id);
+        let (Some(slot0), Some(slot1)) = (slots.get(f0.node()), slots.get(f1.node())) else {
+            walk.extend([id, f0.node(), f1.node()]);
+            continue;
+        };
+        // Where a fanin's table starts, and the mask that complements it.
+        let operand = |lit: Lit, slot: u32| {
+            let flip = if lit.is_complemented() { !0 } else { 0 };
+            (slot as usize * words, flip)
+        };
+        let (at0, flip0) = operand(f0, slot0);
+        let (at1, flip1) = operand(f1, slot1);
+        let slot = 1 + num_vars + order.len();
+        if tables.len() < (slot + 1) * words {
+            tables.resize((slot + 1) * words, 0);
+        }
+        let (earlier, table) = tables.split_at_mut(slot * words);
         for (index, word) in table[..words].iter_mut().enumerate() {
             *word = (earlier[at0 + index] ^ flip0) & (earlier[at1 + index] ^ flip1);
         }
+        slots.insert(id, slot as u32);
+        order.push(id);
     }
+    assert_eq!(
+        order.last(),
+        Some(&cut.root),
+        "root is part of its own cone"
+    );
+    tables.truncate((1 + num_vars + order.len()) * words);
     words
 }
 
@@ -236,12 +233,15 @@ pub fn count_new_nodes(
     leaf_lits: &[Lit],
     root: Option<NodeId>,
 ) -> ImplementationCost {
+    // A budget of one node per gate never runs out: each gate spends at
+    // most one.
+    let gates = expr.gates().len();
     let mut count = ArenaCount::default();
-    count.start(leaf_lits, Some(usize::MAX));
+    count.start(leaf_lits, Some(gates));
     for &gate in expr.gates() {
         count.gate(aig, root, gate);
     }
-    let new_nodes = usize::MAX - count.budget.expect("no count exceeds usize::MAX");
+    let new_nodes = count.budget.map_or(gates, |left| gates - left);
     let level = count.term(aig, expr.root()).1;
     ImplementationCost { new_nodes, level }
 }

@@ -290,6 +290,7 @@ fn drive<O: PrunableOperator + ?Sized>(
     };
     let observed = matches!(policy, Policy::Record(_) | Policy::Filter(_));
     let mut scratch = PassScratch::new();
+    let mut window_scratch = CutScratch::new();
     for (index, (token, mut keep)) in targets.into_iter().enumerate() {
         let node = token.id();
         if !aig.token_is_current(token) || aig.refs(node) == 0 {
@@ -298,8 +299,8 @@ fn drive<O: PrunableOperator + ?Sized>(
         stats.nodes_visited += 1;
         stats.cuts_formed += 1;
         let features = observed.then(|| {
-            aig.reconvergence_cut_into(node, &window, &mut scratch.cut);
-            aig.cut_features(&scratch.cut)
+            aig.reconvergence_cut_with(node, &window, &mut window_scratch, &mut scratch.cut);
+            aig.cut_features_with(&scratch.cut, &mut window_scratch)
         });
         if let (Policy::Filter(decide), Some(features)) = (&mut policy, &features) {
             keep = decide(node, features);
@@ -371,7 +372,8 @@ impl Sweep {
                 let mut part = Sweep::default();
                 for &node in *chunk {
                     aig.reconvergence_cut_with(node, &window, scratch, cut);
-                    part.features.push((node, aig.cut_features(cut)));
+                    part.features
+                        .push((node, aig.cut_features_with(cut, scratch)));
                     if keep_windows {
                         part.push_window(cut);
                     }

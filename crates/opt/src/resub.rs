@@ -141,8 +141,11 @@ impl PrunableOperator for Resubstitution {
             if self.params.preserve_level && aig.level(n) > root_level {
                 continue;
             }
-            let slot = slots.get(n).expect("the simulation covers the whole cone");
-            divisors.push((n.lit(), slot as usize));
+            // The simulation's walk reaches the whole cone, so every cone
+            // node has a slot.
+            if let Some(slot) = slots.get(n) {
+                divisors.push((n.lit(), slot as usize));
+            }
         }
         aig.ref_mffc_bounded(node, &[]);
 

@@ -1,5 +1,7 @@
-//! `Aig::cut_features` counts the cut fanout and the reconvergent nodes from
-//! the cone's fanin edges.  These tests hold it to the definition — a scan
+//! `Aig::cut_features_with` counts the cut fanout and the reconvergent nodes
+//! from the cone's fanin edges, tallied in its scratch's count column, and
+//! `Aig::cut_features` is that routine on a scratch kept per thread.  These
+//! tests hold both to the definition — a scan
 //! of the fanout list of every cone node and every leaf, each consumer
 //! looked up in the cone — on every node of scripted circuits at every leaf
 //! bound from 2 to 16, before and after operator churn has reordered fanout
@@ -49,18 +51,27 @@ fn features_by_fanout_scan(aig: &Aig, cut: &Cut) -> CutFeatures {
     }
 }
 
-/// Checks every live AND node's cut at `max_leaves`, returning how many.
+/// Checks every live AND node's cut at `max_leaves`, through both entry
+/// points (the scratch reused across the cuts, as the sweep reuses it),
+/// returning how many.
 fn check_every_cut(aig: &Aig, params: &CutParams) -> usize {
     let (mut scratch, mut cut) = (CutScratch::new(), Cut::empty());
     let nodes: Vec<NodeId> = aig.and_ids().collect();
     for &node in &nodes {
         aig.reconvergence_cut_with(node, params, &mut scratch, &mut cut);
-        let (fanin_side, scan) = (aig.cut_features(&cut), features_by_fanout_scan(aig, &cut));
-        assert_eq!(
-            fanin_side.to_array().map(f32::to_bits),
-            scan.to_array().map(f32::to_bits),
-            "node {node:?} at {params:?}: {cut:?}"
-        );
+        let scan = features_by_fanout_scan(aig, &cut)
+            .to_array()
+            .map(f32::to_bits);
+        for fanin_side in [
+            aig.cut_features_with(&cut, &mut scratch),
+            aig.cut_features(&cut),
+        ] {
+            assert_eq!(
+                fanin_side.to_array().map(f32::to_bits),
+                scan,
+                "node {node:?} at {params:?}: {cut:?}"
+            );
+        }
     }
     nodes.len()
 }

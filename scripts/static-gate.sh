@@ -5,6 +5,7 @@
 # turns one bad job into a poisoned worker; these crates plumb errors
 # instead, and this gate keeps it that way.  `elf-aig` is gated too: it reads
 # untrusted AIGER files, whose every defect must come back as an error.
+# `elf-opt` is gated as well: every served job runs its operators.
 #
 # Test code (everything from the first `#[cfg(test)]` line onward) and doc
 # comments (whose examples run as doctests) are exempt: panicking asserts
@@ -13,7 +14,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-GATED_DIRS=(crates/serve/src crates/cec/src crates/obs/src crates/core/src crates/aig/src)
+GATED_DIRS=(crates/serve/src crates/cec/src crates/obs/src crates/core/src crates/aig/src crates/opt/src)
 
 status=0
 for dir in "${GATED_DIRS[@]}"; do
@@ -95,28 +96,60 @@ if [ -n "$boxed" ]; then
 fi
 echo "static-gate: resynthesis stays off the heap"
 
-# Features from the fanin side: `Aig::cut_features` counts the cut fanout
-# and the reconvergent nodes off the cone's fanin edges.  A `fanouts(` walk
-# or a `contains(` lookup in its non-test body is the per-leaf fanout scan
-# coming back (it survives only as the oracle of
+# Features from the fanin side: `Aig::cut_features_with` counts the cut
+# fanout and the reconvergent nodes off the cone's fanin edges.  A
+# `fanouts(` walk or a `contains(` lookup in its non-test body is the
+# per-leaf fanout scan coming back (it survives only as the oracle of
 # `crates/opt/tests/features.rs`).
-if ! grep -q 'pub fn cut_features(' crates/aig/src/cut.rs; then
-    echo "static-gate: Aig::cut_features not found in crates/aig/src/cut.rs" >&2
+if ! grep -q 'pub fn cut_features_with(' crates/aig/src/cut.rs; then
+    echo "static-gate: Aig::cut_features_with not found in crates/aig/src/cut.rs" >&2
     exit 1
 fi
 scan=$(awk '
     /^#\[cfg\(test\)\]/ { exit }
-    /pub fn cut_features\(/ { inside = 1 }
+    /pub fn cut_features_with\(/ { inside = 1 }
     !inside || /^[[:space:]]*\/\// { next }
     /fanouts\(|contains\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
     /^    }$/ { inside = 0 }
 ' crates/aig/src/cut.rs)
 if [ -n "$scan" ]; then
     echo "$scan"
-    echo "static-gate: fanout scan in non-test Aig::cut_features" >&2
+    echo "static-gate: fanout scan in non-test Aig::cut_features_with" >&2
     exit 1
 fi
 echo "static-gate: cut features are counted from the fanin side"
+
+# A pruned node costs little: the cut engine keeps each leaf's cost and reads
+# the graph only for the leaves an expansion adds, the features are tallied
+# once per cone edge in the scratch's count column, and the classifier
+# standardizes the batch into one buffer for the blocked inference kernel.
+# In non-test `cut.rs`, a `leaf_expansion_cost` or a `self.node(` snapshot is
+# the per-round rescan of every leaf coming back (it survives as the
+# `#[cfg(test)]` oracle), and a `chunks(64)` in `cut_features_with` the
+# 64-lane block compare; a `Vec<Vec<f32>>` or a `normalized_rows` call in
+# `ElfClassifier::classify` or the `standardize` it calls is a `Vec` per row
+# coming back.
+if ! grep -q 'pub fn classify(' crates/core/src/classifier.rs; then
+    echo "static-gate: ElfClassifier::classify not found in crates/core/src/classifier.rs" >&2
+    exit 1
+fi
+pruned=$(awk '
+    FNR == 1 { in_tests = 0; inside = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    FILENAME ~ /cut\.rs$/ && /leaf_expansion_cost|self\.node\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    FILENAME ~ /cut\.rs$/ && /pub fn cut_features_with\(/ { inside = 1 }
+    FILENAME ~ /classifier\.rs$/ && /fn (classify|standardize)\(/ { inside = 1 }
+    inside && FILENAME ~ /cut\.rs$/ && /chunks\(64\)/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    inside && FILENAME ~ /classifier\.rs$/ && /Vec<Vec<f32>>|normalized_rows/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    /^    }$/ { inside = 0 }
+' crates/aig/src/cut.rs crates/core/src/classifier.rs)
+if [ -n "$pruned" ]; then
+    echo "$pruned"
+    echo "static-gate: leaf rescan or node snapshot in non-test cut.rs, 64-lane block compare in cut_features_with, or a Vec per row in ElfClassifier::classify" >&2
+    exit 1
+fi
+echo "static-gate: a pruned node's cut, features and decision stay cheap"
 
 # One batched entry: a pruned pass sweeps, classifies and mutates through
 # `PrunableOperator::run_batched`, which reuses the sweep's windows.  A
