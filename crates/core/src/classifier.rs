@@ -9,7 +9,6 @@ use elf_nn::{
     model_from_text, model_to_text, train, ConfusionMatrix, Dataset, Mlp, Normalizer, SharedMlp,
     SharedNormalizer, TrainConfig, TrainReport,
 };
-use elf_par::Parallelism;
 
 /// Error returned when deserializing a stored classifier fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,7 +56,7 @@ pub const RECALL_TARGET: f64 = 0.95;
 /// # Examples
 ///
 /// ```
-/// use elf_core::{ElfClassifier, Parallelism};
+/// use elf_core::ElfClassifier;
 /// use elf_nn::Dataset;
 ///
 /// let mut data = Dataset::new();
@@ -66,13 +65,10 @@ pub const RECALL_TARGET: f64 = 0.95;
 ///     data.push(vec![x, x, 10.0, 20.0, 1.0, 5.0], i % 10 == 0);
 /// }
 /// let (classifier, _report) = ElfClassifier::fit(&data, &Default::default(), 42);
-/// let decisions = classifier.classify(
-///     &[
-///         [1.0, 1.0, 10.0, 20.0, 1.0, 5.0],
-///         [9.0, 9.0, 10.0, 20.0, 1.0, 5.0],
-///     ],
-///     Parallelism::sequential(),
-/// );
+/// let decisions = classifier.classify(&[
+///     [1.0, 1.0, 10.0, 20.0, 1.0, 5.0],
+///     [9.0, 9.0, 10.0, 20.0, 1.0, 5.0],
+/// ]);
 /// assert_eq!(decisions.len(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -190,41 +186,22 @@ impl ElfClassifier {
     }
 
     /// The feature batch standardized for the network, in one buffer: with
-    /// `own_statistics`, by the batch's own per-feature mean and standard
-    /// deviation (computed as [`Normalizer::fit`] computes them, so the rows
-    /// are bit-identical to fitting a normalizer on the batch), falling back
-    /// to the training statistics for batches of fewer than two rows;
-    /// otherwise by the training statistics.
+    /// `own_statistics`, by a [`Normalizer::fit_rows`] of the batch itself,
+    /// falling back to the training statistics for batches of fewer than
+    /// two rows; otherwise by the training statistics.
     fn standardize(
         &self,
         features: &[[f32; NUM_FEATURES]],
         own_statistics: bool,
     ) -> Vec<[f32; NUM_FEATURES]> {
-        let (mean, std) = if own_statistics && features.len() >= 2 {
-            let n = features.len() as f32;
-            let mut mean = [0.0f32; NUM_FEATURES];
-            for row in features {
-                for (m, v) in mean.iter_mut().zip(row) {
-                    *m += v;
-                }
-            }
-            for m in &mut mean {
-                *m /= n;
-            }
-            let mut var = [0.0f32; NUM_FEATURES];
-            for row in features {
-                for ((v, x), m) in var.iter_mut().zip(row).zip(&mean) {
-                    *v += (x - m) * (x - m);
-                }
-            }
-            (mean, var.map(|v| (v / n).sqrt().max(1e-6)))
+        let own;
+        let statistics = if own_statistics && features.len() >= 2 {
+            own = Normalizer::fit_rows(features);
+            &own
         } else {
-            let (mean, std) = (self.normalizer.mean(), self.normalizer.std());
-            (
-                std::array::from_fn(|i| mean[i]),
-                std::array::from_fn(|i| std[i]),
-            )
+            self.normalizer.as_ref()
         };
+        let (mean, std) = (statistics.mean(), statistics.std());
         features
             .iter()
             .map(|row| std::array::from_fn(|i| (row[i] - mean[i]) / std[i]))
@@ -249,8 +226,8 @@ impl ElfClassifier {
     }
 
     /// Predicted probability that each cut will be successfully resynthesized,
-    /// with the batch standardized with its *own* statistics: one sequential
-    /// forward pass over [`ElfClassifier::normalized_rows`]`(features, true)`.
+    /// with the batch standardized with its *own* statistics: one
+    /// [`Mlp::predict`] over [`ElfClassifier::normalized_rows`]`(features, true)`.
     ///
     /// The paper standardizes every dataset individually so the model
     /// generalizes to circuits whose feature ranges (levels, fanouts) differ
@@ -261,11 +238,7 @@ impl ElfClassifier {
     /// every feature to exactly 0 and make the decision independent of the
     /// cut), so they fall back to the training statistics.
     pub fn predict_batch_self_normalized(&self, features: &[[f32; NUM_FEATURES]]) -> Vec<f32> {
-        if features.is_empty() {
-            return Vec::new();
-        }
-        let rows = self.standardize(features, true);
-        self.model.predict_with(&rows, Parallelism::sequential())
+        self.model.predict(&self.standardize(features, true))
     }
 
     /// The keep/prune decision for one circuit's batch of cut features:
@@ -273,17 +246,15 @@ impl ElfClassifier {
     ///
     /// The batch is standardized with its own statistics into one buffer
     /// (the rows of [`ElfClassifier::normalized_rows`]), run through the
-    /// network ([`Mlp::predict`], row-chunked across `parallelism`'s
-    /// workers; bit-identical for every thread count) and thresholded.  This
-    /// is the one decision function: every pruned pass and
-    /// [`ElfClassifier::evaluate`] call it.
-    pub fn classify(
-        &self,
-        features: &[[f32; NUM_FEATURES]],
-        parallelism: Parallelism,
-    ) -> Vec<bool> {
+    /// network on the calling thread ([`Mlp::predict`], inside an
+    /// `nn_forward` span) and thresholded.  This is the one decision
+    /// function: every pruned pass and [`ElfClassifier::evaluate`] call it.
+    pub fn classify(&self, features: &[[f32; NUM_FEATURES]]) -> Vec<bool> {
         let rows = self.standardize(features, true);
-        let probabilities = self.model.predict_with(&rows, parallelism);
+        let probabilities = {
+            let _span = elf_obs::span!("nn_forward", rows = rows.len());
+            self.model.predict(&rows)
+        };
         probabilities.iter().map(|p| *p >= self.threshold).collect()
     }
 
@@ -292,7 +263,7 @@ impl ElfClassifier {
     /// circuit's batch, decided as a pruned pass decides them
     /// ([`ElfClassifier::classify`]).
     pub fn evaluate(&self, features: &[[f32; NUM_FEATURES]], labels: &[bool]) -> ConfusionMatrix {
-        let predictions = self.classify(features, Parallelism::sequential());
+        let predictions = self.classify(features);
         ConfusionMatrix::from_predictions(&predictions, labels)
     }
 
@@ -392,12 +363,6 @@ mod tests {
         data
     }
 
-    /// Keep/prune decisions for one circuit's batch, the way a pruned pass
-    /// decides them.
-    fn classify(classifier: &ElfClassifier, features: &[[f32; NUM_FEATURES]]) -> Vec<bool> {
-        classifier.classify(features, Parallelism::sequential())
-    }
-
     /// Probabilities under the training statistics: what a batch of fewer
     /// than two rows falls back to.
     fn predict_trained(classifier: &ElfClassifier, features: &[[f32; NUM_FEATURES]]) -> Vec<f32> {
@@ -419,8 +384,8 @@ mod tests {
         let data = synthetic_dataset(400);
         let (classifier, report) = ElfClassifier::fit(&data, &quick_config(), 3);
         assert!(report.validation_metrics.recall() > 0.8);
-        let positives = classify(&classifier, &[[1.0, 5.0, 2.0, 12.0, 4.0, 6.0]]);
-        let negatives = classify(&classifier, &[[5.0, 20.0, 15.0, 8.0, 0.0, 8.0]]);
+        let positives = classifier.classify(&[[1.0, 5.0, 2.0, 12.0, 4.0, 6.0]]);
+        let negatives = classifier.classify(&[[5.0, 20.0, 15.0, 8.0, 0.0, 8.0]]);
         assert!(positives[0]);
         assert!(!negatives[0]);
     }
@@ -447,13 +412,10 @@ mod tests {
         let data = synthetic_dataset(200);
         let (mut classifier, _) = ElfClassifier::fit(&data, &quick_config(), 5);
         classifier.set_threshold(0.0);
-        let decisions = classify(
-            &classifier,
-            &[
-                [1.0, 5.0, 2.0, 12.0, 4.0, 6.0],
-                [9.0, 20.0, 15.0, 8.0, 0.0, 8.0],
-            ],
-        );
+        let decisions = classifier.classify(&[
+            [1.0, 5.0, 2.0, 12.0, 4.0, 6.0],
+            [9.0, 20.0, 15.0, 8.0, 0.0, 8.0],
+        ]);
         assert!(decisions.iter().all(|&d| d));
         assert_eq!(classifier.threshold(), 0.0);
     }
@@ -528,12 +490,7 @@ mod tests {
         }
         let chained = format!("{header}\nmlp 2\n{}\n{}", layer(6, 3), layer(3, 1));
         let parsed = ElfClassifier::from_text(&chained).expect("a chained model parses");
-        assert_eq!(
-            parsed
-                .classify(&[[1.0; 6], [2.0; 6]], Parallelism::sequential())
-                .len(),
-            2
-        );
+        assert_eq!(parsed.classify(&[[1.0; 6], [2.0; 6]]).len(), 2);
     }
 
     #[test]
@@ -542,7 +499,7 @@ mod tests {
         let (classifier, _) = ElfClassifier::fit(&data, &quick_config(), 11);
         assert!(classifier.normalized_rows(&[], true).is_empty());
         assert!(classifier.predict_batch_self_normalized(&[]).is_empty());
-        assert!(classify(&classifier, &[]).is_empty());
+        assert!(classifier.classify(&[]).is_empty());
     }
 
     #[test]
@@ -563,7 +520,7 @@ mod tests {
                 probs[0].to_bits(),
                 predict_trained(&classifier, &row)[0].to_bits()
             );
-            assert_eq!(classify(&classifier, &row).len(), 1);
+            assert_eq!(classifier.classify(&row).len(), 1);
         }
         // Distinct cuts must be able to get distinct probabilities again.
         let p_pos = classifier.predict_batch_self_normalized(&positive)[0];
@@ -621,7 +578,7 @@ mod tests {
             let zeros = classifier.model().predict(&[[0.0f32; NUM_FEATURES]])[0];
             assert_ne!(trained.to_bits(), zeros.to_bits());
             classifier.set_threshold(trained.max(zeros));
-            assert_eq!(classify(&classifier, &[row]), vec![trained >= zeros]);
+            assert_eq!(classifier.classify(&[row]), vec![trained >= zeros]);
         }
     }
 
@@ -656,7 +613,7 @@ mod tests {
                 features.len()
             );
             let decided: Vec<bool> = probs.iter().map(|p| *p >= classifier.threshold()).collect();
-            assert_eq!(decided, classify(&classifier, features));
+            assert_eq!(decided, classifier.classify(features));
         }
     }
 
@@ -686,31 +643,5 @@ mod tests {
             predict_trained(&tuned, &[[1.0, 5.0, 2.0, 12.0, 4.0, 6.0]])[0].to_bits(),
             predict_trained(&classifier, &[[1.0, 5.0, 2.0, 12.0, 4.0, 6.0]])[0].to_bits()
         );
-    }
-
-    #[test]
-    fn parallel_classification_matches_sequential() {
-        // A pruned pass row-chunks the forward pass over the self-normalized
-        // rows; every thread count must reproduce the sequential decision.
-        let data = synthetic_dataset(300);
-        let (classifier, _) = ElfClassifier::fit(&data, &quick_config(), 15);
-        let features: Vec<[f32; 6]> = (0..97)
-            .map(|i| {
-                let x = i as f32;
-                [x % 9.0, x % 21.0, x % 16.0, 8.0 + x % 5.0, x % 4.0, 6.0]
-            })
-            .collect();
-        let sequential = classifier.predict_batch_self_normalized(&features);
-        let rows = classifier.normalized_rows(&features, true);
-        for threads in [1, 2, 3, 7] {
-            let probs = classifier
-                .model()
-                .predict_with(&rows, Parallelism::threads(threads));
-            assert_eq!(
-                probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                sequential.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-        }
     }
 }

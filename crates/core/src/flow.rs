@@ -19,9 +19,9 @@ use crate::classifier::ElfClassifier;
 pub struct ElfConfig {
     /// Parameters of the underlying refactor operator.
     pub refactor: RefactorParams,
-    /// Worker-thread count for batch feature collection and batched
-    /// inference (graph mutation always stays sequential, so results are
-    /// identical for every thread count).  Defaults to `ELF_THREADS`.
+    /// Worker-thread count for batch feature collection (inference and
+    /// graph mutation always stay sequential, so results are identical for
+    /// every thread count).  Defaults to `ELF_THREADS`.
     pub parallelism: Parallelism,
     /// Sizing and on/off switch of the NPN-canonical cut-factoring cache the
     /// wrapped operator consults (see [`elf_opt::CutCache`]).  The cache is
@@ -33,8 +33,8 @@ pub struct ElfConfig {
 /// Operator-independent options of the pruning flow.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ElfOptions {
-    /// Worker-thread count for batch feature collection and batched
-    /// inference.  Defaults to `ELF_THREADS`.
+    /// Worker-thread count for batch feature collection.  Defaults to
+    /// `ELF_THREADS`.
     pub parallelism: Parallelism,
     /// Sizing and on/off switch of the NPN-canonical cut-factoring cache
     /// (see [`elf_opt::CutCache`]).  Result-transparent either way.
@@ -171,7 +171,8 @@ impl<O: PrunableOperator> Elf<O> {
 
 /// One classifier-pruned pass of `operator` over `aig` — the pass behind
 /// [`Elf::run`] and every pruned [`Flow`](crate::Flow) stage.  Only the
-/// sweep and the forward pass fan out over `parallelism`.
+/// sweep fans out over `parallelism`; the forward pass runs on the calling
+/// thread.
 pub(crate) fn pruned_pass<O: PrunableOperator>(
     operator: &O,
     classifier: &ElfClassifier,
@@ -185,7 +186,7 @@ pub(crate) fn pruned_pass<O: PrunableOperator>(
         let classify_start = Instant::now();
         let _span = elf_obs::span!("classify", cuts = features.len());
         let rows: Vec<[f32; NUM_FEATURES]> = features.iter().map(|(_, f)| f.to_array()).collect();
-        let keep = classifier.classify(&rows, parallelism);
+        let keep = classifier.classify(&rows);
         classify_time = classify_start.elapsed();
         keep
     });

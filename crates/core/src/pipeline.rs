@@ -198,8 +198,8 @@ impl Error for ParseFlowError {}
 #[derive(Debug, Clone, Default)]
 pub struct Flow {
     stages: Vec<Stage>,
-    /// Worker-thread count of the pruned stages' sweep and forward pass
-    /// (plain stages, and graph mutation, are sequential).
+    /// Worker-thread count of the pruned stages' sweep (plain stages, the
+    /// forward pass and graph mutation are sequential).
     parallelism: Parallelism,
     /// How much SAT-based equivalence checking the run performs.
     verify: VerifyMode,

@@ -13,7 +13,7 @@
 
 use elf_aig::aiger::{from_ascii, from_binary, to_ascii, to_binary};
 use elf_circuits::{script_strategy, scripted_circuit};
-use elf_core::{ElfClassifier, Parallelism};
+use elf_core::ElfClassifier;
 use elf_nn::{Mlp, Normalizer};
 use proptest::prelude::*;
 
@@ -131,7 +131,7 @@ proptest! {
             ElfClassifier::from_parts(normalizer, Mlp::paper_architecture(seed), 0.5);
         let text = mutant(classifier.to_text().as_bytes(), &mutations);
         if let Ok(parsed) = ElfClassifier::from_text(&String::from_utf8_lossy(&text)) {
-            let decisions = parsed.classify(&[[1.0; 6]], Parallelism::sequential());
+            let decisions = parsed.classify(&[[1.0; 6]]);
             prop_assert_eq!(decisions.len(), 1);
         }
     }

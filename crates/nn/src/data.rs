@@ -3,8 +3,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::matrix::Matrix;
-
 /// In-place seeded Fisher–Yates shuffle of example indices.
 fn shuffle_indices(indices: &mut [usize], rng: &mut StdRng) {
     for i in (1..indices.len()).rev() {
@@ -120,16 +118,6 @@ impl Dataset {
         (self.select(&train_idx), self.select(&valid_idx))
     }
 
-    /// Packs the features into a single matrix (one row per example), the
-    /// batching trick the paper uses to amortize inference overhead.
-    pub fn to_matrix(&self) -> Matrix {
-        if self.is_empty() {
-            Matrix::zeros(0, 0)
-        } else {
-            Matrix::from_rows(&self.features)
-        }
-    }
-
     /// Selects a subset of the dataset by example indices (with repetition
     /// allowed, for resampling).
     pub fn select(&self, indices: &[usize]) -> Dataset {
@@ -158,30 +146,42 @@ pub struct Normalizer {
 }
 
 impl Normalizer {
-    /// Fits per-feature mean and standard deviation.
+    /// Fits per-feature mean and standard deviation on a dataset's feature
+    /// rows ([`Normalizer::fit_rows`]).
     ///
     /// # Panics
     ///
     /// Panics if the dataset is empty.
     pub fn fit(dataset: &Dataset) -> Self {
+        Self::fit_rows(dataset.features())
+    }
+
+    /// Fits per-feature mean and standard deviation on feature rows, each
+    /// summed in row order; the first row's length is the feature count.  A
+    /// standard deviation is never below `1e-6`, so standardizing a constant
+    /// feature never divides by zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty.
+    pub fn fit_rows<R: AsRef<[f32]>>(rows: &[R]) -> Self {
         assert!(
-            !dataset.is_empty(),
+            !rows.is_empty(),
             "cannot fit a normalizer on an empty dataset"
         );
-        let dims = dataset.num_features();
-        let n = dataset.len() as f32;
-        let mut mean = vec![0.0; dims];
-        for row in dataset.features() {
-            for (m, v) in mean.iter_mut().zip(row) {
+        let n = rows.len() as f32;
+        let mut mean = vec![0.0; rows[0].as_ref().len()];
+        for row in rows {
+            for (m, v) in mean.iter_mut().zip(row.as_ref()) {
                 *m += v;
             }
         }
         for m in &mut mean {
             *m /= n;
         }
-        let mut var = vec![0.0; dims];
-        for row in dataset.features() {
-            for ((v, x), m) in var.iter_mut().zip(row).zip(&mean) {
+        let mut var = vec![0.0; mean.len()];
+        for row in rows {
+            for ((v, x), m) in var.iter_mut().zip(row.as_ref()).zip(&mean) {
                 *v += (x - m) * (x - m);
             }
         }
@@ -277,9 +277,11 @@ impl WeightedRandomSampler {
         (0..count)
             .map(|_| {
                 let r = rng.gen_range(0.0..total);
+                // The cumulative weights are finite and non-negative, where
+                // `total_cmp` orders exactly as `partial_cmp` does.
                 match self
                     .cumulative
-                    .binary_search_by(|probe| probe.partial_cmp(&r).expect("finite weights"))
+                    .binary_search_by(|probe| probe.total_cmp(&r))
                 {
                     Ok(i) | Err(i) => i.min(self.weights.len() - 1),
                 }
@@ -371,9 +373,7 @@ mod tests {
         assert_eq!(data.num_features(), 2);
         assert_eq!(data.class_counts(), (16, 4));
         assert!(!data.is_empty());
-        let matrix = data.to_matrix();
-        assert_eq!(matrix.rows(), 20);
-        assert_eq!(matrix.cols(), 2);
+        assert_eq!(data.features().len(), 20);
     }
 
     #[test]
@@ -419,11 +419,11 @@ mod tests {
         let data = toy_dataset();
         let norm = Normalizer::fit(&data);
         let transformed = norm.transform(&data);
-        let matrix = transformed.to_matrix();
-        let sums = matrix.column_sums();
-        for s in sums {
+        for k in 0..2 {
+            let s: f32 = transformed.features().iter().map(|row| row[k]).sum();
             assert!(s.abs() < 1e-3, "mean should be ~0, got {s}");
         }
+        assert_eq!(Normalizer::fit_rows(data.features()), norm);
         // Round trip on a single row.
         let row = norm.transform_row(&[0.0, 0.0]);
         assert!(row[0] < 0.0);

@@ -8,8 +8,8 @@
 //!
 //! * [`Matrix`], [`Dense`], [`Mlp`] — a small dense network with manual
 //!   backpropagation and batched inference;
-//! * [`Loss`] — binary cross entropy, weighted BCE and focal loss (the
-//!   paper's loss ablation);
+//! * [`Loss`] — binary cross entropy and weighted BCE (the losses that did
+//!   best in the paper's loss ablation);
 //! * [`Adam`] and [`CosineAnnealingWarmRestarts`] — the paper's optimizer and
 //!   learning-rate schedule;
 //! * [`Dataset`], [`Normalizer`], [`WeightedRandomSampler`], [`mixup`] — the

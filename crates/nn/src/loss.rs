@@ -2,7 +2,7 @@
 //!
 //! The paper experimented with binary cross entropy, focal loss and
 //! class-balanced losses; plain BCE (optionally with a positive-class weight)
-//! worked best.  BCE, weighted BCE and focal loss are provided.
+//! worked best.  BCE and weighted BCE are provided.
 
 use crate::matrix::Matrix;
 
@@ -20,51 +20,47 @@ pub enum Loss {
         /// Multiplier applied to positive-class terms.
         pos_weight: f32,
     },
-    /// Focal loss (Lin et al.) with focusing parameter `gamma` and class
-    /// balance `alpha`.
-    Focal {
-        /// Focusing parameter; `0.0` recovers (alpha-weighted) BCE.
-        gamma: f32,
-        /// Weight of the positive class in `[0, 1]`.
-        alpha: f32,
-    },
 }
 
 impl Loss {
-    /// Mean loss of predictions `probs` (column vector) against `targets`.
+    /// Mean loss of the predicted probabilities `probs` against `targets`.
     ///
     /// # Panics
     ///
     /// Panics if the number of predictions and targets differ.
-    pub fn value(&self, probs: &Matrix, targets: &[f32]) -> f32 {
+    pub fn value(&self, probs: &[f32], targets: &[f32]) -> f32 {
         assert_eq!(
-            probs.rows(),
+            probs.len(),
             targets.len(),
             "prediction/target size mismatch"
         );
         let n = targets.len().max(1) as f32;
         let mut total = 0.0;
-        for (i, &t) in targets.iter().enumerate() {
-            let p = probs.get(i, 0).clamp(EPS, 1.0 - EPS);
-            total += self.sample_value(p, t);
+        for (&p, &t) in probs.iter().zip(targets) {
+            total += self.sample_value(p.clamp(EPS, 1.0 - EPS), t);
         }
         total / n
     }
 
-    /// Gradient of the mean loss with respect to the predicted probabilities.
-    pub fn gradient(&self, probs: &Matrix, targets: &[f32]) -> Matrix {
+    /// Gradient of the mean loss with respect to the predicted probabilities,
+    /// as the column (`N x 1`) backpropagation starts from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the number of predictions and targets differ.
+    pub fn gradient(&self, probs: &[f32], targets: &[f32]) -> Matrix {
         assert_eq!(
-            probs.rows(),
+            probs.len(),
             targets.len(),
             "prediction/target size mismatch"
         );
         let n = targets.len().max(1) as f32;
-        let mut grad = Matrix::zeros(probs.rows(), 1);
-        for (i, &t) in targets.iter().enumerate() {
-            let p = probs.get(i, 0).clamp(EPS, 1.0 - EPS);
-            grad.set(i, 0, self.sample_gradient(p, t) / n);
-        }
-        grad
+        let grad = probs
+            .iter()
+            .zip(targets)
+            .map(|(&p, &t)| self.sample_gradient(p.clamp(EPS, 1.0 - EPS), t) / n)
+            .collect();
+        Matrix::from_vec(targets.len(), 1, grad)
     }
 
     fn sample_value(&self, p: f32, t: f32) -> f32 {
@@ -73,11 +69,6 @@ impl Loss {
             Loss::WeightedBce { pos_weight } => {
                 -(pos_weight * t * p.ln() + (1.0 - t) * (1.0 - p).ln())
             }
-            Loss::Focal { gamma, alpha } => {
-                let pos = -alpha * (1.0 - p).powf(gamma) * p.ln();
-                let neg = -(1.0 - alpha) * p.powf(gamma) * (1.0 - p).ln();
-                t * pos + (1.0 - t) * neg
-            }
         }
     }
 
@@ -85,13 +76,6 @@ impl Loss {
         match *self {
             Loss::BinaryCrossEntropy => -(t / p) + (1.0 - t) / (1.0 - p),
             Loss::WeightedBce { pos_weight } => -(pos_weight * t / p) + (1.0 - t) / (1.0 - p),
-            Loss::Focal { gamma, alpha } => {
-                let d_pos = alpha
-                    * (gamma * (1.0 - p).powf(gamma - 1.0) * p.ln() - (1.0 - p).powf(gamma) / p);
-                let d_neg = (1.0 - alpha)
-                    * (p.powf(gamma) / (1.0 - p) - gamma * p.powf(gamma - 1.0) * (1.0 - p).ln());
-                t * d_pos + (1.0 - t) * d_neg
-            }
         }
     }
 }
@@ -100,13 +84,9 @@ impl Loss {
 mod tests {
     use super::*;
 
-    fn column(values: &[f32]) -> Matrix {
-        Matrix::from_rows(&values.iter().map(|&v| vec![v]).collect::<Vec<_>>())
-    }
-
     #[test]
     fn bce_value_matches_formula() {
-        let probs = column(&[0.9, 0.1]);
+        let probs = [0.9, 0.1];
         let targets = [1.0, 0.0];
         let expected = (-(0.9f32.ln()) - (0.9f32.ln())) / 2.0;
         assert!((Loss::BinaryCrossEntropy.value(&probs, &targets) - expected).abs() < 1e-5);
@@ -114,15 +94,11 @@ mod tests {
 
     #[test]
     fn perfect_predictions_have_near_zero_loss() {
-        let probs = column(&[1.0, 0.0, 1.0]);
+        let probs = [1.0, 0.0, 1.0];
         let targets = [1.0, 0.0, 1.0];
         for loss in [
             Loss::BinaryCrossEntropy,
             Loss::WeightedBce { pos_weight: 5.0 },
-            Loss::Focal {
-                gamma: 2.0,
-                alpha: 0.25,
-            },
         ] {
             assert!(loss.value(&probs, &targets) < 1e-3, "{loss:?}");
         }
@@ -134,17 +110,13 @@ mod tests {
         for loss in [
             Loss::BinaryCrossEntropy,
             Loss::WeightedBce { pos_weight: 3.0 },
-            Loss::Focal {
-                gamma: 2.0,
-                alpha: 0.25,
-            },
         ] {
             for &p0 in &[0.3f32, 0.7] {
-                let probs = column(&[p0, 0.4]);
-                let grad = loss.gradient(&probs, &targets);
+                let grad = loss.gradient(&[p0, 0.4], &targets);
+                assert_eq!((grad.rows(), grad.cols()), (2, 1));
                 let eps = 1e-3;
-                let plus = loss.value(&column(&[p0 + eps, 0.4]), &targets);
-                let minus = loss.value(&column(&[p0 - eps, 0.4]), &targets);
+                let plus = loss.value(&[p0 + eps, 0.4], &targets);
+                let minus = loss.value(&[p0 - eps, 0.4], &targets);
                 let numeric = (plus - minus) / (2.0 * eps);
                 assert!(
                     (numeric - grad.get(0, 0)).abs() < 1e-2,
@@ -157,23 +129,8 @@ mod tests {
 
     #[test]
     fn weighted_bce_penalizes_missed_positives_more() {
-        let probs = column(&[0.2]);
-        let miss_positive = Loss::WeightedBce { pos_weight: 10.0 }.value(&probs, &[1.0]);
-        let plain = Loss::BinaryCrossEntropy.value(&probs, &[1.0]);
+        let miss_positive = Loss::WeightedBce { pos_weight: 10.0 }.value(&[0.2], &[1.0]);
+        let plain = Loss::BinaryCrossEntropy.value(&[0.2], &[1.0]);
         assert!(miss_positive > plain);
-    }
-
-    #[test]
-    fn focal_downweights_easy_examples() {
-        let easy = column(&[0.95]);
-        let hard = column(&[0.55]);
-        let focal = Loss::Focal {
-            gamma: 2.0,
-            alpha: 0.5,
-        };
-        let bce = Loss::BinaryCrossEntropy;
-        let ratio_focal = focal.value(&hard, &[1.0]) / focal.value(&easy, &[1.0]);
-        let ratio_bce = bce.value(&hard, &[1.0]) / bce.value(&easy, &[1.0]);
-        assert!(ratio_focal > ratio_bce);
     }
 }

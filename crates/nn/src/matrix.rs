@@ -1,46 +1,33 @@
-//! A minimal dense matrix type for the classifier.
+//! A minimal dense matrix type for training the classifier.
 //!
-//! The ELF classifier is a 325-parameter MLP evaluated on batches of cut
-//! features.  The paper's engineering trick is batching, and batching is what
-//! makes the kernel shape matter: `Mlp::predict` multiplies a tall skinny
-//! activation matrix by each layer's weights for every inference batch, so
-//! the three product kernels here are blocked for cache reuse and written
-//! with `chunks_exact` inner loops the autovectorizer turns into SIMD.
+//! Inference never multiplies through this type: [`Mlp::predict`] carries
+//! feature rows through the network in its own feature-major blocks.  What is
+//! left is training, whose backpropagation needs three products per layer —
+//! `X·W` forward, `Xᵀ·G` for the weight gradient and `G·Wᵀ` for the input
+//! gradient — on batches of 64 rows and layers at most 12 wide.  All three
+//! run through the one [`Matrix::matmul`] kernel, the transposed operands
+//! materialized by [`Matrix::transpose`] (a few hundred values at these
+//! sizes).  Each output row is built from `axpy` updates whose inner loop
+//! `chunks_exact` turns into SIMD lanes.
+//!
+//! [`Mlp::predict`]: crate::Mlp::predict
 //!
 //! # Determinism contract
 //!
-//! Every kernel accumulates each output element as a **single scalar chain
-//! in ascending-`k` order**.  Blocking only reorders *which* element is
-//! updated next, never the order of additions within one element, so the
-//! blocked kernels are bit-identical to naive triple-loop reference kernels
-//! (the oracles of this module's tests) on every finite input.  No kernel
-//! skips zero operands: `0.0 * inf` must produce `NaN` everywhere (an
-//! earlier version short-circuited `a == 0.0` in two of the three kernels,
-//! silently dropping those terms and yielding finite values where the third
-//! kernel yielded `NaN`).  The one caveat is the `NaN` *payload*: when both
-//! operands of an addition are `NaN`, x86 keeps whichever one the compiler
-//! happened to place as the destination register, so payloads can differ
-//! across kernels (and across compiler versions).  The contract is therefore
+//! The kernel accumulates each output element as a **single scalar chain
+//! from `0.0` in ascending-`k` order**, so it is bit-identical to the naive
+//! triple loop (the oracles of this module's tests) on every finite input,
+//! and a transposed operand changes which element is read, never the order
+//! of additions.  No zero operand is skipped: `0.0 * inf` must produce `NaN`.
+//! The one caveat is the `NaN` *payload*: when both operands of an addition
+//! are `NaN`, x86 keeps whichever one the compiler happened to place as the
+//! destination register, so payloads can differ between the kernel and an
+//! oracle (and across compiler versions).  The contract is therefore
 //! bit-identity on every non-`NaN` element and agreement on *which* elements
 //! are `NaN` — never on `NaN` payload bits.
 
-use std::fmt;
-
-/// Columns processed per vectorized step of the axpy inner loops.
+/// Columns processed per vectorized step of the axpy inner loop.
 const LANES: usize = 8;
-
-/// Rows of the output blocked together (keeps `MC` output rows plus one
-/// operand row hot in cache while a `k`-block streams by).
-const MC: usize = 32;
-
-/// Depth (`k`) block: one block of operand rows is reused across a whole
-/// `MC`-row output panel before moving on.
-const KC: usize = 64;
-
-/// Output columns accumulated simultaneously by `matmul_transpose_other`
-/// (independent scalar chains — instruction-level parallelism without
-/// changing any chain's addition order).
-const NR: usize = 4;
 
 /// `out[j] += a * x[j]` over full slices, `LANES` columns per step.
 #[inline]
@@ -62,33 +49,6 @@ fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
     }
 }
 
-/// Ascending-`k` scalar dot product (the canonical per-element chain).
-#[inline]
-fn dot(x: &[f32], y: &[f32]) -> f32 {
-    debug_assert_eq!(x.len(), y.len());
-    let mut acc = 0.0f32;
-    for (&a, &b) in x.iter().zip(y) {
-        acc += a * b;
-    }
-    acc
-}
-
-/// Four dot products against a shared left operand, each accumulated as its
-/// own ascending-`k` scalar chain (bit-identical to four [`dot`] calls).
-#[inline]
-fn dot4(x: &[f32], y0: &[f32], y1: &[f32], y2: &[f32], y3: &[f32]) -> [f32; 4] {
-    let len = x.len();
-    let (y0, y1, y2, y3) = (&y0[..len], &y1[..len], &y2[..len], &y3[..len]);
-    let mut acc = [0.0f32; 4];
-    for (k, &a) in x.iter().enumerate() {
-        acc[0] += a * y0[k];
-        acc[1] += a * y1[k];
-        acc[2] += a * y2[k];
-        acc[3] += a * y3[k];
-    }
-    acc
-}
-
 /// A dense row-major matrix of `f32` values.
 ///
 /// # Examples
@@ -96,8 +56,7 @@ fn dot4(x: &[f32], y0: &[f32], y1: &[f32], y2: &[f32], y3: &[f32]) -> [f32; 4] {
 /// ```
 /// use elf_nn::Matrix;
 /// let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-/// let b = Matrix::identity(2);
-/// assert_eq!(a.matmul(&b), a);
+/// assert_eq!(a.matmul(&a.transpose()).data(), &[5.0, 11.0, 11.0, 25.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -114,15 +73,6 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// Creates the identity matrix of the given size.
-    pub fn identity(size: usize) -> Self {
-        let mut m = Self::zeros(size, size);
-        for i in 0..size {
-            m.set(i, i, 1.0);
-        }
-        m
     }
 
     /// Creates a matrix from a flat row-major vector.
@@ -189,13 +139,8 @@ impl Matrix {
         self.data[row * self.cols + col] = value;
     }
 
-    /// Returns a view of row `row`.
-    pub fn row(&self, row: usize) -> &[f32] {
-        debug_assert!(row < self.rows);
-        &self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
-    /// Returns `self * other` via the blocked kernel.
+    /// Returns `self * other`: every row of `self` scales and adds the rows
+    /// of `other` in ascending `k`.
     ///
     /// Bit-identical to the naive triple loop (see the module-level
     /// determinism contract).
@@ -207,81 +152,22 @@ impl Matrix {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
         let mut out = Matrix::zeros(self.rows, other.cols);
         let n = other.cols;
-        for kb in (0..self.cols).step_by(KC) {
-            let k_end = (kb + KC).min(self.cols);
-            for ib in (0..self.rows).step_by(MC) {
-                let i_end = (ib + MC).min(self.rows);
-                for i in ib..i_end {
-                    let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-                    let out_row = &mut out.data[i * n..(i + 1) * n];
-                    for (k, &a_ik) in a_row.iter().enumerate().take(k_end).skip(kb) {
-                        axpy(out_row, a_ik, &other.data[k * n..(k + 1) * n]);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Returns `self^T * other` without materializing the transpose, via the
-    /// blocked kernel.
-    ///
-    /// Bit-identical to the naive triple loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row counts disagree.
-    pub fn matmul_transpose_self(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "row counts must agree");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        let n = other.cols;
-        for kb in (0..self.rows).step_by(KC) {
-            let k_end = (kb + KC).min(self.rows);
-            for ib in (0..self.cols).step_by(MC) {
-                let i_end = (ib + MC).min(self.cols);
-                for k in kb..k_end {
-                    let a_row = &self.data[k * self.cols..(k + 1) * self.cols];
-                    let b_row = &other.data[k * n..(k + 1) * n];
-                    for (i, &a_ki) in a_row.iter().enumerate().take(i_end).skip(ib) {
-                        axpy(&mut out.data[i * n..(i + 1) * n], a_ki, b_row);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Returns `self * other^T` without materializing the transpose, via the
-    /// register-blocked kernel (`NR` output columns per pass).
-    ///
-    /// Bit-identical to the naive triple loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts disagree.
-    pub fn matmul_transpose_other(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "column counts must agree");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        let n = other.rows;
-        let c = self.cols;
         for i in 0..self.rows {
-            let a_row = &self.data[i * c..(i + 1) * c];
             let out_row = &mut out.data[i * n..(i + 1) * n];
-            let mut j = 0;
-            while j + NR <= n {
-                let sums = dot4(
-                    a_row,
-                    &other.data[j * c..(j + 1) * c],
-                    &other.data[(j + 1) * c..(j + 2) * c],
-                    &other.data[(j + 2) * c..(j + 3) * c],
-                    &other.data[(j + 3) * c..(j + 4) * c],
-                );
-                out_row[j..j + NR].copy_from_slice(&sums);
-                j += NR;
+            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
+            for (k, &a_ik) in a_row.iter().enumerate() {
+                axpy(out_row, a_ik, &other.data[k * n..(k + 1) * n]);
             }
-            while j < n {
-                out_row[j] = dot(a_row, &other.data[j * c..(j + 1) * c]);
-                j += 1;
+        }
+        out
+    }
+
+    /// Returns the transpose.
+    pub fn transpose(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, self.rows);
+        for i in 0..self.rows {
+            for j in 0..self.cols {
+                out.data[j * self.rows + i] = self.data[i * self.cols + j];
             }
         }
         out
@@ -293,26 +179,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Element-wise addition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
         }
     }
 
@@ -368,20 +234,6 @@ impl Matrix {
     }
 }
 
-impl fmt::Display for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "[{}x{}]", self.rows, self.cols)?;
-        for i in 0..self.rows.min(8) {
-            let row: Vec<String> = self.row(i).iter().map(|v| format!("{v:8.4}")).collect();
-            writeln!(f, "  {}", row.join(" "))?;
-        }
-        if self.rows > 8 {
-            writeln!(f, "  ...")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,7 +255,7 @@ mod tests {
         out
     }
 
-    /// Naive reference oracle of [`Matrix::matmul_transpose_self`].
+    /// Naive `aᵀ * b`: the oracle of the weight-gradient product `Xᵀ·G`.
     fn matmul_transpose_self_naive(a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(a.rows(), b.rows(), "row counts must agree");
         let mut out = Matrix::zeros(a.cols(), b.cols());
@@ -419,7 +271,7 @@ mod tests {
         out
     }
 
-    /// Naive reference oracle of [`Matrix::matmul_transpose_other`].
+    /// Naive `a * bᵀ`: the oracle of the input-gradient product `G·Wᵀ`.
     fn matmul_transpose_other_naive(a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(a.cols(), b.cols(), "column counts must agree");
         let mut out = Matrix::zeros(a.rows(), b.rows());
@@ -441,7 +293,7 @@ mod tests {
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 3);
         assert_eq!(m.get(1, 2), 6.0);
-        assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
+        assert_eq!(&m.data()[..3], &[1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -456,13 +308,16 @@ mod tests {
     fn transpose_products_match_explicit_transpose() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
         let b = Matrix::from_rows(&[vec![1.0, 0.5], vec![-1.0, 2.0], vec![0.0, 1.0]]);
+        let at = a.transpose();
+        assert_eq!((at.rows(), at.cols()), (2, 3));
+        assert_eq!(at.data(), &[1.0, 3.0, 5.0, 2.0, 4.0, 6.0]);
+        assert_eq!(at.transpose(), a);
         // a^T (2x3) * b (3x2) = 2x2
-        let atb = a.matmul_transpose_self(&b);
-        assert_eq!(atb.rows(), 2);
-        assert_eq!(atb.cols(), 2);
-        assert!((atb.get(0, 0) - (1.0 - 3.0 + 0.0)).abs() < 1e-6);
+        let atb = at.matmul(&b);
+        assert_eq!((atb.rows(), atb.cols()), (2, 2));
+        assert_eq!(atb.get(0, 0), 1.0 - 3.0 + 0.0);
         // a (3x2) * a^T (2x3) = 3x3 symmetric
-        let aat = a.matmul_transpose_other(&a);
+        let aat = a.matmul(&at);
         assert_eq!(aat.get(0, 1), aat.get(1, 0));
         assert_eq!(aat.get(0, 0), 5.0);
     }
@@ -474,8 +329,6 @@ mod tests {
         assert_eq!(m.column_sums(), vec![3.0, 6.0]);
         let h = m.hadamard(&m);
         assert_eq!(h.get(0, 1), 4.0);
-        let s = m.add(&m);
-        assert_eq!(s.get(2, 0), 2.0);
         let n = m.map(|x| -x);
         assert_eq!(n.get(0, 0), -1.0);
     }
@@ -493,18 +346,7 @@ mod tests {
     #[should_panic(expected = "row < self.rows")]
     fn row_out_of_range_is_a_debug_assert() {
         let m = Matrix::zeros(2, 3);
-        let _ = m.row(2);
-    }
-
-    /// Materializes the transpose (test helper for cross-kernel checks).
-    fn transpose(m: &Matrix) -> Matrix {
-        let mut t = Matrix::zeros(m.cols(), m.rows());
-        for i in 0..m.rows() {
-            for j in 0..m.cols() {
-                t.set(j, i, m.get(i, j));
-            }
-        }
-        t
+        let _ = m.get(2, 0);
     }
 
     /// Bitwise equality — `PartialEq` on `f32` would treat `NaN != NaN` and
@@ -530,12 +372,32 @@ mod tests {
         }
     }
 
+    /// The three products of backpropagation, each through `matmul` (with
+    /// the operand transposed where the product needs it) and through its
+    /// naive oracle, compared by `check`.  `a` is `m x k`, `b` is `k x n`.
+    fn check_products(a: &Matrix, b: &Matrix, check: fn(&Matrix, &Matrix, &str)) {
+        let what = format!("{}x{} * {}x{}", a.rows(), a.cols(), b.rows(), b.cols());
+        check(&a.matmul(b), &matmul_naive(a, b), &format!("X·W {what}"));
+        // The weight gradient `inputᵀ · grad` with `input = aᵀ`, `grad = b`.
+        let input = a.transpose();
+        check(
+            &input.transpose().matmul(b),
+            &matmul_transpose_self_naive(&input, b),
+            &format!("Xᵀ·G {what}"),
+        );
+        // The input gradient `grad · Wᵀ` with `grad = a`, `W = bᵀ`.
+        let weights = b.transpose();
+        check(
+            &a.matmul(&weights.transpose()),
+            &matmul_transpose_other_naive(a, &weights),
+            &format!("G·Wᵀ {what}"),
+        );
+    }
+
     #[test]
     fn kernels_agree_bitwise_on_nonfinite_inputs() {
-        // Zeros meeting infinities: the old zero-skip dropped the resulting
-        // NaNs in `matmul`/`matmul_transpose_self` but not in
-        // `matmul_transpose_other`.  All three kernels (and their oracles)
-        // must now produce the same bits.
+        // Zeros meeting infinities: no route may skip a zero operand and
+        // drop the NaN it makes.
         let a = Matrix::from_rows(&[
             vec![0.0, 1.0, f32::NEG_INFINITY],
             vec![-0.0, f32::NAN, 2.0],
@@ -546,27 +408,18 @@ mod tests {
             vec![1.0, f32::NAN],
             vec![0.0, -2.0],
         ]);
-        let product = a.matmul(&b);
-        assert_values_eq_modulo_nan_payload(&product, &matmul_naive(&a, &b), "matmul vs oracle");
-        assert_values_eq_modulo_nan_payload(
-            &transpose(&a).matmul_transpose_self(&b),
-            &product,
-            "matmul_transpose_self vs matmul",
-        );
-        assert_values_eq_modulo_nan_payload(
-            &a.matmul_transpose_other(&transpose(&b)),
-            &product,
-            "matmul_transpose_other vs matmul",
-        );
+        check_products(&a, &b, assert_values_eq_modulo_nan_payload);
         // The zero-skip bug in one concrete cell: a[0] · b[:,0] contains
         // 0.0 * inf, so the result must actually be NaN, not 1.0.
-        assert!(product.get(0, 0).is_nan());
+        assert!(a.matmul(&b).get(0, 0).is_nan());
+        assert!(b.transpose().matmul(&a.transpose()).get(0, 0).is_nan());
     }
 
     #[test]
-    fn blocked_kernels_match_oracles_on_adversarial_shapes() {
-        // Empty, single-row, and not-multiple-of-block shapes (LANES = 8,
-        // MC = 32, KC = 64, NR = 4 — all deliberately straddled).
+    fn products_match_oracles_on_adversarial_shapes() {
+        // Empty, single-row, and not-multiple-of-`LANES` shapes, plus the
+        // training shapes: batches of 64 (and a short last batch) through
+        // layers 6, 12 and 1 wide.
         let shapes: &[(usize, usize, usize)] = &[
             (0, 3, 4),
             (3, 0, 4),
@@ -576,52 +429,32 @@ mod tests {
             (5, 7, 3),
             (33, 65, 9),
             (40, 130, 12),
+            (64, 6, 12),
+            (64, 12, 1),
+            (17, 12, 6),
         ];
-        for &(m, k, n) in shapes {
-            let a = Matrix::from_vec(m, k, pseudo_data(m * k, 1));
-            let b = Matrix::from_vec(k, n, pseudo_data(k * n, 2));
-            let what = format!("{m}x{k} * {k}x{n}");
-            assert_bits_eq(&a.matmul(&b), &matmul_naive(&a, &b), &what);
-            let at = transpose(&a);
-            assert_bits_eq(
-                &at.matmul_transpose_self(&b),
-                &matmul_transpose_self_naive(&at, &b),
-                &what,
-            );
-            let bt = transpose(&b);
-            assert_bits_eq(
-                &a.matmul_transpose_other(&bt),
-                &matmul_transpose_other_naive(&a, &bt),
-                &what,
-            );
+        for (seed, &(m, k, n)) in shapes.iter().enumerate() {
+            let a = pseudo_matrix(m, k, seed as u64, 0);
+            let b = pseudo_matrix(k, n, seed as u64 + 100, 0);
+            check_products(&a, &b, assert_bits_eq);
         }
     }
 
-    /// Deterministic non-trivial test data (varied magnitudes and signs so
-    /// float addition is far from associative).
-    fn pseudo_data(len: usize, salt: u64) -> Vec<f32> {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(salt + 1);
-        (0..len)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let mantissa = ((state >> 33) as i32 % 2000) as f32 / 64.0;
-                let scale = [1.0f32, 1e-4, 1e4][(state >> 13) as usize % 3];
-                mantissa * scale
-            })
-            .collect()
-    }
-
-    /// Deterministic finite data with wildly mixed magnitudes, so that float
+    /// Deterministic data with wildly mixed magnitudes, so that float
     /// addition order is observable (catching any accumulation reordering).
-    fn pseudo_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+    /// With `nonfinite` set, about one value in `nonfinite` is replaced by a
+    /// zero, an infinity or a `NaN`.
+    fn pseudo_matrix(rows: usize, cols: usize, seed: u64, nonfinite: u64) -> Matrix {
+        const SPECIAL: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
         let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
         let data = (0..rows * cols)
             .map(|_| {
                 state = state
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
+                if nonfinite > 0 && (state >> 40).is_multiple_of(nonfinite) {
+                    return SPECIAL[(state >> 20) as usize % SPECIAL.len()];
+                }
                 let mantissa = ((state >> 33) as i32 % 2000) as f32 / 64.0;
                 let scale = [1.0f32, 1e-5, 1e5][(state >> 13) as usize % 3];
                 mantissa * scale
@@ -630,9 +463,9 @@ mod tests {
         Matrix::from_vec(rows, cols, data)
     }
 
-    // The blocked kernels against the naive oracles on random shapes, drawn
-    // small and skewed on purpose: empty matrices, single rows, and
-    // dimensions that straddle the `LANES`/`MC`/`KC`/`NR` block boundaries.
+    // The kernel against the naive oracles on random shapes, drawn small and
+    // skewed on purpose: empty matrices, single rows, and dimensions that
+    // straddle the `LANES` boundary.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -643,8 +476,8 @@ mod tests {
             n in 0usize..20,
             seed in any::<u64>(),
         ) {
-            let a = pseudo_matrix(m, k, seed);
-            let b = pseudo_matrix(k, n, seed.wrapping_add(1));
+            let a = pseudo_matrix(m, k, seed, 0);
+            let b = pseudo_matrix(k, n, seed.wrapping_add(1), 0);
             assert_bits_eq(&a.matmul(&b), &matmul_naive(&a, &b), "matmul");
         }
 
@@ -654,21 +487,17 @@ mod tests {
             k in 0usize..80,
             n in 0usize..20,
             seed in any::<u64>(),
+            nonfinite in 2u64..8,
         ) {
-            let a = pseudo_matrix(m, k, seed);
-            let b = pseudo_matrix(k, n, seed.wrapping_add(1));
-            let at = transpose(&a);
-            assert_bits_eq(
-                &at.matmul_transpose_self(&b),
-                &matmul_transpose_self_naive(&at, &b),
-                "matmul_transpose_self",
-            );
-            let bt = transpose(&b);
-            assert_bits_eq(
-                &a.matmul_transpose_other(&bt),
-                &matmul_transpose_other_naive(&a, &bt),
-                "matmul_transpose_other",
-            );
+            // All three products equal their naive oracles: bit for bit on
+            // finite data, modulo `NaN` payloads once zeros, infinities and
+            // `NaN`s are mixed in.
+            let a = pseudo_matrix(m, k, seed, 0);
+            let b = pseudo_matrix(k, n, seed.wrapping_add(1), 0);
+            check_products(&a, &b, assert_bits_eq);
+            let a = pseudo_matrix(m, k, seed, nonfinite);
+            let b = pseudo_matrix(k, n, seed.wrapping_add(1), nonfinite);
+            check_products(&a, &b, assert_values_eq_modulo_nan_payload);
         }
 
         #[test]
@@ -678,21 +507,26 @@ mod tests {
             n in 1usize..12,
             seed in any::<u64>(),
         ) {
-            // A*B through all three kernels (transposing operands as needed):
-            // the per-element ascending-k chain makes them bitwise
+            // A*B through all three product routes of backpropagation and
+            // through all three naive oracles (transposing operands as
+            // needed): the per-element ascending-k chain makes them bitwise
             // interchangeable.
-            let a = pseudo_matrix(m, k, seed);
-            let b = pseudo_matrix(k, n, seed.wrapping_add(1));
+            let a = pseudo_matrix(m, k, seed, 0);
+            let b = pseudo_matrix(k, n, seed.wrapping_add(1), 0);
             let product = a.matmul(&b);
+            let (at, bt) = (a.transpose(), b.transpose());
+            assert_bits_eq(&at.transpose().matmul(&b), &product, "Xᵀ·G route");
+            assert_bits_eq(&a.matmul(&bt.transpose()), &product, "G·Wᵀ route");
+            assert_bits_eq(&matmul_naive(&a, &b), &product, "naive oracle");
             assert_bits_eq(
-                &transpose(&a).matmul_transpose_self(&b),
+                &matmul_transpose_self_naive(&at, &b),
                 &product,
-                "transpose_self route",
+                "transpose_self oracle",
             );
             assert_bits_eq(
-                &a.matmul_transpose_other(&transpose(&b)),
+                &matmul_transpose_other_naive(&a, &bt),
                 &product,
-                "transpose_other route",
+                "transpose_other oracle",
             );
         }
     }

@@ -32,13 +32,12 @@ pub type SharedMlp = std::sync::Arc<Mlp>;
 /// # Examples
 ///
 /// ```
-/// use elf_nn::{Matrix, Mlp};
+/// use elf_nn::Mlp;
 /// let model = Mlp::paper_architecture(42);
 /// assert_eq!(model.num_params(), 325);
-/// let x = Matrix::from_rows(&[vec![0.0; 6]]);
-/// let y = model.forward(&x);
-/// assert_eq!(y.rows(), 1);
-/// assert_eq!(y.cols(), 1);
+/// let probabilities = model.predict(&[[0.0f32; 6], [1.0; 6]]);
+/// assert_eq!(probabilities.len(), 2);
+/// assert!(probabilities.iter().all(|p| (0.0..=1.0).contains(p)));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
@@ -129,24 +128,17 @@ impl Mlp {
         std::sync::Arc::new(self)
     }
 
-    /// Runs the network on a batch of inputs (`N x num_inputs`).
-    pub fn forward(&self, input: &Matrix) -> Matrix {
-        let mut current = input.clone();
-        for layer in &self.layers {
-            current = layer.forward(&current);
-        }
-        current
-    }
-
-    /// Runs the network and keeps every layer's output (the input is entry 0).
-    /// Used by backpropagation.
+    /// Runs the network on a batch of inputs (`N x num_inputs`) and keeps
+    /// every layer's output: the input is entry 0, the network's output the
+    /// last.  Used by backpropagation.
     pub fn forward_cached(&self, input: &Matrix) -> Vec<Matrix> {
         let mut activations = Vec::with_capacity(self.layers.len() + 1);
-        activations.push(input.clone());
+        let mut current = input.clone();
         for layer in &self.layers {
-            let next = layer.forward(activations.last().expect("non-empty"));
-            activations.push(next);
+            let next = layer.forward(&current);
+            activations.push(std::mem::replace(&mut current, next));
         }
+        activations.push(current);
         activations
     }
 
@@ -171,10 +163,10 @@ impl Mlp {
             let act = layer.activation();
             let grad_pre = grad.hadamard(&output.map(|y| act.derivative_from_output(y)));
             // dW = input^T * grad_pre, db = column sums of grad_pre.
-            weight_grads[index] = input.matmul_transpose_self(&grad_pre);
+            weight_grads[index] = input.transpose().matmul(&grad_pre);
             bias_grads[index] = grad_pre.column_sums();
             // dL/d(input) = grad_pre * W^T.
-            grad = grad_pre.matmul_transpose_other(layer.weights());
+            grad = grad_pre.matmul(&layer.weights().transpose());
         }
         Gradients {
             weights: weight_grads,
@@ -206,10 +198,10 @@ impl Mlp {
     /// ping-pong buffers — on the stack while no layer is wider than 16,
     /// one heap buffer per call otherwise — so every multiply-add runs
     /// across the block's rows at once and inference allocates only the
-    /// returned `Vec`.  Each value is accumulated as [`Mlp::forward`]
+    /// returned `Vec`.  Each value is accumulated as [`Mlp::forward_cached`]
     /// accumulates it: from `0.0` over ascending inputs, then the bias,
     /// then the activation, so the probabilities equal the first column of
-    /// `forward` bit for bit.
+    /// its last matrix bit for bit.
     ///
     /// # Panics
     ///
@@ -327,11 +319,10 @@ mod tests {
     #[test]
     fn forward_output_is_probability() {
         let model = Mlp::paper_architecture(3);
-        let x = Matrix::from_rows(&[vec![0.5; 6], vec![-1.0, 2.0, 0.0, 1.0, 3.0, -2.0]]);
-        let y = model.forward(&x);
-        assert_eq!(y.rows(), 2);
-        for i in 0..2 {
-            let p = y.get(i, 0);
+        let x = [vec![0.5; 6], vec![-1.0, 2.0, 0.0, 1.0, 3.0, -2.0]];
+        let y = model.predict(&x);
+        assert_eq!(y.len(), 2);
+        for p in y {
             assert!((0.0..=1.0).contains(&p), "output {p} is not a probability");
         }
     }
@@ -340,13 +331,14 @@ mod tests {
     fn gradients_match_finite_differences() {
         // Tiny network, tiny batch: compare analytic and numeric gradients.
         let mut model = Mlp::new(&[2, 3, 1], Activation::Relu, Activation::Sigmoid, 11);
-        let x = Matrix::from_rows(&[vec![0.3, -0.7], vec![1.2, 0.4]]);
+        let rows = [vec![0.3, -0.7], vec![1.2, 0.4]];
+        let x = Matrix::from_rows(&rows);
         let targets = [1.0f32, 0.0];
         let loss = |model: &Mlp| -> f32 {
-            let out = model.forward(&x);
+            let out = model.predict(&rows);
             let mut total = 0.0;
-            for (i, &t) in targets.iter().enumerate() {
-                let p = out.get(i, 0).clamp(1e-6, 1.0 - 1e-6);
+            for (&p, &t) in out.iter().zip(&targets) {
+                let p = p.clamp(1e-6, 1.0 - 1e-6);
                 total += -(t * p.ln() + (1.0 - t) * (1.0 - p).ln());
             }
             total / targets.len() as f32
@@ -389,9 +381,10 @@ mod tests {
             .is_empty());
     }
 
-    /// `predict` equals the first column of `forward` bit for bit at every
-    /// batch size around the kernel's block, on the paper's network and on
-    /// one, loaded from text, wider than the stack buffers.
+    /// `predict` equals the first column of the training forward pass's
+    /// output bit for bit at every batch size around the kernel's block, on
+    /// the paper's network and on one, loaded from text, wider than the
+    /// stack buffers.
     #[test]
     fn predict_equals_forward_bit_for_bit() {
         let wide = Mlp::new(&[6, 40, 17, 3], Activation::Relu, Activation::Sigmoid, 11);
@@ -407,7 +400,8 @@ mod tests {
                 let expected: Vec<u32> = if rows == 0 {
                     Vec::new()
                 } else {
-                    let out = model.forward(&Matrix::from_rows(&vectors));
+                    let activations = model.forward_cached(&Matrix::from_rows(&vectors));
+                    let out = activations.last().expect("the output layer");
                     (0..rows).map(|r| out.get(r, 0).to_bits()).collect()
                 };
                 assert_eq!(predicted, expected, "{rows} rows");

@@ -176,14 +176,14 @@ mod tests {
             .collect();
         let x = Matrix::from_rows(&inputs);
         let loss_fn = crate::loss::Loss::BinaryCrossEntropy;
-        let initial = loss_fn.value(&model.forward(&x), &targets);
+        let initial = loss_fn.value(&model.predict(&inputs), &targets);
         for _ in 0..300 {
             let acts = model.forward_cached(&x);
-            let grad = loss_fn.gradient(acts.last().unwrap(), &targets);
+            let grad = loss_fn.gradient(acts.last().unwrap().data(), &targets);
             let grads = model.backward(&acts, &grad);
             optimizer.step(&mut model, &grads);
         }
-        let trained = loss_fn.value(&model.forward(&x), &targets);
+        let trained = loss_fn.value(&model.predict(&inputs), &targets);
         assert!(
             trained < initial * 0.5,
             "loss did not improve: {initial} -> {trained}"

@@ -152,18 +152,15 @@ fn parse_floats(line: &str) -> Result<Vec<f32>, ParseModelError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Matrix as M;
 
     #[test]
     fn round_trip_preserves_predictions() {
         let model = Mlp::paper_architecture(21);
         let text = model_to_text(&model);
         let parsed = model_from_text(&text).expect("round trip");
-        let x = M::from_rows(&[vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], vec![0.0; 6]]);
-        let original = model.forward(&x);
-        let restored = parsed.forward(&x);
-        for i in 0..2 {
-            assert!((original.get(i, 0) - restored.get(i, 0)).abs() < 1e-6);
+        let x = [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0.0; 6]];
+        for (original, restored) in model.predict(&x).iter().zip(parsed.predict(&x)) {
+            assert!((original - restored).abs() < 1e-6);
         }
         assert_eq!(parsed.num_params(), 325);
     }

@@ -87,7 +87,8 @@ pub struct TrainReport {
 ///
 /// # Panics
 ///
-/// Panics if `data` is empty or its feature width does not match the model.
+/// Panics if `data` is empty, its feature width does not match the model,
+/// or `config.batch_size` is 0.
 pub fn train(model: &mut Mlp, data: &Dataset, config: &TrainConfig) -> TrainReport {
     assert!(!data.is_empty(), "cannot train on an empty dataset");
     assert_eq!(
@@ -116,8 +117,7 @@ pub fn train(model: &mut Mlp, data: &Dataset, config: &TrainConfig) -> TrainRepo
     );
     let mut optimizer = Adam::new(config.learning_rate);
 
-    let valid_matrix = valid_set.to_matrix();
-    let valid_labels = valid_set.labels().to_vec();
+    let valid_labels = valid_set.labels();
 
     let mut best_loss = f32::INFINITY;
     let mut best_model = model.clone();
@@ -153,26 +153,23 @@ pub fn train(model: &mut Mlp, data: &Dataset, config: &TrainConfig) -> TrainRepo
         // Mini-batch SGD over the pool.
         let mut epoch_loss = 0.0;
         let mut batches = 0;
-        let mut index = 0;
-        while index < pool.len() {
-            let end = (index + config.batch_size).min(pool.len());
-            let rows: Vec<Vec<f32>> = pool.features()[index..end].to_vec();
-            let targets: Vec<f32> = pool.labels()[index..end].to_vec();
-            let x = Matrix::from_rows(&rows);
-            let activations = model.forward_cached(&x);
-            let output = activations.last().expect("at least one activation");
-            epoch_loss += config.loss.value(output, &targets);
-            let grad_output = config.loss.gradient(output, &targets);
+        let batch_targets = pool.labels().chunks(config.batch_size);
+        for (rows, targets) in pool.features().chunks(config.batch_size).zip(batch_targets) {
+            let activations = model.forward_cached(&Matrix::from_rows(rows));
+            // The network's one output column.
+            let output = activations[activations.len() - 1].data();
+            epoch_loss += config.loss.value(output, targets);
+            let grad_output = config.loss.gradient(output, targets);
             let grads = model.backward(&activations, &grad_output);
             optimizer.step(model, &grads);
             batches += 1;
-            index = end;
         }
         train_losses.push(epoch_loss / batches.max(1) as f32);
 
         // Validation.
-        let valid_out = model.forward(&valid_matrix);
-        let valid_loss = config.loss.value(&valid_out, &valid_labels);
+        let valid_loss = config
+            .loss
+            .value(&model.predict(valid_set.features()), valid_labels);
         validation_losses.push(valid_loss);
         if valid_loss < best_loss {
             best_loss = valid_loss;
@@ -188,8 +185,7 @@ pub fn train(model: &mut Mlp, data: &Dataset, config: &TrainConfig) -> TrainRepo
     }
 
     *model = best_model;
-    let best_out = model.forward(&valid_matrix);
-    let probabilities: Vec<f32> = (0..best_out.rows()).map(|i| best_out.get(i, 0)).collect();
+    let probabilities = model.predict(valid_set.features());
     let labels_bool: Vec<bool> = valid_labels.iter().map(|&l| l >= 0.5).collect();
     let validation_metrics = ConfusionMatrix::from_probabilities(&probabilities, &labels_bool, 0.5);
 

@@ -5,7 +5,9 @@
 # turns one bad job into a poisoned worker; these crates plumb errors
 # instead, and this gate keeps it that way.  `elf-aig` is gated too: it reads
 # untrusted AIGER files, whose every defect must come back as an error.
-# `elf-opt` is gated as well: every served job runs its operators.
+# `elf-opt` is gated as well: every served job runs its operators, and so is
+# `elf-nn`: every served job runs `Mlp::predict`, and `model_from_text` parses
+# model files from outside.
 #
 # Test code (everything from the first `#[cfg(test)]` line onward) and doc
 # comments (whose examples run as doctests) are exempt: panicking asserts
@@ -14,7 +16,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-GATED_DIRS=(crates/serve/src crates/cec/src crates/obs/src crates/core/src crates/aig/src crates/opt/src)
+GATED_DIRS=(crates/serve/src crates/cec/src crates/obs/src crates/core/src crates/aig/src crates/opt/src crates/nn/src)
 
 status=0
 for dir in "${GATED_DIRS[@]}"; do
@@ -122,7 +124,7 @@ echo "static-gate: cut features are counted from the fanin side"
 # A pruned node costs little: the cut engine keeps each leaf's cost and reads
 # the graph only for the leaves an expansion adds, the features are tallied
 # once per cone edge in the scratch's count column, and the classifier
-# standardizes the batch into one buffer for the blocked inference kernel.
+# standardizes the batch into one buffer for `Mlp::predict`.
 # In non-test `cut.rs`, a `leaf_expansion_cost` or a `self.node(` snapshot is
 # the per-round rescan of every leaf coming back (it survives as the
 # `#[cfg(test)]` oracle), and a `chunks(64)` in `cut_features_with` the
@@ -150,6 +152,36 @@ if [ -n "$pruned" ]; then
     exit 1
 fi
 echo "static-gate: a pruned node's cut, features and decision stay cheap"
+
+# One product kernel, one inference path, one thread for a decision.
+# Training's three products per layer run through `Matrix::matmul` (with
+# `Matrix::transpose`), and its validation loss through `Mlp::predict`, the
+# kernel inference runs.  A `matmul_transpose_*`, `dot4` or `KC`/`MC`/`NR`
+# block constant in non-test `matrix.rs` is a second, blocked product kernel
+# coming back; a `.forward(` in non-test `train.rs` is the second forward
+# path, a `.to_vec()` the per-batch copy of the rows; a `Parallelism` in the
+# signature of `ElfClassifier::classify` is the fan-out of a forward pass
+# that takes well under a millisecond.
+if ! grep -q 'pub fn classify(' crates/core/src/classifier.rs; then
+    echo "static-gate: ElfClassifier::classify not found in crates/core/src/classifier.rs" >&2
+    exit 1
+fi
+kernels=$(awk '
+    FNR == 1 { in_tests = 0; signature = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    FILENAME ~ /matrix\.rs$/ && /matmul_transpose_|dot4|(^|[^A-Za-z0-9_])(KC|MC|NR)([^A-Za-z0-9_]|$)/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    FILENAME ~ /train\.rs$/ && /\.forward\(|\.to_vec\(\)/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    FILENAME ~ /classifier\.rs$/ && /pub fn classify\(/ { signature = 1 }
+    signature && /Parallelism/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    signature && /\{[[:space:]]*$/ { signature = 0 }
+' crates/nn/src/matrix.rs crates/nn/src/train.rs crates/core/src/classifier.rs)
+if [ -n "$kernels" ]; then
+    echo "$kernels"
+    echo "static-gate: a blocked product kernel in non-test matrix.rs, a second forward path or a row copy in non-test train.rs, or a Parallelism in ElfClassifier::classify" >&2
+    exit 1
+fi
+echo "static-gate: one product kernel, one inference path, classify on one thread"
 
 # One batched entry: a pruned pass sweeps, classifies and mutates through
 # `PrunableOperator::run_batched`, which reuses the sweep's windows.  A
