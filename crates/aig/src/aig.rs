@@ -3,8 +3,9 @@
 //! # Storage layout
 //!
 //! The graph is stored as a *struct of arrays*: every per-node attribute
-//! (kind, fanins, reference count, level, traversal mark, liveness, birth
-//! and edit stamps) lives in its own dense column indexed by [`NodeId`].
+//! (kind, fanins, reference count, level, liveness, birth and edit stamps)
+//! lives in its own dense column indexed by [`NodeId`]; the marks of a cut
+//! traversal live in a [`CutScratch`](crate::CutScratch) outside the graph.
 //! Hot loops — cut enumeration, MFFC evaluation, simulation, level
 //! propagation — stream through exactly the columns they need instead of
 //! pulling whole 32-byte node structs into cache.
@@ -24,7 +25,6 @@
 use std::collections::HashMap;
 
 use crate::lit::{Lit, NodeId};
-use crate::node::{Node, NodeKind};
 
 /// A structural fanout reference: either another AND node or a primary output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -164,21 +164,6 @@ pub struct Aig {
     num_ands: usize,
     levels_valid: bool,
     name: String,
-    /// Reusable scratch (visit marks + DFS stack) for the `&mut self` cut
-    /// entry points, which delegate to the read-only cut engine.
-    cut_scratch: OwnCutScratch,
-}
-
-/// The graph's private cut scratch.  A clone of the graph starts with an
-/// empty one instead of copying a mark per slot: marks are compared against
-/// the scratch's own epoch, so an empty scratch forms the very same cuts.
-#[derive(Debug, Default)]
-struct OwnCutScratch(crate::cut::CutScratch);
-
-impl Clone for OwnCutScratch {
-    fn clone(&self) -> Self {
-        OwnCutScratch::default()
-    }
 }
 
 impl Default for Aig {
@@ -214,20 +199,7 @@ impl Aig {
             num_ands: 0,
             levels_valid: true,
             name: String::new(),
-            cut_scratch: OwnCutScratch::default(),
         }
-    }
-
-    /// Takes the reusable cut scratch out of the graph (so cut code can hold
-    /// it while borrowing the graph immutably).  Return it with
-    /// [`Aig::put_cut_scratch`] to keep its capacity for the next call.
-    pub(crate) fn take_cut_scratch(&mut self) -> crate::cut::CutScratch {
-        std::mem::take(&mut self.cut_scratch.0)
-    }
-
-    /// Returns the scratch taken by [`Aig::take_cut_scratch`].
-    pub(crate) fn put_cut_scratch(&mut self, scratch: crate::cut::CutScratch) {
-        self.cut_scratch.0 = scratch;
     }
 
     /// Creates an empty AIG with a design name (used in reports and AIGER files).
@@ -291,34 +263,6 @@ impl Aig {
         &self.outputs
     }
 
-    /// Decodes the kind column of one slot.
-    #[inline]
-    fn kind_at(&self, idx: usize) -> NodeKind {
-        match self.kind[idx] {
-            KIND_CONST0 => NodeKind::Const0,
-            KIND_AND => NodeKind::And,
-            k => NodeKind::Input(k - 1),
-        }
-    }
-
-    /// Returns a by-value snapshot of a node (see [`Node`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of bounds.
-    #[inline]
-    pub fn node(&self, id: NodeId) -> Node {
-        let idx = id.as_usize();
-        Node {
-            kind: self.kind_at(idx),
-            fanin0: self.fanin0[idx],
-            fanin1: self.fanin1[idx],
-            refs: self.refs[idx],
-            level: self.level[idx],
-            dead: self.dead[idx],
-        }
-    }
-
     /// Returns `true` if the node is a live AND node.
     #[inline]
     pub fn is_and(&self, id: NodeId) -> bool {
@@ -355,7 +299,7 @@ impl Aig {
     }
 
     /// The fanin literals of `id` when its slot holds an AND node, dead or
-    /// alive (the kind alone decides, as for [`Node::is_and`]).
+    /// alive (the kind alone decides).
     #[inline]
     pub(crate) fn and_fanins(&self, id: NodeId) -> Option<(Lit, Lit)> {
         let idx = id.as_usize();
@@ -1724,19 +1668,6 @@ mod tests {
         assert_eq!(edit_stamps(&aig), stamps);
         assert_eq!(aig.edit_clock(), clock);
         assert!(aig.check_invariants().is_empty());
-    }
-
-    #[test]
-    fn a_clone_starts_with_an_empty_cut_scratch() {
-        let (mut aig, a, b) = two_input_aig();
-        let f = aig.and(a, b);
-        aig.add_output(f);
-        let _ = aig.reconvergence_cut(f.node(), &crate::CutParams::default());
-        assert!(!aig.cut_scratch.0.is_pristine(), "the cut grew the scratch");
-        let clone = aig.clone();
-        assert!(clone.cut_scratch.0.is_pristine());
-        assert_eq!(edit_stamps(&clone), edit_stamps(&aig));
-        assert_eq!(clone.edit_clock(), aig.edit_clock());
     }
 
     #[test]

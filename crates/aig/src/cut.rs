@@ -176,7 +176,7 @@ impl CutFeatures {
 /// Reusable, graph-independent scratch state for read-only cut computation.
 ///
 /// [`Aig::reconvergence_cut_with`] keeps its visited marks and DFS stack in
-/// this value instead of inside the graph, so any number of threads can
+/// this value, never in the graph, so any number of threads can
 /// compute cuts over a shared `&Aig` concurrently — each worker owns one
 /// `CutScratch` (and one [`Cut`] buffer) and reuses it across nodes, keeping
 /// steady-state cut computation allocation-free.
@@ -255,16 +255,22 @@ impl CutScratch {
     fn is_marked(&self, id: NodeId) -> bool {
         self.marks[id.as_usize()] == self.travid
     }
+}
 
-    /// Whether no buffer has been grown yet.
-    #[cfg(test)]
-    pub(crate) fn is_pristine(&self) -> bool {
-        self.marks.capacity()
-            + self.stack.capacity()
-            + self.leaf_costs.capacity()
-            + self.counts.capacity()
-            == 0
-    }
+thread_local! {
+    /// The scratch of the entry points that are handed none, one per thread.
+    static THREAD_SCRATCH: std::cell::Cell<CutScratch> = std::cell::Cell::default();
+}
+
+/// Runs `f` on this thread's [`THREAD_SCRATCH`].  A nested call gets a fresh
+/// scratch, which forms the same cuts.
+fn with_thread_scratch<R>(f: impl FnOnce(&mut CutScratch) -> R) -> R {
+    THREAD_SCRATCH.with(|cell| {
+        let mut scratch = cell.take();
+        let result = f(&mut scratch);
+        cell.set(scratch);
+        result
+    })
 }
 
 impl Aig {
@@ -273,7 +279,7 @@ impl Aig {
     /// # Panics
     ///
     /// Panics if `root` is not a live AND node or if `params.max_leaves < 2`.
-    pub fn reconvergence_cut(&mut self, root: NodeId, params: &CutParams) -> Cut {
+    pub fn reconvergence_cut(&self, root: NodeId, params: &CutParams) -> Cut {
         let mut cut = Cut::empty();
         self.reconvergence_cut_into(root, params, &mut cut);
         cut
@@ -282,21 +288,18 @@ impl Aig {
     /// Computes a reconvergence-driven cut rooted at `root`, reusing the
     /// buffers of `cut`.
     ///
-    /// This is the allocation-free variant of [`Aig::reconvergence_cut`] used
-    /// by the per-node loops of the operators: passing the same `Cut` across
-    /// calls recycles its `leaves`/`cone` vectors (and an internal scratch),
+    /// This is the allocation-free variant of [`Aig::reconvergence_cut`]:
+    /// passing the same `Cut` across calls recycles its `leaves`/`cone`
+    /// vectors, and the traversal state lives in a scratch kept per thread,
     /// so steady-state cut computation performs no heap allocations.  It
-    /// delegates to the read-only engine [`Aig::reconvergence_cut_with`]
-    /// using a scratch stored inside the graph, so the two entry points are
-    /// the same algorithm and produce identical cuts.
+    /// delegates to the engine [`Aig::reconvergence_cut_with`], so the entry
+    /// points are the same algorithm and produce identical cuts.
     ///
     /// # Panics
     ///
     /// Panics if `root` is not a live AND node or if `params.max_leaves < 2`.
-    pub fn reconvergence_cut_into(&mut self, root: NodeId, params: &CutParams, cut: &mut Cut) {
-        let mut scratch = self.take_cut_scratch();
-        self.reconvergence_cut_with(root, params, &mut scratch, cut);
-        self.put_cut_scratch(scratch);
+    pub fn reconvergence_cut_into(&self, root: NodeId, params: &CutParams, cut: &mut Cut) {
+        with_thread_scratch(|scratch| self.reconvergence_cut_with(root, params, scratch, cut));
     }
 
     /// Computes a reconvergence-driven cut rooted at `root` through shared
@@ -407,29 +410,29 @@ impl Aig {
     }
 
     /// Returns `true` if `target` appears in the transitive fanin cone of
-    /// `root`.  The walk marks nodes in the graph's own cut scratch.
-    pub fn cone_contains(&mut self, root: NodeId, target: NodeId) -> bool {
-        let mut scratch = self.take_cut_scratch();
-        scratch.begin(self.num_slots());
-        let mut stack = std::mem::take(&mut scratch.stack);
-        stack.clear();
-        stack.push(root);
-        let mut found = false;
-        while let Some(id) = stack.pop() {
-            if id == target {
-                found = true;
-                break;
+    /// `root`.  The walk marks nodes in a cut scratch kept per thread.
+    pub fn cone_contains(&self, root: NodeId, target: NodeId) -> bool {
+        with_thread_scratch(|scratch| {
+            scratch.begin(self.num_slots());
+            let mut stack = std::mem::take(&mut scratch.stack);
+            stack.clear();
+            stack.push(root);
+            let mut found = false;
+            while let Some(id) = stack.pop() {
+                if id == target {
+                    found = true;
+                    break;
+                }
+                if scratch.is_marked(id) || !self.is_and(id) {
+                    continue;
+                }
+                scratch.mark(id);
+                let (f0, f1) = self.fanins(id);
+                stack.extend([f0.node(), f1.node()]);
             }
-            if scratch.is_marked(id) || !self.is_and(id) {
-                continue;
-            }
-            scratch.mark(id);
-            let (f0, f1) = self.fanins(id);
-            stack.extend([f0.node(), f1.node()]);
-        }
-        scratch.stack = stack;
-        self.put_cut_scratch(scratch);
-        found
+            scratch.stack = stack;
+            found
+        })
     }
 
     /// Collects the internal nodes (root included) of the cone rooted at
@@ -464,15 +467,7 @@ impl Aig {
     /// [`Aig::cut_features_with`] on a scratch kept per thread, for callers
     /// that hold none.
     pub fn cut_features(&self, cut: &Cut) -> CutFeatures {
-        thread_local! {
-            static SCRATCH: std::cell::Cell<CutScratch> = std::cell::Cell::default();
-        }
-        SCRATCH.with(|cell| {
-            let mut scratch = cell.take();
-            let features = self.cut_features_with(cut, &mut scratch);
-            cell.set(scratch);
-            features
-        })
+        with_thread_scratch(|scratch| self.cut_features_with(cut, scratch))
     }
 
     /// Computes the six ELF cut features for an already-computed cut,
@@ -537,8 +532,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// The rescan engine the incremental one replaced, kept as its oracle:
-    /// every round re-evaluates every leaf's cost through a node snapshot
-    /// and expands the first leaf of lowest cost the bounds allow.
+    /// every round re-evaluates every leaf's cost from the graph and expands the first leaf of lowest cost the bounds allow.
     fn reconvergence_cut_rescan(
         aig: &Aig,
         root: NodeId,
@@ -597,7 +591,7 @@ mod tests {
     /// Cost of expanding `leaf`: the number of its fanins that are not yet in
     /// the cut.  `None` for leaves that cannot be expanded.
     fn leaf_expansion_cost(aig: &Aig, leaf: NodeId, scratch: &CutScratch) -> Option<usize> {
-        if !aig.node(leaf).is_and() {
+        if !aig.is_and(leaf) {
             return None;
         }
         let (f0, f1) = aig.fanins(leaf);
@@ -772,7 +766,7 @@ mod tests {
 
     #[test]
     fn cut_covers_whole_cone_of_small_circuit() {
-        let (mut aig, f) = reconvergent_aig();
+        let (aig, f) = reconvergent_aig();
         let cut = aig.reconvergence_cut(f.node(), &CutParams::default());
         assert_eq!(cut.root, f.node());
         // The cut should expand down to the primary inputs.
@@ -798,7 +792,7 @@ mod tests {
 
     #[test]
     fn features_reflect_reconvergence_and_sharing() {
-        let (mut aig, f) = reconvergent_aig();
+        let (aig, f) = reconvergent_aig();
         let cut = aig.reconvergence_cut(f.node(), &CutParams::default());
         let features = aig.cut_features(&cut);
         assert_eq!(features.leaves, 3.0);

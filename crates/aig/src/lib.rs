@@ -45,14 +45,12 @@ pub mod aiger;
 mod cut;
 mod lit;
 mod miter;
-mod node;
 mod sim;
 
 pub use aig::{Aig, Fanout, NodeToken};
 pub use cut::{Cut, CutFeatures, CutParams, CutScratch, FEATURE_NAMES, NUM_FEATURES};
 pub use lit::{Lit, NodeId};
 pub use miter::{miter, MiterError};
-pub use node::{Node, NodeKind};
 pub use sim::{
     check_equivalence, cone_signature, elementary_word, simulation_signature, EquivalenceResult,
     MAX_EXHAUSTIVE_INPUTS,

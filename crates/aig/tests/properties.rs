@@ -129,7 +129,7 @@ proptest! {
     /// between the root and the leaves.
     #[test]
     fn reconvergence_cut_is_legal(ops in gate_ops(60)) {
-        let mut aig = build_circuit(6, &ops);
+        let aig = build_circuit(6, &ops);
         let roots: Vec<_> = aig.and_ids().collect();
         for root in roots.into_iter().rev().take(5) {
             let cut = aig.reconvergence_cut(root, &CutParams::default());

@@ -22,7 +22,7 @@ use elf_bench::{
 };
 use elf_core::experiment::{circuit_stats, CircuitStatsRow};
 use elf_core::{collect_labeled_cuts, BenchCircuit, ComparisonRow, Parallelism, Suite};
-use elf_opt::{RefactorParams, Rewrite, RewriteParams};
+use elf_opt::{RefactorParams, Rewrite};
 use elf_par::THREADS_ENV;
 
 #[path = "../paper/shap.rs"]
@@ -355,7 +355,7 @@ fn rewrite(command: &Command) {
     let options = &command.options;
     let suite = Suite::new(
         options.epfl_circuits(),
-        Rewrite::new(RewriteParams::default()),
+        Rewrite::new(),
         options.experiment_config(1),
     );
     let (comparisons, qualities): (Vec<_>, Vec<_>) = suite.rows().into_iter().unzip();

@@ -167,7 +167,7 @@ fn rf_rw_rs(aig: &Aig) -> Aig {
     let mut optimized = aig.clone();
     Refactor::default().run(&mut optimized);
     Rewrite::default().run(&mut optimized);
-    Resubstitution::default().run(&mut optimized);
+    Resubstitution.run(&mut optimized);
     optimized
 }
 

@@ -207,7 +207,7 @@ mod tests {
     use crate::classifier::DEFAULT_THRESHOLD;
     use elf_aig::{check_equivalence, EquivalenceResult, Lit};
     use elf_nn::{Dataset, Mlp, Normalizer};
-    use elf_opt::{Rewrite, RewriteParams};
+    use elf_opt::Rewrite;
 
     /// Builds a classifier with hand-set normalizer statistics and an
     /// untrained (random) network — sufficient for exercising the flow.
@@ -340,7 +340,7 @@ mod tests {
         let golden = aig.clone();
         let elf = Elf::with_operator(
             dummy_classifier(DEFAULT_THRESHOLD),
-            Rewrite::new(RewriteParams::default()),
+            Rewrite::new(),
             ElfOptions::default(),
         );
         let stats = elf.run(&mut aig);

@@ -18,7 +18,7 @@
 //! ```
 //! use elf_aig::Aig;
 //! use elf_core::Flow;
-//! use elf_opt::{RefactorParams, ResubParams, RewriteParams};
+//! use elf_opt::RefactorParams;
 //!
 //! let mut aig = Aig::new();
 //! let inputs = aig.add_inputs(4);
@@ -30,8 +30,8 @@
 //!
 //! let flow = Flow::new()
 //!     .refactor(RefactorParams::default())
-//!     .rewrite(RewriteParams::default())
-//!     .resub(ResubParams::default());
+//!     .rewrite()
+//!     .resub();
 //! let stats = flow.run(&mut aig);
 //! assert_eq!(stats.stages.len(), 3);
 //! assert!(stats.ands_after <= stats.ands_before);
@@ -50,8 +50,7 @@ use elf_cec::Equivalence;
 use elf_obs::metrics::Registry;
 use elf_obs::names;
 use elf_opt::{
-    CutCache, OpStats, PrunableOperator, Refactor, RefactorParams, ResubParams, Resubstitution,
-    Rewrite, RewriteParams,
+    CutCache, OpStats, PrunableOperator, Refactor, RefactorParams, Resubstitution, Rewrite,
 };
 use elf_par::Parallelism;
 
@@ -234,8 +233,8 @@ impl Flow {
         for word in Self::script_words(script) {
             flow = match word {
                 "rf" | "refactor" => flow.refactor(RefactorParams::default()),
-                "rw" | "rewrite" => flow.rewrite(RewriteParams::default()),
-                "rs" | "resub" => flow.resub(ResubParams::default()),
+                "rw" | "rewrite" => flow.rewrite(),
+                "rs" | "resub" => flow.resub(),
                 unknown => {
                     return Err(ParseFlowError {
                         token: unknown.to_string(),
@@ -277,8 +276,8 @@ impl Flow {
             let classifier = classifier.clone();
             flow = match word {
                 "rf" | "refactor" => flow.elf_refactor(RefactorParams::default(), classifier),
-                "rw" | "rewrite" => flow.elf_rewrite(RewriteParams::default(), classifier),
-                "rs" | "resub" => flow.elf_resub(ResubParams::default(), classifier),
+                "rw" | "rewrite" => flow.elf_rewrite(classifier),
+                "rs" | "resub" => flow.elf_resub(classifier),
                 unknown => {
                     return Err(ParseFlowError {
                         token: unknown.to_string(),
@@ -364,13 +363,13 @@ impl Flow {
     }
 
     /// Appends a plain rewrite stage.
-    pub fn rewrite(self, params: RewriteParams) -> Self {
-        self.push(Operator::Rewrite(Rewrite::new(params)), None)
+    pub fn rewrite(self) -> Self {
+        self.push(Operator::Rewrite(Rewrite::new()), None)
     }
 
     /// Appends a plain resubstitution stage.
-    pub fn resub(self, params: ResubParams) -> Self {
-        self.push(Operator::Resub(Resubstitution::new(params)), None)
+    pub fn resub(self) -> Self {
+        self.push(Operator::Resub(Resubstitution::new()), None)
     }
 
     /// Appends a refactor stage pruned by `classifier`.
@@ -379,16 +378,13 @@ impl Flow {
     }
 
     /// Appends a rewrite stage pruned by `classifier`.
-    pub fn elf_rewrite(self, params: RewriteParams, classifier: ElfClassifier) -> Self {
-        self.push(Operator::Rewrite(Rewrite::new(params)), Some(classifier))
+    pub fn elf_rewrite(self, classifier: ElfClassifier) -> Self {
+        self.push(Operator::Rewrite(Rewrite::new()), Some(classifier))
     }
 
     /// Appends a resubstitution stage pruned by `classifier`.
-    pub fn elf_resub(self, params: ResubParams, classifier: ElfClassifier) -> Self {
-        self.push(
-            Operator::Resub(Resubstitution::new(params)),
-            Some(classifier),
-        )
+    pub fn elf_resub(self, classifier: ElfClassifier) -> Self {
+        self.push(Operator::Resub(Resubstitution::new()), Some(classifier))
     }
 
     /// Number of stages in the flow.
@@ -644,8 +640,8 @@ mod tests {
         let golden = aig.clone();
         let stats = Flow::new()
             .refactor(RefactorParams::default())
-            .elf_rewrite(RewriteParams::default(), always_keep_classifier())
-            .resub(ResubParams::default())
+            .elf_rewrite(always_keep_classifier())
+            .resub()
             .run(&mut aig);
         assert_eq!(
             stats.stages.iter().map(|s| s.name).collect::<Vec<_>>(),

@@ -1,5 +1,5 @@
-//! Structure-aware fuzzing of the parsers that read untrusted files: both
-//! AIGER formats and the classifier text.
+//! Structure-aware fuzzing of the parsers that read untrusted input: both
+//! AIGER formats, the classifier text and flow scripts.
 //!
 //! Each case serializes a well-formed input — a scripted circuit, or a
 //! classifier built from a seeded paper-architecture network — and applies a
@@ -10,10 +10,16 @@
 //! allocation sized by a hostile field would abort the test binary.  What
 //! parses must also be usable: a circuit with clean invariants that
 //! serializes and parses again, a classifier that decides a row.
+//!
+//! Flow scripts are token soup: operator aliases, separators, whitespace and
+//! arbitrary bytes, joined in any order.  A script must build a flow with
+//! one stage per word, or name a word of the script it cannot read; a flow
+//! it builds must run on a circuit and keep its function.
 
 use elf_aig::aiger::{from_ascii, from_binary, to_ascii, to_binary};
+use elf_aig::{check_equivalence, EquivalenceResult};
 use elf_circuits::{script_strategy, scripted_circuit};
-use elf_core::ElfClassifier;
+use elf_core::{ElfClassifier, ElfOptions, Flow, ParseFlowError};
 use elf_nn::{Mlp, Normalizer};
 use proptest::prelude::*;
 
@@ -92,6 +98,47 @@ fn mutant(bytes: &[u8], mutations: &[Mutation]) -> Vec<u8> {
     bytes
 }
 
+/// The words a flow script reads: operator aliases.
+const ALIASES: [&str; 6] = ["rf", "refactor", "rw", "rewrite", "rs", "resub"];
+
+/// One piece of a flow script: an alias, a separator, whitespace, or a few
+/// arbitrary bytes (read lossily as UTF-8).
+fn script_token() -> impl Strategy<Value = String> {
+    const SEPARATORS: [&str; 7] = [";", ",", " ", "\t", "\n", ";;", " , "];
+    prop_oneof![
+        (0..ALIASES.len()).prop_map(|i| ALIASES[i].to_string()),
+        (0..SEPARATORS.len()).prop_map(|i| SEPARATORS[i].to_string()),
+        prop::collection::vec(any::<u8>(), 1..4)
+            .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+    ]
+}
+
+/// Checks what one parse of `script` returned: a flow with one stage per
+/// word, all of them aliases, or an error naming a word of the script that
+/// is none.  Returns the flow.
+fn check_parse(script: &str, parsed: Result<Flow, ParseFlowError>) -> Option<Flow> {
+    let words: Vec<&str> = script
+        .split(|c: char| c == ';' || c == ',' || c.is_whitespace())
+        .filter(|word| !word.is_empty())
+        .collect();
+    match parsed {
+        Ok(flow) => {
+            assert!(
+                words.iter().all(|word| ALIASES.contains(word)),
+                "{script:?}"
+            );
+            assert_eq!(flow.len(), words.len(), "{script:?}");
+            Some(flow)
+        }
+        Err(error) => {
+            let token = error.token();
+            assert!(words.contains(&token), "{token:?} is no word of {script:?}");
+            assert!(!ALIASES.contains(&token), "{script:?}");
+            None
+        }
+    }
+}
+
 /// Parses `bytes` with both AIGER readers; whatever parses must be a clean
 /// graph that serializes and parses again.
 fn parse_aiger(bytes: &[u8]) {
@@ -133,6 +180,36 @@ proptest! {
         if let Ok(parsed) = ElfClassifier::from_text(&String::from_utf8_lossy(&text)) {
             let decisions = parsed.classify(&[[1.0; 6]]);
             prop_assert_eq!(decisions.len(), 1);
+        }
+    }
+
+    #[test]
+    fn mutated_flow_scripts_error_or_run(
+        tokens in prop::collection::vec(script_token(), 0..10),
+        circuit in script_strategy(16),
+        seed in any::<u64>(),
+    ) {
+        let script = tokens.concat();
+        let normalizer = Normalizer::from_stats(vec![2.0; 6], vec![1.5; 6]);
+        let classifier =
+            ElfClassifier::from_parts(normalizer, Mlp::paper_architecture(seed), 0.5);
+        let flows = [
+            check_parse(&script, Flow::from_script(&script)),
+            check_parse(
+                &script,
+                Flow::pruned_from_script(&script, &classifier, ElfOptions::default()),
+            ),
+        ];
+        for flow in flows.into_iter().flatten() {
+            let mut aig = scripted_circuit(5, &circuit);
+            let golden = aig.clone();
+            let stats = flow.run(&mut aig);
+            prop_assert_eq!(stats.stages.len(), flow.len());
+            prop_assert!(aig.check_invariants().is_empty(), "{:?}", aig.check_invariants());
+            prop_assert_eq!(
+                check_equivalence(&golden, &aig, 16, seed),
+                EquivalenceResult::Equivalent
+            );
         }
     }
 }

@@ -110,7 +110,7 @@ proptest! {
         let source = scripted_circuit(5, &script);
         check_elf_determinism(Refactor::default(), &source);
         check_elf_determinism(Rewrite::default(), &source);
-        check_elf_determinism(Resubstitution::default(), &source);
+        check_elf_determinism(Resubstitution, &source);
     }
 }
 

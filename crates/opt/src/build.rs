@@ -352,11 +352,10 @@ pub(crate) struct Reading {
 
 /// Resynthesizes `scratch.cut`, whose root's cut-bounded MFFC — `saved`
 /// nodes — is dereferenced, and weighs its readings: the function's and,
-/// where it is one of its own and `try_complement` is set, the
-/// complement's.  Simulates the cut, canonicalizes once, maps the leaves for
-/// each reading, and counts both while `cache` writes the representative's
-/// form into `scratch.form`, which stops at the gate where both have lost
-/// (see the module docs).  Returns the reading of highest gain among those
+/// where it is one of its own, the complement's.  Simulates the cut,
+/// canonicalizes once, maps the leaves for each reading, and counts both
+/// while `cache` writes the representative's form into `scratch.form`, which
+/// stops at the gate where both have lost (see the module docs).  Returns the reading of highest gain among those
 /// that meet both bounds — a level not above `level_bound` and a gain of at
 /// least `floor` — the first on a tie; `scratch.form` is whole whenever one
 /// is returned.
@@ -365,7 +364,7 @@ pub(crate) fn best_reading(
     cache: &CutCache,
     scratch: &mut PassScratch,
     saved: i64,
-    (level_bound, floor, try_complement): (Option<u32>, i64, bool),
+    (level_bound, floor): (u32, i64),
 ) -> Option<Reading> {
     let (cut, counts) = (&scratch.cut, &mut scratch.counts);
     let truth = cut_truth_table_in(aig, cut, &mut scratch.simulation);
@@ -374,7 +373,7 @@ pub(crate) fn best_reading(
         *lit = leaf.lit();
     }
     let (canonical, transform, complement) = canonicalize_both(&truth);
-    let readings = [Some(transform), complement.filter(|_| try_complement)];
+    let readings = [Some(transform), complement];
     // Past `saved - floor` new nodes the gain is below the floor.
     let limit = usize::try_from(saved - floor).ok();
     for (count, reading) in counts.iter_mut().zip(readings) {
@@ -400,7 +399,7 @@ pub(crate) fn best_reading(
         // It needed `left` fewer than the `saved - floor` new nodes allowed.
         let gain = floor + left as i64;
         let level = count.term(aig, form.root()).1;
-        if gain < raised || level_bound.is_some_and(|bound| level > bound) {
+        if gain < raised || level > level_bound {
             continue;
         }
         raised = gain + 1;
@@ -511,14 +510,14 @@ mod tests {
         leaf_lits: &[Lit],
         node: NodeId,
         saved: i64,
-        level_bound: Option<u32>,
+        level_bound: u32,
     ) -> Option<Reading> {
         let mut best: Option<Reading> = None;
         for (transform, complemented) in [(Some(transform), false), (complement, true)] {
             let Some(transform) = transform else { continue };
             let lits = transform.leaf_map(leaf_lits);
             let cost = count_new_nodes(aig, form, &lits, Some(node));
-            if level_bound.is_some_and(|bound| cost.level > bound) {
+            if cost.level > level_bound {
                 continue;
             }
             let gain = saved - cost.new_nodes as i64;
@@ -543,7 +542,7 @@ mod tests {
     #[test]
     fn simulation_order_is_the_cone_walk_and_ends_with_root() {
         let mut simulation = Simulation::default();
-        for (name, mut aig) in arithmetic_suite(Scale::Tiny) {
+        for (name, aig) in arithmetic_suite(Scale::Tiny) {
             let nodes: Vec<NodeId> = aig.and_ids().collect();
             for node in nodes {
                 let cut = aig.reconvergence_cut(node, &CutParams::default());
@@ -577,7 +576,7 @@ mod tests {
     /// epoch comes back to life — and the tables stay right.
     #[test]
     fn slot_map_epoch_wrap_forgets_every_entry() {
-        let (_, mut aig) = arithmetic_suite(Scale::Tiny).swap_remove(0);
+        let (_, aig) = arithmetic_suite(Scale::Tiny).swap_remove(0);
         let nodes: Vec<NodeId> = aig.and_ids().collect();
         let cuts: Vec<Cut> = nodes
             .iter()
@@ -615,14 +614,12 @@ mod tests {
         /// found before it (refactor), and with the best of the root's
         /// earlier cuts raising the floor (rewrite) — the same reading taken,
         /// or none on both sides; on a disabled cache, and on one enabled
-        /// cache met cold and then warm.  Whenever a reading is taken, the
-        /// form it reads is the whole form.
+        /// cache met cold and then warm; with and without zero-gain commits.
+        /// Whenever a reading is taken, the form it reads is the whole form.
         #[test]
         fn bounded_readings_decide_as_the_unbounded_count(
             script in elf_circuits::script_strategy(40),
             zero_gain in any::<bool>(),
-            preserve_level in any::<bool>(),
-            try_complement in any::<bool>(),
         ) {
             let mut aig = elf_circuits::scripted_circuit(6, &script);
             let (mut scratch, mut factor) = (PassScratch::new(), FactorScratch::default());
@@ -632,7 +629,7 @@ mod tests {
             let enabled = CutCache::new(CutCacheConfig::default());
             for cache in [CutCache::disabled(), enabled.clone(), enabled] {
                 for &node in &nodes {
-                    let level_bound = preserve_level.then(|| aig.level(node));
+                    let level_bound = aig.level(node);
                     let (mut bounded, mut reference) = (None::<Reading>, None::<Reading>);
                     for max_leaves in [3, 4, 6, 8, 10] {
                         let cut = aig.reconvergence_cut(node, &CutParams::with_max_leaves(max_leaves));
@@ -640,14 +637,14 @@ mod tests {
                         let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| l.lit()).collect();
                         let (transform, complement) =
                             CutCache::disabled().factor_both_into(&truth, &mut factor, &mut whole);
-                        let readings = (transform, complement.filter(|_| try_complement));
+                        let readings = (transform, complement);
                         let saved = aig.deref_mffc_bounded(node, &cut.leaves) as i64;
                         let full =
                             best_reading_unbounded(&aig, &whole, readings, &leaf_lits, node, saved, level_bound);
                         scratch.cut.clone_from(&cut);
                         let mut weigh = |floor| {
-                            let bounds = (level_bound, floor, try_complement);
-                            let reading = best_reading(&aig, &cache, &mut scratch, saved, bounds);
+                            let reading =
+                                best_reading(&aig, &cache, &mut scratch, saved, (level_bound, floor));
                             assert!(reading.is_none() || scratch.form == whole, "a reading of part of a form");
                             reading
                         };
@@ -686,7 +683,7 @@ mod tests {
 
     #[test]
     fn cut_truth_table_matches_simulation() {
-        let (mut aig, f) = or_of_ands();
+        let (aig, f) = or_of_ands();
         let cut = aig.reconvergence_cut(f.node(), &CutParams::default());
         let tt = cut_truth_table(&aig, &cut);
         // Leaves are the three inputs; verify against direct evaluation.

@@ -11,14 +11,16 @@
 //!   first extension target mentioned in the paper's conclusion);
 //! * [`Resubstitution`] — window-based resubstitution.
 //!
-//! All three implement [`PrunableOperator`]: each supplies its per-node
-//! resynthesis step and its feature window, and one shared pass loop turns
-//! that into the plain run, the labelled-sample recording run, the filtered
-//! run and the batched run that sweeps every node's features, lets a
-//! classifier decide them all at once and hands each kept node the window
-//! the sweep formed — all returning [`OpStats`] — so higher layers (the
-//! generic ELF flow `elf_core::Elf<O>`, script-style pipelines) prune any of
-//! them through the code the baseline runs.
+//! Rewrite and resubstitution run at ABC's defaults; refactor keeps the
+//! three parameters its callers set ([`RefactorParams`]).  All three
+//! implement [`PrunableOperator`]: each supplies its per-node resynthesis
+//! step and its feature window, and one shared pass loop turns that into the
+//! plain run, the labelled-sample recording run and the batched run that
+//! sweeps every node's features, lets a classifier decide them all at once
+//! and hands each kept node the window the sweep formed — all returning
+//! [`OpStats`] — so higher layers (the generic ELF flow `elf_core::Elf<O>`,
+//! script-style pipelines) prune any of them through the code the baseline
+//! runs.
 //!
 //! # Examples
 //!
@@ -50,5 +52,5 @@ pub use build::{build_expr, count_new_nodes, cut_truth_table, ImplementationCost
 pub use cache::{semi_canonicalize, CutCache, CutCacheConfig, CutCacheStats, NpnTransform};
 pub use operator::{LabeledCut, OpStats, PrunableOperator};
 pub use refactor::{Refactor, RefactorParams};
-pub use resub::{ResubParams, Resubstitution};
-pub use rewrite::{Rewrite, RewriteParams};
+pub use resub::Resubstitution;
+pub use rewrite::Rewrite;

@@ -13,7 +13,6 @@
 //! |---|---|---|
 //! | [`run`](PrunableOperator::run) | nobody: every node is attempted | no feature scan at all |
 //! | [`run_recording`](PrunableOperator::run_recording) | nobody; the outcome is logged | window + features, one [`LabeledCut`] |
-//! | [`run_with_filter`](PrunableOperator::run_with_filter) | a callback on the node's features | window + features, then the callback |
 //! | [`run_batched`](PrunableOperator::run_batched) | a callback on every node's features at once, before the pass | phase 1 formed the window; a kept node whose window is unedited reuses it |
 //!
 //! so the baseline and the pruned arm of every comparison execute the same
@@ -116,11 +115,12 @@ pub(crate) fn debug_assert_commit_equivalence(
 pub struct OpStats {
     /// Nodes visited by the pass.
     pub nodes_visited: usize,
-    /// Cuts formed (equal to nodes visited unless nodes died mid-pass).
+    /// Cuts formed: one per visited node, so always equal to
+    /// [`nodes_visited`](Self::nodes_visited); the rates divide by it.
     pub cuts_formed: usize,
     /// Cuts that went through full resynthesis.
     pub cuts_resynthesized: usize,
-    /// Cuts whose resynthesis was pruned (skipped) by a filter.
+    /// Cuts whose resynthesis was pruned (skipped) by a keep decision.
     pub cuts_pruned: usize,
     /// Cuts whose resynthesized implementation was committed.
     pub cuts_committed: usize,
@@ -211,7 +211,8 @@ pub struct LabeledCut {
 }
 
 /// The buffers one pass reuses across its nodes, so that a pass allocates
-/// once rather than per node.  The driver owns it and lends it to every
+/// once rather than per node.  The driver owns it, forms the recording
+/// pass's windows in it and lends it to every
 /// [`PrunableOperator::resynthesize`] call; apart from `cut` when the call
 /// says it holds the node's window, and rewrite's cut sets of complete
 /// nodes, kept while the graph's edit clock stands still, the contents are
@@ -222,6 +223,8 @@ pub struct LabeledCut {
 pub struct PassScratch {
     /// The node's feature window, then whichever cut the operator weighs.
     pub(crate) cut: Cut,
+    /// The marks and stacks every cut of the pass is formed with.
+    pub(crate) cut_scratch: CutScratch,
     /// The buffers cuts are simulated in ([`crate::build::simulate_cut`]).
     pub(crate) simulation: Simulation,
     /// The stacks a cache miss factors on.
@@ -242,6 +245,7 @@ impl PassScratch {
     pub(crate) fn new() -> Self {
         PassScratch {
             cut: Cut::empty(),
+            cut_scratch: CutScratch::new(),
             simulation: Simulation::default(),
             factor: FactorScratch::default(),
             form: FactoredForm::default(),
@@ -260,8 +264,6 @@ enum Policy<'a> {
     KeepAll,
     /// Attempt every node and log its features and whether it committed.
     Record(&'a mut Vec<LabeledCut>),
-    /// Ask the callback, given the node's window features.
-    Filter(&'a mut dyn FnMut(NodeId, &CutFeatures) -> bool),
     /// Visit exactly the swept nodes, attempting those `keep` marks; the
     /// decisions were made up front, and the sweep's unedited windows are
     /// handed over.
@@ -288,33 +290,32 @@ fn drive<O: PrunableOperator + ?Sized>(
             .collect(),
         _ => aig.and_ids().map(|id| (aig.token(id), true)).collect(),
     };
-    let observed = matches!(policy, Policy::Record(_) | Policy::Filter(_));
     let mut scratch = PassScratch::new();
-    let mut window_scratch = CutScratch::new();
-    for (index, (token, mut keep)) in targets.into_iter().enumerate() {
+    for (index, (token, keep)) in targets.into_iter().enumerate() {
         let node = token.id();
         if !aig.token_is_current(token) || aig.refs(node) == 0 {
             continue;
         }
         stats.nodes_visited += 1;
         stats.cuts_formed += 1;
-        let features = observed.then(|| {
-            aig.reconvergence_cut_with(node, &window, &mut window_scratch, &mut scratch.cut);
-            aig.cut_features_with(&scratch.cut, &mut window_scratch)
-        });
-        if let (Policy::Filter(decide), Some(features)) = (&mut policy, &features) {
-            keep = decide(node, features);
-        }
         if !keep {
             stats.cuts_pruned += 1;
             continue;
         }
         stats.cuts_resynthesized += 1;
-        let mut holds_window = observed;
-        if let Policy::Decided { sweep, .. } = &policy {
-            holds_window = sweep.load_unedited(index, node, aig, &mut scratch.cut);
-            stats.windows_reused += usize::from(holds_window);
-        }
+        let (holds_window, features) = match &policy {
+            Policy::KeepAll => (false, None),
+            Policy::Record(_) => {
+                let (cut, cut_scratch) = (&mut scratch.cut, &mut scratch.cut_scratch);
+                aig.reconvergence_cut_with(node, &window, cut_scratch, cut);
+                (true, Some(aig.cut_features_with(cut, cut_scratch)))
+            }
+            Policy::Decided { sweep, .. } => {
+                let reused = sweep.load_unedited(index, node, aig, &mut scratch.cut);
+                stats.windows_reused += usize::from(reused);
+                (reused, None)
+            }
+        };
         let gain = operator.resynthesize(aig, node, &mut scratch, holds_window);
         if let Some(gain) = gain {
             stats.cuts_committed += 1;
@@ -520,17 +521,6 @@ pub trait PrunableOperator {
         (stats, samples)
     }
 
-    /// Runs the pass but consults `keep` with each node's window features
-    /// first: on `false` the node is pruned (counted, left untouched).
-    /// Features are computed as the graph evolves, one node at a time.
-    fn run_with_filter(
-        &self,
-        aig: &mut Aig,
-        keep: &mut dyn FnMut(NodeId, &CutFeatures) -> bool,
-    ) -> OpStats {
-        drive(self, aig, Policy::Filter(keep))
-    }
-
     /// Runs the pass with every decision made in one batch up front (the
     /// paper's batched Algorithm 2) — the three phases of a pruned pass:
     ///
@@ -668,7 +658,7 @@ mod tests {
             let stats = match name {
                 "refactor" => run_generic(&Refactor::default(), &mut aig),
                 "rewrite" => run_generic(&Rewrite::default(), &mut aig),
-                _ => run_generic(&Resubstitution::default(), &mut aig),
+                _ => run_generic(&Resubstitution, &mut aig),
             };
             assert!(stats.nodes_visited > 0, "{name}");
             assert_eq!(
@@ -693,7 +683,7 @@ mod tests {
         let sequential = Parallelism::sequential();
         let rf = Refactor::default().collect_features_with(&aig, sequential);
         let rw = Rewrite::default().collect_features_with(&aig, sequential);
-        let rs = Resubstitution::default().collect_features_with(&aig, sequential);
+        let rs = Resubstitution.collect_features_with(&aig, sequential);
         assert_eq!(rf.len(), live);
         assert_eq!(rw.len(), live);
         assert_eq!(rs.len(), live);
@@ -707,7 +697,10 @@ mod tests {
         let mut filtered = redundant_circuit();
         let rewrite = Rewrite::default();
         let plain_stats = rewrite.run(&mut plain);
-        let filtered_stats = rewrite.run_with_filter(&mut filtered, &mut |_, _| true);
+        let filtered_stats =
+            rewrite.run_batched(&mut filtered, Parallelism::sequential(), |rows| {
+                vec![true; rows.len()]
+            });
         assert_eq!(plain.num_reachable_ands(), filtered.num_reachable_ands());
         assert_eq!(plain_stats.cuts_committed, filtered_stats.cuts_committed);
         assert_eq!(filtered_stats.cuts_pruned, 0);
@@ -761,6 +754,6 @@ mod tests {
     fn single_node_decision_reports_outcome_for_each_operator() {
         check_single_node_decision(&Refactor::default());
         check_single_node_decision(&Rewrite::default());
-        check_single_node_decision(&Resubstitution::default());
+        check_single_node_decision(&Resubstitution);
     }
 }

@@ -14,22 +14,19 @@ use crate::cache::CutCache;
 use crate::operator::{OpStats, PassScratch, PrunableOperator};
 
 /// Parameters of the refactor operator.
+///
+/// Every pass runs ABC's `refactor -l`, as the paper's experiments do: a
+/// candidate whose estimated root level exceeds the current root level is
+/// rejected.  Both the cut function's implementation and, where it can
+/// differ from the first one complemented, its complement's are weighed,
+/// read off one form from one cache lookup (the one
+/// [`CutCache::factor_both_into`] makes).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefactorParams {
     /// Reconvergence-driven cut parameters (leaf bound, expansion cost bound).
     pub cut: CutParams,
     /// Accept changes with zero gain as well as positive gain (ABC's `-z`).
     pub zero_gain: bool,
-    /// Reject candidates whose estimated root level exceeds the current root
-    /// level (ABC's `-l`, used by the paper's experiments).
-    pub preserve_level: bool,
-    /// Also weigh the implementation of the complemented cut function and
-    /// keep the better of the two.  Both are read off one form, from one
-    /// cache lookup (the one [`CutCache::factor_both_into`] makes); the
-    /// complement's is evaluated only where it can differ from the first one
-    /// complemented (which is the same AIG at the same cost and can never be
-    /// the better one).
-    pub try_complement: bool,
     /// Cuts with fewer leaves than this are not resynthesized (they cannot
     /// yield a gain).
     pub min_leaves: usize,
@@ -41,8 +38,6 @@ impl Default for RefactorParams {
         RefactorParams {
             cut: CutParams::default(),
             zero_gain: false,
-            preserve_level: true,
-            try_complement: true,
             min_leaves: 3,
         }
     }
@@ -129,7 +124,7 @@ impl PrunableOperator for Refactor {
     ) -> Option<i64> {
         let cut = &mut scratch.cut;
         if !holds_window {
-            aig.reconvergence_cut_into(node, &self.params.cut, cut);
+            aig.reconvergence_cut_with(node, &self.params.cut, &mut scratch.cut_scratch, cut);
         }
         if cut.num_leaves() < self.params.min_leaves {
             return None;
@@ -144,10 +139,8 @@ impl PrunableOperator for Refactor {
         // and counted as it is factored, up to where no reading can win.
         let saved = aig.deref_mffc_bounded(node, &cut.leaves) as i64;
         // Only a reading that gains at least one node (zero with
-        // `zero_gain`) is accepted.
-        let level_bound = self.params.preserve_level.then(|| aig.level(node));
-        let floor = i64::from(!self.params.zero_gain);
-        let bounds = (level_bound, floor, self.params.try_complement);
+        // `zero_gain`) and does not raise the root's level is accepted.
+        let bounds = (aig.level(node), i64::from(!self.params.zero_gain));
         let best = best_reading(aig, &self.cache, scratch, saved, bounds);
         aig.ref_mffc_bounded(node, &scratch.cut.leaves);
 
@@ -237,8 +230,9 @@ mod tests {
     #[test]
     fn filter_prunes_resynthesis() {
         let mut aig = shared_literal_circuit();
-        let stats =
-            Refactor::new(RefactorParams::default()).run_with_filter(&mut aig, &mut |_, _| false);
+        let sequential = elf_par::Parallelism::sequential();
+        let refactor = Refactor::new(RefactorParams::default());
+        let stats = refactor.run_batched(&mut aig, sequential, |rows| vec![false; rows.len()]);
         assert_eq!(stats.cuts_resynthesized, 0);
         assert_eq!(stats.cuts_pruned, stats.cuts_formed);
         assert_eq!(stats.cuts_committed, 0);

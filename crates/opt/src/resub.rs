@@ -13,14 +13,14 @@
 //! is pinned (a `#[cfg(test)]` copy of the original `TruthTable`-per-divisor
 //! step checks it node for node):
 //!
-//! * **Window.**  The node's reconvergence-driven cut ([`ResubParams::cut`]),
-//!   skipped below two leaves or two cone nodes.  It is simulated *once*:
-//!   one flat word buffer holds the table of every leaf and cone node, and a
-//!   divisor is a literal plus its slot in that buffer, read off the
-//!   simulation's slot map in O(1).
+//! * **Window.**  The node's reconvergence-driven cut of up to
+//!   [`MAX_LEAVES`] leaves, skipped below two leaves or two cone nodes.  It
+//!   is simulated *once*: one flat word buffer holds the table of every leaf
+//!   and cone node, and a divisor is a literal plus its slot in that buffer,
+//!   read off the simulation's slot map in O(1).
 //! * **Divisors.**  The leaves in cut order, then the cone nodes in
 //!   `Cut::cone` order that are neither the root nor inside its MFFC nor
-//!   (with `preserve_level`) above its level.
+//!   above its level.
 //! * **0-resubstitution** (tried when the MFFC frees at least one node):
 //!   divisors in order, each as itself, then complemented.
 //! * **1-resubstitution** (at least two nodes): pairs `(i, j)` with `i < j`
@@ -38,43 +38,24 @@ use elf_aig::{Aig, CutParams, NodeId};
 use crate::build::{commit_replacement, simulate_cut};
 use crate::operator::{debug_assert_commit_equivalence, OpStats, PassScratch, PrunableOperator};
 
-/// Parameters of the resubstitution operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResubParams {
-    /// Window (reconvergence-driven cut) parameters.
-    pub cut: CutParams,
-    /// Try 1-resubstitution (one new gate over two divisors) in addition to
-    /// 0-resubstitution.
-    pub use_one_resub: bool,
-    /// Reject candidates that would increase the node's level.
-    pub preserve_level: bool,
+/// The leaf bound of the window (ABC's `resub -K 8`).
+const MAX_LEAVES: usize = 8;
+
+/// The window every node is resubstituted in.
+fn window() -> CutParams {
+    CutParams::with_max_leaves(MAX_LEAVES)
 }
 
-impl Default for ResubParams {
-    fn default() -> Self {
-        ResubParams {
-            cut: CutParams::with_max_leaves(8),
-            use_one_resub: true,
-            preserve_level: true,
-        }
-    }
-}
-
-/// The resubstitution operator.
-#[derive(Debug, Clone, Default)]
-pub struct Resubstitution {
-    params: ResubParams,
-}
+/// The resubstitution operator at ABC's defaults: 0- and 1-resubstitution
+/// in a window of up to eight leaves (`resub -K 8`), over divisors not above
+/// the root's level.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Resubstitution;
 
 impl Resubstitution {
-    /// Creates a resubstitution operator with the given parameters.
-    pub fn new(params: ResubParams) -> Self {
-        Resubstitution { params }
-    }
-
-    /// Returns the operator's parameters.
-    pub fn params(&self) -> &ResubParams {
-        &self.params
+    /// Creates a resubstitution operator.
+    pub fn new() -> Self {
+        Resubstitution
     }
 
     /// Runs resubstitution over every node of the graph:
@@ -91,7 +72,7 @@ impl PrunableOperator for Resubstitution {
     const RESYNTHESIZES_WINDOW: bool = true;
 
     fn feature_cut_params(&self) -> CutParams {
-        self.params.cut
+        window()
     }
 
     /// Attempts resubstitution at one node inside its window — the feature
@@ -105,12 +86,13 @@ impl PrunableOperator for Resubstitution {
     ) -> Option<i64> {
         let PassScratch {
             cut,
+            cut_scratch,
             simulation,
             divisors,
             ..
         } = scratch;
         if !holds_window {
-            aig.reconvergence_cut_into(node, &self.params.cut, cut);
+            aig.reconvergence_cut_with(node, &window(), cut_scratch, cut);
         }
         if cut.num_leaves() < 2 || cut.cone.len() < 2 {
             return None;
@@ -138,7 +120,7 @@ impl PrunableOperator for Resubstitution {
             if n == node || aig.refs(n) == 0 {
                 continue;
             }
-            if self.params.preserve_level && aig.level(n) > root_level {
+            if aig.level(n) > root_level {
                 continue;
             }
             // The simulation's walk reaches the whole cone, so every cone
@@ -172,7 +154,7 @@ impl PrunableOperator for Resubstitution {
             return Some(before - aig.num_ands() as i64);
         }
 
-        if !self.params.use_one_resub || saved < 2 {
+        if saved < 2 {
             return None;
         }
 
@@ -240,9 +222,9 @@ mod tests {
     /// The oracle: the resubstitution step as it was before the window was
     /// simulated once — a cloned window and a fresh simulation per divisor,
     /// two `TruthTable` clones per polarity per pair — kept verbatim.
-    fn resub_node_oracle(resub: &Resubstitution, aig: &mut Aig, node: NodeId) -> Option<i64> {
+    fn resub_node_oracle(aig: &mut Aig, node: NodeId) -> Option<i64> {
         let cut = &mut Cut::empty();
-        aig.reconvergence_cut_into(node, &resub.params.cut, cut);
+        aig.reconvergence_cut_into(node, &window(), cut);
         if cut.num_leaves() < 2 || cut.cone.len() < 2 {
             return None;
         }
@@ -270,7 +252,7 @@ mod tests {
             if n == node || mffc.contains(&n) {
                 continue;
             }
-            if resub.params.preserve_level && aig.level(n) > root_level {
+            if aig.level(n) > root_level {
                 continue;
             }
             let sub_cut = Cut {
@@ -304,7 +286,7 @@ mod tests {
             }
         }
 
-        if !resub.params.use_one_resub || saved < 2 {
+        if saved < 2 {
             return None;
         }
 
@@ -347,10 +329,9 @@ mod tests {
     /// the nodes under its own token guard — and expects the same network,
     /// node for node.  Returns how many commits happened at windows of each
     /// leaf count.
-    fn assert_pass_matches_oracle(name: &str, params: ResubParams, mut aig: Aig) -> [usize; 9] {
-        let operator = Resubstitution::new(params);
+    fn assert_pass_matches_oracle(name: &str, mut aig: Aig) -> [usize; 9] {
         let mut twin = aig.clone();
-        let stats = operator.run(&mut aig);
+        let stats = Resubstitution.run(&mut aig);
 
         let mut commits_by_leaves = [0; 9];
         let targets: Vec<_> = twin.and_ids().map(|id| twin.token(id)).collect();
@@ -359,8 +340,8 @@ mod tests {
             if !twin.token_is_current(token) || twin.refs(node) == 0 {
                 continue;
             }
-            let leaves = twin.reconvergence_cut(node, &params.cut).num_leaves();
-            if resub_node_oracle(&operator, &mut twin, node).is_some() {
+            let leaves = twin.reconvergence_cut(node, &window()).num_leaves();
+            if resub_node_oracle(&mut twin, node).is_some() {
                 commits_by_leaves[leaves] += 1;
             }
         }
@@ -389,7 +370,7 @@ mod tests {
     fn pass_matches_the_oracle_on_both_suites() {
         let mut commits_by_leaves = [0; 9];
         for (name, aig) in both_suites() {
-            let commits = assert_pass_matches_oracle(&name, ResubParams::default(), aig);
+            let commits = assert_pass_matches_oracle(&name, aig);
             for (total, commits) in commits_by_leaves.iter_mut().zip(commits) {
                 *total += commits;
             }
@@ -399,28 +380,6 @@ mod tests {
             five > 0 && six > 0 && seven > 0 && eight > 0,
             "{commits_by_leaves:?}"
         );
-    }
-
-    /// Windows capped below six leaves compare single words that repeat a
-    /// `2^n`-bit table; without level preservation and without
-    /// 1-resubstitution the divisor list and the search take their other
-    /// branches.
-    #[test]
-    fn pass_matches_the_oracle_on_narrow_windows() {
-        for max_leaves in [2, 3, 4, 5] {
-            let params = ResubParams {
-                cut: CutParams::with_max_leaves(max_leaves),
-                use_one_resub: max_leaves != 3,
-                preserve_level: max_leaves != 4,
-            };
-            let mut committed = 0;
-            for (name, aig) in both_suites() {
-                let commits = assert_pass_matches_oracle(&name, params, aig);
-                assert_eq!(commits[max_leaves + 1..].iter().sum::<usize>(), 0);
-                committed += commits.iter().sum::<usize>();
-            }
-            assert!(max_leaves == 2 || committed > 0, "max_leaves {max_leaves}");
-        }
     }
 
     #[test]
@@ -437,7 +396,7 @@ mod tests {
         aig.add_output(root);
         aig.add_output(ab);
         let golden = aig.clone();
-        let stats = Resubstitution::default().run(&mut aig);
+        let stats = Resubstitution.run(&mut aig);
         assert!(stats.cuts_committed >= 1, "{stats:?}");
         assert_eq!(aig.outputs()[0], ab, "a 0-resubstitution: no new gate");
         assert!(stats.total_gain >= 2);
@@ -460,7 +419,7 @@ mod tests {
         }
         aig.add_output(acc);
         let golden = aig.clone();
-        let _ = Resubstitution::default().run(&mut aig);
+        let _ = Resubstitution.run(&mut aig);
         assert_eq!(
             check_equivalence(&golden, &aig, 8, 10),
             EquivalenceResult::Equivalent
@@ -474,7 +433,7 @@ mod tests {
         let inputs = aig.add_inputs(4);
         let f = aig.and_many(&inputs);
         aig.add_output(f);
-        let stats = Resubstitution::default().run(&mut aig);
+        let stats = Resubstitution.run(&mut aig);
         assert_eq!(stats.total_gain, 0);
     }
 }

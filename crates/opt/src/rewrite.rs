@@ -30,12 +30,12 @@
 //!   second's new ones, *in that order*; leaves are never sorted, and two
 //!   unions are duplicates only when they list the same leaves in the same
 //!   order (`[a, b, c]` and `[a, c, b]` are two cuts).  Unions of more than
-//!   `cut_size` leaves are dropped.
-//! * **Truncation.**  A node keeps the first `cuts_per_node` candidates in
-//!   order of length, candidates of equal length in the order they were
+//!   [`CUT_SIZE`] leaves are dropped.
+//! * **Truncation.**  A node keeps the first [`CUTS_PER_NODE`] candidates
+//!   in order of length, candidates of equal length in the order they were
 //!   formed (a stable sort, then a truncation).  So each length is a bucket
 //!   in insertion order, and a candidate that arrives at a bucket already
-//!   holding `cuts_per_node` cuts can be discarded unseen.
+//!   holding [`CUTS_PER_NODE`] cuts can be discarded unseen.
 //! * **Complete nodes.**  A window node whose whole fanin cone lies in the
 //!   window has the cut set the bottom-up merge gives it in *any* window
 //!   that holds its cone, so the pass keeps such sets across roots while the
@@ -44,20 +44,20 @@
 //!     [`WINDOW`] nodes;
 //!   - a node placed before that first refusal had its whole fanin cone
 //!     walked, so every AND node below it is in the window, and its cut set
-//!     depends only on the graph and the parameters — it is the same in
-//!     every root's window that places it before that root's first refusal;
+//!     depends only on the graph — it is the same in every root's window
+//!     that places it before that root's first refusal;
 //!   - the nodes placed after the first refusal are the open ancestors of
 //!     the refused node, so the complete nodes are exactly a prefix of the
 //!     window: all of it, or the nodes placed before the first refusal;
 //!   - enumeration reads only the kind and fanins of a node, every write of
 //!     those stamps the slot and advances [`Aig::edit_clock`], and reference
 //!     counts (which the MFFC walks change) do not advance it.  So a stored
-//!     set is exact while the clock and the parameters have not moved, and
-//!     the store is flushed when either has.
+//!     set is exact while the clock has not moved, and the store is flushed
+//!     when it has.
 //!
 //! The cut sets live in one positional scratch ([`CutWindow`]: set `i`
-//! belongs to window node `i`, leaves in one flat buffer with stride
-//! `cut_size`, a 64-bit leaf signature per cut to reject oversized unions
+//! belongs to window node `i`, leaves in one flat buffer of [`CUT_SIZE`]
+//! slots per cut, a 64-bit leaf signature per cut to reject oversized unions
 //! before they are built, an epoch-stamped slot map that says whether the
 //! window holds a graph node and where), owned by the pass and reused
 //! across its nodes.  The sets of complete nodes stay in that buffer from
@@ -66,7 +66,6 @@
 //! not yet stored, and reads the others' sets where they lie.
 
 use elf_aig::{Aig, Cut, CutParams, NodeId};
-use elf_sop::MAX_VARS;
 
 use crate::build::{best_reading, build_expr, commit_replacement, Reading, SlotMap};
 use crate::cache::CutCache;
@@ -75,61 +74,26 @@ use crate::operator::{OpStats, PassScratch, PrunableOperator};
 /// Number of AND nodes of a root's fanin cone whose cuts are enumerated.
 const WINDOW: usize = 64;
 
-/// Parameters of the rewrite operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RewriteParams {
-    /// Maximum number of cut leaves (4 in the classic operator).
-    /// [`Rewrite::new`] clamps it to `2..=`[`elf_sop::MAX_VARS`]: a cut
-    /// function must fit a truth table, and a cut of an AND node has at
-    /// least its two fanins.
-    pub cut_size: usize,
-    /// Maximum number of cuts stored per node during enumeration.
-    pub cuts_per_node: usize,
-    /// Accept zero-gain rewrites.
-    pub zero_gain: bool,
-    /// Reject candidates that would increase the node's level.
-    pub preserve_level: bool,
-    /// Reconvergence-driven window used for classifier feature extraction
-    /// (the [`PrunableOperator`] hooks); it does not affect the cuts the
-    /// operator itself enumerates.
-    pub feature_cut: CutParams,
-}
+/// Maximum number of cut leaves (the classic operator's 4).
+const CUT_SIZE: usize = 4;
 
-impl Default for RewriteParams {
-    fn default() -> Self {
-        RewriteParams {
-            cut_size: 4,
-            cuts_per_node: 8,
-            zero_gain: false,
-            preserve_level: true,
-            feature_cut: CutParams::default(),
-        }
-    }
-}
+/// Maximum number of cuts a window node keeps.
+const CUTS_PER_NODE: usize = 8;
 
-/// The rewrite operator.
+/// The rewrite operator at ABC's defaults: cuts of up to four leaves, eight
+/// kept per node, and a rewrite committed only when it gains a node and does
+/// not raise the root's level.  Its feature window (the
+/// [`PrunableOperator`] hooks) is [`CutParams::default`]; it does not affect
+/// the cuts the operator itself enumerates.
 #[derive(Debug, Clone, Default)]
 pub struct Rewrite {
-    params: RewriteParams,
     cache: CutCache,
 }
 
 impl Rewrite {
-    /// Creates a rewrite operator with the given parameters, `cut_size`
-    /// clamped as documented on [`RewriteParams::cut_size`].
-    pub fn new(params: RewriteParams) -> Self {
-        Rewrite {
-            params: RewriteParams {
-                cut_size: params.cut_size.clamp(2, MAX_VARS),
-                ..params
-            },
-            cache: CutCache::disabled(),
-        }
-    }
-
-    /// Returns the operator's parameters.
-    pub fn params(&self) -> &RewriteParams {
-        &self.params
+    /// Creates a rewrite operator with a disabled cache.
+    pub fn new() -> Self {
+        Rewrite::default()
     }
 
     /// The factored-form cache consulted by resynthesis (disabled by
@@ -148,13 +112,12 @@ impl Rewrite {
     /// (as in [`CutCache::factor_both_into`]) offers for each of its cuts — the
     /// implementation of the cut function and, where worth weighing, of its
     /// complement — returning `Some(achieved_gain)` when a rewrite was
-    /// committed (zero for accepted zero-gain rewrites).
+    /// committed.
     fn rewrite_node(&self, aig: &mut Aig, node: NodeId, scratch: &mut PassScratch) -> Option<i64> {
-        let root_cuts = self.enumerate_cuts(aig, node, &mut scratch.window);
-        let level_bound = self.params.preserve_level.then(|| aig.level(node));
-        // Only a reading that gains at least one node (zero with
-        // `zero_gain`) is accepted.
-        let accepted = i64::from(!self.params.zero_gain);
+        let root_cuts = scratch.window.enumerate_cuts(aig, node);
+        let level_bound = aig.level(node);
+        // Only a reading that gains at least one node is accepted.
+        let accepted = 1;
         // The best reading so far; the form it reads is `best_form`.
         let mut best: Option<Reading> = None;
         for index in root_cuts {
@@ -170,8 +133,7 @@ impl Rewrite {
             // later cut wins only by gaining more than the best so far, and
             // the form is counted as it is written, up to where it loses.
             let floor = best.map_or(accepted, |best| best.gain + 1);
-            let bounds = (level_bound, floor, true);
-            let reading = best_reading(aig, &self.cache, scratch, saved, bounds);
+            let reading = best_reading(aig, &self.cache, scratch, saved, (level_bound, floor));
             aig.ref_mffc_bounded(node, &scratch.cut.leaves);
             if reading.is_some() {
                 best = reading;
@@ -183,127 +145,14 @@ impl Rewrite {
             build_expr(aig, best_form, &best.lits).complement_if(best.complemented)
         })
     }
-
-    /// Enumerates the k-feasible cuts rooted at `node` by merging fanin cuts
-    /// bottom-up within the node's window (see the module docs for the
-    /// contract) and returns where the root's set sits in `window.cuts`, the
-    /// root's trivial cut included.
-    fn enumerate_cuts(
-        &self,
-        aig: &Aig,
-        node: NodeId,
-        window: &mut CutWindow,
-    ) -> std::ops::Range<usize> {
-        let RewriteParams {
-            cut_size,
-            cuts_per_node,
-            ..
-        } = self.params;
-        // Stored sets are exact while the graph and the parameters they
-        // were merged under hold (module docs, "Complete nodes").
-        let key = (aig.edit_clock(), cut_size, cuts_per_node);
-        if window.store.key != Some(key) {
-            window.store.flush(aig, key);
-        }
-        window.local_cone(aig, node);
-        window.cuts.stride = cut_size;
-        window.merged.stride = cut_size;
-        window.sets.clear();
-        // The sets this root merges and cannot store follow the store's.
-        let mut end = window.store.end;
-        window.cuts.reserve(end);
-        for position in 0..window.cone.len() {
-            let id = window.cone[position];
-            let complete = position < window.complete;
-            let stored = if complete { window.store.set(id) } else { None };
-            if let Some(stored) = stored {
-                #[cfg(test)]
-                {
-                    window.served.0 += 1;
-                }
-                window.sets.push(stored);
-                continue;
-            }
-            let (f0, f1) = aig.fanins(id);
-            let set0 = window.fanin_set(f0.node(), 0);
-            let set1 = window.fanin_set(f1.node(), 1);
-            let CutWindow { cuts, merged, .. } = &mut *window;
-
-            // The node's candidates are its trivial cut and one union per
-            // pair, and no bucket outlives `cuts_per_node` of them.  Bucket
-            // `len - 1` holds the candidates of `len` leaves, `buckets[len - 1]`
-            // of them from `(len - 1) * capacity` in `merged`.
-            let capacity = cuts_per_node.min((set0.len() * set1.len()).saturating_add(1));
-            merged.reserve(cut_size * capacity);
-            cuts.reserve(end + capacity);
-            let mut buckets = [0usize; MAX_VARS];
-            if capacity > 0 {
-                merged.set(0, &[id]);
-                buckets[0] = 1;
-            }
-            for c0 in set0 {
-                for c1 in set1.clone() {
-                    let signature = cuts.signatures[c0] | cuts.signatures[c1];
-                    if signature.count_ones() as usize > cut_size {
-                        continue;
-                    }
-                    let mut union = [NodeId::CONST0; MAX_VARS];
-                    let mut len = cuts.lens[c0];
-                    union[..len].copy_from_slice(cuts.leaves(c0));
-                    let mut fits = true;
-                    for &leaf in cuts.leaves(c1) {
-                        if union[..len].contains(&leaf) {
-                            continue;
-                        }
-                        if len == cut_size {
-                            fits = false;
-                            break;
-                        }
-                        union[len] = leaf;
-                        len += 1;
-                    }
-                    let held = buckets[len - 1];
-                    if !fits || held == capacity {
-                        continue;
-                    }
-                    let bucket = (len - 1) * capacity;
-                    let union = &union[..len];
-                    if (bucket..bucket + held).any(|other| merged.leaves(other) == union) {
-                        continue;
-                    }
-                    merged.set(bucket + held, union);
-                    buckets[len - 1] += 1;
-                }
-            }
-
-            // Stable sort by length + truncation: the buckets in order.
-            let start = end;
-            for (bucket, &held) in buckets[..cut_size].iter().enumerate() {
-                let take = held.min(start + capacity - end);
-                cuts.copy_from(end, merged, bucket * capacity, take);
-                end += take;
-            }
-            window.sets.push(start..end);
-            if complete {
-                window.store.insert(id, start..end);
-            }
-        }
-        #[cfg(test)]
-        {
-            window.served.1 += window.cone.len();
-        }
-        let root = window.cone.len().checked_sub(1);
-        root.map_or(0..0, |root| window.set(root))
-    }
 }
 
-/// A list of cuts in flat buffers: cut `i` owns `stride` slots of `leaves`
-/// from `i * stride`, of which the first `lens[i]` are its leaves in union
-/// order, and `signatures[i]` has bit `id & 63` set for every leaf `id`.
+/// A list of cuts in flat buffers: cut `i` owns `leaves[i]`, of which the
+/// first `lens[i]` are its leaves in union order, and `signatures[i]` has
+/// bit `id & 63` set for every leaf `id`.
 #[derive(Debug, Default)]
 struct CutList {
-    stride: usize,
-    leaves: Vec<NodeId>,
+    leaves: Vec<[NodeId; CUT_SIZE]>,
     lens: Vec<usize>,
     signatures: Vec<u64>,
 }
@@ -313,20 +162,18 @@ impl CutList {
     /// allocating once it has met its largest window.
     fn reserve(&mut self, cuts: usize) {
         if self.lens.len() < cuts {
+            self.leaves.resize(cuts, [NodeId::CONST0; CUT_SIZE]);
             self.lens.resize(cuts, 0);
             self.signatures.resize(cuts, 0);
-        }
-        if self.leaves.len() < cuts * self.stride {
-            self.leaves.resize(cuts * self.stride, NodeId::CONST0);
         }
     }
 
     fn leaves(&self, cut: usize) -> &[NodeId] {
-        &self.leaves[cut * self.stride..][..self.lens[cut]]
+        &self.leaves[cut][..self.lens[cut]]
     }
 
     fn set(&mut self, cut: usize, leaves: &[NodeId]) {
-        self.leaves[cut * self.stride..][..leaves.len()].copy_from_slice(leaves);
+        self.leaves[cut][..leaves.len()].copy_from_slice(leaves);
         self.lens[cut] = leaves.len();
         self.signatures[cut] = leaves
             .iter()
@@ -335,9 +182,7 @@ impl CutList {
 
     /// Copies `count` consecutive cuts of `other`, from `from`, to `to`.
     fn copy_from(&mut self, to: usize, other: &CutList, from: usize, count: usize) {
-        let stride = self.stride;
-        self.leaves[to * stride..][..count * stride]
-            .copy_from_slice(&other.leaves[from * stride..][..count * stride]);
+        self.leaves[to..to + count].copy_from_slice(&other.leaves[from..from + count]);
         self.lens[to..to + count].copy_from_slice(&other.lens[from..from + count]);
         self.signatures[to..to + count].copy_from_slice(&other.signatures[from..from + count]);
     }
@@ -350,9 +195,9 @@ impl CutList {
 /// the sets a root stores extend that run.
 #[derive(Debug, Default)]
 struct CutStore {
-    /// The edit clock, `cut_size` and `cuts_per_node` the sets were merged
-    /// under; `None` before the first enumeration.
-    key: Option<(u64, usize, usize)>,
+    /// The edit clock the sets were merged under; `None` before the first
+    /// enumeration.
+    clock: Option<u64>,
     end: usize,
     sets: Vec<std::ops::Range<usize>>,
     /// The index in `sets` of each stored node's set.
@@ -360,9 +205,10 @@ struct CutStore {
 }
 
 impl CutStore {
-    /// Forgets every set; the ones stored from now on are merged under `key`.
-    fn flush(&mut self, aig: &Aig, key: (u64, usize, usize)) {
-        self.key = Some(key);
+    /// Forgets every set; the ones stored from now on are merged under the
+    /// graph's current edit clock.
+    fn flush(&mut self, aig: &Aig) {
+        self.clock = Some(aig.edit_clock());
         // Cuts 0 and 1 are spare: the trivial cut of a fanin outside the window.
         self.end = 2;
         self.sets.clear();
@@ -457,6 +303,103 @@ impl CutWindow {
         self.complete = complete.unwrap_or(cone.len());
     }
 
+    /// Enumerates the k-feasible cuts rooted at `node` by merging fanin cuts
+    /// bottom-up within the node's window (see the module docs for the
+    /// contract) and returns where the root's set sits in `cuts`, the
+    /// root's trivial cut included.
+    fn enumerate_cuts(&mut self, aig: &Aig, node: NodeId) -> std::ops::Range<usize> {
+        // Stored sets are exact while the graph they were merged on holds
+        // (module docs, "Complete nodes").
+        if self.store.clock != Some(aig.edit_clock()) {
+            self.store.flush(aig);
+        }
+        self.local_cone(aig, node);
+        self.sets.clear();
+        // The sets this root merges and cannot store follow the store's.
+        let mut end = self.store.end;
+        self.cuts.reserve(end);
+        for position in 0..self.cone.len() {
+            let id = self.cone[position];
+            let complete = position < self.complete;
+            let stored = if complete { self.store.set(id) } else { None };
+            if let Some(stored) = stored {
+                #[cfg(test)]
+                {
+                    self.served.0 += 1;
+                }
+                self.sets.push(stored);
+                continue;
+            }
+            let (f0, f1) = aig.fanins(id);
+            let set0 = self.fanin_set(f0.node(), 0);
+            let set1 = self.fanin_set(f1.node(), 1);
+            let CutWindow { cuts, merged, .. } = &mut *self;
+
+            // The node's candidates are its trivial cut and one union per
+            // pair, and no bucket outlives `CUTS_PER_NODE` of them.  Bucket
+            // `len - 1` holds the candidates of `len` leaves, `buckets[len - 1]`
+            // of them from `(len - 1) * capacity` in `merged`.
+            let capacity = CUTS_PER_NODE.min((set0.len() * set1.len()).saturating_add(1));
+            merged.reserve(CUT_SIZE * capacity);
+            cuts.reserve(end + capacity);
+            let mut buckets = [0usize; CUT_SIZE];
+            merged.set(0, &[id]);
+            buckets[0] = 1;
+            for c0 in set0 {
+                for c1 in set1.clone() {
+                    let signature = cuts.signatures[c0] | cuts.signatures[c1];
+                    if signature.count_ones() as usize > CUT_SIZE {
+                        continue;
+                    }
+                    let mut union = [NodeId::CONST0; CUT_SIZE];
+                    let mut len = cuts.lens[c0];
+                    union[..len].copy_from_slice(cuts.leaves(c0));
+                    let mut fits = true;
+                    for &leaf in cuts.leaves(c1) {
+                        if union[..len].contains(&leaf) {
+                            continue;
+                        }
+                        if len == CUT_SIZE {
+                            fits = false;
+                            break;
+                        }
+                        union[len] = leaf;
+                        len += 1;
+                    }
+                    let held = buckets[len - 1];
+                    if !fits || held == capacity {
+                        continue;
+                    }
+                    let bucket = (len - 1) * capacity;
+                    let union = &union[..len];
+                    if (bucket..bucket + held).any(|other| merged.leaves(other) == union) {
+                        continue;
+                    }
+                    merged.set(bucket + held, union);
+                    buckets[len - 1] += 1;
+                }
+            }
+
+            // Stable sort by length + truncation: the buckets in order.
+            let start = end;
+            for (bucket, &held) in buckets.iter().enumerate() {
+                let take = held.min(start + capacity - end);
+                cuts.copy_from(end, merged, bucket * capacity, take);
+                end += take;
+            }
+            self.sets.push(start..end);
+            if complete {
+                self.store.insert(id, start..end);
+            }
+        }
+        #[cfg(test)]
+        {
+            self.served.1 += self.cone.len();
+        }
+        let root = self.cone.len().checked_sub(1);
+        root.map_or(0..0, |root| self.set(root))
+    }
+
     /// Where the cut set of window node `position` sits in `cuts`.
     fn set(&self, position: usize) -> std::ops::Range<usize> {
         self.sets[position].clone()
@@ -507,7 +450,7 @@ impl PrunableOperator for Rewrite {
     const RESYNTHESIZES_WINDOW: bool = false;
 
     fn feature_cut_params(&self) -> CutParams {
-        self.params.feature_cut
+        CutParams::default()
     }
 
     fn set_cut_cache(&mut self, cache: CutCache) {
@@ -540,7 +483,7 @@ mod tests {
     /// The oracle: `enumerate_cuts` as it was before the positional window
     /// (cut sets as `Vec<Vec<NodeId>>` behind a linear `find`, one fresh
     /// `Vec` per union), kept verbatim with its two helpers.
-    fn enumerate_cuts_oracle(rewrite: &Rewrite, aig: &Aig, node: NodeId) -> Vec<Cut> {
+    fn enumerate_cuts_oracle(aig: &Aig, node: NodeId) -> Vec<Cut> {
         // Restrict enumeration to the local cone to keep the pass fast.
         let cone = local_cone_oracle(aig, node, 64);
         let mut cut_sets: Vec<(NodeId, Vec<Vec<NodeId>>)> = Vec::with_capacity(cone.len());
@@ -563,13 +506,13 @@ mod tests {
                             union.push(leaf);
                         }
                     }
-                    if union.len() <= rewrite.params.cut_size && !merged.contains(&union) {
+                    if union.len() <= CUT_SIZE && !merged.contains(&union) {
                         merged.push(union);
                     }
                 }
             }
             merged.sort_by_key(Vec::len);
-            merged.truncate(rewrite.params.cuts_per_node);
+            merged.truncate(CUTS_PER_NODE);
             cut_sets.push((id, merged));
         }
         let root_cuts = find(&cut_sets, node);
@@ -641,7 +584,7 @@ mod tests {
         node: NodeId,
         try_complement: bool,
     ) -> Option<i64> {
-        let cuts = enumerate_cuts_oracle(rewrite, aig, node);
+        let cuts = enumerate_cuts_oracle(aig, node);
         let root_level = aig.level(node);
         let mut best: Option<(Cut, FactoredForm, bool, i64)> = None;
         for cut in cuts {
@@ -656,7 +599,7 @@ mod tests {
                 std::iter::once((rewrite.cache.factor(&truth), false)).chain(complement);
             for (expr, complemented) in candidates {
                 let cost = count_new_nodes(aig, &expr, &leaf_lits, Some(node));
-                if rewrite.params.preserve_level && cost.level > root_level {
+                if cost.level > root_level {
                     continue;
                 }
                 let gain = saved - cost.new_nodes as i64;
@@ -667,8 +610,7 @@ mod tests {
             aig.ref_mffc_bounded(node, &cut.leaves);
         }
         let (cut, expr, complemented, gain) = best?;
-        let accept = gain > 0 || (rewrite.params.zero_gain && gain >= 0);
-        if !accept {
+        if gain <= 0 {
             return None;
         }
         let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| l.lit()).collect();
@@ -679,20 +621,15 @@ mod tests {
 
     /// The cuts the operator weighs at `node`, as the oracle lists them,
     /// enumerated through a fresh window (its store cold).
-    fn enumerated(rewrite: &Rewrite, aig: &Aig, node: NodeId) -> Vec<Cut> {
-        enumerated_in(rewrite, aig, node, &mut CutWindow::default())
+    fn enumerated(aig: &Aig, node: NodeId) -> Vec<Cut> {
+        enumerated_in(aig, node, &mut CutWindow::default())
     }
 
     /// [`enumerated`] through the caller's window, whose store may hold the
     /// sets of earlier enumerations.
-    fn enumerated_in(
-        rewrite: &Rewrite,
-        aig: &Aig,
-        node: NodeId,
-        window: &mut CutWindow,
-    ) -> Vec<Cut> {
+    fn enumerated_in(aig: &Aig, node: NodeId, window: &mut CutWindow) -> Vec<Cut> {
         let mut cuts = Vec::new();
-        for index in rewrite.enumerate_cuts(aig, node, window) {
+        for index in window.enumerate_cuts(aig, node) {
             if window.cuts.leaves(index) == [node] {
                 continue;
             }
@@ -707,17 +644,17 @@ mod tests {
     /// through a fresh window, then all through one window kept across them
     /// as a pass keeps it, in arena order and then in reverse.  Returns the
     /// first node that differs and whether its window was fresh or kept.
-    fn oracle_mismatch(rewrite: &Rewrite, aig: &Aig) -> Option<(NodeId, &'static str)> {
+    fn oracle_mismatch(aig: &Aig) -> Option<(NodeId, &'static str)> {
         let nodes: Vec<NodeId> = aig.and_ids().collect();
         let oracle: Vec<Vec<Cut>> = nodes
             .iter()
-            .map(|&node| enumerate_cuts_oracle(rewrite, aig, node))
+            .map(|&node| enumerate_cuts_oracle(aig, node))
             .collect();
-        let fresh = (0..nodes.len()).find(|&i| enumerated(rewrite, aig, nodes[i]) != oracle[i]);
+        let fresh = (0..nodes.len()).find(|&i| enumerated(aig, nodes[i]) != oracle[i]);
         let mut window = CutWindow::default();
         let mut kept = (0..nodes.len())
             .chain((0..nodes.len()).rev())
-            .filter(|&i| enumerated_in(rewrite, aig, nodes[i], &mut window) != oracle[i]);
+            .filter(|&i| enumerated_in(aig, nodes[i], &mut window) != oracle[i]);
         let fresh = fresh.map(|i| (nodes[i], "fresh"));
         fresh.or_else(|| kept.next().map(|i| (nodes[i], "kept")))
     }
@@ -765,7 +702,7 @@ mod tests {
         let mut aig = redundant_circuit();
         let golden = aig.clone();
         let before = aig.num_reachable_ands();
-        let stats = Rewrite::new(RewriteParams::default()).run(&mut aig);
+        let stats = Rewrite::new().run(&mut aig);
         let after = aig.num_reachable_ands();
         assert!(stats.total_gain >= 1, "stats: {stats:?}");
         assert!(after < before);
@@ -788,31 +725,16 @@ mod tests {
         assert_eq!(aig.num_ands(), before);
     }
 
-    #[test]
-    fn zero_gain_recording_labels_match_commit_stats() {
-        let mut aig = redundant_circuit();
-        let op = Rewrite::new(RewriteParams {
-            zero_gain: true,
-            ..Default::default()
-        });
-        let (stats, samples) = op.run_recording(&mut aig);
-        let committed = samples.iter().filter(|s| s.committed).count();
-        assert_eq!(committed, stats.cuts_committed);
-        assert!(aig.check_invariants().is_empty());
-    }
-
     proptest::proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Reading the representative's form, and weighing the complement
         /// only where `factor_both_into` returns a second reading, lands on
         /// the network the operator reached when it factored and evaluated
-        /// both polarities of every cut — node for node, cache on and off,
-        /// with and without zero-gain commits.
+        /// both polarities of every cut — node for node, cache on and off.
         #[test]
         fn pass_matches_evaluating_both_polarities_of_every_cut(
             script in elf_circuits::script_strategy(36),
-            zero_gain in any::<bool>(),
             cached in any::<bool>(),
         ) {
             let cache_config = if cached {
@@ -820,7 +742,7 @@ mod tests {
             } else {
                 crate::CutCacheConfig::disabled()
             };
-            let mut operator = Rewrite::new(RewriteParams { zero_gain, ..Default::default() });
+            let mut operator = Rewrite::new();
             operator.set_cut_cache(CutCache::new(cache_config));
             let mut aig = elf_circuits::scripted_circuit(6, &script);
             let mut twin = aig.clone();
@@ -837,17 +759,12 @@ mod tests {
 
         /// The positional window lists the cuts the `Vec`-of-`Vec`s oracle
         /// lists — same cuts, same leaf order, same sequence, same cones —
-        /// at every node, for every cut width and every truncation, whether
-        /// its store is cold or warm from the other roots.
+        /// at every node, whether its store is cold or warm from the other
+        /// roots.
         #[test]
-        fn enumeration_matches_the_oracle_cut_for_cut(
-            script in elf_circuits::script_strategy(40),
-            cut_size in 2usize..=6,
-            cuts_per_node in 1usize..=12,
-        ) {
-            let rewrite = Rewrite::new(RewriteParams { cut_size, cuts_per_node, ..Default::default() });
+        fn enumeration_matches_the_oracle_cut_for_cut(script in elf_circuits::script_strategy(40)) {
             let aig = elf_circuits::scripted_circuit(6, &script);
-            prop_assert_eq!(oracle_mismatch(&rewrite, &aig), None);
+            prop_assert_eq!(oracle_mismatch(&aig), None);
         }
     }
 
@@ -857,10 +774,9 @@ mod tests {
     #[test]
     fn an_edit_flushes_the_store() {
         let mut aig = elf_circuits::epfl::multiplier(Scale::Tiny);
-        let rewrite = Rewrite::default();
         let mut window = CutWindow::default();
         for node in aig.and_ids() {
-            enumerated_in(&rewrite, &aig, node, &mut window);
+            enumerated_in(&aig, node, &mut window);
         }
         // Down an output's deepest fanins to a node of level 2; the root two
         // levels above it is complete in its window, so its set is stored.
@@ -877,16 +793,16 @@ mod tests {
             path.push(deeper(&aig, id).node());
         }
         let (edited_node, root) = (path[path.len() - 1], path[path.len() - 3]);
-        let listed = enumerated_in(&rewrite, &aig, root, &mut window);
+        let listed = enumerated_in(&aig, root, &mut window);
         let replacement = deeper(&aig, edited_node);
         aig.replace(edited_node, replacement);
-        let edited = enumerated_in(&rewrite, &aig, root, &mut window);
+        let edited = enumerated_in(&aig, root, &mut window);
         assert_ne!(edited, listed, "the edit changes the root's cuts");
-        assert_eq!(edited, enumerate_cuts_oracle(&rewrite, &aig, root));
+        assert_eq!(edited, enumerate_cuts_oracle(&aig, root));
         for node in aig.and_ids() {
             assert_eq!(
-                enumerated_in(&rewrite, &aig, node, &mut window),
-                enumerate_cuts_oracle(&rewrite, &aig, node),
+                enumerated_in(&aig, node, &mut window),
+                enumerate_cuts_oracle(&aig, node),
                 "{node:?}"
             );
         }
@@ -932,20 +848,7 @@ mod tests {
             "{truncated} of {}",
             nodes.len()
         );
-        for cut_size in 2..=6 {
-            for cuts_per_node in [1, 2, 5, 8, 12] {
-                let rewrite = Rewrite::new(RewriteParams {
-                    cut_size,
-                    cuts_per_node,
-                    ..Default::default()
-                });
-                assert_eq!(
-                    oracle_mismatch(&rewrite, &aig),
-                    None,
-                    "cut_size {cut_size}, cuts_per_node {cuts_per_node}"
-                );
-            }
-        }
+        assert_eq!(oracle_mismatch(&aig), None);
     }
 
     /// Runs the operator on `aig` and the oracle step on a copy and expects
@@ -983,82 +886,31 @@ mod tests {
         assert!(committed > 0);
     }
 
-    /// `[a, b, c]` and `[a, c, b]` are two cuts: a union keeps the order its
+    /// `[p, c, b]` and `[b, c, p]` are two cuts: a union keeps the order its
     /// leaves were met in, and only an identical list is a duplicate.
     #[test]
     fn union_dedup_is_order_sensitive() {
         let mut aig = Aig::new();
-        let [a, c] = [aig.add_input(), aig.add_input()];
-        let b = aig.and(a, c);
-        let p = aig.and(a, b);
-        let q = aig.and(!b, c);
-        let r = aig.and(p, q);
+        let [b, c] = [aig.add_input(), aig.add_input()];
+        let p = aig.and(!b, !c);
+        let q = aig.and(p, !c);
+        let r = aig.and(!q, p);
         aig.add_output(r);
-        let rewrite = Rewrite::new(RewriteParams {
-            cuts_per_node: 12,
-            ..Default::default()
-        });
-        let cuts = enumerated(&rewrite, &aig, r.node());
-        assert_eq!(cuts, enumerate_cuts_oracle(&rewrite, &aig, r.node()));
+        let cuts = enumerated(&aig, r.node());
+        assert_eq!(cuts, enumerate_cuts_oracle(&aig, r.node()));
         let leaves: Vec<&[NodeId]> = cuts.iter().map(|cut| cut.leaves.as_slice()).collect();
-        let [a, b, c, p, q] = [a, b, c, p, q].map(Lit::node);
+        let [b, c, p, q] = [b, c, p, q].map(Lit::node);
         assert_eq!(
             leaves,
             [
                 &[p, q][..],
-                &[a, c],
+                &[p, c],
+                &[b, c],
                 &[p, c, b],
-                &[p, c, a],
-                &[a, b, q],
-                &[a, b, c],
-                &[a, c, q],
-                &[a, c, b],
+                &[b, c, q],
+                &[b, c, p]
             ]
         );
-    }
-
-    /// `cuts_per_node` sizes nothing up front: storage follows the cuts a
-    /// window really has, so "keep nothing" and "keep everything" both run.
-    #[test]
-    fn cuts_per_node_extremes_match_the_oracle() {
-        let aig = redundant_circuit();
-        for cuts_per_node in [0, usize::MAX] {
-            let rewrite = Rewrite::new(RewriteParams {
-                cuts_per_node,
-                ..Default::default()
-            });
-            for node in aig.and_ids() {
-                let cuts = enumerated(&rewrite, &aig, node);
-                assert_eq!(cuts, enumerate_cuts_oracle(&rewrite, &aig, node));
-                assert_eq!(cuts.is_empty(), cuts_per_node == 0);
-            }
-        }
-    }
-
-    #[test]
-    fn cut_size_is_clamped_to_what_a_truth_table_holds() {
-        for (requested, clamped) in [
-            (0, 2),
-            (1, 2),
-            (4, 4),
-            (17, MAX_VARS),
-            (usize::MAX, MAX_VARS),
-        ] {
-            let rewrite = Rewrite::new(RewriteParams {
-                cut_size: requested,
-                ..Default::default()
-            });
-            assert_eq!(rewrite.params().cut_size, clamped);
-            let mut aig = elf_circuits::epfl::squarer(Scale::Tiny);
-            let golden = aig.clone();
-            rewrite.run(&mut aig);
-            assert_eq!(
-                check_equivalence(&golden, &aig, 8, 17),
-                EquivalenceResult::Equivalent,
-                "cut_size {requested}"
-            );
-            assert!(aig.check_invariants().is_empty());
-        }
     }
 
     #[test]
@@ -1101,14 +953,10 @@ mod tests {
         let inputs = aig.add_inputs(6);
         let f = aig.and_many(&inputs);
         aig.add_output(f);
-        let rewrite = Rewrite::new(RewriteParams {
-            cut_size: 4,
-            ..Default::default()
-        });
-        let cuts = enumerated(&rewrite, &aig, f.node());
+        let cuts = enumerated(&aig, f.node());
         assert!(!cuts.is_empty());
         for cut in &cuts {
-            assert!(cut.num_leaves() <= 4);
+            assert!(cut.num_leaves() <= CUT_SIZE);
             assert_eq!(cut.root, f.node());
         }
     }

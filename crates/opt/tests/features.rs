@@ -85,7 +85,7 @@ fn churn(aig: &mut Aig) {
     };
     Refactor::new(zero_gain).run(aig);
     Rewrite::default().run(aig);
-    Resubstitution::default().run(aig);
+    Resubstitution.run(aig);
 }
 
 proptest! {

@@ -52,7 +52,7 @@ proptest! {
     fn parallel_feature_collection_is_byte_identical(script in script_strategy(40)) {
         check_operator(&Refactor::default(), scripted_circuit(6, &script));
         check_operator(&Rewrite::default(), scripted_circuit(6, &script));
-        check_operator(&Resubstitution::default(), scripted_circuit(6, &script));
+        check_operator(&Resubstitution, scripted_circuit(6, &script));
     }
 
     /// The same contract holds for arbitrary cut parameters (not just each

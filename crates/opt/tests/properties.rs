@@ -1,9 +1,7 @@
 //! Property-based tests: every optimization operator must preserve the
 //! function of the network and never increase the reachable node count.
 
-use std::collections::HashMap;
-
-use elf_aig::{check_equivalence, Aig, Cut, CutFeatures, EquivalenceResult, Lit, NodeId};
+use elf_aig::{check_equivalence, Aig, Cut, EquivalenceResult, Lit, NodeId};
 use elf_circuits::{script_strategy, scripted_circuit};
 use elf_opt::{
     build_expr, count_new_nodes, cut_truth_table, CutCache, CutCacheConfig, OpStats,
@@ -13,7 +11,7 @@ use elf_par::Parallelism;
 use proptest::prelude::*;
 
 /// A deterministic pseudo-random keep/prune decision derived from the node id
-/// and a proptest-chosen mask, so filtered runs are reproducible.
+/// and a proptest-chosen mask, so pruned runs are reproducible.
 fn pseudo_random_keep(node: NodeId, mask: u64) -> bool {
     let mut x = node.index() as u64 ^ mask;
     x ^= x >> 33;
@@ -22,13 +20,15 @@ fn pseudo_random_keep(node: NodeId, mask: u64) -> bool {
     x & 1 == 0
 }
 
-/// Runs `operator` with a pseudo-random prune filter and checks that the
-/// result is combinationally equivalent to the input and structurally sound.
-fn check_filtered_run<O: PrunableOperator>(operator: &O, mut aig: Aig, mask: u64, sim_seed: u64) {
+/// Runs `operator` keeping a pseudo-random subset of the swept nodes and
+/// checks that the result is combinationally equivalent to the input and
+/// structurally sound.
+fn check_pruned_run<O: PrunableOperator>(operator: &O, mut aig: Aig, mask: u64, sim_seed: u64) {
     let golden = aig.clone();
     let before = aig.num_reachable_ands();
-    let stats = operator.run_with_filter(&mut aig, &mut |node: NodeId, _: &CutFeatures| {
-        pseudo_random_keep(node, mask)
+    let stats = operator.run_batched(&mut aig, Parallelism::sequential(), |rows| {
+        let keep = |&(node, _): &_| pseudo_random_keep(node, mask);
+        rows.iter().map(keep).collect()
     });
     assert!(aig.num_reachable_ands() <= before);
     assert_eq!(
@@ -50,6 +50,8 @@ fn check_filtered_run<O: PrunableOperator>(operator: &O, mut aig: Aig, mask: u64
 /// `CutCache::factor_both`: both polarities of every cut are factored on
 /// their own and both are gain-evaluated.  Public API only; the reference
 /// the operator is pinned against, node for node.
+/// Like the operator, it rejects a candidate that would raise the root's
+/// level.
 fn refactor_evaluating_both_polarities(aig: &mut Aig, params: &RefactorParams, cache: &CutCache) {
     let targets: Vec<_> = aig.and_ids().map(|id| aig.token(id)).collect();
     let mut cut = Cut::empty();
@@ -73,7 +75,7 @@ fn refactor_evaluating_both_polarities(aig: &mut Aig, params: &RefactorParams, c
         let mut best: Option<(usize, i64)> = None;
         for (index, (expr, _)) in candidates.iter().enumerate() {
             let cost = count_new_nodes(aig, expr, &leaf_lits, Some(node));
-            if params.preserve_level && cost.level > root_level {
+            if cost.level > root_level {
                 continue;
             }
             let gain = saved - cost.new_nodes as i64;
@@ -127,40 +129,40 @@ fn outcome(aig: &Aig, stats: &OpStats) -> (Structure, OpStats) {
 }
 
 /// Runs `operator` on copies of `source` plainly and through every driver
-/// policy that ends up keeping every node — an always-true filter, the
-/// recording pass, a batch that keeps everything — and asserts each twin
-/// equals the plain pass.
+/// policy that ends up keeping every node — a batch that keeps everything,
+/// the recording pass — and asserts each twin equals the plain pass.
 fn check_keep_all_policies<O: PrunableOperator>(operator: &O, source: &Aig) {
     let mut plain = source.clone();
     let plain_stats = operator.run(&mut plain);
     assert_eq!(plain_stats.cuts_pruned, 0);
     let expected = outcome(&plain, &plain_stats);
 
-    let mut filtered = source.clone();
-    let mut visited = Vec::new();
-    let stats = operator.run_with_filter(&mut filtered, &mut |node, _: &CutFeatures| {
-        visited.push(node);
-        true
-    });
-    assert_eq!(&outcome(&filtered, &stats), &expected, "{} filter", O::NAME);
-    assert_eq!(visited.len(), plain_stats.nodes_visited);
-
-    // The recording pass labels exactly the nodes a pass visits, in order,
-    // and labels as committed exactly as many as it committed.
-    let mut recorded = source.clone();
-    let (stats, samples) = operator.run_recording(&mut recorded);
-    assert_eq!(&outcome(&recorded, &stats), &expected, "{} record", O::NAME);
-    let labelled: Vec<NodeId> = samples.iter().map(|sample| sample.node).collect();
-    assert_eq!(labelled, visited);
-    let committed = samples.iter().filter(|sample| sample.committed).count();
-    assert_eq!(committed, plain_stats.cuts_committed);
-
     let mut batched = source.clone();
+    let mut swept = Vec::new();
     let stats = operator.run_batched(&mut batched, Parallelism::sequential(), |rows| {
+        swept.extend(rows.iter().map(|&(node, _)| node));
         vec![true; rows.len()]
     });
     assert_eq!(&outcome(&batched, &stats), &expected, "{} batch", O::NAME);
     assert!(stats.windows_reused <= stats.cuts_resynthesized);
+
+    // The recording pass labels as many nodes as a pass visits, in the order
+    // the sweep lists them, and labels as committed exactly as many as it
+    // committed.
+    let mut recorded = source.clone();
+    let (stats, samples) = operator.run_recording(&mut recorded);
+    assert_eq!(&outcome(&recorded, &stats), &expected, "{} record", O::NAME);
+    assert_eq!(samples.len(), plain_stats.nodes_visited);
+    let mut sweep_order = swept.iter();
+    assert!(
+        samples
+            .iter()
+            .all(|sample| sweep_order.any(|&node| node == sample.node)),
+        "{} record",
+        O::NAME
+    );
+    let committed = samples.iter().filter(|sample| sample.committed).count();
+    assert_eq!(committed, plain_stats.cuts_committed);
 }
 
 /// `Elf` around `operator` with a keep-everything classifier equals the
@@ -191,27 +193,59 @@ fn check_keep_all_elf<O: PrunableOperator + Clone>(operator: &O, source: &Aig) {
     );
 }
 
+/// The filtered twin of a batched pass: the live, referenced AND nodes in
+/// arena order under a token guard of its own, each pruned or kept as
+/// `keep` says, and each kept one resynthesized by a batch of its own that
+/// keeps it alone — whose sweep formed its window on the graph as it is
+/// then, so no window it is handed was formed before an earlier commit.
+fn filtered_twin<O: PrunableOperator>(
+    operator: &O,
+    aig: &mut Aig,
+    keep: impl Fn(NodeId) -> bool,
+) -> OpStats {
+    let mut stats = OpStats::default();
+    let live = aig.and_ids().filter(|&id| aig.refs(id) > 0);
+    let targets: Vec<_> = live.map(|id| aig.token(id)).collect();
+    for token in targets {
+        let node = token.id();
+        if !aig.token_is_current(token) || aig.refs(node) == 0 {
+            continue;
+        }
+        stats.nodes_visited += 1;
+        stats.cuts_formed += 1;
+        if !keep(node) {
+            stats.cuts_pruned += 1;
+            continue;
+        }
+        let alone = operator.run_batched(aig, Parallelism::sequential(), |rows| {
+            rows.iter().map(|&(id, _)| id == node).collect()
+        });
+        assert_eq!(alone.cuts_resynthesized, 1);
+        stats.cuts_resynthesized += 1;
+        stats.cuts_committed += alone.cuts_committed;
+        stats.total_gain += alone.total_gain;
+    }
+    stats
+}
+
 /// The batched entry — the sweep's unedited windows handed to the kept
-/// nodes — against a filtered pass whose callback ignores the features and
-/// looks each node up in the decisions the batch made: the same network node
-/// for node, the same counters but the clock and the reused windows, at 1, 2
-/// and 4 workers.  Returns the windows the batch reused at one worker.
+/// nodes — against its [`filtered_twin`] given the same decisions: the same
+/// network node for node, the same counters but the clock and the reused
+/// windows, at 1, 2 and 4 workers.  Returns the windows the batch reused at
+/// one worker.
 fn check_batched_against_filter<O: PrunableOperator>(
     operator: &O,
     source: &Aig,
     keep: impl Fn(NodeId) -> bool,
 ) -> usize {
+    let mut filtered = source.clone();
+    let twin = filtered_twin(operator, &mut filtered, &keep);
     let mut reused = Vec::new();
     for threads in [1, 2, 4] {
-        let mut decisions = HashMap::new();
         let mut batched = source.clone();
         let stats = operator.run_batched(&mut batched, Parallelism::threads(threads), |rows| {
-            decisions.extend(rows.iter().map(|&(node, _)| (node, keep(node))));
             rows.iter().map(|&(node, _)| keep(node)).collect()
         });
-        let mut filtered = source.clone();
-        let twin =
-            operator.run_with_filter(&mut filtered, &mut |node, _: &CutFeatures| decisions[&node]);
         assert_eq!(
             outcome(&batched, &stats),
             outcome(&filtered, &twin),
@@ -350,7 +384,7 @@ proptest! {
         let mut aig = scripted_circuit(5, &script);
         let golden = aig.clone();
         let before = aig.num_reachable_ands();
-        let _ = Resubstitution::default().run(&mut aig);
+        let _ = Resubstitution.run(&mut aig);
         prop_assert!(aig.num_reachable_ands() <= before);
         prop_assert!(aig.check_invariants().is_empty());
         prop_assert_eq!(
@@ -360,7 +394,7 @@ proptest! {
     }
 
     /// Every prunable operator preserves combinational equivalence when an
-    /// arbitrary (pseudo-random) subset of nodes is pruned by a filter —
+    /// arbitrary (pseudo-random) subset of nodes is pruned —
     /// the soundness contract the ELF classifier relies on: *which* cuts are
     /// kept can never change the circuit's function.
     #[test]
@@ -368,12 +402,12 @@ proptest! {
         script in script_strategy(30),
         mask in any::<u64>(),
     ) {
-        check_filtered_run(&Refactor::default(), scripted_circuit(5, &script), mask, 51);
-        check_filtered_run(&Rewrite::default(), scripted_circuit(5, &script), mask, 52);
-        check_filtered_run(&Resubstitution::default(), scripted_circuit(5, &script), mask, 53);
+        check_pruned_run(&Refactor::default(), scripted_circuit(5, &script), mask, 51);
+        check_pruned_run(&Rewrite::default(), scripted_circuit(5, &script), mask, 52);
+        check_pruned_run(&Resubstitution, scripted_circuit(5, &script), mask, 53);
     }
 
-    /// A batch with windows reused equals the filtered pass given the same
+    /// A batch with windows reused equals the filtered twin given the same
     /// decisions, for every operator, random decision sets and 1/2/4
     /// workers — commits free and recycle slots inside later windows, and
     /// reordered fanout lists feed the next windows' features.
@@ -386,7 +420,7 @@ proptest! {
         let keep = |node: NodeId| pseudo_random_keep(node, mask) || mask & 1 == 0;
         check_batched_against_filter(&Refactor::default(), &source, keep);
         check_batched_against_filter(&Rewrite::default(), &source, keep);
-        check_batched_against_filter(&Resubstitution::default(), &source, keep);
+        check_batched_against_filter(&Resubstitution, &source, keep);
     }
 
     /// Keeping every node is a no-op wrapper, for every operator and every
@@ -397,7 +431,7 @@ proptest! {
         let source = scripted_circuit(5, &script);
         check_keep_all_policies(&Refactor::default(), &source);
         check_keep_all_policies(&Rewrite::default(), &source);
-        check_keep_all_policies(&Resubstitution::default(), &source);
+        check_keep_all_policies(&Resubstitution, &source);
     }
 
     /// `Elf<O>` with an always-keep classifier (threshold 0) commits exactly
@@ -410,7 +444,7 @@ proptest! {
         let source = scripted_circuit(5, &script);
         check_keep_all_elf(&Rewrite::default(), &source);
         check_keep_all_elf(&Refactor::default(), &source);
-        check_keep_all_elf(&Resubstitution::default(), &source);
+        check_keep_all_elf(&Resubstitution, &source);
     }
 
     /// Chaining refactor twice (the paper's "ELF x 2" setting applied to the

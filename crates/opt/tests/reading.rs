@@ -109,7 +109,7 @@ proptest! {
         script in script_strategy(40),
         picks in prop::collection::vec((any::<usize>(), 3usize..=10, 0usize..3), 1..6),
     ) {
-        let mut aig = scripted_circuit(6, &script);
+        let aig = scripted_circuit(6, &script);
         let nodes: Vec<NodeId> = aig.and_ids().filter(|&id| aig.refs(id) > 0).collect();
         for &(pick, max_leaves, deref) in &picks {
             let Some(&root) = nodes.get(pick % nodes.len().max(1)) else { break };

@@ -17,7 +17,7 @@ fn churn_pass(aig: &mut Aig) {
     };
     let _ = Refactor::new(params).run(aig);
     let _ = Rewrite::default().run(aig);
-    let _ = Resubstitution::default().run(aig);
+    let _ = Resubstitution.run(aig);
 }
 
 proptest! {

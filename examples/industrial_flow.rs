@@ -12,7 +12,7 @@ use elf::aig::aiger;
 use elf::circuits::industrial::{generate_industrial, TABLE2_PROFILES};
 use elf::core::{circuit_dataset, collect_labeled_cuts, cuts_to_arrays, ElfClassifier, Flow};
 use elf::nn::{Dataset, TrainConfig};
-use elf::opt::{RefactorParams, ResubParams, RewriteParams};
+use elf::opt::RefactorParams;
 
 fn main() {
     // Small-scale versions of the ten Table II designs (~1/500th of the
@@ -81,8 +81,8 @@ fn main() {
     // trained classifier.
     let pruned_flow = Flow::new()
         .elf_refactor(params, classifier)
-        .rewrite(RewriteParams::default())
-        .resub(ResubParams::default());
+        .rewrite()
+        .resub();
     let mut elf_aig = target.clone();
     let stats = pruned_flow.run(&mut elf_aig);
 

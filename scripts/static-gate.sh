@@ -41,10 +41,10 @@ if [ "$status" -ne 0 ]; then
 fi
 echo "static-gate: clean (${GATED_DIRS[*]})"
 
-# One-loop gate: every operator pass — plain, recording, filtered, decided,
-# pruned by `Elf` — runs through the single token-guarded loop of
-# `crates/opt/src/operator.rs`, which is what makes the arms of every
-# comparison the same code.  A second `token_is_current` in the non-test
+# One-loop gate: every operator pass — under each of the three policies,
+# plain, recording and decided (which `Elf` prunes through) — runs through
+# the single token-guarded loop of `crates/opt/src/operator.rs`, which is
+# what makes the arms of every comparison the same code.  A second `token_is_current` in the non-test
 # region of the operator or flow crates is a second copy of that loop.
 guards=$(awk '
     FNR == 1 { in_tests = 0 }
@@ -424,3 +424,27 @@ if [ -n "$store" ]; then
     exit 1
 fi
 echo "static-gate: rewrite keeps complete nodes' cut sets until the graph is edited"
+
+# Operators at their one configuration: rewrite and resub run at ABC's
+# defaults and refactor always preserves levels and weighs the complement,
+# so their settings are constants; the pass loop keeps the three policies
+# something calls; the graph owns no cut scratch (cuts are formed in the
+# pass's scratch or a per-thread one) and has no by-value node snapshot.  A
+# `preserve_level`, `try_complement`, `use_one_resub`, `cuts_per_node`,
+# `RewriteParams`, `ResubParams`, `run_with_filter`, `NodeKind` or
+# `take_cut_scratch` in non-test code is a single-valued knob, the unused
+# filter policy or the graph-owned scratch coming back.
+knobs=$(find crates/*/src src examples -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /preserve_level|try_complement|use_one_resub|cuts_per_node|RewriteParams|ResubParams|run_with_filter|NodeKind|take_cut_scratch/ {
+        printf "%s:%d: %s\n", FILENAME, FNR, $0
+    }
+')
+if [ -n "$knobs" ]; then
+    echo "$knobs"
+    echo "static-gate: a single-valued operator knob, the filter policy or a graph-owned cut scratch in non-test code" >&2
+    exit 1
+fi
+echo "static-gate: operators at their one configuration, three pass policies, no graph-owned cut scratch"

@@ -25,7 +25,7 @@
 //! The operator layer is a small type algebra: every operator implements
 //! `opt::PrunableOperator` by supplying its per-node resynthesis step and
 //! its feature window; the trait's one pass loop provides the plain,
-//! recording, filtered and decided runs (all returning `opt::OpStats`) and
+//! recording and batched runs (all returning `opt::OpStats`) and
 //! batch feature collection, `core::Elf<O>` wraps any operator with a
 //! trained classifier (`core::ElfRefactor` = `Elf<Refactor>` is the paper's
 //! operator), and `core::Flow` composes plain and pruned stages into
@@ -61,7 +61,7 @@
 //! ```
 //! use elf::circuits::epfl::{arithmetic_circuit, Scale};
 //! use elf::core::Flow;
-//! use elf::opt::{RefactorParams, ResubParams, RewriteParams};
+//! use elf::opt::RefactorParams;
 //!
 //! let mut aig = arithmetic_circuit("sqrt", Scale::Tiny);
 //! let before = aig.num_reachable_ands();
@@ -74,8 +74,8 @@
 //! // ...or explicitly, with per-stage parameters.
 //! let flow = Flow::new()
 //!     .refactor(RefactorParams::default())
-//!     .rewrite(RewriteParams::default())
-//!     .resub(ResubParams::default());
+//!     .rewrite()
+//!     .resub();
 //! assert_eq!(flow.stage_names(), vec!["refactor", "rewrite", "resub"]);
 //! ```
 //!

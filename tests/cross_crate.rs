@@ -44,7 +44,7 @@ fn operator_pipeline_is_sound() {
     let after_refactor = aig.num_reachable_ands();
     Rewrite::default().run(&mut aig);
     let after_rewrite = aig.num_reachable_ands();
-    Resubstitution::default().run(&mut aig);
+    Resubstitution.run(&mut aig);
     let after_resub = aig.num_reachable_ands();
     assert!(after_refactor <= start);
     assert!(after_rewrite <= after_refactor);
@@ -77,8 +77,8 @@ fn classifier_survives_serialization_in_the_flow() {
 
 #[test]
 fn cut_features_are_stable_across_clones() {
-    let mut circuit = arithmetic_circuit("multiplier", Scale::Tiny);
-    let mut clone = circuit.clone();
+    let circuit = arithmetic_circuit("multiplier", Scale::Tiny);
+    let clone = circuit.clone();
     let params = CutParams::default();
     let nodes: Vec<_> = circuit.and_ids().take(50).collect();
     for node in nodes {
@@ -93,7 +93,7 @@ fn empty_and_trivial_graphs_are_handled_by_every_operator() {
     let mut empty = Aig::new();
     assert_eq!(Refactor::default().run(&mut empty).cuts_formed, 0);
     assert_eq!(Rewrite::default().run(&mut empty).nodes_visited, 0);
-    assert_eq!(Resubstitution::default().run(&mut empty).nodes_visited, 0);
+    assert_eq!(Resubstitution.run(&mut empty).nodes_visited, 0);
 
     let mut trivial = Aig::new();
     let a = trivial.add_input();

@@ -10,7 +10,7 @@ use elf::core::{
     circuit_dataset, BenchCircuit, Elf, ElfClassifier, ElfConfig, ElfOptions, ElfRefactor, Flow,
 };
 use elf::nn::TrainConfig;
-use elf::opt::{Refactor, RefactorParams, ResubParams, Rewrite, RewriteParams};
+use elf::opt::{Refactor, RefactorParams, Rewrite};
 
 fn quick_experiment_config() -> ExperimentConfig {
     ExperimentConfig {
@@ -184,7 +184,7 @@ fn rewrite_classifier_trains_and_prunes_through_shared_machinery() {
     // The conclusion's extension target: Elf<Rewrite> end-to-end via the same
     // leave-one-out dataset machinery the refactor classifier uses.
     let circuits = tiny_suite();
-    let operator = Rewrite::new(RewriteParams::default());
+    let operator = Rewrite::new();
     let held_out = circuits
         .iter()
         .position(|c| c.name == "multiplier")
@@ -226,8 +226,8 @@ fn flow_pipeline_mixes_plain_and_pruned_stages() {
     let mut optimized = golden.clone();
     let flow = Flow::new()
         .elf_refactor(config.elf.refactor, classifier)
-        .rewrite(RewriteParams::default())
-        .resub(ResubParams::default());
+        .rewrite()
+        .resub();
     assert_eq!(flow.stage_names(), vec!["elf-refactor", "rewrite", "resub"]);
     let stats = flow.run(&mut optimized);
     assert_eq!(stats.stages.len(), 3);
