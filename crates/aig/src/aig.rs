@@ -24,7 +24,15 @@
 
 use std::collections::HashMap;
 
+use crate::hash::WordState;
 use crate::lit::{Lit, NodeId};
+
+/// The structural-hash key of an AND whose fanins are `f0` and `f1`, in that
+/// order: both literals in one word, which the word hasher reads in one
+/// round.
+pub(crate) fn strash_key(f0: Lit, f1: Lit) -> u64 {
+    u64::from(f0.raw()) << 32 | u64::from(f1.raw())
+}
 
 /// A structural fanout reference: either another AND node or a primary output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -160,7 +168,7 @@ pub struct Aig {
     // ---- interface and bookkeeping ----
     inputs: Vec<NodeId>,
     outputs: Vec<Lit>,
-    strash: HashMap<(u32, u32), NodeId>,
+    strash: HashMap<u64, NodeId, WordState>,
     num_ands: usize,
     levels_valid: bool,
     name: String,
@@ -195,7 +203,7 @@ impl Aig {
             spec_log: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
-            strash: HashMap::new(),
+            strash: HashMap::with_hasher(WordState::default()),
             num_ands: 0,
             levels_valid: true,
             name: String::new(),
@@ -640,7 +648,7 @@ impl Aig {
         } else {
             (b, a)
         };
-        let key = (f0.raw(), f1.raw());
+        let key = strash_key(f0, f1);
         if let Some(&id) = self.strash.get(&key) {
             let idx = id.as_usize();
             // A stale entry could name a recycled slot; only trust it when
@@ -697,7 +705,7 @@ impl Aig {
             (b, a)
         };
         self.strash
-            .get(&(f0.raw(), f1.raw()))
+            .get(&strash_key(f0, f1))
             .filter(|id| {
                 let idx = id.as_usize();
                 !self.dead[idx]
@@ -955,7 +963,7 @@ impl Aig {
     fn rewrite_fanin(&mut self, fanout: NodeId, old: NodeId, new: Lit) {
         let fidx = fanout.as_usize();
         let (old_f0, old_f1) = (self.fanin0[fidx], self.fanin1[fidx]);
-        let old_key = (old_f0.raw(), old_f1.raw());
+        let old_key = strash_key(old_f0, old_f1);
         let mut f0 = old_f0;
         let mut f1 = old_f1;
         if f0.node() == old {
@@ -974,7 +982,7 @@ impl Aig {
         // Re-insert under the new key only if it is free; otherwise the graph
         // temporarily holds a structural duplicate which a later `cleanup`
         // or strashing pass can merge.
-        let new_key = (f0.raw(), f1.raw());
+        let new_key = strash_key(f0, f1);
         self.strash.entry(new_key).or_insert(fanout);
         self.fanin0[fidx] = f0;
         self.fanin1[fidx] = f1;
@@ -997,7 +1005,7 @@ impl Aig {
         let idx = root.as_usize();
         let (f0, f1) = (self.fanin0[idx], self.fanin1[idx]);
         // Remove from the structural hash table.
-        let key = (f0.raw(), f1.raw());
+        let key = strash_key(f0, f1);
         if self.strash.get(&key) == Some(&root) {
             self.strash.remove(&key);
         }
@@ -1232,7 +1240,7 @@ impl Aig {
                 ));
             }
         }
-        for (&(k0, k1), &id) in &self.strash {
+        for (&key, &id) in &self.strash {
             let idx = id.as_usize();
             if self.dead[idx] {
                 problems.push(format!("hash table entry points at dead node {id}"));
@@ -1242,7 +1250,7 @@ impl Aig {
                 problems.push(format!("hash table entry points at non-AND node {id}"));
                 continue;
             }
-            if self.fanin0[idx].raw() != k0 || self.fanin1[idx].raw() != k1 {
+            if strash_key(self.fanin0[idx], self.fanin1[idx]) != key {
                 problems.push(format!("hash table key mismatch for node {id}"));
             }
         }

@@ -17,7 +17,9 @@
 //!   — the entry point of SAT-based equivalence checking in `elf-cec`;
 //! * [reconvergence-driven cuts](Aig::reconvergence_cut) and the six
 //!   structural [`CutFeatures`] used by the ELF classifier;
-//! * [AIGER](aiger) input/output, ASCII and binary.
+//! * [AIGER](aiger) input/output, ASCII and binary;
+//! * [`WordState`] — the seeded word hasher of the structural-hash table,
+//!   shared with the cut cache's class map in `elf-opt`.
 //!
 //! # Examples
 //!
@@ -43,12 +45,14 @@
 mod aig;
 pub mod aiger;
 mod cut;
+mod hash;
 mod lit;
 mod miter;
 mod sim;
 
 pub use aig::{Aig, Fanout, NodeToken};
 pub use cut::{Cut, CutFeatures, CutParams, CutScratch, FEATURE_NAMES, NUM_FEATURES};
+pub use hash::{WordHasher, WordState};
 pub use lit::{Lit, NodeId};
 pub use miter::{miter, MiterError};
 pub use sim::{

@@ -114,7 +114,7 @@ mod tests {
         let mut copy = aig.clone();
         let stats = Refactor::new(params).run(&mut copy);
         assert_eq!(committed, stats.cuts_committed);
-        assert_eq!(cuts.len(), stats.cuts_formed);
+        assert_eq!(cuts.len(), stats.nodes_visited);
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub fn circuit_stats(circuit: &BenchCircuit, params: &RefactorParams) -> Circuit
         inputs: circuit.aig.num_inputs(),
         outputs: circuit.aig.num_outputs(),
         refactored: stats.cuts_committed,
-        cuts: stats.cuts_formed,
+        cuts: stats.nodes_visited,
     }
 }
 

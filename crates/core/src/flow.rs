@@ -308,7 +308,7 @@ mod tests {
         let golden = target.clone();
         let elf = ElfRefactor::new(classifier, ElfConfig::default());
         let stats = elf.run(&mut target);
-        assert_eq!(stats.pruned + stats.kept, stats.op.cuts_formed);
+        assert_eq!(stats.pruned + stats.kept, stats.op.nodes_visited);
         assert_eq!(
             check_equivalence(&golden, &target, 8, 80),
             EquivalenceResult::Equivalent
@@ -344,7 +344,7 @@ mod tests {
             ElfOptions::default(),
         );
         let stats = elf.run(&mut aig);
-        assert_eq!(stats.pruned + stats.kept, stats.op.cuts_formed);
+        assert_eq!(stats.pruned + stats.kept, stats.op.nodes_visited);
         assert!(aig.check_invariants().is_empty());
         assert_eq!(
             check_equivalence(&golden, &aig, 8, 81),

@@ -65,7 +65,7 @@
 //! let mut target = train_aig.clone();
 //! let elf = ElfRefactor::new(classifier, ElfConfig::default());
 //! let stats = elf.run(&mut target);
-//! assert_eq!(stats.pruned + stats.kept, stats.op.cuts_formed);
+//! assert_eq!(stats.pruned + stats.kept, stats.op.nodes_visited);
 //! ```
 //!
 //! Compose a script-style pipeline mixing plain and pruned operators:

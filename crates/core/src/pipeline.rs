@@ -408,10 +408,7 @@ impl Flow {
         let registry = self.metrics.clone().unwrap_or_else(Registry::global);
         let _flow_span = elf_obs::span!("flow", stages = self.stages.len());
         registry.counter(names::FLOW_RUNS).inc();
-        let cache_counts_before = self
-            .cut_cache
-            .as_ref()
-            .map(|cache| (cache.local_hits(), cache.local_misses()));
+        let cache_counts_before = self.cut_cache.as_ref().map(cache_counts);
         let ands_before = aig.num_reachable_ands();
         let mut stages = Vec::with_capacity(self.stages.len());
         let flow_snapshot = (self.verify == VerifyMode::Final).then(|| aig.clone());
@@ -449,13 +446,15 @@ impl Flow {
         // Per-run cut-cache deltas: this flow's handle shares view counters
         // with every stage it wired, so the difference is exactly the
         // lookups this run performed.
-        if let (Some(cache), Some((hits, misses))) = (&self.cut_cache, cache_counts_before) {
-            registry
-                .counter(names::CUT_CACHE_HITS)
-                .add(cache.local_hits().saturating_sub(hits));
-            registry
-                .counter(names::CUT_CACHE_MISSES)
-                .add(cache.local_misses().saturating_sub(misses));
+        if let (Some(cache), Some(before)) = (&self.cut_cache, cache_counts_before) {
+            let names = [
+                names::CUT_CACHE_HITS,
+                names::CUT_CACHE_MISSES,
+                names::CUT_CACHE_COMPLETIONS,
+            ];
+            for ((name, after), before) in names.into_iter().zip(cache_counts(cache)).zip(before) {
+                registry.counter(name).add(after.saturating_sub(before));
+            }
         }
         FlowStats {
             stages,
@@ -509,6 +508,16 @@ impl Flow {
     }
 }
 
+/// The view counters of `cache` a run exports the deltas of: hits, misses
+/// and completions.
+fn cache_counts(cache: &CutCache) -> [u64; 3] {
+    [
+        cache.local_hits(),
+        cache.local_misses(),
+        cache.local_completions(),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,6 +544,37 @@ mod tests {
         aig.add_output(acc);
         aig.cleanup();
         aig
+    }
+
+    /// A flow re-run on its warm cache finds every class stored as far as
+    /// its counts read: the second run's deltas read hits only, no miss and
+    /// no completion, while the first run exported all three.
+    #[test]
+    fn a_rerun_on_its_warm_cache_misses_and_completes_nothing() {
+        use elf_circuits::epfl::{multiplier, Scale};
+        use elf_opt::CutCacheConfig;
+
+        let registry = Registry::new();
+        let flow = Flow::from_script("rf; rw; rs")
+            .unwrap()
+            .with_cut_cache(CutCache::new(CutCacheConfig::default()))
+            .with_metrics(registry.clone());
+        let counts = || {
+            let names = [
+                names::CUT_CACHE_HITS,
+                names::CUT_CACHE_MISSES,
+                names::CUT_CACHE_COMPLETIONS,
+            ];
+            names.map(|name| registry.counter(name).get())
+        };
+        let source = multiplier(Scale::Tiny);
+        flow.run(&mut source.clone());
+        let [hits, misses, completions] = counts();
+        assert!(hits > 0 && misses > 0 && completions > 0, "{:?}", counts());
+        flow.run(&mut source.clone());
+        let [warm_hits, warm_misses, warm_completions] = counts();
+        assert!(warm_hits > hits);
+        assert_eq!((warm_misses, warm_completions), (misses, completions));
     }
 
     #[test]

@@ -89,6 +89,9 @@ pub mod names {
     pub const CUT_CACHE_HITS: &str = "elf_cut_cache_hits_total";
     /// Cut-cache lookup misses (counter).
     pub const CUT_CACHE_MISSES: &str = "elf_cut_cache_misses_total";
+    /// Cut-cache hits on a stored prefix whose count outlived it, so the
+    /// class was factored to the end (counter; counted among the hits).
+    pub const CUT_CACHE_COMPLETIONS: &str = "elf_cut_cache_completions_total";
     /// Canonical classes resident in the cut cache (gauge).
     pub const CUT_CACHE_ENTRIES: &str = "elf_cut_cache_entries";
     /// Canonical classes the cut cache stops growing at (gauge).

@@ -39,6 +39,13 @@
 //! then held to the floor the first one raised.  Every accept and commit is
 //! therefore the one the unbounded count makes — node for node, as the
 //! `#[cfg(test)]` reference of this file checks.
+//!
+//! A miss on an enabled cache stops where the count stops too, and stores
+//! the prefix it wrote; a later count that outlives the prefix has the class
+//! factored to the end ([`crate::cache`]).  So a cut costs only the
+//! factoring its count reads.  The cut's function and its NPN representative
+//! are written into two tables of the pass scratch, so weighing a cut
+//! allocates no table.
 
 use elf_aig::{Aig, Cut, Lit, NodeId};
 use elf_sop::{FactoredForm, Gate, Term, TruthTable, MAX_VARS};
@@ -105,16 +112,24 @@ pub(crate) struct Simulation {
 ///
 /// Panics if the cut has more than [`elf_sop::MAX_VARS`] leaves.
 pub fn cut_truth_table(aig: &Aig, cut: &Cut) -> TruthTable {
-    cut_truth_table_in(aig, cut, &mut Simulation::default())
+    let mut truth = TruthTable::zeros(cut.num_leaves());
+    cut_truth_table_in(aig, cut, &mut Simulation::default(), &mut truth);
+    truth
 }
 
-/// [`cut_truth_table`] simulating in the caller's buffers, so a pass that
-/// evaluates many cuts allocates for the table it returns only.
-pub(crate) fn cut_truth_table_in(aig: &Aig, cut: &Cut, simulation: &mut Simulation) -> TruthTable {
+/// [`cut_truth_table`] simulating in the caller's buffers and writing into
+/// the caller's `truth`, so a pass that evaluates many cuts does not
+/// allocate per cut.
+pub(crate) fn cut_truth_table_in(
+    aig: &Aig,
+    cut: &Cut,
+    simulation: &mut Simulation,
+    truth: &mut TruthTable,
+) {
     let words = simulate_cut(aig, cut, simulation);
     let tables = &simulation.tables;
-    // `from_words` drops the bits a table of fewer than six variables lacks.
-    TruthTable::from_words(tables[tables.len() - words..].to_vec(), cut.num_leaves())
+    // The copy drops the bits a table of fewer than six variables lacks.
+    truth.copy_from_words(&tables[tables.len() - words..], cut.num_leaves());
 }
 
 /// Simulates every cone node of `cut` over the cut's leaves, once, leaves the
@@ -367,12 +382,13 @@ pub(crate) fn best_reading(
     (level_bound, floor): (u32, i64),
 ) -> Option<Reading> {
     let (cut, counts) = (&scratch.cut, &mut scratch.counts);
-    let truth = cut_truth_table_in(aig, cut, &mut scratch.simulation);
+    let (truth, canonical) = (&mut scratch.truth, &mut scratch.canonical);
+    cut_truth_table_in(aig, cut, &mut scratch.simulation, truth);
     let mut leaf_lits = [Lit::FALSE; MAX_VARS];
     for (lit, leaf) in leaf_lits.iter_mut().zip(&cut.leaves) {
         *lit = leaf.lit();
     }
-    let (canonical, transform, complement) = canonicalize_both(&truth);
+    let (transform, complement) = canonicalize_both(truth, canonical);
     let readings = [Some(transform), complement];
     // Past `saved - floor` new nodes the gain is below the floor.
     let limit = usize::try_from(saved - floor).ok();

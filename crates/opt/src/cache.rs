@@ -19,12 +19,13 @@
 //! # The reading rule
 //!
 //! A factored form is a flat arena ([`FactoredForm`]); the map holds one per
-//! class.  [`CutCache::factor_both_into`] copies the entry into the caller's
-//! form while the read lock is held — gate by gate into warm capacity, so no
-//! lock outlives the call — and returns the transform.  The transform is
-//! then applied where it is cheap: to the at most ten leaf literals, once
-//! per cut ([`NpnTransform::leaf_map`]: canonical variable `placement[v]` is
-//! leaf `v`, complemented by `phase[v]`), and to the one literal
+//! class, whole or a prefix of its gates (below).
+//! [`CutCache::factor_both_into`] copies the entry into the caller's form
+//! while the read lock is held — gate by gate into warm capacity, so no lock
+//! outlives the call — and returns the transform.  The transform is then
+//! applied where it is cheap: to the at most ten leaf literals, once per cut
+//! ([`NpnTransform::leaf_map`]: canonical variable `placement[v]` is leaf
+//! `v`, complemented by bit `v` of the phase mask), and to the one literal
 //! `build_expr` returns ([`NpnTransform::output_negated`]).
 //!
 //! This is the AIG the decanonicalized form would give, node for node.
@@ -58,28 +59,51 @@
 //! construction.
 //!
 //! The operators count a reading's gain while its form is being written and
-//! stop at the gate where every reading has lost (`crate::build`).  So the
-//! one lookup takes the same watcher as `elf_sop::factor_truth_table_into`:
-//! a hit replays the stored gates in order and stops with the watcher
-//! ([`FactoredForm::replay`]), a disabled cache factors and stops, and a
-//! miss always factors to the end — the entry it stores is shared, and must
-//! be the whole form however early the cut that missed gave up.  The
-//! lookup itself is made for every cut, decided or not, so `hits`,
-//! `misses` and `entries` do not depend on where a count stopped.
+//! stop at the gate where every reading has lost (`crate::build`), on most
+//! cuts a few gates into the form.  So the one lookup takes the same watcher
+//! as `elf_sop::factor_truth_table_into`, and a lookup costs only what its
+//! watcher reads:
+//!
+//! * a disabled cache factors and stops with the watcher;
+//! * a miss factors and stops with the watcher too, and stores the gates it
+//!   wrote as a *prefix* entry, marked incomplete (the whole form where the
+//!   watcher never stopped);
+//! * a hit replays the stored gates in order and stops with the watcher
+//!   ([`FactoredForm::replay`]).  Only where the watcher outlives a prefix
+//!   does the hit factor the class to the end, show the watcher each gate
+//!   past the prefix once, and replace the prefix by the whole form in
+//!   place, at capacity too — a *completion*.
+//!
+//! Gates are only ever appended, so a stopped form is a prefix of the whole
+//! one, gate for gate: a watcher shown a prefix up to where it stops decides
+//! as it would on the whole form, and a watcher that outlives the prefix is
+//! shown the whole form's gates in order.  A lookup finds an entry exactly
+//! where the policy of storing whole forms would find one, and is made for
+//! every cut, decided or not, so `hits`, `misses` and `entries` are that
+//! policy's and do not depend on where a count stopped;
+//! [`CutCacheStats::completions`] counts, among the hits, the ones that had
+//! to factor.
 //!
 //! # Determinism contract
 //!
 //! [`CutCache::factor`] is a pure function of the truth table: canonicalize,
 //! factor the representative, undo the transform (and
-//! [`CutCache::factor_both_into`] one of the truth table alone).  The cache only memoizes
-//! the middle step, whose output is itself a pure function of the
-//! representative — so cache-enabled and cache-disabled runs produce
-//! node-for-node identical AIGs by construction (enforced by twin tests in
-//! `elf-core`), and a cache shared across concurrently-served jobs cannot
-//! leak one job's timing into another's result.  A deliberate non-feature:
-//! the cache stores no "no gain" verdicts — whether a factored form wins is
-//! decided against the *local* MFFC of each commit site, so a class-level
-//! verdict would change results depending on which site populated the entry.
+//! [`CutCache::factor_both_into`] one of the truth table alone).  The cache
+//! only memoizes the middle step, whose output — the whole form, and so each
+//! of its prefixes — is itself a pure function of the representative.  A
+//! watcher reads the same gates in the same order whether they come from a
+//! whole entry, a prefix, a completion or a fresh factoring, so
+//! cache-enabled and cache-disabled runs produce node-for-node identical
+//! AIGs by construction (enforced by twin tests in `elf-core`), and a cache
+//! shared across concurrently-served jobs cannot leak one job's timing into
+//! another's result: a racing reader sees a prefix or the whole form, and
+//! both decide alike.  Nothing depends on the map's iteration order, so its
+//! per-process hash seed ([`elf_aig::WordState`]) changes no result.
+//!
+//! A deliberate non-feature: the cache stores no "no gain" verdicts —
+//! whether a factored form wins is decided against the *local* MFFC of each
+//! commit site, so a class-level verdict would change results depending on
+//! which site populated the entry.
 //!
 //! The canonical step means plain (uncached) operators also factor the
 //! representative rather than the raw table.  Both are functionally
@@ -92,7 +116,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use elf_aig::Lit;
+use elf_aig::{Lit, WordState};
 use elf_sop::{
     factor_truth_table_into, FactorScratch, FactoredForm, Gate, Term, TruthTable, MAX_VARS,
 };
@@ -134,12 +158,12 @@ impl CutCacheConfig {
 /// canonical representative back to the original function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NpnTransform {
-    num_vars: usize,
+    num_vars: u8,
     /// `placement[v]` is the canonical position of original variable `v`
     /// (entries at `num_vars` and above stay zero).
-    placement: [usize; MAX_VARS],
-    /// Whether original variable `v` was complemented.
-    phase: [bool; MAX_VARS],
+    placement: [u8; MAX_VARS],
+    /// Bit `v` is set where original variable `v` was complemented.
+    phase: u16,
     /// Whether the output was complemented.
     output_negated: bool,
 }
@@ -150,6 +174,11 @@ impl NpnTransform {
         self.output_negated
     }
 
+    /// Whether original variable `v` was complemented.
+    fn flipped(&self, v: usize) -> bool {
+        self.phase >> v & 1 == 1
+    }
+
     /// The cut's leaf literals as the representative's variables: entry
     /// `placement[v]` is `leaf_lits[v]`, complemented where the phase of `v`
     /// was flipped (entries past the cut's width stay constant false).
@@ -158,8 +187,8 @@ impl NpnTransform {
     /// original function (see the module docs).
     pub fn leaf_map(&self, leaf_lits: &[Lit]) -> [Lit; MAX_VARS] {
         let mut lits = [Lit::FALSE; MAX_VARS];
-        for (v, &lit) in leaf_lits[..self.num_vars].iter().enumerate() {
-            lits[self.placement[v]] = lit.complement_if(self.phase[v]);
+        for (v, &lit) in leaf_lits[..usize::from(self.num_vars)].iter().enumerate() {
+            lits[usize::from(self.placement[v])] = lit.complement_if(self.flipped(v));
         }
         lits
     }
@@ -173,15 +202,15 @@ impl NpnTransform {
     pub fn decanonicalize(&self, expr: &FactoredForm) -> FactoredForm {
         // original[j] = the original variable sitting at canonical position j.
         let mut original = [0u8; MAX_VARS];
-        for (v, &j) in self.placement[..self.num_vars].iter().enumerate() {
-            original[j] = v as u8;
+        for (v, &j) in (0..).zip(&self.placement[..usize::from(self.num_vars)]) {
+            original[usize::from(j)] = v;
         }
         let negate = self.output_negated;
         let remap = |term| match term {
             Term::Const(value) => Term::Const(value != negate),
             Term::Literal { var, negated } => {
                 let var = original[usize::from(var)];
-                let negated = negated ^ self.phase[usize::from(var)] ^ negate;
+                let negated = negated ^ self.flipped(usize::from(var)) ^ negate;
                 Term::Literal { var, negated }
             }
             gate @ Term::Gate(_) => gate,
@@ -211,62 +240,114 @@ impl NpnTransform {
 /// functions may still map to different representatives, which costs cache
 /// capacity but never correctness (the key *is* the representative).
 pub fn semi_canonicalize(function: &TruthTable) -> (TruthTable, NpnTransform) {
-    let (canonical, transform, _) = canonicalize_both(function);
+    let mut canonical = function.clone();
+    let (transform, _) = canonicalize_both(function, &mut canonical);
     (canonical, transform)
 }
 
-/// [`semi_canonicalize`], plus — only when both output polarities normalize
-/// to equal words — the transform `semi_canonicalize(&!function)` records.
-/// In every other case that transform is the returned one with the output
-/// complement toggled.
+/// [`semi_canonicalize`] into the caller's `canonical`, plus — only when both
+/// output polarities normalize to equal words — the transform
+/// `semi_canonicalize(&!function)` records.  In every other case that
+/// transform is the returned one with the output complement toggled.
+///
+/// A balanced ON-set is normalized in both polarities without a second
+/// table.  Complementing the output leaves every variable's cofactor key
+/// alone, so both polarities sort the variables alike; and it flips the
+/// phase decision of every variable whose positive cofactor does not hold
+/// exactly half the ON-set.  So the complement's representative is the
+/// first one with those variables flipped and the output complemented, and
+/// its words are compared with the first one's as they are read.
 pub(crate) fn canonicalize_both(
     function: &TruthTable,
-) -> (TruthTable, NpnTransform, Option<NpnTransform>) {
+    canonical: &mut TruthTable,
+) -> (NpnTransform, Option<NpnTransform>) {
     use std::cmp::Ordering::{Equal, Greater, Less};
 
-    let one_sided = |(canonical, transform)| (canonical, transform, None);
     let ones = function.count_ones();
     let zeros = (1usize << function.num_vars()) - ones;
-    match ones.cmp(&zeros) {
-        Greater => one_sided(canonicalize_polarity(!function, true)),
-        Less => one_sided(canonicalize_polarity(function.clone(), false)),
-        Equal => {
-            // Balanced ON-set: canonicalize both polarities fully and keep
-            // the lexicographically smaller representative, so a function
-            // and its complement still collapse onto one entry.
-            let plain = canonicalize_polarity(function.clone(), false);
-            let complemented = canonicalize_polarity(!function, true);
-            match complemented.0.words().cmp(plain.0.words()) {
-                Less => one_sided(complemented),
-                Greater => one_sided(plain),
-                Equal => {
-                    let complement = NpnTransform {
-                        output_negated: false,
-                        ..complemented.1
-                    };
-                    (plain.0, plain.1, Some(complement))
-                }
+    canonical.clone_from(function);
+    if ones > zeros {
+        canonical.complement_in_place();
+    }
+    let transform = canonicalize_polarity(canonical, ones > zeros);
+    if ones != zeros {
+        return (transform, None);
+    }
+    // The variables whose phase the complement decides the other way, and
+    // the canonical positions they sit at.
+    let (mut phase, mut moved) = (0u16, 0u16);
+    for v in 0..function.num_vars() {
+        if 2 * function.count_ones_with(v) != ones {
+            phase |= 1 << v;
+            moved |= 1 << transform.placement[v];
+        }
+    }
+    let complemented = NpnTransform {
+        phase: transform.phase ^ phase,
+        output_negated: true,
+        ..transform
+    };
+    match complement_order(canonical, moved) {
+        Less => {
+            for position in (0..function.num_vars()).filter(|&j| moved >> j & 1 == 1) {
+                canonical.flip_var_in_place(position);
             }
+            canonical.complement_in_place();
+            (complemented, None)
+        }
+        Greater => (transform, None),
+        Equal => {
+            let complement = NpnTransform {
+                output_negated: false,
+                ..complemented
+            };
+            (transform, Some(complement))
         }
     }
 }
 
+/// How `!table` with the variables at the positions `moved` flipped
+/// compares with `table`, word by word from the least significant, as
+/// slices compare.  A flipped variable below six exchanges bits inside each
+/// word; one at six or above exchanges whole words.
+fn complement_order(table: &TruthTable, moved: u16) -> std::cmp::Ordering {
+    let words = table.words();
+    let across = usize::from(moved >> 6);
+    let live = if table.num_vars() >= 6 {
+        !0
+    } else {
+        !0 >> (64 - (1 << table.num_vars()))
+    };
+    for (index, &word) in words.iter().enumerate() {
+        let mut flipped = words[index ^ across];
+        for var in (0..6).filter(|&var| moved >> var & 1 == 1) {
+            let (high, shift) = (TruthTable::var_word(var, 0), 1 << var);
+            flipped = (flipped & high) >> shift | (flipped & !high) << shift;
+        }
+        let order = (!flipped & live).cmp(&word);
+        if order.is_ne() {
+            return order;
+        }
+    }
+    std::cmp::Ordering::Equal
+}
+
 /// Phase + permutation normalization of one output polarity, in place on the
 /// words of `work`.
-fn canonicalize_polarity(mut work: TruthTable, output_negated: bool) -> (TruthTable, NpnTransform) {
+fn canonicalize_polarity(work: &mut TruthTable, output_negated: bool) -> NpnTransform {
     let num_vars = work.num_vars();
     let ones = work.count_ones();
-    let mut phase = [false; MAX_VARS];
+    let mut phase = 0u16;
     // keys[v] = ON-set minterms with v = 1, after v's phase is settled.
     // Flipping one variable leaves every other variable's count alone.
     let mut keys = [0usize; MAX_VARS];
-    for var in 0..num_vars {
+    for (var, key) in keys[..num_vars].iter_mut().enumerate() {
         let positive = work.count_ones_with(var);
         if positive > ones - positive {
             work.flip_var_in_place(var);
-            phase[var] = true;
+            phase |= 1 << var;
         }
-        keys[var] = positive.min(ones - positive);
+        *key = positive.min(ones - positive);
     }
 
     let mut order: [usize; MAX_VARS] = std::array::from_fn(|var| var);
@@ -276,33 +357,57 @@ fn canonicalize_polarity(mut work: TruthTable, output_negated: bool) -> (TruthTa
         placement[var] = position;
     }
     work.permute_vars_in_place(&placement[..num_vars]);
-    (
-        work,
-        NpnTransform {
-            num_vars,
-            placement,
-            phase,
-            output_negated,
-        },
-    )
+    NpnTransform {
+        num_vars: num_vars as u8,
+        placement: placement.map(|position| position as u8),
+        phase,
+        output_negated,
+    }
+}
+
+/// One class's entry: the gates factoring its representative wrote, as far
+/// as the lookup that stored them watched (see the module docs).
+struct Entry {
+    /// The whole form, or a prefix of its gates under a constant-false root.
+    form: FactoredForm,
+    /// Whether `form` is the whole form.
+    complete: bool,
 }
 
 /// Shared state behind every view of one cache (the map plus lifetime-global
 /// counters; see [`CutCache::job_view`] for the per-view ones).
 struct CacheShared {
-    map: RwLock<HashMap<TruthTable, FactoredForm>>,
+    map: RwLock<HashMap<TruthTable, Entry, WordState>>,
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    counters: Counters,
+    /// Whether a miss factors to the end, as the cache did before it kept
+    /// prefixes: the oracle of the counters in the tests.
+    #[cfg(test)]
+    whole_on_miss: bool,
 }
 
-/// Per-view hit/miss counters (one fresh pair per [`CutCache::job_view`], so
-/// a served job can report its own hit rate without racing on deltas of the
-/// global counters).
+impl CacheShared {
+    #[cfg(test)]
+    fn factors_whole(&self) -> bool {
+        self.whole_on_miss
+    }
+
+    #[cfg(not(test))]
+    fn factors_whole(&self) -> bool {
+        false
+    }
+}
+
+/// Lookup counters: the lifetime ones of a cache, or those of one view (a
+/// fresh set per [`CutCache::job_view`], so a served job can report its own
+/// hit rate without racing on deltas of the global counters).
 #[derive(Default)]
-struct ViewCounters {
+struct Counters {
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Hits on a prefix whose watcher outlived it, so the class was
+    /// factored to the end.
+    completions: AtomicU64,
 }
 
 /// A handle to the NPN-canonical factored-form cache.
@@ -330,7 +435,7 @@ struct ViewCounters {
 #[derive(Clone, Default)]
 pub struct CutCache {
     shared: Option<Arc<CacheShared>>,
-    view: Arc<ViewCounters>,
+    view: Arc<Counters>,
 }
 
 impl fmt::Debug for CutCache {
@@ -340,6 +445,7 @@ impl fmt::Debug for CutCache {
             .field("entries", &self.stats().entries)
             .field("local_hits", &self.local_hits())
             .field("local_misses", &self.local_misses())
+            .field("local_completions", &self.local_completions())
             .finish()
     }
 }
@@ -357,6 +463,8 @@ pub struct CutCacheStats {
     pub hits: u64,
     /// Lifetime lookup misses across every view of the cache.
     pub misses: u64,
+    /// Lifetime hits that completed a prefix entry (counted among `hits`).
+    pub completions: u64,
 }
 
 impl CutCacheStats {
@@ -380,12 +488,13 @@ impl CutCache {
         }
         CutCache {
             shared: Some(Arc::new(CacheShared {
-                map: RwLock::new(HashMap::new()),
+                map: RwLock::new(HashMap::with_hasher(WordState::default())),
                 capacity: config.capacity,
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
+                counters: Counters::default(),
+                #[cfg(test)]
+                whole_on_miss: false,
             })),
-            view: Arc::new(ViewCounters::default()),
+            view: Arc::new(Counters::default()),
         }
     }
 
@@ -404,7 +513,7 @@ impl CutCache {
     pub fn job_view(&self) -> CutCache {
         CutCache {
             shared: self.shared.clone(),
-            view: Arc::new(ViewCounters::default()),
+            view: Arc::new(Counters::default()),
         }
     }
 
@@ -437,49 +546,92 @@ impl CutCache {
         scratch: &mut FactorScratch,
         form: &mut FactoredForm,
     ) -> (NpnTransform, Option<NpnTransform>) {
-        let (canonical, transform, complement) = canonicalize_both(function);
-        self.form_into(canonical, scratch, form, |_| true);
-        (transform, complement)
+        let mut canonical = function.clone();
+        let transforms = canonicalize_both(function, &mut canonical);
+        self.form_into(&canonical, scratch, form, |_| true);
+        transforms
     }
 
     /// Writes the factored form of the representative `canonical` to `form`,
     /// showing `watch` each gate as `elf_sop::factor_truth_table_into` does
     /// and stopping where it returns `false` (see the module docs): replayed
     /// from the map on a hit, factored on a disabled cache, and on a miss
-    /// factored to the end whatever `watch` says, then stored.
+    /// factored as far as `watch` watches and stored that far.  A hit on a
+    /// prefix whose watcher outlives it factors the class to the end, shows
+    /// the watcher the gates past the prefix, and stores the whole form.
     pub(crate) fn form_into(
         &self,
-        canonical: TruthTable,
+        canonical: &TruthTable,
         scratch: &mut FactorScratch,
         form: &mut FactoredForm,
         mut watch: impl FnMut(&FactoredForm) -> bool,
     ) {
         let Some(shared) = &self.shared else {
-            return factor_truth_table_into(&canonical, scratch, form, watch);
+            return factor_truth_table_into(canonical, scratch, form, watch);
         };
+        // The gates of a prefix entry the watcher saw to the end.
+        let mut shown = None;
         if let Ok(map) = shared.map.read() {
-            if let Some(expr) = map.get(&canonical) {
-                shared.hits.fetch_add(1, Ordering::Relaxed);
-                self.view.hits.fetch_add(1, Ordering::Relaxed);
-                return form.replay(expr, watch);
+            if let Some(entry) = map.get(canonical) {
+                self.count(shared, |counters| &counters.hits);
+                if entry.complete {
+                    return form.replay(&entry.form, watch);
+                }
+                let mut watching = true;
+                form.replay(&entry.form, |form| {
+                    watching = watch(form);
+                    watching
+                });
+                if !watching {
+                    return;
+                }
+                shown = Some(entry.form.num_gates());
             }
         }
-        shared.misses.fetch_add(1, Ordering::Relaxed);
-        self.view.misses.fetch_add(1, Ordering::Relaxed);
-        // The entry is shared: it is the whole form, however early the
-        // watcher stops watching.
-        let mut watching = true;
-        factor_truth_table_into(&canonical, scratch, form, |form| {
-            watching = watching && watch(form);
-            true
-        });
+        let complete = match shown {
+            Some(shown) => {
+                self.count(shared, |counters| &counters.completions);
+                let mut watching = true;
+                factor_truth_table_into(canonical, scratch, form, |form| {
+                    if form.num_gates() > shown {
+                        watching = watching && watch(form);
+                    }
+                    true
+                });
+                true
+            }
+            None => {
+                self.count(shared, |counters| &counters.misses);
+                let mut complete = true;
+                factor_truth_table_into(canonical, scratch, form, |form| {
+                    complete = complete && watch(form);
+                    complete || shared.factors_whole()
+                });
+                complete || shared.factors_whole()
+            }
+        };
         if let Ok(mut map) = shared.map.write() {
-            // Two racing misses insert the same value (the entry is a pure
-            // function of the key), so last-writer-wins is harmless.
-            if map.len() < shared.capacity {
-                map.insert(canonical, form.clone());
+            // Every entry of a class is a prefix of its one whole form (a
+            // pure function of the key), so of two racing lookups the one
+            // that wrote more wins, and a whole form is never cut back.
+            let room = map.len() < shared.capacity;
+            if let Some(entry) = map.get_mut(canonical) {
+                if !entry.complete && (complete || form.num_gates() > entry.form.num_gates()) {
+                    entry.form.clone_from(form);
+                    entry.complete = complete;
+                }
+            } else if room {
+                let form = form.clone();
+                map.insert(canonical.clone(), Entry { form, complete });
             }
         }
+    }
+
+    /// Adds one to the counter `which` picks, in the view and the lifetime
+    /// set alike.
+    fn count(&self, shared: &CacheShared, which: impl Fn(&Counters) -> &AtomicU64) {
+        which(&self.view).fetch_add(1, Ordering::Relaxed);
+        which(&shared.counters).fetch_add(1, Ordering::Relaxed);
     }
 
     /// Lookup hits recorded through this view (see [`CutCache::job_view`]).
@@ -490,6 +642,11 @@ impl CutCache {
     /// Lookup misses recorded through this view.
     pub fn local_misses(&self) -> u64 {
         self.view.misses.load(Ordering::Relaxed)
+    }
+
+    /// Hits recorded through this view that completed a prefix entry.
+    pub fn local_completions(&self) -> u64 {
+        self.view.completions.load(Ordering::Relaxed)
     }
 
     /// Sets the occupancy gauges of `registry` — `elf_cut_cache_entries` and
@@ -514,8 +671,9 @@ impl CutCache {
                 enabled: true,
                 entries: shared.map.read().map_or(0, |map| map.len()),
                 capacity: shared.capacity,
-                hits: shared.hits.load(Ordering::Relaxed),
-                misses: shared.misses.load(Ordering::Relaxed),
+                hits: shared.counters.hits.load(Ordering::Relaxed),
+                misses: shared.counters.misses.load(Ordering::Relaxed),
+                completions: shared.counters.completions.load(Ordering::Relaxed),
             },
         }
     }
@@ -537,13 +695,13 @@ mod tests {
         ) -> (TruthTable, NpnTransform) {
             let num_vars = function.num_vars();
             let mut work = function.clone();
-            let mut phase = [false; MAX_VARS];
-            for (var, flip) in phase.iter_mut().enumerate().take(num_vars) {
+            let mut phase = 0u16;
+            for var in 0..num_vars {
                 let positive = work.cofactor1(var).count_ones();
                 let negative = work.cofactor0(var).count_ones();
                 if positive > negative {
                     work = work.flip_var(var);
-                    *flip = true;
+                    phase |= 1 << var;
                 }
             }
             let mut order: Vec<usize> = (0..num_vars).collect();
@@ -566,8 +724,8 @@ mod tests {
             (
                 canonical,
                 NpnTransform {
-                    num_vars,
-                    placement,
+                    num_vars: num_vars as u8,
+                    placement: placement.map(|position| position as u8),
                     phase,
                     output_negated,
                 },
@@ -628,8 +786,11 @@ mod tests {
         fn decanonicalize_boxed(&self, expr: &Boxed) -> Boxed {
             // original[j] = the original variable sitting at canonical position j.
             let mut original = [0usize; MAX_VARS];
-            for (v, &j) in self.placement[..self.num_vars].iter().enumerate() {
-                original[j] = v;
+            for (v, &j) in self.placement[..usize::from(self.num_vars)]
+                .iter()
+                .enumerate()
+            {
+                original[usize::from(j)] = v;
             }
             self.remap(expr, &original, self.output_negated)
         }
@@ -641,7 +802,7 @@ mod tests {
                     let var = original[*var];
                     Boxed::Literal {
                         var,
-                        negated: *negated ^ self.phase[var] ^ negate,
+                        negated: *negated ^ self.flipped(var) ^ negate,
                     }
                 }
                 Boxed::And(a, b) => {
@@ -804,34 +965,115 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// A miss stores the whole form however early its watcher stopped
-        /// (here at the first gate), and a hit replays the entry gate by gate
-        /// up to where its watcher stops.
+        /// A miss stopped at gate `k` stores exactly the whole form's first
+        /// `k` gates.  A hit whose watcher stops halfway through the prefix
+        /// replays it that far.  A hit whose watcher outlives the prefix is shown every
+        /// gate of the whole form once, in order, ends on the whole form and
+        /// leaves a whole entry behind, which later hits replay.
         #[test]
-        fn a_miss_stores_the_whole_form_however_early_its_watcher_stops(
-            function in (1usize..=10).prop_flat_map(arbitrary_function)
+        fn a_miss_stores_the_prefix_its_watcher_saw_and_a_longer_count_completes_it(
+            function in (1usize..=10).prop_flat_map(arbitrary_function),
+            stop in 1usize..=40,
         ) {
             let cache = CutCache::new(CutCacheConfig::default());
-            let (canonical, _, _) = canonicalize_both(&function);
+            let mut canonical = TruthTable::zeros(0);
+            let _ = canonicalize_both(&function, &mut canonical);
             let whole = factor_truth_table(&canonical);
-            let first = whole.num_gates().min(1);
+            let gates = whole.num_gates();
+            let k = stop.min(gates);
+            let entry = |cache: &CutCache| {
+                let shared = cache.shared.as_ref().expect("enabled");
+                let map = shared.map.read().expect("no panic holds the lock");
+                let entry = &map[&canonical];
+                (entry.form.gates().to_vec(), entry.complete)
+            };
             let (mut scratch, mut form) = (FactorScratch::default(), FactoredForm::default());
             let mut shown = 0;
-            cache.form_into(canonical.clone(), &mut scratch, &mut form, |_| {
+            cache.form_into(&canonical, &mut scratch, &mut form, |_| {
                 shown += 1;
-                false
+                shown < stop
             });
-            prop_assert_eq!(shown, first);
-            let shared = cache.shared.as_ref().expect("enabled");
-            let entry = shared.map.read().expect("no panic holds the lock")[&canonical].clone();
-            prop_assert_eq!(&entry, &whole);
+            prop_assert_eq!(shown, k);
+            prop_assert_eq!(form.gates(), &whole.gates()[..k]);
+            let stored_whole = gates == 0 || stop > gates;
+            prop_assert_eq!(entry(&cache), (whole.gates()[..k].to_vec(), stored_whole));
 
-            cache.form_into(canonical.clone(), &mut scratch, &mut form, |_| false);
-            prop_assert_eq!(form.gates(), &whole.gates()[..first]);
-            cache.form_into(canonical, &mut scratch, &mut form, |_| true);
+            let (half, mut early) = (k.div_ceil(2), 0);
+            cache.form_into(&canonical, &mut scratch, &mut form, |_| {
+                early += 1;
+                early < half
+            });
+            prop_assert_eq!(form.gates(), &whole.gates()[..half]);
+            prop_assert_eq!(cache.local_completions(), 0);
+
+            let mut seen = Vec::new();
+            cache.form_into(&canonical, &mut scratch, &mut form, |form| {
+                seen.push(form.gates()[form.num_gates() - 1]);
+                true
+            });
+            prop_assert_eq!(&seen[..], whole.gates());
             prop_assert_eq!(&form, &whole);
-            prop_assert_eq!((cache.local_hits(), cache.local_misses()), (2, 1));
+            prop_assert_eq!(entry(&cache), (whole.gates().to_vec(), true));
+            let completed = u64::from(!stored_whole);
+            prop_assert_eq!(cache.local_completions(), completed);
+
+            cache.form_into(&canonical, &mut scratch, &mut form, |_| true);
+            prop_assert_eq!(&form, &whole);
+            let counts = (cache.local_hits(), cache.local_misses(), cache.local_completions());
+            prop_assert_eq!(counts, (3, 1, completed));
+            prop_assert_eq!(cache.stats().completions, completed);
         }
+    }
+
+    /// A structural fingerprint: every reachable AND with its fanins, in
+    /// topological order, and the outputs.
+    type Structure = (Vec<(u32, u32, u32)>, Vec<u32>);
+
+    fn structure(aig: &elf_aig::Aig) -> Structure {
+        let nodes = aig.topological_order().into_iter().map(|id| {
+            let (f0, f1) = aig.fanins(id);
+            (id.index(), f0.raw(), f1.raw())
+        });
+        let outputs = aig.outputs().iter().map(|lit| lit.raw());
+        (nodes.collect(), outputs.collect())
+    }
+
+    /// `rf; rw; rs` over the Tiny arithmetic suite, every circuit through
+    /// one shared `cache`: the fingerprint of each result.
+    fn flow_through(cache: &CutCache) -> Vec<Structure> {
+        use crate::{PrunableOperator, Refactor, Resubstitution, Rewrite};
+        use elf_circuits::epfl::{arithmetic_suite, Scale};
+
+        let (mut refactor, mut rewrite) = (Refactor::default(), Rewrite::default());
+        refactor.set_cut_cache(cache.clone());
+        rewrite.set_cut_cache(cache.clone());
+        let mut results = Vec::new();
+        for (_, mut aig) in arithmetic_suite(Scale::Tiny) {
+            refactor.run(&mut aig);
+            rewrite.run(&mut aig);
+            Resubstitution.run(&mut aig);
+            results.push(structure(&aig));
+        }
+        results
+    }
+
+    /// Keeping prefixes moves no counter but the completions: hits, misses
+    /// and entries are those of a cache that factors every miss to the end,
+    /// and every AIG is the one a disabled cache builds, node for node.
+    #[test]
+    fn prefix_entries_count_and_build_as_whole_entries_do() {
+        let prefixes = CutCache::new(CutCacheConfig::default());
+        let mut whole = CutCache::new(CutCacheConfig::default());
+        let shared = whole.shared.as_mut().expect("enabled");
+        Arc::get_mut(shared).expect("one handle").whole_on_miss = true;
+        let built = flow_through(&prefixes);
+        assert_eq!(built, flow_through(&whole));
+        assert_eq!(built, flow_through(&CutCache::disabled()));
+        let counts = |stats: CutCacheStats| (stats.hits, stats.misses, stats.entries);
+        assert_eq!(counts(prefixes.stats()), counts(whole.stats()));
+        assert_eq!(whole.stats().completions, 0);
+        assert!(prefixes.stats().completions > 0, "{:?}", prefixes.stats());
+        assert!(prefixes.stats().misses > 0, "{:?}", prefixes.stats());
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! aig.add_output(f);
 //!
 //! let stats = Refactor::new(RefactorParams::default()).run(&mut aig);
-//! assert_eq!(stats.cuts_formed, 3);
+//! assert_eq!(stats.nodes_visited, 3);
 //! ```
 
 mod build;

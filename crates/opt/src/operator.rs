@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use elf_aig::{Aig, Cut, CutFeatures, CutParams, CutScratch, Lit, NodeId};
 use elf_par::Parallelism;
-use elf_sop::{FactorScratch, FactoredForm};
+use elf_sop::{FactorScratch, FactoredForm, TruthTable};
 
 use crate::build::{ArenaCount, Simulation};
 use crate::cache::CutCache;
@@ -108,16 +108,14 @@ pub(crate) fn debug_assert_commit_equivalence(
 
 /// The statistics of one operator pass, filled in by the pass driver.
 ///
-/// Every operator and every policy reports the same cuts-formed /
+/// Every operator and every policy reports the same visited /
 /// resynthesized / pruned / committed counters, node delta and timing, which
 /// is what flows and benchmark tables aggregate.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OpStats {
-    /// Nodes visited by the pass.
+    /// Nodes visited by the pass: one cut is formed per visited node, and
+    /// the rates divide by it.
     pub nodes_visited: usize,
-    /// Cuts formed: one per visited node, so always equal to
-    /// [`nodes_visited`](Self::nodes_visited); the rates divide by it.
-    pub cuts_formed: usize,
     /// Cuts that went through full resynthesis.
     pub cuts_resynthesized: usize,
     /// Cuts whose resynthesis was pruned (skipped) by a keep decision.
@@ -167,26 +165,25 @@ impl OpStats {
     /// Fraction of formed cuts that were committed (the paper's "Refactored"
     /// column and the right-hand side of Figure 1).
     pub fn commit_rate(&self) -> f64 {
-        if self.cuts_formed == 0 {
+        if self.nodes_visited == 0 {
             0.0
         } else {
-            self.cuts_committed as f64 / self.cuts_formed as f64
+            self.cuts_committed as f64 / self.nodes_visited as f64
         }
     }
 
     /// Fraction of formed cuts that were pruned before resynthesis.
     pub fn prune_rate(&self) -> f64 {
-        if self.cuts_formed == 0 {
+        if self.nodes_visited == 0 {
             0.0
         } else {
-            self.cuts_pruned as f64 / self.cuts_formed as f64
+            self.cuts_pruned as f64 / self.nodes_visited as f64
         }
     }
 
     /// Accumulates another pass's counters into this one (runtimes add).
     pub fn absorb(&mut self, other: &OpStats) {
         self.nodes_visited += other.nodes_visited;
-        self.cuts_formed += other.cuts_formed;
         self.cuts_resynthesized += other.cuts_resynthesized;
         self.cuts_pruned += other.cuts_pruned;
         self.cuts_committed += other.cuts_committed;
@@ -227,6 +224,10 @@ pub struct PassScratch {
     pub(crate) cut_scratch: CutScratch,
     /// The buffers cuts are simulated in ([`crate::build::simulate_cut`]).
     pub(crate) simulation: Simulation,
+    /// The weighed cut's function.
+    pub(crate) truth: TruthTable,
+    /// Its NPN representative, the key of the cut cache.
+    pub(crate) canonical: TruthTable,
     /// The stacks a cache miss factors on.
     pub(crate) factor: FactorScratch,
     /// The form of the weighed cut's NPN representative.
@@ -247,6 +248,8 @@ impl PassScratch {
             cut: Cut::empty(),
             cut_scratch: CutScratch::new(),
             simulation: Simulation::default(),
+            truth: TruthTable::zeros(0),
+            canonical: TruthTable::zeros(0),
             factor: FactorScratch::default(),
             form: FactoredForm::default(),
             counts: Default::default(),
@@ -297,7 +300,6 @@ fn drive<O: PrunableOperator + ?Sized>(
             continue;
         }
         stats.nodes_visited += 1;
-        stats.cuts_formed += 1;
         if !keep {
             stats.cuts_pruned += 1;
             continue;
@@ -459,7 +461,7 @@ impl Sweep {
 /// aig.add_output(f);
 ///
 /// let stats = optimize(&Refactor::default(), &mut aig);
-/// assert_eq!(stats.cuts_formed, stats.nodes_visited);
+/// assert_eq!(stats.cuts_pruned, 0);
 /// let stats = optimize(&Rewrite::default(), &mut aig);
 /// assert!(stats.total_gain >= 0);
 /// ```
@@ -561,7 +563,7 @@ pub trait PrunableOperator {
     /// let stats = Refactor::default().run_batched(&mut aig, Parallelism::sequential(), |rows| {
     ///     rows.iter().map(|(_, features)| features.leaves >= 3.0).collect()
     /// });
-    /// assert_eq!(stats.cuts_pruned + stats.cuts_resynthesized, stats.cuts_formed);
+    /// assert_eq!(stats.cuts_pruned + stats.cuts_resynthesized, stats.nodes_visited);
     /// assert!(stats.total_gain >= 1);
     /// ```
     fn run_batched(
@@ -709,7 +711,7 @@ mod tests {
     #[test]
     fn op_stats_rates_and_absorb() {
         let mut stats = OpStats {
-            cuts_formed: 100,
+            nodes_visited: 100,
             cuts_committed: 2,
             cuts_pruned: 80,
             ..Default::default()
@@ -718,13 +720,13 @@ mod tests {
         assert!((stats.prune_rate() - 0.8).abs() < 1e-9);
         assert_eq!(OpStats::default().commit_rate(), 0.0);
         let other = OpStats {
-            cuts_formed: 10,
+            nodes_visited: 10,
             cuts_committed: 1,
             total_gain: 3,
             ..Default::default()
         };
         stats.absorb(&other);
-        assert_eq!(stats.cuts_formed, 110);
+        assert_eq!(stats.nodes_visited, 110);
         assert_eq!(stats.cuts_committed, 3);
         assert_eq!(stats.total_gain, 3);
     }

@@ -234,7 +234,7 @@ mod tests {
         let refactor = Refactor::new(RefactorParams::default());
         let stats = refactor.run_batched(&mut aig, sequential, |rows| vec![false; rows.len()]);
         assert_eq!(stats.cuts_resynthesized, 0);
-        assert_eq!(stats.cuts_pruned, stats.cuts_formed);
+        assert_eq!(stats.cuts_pruned, stats.nodes_visited);
         assert_eq!(stats.cuts_committed, 0);
         // Nothing changed.
         assert_eq!(aig.num_ands(), 3);
@@ -244,7 +244,7 @@ mod tests {
     fn recording_produces_one_sample_per_cut() {
         let mut aig = absorbed_term_circuit();
         let (stats, samples) = Refactor::new(RefactorParams::default()).run_recording(&mut aig);
-        assert_eq!(samples.len(), stats.cuts_formed);
+        assert_eq!(samples.len(), stats.nodes_visited);
         let committed = samples.iter().filter(|s| s.committed).count();
         assert_eq!(committed, stats.cuts_committed);
         assert!(samples.iter().all(|s| s.features.leaves >= 2.0));
@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn commit_rate_and_prune_rate() {
         let stats = OpStats {
-            cuts_formed: 100,
+            nodes_visited: 100,
             cuts_committed: 2,
             cuts_pruned: 80,
             ..Default::default()

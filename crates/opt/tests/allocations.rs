@@ -1,10 +1,10 @@
 //! The refactor pass stays off the heap: one plain `Refactor::run` over an
 //! arithmetic circuit, counted by a `#[global_allocator]` of this test
-//! binary's own, makes a handful of allocations per visited node — the cut's
-//! truth table and its NPN representative — where the boxed factored form
-//! made 351 (a `Vec` per quotient, remainder, cube and reduction level, a
-//! `Box` per gate, and the whole tree a second time to decanonicalize it).
-//!
+//! binary's own, allocates less than once per visited node — the cut's truth
+//! table and its NPN representative live in the pass scratch — where the
+//! boxed factored form made 351 (a `Vec` per quotient, remainder, cube and
+//! reduction level, a `Box` per gate, and the whole tree a second time to
+//! decanonicalize it), and the two tables owned per cut made 2.
 //!
 //! A batched pruned pass (`Elf<Refactor>`, keep-everything classifier) adds
 //! phase 1's feature sweep, whose window store must amortise — grow a few
@@ -71,11 +71,12 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Allocations per visited node above which the pass is back on the heap.
-/// Measured: 2.1, cache off and cache warm alike — the table a cut is
-/// simulated into and the representative's table (a second one on balanced
-/// ON-sets), plus what the few commits and the pass driver's own buffers
-/// come to per node.
-const CEILING: f64 = 4.0;
+/// Measured: 0.15 cache off and 0.13 cache warm in a release build, 0.20 in
+/// a debug build, whose commit checks allocate — what the few commits and
+/// the pass driver's own buffers come to per node.  A table owned per cut
+/// adds 1 (the cut's function and its representative read 2.0 while each
+/// was one).
+const CEILING: f64 = 0.25;
 
 #[test]
 fn a_plain_refactor_pass_allocates_a_handful_of_times_per_node() {
@@ -109,13 +110,14 @@ fn a_plain_refactor_pass_allocates_a_handful_of_times_per_node() {
 
 /// Allocations per visited node of a batched pruned pass above which its
 /// window store, its classifier batch (or anything else of phases 1–3)
-/// allocates per node.  Measured: 2.35, cache off — the plain pass's 2.0,
-/// plus 0.3 for the sweep's chunk stores growing by doubling and the target
-/// list; the classifier standardizes the batch into one buffer and runs the
-/// network in stack buffers, a handful of allocations per batch.  A `Vec`
-/// per stored window or per classified row would read 3.35 (the classifier
-/// read 4.35 while it made two `Vec`s per row).
-const BATCHED_CEILING: f64 = 3.0;
+/// allocates per node.  Measured: 0.47 in a release build and 0.52 in a
+/// debug build, cache off — the plain pass's 0.15, plus 0.3 for the sweep's
+/// chunk stores growing by doubling and the target list; the classifier
+/// standardizes the batch into one buffer and runs the network in stack
+/// buffers, a handful of allocations per batch.  A `Vec` per stored window
+/// or per classified row would read 1.47 (4.35 while the classifier made
+/// two `Vec`s per row and each cut owned its two tables).
+const BATCHED_CEILING: f64 = 0.6;
 
 #[test]
 fn a_batched_pruned_pass_amortises_its_window_store() {

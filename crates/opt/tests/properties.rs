@@ -33,7 +33,7 @@ fn check_pruned_run<O: PrunableOperator>(operator: &O, mut aig: Aig, mask: u64, 
     assert!(aig.num_reachable_ands() <= before);
     assert_eq!(
         stats.cuts_pruned + stats.cuts_resynthesized,
-        stats.cuts_formed
+        stats.nodes_visited
     );
     assert!(
         aig.check_invariants().is_empty(),
@@ -212,7 +212,6 @@ fn filtered_twin<O: PrunableOperator>(
             continue;
         }
         stats.nodes_visited += 1;
-        stats.cuts_formed += 1;
         if !keep(node) {
             stats.cuts_pruned += 1;
             continue;

@@ -1,6 +1,7 @@
 //! Truth tables over up to 16 variables, stored as packed 64-bit words.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::{BitAnd, BitOr, BitXor, Not};
 
 /// Maximum number of variables supported by [`TruthTable`].
@@ -32,10 +33,35 @@ pub(crate) const ELEMENTARY: [u64; 6] = [
 /// assert_eq!(f.count_ones(), 1);
 /// assert!(f.get_bit(0b11));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct TruthTable {
     num_vars: usize,
     words: Vec<u64>,
+}
+
+impl Clone for TruthTable {
+    fn clone(&self) -> Self {
+        TruthTable {
+            num_vars: self.num_vars,
+            words: self.words.clone(),
+        }
+    }
+
+    /// Copies into the words `self` already has room for.
+    fn clone_from(&mut self, source: &Self) {
+        self.num_vars = source.num_vars;
+        self.words.clone_from(&source.words);
+    }
+}
+
+/// A table is hashed a word at a time, the shape a word hasher reads fastest.
+impl Hash for TruthTable {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.num_vars);
+        for &word in &self.words {
+            state.write_u64(word);
+        }
+    }
 }
 
 impl TruthTable {
@@ -120,6 +146,22 @@ impl TruthTable {
         let mut t = TruthTable { num_vars, words };
         t.mask();
         t
+    }
+
+    /// Makes `self` the table of `num_vars` variables whose words are
+    /// `words`, as [`TruthTable::from_words`] does, in the words `self`
+    /// already has room for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the number of words does not match `num_vars`.
+    pub fn copy_from_words(&mut self, words: &[u64], num_vars: usize) {
+        assert!(num_vars <= MAX_VARS);
+        assert_eq!(words.len(), Self::word_count(num_vars), "wrong word count");
+        self.num_vars = num_vars;
+        self.words.clear();
+        self.words.extend_from_slice(words);
+        self.mask();
     }
 
     /// Builds a truth table by evaluating `f` on every input assignment.
@@ -249,6 +291,14 @@ impl TruthTable {
         let mut out = self.clone();
         out.flip_var_in_place(var);
         out
+    }
+
+    /// Complements the function in place (`!self`).
+    pub fn complement_in_place(&mut self) {
+        for word in &mut self.words {
+            *word = !*word;
+        }
+        self.mask();
     }
 
     /// Complements variable `var` in place (see [`TruthTable::flip_var`]).
@@ -546,6 +596,25 @@ mod tests {
         let n = !&TruthTable::zeros(1);
         assert_eq!(n.words()[0], 0b11);
         assert!(n.is_one());
+    }
+
+    /// The in-place writers leave what their allocating twins build, over
+    /// a table of another width whose words they reuse.
+    #[test]
+    fn in_place_writers_match_their_allocating_twins() {
+        let mut table = TruthTable::from_fn(9, |m| m % 5 == 1);
+        for num_vars in [0, 3, 6, 8, 2] {
+            let f = scrambled(num_vars, num_vars + 1);
+            table.copy_from_words(f.words(), num_vars);
+            assert_eq!(table, TruthTable::from_words(f.words().to_vec(), num_vars));
+            table.complement_in_place();
+            assert_eq!(table, !&f);
+            table.clone_from(&f);
+            assert_eq!(table, f);
+        }
+        // Bits past a narrow table's width are dropped as `from_words` does.
+        table.copy_from_words(&[!0], 2);
+        assert_eq!(table, TruthTable::ones(2));
     }
 
     #[test]

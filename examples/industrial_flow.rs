@@ -102,7 +102,7 @@ fn main() {
             .unwrap_or_default();
         println!(
             "  {:<14} -> {:>6} ANDs ({} committed of {} cuts{pruned})",
-            stage.name, stage.ands_after, stage.op.cuts_committed, stage.op.cuts_formed,
+            stage.name, stage.ands_after, stage.op.cuts_committed, stage.op.nodes_visited,
         );
     }
 

@@ -24,7 +24,7 @@ for dir in "${GATED_DIRS[@]}"; do
         # Strip the in-file test module: offenders are only counted in the
         # non-test region before the first `#[cfg(test)]`.
         offenders=$(awk '
-            /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+            /^#\[cfg\(test\)\]/ { exit }
             /^[[:space:]]*\/\/[\/!]/ { next }
             /\.unwrap\(\)|\.expect\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
         ' "$file")
@@ -188,7 +188,7 @@ echo "static-gate: one product kernel, one inference path, classify on one threa
 # `run_decided` outside tests is the second, window-less phase 3 coming back.
 decided=$(find crates/*/src src examples -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
     /run_decided/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
 ')
@@ -217,7 +217,7 @@ echo "static-gate: unsafe code allowed in the counting allocator only"
 # conflict coming back.
 containers=$(awk '
     FNR == 1 { in_tests = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
     /BinaryHeap|Vec<Vec<SatLit>>/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
 ' crates/cec/src/*.rs)
@@ -234,7 +234,7 @@ echo "static-gate: the CDCL core stays off the heap"
 # the per-node rank map, and the re-sort of the classes it fed, coming back.
 node_maps=$(awk '
     FNR == 1 { in_tests = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
     /HashMap<NodeId/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
 ' crates/cec/src/*.rs)
@@ -253,7 +253,7 @@ echo "static-gate: elf-cec keeps per-node tables by slot"
 # decision path coming back.
 twins=$(awk '
     FNR == 1 { in_tests = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
     FILENAME !~ /pipeline\.rs$/ && /check_equivalence/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
     /pub fn (classify_batch|predict_batch_with)/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
@@ -289,7 +289,7 @@ echo "static-gate: one job queue, one MFFC walk, no recycling mode"
 # query propagates over the cone it can reach.  A `topological_order` in the
 # non-test region of the encoder is the whole-miter eager encoding coming back.
 eager=$(awk '
-    /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+    /^#\[cfg\(test\)\]/ { exit }
     /^[[:space:]]*\/\// { next }
     /topological_order/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
 ' crates/cec/src/cnf.rs)
@@ -385,7 +385,7 @@ echo "static-gate: one bench harness (elf-perf)"
 # written to in the non-test region of `cover.rs` is the pass that added the
 # literals after the fact, once per level, coming back.
 after=$(awk '
-    /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+    /^#\[cfg\(test\)\]/ { exit }
     /^[[:space:]]*\/\// { next }
     /add_split_literal|in &mut cubes|cubes(\[[^]]*\])?\.iter_mut\(|cubes\[[^]]*\.\./ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
 ' crates/sop/src/cover.rs)
@@ -448,3 +448,27 @@ if [ -n "$knobs" ]; then
     exit 1
 fi
 echo "static-gate: operators at their one configuration, three pass policies, no graph-owned cut scratch"
+
+# Per-cut lookups cost what the gain count reads: the strash and the cut
+# cache's class map hash with `elf-aig`'s seeded word hasher, and a cut is
+# simulated into the pass scratch's table.  A `strash` declared as a
+# `HashMap` without `WordState` in non-test `aig.rs`, a `HashMap::new()` or
+# a `HashMap<` without `WordState` in non-test `cache.rs`, or a `.to_vec()`
+# in `build.rs`'s `cut_truth_table_in` is SipHash or the table owned per
+# cut coming back.
+lookups=$(awk '
+    FNR == 1 { in_tests = 0; in_truth = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    FILENAME ~ /aig\.rs$/ && /strash: HashMap/ && !/WordState/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    FILENAME ~ /cache\.rs$/ && (/HashMap::new\(\)/ || (/HashMap</ && !/WordState/)) { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    FILENAME ~ /build\.rs$/ && /fn cut_truth_table_in/ { in_truth = 1 }
+    in_truth && /\.to_vec\(\)/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    in_truth && /^}/ { in_truth = 0 }
+' crates/aig/src/aig.rs crates/opt/src/cache.rs crates/opt/src/build.rs)
+if [ -n "$lookups" ]; then
+    echo "$lookups"
+    echo "static-gate: the strash or the class map on the default hasher, or a table allocated per cut in cut_truth_table_in" >&2
+    exit 1
+fi
+echo "static-gate: per-cut lookups hash words and simulate into the scratch"

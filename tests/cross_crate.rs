@@ -91,7 +91,7 @@ fn cut_features_are_stable_across_clones() {
 #[test]
 fn empty_and_trivial_graphs_are_handled_by_every_operator() {
     let mut empty = Aig::new();
-    assert_eq!(Refactor::default().run(&mut empty).cuts_formed, 0);
+    assert_eq!(Refactor::default().run(&mut empty).nodes_visited, 0);
     assert_eq!(Rewrite::default().run(&mut empty).nodes_visited, 0);
     assert_eq!(Resubstitution.run(&mut empty).nodes_visited, 0);
 

@@ -45,7 +45,7 @@ fn refactor_preserves_functionality_on_arithmetic_circuits() {
             "{name}: refactor changed the function"
         );
         assert!(
-            stats.cuts_formed > 0,
+            stats.nodes_visited > 0,
             "{name}: no cuts were formed by refactor"
         );
     }
@@ -60,7 +60,7 @@ fn redundancy_statistics_match_the_papers_premise() {
     for (_, aig) in arithmetic_suite(Scale::Tiny) {
         let mut copy = aig;
         let stats = Refactor::new(RefactorParams::default()).run(&mut copy);
-        total_cuts += stats.cuts_formed;
+        total_cuts += stats.nodes_visited;
         total_commits += stats.cuts_committed;
     }
     let commit_rate = total_commits as f64 / total_cuts as f64;
@@ -204,7 +204,7 @@ fn rewrite_classifier_trains_and_prunes_through_shared_machinery() {
     let mut optimized = golden.clone();
     let elf = Elf::with_operator(classifier, operator.clone(), ElfOptions::default());
     let stats = elf.run(&mut optimized);
-    assert_eq!(stats.pruned + stats.kept, stats.op.cuts_formed);
+    assert_eq!(stats.pruned + stats.kept, stats.op.nodes_visited);
     assert!(stats.pruned > 0, "rewrite classifier pruned nothing");
     assert!(optimized.check_invariants().is_empty());
     assert!(check_equivalence(&golden, &optimized, 32, 6).holds());
