@@ -104,26 +104,18 @@ impl Cut {
 pub struct CutParams {
     /// Maximum number of leaves (ABC's `nNodeSizeMax`, default 10 for refactor).
     pub max_leaves: usize,
-    /// Maximum fanin cost of a leaf that may still be expanded.
-    pub max_expansion_cost: usize,
 }
 
 impl Default for CutParams {
     fn default() -> Self {
-        CutParams {
-            max_leaves: 10,
-            max_expansion_cost: 2,
-        }
+        CutParams { max_leaves: 10 }
     }
 }
 
 impl CutParams {
     /// Creates parameters with the given leaf bound.
     pub fn with_max_leaves(max_leaves: usize) -> Self {
-        CutParams {
-            max_leaves,
-            ..Self::default()
-        }
+        CutParams { max_leaves }
     }
 }
 
@@ -228,6 +220,10 @@ struct LeafCost {
 /// Above every real cost (at most 2), so no bound ever admits it.
 const NO_EXPANSION: u32 = 3;
 
+/// Maximum fanin cost of a leaf that may still be expanded (ABC's 2): every
+/// AND leaf qualifies, a leaf at [`NO_EXPANSION`] never does.
+const MAX_EXPANSION_COST: u32 = 2;
+
 impl CutScratch {
     /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
@@ -330,8 +326,6 @@ impl Aig {
         scratch.begin(self.num_slots());
         scratch.leaf_costs.clear();
         scratch.mark(root);
-        // Both bounds cap the cost, and no real cost exceeds 2.
-        let cost_cap = params.max_expansion_cost.min(2) as u32;
         let (f0, f1) = self.fanins(root);
         let mut fanins = [f0.node(), f1.node()];
         loop {
@@ -343,7 +337,7 @@ impl Aig {
             // bound admits a cost up to `max_leaves - (leaves - 1)` (at least
             // 1: no expansion grows the list past the bound).
             let room = u32::try_from(params.max_leaves - more).unwrap_or(u32::MAX);
-            if (best >> 32) as u32 > cost_cap.min(room) {
+            if (best >> 32) as u32 > MAX_EXPANSION_COST.min(room) {
                 break;
             }
             let index = best as u32 as usize;
@@ -560,7 +554,7 @@ mod tests {
             for (index, &leaf) in leaves.iter().enumerate() {
                 let cost = leaf_expansion_cost(aig, leaf, scratch);
                 let Some(cost) = cost else { continue };
-                if cost > params.max_expansion_cost {
+                if cost > MAX_EXPANSION_COST as usize {
                     continue;
                 }
                 // Expanding replaces one leaf by `cost` new leaves.
@@ -692,10 +686,7 @@ mod tests {
             let mut aig = scripted(6, &script);
             let mut scratch = CutScratch::new();
             for round in 0..2 {
-                for max_expansion_cost in 0..=3 {
-                    let params = CutParams { max_leaves, max_expansion_cost };
-                    check_against_rescan(&aig, &params, &mut scratch);
-                }
+                check_against_rescan(&aig, &CutParams::with_max_leaves(max_leaves), &mut scratch);
                 if round == 0 {
                     churn(&mut aig, &edits);
                     prop_assert!(aig.check_invariants().is_empty());
@@ -712,14 +703,9 @@ mod tests {
             .collect();
         let aig = scripted(8, &script);
         let mut scratch = CutScratch::new();
-        for max_expansion_cost in 0..=3 {
-            for max_leaves in [17, 64, u32::MAX as usize, usize::MAX] {
-                let params = CutParams {
-                    max_leaves,
-                    max_expansion_cost,
-                };
-                assert!(check_against_rescan(&aig, &params, &mut scratch) > 40);
-            }
+        for max_leaves in [17, 64, u32::MAX as usize, usize::MAX] {
+            let params = CutParams::with_max_leaves(max_leaves);
+            assert!(check_against_rescan(&aig, &params, &mut scratch) > 40);
         }
     }
 

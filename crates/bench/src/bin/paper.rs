@@ -463,14 +463,7 @@ fn fig3(command: &Command) {
         points.len(),
         labels.iter().filter(|&&l| l).count()
     );
-    let embedding = tsne::tsne(
-        &points,
-        &tsne::TsneConfig {
-            iterations: 250,
-            perplexity: 30.0,
-            ..Default::default()
-        },
-    );
+    let embedding = tsne::tsne(&points);
 
     let mut csv = String::from("x,y,refactored\n");
     for (point, &label) in embedding.iter().zip(&labels) {

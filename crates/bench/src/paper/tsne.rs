@@ -9,36 +9,19 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Configuration of a t-SNE run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TsneConfig {
-    /// Target perplexity (effective number of neighbours).
-    pub perplexity: f64,
-    /// Number of gradient-descent iterations.
-    pub iterations: usize,
-    /// Learning rate.
-    pub learning_rate: f64,
-    /// Momentum coefficient.
-    pub momentum: f64,
-    /// Early-exaggeration factor applied to the affinities for the first
-    /// quarter of the iterations.
-    pub early_exaggeration: f64,
-    /// RNG seed for the initial embedding.
-    pub seed: u64,
-}
-
-impl Default for TsneConfig {
-    fn default() -> Self {
-        TsneConfig {
-            perplexity: 30.0,
-            iterations: 300,
-            learning_rate: 100.0,
-            momentum: 0.8,
-            early_exaggeration: 4.0,
-            seed: 0x7541,
-        }
-    }
-}
+/// Target perplexity (effective number of neighbours).
+const PERPLEXITY: f64 = 30.0;
+/// Number of gradient-descent iterations.
+const ITERATIONS: usize = 250;
+/// Learning rate.
+const LEARNING_RATE: f64 = 100.0;
+/// Momentum coefficient.
+const MOMENTUM: f64 = 0.8;
+/// Early-exaggeration factor applied to the affinities for the first
+/// quarter of the iterations.
+const EARLY_EXAGGERATION: f64 = 4.0;
+/// RNG seed for the initial embedding.
+const SEED: u64 = 0x7541;
 
 /// Embeds `points` (each a feature vector) into two dimensions.
 ///
@@ -47,7 +30,7 @@ impl Default for TsneConfig {
 /// # Panics
 ///
 /// Panics if the points have inconsistent dimensionality.
-pub fn tsne(points: &[Vec<f64>], config: &TsneConfig) -> Vec<[f64; 2]> {
+pub fn tsne(points: &[Vec<f64>]) -> Vec<[f64; 2]> {
     let n = points.len();
     if n == 0 {
         return Vec::new();
@@ -76,7 +59,7 @@ pub fn tsne(points: &[Vec<f64>], config: &TsneConfig) -> Vec<[f64; 2]> {
     }
 
     // Per-point bandwidths via binary search on the perplexity.
-    let target_entropy = config.perplexity.max(2.0).ln();
+    let target_entropy = PERPLEXITY.ln();
     let mut p = vec![0.0f64; n * n];
     for i in 0..n {
         let mut beta = 1.0f64;
@@ -143,16 +126,16 @@ pub fn tsne(points: &[Vec<f64>], config: &TsneConfig) -> Vec<[f64; 2]> {
     }
 
     // Gradient descent on the embedding.
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = StdRng::seed_from_u64(SEED);
     let mut embedding: Vec<[f64; 2]> = (0..n)
         .map(|_| [rng.gen_range(-1e-2..1e-2), rng.gen_range(-1e-2..1e-2)])
         .collect();
     let mut velocity = vec![[0.0f64; 2]; n];
-    let exaggeration_steps = config.iterations / 4;
+    let exaggeration_steps = ITERATIONS / 4;
 
-    for iteration in 0..config.iterations {
+    for iteration in 0..ITERATIONS {
         let exaggeration = if iteration < exaggeration_steps {
-            config.early_exaggeration
+            EARLY_EXAGGERATION
         } else {
             1.0
         };
@@ -185,7 +168,7 @@ pub fn tsne(points: &[Vec<f64>], config: &TsneConfig) -> Vec<[f64; 2]> {
                 grad[1] += factor * (embedding[i][1] - embedding[j][1]);
             }
             for d in 0..2 {
-                velocity[i][d] = config.momentum * velocity[i][d] - config.learning_rate * grad[d];
+                velocity[i][d] = MOMENTUM * velocity[i][d] - LEARNING_RATE * grad[d];
             }
         }
         for i in 0..n {
@@ -220,12 +203,7 @@ mod tests {
             points.push(point);
             labels.push(i % 2 == 0);
         }
-        let config = TsneConfig {
-            iterations: 150,
-            perplexity: 10.0,
-            ..Default::default()
-        };
-        let embedding = tsne(&points, &config);
+        let embedding = tsne(&points);
         assert_eq!(embedding.len(), points.len());
         // Average intra-cluster distance must be well below the inter-cluster
         // distance.
@@ -261,8 +239,8 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        assert!(tsne(&[], &TsneConfig::default()).is_empty());
-        let single = tsne(&[vec![1.0, 2.0]], &TsneConfig::default());
+        assert!(tsne(&[]).is_empty());
+        let single = tsne(&[vec![1.0, 2.0]]);
         assert_eq!(single, vec![[0.0, 0.0]]);
     }
 
@@ -271,11 +249,7 @@ mod tests {
         let points: Vec<Vec<f64>> = (0..20)
             .map(|i| vec![i as f64, (i * i % 7) as f64, 1.0])
             .collect();
-        let config = TsneConfig {
-            iterations: 50,
-            ..Default::default()
-        };
-        let embedding = tsne(&points, &config);
+        let embedding = tsne(&points);
         let mean_x: f64 = embedding.iter().map(|p| p[0]).sum::<f64>() / 20.0;
         let mean_y: f64 = embedding.iter().map(|p| p[1]).sum::<f64>() / 20.0;
         assert!(mean_x.abs() < 1e-6);

@@ -118,8 +118,6 @@ pub struct CecParams {
     /// Random simulation rounds (64 input vectors each) used to form
     /// candidate-equivalence classes before SAT sweeping.
     pub sim_rounds: usize,
-    /// Seed of the simulation patterns; fixed seed, fixed run.
-    pub seed: u64,
     /// Total SAT conflict budget.  The sweep may spend at most half; the
     /// final miter query gets the rest.  When the budget runs out the check
     /// returns [`Equivalence::Undecided`] rather than stalling the flow.
@@ -133,7 +131,6 @@ impl Default for CecParams {
     fn default() -> Self {
         CecParams {
             sim_rounds: 8,
-            seed: 0xE1F_CEC,
             conflict_budget: 100_000,
             sweep: true,
         }

@@ -99,6 +99,9 @@ pub(crate) fn solve_miter(m: &Aig, params: &CecParams) -> CecReport {
     report
 }
 
+/// Seed of the simulation patterns; fixed seed, fixed run.
+const SIM_SEED: u64 = 0xE1F_CEC;
+
 /// One simulation state: accumulated 64-pattern words per node slot.
 struct Sim {
     /// `words[slot]` holds one word per completed simulation round;
@@ -133,7 +136,7 @@ impl Sim {
     /// for some vector ends them: the column of the lowest such bit is
     /// returned as a counterexample.
     fn random_rounds(&mut self, m: &Aig, params: &CecParams, out: Lit) -> Option<Vec<bool>> {
-        let mut rng = params.seed ^ 0x5EED_CEC5_EED0_CEC5;
+        let mut rng = SIM_SEED ^ 0x5EED_CEC5_EED0_CEC5;
         let mut input_words = vec![0u64; m.num_inputs()];
         for _ in 0..params.sim_rounds.max(1) {
             for word in &mut input_words {

@@ -109,17 +109,17 @@ impl ElfClassifier {
             model: model.into_shared(),
             threshold: DEFAULT_THRESHOLD,
         };
-        classifier.calibrate_threshold(data, RECALL_TARGET);
+        classifier.calibrate_threshold(data);
         (classifier, report)
     }
 
-    /// Calibrates the decision threshold so that at least `recall_target` of
-    /// the positive examples in `data` are classified as positive.
+    /// Calibrates the decision threshold so that at least [`RECALL_TARGET`]
+    /// of the positive examples in `data` are classified as positive.
     ///
     /// The threshold is clamped to `[0.05, 0.5]`; if `data` has no positive
     /// examples, or the model is so diverged that the chosen quantile is not
     /// a finite probability, the threshold is left unchanged.
-    pub fn calibrate_threshold(&mut self, data: &Dataset, recall_target: f64) {
+    fn calibrate_threshold(&mut self, data: &Dataset) {
         let mut positive_probs: Vec<f32> = Vec::new();
         let rows: Vec<Vec<f32>> = data
             .features()
@@ -139,9 +139,9 @@ impl ElfClassifier {
         // would and gives the NaNs of a diverged model a place instead of a
         // panic.
         positive_probs.sort_by(f32::total_cmp);
-        // Keep `recall_target` of positives: threshold at the (1 - target)
+        // Keep `RECALL_TARGET` of positives: threshold at the (1 - target)
         // quantile of the positive probability distribution.
-        let index = ((1.0 - recall_target) * positive_probs.len() as f64).floor() as usize;
+        let index = ((1.0 - RECALL_TARGET) * positive_probs.len() as f64).floor() as usize;
         let quantile = positive_probs[index.min(positive_probs.len() - 1)];
         if quantile.is_finite() {
             self.threshold = quantile.clamp(0.05, DEFAULT_THRESHOLD);
@@ -294,8 +294,10 @@ impl ElfClassifier {
     /// # Errors
     ///
     /// Returns a [`ParseClassifierError`] if any section is malformed, if
-    /// `mean` or `std` does not hold one value per feature, or if the
-    /// network's layers do not chain from the six features to one output.
+    /// the threshold or a `mean` is not finite, if a `std` is not finite and
+    /// positive, if `mean` or `std` does not hold one value per feature, or
+    /// if the network's layers do not chain from the six features to one
+    /// output.
     pub fn from_text(text: &str) -> Result<Self, ParseClassifierError> {
         let mut lines = text.lines();
         let parse_err = ParseClassifierError::new;
@@ -303,6 +305,7 @@ impl ElfClassifier {
         let threshold: f32 = threshold_line
             .strip_prefix("threshold ")
             .and_then(|s| s.trim().parse().ok())
+            .filter(|t: &f32| t.is_finite())
             .ok_or_else(|| parse_err("bad threshold line"))?;
         let parse_vec = |line: &str, prefix: &str| -> Result<Vec<f32>, ParseClassifierError> {
             line.strip_prefix(prefix)
@@ -321,6 +324,10 @@ impl ElfClassifier {
         )?;
         if mean.len() != NUM_FEATURES || std.len() != NUM_FEATURES {
             return Err(parse_err("mean and std must hold one value per feature"));
+        }
+        // Each would standardise some row to a NaN or to a constant.
+        if !mean.iter().all(|m| m.is_finite()) || !std.iter().all(|s| s.is_finite() && *s > 0.0) {
+            return Err(parse_err("mean must be finite and std finite and positive"));
         }
         let rest: Vec<&str> = lines.collect();
         let model = model_from_text(&rest.join("\n"))
@@ -374,7 +381,6 @@ mod tests {
     fn quick_config() -> TrainConfig {
         TrainConfig {
             epochs: 10,
-            learning_rate: 0.05,
             ..Default::default()
         }
     }
@@ -403,7 +409,7 @@ mod tests {
         let data = synthetic_dataset(50);
         let normalizer = Normalizer::fit(&data);
         let mut classifier = ElfClassifier::from_parts(normalizer, diverged, 0.3);
-        classifier.calibrate_threshold(&data, RECALL_TARGET);
+        classifier.calibrate_threshold(&data);
         assert_eq!(classifier.threshold(), 0.3);
     }
 
@@ -473,6 +479,17 @@ mod tests {
             with(1, "mean 0 0 0 0 0"),
             // Both of the same wrong length.
             with(1, "mean 0 0 0 0 0 0 0").replace("std ", "std 1 "),
+            // A threshold that decides every cut the same way.
+            with(0, "threshold NaN"),
+            with(0, "threshold inf"),
+            with(0, "threshold -inf"),
+            // Statistics that standardise a row to NaN.
+            with(1, "mean 0 inf 0 0 0 0"),
+            with(1, "mean 0 0 0 NaN 0 0"),
+            with(2, "std 1 1 0 1 1 1"),
+            with(2, "std 1 -1 1 1 1 1"),
+            with(2, "std 1 1 1 1 NaN 1"),
+            with(2, "std 1 1 1 1 1 inf"),
             // A layer count no allocation can hold.
             format!("{header}\nmlp 18446744073709551615"),
             // A weight count that overflows.

@@ -294,10 +294,10 @@ impl Flow {
         script.split([';', ',']).flat_map(str::split_whitespace)
     }
 
-    /// Sets the worker-thread count of the pruned stages' sweep and forward
-    /// pass (plain stages mutate the graph sequentially and have no parallel
-    /// phase).  Defaults to `ELF_THREADS`; results are identical for every
-    /// count.
+    /// Sets the worker-thread count of the pruned stages' feature sweep;
+    /// their forward pass runs on the calling thread, and plain stages
+    /// mutate the graph sequentially and have no parallel phase.  Defaults
+    /// to `ELF_THREADS`; results are identical for every count.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self

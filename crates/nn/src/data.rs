@@ -86,7 +86,7 @@ impl Dataset {
     /// (whenever the class has two or more examples and the fraction is
     /// non-zero), so validation recall is never undefined just because the
     /// shuffle dropped every positive from the validation slice.
-    pub fn split_stratified(&self, validation_fraction: f32, seed: u64) -> (Dataset, Dataset) {
+    pub fn split_stratified(&self, fraction: f32, seed: u64) -> (Dataset, Dataset) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut negatives: Vec<usize> = Vec::new();
         let mut positives: Vec<usize> = Vec::new();
@@ -101,8 +101,8 @@ impl Dataset {
         let mut valid_idx = Vec::new();
         for class in [&mut negatives, &mut positives] {
             shuffle_indices(class, &mut rng);
-            let rounded = ((class.len() as f32) * validation_fraction).round() as usize;
-            let valid_count = if class.len() >= 2 && validation_fraction > 0.0 {
+            let rounded = ((class.len() as f32) * fraction).round() as usize;
+            let valid_count = if class.len() >= 2 && fraction > 0.0 {
                 rounded.clamp(1, class.len() - 1)
             } else {
                 rounded.min(class.len())
@@ -234,45 +234,32 @@ impl Normalizer {
 /// Weighted random sampling with replacement that balances the two classes
 /// (the resampling strategy the paper found most effective).
 #[derive(Debug, Clone)]
-pub struct WeightedRandomSampler {
-    weights: Vec<f64>,
+pub(crate) struct WeightedRandomSampler {
+    /// Running sums of the per-example weights.
     cumulative: Vec<f64>,
 }
 
 impl WeightedRandomSampler {
     /// Builds a sampler whose per-example weight is inversely proportional to
     /// its class frequency.
-    pub fn balanced(dataset: &Dataset) -> Self {
+    pub(crate) fn balanced(dataset: &Dataset) -> Self {
         let (neg, pos) = dataset.class_counts();
         let w_pos = if pos == 0 { 0.0 } else { 1.0 / pos as f64 };
         let w_neg = if neg == 0 { 0.0 } else { 1.0 / neg as f64 };
-        let weights: Vec<f64> = dataset
-            .labels()
-            .iter()
-            .map(|&l| if l >= 0.5 { w_pos } else { w_neg })
-            .collect();
-        let mut cumulative = Vec::with_capacity(weights.len());
+        let mut cumulative = Vec::with_capacity(dataset.len());
         let mut total = 0.0;
-        for w in &weights {
-            total += w;
+        for &label in dataset.labels() {
+            total += if label >= 0.5 { w_pos } else { w_neg };
             cumulative.push(total);
         }
-        WeightedRandomSampler {
-            weights,
-            cumulative,
-        }
-    }
-
-    /// Per-example sampling weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
+        WeightedRandomSampler { cumulative }
     }
 
     /// Draws `count` example indices with replacement.
-    pub fn sample(&self, count: usize, rng: &mut impl Rng) -> Vec<usize> {
+    pub(crate) fn sample(&self, count: usize, rng: &mut impl Rng) -> Vec<usize> {
         let total = *self.cumulative.last().unwrap_or(&0.0);
         if total <= 0.0 {
-            return (0..count.min(self.weights.len())).collect();
+            return (0..count.min(self.cumulative.len())).collect();
         }
         (0..count)
             .map(|_| {
@@ -283,7 +270,7 @@ impl WeightedRandomSampler {
                     .cumulative
                     .binary_search_by(|probe| probe.total_cmp(&r))
                 {
-                    Ok(i) | Err(i) => i.min(self.weights.len() - 1),
+                    Ok(i) | Err(i) => i.min(self.cumulative.len() - 1),
                 }
             })
             .collect()
@@ -293,7 +280,7 @@ impl WeightedRandomSampler {
 /// MixUp augmentation (Zhang et al.): convex combinations of example pairs.
 ///
 /// Returns a new dataset of `count` mixed examples drawn from `dataset`.
-pub fn mixup(dataset: &Dataset, count: usize, alpha: f32, seed: u64) -> Dataset {
+pub(crate) fn mixup(dataset: &Dataset, count: usize, alpha: f32, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Dataset::new();
     if dataset.len() < 2 {

@@ -46,7 +46,7 @@ pub struct Mlp {
 
 /// Per-layer gradients produced by [`Mlp::backward`].
 #[derive(Debug, Clone)]
-pub struct Gradients {
+pub(crate) struct Gradients {
     /// Gradient of the loss with respect to each layer's weight matrix.
     pub weights: Vec<Matrix>,
     /// Gradient of the loss with respect to each layer's bias vector.
@@ -131,7 +131,7 @@ impl Mlp {
     /// Runs the network on a batch of inputs (`N x num_inputs`) and keeps
     /// every layer's output: the input is entry 0, the network's output the
     /// last.  Used by backpropagation.
-    pub fn forward_cached(&self, input: &Matrix) -> Vec<Matrix> {
+    pub(crate) fn forward_cached(&self, input: &Matrix) -> Vec<Matrix> {
         let mut activations = Vec::with_capacity(self.layers.len() + 1);
         let mut current = input.clone();
         for layer in &self.layers {
@@ -150,7 +150,7 @@ impl Mlp {
     ///
     /// Panics if `activations` was not produced by [`Mlp::forward_cached`] on
     /// a batch with the same number of rows as `grad_output`.
-    pub fn backward(&self, activations: &[Matrix], grad_output: &Matrix) -> Gradients {
+    pub(crate) fn backward(&self, activations: &[Matrix], grad_output: &Matrix) -> Gradients {
         assert_eq!(activations.len(), self.layers.len() + 1);
         let mut weight_grads = vec![Matrix::zeros(0, 0); self.layers.len()];
         let mut bias_grads = vec![Vec::new(); self.layers.len()];
@@ -198,10 +198,10 @@ impl Mlp {
     /// ping-pong buffers — on the stack while no layer is wider than 16,
     /// one heap buffer per call otherwise — so every multiply-add runs
     /// across the block's rows at once and inference allocates only the
-    /// returned `Vec`.  Each value is accumulated as [`Mlp::forward_cached`]
-    /// accumulates it: from `0.0` over ascending inputs, then the bias,
-    /// then the activation, so the probabilities equal the first column of
-    /// its last matrix bit for bit.
+    /// returned `Vec`.  Each value is accumulated as the training forward
+    /// pass (`forward_cached`) accumulates it: from `0.0` over ascending
+    /// inputs, then the bias, then the activation, so the probabilities
+    /// equal the first column of its last matrix bit for bit.
     ///
     /// # Panics
     ///

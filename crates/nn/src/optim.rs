@@ -8,7 +8,7 @@ use crate::model::{Gradients, Mlp};
 /// The paper trains the classifier with Adam at learning rate 0.1 under a
 /// cosine-annealing-with-warm-restarts schedule.
 #[derive(Debug, Clone)]
-pub struct Adam {
+pub(crate) struct Adam {
     learning_rate: f32,
     beta1: f32,
     beta2: f32,
@@ -23,7 +23,7 @@ pub struct Adam {
 impl Adam {
     /// Creates an Adam optimizer with the given learning rate and default
     /// moment decay rates (0.9, 0.999).
-    pub fn new(learning_rate: f32) -> Self {
+    pub(crate) fn new(learning_rate: f32) -> Self {
         Adam {
             learning_rate,
             beta1: 0.9,
@@ -37,19 +37,9 @@ impl Adam {
         }
     }
 
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.learning_rate
-    }
-
     /// Sets the learning rate (used by schedulers between steps).
-    pub fn set_learning_rate(&mut self, learning_rate: f32) {
+    pub(crate) fn set_learning_rate(&mut self, learning_rate: f32) {
         self.learning_rate = learning_rate;
-    }
-
-    /// Number of optimization steps performed so far.
-    pub fn step_count(&self) -> u64 {
-        self.step_count
     }
 
     fn ensure_state(&mut self, grads: &Gradients) {
@@ -67,7 +57,7 @@ impl Adam {
     }
 
     /// Applies one Adam update to the model given freshly computed gradients.
-    pub fn step(&mut self, model: &mut Mlp, grads: &Gradients) {
+    pub(crate) fn step(&mut self, model: &mut Mlp, grads: &Gradients) {
         self.ensure_state(grads);
         self.step_count += 1;
         let t = self.step_count as f32;
@@ -114,7 +104,7 @@ impl Adam {
 /// Cosine annealing learning-rate schedule with warm restarts
 /// (Loshchilov & Hutter, SGDR).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CosineAnnealingWarmRestarts {
+pub(crate) struct CosineAnnealingWarmRestarts {
     base_lr: f32,
     min_lr: f32,
     /// Length of the first restart period, in epochs.
@@ -131,7 +121,7 @@ impl CosineAnnealingWarmRestarts {
     /// # Panics
     ///
     /// Panics if `initial_period` is not positive or `period_mult < 1`.
-    pub fn new(base_lr: f32, min_lr: f32, initial_period: f32, period_mult: f32) -> Self {
+    pub(crate) fn new(base_lr: f32, min_lr: f32, initial_period: f32, period_mult: f32) -> Self {
         assert!(initial_period > 0.0, "initial period must be positive");
         assert!(period_mult >= 1.0, "period multiplier must be at least 1");
         CosineAnnealingWarmRestarts {
@@ -143,7 +133,7 @@ impl CosineAnnealingWarmRestarts {
     }
 
     /// The learning rate at a (possibly fractional) epoch index.
-    pub fn learning_rate_at(&self, epoch: f32) -> f32 {
+    pub(crate) fn learning_rate_at(&self, epoch: f32) -> f32 {
         // Locate the current restart period.
         let mut period = self.initial_period;
         let mut start = 0.0;
@@ -211,10 +201,19 @@ mod tests {
 
     #[test]
     fn set_learning_rate_takes_effect() {
+        // Adam's first step moves every parameter with a non-zero gradient
+        // by the learning rate (m̂ / √v̂ = ±1), so it shows the rate in force.
+        let mut model = Mlp::new(&[2, 1], Activation::Relu, Activation::Sigmoid, 5);
+        let before = model.clone();
         let mut adam = Adam::new(0.1);
-        assert_eq!(adam.learning_rate(), 0.1);
         adam.set_learning_rate(0.01);
-        assert_eq!(adam.learning_rate(), 0.01);
-        assert_eq!(adam.step_count(), 0);
+        let acts = model.forward_cached(&Matrix::from_rows(&[vec![1.0, -2.0]]));
+        let grads = model.backward(&acts, &Matrix::from_vec(1, 1, vec![1.0]));
+        adam.step(&mut model, &grads);
+        let (old, new) = (&before.layers()[0], &model.layers()[0]);
+        let moved = old.weights().data().iter().zip(new.weights().data());
+        for (a, b) in moved.chain(old.bias().iter().zip(new.bias())) {
+            assert!(((a - b).abs() - 0.01).abs() < 1e-5, "{a} -> {b}");
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! The training loop used to fit the ELF classifier.
 //!
-//! Mirrors the paper's recipe: Adam (lr 0.1), batch size 64, up to 30 epochs
-//! with early stopping (patience 10), cosine annealing with warm restarts,
-//! binary cross entropy, a class-balancing weighted random sampler and MixUp
-//! augmentation.
+//! It runs the paper's one recipe (Adam, cosine annealing with warm
+//! restarts, class-balanced resampling, MixUp and early stopping), whose
+//! settings are the constants below.  A run chooses only its epoch budget,
+//! loss and seed ([`TrainConfig`]).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,31 +15,32 @@ use crate::metrics::ConfusionMatrix;
 use crate::model::Mlp;
 use crate::optim::{Adam, CosineAnnealingWarmRestarts};
 
-/// Hyper-parameters of the training loop.
+/// Mini-batch size.
+const BATCH_SIZE: usize = 64;
+/// Initial learning rate for Adam.  The paper trains with Adam at 0.1 under
+/// PyTorch; this from-scratch implementation is stabler at a smaller base
+/// rate with the same cosine-annealing warm restarts.
+const LEARNING_RATE: f32 = 0.02;
+/// Early-stopping patience (epochs without validation improvement).
+const PATIENCE: usize = 10;
+/// Fraction of the data held out for validation / early stopping.
+const VALIDATION_FRACTION: f32 = 0.2;
+/// MixUp augmentation strength.
+const MIXUP_ALPHA: f32 = 0.4;
+/// Extra MixUp examples per epoch, as a fraction of the train set.
+const MIXUP_FRACTION: f32 = 0.25;
+/// Length (in epochs) of the first cosine-annealing period.
+const SCHEDULER_PERIOD: f32 = 10.0;
+/// Period multiplier after each warm restart.
+const SCHEDULER_MULT: f32 = 2.0;
+
+/// What a training run may vary: everything else of the recipe is fixed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Maximum number of epochs.
     pub epochs: usize,
-    /// Mini-batch size.
-    pub batch_size: usize,
-    /// Initial learning rate for Adam.
-    pub learning_rate: f32,
-    /// Early-stopping patience (epochs without validation improvement).
-    pub patience: usize,
     /// Loss function.
     pub loss: Loss,
-    /// Fraction of the data held out for validation / early stopping.
-    pub validation_fraction: f32,
-    /// Balance classes with a weighted random sampler.
-    pub balanced_sampling: bool,
-    /// MixUp augmentation strength; `None` disables MixUp.
-    pub mixup_alpha: Option<f32>,
-    /// Fraction of extra MixUp examples per epoch (relative to the train set).
-    pub mixup_fraction: f32,
-    /// Length (in epochs) of the first cosine-annealing period.
-    pub scheduler_period: f32,
-    /// Period multiplier after each warm restart.
-    pub scheduler_mult: f32,
     /// RNG seed (sampling, shuffling, MixUp).
     pub seed: u64,
 }
@@ -48,19 +49,7 @@ impl Default for TrainConfig {
     fn default() -> Self {
         TrainConfig {
             epochs: 30,
-            batch_size: 64,
-            // The paper trains with Adam at 0.1 under PyTorch; this
-            // from-scratch implementation is stabler at a smaller base rate
-            // with the same cosine-annealing warm restarts.
-            learning_rate: 0.02,
-            patience: 10,
             loss: Loss::BinaryCrossEntropy,
-            validation_fraction: 0.2,
-            balanced_sampling: true,
-            mixup_alpha: Some(0.4),
-            mixup_fraction: 0.25,
-            scheduler_period: 10.0,
-            scheduler_mult: 2.0,
             seed: 0xE1F,
         }
     }
@@ -87,8 +76,7 @@ pub struct TrainReport {
 ///
 /// # Panics
 ///
-/// Panics if `data` is empty, its feature width does not match the model,
-/// or `config.batch_size` is 0.
+/// Panics if `data` is empty or its feature width does not match the model.
 pub fn train(model: &mut Mlp, data: &Dataset, config: &TrainConfig) -> TrainReport {
     assert!(!data.is_empty(), "cannot train on an empty dataset");
     assert_eq!(
@@ -101,7 +89,7 @@ pub fn train(model: &mut Mlp, data: &Dataset, config: &TrainConfig) -> TrainRepo
     // plain shuffle split can leave the validation slice without a single
     // positive (making recall-driven early stopping and reporting
     // meaningless, e.g. the quickstart's 0 % recall at Tiny scale).
-    let (train_set, valid_set) = data.split_stratified(config.validation_fraction, config.seed);
+    let (train_set, valid_set) = data.split_stratified(VALIDATION_FRACTION, config.seed);
     let (train_set, valid_set) = if valid_set.is_empty() || train_set.is_empty() {
         (data.clone(), data.clone())
     } else {
@@ -110,12 +98,12 @@ pub fn train(model: &mut Mlp, data: &Dataset, config: &TrainConfig) -> TrainRepo
 
     let sampler = WeightedRandomSampler::balanced(&train_set);
     let schedule = CosineAnnealingWarmRestarts::new(
-        config.learning_rate,
-        config.learning_rate * 1e-3,
-        config.scheduler_period,
-        config.scheduler_mult,
+        LEARNING_RATE,
+        LEARNING_RATE * 1e-3,
+        SCHEDULER_PERIOD,
+        SCHEDULER_MULT,
     );
-    let mut optimizer = Adam::new(config.learning_rate);
+    let mut optimizer = Adam::new(LEARNING_RATE);
 
     let valid_labels = valid_set.labels();
 
@@ -130,31 +118,20 @@ pub fn train(model: &mut Mlp, data: &Dataset, config: &TrainConfig) -> TrainRepo
         optimizer.set_learning_rate(schedule.learning_rate_at(epoch as f32));
 
         // Assemble this epoch's training pool: resampled originals + MixUp.
-        let pool = {
-            let mut pool = if config.balanced_sampling {
-                let indices = sampler.sample(train_set.len(), &mut rng);
-                train_set.select(&indices)
-            } else {
-                train_set.clone()
-            };
-            if let Some(alpha) = config.mixup_alpha {
-                let extra = ((train_set.len() as f32) * config.mixup_fraction) as usize;
-                let mixed = mixup(
-                    &train_set,
-                    extra,
-                    alpha,
-                    config.seed.wrapping_add(epoch as u64),
-                );
-                pool.extend_from(&mixed);
-            }
-            pool
-        };
+        let mut pool = train_set.select(&sampler.sample(train_set.len(), &mut rng));
+        let extra = ((train_set.len() as f32) * MIXUP_FRACTION) as usize;
+        pool.extend_from(&mixup(
+            &train_set,
+            extra,
+            MIXUP_ALPHA,
+            config.seed.wrapping_add(epoch as u64),
+        ));
 
         // Mini-batch SGD over the pool.
         let mut epoch_loss = 0.0;
         let mut batches = 0;
-        let batch_targets = pool.labels().chunks(config.batch_size);
-        for (rows, targets) in pool.features().chunks(config.batch_size).zip(batch_targets) {
+        let batch_targets = pool.labels().chunks(BATCH_SIZE);
+        for (rows, targets) in pool.features().chunks(BATCH_SIZE).zip(batch_targets) {
             let activations = model.forward_cached(&Matrix::from_rows(rows));
             // The network's one output column.
             let output = activations[activations.len() - 1].data();
@@ -178,7 +155,7 @@ pub fn train(model: &mut Mlp, data: &Dataset, config: &TrainConfig) -> TrainRepo
             epochs_without_improvement = 0;
         } else {
             epochs_without_improvement += 1;
-            if epochs_without_improvement >= config.patience {
+            if epochs_without_improvement >= PATIENCE {
                 break;
             }
         }
@@ -222,7 +199,6 @@ mod tests {
         let mut model = Mlp::paper_architecture(7);
         let config = TrainConfig {
             epochs: 25,
-            learning_rate: 0.05,
             ..Default::default()
         };
         let report = train(&mut model, &data, &config);
@@ -240,18 +216,22 @@ mod tests {
 
     #[test]
     fn early_stopping_halts_training() {
-        let data = imbalanced_dataset(200, 5);
+        // Labels independent of the features: nothing generalises, so the
+        // validation loss stops improving long before the epoch budget.
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut data = Dataset::new();
+        for _ in 0..60 {
+            let x: Vec<f32> = (0..6).map(|_| rng.gen_range(0.0..1.0)).collect();
+            data.push(x, rng.gen_range(0.0..1.0) < 0.3);
+        }
         let mut model = Mlp::paper_architecture(1);
         let config = TrainConfig {
-            epochs: 30,
-            patience: 2,
-            learning_rate: 1.0, // destructive LR to force non-improvement
-            mixup_alpha: None,
+            epochs: 200,
             ..Default::default()
         };
         let report = train(&mut model, &data, &config);
-        assert!(report.epochs_run <= 30);
-        assert!(report.best_epoch < report.epochs_run);
+        assert_eq!(report.epochs_run, report.best_epoch + 1 + PATIENCE);
+        assert!(report.epochs_run < config.epochs);
     }
 
     #[test]

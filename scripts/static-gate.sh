@@ -429,25 +429,32 @@ echo "static-gate: rewrite keeps complete nodes' cut sets until the graph is edi
 # defaults and refactor always preserves levels and weighs the complement,
 # so their settings are constants; the pass loop keeps the three policies
 # something calls; the graph owns no cut scratch (cuts are formed in the
-# pass's scratch or a per-thread one) and has no by-value node snapshot.  A
-# `preserve_level`, `try_complement`, `use_one_resub`, `cuts_per_node`,
-# `RewriteParams`, `ResubParams`, `run_with_filter`, `NodeKind` or
-# `take_cut_scratch` in non-test code is a single-valued knob, the unused
+# pass's scratch or a per-thread one) and has no by-value node snapshot.
+# The classifier trains one recipe, so its resampling, MixUp, validation
+# split and schedule are constants in `elf-nn`'s `train.rs`, as are the
+# recall target of the threshold calibration, the cut's expansion cost and
+# Figure 3's t-SNE settings.  A `preserve_level`, `try_complement`,
+# `use_one_resub`, `cuts_per_node`, `RewriteParams`, `ResubParams`,
+# `run_with_filter`, `NodeKind`, `take_cut_scratch`, `balanced_sampling`,
+# `mixup_alpha`, `mixup_fraction`, `validation_fraction`,
+# `scheduler_period`, `scheduler_mult`, `max_expansion_cost`, `TsneConfig`
+# or `recall_target` in non-test code is a single-valued knob, the unused
 # filter policy or the graph-owned scratch coming back.
 knobs=$(find crates/*/src src examples -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
-    /preserve_level|try_complement|use_one_resub|cuts_per_node|RewriteParams|ResubParams|run_with_filter|NodeKind|take_cut_scratch/ {
+    /preserve_level|try_complement|use_one_resub|cuts_per_node|RewriteParams|ResubParams|run_with_filter|NodeKind|take_cut_scratch/ ||
+    /balanced_sampling|mixup_alpha|mixup_fraction|validation_fraction|scheduler_period|scheduler_mult|max_expansion_cost|TsneConfig|recall_target/ {
         printf "%s:%d: %s\n", FILENAME, FNR, $0
     }
 ')
 if [ -n "$knobs" ]; then
     echo "$knobs"
-    echo "static-gate: a single-valued operator knob, the filter policy or a graph-owned cut scratch in non-test code" >&2
+    echo "static-gate: a single-valued operator or training knob, the filter policy or a graph-owned cut scratch in non-test code" >&2
     exit 1
 fi
-echo "static-gate: operators at their one configuration, three pass policies, no graph-owned cut scratch"
+echo "static-gate: operators and the classifier at their one configuration, three pass policies, no graph-owned cut scratch"
 
 # Per-cut lookups cost what the gain count reads: the strash and the cut
 # cache's class map hash with `elf-aig`'s seeded word hasher, and a cut is

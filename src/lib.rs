@@ -14,7 +14,7 @@
 //! | [`aig`] (`elf-aig`) | And-Inverter Graph, structural hashing, MFFC, simulation, AIGER I/O, reconvergence-driven cuts and cut features |
 //! | [`sop`] (`elf-sop`) | Truth tables, irredundant SOP (Minato–Morreale), algebraic factoring |
 //! | [`opt`] (`elf-opt`) | Refactor, rewrite and resubstitution as per-node steps behind the `PrunableOperator` trait and its one pass loop, all reporting `OpStats` |
-//! | [`nn`] (`elf-nn`) | Minimal MLP framework (Adam, cosine warm restarts, MixUp, stratified splits, metrics) |
+//! | [`nn`] (`elf-nn`) | Minimal MLP framework and one training recipe (Adam at 0.02, batches of 64, cosine warm restarts every 10 → 20 → … epochs, balanced resampling, 25 % MixUp at alpha 0.4, patience-10 early stopping on a stratified 20 % split); a run sets only epochs, loss (plain BCE by default, `WeightedBce` 20 in the `paper` harness) and seed |
 //! | [`par`] (`elf-par`) | Deterministic std-threads parallel engine (scoped pool, chunked queue, order-preserving gather) |
 //! | [`core`] (`elf-core`) | The ELF classifier, the generic pruned operator `Elf<O>`, script-style `Flow` pipelines and the experiment protocol |
 //! | [`serve`] (`elf-serve`) | Long-lived `ElfService`: one bounded FIFO with load-shedding policies, shard workers running each job's flow inline, versioned hot-swap `ModelRegistry`, channel request/response API |
