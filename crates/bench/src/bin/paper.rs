@@ -210,7 +210,8 @@ fn table2(command: &Command) {
     let options = &command.options;
     println!(
         "Table II: industrial circuit statistics (size scale {}, seed {})",
-        options.industrial_scale, options.seed
+        options.industrial_scale(),
+        options.seed
     );
     let (rows, _) = stats_rows(&options.industrial_circuits(), options.parallelism());
     print_stats_rows(&rows, 7);
@@ -270,7 +271,7 @@ fn table5(command: &Command) {
     print_comparison_table(
         &format!(
             "Table V: refactor vs ELF on industrial circuits (size scale {})",
-            options.industrial_scale
+            options.industrial_scale()
         ),
         &refactor_rows(options, options.industrial_circuits(), 1),
     );
@@ -297,7 +298,7 @@ fn table6(command: &Command) {
     print_comparison_table(
         &format!(
             "Table VI: refactor vs ELF on large synthetic circuits (size scale {})",
-            options.synthetic_scale
+            options.synthetic_scale()
         ),
         &rows,
     );
@@ -336,7 +337,7 @@ fn table8(command: &Command) {
     print_quality_table(
         &format!(
             "Table VIII: ELF classifier quality on industrial circuits (size scale {})",
-            options.industrial_scale
+            options.industrial_scale()
         ),
         &suite.quality_rows(),
     );
@@ -416,7 +417,7 @@ fn fig1(command: &Command) {
     report(&epfl_rows);
     println!(
         "Industrial circuits (size scale {}):",
-        options.industrial_scale
+        options.industrial_scale()
     );
     let industrial_rows = flow_rows(options.industrial_circuits());
     report(&industrial_rows);
@@ -557,7 +558,8 @@ fn summary(command: &Command) {
     let options = &command.options;
     println!(
         "ELF reproduction summary (scale {:?}, industrial scale {})",
-        options.scale, options.industrial_scale
+        options.scale,
+        options.industrial_scale()
     );
     let epfl_rows = refactor_rows(options, options.epfl_circuits(), 1);
     let industrial_rows = refactor_rows(options, options.industrial_circuits(), 1);

@@ -47,10 +47,6 @@ use elf_par::Parallelism;
 pub struct HarnessOptions {
     /// Benchmark size preset.
     pub scale: Scale,
-    /// Scale factor applied to industrial/synthetic circuit sizes.
-    pub industrial_scale: f64,
-    /// Scale factor applied to the Table VI synthetic circuits.
-    pub synthetic_scale: f64,
     /// Training epochs.
     pub epochs: usize,
     /// Random seed.
@@ -63,8 +59,6 @@ impl Default for HarnessOptions {
     fn default() -> Self {
         HarnessOptions {
             scale: Scale::Default,
-            industrial_scale: 0.01,
-            synthetic_scale: 0.002,
             epochs: 30,
             seed: 0xE1F,
             threads: None,
@@ -119,11 +113,29 @@ impl HarnessOptions {
     /// Applies the size preset of `scale`.
     fn set_scale(&mut self, scale: Scale) {
         self.scale = scale;
-        (self.industrial_scale, self.synthetic_scale, self.epochs) = match scale {
-            Scale::Tiny => (0.002, 0.0005, 10),
-            Scale::Default => (0.01, 0.002, 30),
-            Scale::Paper => (1.0, 1.0, 30),
+        self.epochs = match scale {
+            Scale::Tiny => 10,
+            Scale::Default | Scale::Paper => 30,
         };
+    }
+
+    /// Scale factor applied to the industrial circuit sizes at this preset.
+    pub fn industrial_scale(&self) -> f64 {
+        match self.scale {
+            Scale::Tiny => 0.002,
+            Scale::Default => 0.01,
+            Scale::Paper => 1.0,
+        }
+    }
+
+    /// Scale factor applied to the Table VI synthetic circuits at this
+    /// preset.
+    pub fn synthetic_scale(&self) -> f64 {
+        match self.scale {
+            Scale::Tiny => 0.0005,
+            Scale::Default => 0.002,
+            Scale::Paper => 1.0,
+        }
     }
 
     /// The worker-thread count implied by these options: the `--threads`
@@ -135,10 +147,7 @@ impl HarnessOptions {
     /// The experiment configuration implied by these options.
     pub fn experiment_config(&self, applications: usize) -> ExperimentConfig {
         ExperimentConfig {
-            elf: elf_core::ElfConfig {
-                parallelism: self.parallelism(),
-                ..Default::default()
-            },
+            parallelism: self.parallelism(),
             train: TrainConfig {
                 epochs: self.epochs,
                 // The generated workloads are more imbalanced than the EPFL
@@ -163,7 +172,7 @@ impl HarnessOptions {
 
     /// Builds the industrial-like suite at the selected scale.
     pub fn industrial_circuits(&self) -> Vec<BenchCircuit> {
-        industrial_suite(self.industrial_scale, self.seed)
+        industrial_suite(self.industrial_scale(), self.seed)
             .into_iter()
             .map(|(name, aig)| BenchCircuit::new(name, aig))
             .collect()
@@ -171,7 +180,7 @@ impl HarnessOptions {
 
     /// Builds the large synthetic suite at the selected scale.
     pub fn synthetic_circuits(&self) -> Vec<BenchCircuit> {
-        synthetic_suite(self.synthetic_scale, self.seed)
+        synthetic_suite(self.synthetic_scale(), self.seed)
             .into_iter()
             .map(|(name, aig)| BenchCircuit::new(name, aig))
             .collect()
@@ -351,8 +360,8 @@ mod tests {
         assert_eq!(
             (
                 quick.scale,
-                quick.industrial_scale,
-                quick.synthetic_scale,
+                quick.industrial_scale(),
+                quick.synthetic_scale(),
                 quick.epochs
             ),
             (Scale::Tiny, 0.002, 0.0005, 3)
@@ -361,7 +370,7 @@ mod tests {
         assert_eq!((tiny.scale, tiny.epochs), (Scale::Tiny, 10));
         let full = parse(&["--scale", "paper"]).expect("parses");
         assert_eq!(
-            (full.scale, full.industrial_scale, full.synthetic_scale),
+            (full.scale, full.industrial_scale(), full.synthetic_scale()),
             (Scale::Paper, 1.0, 1.0)
         );
         assert_eq!(

@@ -65,19 +65,15 @@ pub(crate) fn solve_miter(m: &Aig, params: &CecParams) -> CecReport {
 
     // The sweep's random rounds come first: a vector on which the output is
     // already true is the answer, with no CNF and no solver.
-    let mut sim = params.sweep.then(|| Sim::new(m));
-    if let Some(sim) = &mut sim {
-        if let Some(witness) = sim.random_rounds(m, params, out) {
-            report.result = Equivalence::CounterExample(witness);
-            return report;
-        }
+    let mut sim = Sim::new(m);
+    if let Some(witness) = sim.random_rounds(m, out) {
+        report.result = Equivalence::CounterExample(witness);
+        return report;
     }
 
     let mut solver = Solver::new();
     let mut enc = Encoding::new(m, &mut solver);
-    if let Some(sim) = &mut sim {
-        sweep(m, sim, &mut solver, &mut enc, params, &mut report);
-    }
+    sweep(m, &mut sim, &mut solver, &mut enc, params, &mut report);
 
     let out = enc.lit(m, &mut solver, out);
     let final_budget = params
@@ -101,6 +97,10 @@ pub(crate) fn solve_miter(m: &Aig, params: &CecParams) -> CecReport {
 
 /// Seed of the simulation patterns; fixed seed, fixed run.
 const SIM_SEED: u64 = 0xE1F_CEC;
+
+/// Random simulation rounds (64 input vectors each) that form the
+/// candidate-equivalence classes before SAT sweeping.
+const SIM_ROUNDS: usize = 8;
 
 /// One simulation state: accumulated 64-pattern words per node slot.
 struct Sim {
@@ -132,13 +132,13 @@ impl Sim {
         }
     }
 
-    /// Runs the `sim_rounds` random rounds.  A round on which `out` is true
-    /// for some vector ends them: the column of the lowest such bit is
+    /// Runs the [`SIM_ROUNDS`] random rounds.  A round on which `out` is
+    /// true for some vector ends them: the column of the lowest such bit is
     /// returned as a counterexample.
-    fn random_rounds(&mut self, m: &Aig, params: &CecParams, out: Lit) -> Option<Vec<bool>> {
+    fn random_rounds(&mut self, m: &Aig, out: Lit) -> Option<Vec<bool>> {
         let mut rng = SIM_SEED ^ 0x5EED_CEC5_EED0_CEC5;
         let mut input_words = vec![0u64; m.num_inputs()];
-        for _ in 0..params.sim_rounds.max(1) {
+        for _ in 0..SIM_ROUNDS {
             for word in &mut input_words {
                 *word = splitmix64(&mut rng);
             }
@@ -393,7 +393,7 @@ mod tests {
         let sweep_twins = |bits: usize| {
             let m = miter(&adder(bits, 0), &adder(bits, 1)).expect("same interfaces");
             let mut sim = Sim::new(&m);
-            assert_eq!(sim.random_rounds(&m, &params, m.outputs()[0]), None);
+            assert_eq!(sim.random_rounds(&m, m.outputs()[0]), None);
             let (pairs, _) = candidate_pairs(&sim);
             let mut solver = Solver::new();
             let mut enc = Encoding::new(&m, &mut solver);
@@ -437,7 +437,7 @@ mod tests {
         let m = miter(&adder(6, 0), &adder(6, 6)).expect("same interfaces");
         let mut sim = Sim::new(&m);
         assert_eq!(
-            sim.random_rounds(&m, &CecParams::default(), m.outputs()[0]),
+            sim.random_rounds(&m, m.outputs()[0]),
             None,
             "the adders are equivalent"
         );

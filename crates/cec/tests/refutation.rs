@@ -12,15 +12,15 @@
 //! The differential property at the end guards the sweep's merges: an
 //! optimized circuit shares most of its structure with its input, so most
 //! of its miter is merged by structure, and a wrong merge would prove a
-//! broken circuit.  Its oracle is exhaustive enumeration, and the sweep must
-//! agree with the monolithic query.  Random simulation refutes nearly every
-//! plain fault before the sweep runs, so the property also checks the fault
-//! switched on for one input vector alone, under a sweep with too few random
-//! vectors to find it: its candidates are then faulty nodes that look like
-//! good ones, which is where a wrong merge would hide.
+//! broken circuit.  Its oracle is exhaustive enumeration.  Random simulation
+//! refutes nearly every plain fault before the sweep runs, so the property
+//! also checks the fault switched on for one input vector alone, which the
+//! random vectors often miss over nine or ten inputs: its candidates are
+//! then faulty nodes that look like good ones, which is where a wrong merge
+//! would hide.
 
 use elf_aig::{check_equivalence as sim_check, Aig, EquivalenceResult, Lit, NodeId};
-use elf_cec::{check_equivalence, check_equivalence_with, CecParams, Equivalence};
+use elf_cec::{check_equivalence, Equivalence};
 use elf_circuits::{script_strategy, scripted_circuit};
 use elf_opt::{Refactor, Resubstitution, Rewrite};
 use proptest::prelude::*;
@@ -180,30 +180,17 @@ fn agree_everywhere(a: &Aig, b: &Aig) -> bool {
     })
 }
 
-/// Checks `other` against `original` with the default sweep, with the sweep
-/// on one simulation round (64 vectors, so that a single-vector fault over
-/// seven or more inputs mostly escapes it) and with the monolithic
-/// query: each must match the enumeration oracle, and a counterexample must
-/// replay.
-fn assert_checkers_match_enumeration(original: &Aig, other: &Aig) -> bool {
+/// Checks `other` against `original`: the verdict must match the
+/// enumeration oracle, and a counterexample must replay.
+fn assert_checker_matches_enumeration(original: &Aig, other: &Aig) -> bool {
     let equivalent = agree_everywhere(original, other);
-    let one_round = CecParams {
-        sim_rounds: 1,
-        ..CecParams::default()
-    };
-    let monolithic = CecParams {
-        sweep: false,
-        ..CecParams::default()
-    };
-    for params in [CecParams::default(), one_round, monolithic] {
-        match check_equivalence_with(original, other, &params).result {
-            Equivalence::Proved => assert!(equivalent, "a broken circuit proved ({params:?})"),
-            Equivalence::CounterExample(witness) => {
-                assert!(!equivalent, "an equivalent circuit refuted ({params:?})");
-                assert_ne!(original.evaluate(&witness), other.evaluate(&witness));
-            }
-            Equivalence::Undecided(_) => panic!("undecided on a toy circuit ({params:?})"),
+    match check_equivalence(original, other) {
+        Equivalence::Proved => assert!(equivalent, "a broken circuit proved"),
+        Equivalence::CounterExample(witness) => {
+            assert!(!equivalent, "an equivalent circuit refuted");
+            assert_ne!(original.evaluate(&witness), other.evaluate(&witness));
         }
+        Equivalence::Undecided(_) => panic!("undecided on a toy circuit"),
     }
     equivalent
 }
@@ -221,12 +208,12 @@ proptest! {
     ) {
         let original = scripted_circuit(inputs, &script);
         let optimized = rf_rw_rs(&original);
-        prop_assert!(assert_checkers_match_enumeration(&original, &optimized));
+        prop_assert!(assert_checker_matches_enumeration(&original, &optimized));
         let broken = inject(&optimized, Fault::FlipFanin { pick, side });
-        assert_checkers_match_enumeration(&original, &broken);
+        assert_checker_matches_enumeration(&original, &broken);
         let minterm = minterm % (1 << inputs);
         let rare = inject(&optimized, Fault::FlipFaninOn { pick, side, minterm });
-        assert_checkers_match_enumeration(&original, &rare);
+        assert_checker_matches_enumeration(&original, &rare);
     }
 
     #[test]

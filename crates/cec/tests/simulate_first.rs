@@ -68,36 +68,38 @@ fn an_output_flipped_mutant_is_refuted_by_simulation_alone() {
     assert_eq!((report.sat_calls, report.conflicts), (0, 0));
     assert_eq!(report.candidate_classes, 0);
     assert!(report.miter_ands > 0);
-
-    // `sweep: false` stays the monolithic baseline: SAT finds the witness.
-    let monolithic = CecParams {
-        sweep: false,
-        ..CecParams::default()
-    };
-    let report = check_equivalence_with(&a, &mutant, &monolithic);
-    assert_replays(&a, &mutant, &report);
-    assert_eq!(report.sat_calls, 1);
 }
 
 #[test]
 fn a_single_minterm_mutant_still_needs_the_solver() {
-    // Flip output 0 on exactly one of the 2^20 input vectors (all ones):
-    // 512 random vectors miss it, SAT does not.
+    // Flip one output on exactly one of the 2^20 input vectors (bit `i` of
+    // the minterm is input `i`): 512 random vectors miss it, SAT does not.
+    // The low sum bit, a middle one and the carry out, each on its own
+    // vector.
     let a = adder(10, false);
-    let mut mutant = adder(10, true);
-    let inputs: Vec<Lit> = mutant.inputs().iter().map(|&id| Lit::from(id)).collect();
-    let minterm = inputs
-        .iter()
-        .fold(Lit::TRUE, |acc, &input| mutant.and(acc, input));
-    let out = mutant.outputs()[0];
-    let flipped = mutant.xor(out, minterm);
-    mutant.set_output(0, flipped);
+    for (output, minterm) in [(0, 0xF_FFFFu32), (4, 0x5_5555), (10, 0xD_B6DB)] {
+        let vector: Vec<bool> = (0..a.num_inputs()).map(|i| minterm >> i & 1 == 1).collect();
+        let mut mutant = adder(10, true);
+        let inputs: Vec<Lit> = mutant.inputs().iter().map(|&id| Lit::from(id)).collect();
+        let minterm = inputs
+            .iter()
+            .zip(&vector)
+            .fold(Lit::TRUE, |acc, (&input, &one)| {
+                mutant.and(acc, input.complement_if(!one))
+            });
+        let out = mutant.outputs()[output];
+        let flipped = mutant.xor(out, minterm);
+        mutant.set_output(output, flipped);
 
-    let report = check_equivalence_with(&a, &mutant, &CecParams::default());
-    assert_replays(&a, &mutant, &report);
-    assert_eq!(report.result, Equivalence::CounterExample(vec![true; 20]));
-    assert!(report.sat_calls > 0, "simulation cannot have found this");
-    assert!(report.candidate_classes > 0);
+        let report = check_equivalence_with(&a, &mutant, &CecParams::default());
+        assert_replays(&a, &mutant, &report);
+        assert_eq!(report.result, Equivalence::CounterExample(vector));
+        assert!(
+            report.sat_calls > 0,
+            "simulation cannot have found output {output}'s flip"
+        );
+        assert!(report.candidate_classes > 0);
+    }
 }
 
 #[test]

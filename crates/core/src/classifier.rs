@@ -501,6 +501,16 @@ mod tests {
             // ...or do not end in one output.
             format!("{header}\nmlp 1\n{}", layer(6, 2)),
             format!("{header}\nmlp 0"),
+            // Weights and biases that decide every cut alike...
+            format!(
+                "{header}\nmlp 1\nlayer 6 1 sigmoid\n{}\n0",
+                ["NaN"; 6].join(" ")
+            ),
+            format!("{header}\nmlp 1\nlayer 6 1 sigmoid\n0 0 0 inf 0 0\n0"),
+            format!("{header}\nmlp 1\nlayer 6 1 sigmoid\n0 0 0 0 0 0\nNaN"),
+            format!("{header}\nmlp 1\nlayer 6 1 sigmoid\n0 0 0 0 0 0\n-inf"),
+            // ...and an activation no model has.
+            format!("{header}\nmlp 1\nlayer 6 1 identity\n0 0 0 0 0 0\n0"),
         ];
         for case in &cases {
             assert!(ElfClassifier::from_text(case).is_err(), "accepted:\n{case}");

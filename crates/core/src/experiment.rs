@@ -13,13 +13,16 @@ use crate::dataset::{
     collect_labeled_cuts_with, cuts_to_arrays, cuts_to_dataset, standardize_per_circuit,
     BenchCircuit,
 };
-use crate::flow::{Elf, ElfConfig, ElfOptions, ElfStats};
+use crate::flow::{Elf, ElfOptions, ElfStats};
 
-/// Everything configurable about a paper-style experiment.
+/// Everything configurable about a paper-style experiment.  The fixed
+/// parts: [`Suite::refactor`] runs refactor at [`RefactorParams::default`],
+/// and every pruned arm uses the default cut cache.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
-    /// ELF operator configuration (refactor parameters and flow options).
-    pub elf: ElfConfig,
+    /// Worker-thread count: held-out circuits fan out over it, and a pass
+    /// collects features with it.  Defaults to `ELF_THREADS`.
+    pub parallelism: Parallelism,
     /// Classifier training hyper-parameters.
     pub train: TrainConfig,
     /// Seed for model initialization.
@@ -32,7 +35,7 @@ pub struct ExperimentConfig {
 impl Default for ExperimentConfig {
     fn default() -> Self {
         ExperimentConfig {
-            elf: ElfConfig::default(),
+            parallelism: Parallelism::default(),
             train: TrainConfig::default(),
             seed: 0xE1F,
             applications: 1,
@@ -230,18 +233,18 @@ pub struct Suite<O: PrunableOperator> {
 }
 
 impl Suite<Refactor> {
-    /// The paper's suite: refactor with `config.elf.refactor` labels the
-    /// cuts and is the baseline.
+    /// The paper's suite: refactor at [`RefactorParams::default`] labels
+    /// the cuts and is the baseline.
     pub fn refactor(circuits: Vec<BenchCircuit>, config: ExperimentConfig) -> Self {
-        Suite::new(circuits, Refactor::new(config.elf.refactor), config)
+        Suite::new(circuits, Refactor::new(RefactorParams::default()), config)
     }
 }
 
 impl<O: PrunableOperator + Clone + Sync> Suite<O> {
     /// Collects the labelled cut dataset of every circuit, one circuit per
-    /// worker of `config.elf.parallelism`.
+    /// worker of `config.parallelism`.
     pub fn new(circuits: Vec<BenchCircuit>, operator: O, config: ExperimentConfig) -> Self {
-        let datasets = config.elf.parallelism.map(&circuits, |_, circuit| {
+        let datasets = config.parallelism.map(&circuits, |_, circuit| {
             let cuts = collect_labeled_cuts_with(&operator, &circuit.aig);
             standardize_per_circuit(&cuts_to_dataset(&cuts))
         });
@@ -292,7 +295,7 @@ impl<O: PrunableOperator + Clone + Sync> Suite<O> {
     /// Baseline vs pruned operator on `circuit`, applied
     /// [`ExperimentConfig::applications`] times.
     pub fn compare(&self, circuit: &BenchCircuit, classifier: &ElfClassifier) -> ComparisonRow {
-        self.compare_on(circuit, classifier, self.config.elf.parallelism)
+        self.compare_on(circuit, classifier, self.config.parallelism)
     }
 
     fn compare_on(
@@ -303,7 +306,7 @@ impl<O: PrunableOperator + Clone + Sync> Suite<O> {
     ) -> ComparisonRow {
         let options = ElfOptions {
             parallelism,
-            ..self.config.elf.into()
+            ..ElfOptions::default()
         };
         let elf = Elf::with_operator(classifier.clone(), self.operator.clone(), options);
         compare_with_operator(circuit, &self.operator, &elf, self.config.applications)
@@ -353,7 +356,7 @@ impl<O: PrunableOperator + Clone + Sync> Suite<O> {
         &self,
         row: impl Fn(&BenchCircuit, &ElfClassifier, Parallelism) -> T + Sync,
     ) -> Vec<T> {
-        let parallelism = self.config.elf.parallelism;
+        let parallelism = self.config.parallelism;
         let inner = if self.circuits.len() > 1 {
             Parallelism::sequential()
         } else {
@@ -432,6 +435,7 @@ mod tests {
 
     #[test]
     fn comparison_arms_differ_only_in_pruning() {
+        use crate::flow::ElfConfig;
         use elf_nn::{Mlp, Normalizer};
         use elf_opt::CutCacheConfig;
 
@@ -445,15 +449,12 @@ mod tests {
         );
         let circuit = small_circuit(2);
         for cut_cache in [CutCacheConfig::default(), CutCacheConfig::disabled()] {
-            let config = ExperimentConfig {
-                elf: ElfConfig {
-                    cut_cache,
-                    ..ElfConfig::default()
-                },
-                ..quick_config()
+            let config = ElfConfig {
+                cut_cache,
+                ..ElfConfig::default()
             };
-            let elf = ElfRefactor::new(keep_everything.clone(), config.elf);
-            let plain = Refactor::new(config.elf.refactor);
+            let elf = ElfRefactor::new(keep_everything.clone(), config);
+            let plain = Refactor::new(config.refactor);
             assert!(!plain.cut_cache().is_enabled(), "as constructed: no cache");
             let baseline = symmetric_baseline(&plain, &elf);
             assert_eq!(

@@ -23,7 +23,7 @@ pub struct ElfConfig {
     /// graph mutation always stay sequential, so results are identical for
     /// every thread count).  Defaults to `ELF_THREADS`.
     pub parallelism: Parallelism,
-    /// Sizing and on/off switch of the NPN-canonical cut-factoring cache the
+    /// On/off switch of the NPN-canonical cut-factoring cache the
     /// wrapped operator consults (see [`elf_opt::CutCache`]).  The cache is
     /// result-transparent: the produced AIG is node-for-node identical with
     /// the cache enabled, disabled, warm or cold.
@@ -36,7 +36,7 @@ pub struct ElfOptions {
     /// Worker-thread count for batch feature collection.  Defaults to
     /// `ELF_THREADS`.
     pub parallelism: Parallelism,
-    /// Sizing and on/off switch of the NPN-canonical cut-factoring cache
+    /// On/off switch of the NPN-canonical cut-factoring cache
     /// (see [`elf_opt::CutCache`]).  Result-transparent either way.
     pub cut_cache: CutCacheConfig,
 }

@@ -11,8 +11,6 @@ pub enum Activation {
     Relu,
     /// Logistic sigmoid.
     Sigmoid,
-    /// No activation.
-    Identity,
 }
 
 impl Activation {
@@ -21,7 +19,6 @@ impl Activation {
         match self {
             Activation::Relu => x.max(0.0),
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Identity => x,
         }
     }
 
@@ -35,7 +32,6 @@ impl Activation {
             Activation::Sigmoid => values
                 .iter_mut()
                 .for_each(|v| *v = Activation::Sigmoid.apply(*v)),
-            Activation::Identity => {}
         }
     }
 
@@ -50,7 +46,6 @@ impl Activation {
                 }
             }
             Activation::Sigmoid => y * (1.0 - y),
-            Activation::Identity => 1.0,
         }
     }
 }
@@ -150,7 +145,6 @@ mod tests {
         assert_eq!(Activation::Relu.apply(-2.0), 0.0);
         assert_eq!(Activation::Relu.apply(3.0), 3.0);
         assert!((Activation::Sigmoid.apply(0.0) - 0.5).abs() < 1e-6);
-        assert_eq!(Activation::Identity.apply(1.5), 1.5);
         assert_eq!(Activation::Relu.derivative_from_output(0.0), 0.0);
         assert_eq!(Activation::Relu.derivative_from_output(2.0), 1.0);
         assert!((Activation::Sigmoid.derivative_from_output(0.5) - 0.25).abs() < 1e-6);

@@ -48,7 +48,7 @@ impl Loss {
     /// # Panics
     ///
     /// Panics if the number of predictions and targets differ.
-    pub fn gradient(&self, probs: &[f32], targets: &[f32]) -> Matrix {
+    pub(crate) fn gradient(&self, probs: &[f32], targets: &[f32]) -> Matrix {
         assert_eq!(
             probs.len(),
             targets.len(),

@@ -187,7 +187,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if dimensions differ.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
+    pub(crate) fn hadamard(&self, other: &Matrix) -> Matrix {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         let data = self
             .data
@@ -207,7 +207,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `bias.len() != self.cols()`.
-    pub fn add_row_broadcast(&mut self, bias: &[f32]) {
+    pub(crate) fn add_row_broadcast(&mut self, bias: &[f32]) {
         assert_eq!(bias.len(), self.cols);
         if self.cols == 0 {
             return;
@@ -220,7 +220,7 @@ impl Matrix {
     }
 
     /// Sums the rows, returning one value per column.
-    pub fn column_sums(&self) -> Vec<f32> {
+    pub(crate) fn column_sums(&self) -> Vec<f32> {
         let mut sums = vec![0.0; self.cols];
         if self.cols == 0 {
             return sums;

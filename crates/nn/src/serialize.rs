@@ -39,7 +39,6 @@ fn activation_name(activation: Activation) -> &'static str {
     match activation {
         Activation::Relu => "relu",
         Activation::Sigmoid => "sigmoid",
-        Activation::Identity => "identity",
     }
 }
 
@@ -47,7 +46,6 @@ fn activation_from_name(name: &str) -> Result<Activation, ParseModelError> {
     match name {
         "relu" => Ok(Activation::Relu),
         "sigmoid" => Ok(Activation::Sigmoid),
-        "identity" => Ok(Activation::Identity),
         other => Err(ParseModelError::new(format!(
             "unknown activation `{other}`"
         ))),
@@ -85,7 +83,7 @@ pub fn model_to_text(model: &Mlp) -> String {
 /// # Errors
 ///
 /// Returns [`ParseModelError`] if the header, a dimension, an activation name
-/// or a numeric value is malformed.
+/// or a numeric value is malformed, or if a weight or bias is not finite.
 pub fn model_from_text(text: &str) -> Result<Mlp, ParseModelError> {
     let mut lines = text.lines();
     let header = lines
@@ -143,9 +141,15 @@ pub fn model_from_text(text: &str) -> Result<Mlp, ParseModelError> {
     Ok(Mlp::from_layers(layers))
 }
 
+/// The finite numbers of one whitespace-separated row: a `NaN` or infinite
+/// weight would load and then decide every cut alike.
 fn parse_floats(line: &str) -> Result<Vec<f32>, ParseModelError> {
     line.split_whitespace()
-        .map(|s| f32::from_str(s).map_err(|_| ParseModelError::new(format!("bad float `{s}`"))))
+        .map(|s| match f32::from_str(s) {
+            Ok(value) if value.is_finite() => Ok(value),
+            Ok(_) => Err(ParseModelError::new(format!("non-finite value `{s}`"))),
+            Err(_) => Err(ParseModelError::new(format!("bad float `{s}`"))),
+        })
         .collect()
 }
 
@@ -172,6 +176,15 @@ mod tests {
         assert!(model_from_text("mlp 1\nlayer 2 2 bogus\n1 2 3 4\n0 0\n").is_err());
         assert!(model_from_text("mlp 1\nlayer 2 2 relu\n1 2 3\n0 0\n").is_err());
         assert!(model_from_text("mlp 1\nlayer 2 2 relu\n1 2 3 4\n0\n").is_err());
+        assert!(model_from_text("mlp 1\nlayer 2 2 identity\n1 2 3 4\n0 0\n").is_err());
+        // Non-finite weights and biases would load and then decide every cut
+        // alike.
+        for bad in ["NaN", "nan", "inf", "-inf", "infinity", "1e39"] {
+            let weights = format!("mlp 1\nlayer 2 2 relu\n1 {bad} 3 4\n0 0\n");
+            assert!(model_from_text(&weights).is_err(), "{weights}");
+            let bias = format!("mlp 1\nlayer 2 2 relu\n1 2 3 4\n0 {bad}\n");
+            assert!(model_from_text(&bias).is_err(), "{bias}");
+        }
         // Counts nothing could hold are errors, not allocations or overflows.
         assert!(model_from_text("mlp 18446744073709551615\n").is_err());
         assert!(model_from_text("mlp 1\nlayer 4294967296 4294967297 relu\n\n0\n").is_err());

@@ -20,7 +20,7 @@
 //!
 //! A factored form is a flat arena ([`FactoredForm`]); the map holds one per
 //! class, whole or a prefix of its gates (below).
-//! [`CutCache::factor_both_into`] copies the entry into the caller's form
+//! `CutCache::factor_both_into` copies the entry into the caller's form
 //! while the read lock is held — gate by gate into warm capacity, so no lock
 //! outlives the call — and returns the transform.  The transform is then
 //! applied where it is cheap: to the at most ten leaf literals, once per cut
@@ -43,7 +43,7 @@
 //!
 //! A function and its complement always share a representative, so an
 //! operator that weighs both polarities of a cut asks once:
-//! [`CutCache::factor_both_into`] canonicalizes once and looks the
+//! `CutCache::factor_both_into` canonicalizes once and looks the
 //! representative up (or factors it) once.  The complement is a candidate of
 //! its own only where it can differ from the first — when both polarities
 //! canonicalize to *equal words*, a subset of the balanced ON-sets, the two
@@ -88,7 +88,7 @@
 //!
 //! [`CutCache::factor`] is a pure function of the truth table: canonicalize,
 //! factor the representative, undo the transform (and
-//! [`CutCache::factor_both_into`] one of the truth table alone).  The cache
+//! `CutCache::factor_both_into` one of the truth table alone).  The cache
 //! only memoizes the middle step, whose output — the whole form, and so each
 //! of its prefixes — is itself a pure function of the representative.  A
 //! watcher reads the same gates in the same order whether they come from a
@@ -121,38 +121,33 @@ use elf_sop::{
     factor_truth_table_into, FactorScratch, FactoredForm, Gate, Term, TruthTable, MAX_VARS,
 };
 
-/// Sizing/enable knob for the [`CutCache`] (plumbed through `ElfOptions` and
-/// `ServeConfig`; `Copy` so those configs stay `Copy`).
+/// Enable knob for the [`CutCache`] (plumbed through `ElfOptions`; `Copy` so
+/// that config stays `Copy`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CutCacheConfig {
     /// Whether lookups are memoized at all.  Disabled caches still
     /// canonicalize (the uniform path is what keeps on/off bit-identical);
     /// they just never store or share anything.
     pub enabled: bool,
-    /// Maximum number of canonical classes retained.  Once full the cache
-    /// stops inserting (no eviction: deterministic and contention-free; the
-    /// hot classes of a workload are the ones seen first and most often).
-    pub capacity: usize,
 }
 
 impl Default for CutCacheConfig {
     fn default() -> Self {
-        CutCacheConfig {
-            enabled: true,
-            capacity: 1 << 16,
-        }
+        CutCacheConfig { enabled: true }
     }
 }
 
 impl CutCacheConfig {
     /// A configuration with memoization turned off.
     pub fn disabled() -> Self {
-        CutCacheConfig {
-            enabled: false,
-            capacity: 0,
-        }
+        CutCacheConfig { enabled: false }
     }
 }
+
+/// Most canonical classes an enabled cache retains.  Once full it stops
+/// inserting (no eviction: deterministic and contention-free; the hot
+/// classes of a workload are the ones seen first and most often).
+const CAPACITY: usize = 1 << 16;
 
 /// The NPN transform recorded by [`semi_canonicalize`]: how to get from the
 /// canonical representative back to the original function.
@@ -378,8 +373,10 @@ struct Entry {
 /// counters; see [`CutCache::job_view`] for the per-view ones).
 struct CacheShared {
     map: RwLock<HashMap<TruthTable, Entry, WordState>>,
-    capacity: usize,
     counters: Counters,
+    /// [`CAPACITY`], which a test lowers to fill the map.
+    #[cfg(test)]
+    capacity: usize,
     /// Whether a miss factors to the end, as the cache did before it kept
     /// prefixes: the oracle of the counters in the tests.
     #[cfg(test)]
@@ -387,6 +384,16 @@ struct CacheShared {
 }
 
 impl CacheShared {
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    #[cfg(not(test))]
+    fn capacity(&self) -> usize {
+        CAPACITY
+    }
+
     #[cfg(test)]
     fn factors_whole(&self) -> bool {
         self.whole_on_miss
@@ -489,8 +496,9 @@ impl CutCache {
         CutCache {
             shared: Some(Arc::new(CacheShared {
                 map: RwLock::new(HashMap::with_hasher(WordState::default())),
-                capacity: config.capacity,
                 counters: Counters::default(),
+                #[cfg(test)]
+                capacity: CAPACITY,
                 #[cfg(test)]
                 whole_on_miss: false,
             })),
@@ -540,7 +548,7 @@ impl CutCache {
     /// implementation *is* the first one complemented, the same AIG, so a
     /// caller weighing both polarities has nothing further to evaluate (see
     /// the module docs).
-    pub fn factor_both_into(
+    pub(crate) fn factor_both_into(
         &self,
         function: &TruthTable,
         scratch: &mut FactorScratch,
@@ -614,7 +622,7 @@ impl CutCache {
             // Every entry of a class is a prefix of its one whole form (a
             // pure function of the key), so of two racing lookups the one
             // that wrote more wins, and a whole form is never cut back.
-            let room = map.len() < shared.capacity;
+            let room = map.len() < shared.capacity();
             if let Some(entry) = map.get_mut(canonical) {
                 if !entry.complete && (complete || form.num_gates() > entry.form.num_gates()) {
                     entry.form.clone_from(form);
@@ -670,7 +678,7 @@ impl CutCache {
             Some(shared) => CutCacheStats {
                 enabled: true,
                 entries: shared.map.read().map_or(0, |map| map.len()),
-                capacity: shared.capacity,
+                capacity: shared.capacity(),
                 hits: shared.counters.hits.load(Ordering::Relaxed),
                 misses: shared.counters.misses.load(Ordering::Relaxed),
                 completions: shared.counters.completions.load(Ordering::Relaxed),
@@ -1232,14 +1240,207 @@ mod tests {
 
     #[test]
     fn capacity_zero_never_stores() {
-        let cache = CutCache::new(CutCacheConfig {
-            enabled: true,
-            capacity: 0,
-        });
+        let mut cache = CutCache::new(CutCacheConfig::default());
+        let shared = cache.shared.as_mut().expect("enabled");
+        Arc::get_mut(shared).expect("one handle").capacity = 0;
         let f = TruthTable::var(0, 3);
         let _ = cache.factor(&f);
         let _ = cache.factor(&f);
         assert_eq!(cache.stats().entries, 0);
         assert_eq!(cache.local_misses(), 2, "nothing stored, nothing hit");
+    }
+}
+
+/// The reading rule, end to end: implementing a cut from the factored form
+/// of its NPN *representative* — leaf literals placed by
+/// `NpnTransform::leaf_map`, the built literal complemented by
+/// `output_negated` — costs what the decanonicalized form of
+/// `CutCache::factor` costs and builds the same nodes with the same ids, for
+/// the cut function and for its complement, whatever part of the graph is
+/// dereferenced.
+#[cfg(test)]
+mod reading {
+    use elf_aig::{Aig, Cut, CutParams, Lit, NodeId};
+    use elf_circuits::{script_strategy, scripted_circuit};
+    use elf_sop::{FactorScratch, FactoredForm, TruthTable};
+    use proptest::prelude::*;
+
+    use super::{CutCache, CutCacheConfig};
+    use crate::{build_expr, count_new_nodes, cut_truth_table};
+
+    /// Every AND node followed by its fanin literals, then the output literals.
+    type Structure = (Vec<(NodeId, Lit, Lit)>, Vec<Lit>);
+
+    fn structure(aig: &Aig) -> Structure {
+        let nodes = aig.and_ids().map(|id| {
+            let (f0, f1) = aig.fanins(id);
+            (id, f0, f1)
+        });
+        (nodes.collect(), aig.outputs().to_vec())
+    }
+
+    /// How much of the graph around the cut is dereferenced while costs are read.
+    #[derive(Debug, Clone, Copy)]
+    enum Deref {
+        Nothing,
+        /// The root's MFFC down to the cut's leaves, as the operators do.
+        Bounded,
+        /// The root's whole MFFC, through the leaves.
+        Whole,
+    }
+
+    /// Checks both polarities of `cut` on `source`, cache off and cache on, and
+    /// returns the cut's function.
+    fn check_cut(source: &Aig, cut: &Cut, deref: Deref) -> TruthTable {
+        let truth = cut_truth_table(source, cut);
+        let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&leaf| leaf.lit()).collect();
+        let mut dereferenced = source.clone();
+        match deref {
+            Deref::Nothing => {}
+            Deref::Bounded => drop(dereferenced.deref_mffc_bounded(cut.root, &cut.leaves)),
+            Deref::Whole => drop(dereferenced.deref_mffc_bounded(cut.root, &[])),
+        }
+
+        for config in [CutCacheConfig::disabled(), CutCacheConfig::default()] {
+            let cache = CutCache::new(config);
+            let (mut scratch, mut form) = (FactorScratch::default(), FactoredForm::default());
+            let (transform, complement) = cache.factor_both_into(&truth, &mut scratch, &mut form);
+            for complemented in [false, true] {
+                // The form of the polarity itself, over the cut's own leaves ...
+                let oracle = if complemented {
+                    cache.factor(&!&truth)
+                } else {
+                    cache.factor(&truth)
+                };
+                // ... against the representative's, read through the transform:
+                // the complement has a reading of its own (built, it is `!f`)
+                // or is the first reading, and every candidate ends as `f`.
+                let own = complement.filter(|_| complemented);
+                let reading = own.unwrap_or(transform);
+                let lits = reading.leaf_map(&leaf_lits);
+                let flip = reading.output_negated() != own.is_some();
+
+                for root in [Some(cut.root), None] {
+                    assert_eq!(
+                        count_new_nodes(&dereferenced, &form, &lits, root),
+                        count_new_nodes(&dereferenced, &oracle, &leaf_lits, root),
+                        "cost of {truth} (complemented: {complemented}, {deref:?})"
+                    );
+                }
+                let (mut read, mut rebuilt) = (source.clone(), source.clone());
+                let read_lit = build_expr(&mut read, &form, &lits).complement_if(flip);
+                let rebuilt_lit =
+                    build_expr(&mut rebuilt, &oracle, &leaf_lits).complement_if(complemented);
+                assert_eq!(read_lit, rebuilt_lit, "root literal of {truth}");
+                assert_eq!(structure(&read), structure(&rebuilt), "nodes of {truth}");
+            }
+        }
+        truth
+    }
+
+    /// The cut of `root` over `leaves`: its cone collected by walking the fanins.
+    fn cut_over(aig: &Aig, root: Lit, leaves: &[Lit]) -> Cut {
+        let leaves: Vec<NodeId> = leaves.iter().map(|leaf| leaf.node()).collect();
+        let mut cone = Vec::new();
+        let mut stack = vec![root.node()];
+        while let Some(id) = stack.pop() {
+            if leaves.contains(&id) || cone.contains(&id) {
+                continue;
+            }
+            cone.push(id);
+            let (f0, f1) = aig.fanins(id);
+            stack.extend([f0.node(), f1.node()]);
+        }
+        Cut {
+            root: root.node(),
+            leaves,
+            cone,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn reading_the_representative_matches_the_decanonicalized_form(
+            script in script_strategy(40),
+            picks in prop::collection::vec((any::<usize>(), 3usize..=10, 0usize..3), 1..6),
+        ) {
+            let aig = scripted_circuit(6, &script);
+            let nodes: Vec<NodeId> = aig.and_ids().filter(|&id| aig.refs(id) > 0).collect();
+            for &(pick, max_leaves, deref) in &picks {
+                let Some(&root) = nodes.get(pick % nodes.len().max(1)) else { break };
+                let cut = aig.reconvergence_cut(root, &CutParams::with_max_leaves(max_leaves));
+                let deref = [Deref::Nothing, Deref::Bounded, Deref::Whole][deref];
+                check_cut(&aig, &cut, deref);
+            }
+        }
+    }
+
+    /// The classes the random cuts seldom meet, each built over three inputs of
+    /// a graph that already holds some of the nodes its implementations need:
+    /// self-dual functions whose two polarities normalize to equal words (a
+    /// complement of its own), dense ON-sets (an output-negated representative),
+    /// and cuts whose function is a constant.
+    #[test]
+    fn reading_covers_self_dual_output_negated_and_constant_classes() {
+        let mut aig = Aig::new();
+        let [a, b, c] = [aig.add_input(), aig.add_input(), aig.add_input()];
+        // Structure for `and_lookup` to find: parts of both majority forms.
+        let a_or_c = aig.or(a, c);
+        let shared = aig.and(b, a_or_c);
+        aig.add_output(shared);
+        let ac = aig.and(a, c);
+        aig.add_output(ac);
+
+        let majority = aig.maj(a, b, c);
+        let multiplexer = aig.mux(a, b, c);
+        let parity = {
+            let ab = aig.xor(a, b);
+            aig.xor(ab, c)
+        };
+        let dense = {
+            let (ab, bc) = (aig.or(a, b), aig.or(b, c));
+            aig.and(ab, bc)
+        };
+        let sparse = {
+            let bc = aig.and(!b, c);
+            aig.and(a, bc)
+        };
+        // Constant over the leaves, but not to the structural hash.
+        let never = {
+            let ab = aig.and(a, b);
+            let not_a_c = aig.and(!a, c);
+            aig.and(ab, not_a_c)
+        };
+        let roots = [majority, multiplexer, parity, dense, sparse, never];
+        for &root in &roots {
+            aig.add_output(root);
+        }
+
+        let mut seen = Vec::new();
+        for &root in &roots {
+            assert!(aig.is_and(root.node()), "{root:?} is a node of its own");
+            let cut = cut_over(&aig, root, &[a, b, c]);
+            for deref in [Deref::Nothing, Deref::Bounded, Deref::Whole] {
+                seen.push(check_cut(&aig, &cut, deref));
+            }
+        }
+
+        // The cases are the ones announced.
+        let cache = CutCache::disabled();
+        let (mut scratch, mut form) = (FactorScratch::default(), FactoredForm::default());
+        let mut classes = |root: Lit| {
+            let truth = cut_truth_table(&aig, &cut_over(&aig, root, &[a, b, c]));
+            let (transform, complement) = cache.factor_both_into(&truth, &mut scratch, &mut form);
+            (truth, transform.output_negated(), complement.is_some())
+        };
+        assert!(classes(majority).2 && classes(multiplexer).2);
+        assert!(!classes(parity).2);
+        let (dense_truth, dense_negated, _) = classes(dense);
+        assert!(dense_truth.count_ones() > 4 && dense_negated);
+        assert!(!classes(sparse).1);
+        assert!(classes(never).0.is_zero());
+        assert_eq!(seen.len(), 3 * roots.len());
     }
 }

@@ -20,10 +20,10 @@ use crate::operator::{OpStats, PassScratch, PrunableOperator};
 /// rejected.  Both the cut function's implementation and, where it can
 /// differ from the first one complemented, its complement's are weighed,
 /// read off one form from one cache lookup (the one
-/// [`CutCache::factor_both_into`] makes).
+/// `CutCache::factor_both_into` makes).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefactorParams {
-    /// Reconvergence-driven cut parameters (leaf bound, expansion cost bound).
+    /// Reconvergence-driven cut parameters (the leaf bound).
     pub cut: CutParams,
     /// Accept changes with zero gain as well as positive gain (ABC's `-z`).
     pub zero_gain: bool,

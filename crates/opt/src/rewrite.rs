@@ -109,7 +109,7 @@ impl Rewrite {
     }
 
     /// Attempts to rewrite a single node over the readings one cache lookup
-    /// (as in [`CutCache::factor_both_into`]) offers for each of its cuts — the
+    /// (as in `CutCache::factor_both_into`) offers for each of its cuts — the
     /// implementation of the cut function and, where worth weighing, of its
     /// complement — returning `Some(achieved_gain)` when a rewrite was
     /// committed.

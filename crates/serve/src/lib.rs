@@ -14,8 +14,8 @@
 //!   [`Flow::from_script`](elf_core::Flow::from_script) parses, with every
 //!   stage classifier-pruned.  The queue is **bounded**
 //!   ([`ServeConfig::queue_bound`]): a full queue follows the configured
-//!   [`AdmissionPolicy`] — block for a slot (backpressure), reject
-//!   immediately, or wait a deadline then shed.  Shed jobs come back as
+//!   [`AdmissionPolicy`] — block for a slot (backpressure) or reject
+//!   immediately.  Rejected jobs come back as
 //!   [`SubmitError::Overloaded`] *with the circuit handed back*, and are
 //!   counted in [`ServiceStats`].
 //! * **Sharding** — a fixed set of long-lived worker threads (the
@@ -37,9 +37,9 @@
 //!   [`recv`](ServiceHandle::recv)/[`try_recv`](ServiceHandle::try_recv)
 //!   deliver [`JobResponse`]s (optimized AIG plus per-job [`ServeStats`]:
 //!   pinned model version, queue depth, cache hits, timings, and the flow's
-//!   own [`FlowStats`](elf_core::FlowStats)), and
-//!   [`run_sync`](ServiceHandle::run_sync) is the blocking one-job
-//!   convenience.  Every job is answered even if its worker dies mid-job
+//!   own [`FlowStats`](elf_core::FlowStats)), in completion order, and
+//!   [`outstanding`](ServiceHandle::outstanding) counts the jobs still
+//!   owed.  Every job is answered even if its worker dies mid-job
 //!   (the response arrives with [`JobResponse::failed`] set) — clients can
 //!   never hang on a job that will not complete.
 //! * **Shutdown** — [`ElfService::shutdown`] (or drop) closes admission,

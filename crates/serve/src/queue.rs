@@ -10,7 +10,7 @@
 //!
 //! * **Bounded admission** — at most `capacity` jobs wait at any time.  A
 //!   push against a full queue follows the caller's [`AdmissionPolicy`]:
-//!   block until a slot frees, shed immediately, or shed after a deadline.
+//!   block until a slot frees, or shed immediately.
 //! * **One FIFO** — every worker pops the oldest waiting job.  A worker
 //!   busy with one giant circuit holds no jobs back: the others take the
 //!   next ones.  Which worker executes a job never changes the job's result
@@ -26,30 +26,21 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
 
 /// What a submit should do when the admission queue is full.
 ///
-/// The shed policies (`Reject`, `Timeout`) surface as
+/// The shed policy, `Reject`, surfaces as
 /// [`SubmitError::Overloaded`](crate::SubmitError::Overloaded) with the
-/// caller's circuit handed back, and are counted in
+/// caller's circuit handed back, and is counted in
 /// [`ServiceStats`](crate::ServiceStats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// Wait for a slot — backpressure propagates to the submitting client,
     /// nothing is ever shed.  The default.
     Block,
-    /// Shed immediately: a full queue fails the submit without blocking for
-    /// even one scheduling tick.
+    /// Shed immediately: a full queue fails the submit without blocking.
     Reject,
-    /// Wait up to this many ~1 ms scheduling ticks for a slot, then shed.
-    /// `Timeout(0)` behaves like [`AdmissionPolicy::Reject`].
-    Timeout(u32),
 }
-
-/// Duration of one admission scheduling tick (the unit of
-/// [`AdmissionPolicy::Timeout`]).
-pub(crate) const ADMISSION_TICK: Duration = Duration::from_millis(1);
 
 /// Why a push failed; the job itself travels back so the caller keeps it.
 #[cfg_attr(test, derive(Debug))]
@@ -114,10 +105,6 @@ impl<T> JobQueue<T> {
     /// push, or the job itself when the queue is closed or stays full past
     /// what the policy tolerates.
     pub(crate) fn push(&self, job: T, policy: AdmissionPolicy) -> Result<usize, PushError<T>> {
-        let deadline = match policy {
-            AdmissionPolicy::Timeout(ticks) => Some(Instant::now() + ticks * ADMISSION_TICK),
-            _ => None,
-        };
         let mut state = self.lock();
         loop {
             if state.closed {
@@ -141,28 +128,6 @@ impl<T> JobQueue<T> {
                         .space
                         .wait(state)
                         .unwrap_or_else(PoisonError::into_inner);
-                    #[cfg(test)]
-                    {
-                        state.push_waiters -= 1;
-                    }
-                }
-                AdmissionPolicy::Timeout(_) => {
-                    let Some(deadline) = deadline else {
-                        unreachable!("Timeout policy computes a deadline up front")
-                    };
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return Err(PushError::Overloaded(job));
-                    }
-                    #[cfg(test)]
-                    {
-                        state.push_waiters += 1;
-                    }
-                    let (next, _timeout) = self
-                        .space
-                        .wait_timeout(state, remaining)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    state = next;
                     #[cfg(test)]
                     {
                         state.push_waiters -= 1;
@@ -324,22 +289,6 @@ mod tests {
         // ...and a freed slot admits again.
         assert!(queue.pop().is_some());
         assert_eq!(queue.push(4, AdmissionPolicy::Reject).unwrap(), 2);
-    }
-
-    #[test]
-    fn timeout_policy_sheds_after_the_deadline() {
-        let queue = JobQueue::new(1);
-        queue.push(1, AdmissionPolicy::Timeout(2)).unwrap();
-        // Nothing pops, so the second push must shed after ~2 ticks.
-        assert!(matches!(
-            queue.push(2, AdmissionPolicy::Timeout(2)),
-            Err(PushError::Overloaded(2))
-        ));
-        // A zero-tick timeout is an immediate reject.
-        assert!(matches!(
-            queue.push(3, AdmissionPolicy::Timeout(0)),
-            Err(PushError::Overloaded(3))
-        ));
     }
 
     #[test]

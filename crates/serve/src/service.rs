@@ -1,7 +1,6 @@
 //! The long-lived [`ElfService`]: sharded workers, bounded job admission,
 //! the model registry, and the client-facing [`ServiceHandle`] channel API.
 
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,7 +10,8 @@ use std::time::{Duration, Instant};
 
 use elf_aig::Aig;
 use elf_core::{
-    CutCache, CutCacheStats, ElfClassifier, ElfOptions, Flow, FlowStats, ParseFlowError, VerifyMode,
+    CutCache, CutCacheConfig, CutCacheStats, ElfClassifier, ElfOptions, Flow, FlowStats,
+    ParseFlowError, VerifyMode,
 };
 use elf_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use elf_obs::names;
@@ -22,11 +22,9 @@ use crate::registry::{ModelId, ModelRegistry};
 
 /// Configuration of an [`ElfService`].
 ///
-/// The defaults come from the environment where it matters: `shards` follows
-/// the `ELF_THREADS` convention of the rest of the workspace (via
-/// [`Parallelism::default`]), while the per-job engine knobs default to
-/// sequential — the shards *are* the parallelism, and two nested fan-outs
-/// would oversubscribe the cores.
+/// `shards` defaults from the environment: it follows the `ELF_THREADS`
+/// convention of the rest of the workspace (via [`Parallelism::default`]).
+/// Every job runs its flow under [`ElfService::options`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// Number of long-lived shard workers executing jobs.
@@ -37,16 +35,10 @@ pub struct ServeConfig {
     /// traffic burst from turning into unbounded memory growth.
     pub queue_bound: usize,
     /// What a submission does when the queue is full: block for a slot
-    /// (the default — backpressure, nothing shed), reject immediately, or
-    /// wait a deadline then shed.  Shed submissions return
-    /// [`SubmitError::Overloaded`] with the circuit handed back and are
-    /// counted in [`ServiceStats`].
+    /// (the default — backpressure, nothing shed) or reject immediately.
+    /// Rejected submissions return [`SubmitError::Overloaded`] with the
+    /// circuit handed back and are counted in [`ServiceStats`].
     pub admission: AdmissionPolicy,
-    /// Flow options applied to every stage of every served job (the
-    /// *within-job* engine parallelism, and the [`ElfOptions::cut_cache`]
-    /// knob sizing the **service-lifetime** NPN-canonical factoring cache
-    /// every job shares).
-    pub options: ElfOptions,
     /// The correctness gate: SAT-prove that every served job preserved its
     /// circuit's function ([`VerifyMode::Final`] — one check per job) or
     /// that every stage did ([`VerifyMode::PerStage`]).  The verdict rides
@@ -60,12 +52,19 @@ impl Default for ServeConfig {
             shards: Parallelism::default(),
             queue_bound: 1024,
             admission: AdmissionPolicy::Block,
-            options: ElfOptions {
-                parallelism: Parallelism::sequential(),
-                ..ElfOptions::default()
-            },
             verify: VerifyMode::Off,
         }
+    }
+}
+
+/// The flow options of every served job: a sequential engine inside the job
+/// (the shards *are* the parallelism, and two nested fan-outs would
+/// oversubscribe the cores) and the default cut cache, which configures the
+/// **service-lifetime** NPN-canonical factoring cache every job shares.
+fn job_options() -> ElfOptions {
+    ElfOptions {
+        parallelism: Parallelism::sequential(),
+        cut_cache: CutCacheConfig::default(),
     }
 }
 
@@ -242,12 +241,8 @@ pub struct ServiceStats {
     /// executing them (see [`JobResponse::failed`]); always 0 in a healthy
     /// service.
     pub jobs_failed: u64,
-    /// Submissions shed immediately by [`AdmissionPolicy::Reject`] against a
-    /// full queue.
+    /// Submissions shed by [`AdmissionPolicy::Reject`] against a full queue.
     pub jobs_rejected: u64,
-    /// Submissions shed by [`AdmissionPolicy::Timeout`] after waiting out
-    /// their admission deadline.
-    pub jobs_timed_out: u64,
     /// Forward passes run by served jobs: one per pruned stage that went on
     /// to prune or keep at least one cut.
     pub inference_batches: u64,
@@ -258,13 +253,6 @@ pub struct ServiceStats {
     /// Snapshot of the service-lifetime NPN-canonical cut-factoring cache:
     /// entries resident, lifetime hits and misses across all jobs.
     pub cut_cache: CutCacheStats,
-}
-
-impl ServiceStats {
-    /// Total load-shed submissions (rejected + timed out).
-    pub fn jobs_shed(&self) -> u64 {
-        self.jobs_rejected + self.jobs_timed_out
-    }
 }
 
 /// Shared service-wide telemetry (admission + workers), backed by
@@ -284,8 +272,6 @@ struct Telemetry {
     jobs_failed: Counter,
     /// [`names::JOBS_SHED`] with `policy="reject"`.
     jobs_rejected: Counter,
-    /// [`names::JOBS_SHED`] with `policy="timeout"`.
-    jobs_timed_out: Counter,
     /// [`names::INFER_BATCHES`].
     batches: Counter,
     /// [`names::QUEUE_WAIT_US`].
@@ -302,7 +288,6 @@ impl Telemetry {
             jobs: metrics.counter(names::JOBS_SERVED),
             jobs_failed: metrics.counter(names::JOBS_FAILED),
             jobs_rejected: metrics.counter_with(names::JOBS_SHED, &[("policy", "reject")]),
-            jobs_timed_out: metrics.counter_with(names::JOBS_SHED, &[("policy", "timeout")]),
             batches: metrics.counter(names::INFER_BATCHES),
             queue_wait: metrics.histogram(names::QUEUE_WAIT_US),
             job_service: metrics.histogram(names::JOB_SERVICE_US),
@@ -337,7 +322,6 @@ impl Telemetry {
             jobs_served: self.jobs.get(),
             jobs_failed: self.jobs_failed.get(),
             jobs_rejected: self.jobs_rejected.get(),
-            jobs_timed_out: self.jobs_timed_out.get(),
             inference_batches: self.batches.get(),
             inference_rows,
             cut_cache,
@@ -564,7 +548,7 @@ impl ElfService {
             registry,
             founding,
             config,
-            cut_cache: CutCache::new(config.options.cut_cache),
+            cut_cache: CutCache::new(job_options().cut_cache),
             queue: JobQueue::new(config.queue_bound),
             // Per-service registry: an isolated metric namespace so two
             // services in one process (or one per test) never mix counters.
@@ -611,7 +595,6 @@ impl ElfService {
             shared: Arc::clone(&self.shared),
             reply_tx,
             reply_rx,
-            stash: VecDeque::new(),
             outstanding: 0,
         }
     }
@@ -636,12 +619,13 @@ impl ElfService {
         &self.shared.config
     }
 
-    /// The flow options applied to served jobs ([`ServeConfig::options`]) —
-    /// what an offline [`Flow::pruned_from_script`] comparison must use,
-    /// chained with `.with_verify(service.config().verify)` to check what
-    /// the served job checked.
+    /// The flow options applied to served jobs — a sequential engine and
+    /// the default cut cache — and so what an offline
+    /// [`Flow::pruned_from_script`] comparison must use, chained with
+    /// `.with_verify(service.config().verify)` to check what the served job
+    /// checked.
     pub fn options(&self) -> ElfOptions {
-        self.shared.config.options
+        job_options()
     }
 
     /// Jobs currently waiting for a shard worker.
@@ -837,9 +821,6 @@ pub struct ServiceHandle {
     shared: Arc<Shared>,
     reply_tx: mpsc::Sender<JobResponse>,
     reply_rx: mpsc::Receiver<JobResponse>,
-    /// Responses received while waiting for a specific job in
-    /// [`ServiceHandle::run_sync`], still owed to [`ServiceHandle::recv`].
-    stash: VecDeque<JobResponse>,
     /// Jobs submitted through this handle whose responses have not been
     /// returned to the caller yet.
     outstanding: usize,
@@ -854,7 +835,6 @@ impl Clone for ServiceHandle {
             shared: Arc::clone(&self.shared),
             reply_tx,
             reply_rx,
-            stash: VecDeque::new(),
             outstanding: 0,
         }
     }
@@ -877,8 +857,7 @@ impl ServiceHandle {
     ///
     /// [`SubmitError::Script`] when the script has an unknown token;
     /// [`SubmitError::Overloaded`] when the admission queue sheds the job
-    /// (full queue under [`AdmissionPolicy::Reject`]/
-    /// [`AdmissionPolicy::Timeout`]);
+    /// (full queue under [`AdmissionPolicy::Reject`]);
     /// [`SubmitError::ServiceClosed`] after shutdown.  Every error hands
     /// the circuit back ([`SubmitError::into_circuit`]).
     pub fn submit(&mut self, aig: Aig, flow_script: &str) -> Result<JobId, SubmitError> {
@@ -917,7 +896,7 @@ impl ServiceHandle {
         classifier: Arc<ElfClassifier>,
     ) -> Result<JobId, SubmitError> {
         let config = &self.shared.config;
-        let flow = match Flow::pruned_from_script(flow_script, &classifier, config.options) {
+        let flow = match Flow::pruned_from_script(flow_script, &classifier, job_options()) {
             Ok(flow) => flow,
             Err(error) => {
                 return Err(SubmitError::Script {
@@ -964,13 +943,8 @@ impl ServiceHandle {
                 circuit: Box::new(job.into_circuit()),
             }),
             Err(PushError::Overloaded(job)) => {
-                let telemetry = &self.shared.telemetry;
-                match config.admission {
-                    AdmissionPolicy::Reject => telemetry.jobs_rejected.inc(),
-                    AdmissionPolicy::Timeout(_) => telemetry.jobs_timed_out.inc(),
-                    // The queue never sheds under Block.
-                    AdmissionPolicy::Block => unreachable!("Block policy shed a job"),
-                }
+                // Only Reject sheds: the queue never sheds under Block.
+                self.shared.telemetry.jobs_rejected.inc();
                 Err(SubmitError::Overloaded {
                     circuit: Box::new(job.into_circuit()),
                 })
@@ -989,10 +963,6 @@ impl ServiceHandle {
     /// outstanding — a loop of `recv` after a burst of submissions
     /// terminates by itself.
     pub fn recv(&mut self) -> Option<JobResponse> {
-        if let Some(response) = self.stash.pop_front() {
-            self.outstanding -= 1;
-            return Some(response);
-        }
         if self.outstanding == 0 {
             return None;
         }
@@ -1013,10 +983,6 @@ impl ServiceHandle {
     /// blocking.  `None` means "nothing finished yet" (or nothing
     /// outstanding — check [`ServiceHandle::outstanding`]).
     pub fn try_recv(&mut self) -> Option<JobResponse> {
-        if let Some(response) = self.stash.pop_front() {
-            self.outstanding -= 1;
-            return Some(response);
-        }
         match self.reply_rx.try_recv() {
             Ok(response) => {
                 self.outstanding -= 1;
@@ -1031,40 +997,6 @@ impl ServiceHandle {
                 self.outstanding -= 1;
                 Some(dead_channel_response())
             }
-        }
-    }
-
-    /// Submits a job and blocks until *its* response arrives.
-    ///
-    /// Responses of other jobs submitted earlier through this handle that
-    /// complete in the meantime are stashed and returned by later
-    /// [`ServiceHandle::recv`] calls, so `run_sync` composes with
-    /// fire-and-forget submissions on the same handle.
-    ///
-    /// # Errors
-    ///
-    /// The same submission errors as [`ServiceHandle::submit`].
-    pub fn run_sync(&mut self, aig: Aig, flow_script: &str) -> Result<JobResponse, SubmitError> {
-        let id = self.submit(aig, flow_script)?;
-        loop {
-            // Read the channel directly: the stash can only contain earlier
-            // jobs, never the one just submitted.
-            let response = match self.reply_rx.recv() {
-                Ok(response) => response,
-                // See `recv` — defensively unreachable; fail *this* job.
-                Err(mpsc::RecvError) => {
-                    self.outstanding -= 1;
-                    return Ok(JobResponse {
-                        job_id: id,
-                        ..dead_channel_response()
-                    });
-                }
-            };
-            if response.job_id == id {
-                self.outstanding -= 1;
-                return Ok(response);
-            }
-            self.stash.push_back(response);
         }
     }
 }
@@ -1105,6 +1037,12 @@ mod tests {
         aig
     }
 
+    /// Submits one job and waits for its response.
+    fn serve_one(handle: &mut ServiceHandle, aig: Aig, script: &str) -> JobResponse {
+        handle.submit(aig, script).unwrap();
+        handle.recv().expect("one job is outstanding")
+    }
+
     fn two_shard_config() -> ServeConfig {
         ServeConfig {
             shards: Parallelism::threads(2),
@@ -1129,7 +1067,7 @@ mod tests {
         // The surviving shard keeps serving: it pops from the one queue the
         // dead worker left behind.
         for salt in 1..4 {
-            let response = handle.run_sync(circuit(salt), "rf; rw").unwrap();
+            let response = serve_one(&mut handle, circuit(salt), "rf; rw");
             assert!(!response.failed);
         }
 
@@ -1161,7 +1099,6 @@ mod tests {
         let recovered = err.into_circuit();
         assert_eq!(recovered.num_reachable_ands(), nodes);
         assert_eq!(service.stats().jobs_rejected, 1);
-        assert_eq!(service.stats().jobs_shed(), 1);
 
         // A bad script also hands the circuit back, before touching the
         // queue.
@@ -1202,7 +1139,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SubmitError::UnknownModel { .. }));
 
-        let response = handle.run_sync(err.into_circuit(), "rf").unwrap();
+        let response = serve_one(&mut handle, err.into_circuit(), "rf");
         assert_eq!(response.stats.model, v1);
         assert!(!response.failed);
     }
@@ -1219,7 +1156,7 @@ mod tests {
         let mut handle = service.handle();
         let original = circuit(3);
 
-        let response = handle.run_sync(original.clone(), "rf; rw; rs").unwrap();
+        let response = serve_one(&mut handle, original.clone(), "rf; rw; rs");
         assert!(!response.failed);
         let outcome = response
             .stats
@@ -1267,7 +1204,7 @@ mod tests {
             },
         );
         let mut handle = service.handle();
-        let response = handle.run_sync(circuit(1), "rf; rw").unwrap();
+        let response = serve_one(&mut handle, circuit(1), "rf; rw");
         let outcome = response.stats.flow.verify.expect("verify was enabled");
         assert_eq!(outcome.checks.len(), 2, "one check per stage");
         assert!(outcome.checks.iter().all(|check| check.stage.is_some()));
@@ -1280,7 +1217,7 @@ mod tests {
         let service = ElfService::start(classifier(), two_shard_config());
         let mut handle = service.handle();
 
-        let first = handle.run_sync(circuit(1), "rf; rw").unwrap();
+        let first = serve_one(&mut handle, circuit(1), "rf; rw");
         assert!(!first.failed);
         assert!(
             first.stats.cache_hits + first.stats.cache_misses > 0,
@@ -1289,7 +1226,7 @@ mod tests {
 
         // The same circuit and script again: every factoring was published
         // by the first job, so the second must hit — the cache outlives jobs.
-        let second = handle.run_sync(circuit(1), "rf; rw").unwrap();
+        let second = serve_one(&mut handle, circuit(1), "rf; rw");
         assert!(!second.failed);
         assert!(
             second.stats.cache_hits > 0,
@@ -1309,32 +1246,6 @@ mod tests {
         assert!(stats.cut_cache.entries > 0);
         assert!(stats.cut_cache.hits >= second.stats.cache_hits);
         assert!(stats.cut_cache.hit_rate() > 0.0);
-    }
-
-    #[test]
-    fn a_disabled_cut_cache_serves_identical_results_without_counting() {
-        let cached = ElfService::start(classifier(), two_shard_config());
-        let uncached = ElfService::start(
-            classifier(),
-            ServeConfig {
-                options: ElfOptions {
-                    cut_cache: elf_core::CutCacheConfig::disabled(),
-                    ..ServeConfig::default().options
-                },
-                ..two_shard_config()
-            },
-        );
-        let with_cache = cached.handle().run_sync(circuit(2), "rf; rw").unwrap();
-        let without = uncached.handle().run_sync(circuit(2), "rf; rw").unwrap();
-        assert_eq!(without.stats.cache_hits, 0);
-        assert_eq!(without.stats.cache_misses, 0);
-        assert_eq!(
-            with_cache.aig.num_reachable_ands(),
-            without.aig.num_reachable_ands()
-        );
-        assert!(!uncached.stats().cut_cache.enabled);
-        assert_eq!(uncached.shutdown().cut_cache, CutCacheStats::default());
-        cached.shutdown();
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use elf_aig::{check_equivalence, simulation_signature, Aig, EquivalenceResult};
 use elf_circuits::{scripted_circuit, GateChoice};
-use elf_core::{ElfClassifier, Flow, FlowStats, DEFAULT_THRESHOLD};
+use elf_core::{ElfClassifier, ElfOptions, Flow, FlowStats, DEFAULT_THRESHOLD};
 use elf_nn::{Mlp, Normalizer};
 use elf_par::Parallelism;
 use elf_serve::{ElfService, ServeConfig, ServiceStats, SubmitError};
@@ -137,11 +137,15 @@ fn forward_passes(stats: &FlowStats) -> (u64, u64) {
 }
 
 /// The offline reference: each job run through `Flow::pruned_from_script`
-/// with the same classifier and options the service uses.  Returns the
-/// per-job fingerprints and the `(forward passes, rows)` summed over all jobs.
-fn offline_reference(config: ServeConfig) -> (Vec<JobFingerprint>, (u64, u64)) {
+/// with the same classifier and the options every served job runs, a
+/// sequential engine and the default cut cache.  Returns the per-job
+/// fingerprints and the `(forward passes, rows)` summed over all jobs.
+fn offline_reference() -> (Vec<JobFingerprint>, (u64, u64)) {
     let classifier = mixed_classifier();
-    let options = config.options;
+    let options = ElfOptions {
+        parallelism: Parallelism::sequential(),
+        ..ElfOptions::default()
+    };
     let mut totals = (0, 0);
     let prints = job_set()
         .into_iter()
@@ -159,7 +163,7 @@ fn offline_reference(config: ServeConfig) -> (Vec<JobFingerprint>, (u64, u64)) {
 
 #[test]
 fn served_results_equal_offline_flow_for_every_shard_and_client_count() {
-    let (reference, (passes, rows)) = offline_reference(ServeConfig::default());
+    let (reference, (passes, rows)) = offline_reference();
     assert!(passes > 0 && rows > 0, "the job set runs real inference");
     for shards in [1, 2, 4] {
         for clients in [1, 3] {
@@ -185,12 +189,13 @@ fn served_results_equal_offline_flow_for_every_shard_and_client_count() {
 }
 
 #[test]
-fn run_sync_matches_batched_submission_and_preserves_function() {
+fn jobs_served_one_at_a_time_preserve_function() {
     let classifier = mixed_classifier();
     let service = ElfService::start(classifier, ServeConfig::default());
     let mut handle = service.handle();
     for (source, script) in job_set().into_iter().take(5) {
-        let response = handle.run_sync(source.clone(), script).expect("run_sync");
+        handle.submit(source.clone(), script).expect("admitted");
+        let response = handle.recv().expect("one job is outstanding");
         assert_eq!(
             check_equivalence(&source, &response.aig, 16, 61),
             EquivalenceResult::Equivalent,
@@ -203,24 +208,6 @@ fn run_sync_matches_batched_submission_and_preserves_function() {
         );
     }
     assert_eq!(handle.outstanding(), 0);
-    assert!(handle.recv().is_none());
-}
-
-#[test]
-fn run_sync_stashes_earlier_jobs_for_later_recv() {
-    let service = ElfService::start(mixed_classifier(), ServeConfig::default());
-    let mut handle = service.handle();
-    let jobs = job_set();
-    let (first_aig, first_script) = &jobs[0];
-    let (second_aig, second_script) = &jobs[1];
-    let first = handle.submit(first_aig.clone(), first_script).unwrap();
-    let sync = handle
-        .run_sync(second_aig.clone(), second_script)
-        .expect("run_sync");
-    assert_ne!(sync.job_id, first);
-    // The fire-and-forget job is still delivered, from the stash or channel.
-    let pending = handle.recv().expect("first job still outstanding");
-    assert_eq!(pending.job_id, first);
     assert!(handle.recv().is_none());
 }
 
@@ -244,7 +231,8 @@ fn fit_and_start_trains_on_startup_and_serves() {
     let service = ElfService::start(classifier, ServeConfig::default());
     let (aig, script) = job_set().into_iter().next().expect("non-empty job set");
     let mut handle = service.handle();
-    let response = handle.run_sync(aig.clone(), script).expect("run_sync");
+    handle.submit(aig.clone(), script).expect("admitted");
+    let response = handle.recv().expect("one job is outstanding");
     // The startup-trained classifier is the one serving: the offline flow
     // with `service.classifier()` reproduces the served result.
     let mut offline = aig;

@@ -433,28 +433,43 @@ echo "static-gate: rewrite keeps complete nodes' cut sets until the graph is edi
 # The classifier trains one recipe, so its resampling, MixUp, validation
 # split and schedule are constants in `elf-nn`'s `train.rs`, as are the
 # recall target of the threshold calibration, the cut's expansion cost and
-# Figure 3's t-SNE settings.  A `preserve_level`, `try_complement`,
+# Figure 3's t-SNE settings.  The equivalence checker always sweeps over
+# eight simulation rounds, the cut cache has one capacity, every served job
+# runs one set of flow options, a full admission queue blocks or rejects,
+# a client collects a job with `recv`, the harness runs the operators at
+# their defaults and derives the circuit scales from `--scale`, and no
+# model has an identity layer.  A `preserve_level`, `try_complement`,
 # `use_one_resub`, `cuts_per_node`, `RewriteParams`, `ResubParams`,
 # `run_with_filter`, `NodeKind`, `take_cut_scratch`, `balanced_sampling`,
 # `mixup_alpha`, `mixup_fraction`, `validation_fraction`,
-# `scheduler_period`, `scheduler_mult`, `max_expansion_cost`, `TsneConfig`
-# or `recall_target` in non-test code is a single-valued knob, the unused
-# filter policy or the graph-owned scratch coming back.
+# `scheduler_period`, `scheduler_mult`, `max_expansion_cost`, `TsneConfig`,
+# `recall_target`, `sim_rounds`, `run_sync`, `AdmissionPolicy::Timeout`,
+# `Activation::Identity`, `pub industrial_scale` or `pub synthetic_scale`
+# in non-test code, a `pub capacity` in `cache.rs`'s `CutCacheConfig`, a
+# `pub options:` in `service.rs` or a `pub elf:` in `experiment.rs` is a
+# single-valued knob, the path it selected, the unused filter policy or the
+# graph-owned scratch coming back.
 knobs=$(find crates/*/src src examples -name '*.rs' -print0 | xargs -0 awk '
-    FNR == 1 { in_tests = 0 }
+    FNR == 1 { in_tests = 0; in_config = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
+    FILENAME ~ /opt\/src\/cache\.rs$/ && /pub struct CutCacheConfig/ { in_config = 1 }
+    in_config && /^}/ { in_config = 0 }
     /preserve_level|try_complement|use_one_resub|cuts_per_node|RewriteParams|ResubParams|run_with_filter|NodeKind|take_cut_scratch/ ||
-    /balanced_sampling|mixup_alpha|mixup_fraction|validation_fraction|scheduler_period|scheduler_mult|max_expansion_cost|TsneConfig|recall_target/ {
+    /balanced_sampling|mixup_alpha|mixup_fraction|validation_fraction|scheduler_period|scheduler_mult|max_expansion_cost|TsneConfig|recall_target/ ||
+    /sim_rounds|run_sync|AdmissionPolicy::Timeout|Activation::Identity|pub industrial_scale|pub synthetic_scale/ ||
+    (in_config && /pub capacity/) ||
+    (FILENAME ~ /serve\/src\/service\.rs$/ && /pub options:/) ||
+    (FILENAME ~ /core\/src\/experiment\.rs$/ && /pub elf:/) {
         printf "%s:%d: %s\n", FILENAME, FNR, $0
     }
 ')
 if [ -n "$knobs" ]; then
     echo "$knobs"
-    echo "static-gate: a single-valued operator or training knob, the filter policy or a graph-owned cut scratch in non-test code" >&2
+    echo "static-gate: a single-valued knob or the path it selected, the filter policy or a graph-owned cut scratch in non-test code" >&2
     exit 1
 fi
-echo "static-gate: operators and the classifier at their one configuration, three pass policies, no graph-owned cut scratch"
+echo "static-gate: operators, classifier, checker, cache, service and harness at their one configuration, three pass policies, no graph-owned cut scratch"
 
 # Per-cut lookups cost what the gain count reads: the strash and the cut
 # cache's class map hash with `elf-aig`'s seeded word hasher, and a cut is

@@ -17,7 +17,7 @@
 //! | [`nn`] (`elf-nn`) | Minimal MLP framework and one training recipe (Adam at 0.02, batches of 64, cosine warm restarts every 10 → 20 → … epochs, balanced resampling, 25 % MixUp at alpha 0.4, patience-10 early stopping on a stratified 20 % split); a run sets only epochs, loss (plain BCE by default, `WeightedBce` 20 in the `paper` harness) and seed |
 //! | [`par`] (`elf-par`) | Deterministic std-threads parallel engine (scoped pool, chunked queue, order-preserving gather) |
 //! | [`core`] (`elf-core`) | The ELF classifier, the generic pruned operator `Elf<O>`, script-style `Flow` pipelines and the experiment protocol |
-//! | [`serve`] (`elf-serve`) | Long-lived `ElfService`: one bounded FIFO with load-shedding policies, shard workers running each job's flow inline, versioned hot-swap `ModelRegistry`, channel request/response API |
+//! | [`serve`] (`elf-serve`) | Long-lived `ElfService`: one bounded FIFO that blocks or rejects when full, shard workers running each job's flow inline, versioned hot-swap `ModelRegistry`, channel request/response API |
 //! | [`cec`] (`elf-cec`) | SAT-based combinational equivalence checking: a zero-dependency CDCL solver, miter construction, fraig-style simulation-guided SAT sweeping — the correctness gate behind `core::VerifyMode` |
 //! | [`obs`] (`elf-obs`) | Zero-dependency observability: lock-free counters/gauges/log-bucketed latency histograms with a Prometheus text scrape, plus `ELF_TRACE`-gated tracing spans exported as Chrome `trace_event` JSON |
 //! | [`circuits`] (`elf-circuits`) | EPFL-style arithmetic, industrial-like and synthetic workload generators |
@@ -81,7 +81,7 @@
 //!
 //! Serve circuits from a long-lived [`serve::ElfService`] — a fixed shard of
 //! worker threads behind a **bounded** admission queue
-//! ([`serve::ServeConfig::queue_bound`], with a block/reject/timeout
+//! ([`serve::ServeConfig::queue_bound`], with a block-or-reject
 //! [`serve::AdmissionPolicy`] on overload that always hands the circuit
 //! back), sharing classifiers through a versioned hot-swap
 //! [`serve::ModelRegistry`] ([`serve::ServiceHandle::submit_with`] selects a

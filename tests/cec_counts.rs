@@ -63,7 +63,6 @@ fn equivalent_pairs_keep_their_recorded_verdicts_and_counts() {
         .with_parallelism(Parallelism::sequential());
     let params = CecParams {
         conflict_budget: 3_000,
-        ..CecParams::default()
     };
     let circuits = circuits();
     assert_eq!(circuits.len(), RECORDED.len());

@@ -84,7 +84,7 @@ fn leave_one_out_flow_preserves_function_and_prunes() {
 
     let golden = suite.circuits()[held_out].aig.clone();
     let mut optimized = golden.clone();
-    let elf = ElfRefactor::new(classifier, config.elf);
+    let elf = ElfRefactor::new(classifier, ElfConfig::default());
     let stats = elf.run(&mut optimized);
 
     assert!(optimized.check_invariants().is_empty());
@@ -105,7 +105,7 @@ fn comparison_and_quality_rows_are_consistent() {
     assert!(row.elf_ands <= row.nodes_before);
 
     let quality = suite.quality(circuit, &classifier);
-    let stats = circuit_stats(circuit, &suite.config().elf.refactor);
+    let stats = circuit_stats(circuit, &RefactorParams::default());
     assert_eq!(quality.confusion.total(), stats.cuts);
     // True positives + false negatives equals the number of refactorable cuts.
     assert_eq!(
@@ -225,7 +225,7 @@ fn flow_pipeline_mixes_plain_and_pruned_stages() {
     let golden = suite.circuits()[held_out].aig.clone();
     let mut optimized = golden.clone();
     let flow = Flow::new()
-        .elf_refactor(config.elf.refactor, classifier)
+        .elf_refactor(RefactorParams::default(), classifier)
         .rewrite()
         .resub();
     assert_eq!(flow.stage_names(), vec!["elf-refactor", "rewrite", "resub"]);
@@ -253,8 +253,8 @@ fn double_application_never_hurts_area() {
     let twice = suite.compare(&suite.circuits()[1], &classifier);
     let once = compare_with_operator(
         &suite.circuits()[1],
-        &Refactor::new(config.elf.refactor),
-        &ElfRefactor::new(classifier, config.elf),
+        &Refactor::new(RefactorParams::default()),
+        &ElfRefactor::new(classifier, ElfConfig::default()),
         1,
     );
     assert!(twice.elf_ands <= once.elf_ands);
