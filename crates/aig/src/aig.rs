@@ -357,7 +357,10 @@ impl Aig {
     ///
     /// Read it before walking the graph; a slot whose
     /// [`edit_stamp`](Aig::edit_stamp) is below the reading has not had its
-    /// kind, fanins or liveness written since.
+    /// kind, fanins or liveness written since.  The clock is a `u64`
+    /// advanced once per stamped slot, so at a billion stamps a second it
+    /// would wrap after 584 years: a reading stays comparable for as long as
+    /// a caller keeps it (rewrite keeps readings for a whole pass).
     #[inline]
     pub fn edit_clock(&self) -> u64 {
         self.edit_clock
@@ -398,6 +401,7 @@ impl Aig {
     /// Stamps slot `idx` as edited now.
     #[inline]
     fn stamp_edit(&mut self, idx: usize) {
+        debug_assert!(self.edit_clock < u64::MAX, "the edit clock overflowed");
         self.edited[idx] = self.edit_clock;
         self.edit_clock += 1;
     }

@@ -25,7 +25,7 @@
 //! takes a reading only when its gain reaches a *floor*: 1 (0 under
 //! `zero_gain`), and one more than the best gain already found — the first
 //! reading of a cut for the second, and rewrite's earlier cuts of the same
-//! root.  So [`best_reading`] counts each reading under the limit
+//! root.  So [`weigh`] counts each reading under the limit
 //! `saved − floor` and drops it once past it, as ABC's
 //! `Dec_GraphToNetworkCount` stops at `NodeMax` (Mishchenko et al.,
 //! "DAG-aware AIG rewriting", DAC'06).  It counts *while the form is
@@ -50,30 +50,46 @@
 use elf_aig::{Aig, Cut, Lit, NodeId};
 use elf_sop::{FactoredForm, Gate, Term, TruthTable, MAX_VARS};
 
-use crate::cache::{canonicalize_both, CutCache};
+use crate::cache::{canonicalize_both, CutCache, NpnTransform};
 use crate::operator::PassScratch;
 
 /// A `u32` per graph slot that forgets every entry at once: an entry is
 /// live while its epoch is the map's, so starting over costs an increment,
 /// not a pass over the graph.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct SlotMap {
     entries: Vec<(u32, u32)>,
+    /// Never 0, the epoch of a slot no entry was written to.
     epoch: u32,
+}
+
+impl Default for SlotMap {
+    fn default() -> Self {
+        SlotMap {
+            entries: Vec::new(),
+            epoch: 1,
+        }
+    }
 }
 
 impl SlotMap {
     /// Forgets every entry and makes room for each slot of `aig` (commits
     /// add nodes while a pass runs).
     pub(crate) fn clear(&mut self, aig: &Aig) {
-        if self.entries.len() < aig.num_slots() {
-            self.entries.resize(aig.num_slots(), (0, 0));
-        }
+        self.grow(aig);
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Wrapped: entries of epochs 1, 2, … would come back to life.
             self.entries.fill((0, 0));
             self.epoch = 1;
+        }
+    }
+
+    /// Makes room for each slot of `aig`, keeping every entry; the new
+    /// slots start unmapped.
+    pub(crate) fn grow(&mut self, aig: &Aig) {
+        if self.entries.len() < aig.num_slots() {
+            self.entries.resize(aig.num_slots(), (0, 0));
         }
     }
 
@@ -366,29 +382,52 @@ pub(crate) struct Reading {
 }
 
 /// Resynthesizes `scratch.cut`, whose root's cut-bounded MFFC — `saved`
-/// nodes — is dereferenced, and weighs its readings: the function's and,
-/// where it is one of its own, the complement's.  Simulates the cut,
-/// canonicalizes once, maps the leaves for each reading, and counts both
-/// while `cache` writes the representative's form into `scratch.form`, which
-/// stops at the gate where both have lost (see the module docs).  Returns the reading of highest gain among those
-/// that meet both bounds — a level not above `level_bound` and a gain of at
-/// least `floor` — the first on a tie; `scratch.form` is whole whenever one
-/// is returned.
+/// nodes — is dereferenced: simulates the cut into `scratch.truth`,
+/// canonicalizes it into `scratch.canonical` and [`weigh`]s its readings.
 pub(crate) fn best_reading(
     aig: &Aig,
     cache: &CutCache,
     scratch: &mut PassScratch,
     saved: i64,
-    (level_bound, floor): (u32, i64),
+    bounds: (u32, i64),
 ) -> Option<Reading> {
-    let (cut, counts) = (&scratch.cut, &mut scratch.counts);
-    let (truth, canonical) = (&mut scratch.truth, &mut scratch.canonical);
-    cut_truth_table_in(aig, cut, &mut scratch.simulation, truth);
-    let mut leaf_lits = [Lit::FALSE; MAX_VARS];
-    for (lit, leaf) in leaf_lits.iter_mut().zip(&cut.leaves) {
+    let cut = &scratch.cut;
+    cut_truth_table_in(aig, cut, &mut scratch.simulation, &mut scratch.truth);
+    let cut = (cut.root, leaf_lits(&cut.leaves));
+    let readings = canonicalize_both(&scratch.truth, &mut scratch.canonical);
+    weigh(aig, cache, scratch, cut, readings, saved, bounds)
+}
+
+/// The leaves' literals, in a table as wide as a cut's function can be.
+pub(crate) fn leaf_lits(leaves: &[NodeId]) -> [Lit; MAX_VARS] {
+    let mut lits = [Lit::FALSE; MAX_VARS];
+    for (lit, leaf) in lits.iter_mut().zip(leaves) {
         *lit = leaf.lit();
     }
-    let (transform, complement) = canonicalize_both(truth, canonical);
+    lits
+}
+
+/// Weighs the readings of a cut of `root` over the leaves `leaf_lits` whose
+/// function's NPN representative is `scratch.canonical` and `readings` its
+/// transforms (as `canonicalize_both` returns them): the function's and,
+/// where it is one of its own, the complement's.  The root's cut-bounded
+/// MFFC — `saved` nodes — is dereferenced.  Maps the leaves for each
+/// reading and counts both while `cache` writes the representative's form
+/// into `scratch.form`, which stops at the gate where both have lost (see
+/// the module docs).  Returns the reading of highest gain among those that
+/// meet both bounds — a level not above `level_bound` and a gain of at
+/// least `floor` — the first on a tie; `scratch.form` is whole whenever one
+/// is returned.
+pub(crate) fn weigh(
+    aig: &Aig,
+    cache: &CutCache,
+    scratch: &mut PassScratch,
+    (root, leaf_lits): (NodeId, [Lit; MAX_VARS]),
+    (transform, complement): (NpnTransform, Option<NpnTransform>),
+    saved: i64,
+    (level_bound, floor): (u32, i64),
+) -> Option<Reading> {
+    let counts = &mut scratch.counts;
     let readings = [Some(transform), complement];
     // Past `saved - floor` new nodes the gain is below the floor.
     let limit = usize::try_from(saved - floor).ok();
@@ -397,11 +436,11 @@ pub(crate) fn best_reading(
         count.start(&lits, reading.and(limit));
     }
     let form = &mut scratch.form;
-    cache.form_into(canonical, &mut scratch.factor, form, |form| {
+    cache.form_into(&scratch.canonical, &mut scratch.factor, form, |form| {
         let gate = form.gates()[form.num_gates() - 1];
         let mut live = false;
         for count in counts.iter_mut().filter(|count| count.budget.is_some()) {
-            count.gate(aig, Some(cut.root), gate);
+            count.gate(aig, Some(root), gate);
             live |= count.budget.is_some();
         }
         live
@@ -456,7 +495,6 @@ pub(crate) fn commit_replacement(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::NpnTransform;
     use crate::CutCacheConfig;
     use elf_aig::CutParams;
     use elf_circuits::epfl::{arithmetic_suite, Scale};
@@ -600,6 +638,7 @@ mod tests {
             .collect();
         let mut simulation = Simulation::default();
         // Epoch 1 maps the first cut's nodes, and the wrap lands on 1 again.
+        simulation.slots.epoch = 0;
         simulate_cut(&aig, &cuts[0], &mut simulation);
         simulation.slots.epoch = u32::MAX;
         simulation.slots.clear(&aig);

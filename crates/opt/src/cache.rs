@@ -301,6 +301,41 @@ pub(crate) fn canonicalize_both(
     }
 }
 
+/// [`canonicalize_both`] of the functions of at most four variables one
+/// pass meets, each computed once: rewrite weighs the same few hundred
+/// functions of its 3- and 4-leaf cuts over and over.  Keyed by the width
+/// and the low 16 bits of the table's word (the whole table, repeated where
+/// it is shorter), hashed by the graph's word hasher.
+#[derive(Debug, Default)]
+pub(crate) struct ClassMemo {
+    /// Per function: its representative's word and the two transforms.
+    classes: HashMap<u64, (u64, NpnTransform, Option<NpnTransform>), WordState>,
+}
+
+impl ClassMemo {
+    /// What `canonicalize_both(function, canonical)` returns and writes, for
+    /// the function of `num_vars <= 4` variables whose table's word is
+    /// `word`; `function` is written only when the class is first met.
+    pub(crate) fn canonicalize_both(
+        &mut self,
+        (num_vars, word): (usize, u64),
+        function: &mut TruthTable,
+        canonical: &mut TruthTable,
+    ) -> (NpnTransform, Option<NpnTransform>) {
+        assert!(num_vars <= 4, "{num_vars} variables do not fit the key");
+        let key = (num_vars as u64) << 16 | word & 0xffff;
+        if let Some(&(representative, transform, complement)) = self.classes.get(&key) {
+            canonical.copy_from_words(&[representative], num_vars);
+            return (transform, complement);
+        }
+        function.copy_from_words(&[word], num_vars);
+        let transforms = canonicalize_both(function, canonical);
+        self.classes
+            .insert(key, (canonical.words()[0], transforms.0, transforms.1));
+        transforms
+    }
+}
+
 /// How `!table` with the variables at the positions `moved` flipped
 /// compares with `table`, word by word from the least significant, as
 /// slices compare.  A flipped variable below six exchanges bits inside each
@@ -1082,6 +1117,34 @@ mod tests {
         assert_eq!(whole.stats().completions, 0);
         assert!(prefixes.stats().completions > 0, "{:?}", prefixes.stats());
         assert!(prefixes.stats().misses > 0, "{:?}", prefixes.stats());
+    }
+
+    /// The memo answers what `canonicalize_both` answers, representative
+    /// and transforms, for every function of three and of four variables,
+    /// met first and met again: no two functions share a key.
+    #[test]
+    fn the_class_memo_answers_as_canonicalize_both_on_every_small_function() {
+        let mut memo = ClassMemo::default();
+        let (mut function, mut memoized) = (TruthTable::zeros(0), TruthTable::zeros(0));
+        for _ in 0..2 {
+            for (num_vars, tables) in [(3, 1u64 << 8), (4, 1 << 16)] {
+                for table in 0..tables {
+                    // The word every table of fewer than six variables repeats.
+                    let word = (0..64 >> num_vars)
+                        .fold(0, |word, copy| word | table << (copy << num_vars));
+                    let truth = TruthTable::from_words(vec![word], num_vars);
+                    let mut canonical = TruthTable::zeros(0);
+                    let expected = canonicalize_both(&truth, &mut canonical);
+                    let got =
+                        memo.canonicalize_both((num_vars, word), &mut function, &mut memoized);
+                    assert_eq!(
+                        (got, &memoized),
+                        (expected, &canonical),
+                        "{num_vars} {table:x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ use elf_par::Parallelism;
 use elf_sop::{FactorScratch, FactoredForm, TruthTable};
 
 use crate::build::{ArenaCount, Simulation};
-use crate::cache::CutCache;
+use crate::cache::{ClassMemo, CutCache};
 use crate::rewrite::CutWindow;
 
 /// Debug-build spot-check of one accepted resynthesis commit.
@@ -211,9 +211,10 @@ pub struct LabeledCut {
 /// once rather than per node.  The driver owns it, forms the recording
 /// pass's windows in it and lends it to every
 /// [`PrunableOperator::resynthesize`] call; apart from `cut` when the call
-/// says it holds the node's window, and rewrite's cut sets of complete
-/// nodes, kept while the graph's edit clock stands still, the contents are
-/// stale between calls.  So one scratch serves one pass over one graph.
+/// says it holds the node's window, rewrite's cut sets of complete nodes,
+/// each kept while no node of its fanin cone is stamped, and rewrite's
+/// representatives of the functions it has met, the contents are stale
+/// between calls.  So one scratch serves one pass over one graph.
 ///
 /// Nameable only inside this crate: operators are implemented here.
 #[derive(Debug)]
@@ -228,6 +229,8 @@ pub struct PassScratch {
     pub(crate) truth: TruthTable,
     /// Its NPN representative, the key of the cut cache.
     pub(crate) canonical: TruthTable,
+    /// Rewrite's representatives of the functions the pass has met.
+    pub(crate) classes: ClassMemo,
     /// The stacks a cache miss factors on.
     pub(crate) factor: FactorScratch,
     /// The form of the weighed cut's NPN representative.
@@ -250,6 +253,7 @@ impl PassScratch {
             simulation: Simulation::default(),
             truth: TruthTable::zeros(0),
             canonical: TruthTable::zeros(0),
+            classes: ClassMemo::default(),
             factor: FactorScratch::default(),
             form: FactoredForm::default(),
             counts: Default::default(),

@@ -398,32 +398,74 @@ echo "static-gate: ISOP pushes every cube whole"
 
 # Cut sets kept across roots: rewrite's window stores the cut sets of its
 # complete nodes (the prefix of the window whose whole fanin cone it holds)
-# and serves them to later roots until the graph's edit clock moves.  An
-# `enumerate_cuts` in the non-test region of `rewrite.rs` that reads no
-# `edit_clock()` or neither reads nor fills the store, or a `local_cone` that
-# no longer records `complete`, is the per-root merge of every window node
-# coming back.
+# and serves one to a later root while no node of its cone carries an edit
+# stamp past the clock it was last known exact under.  An `enumerate_cuts`
+# in the non-test region of `rewrite.rs` that reads no `edit_clock()` or no
+# `edit_stamp(`, or neither reads nor fills the store, or a `local_cone`
+# that no longer records `complete`, is the per-root merge of every window
+# node coming back; a non-test function that reads `edit_clock()` and calls
+# `flush(` is the whole store thrown away at every commit.
 store=$(awk '
     /^#\[cfg\(test\)\]/ { exit }
     /^[[:space:]]*\/\// { next }
+    /^    #\[cfg\(test\)\]$/ { test_item = 1; next }
+    /^    fn / {
+        skipping = test_item
+        name = $0
+        sub(/^    fn /, "", name)
+        sub(/\(.*/, "", name)
+    }
+    { test_item = 0 }
+    skipping { if (/^    }$/) skipping = 0; next }
     /fn enumerate_cuts\(/ { inside = "enumerate" }
     /fn local_cone\(/ { inside = "cone" }
     inside == "enumerate" && /edit_clock\(\)/ { found["edit_clock() read in enumerate_cuts"] = 1 }
-    inside == "enumerate" && /store\.set\(/ { found["store read in enumerate_cuts"] = 1 }
+    inside == "enumerate" && /edit_stamp\(/ { found["edit_stamp( read in enumerate_cuts"] = 1 }
+    inside == "enumerate" && /store\.get\(/ { found["store read in enumerate_cuts"] = 1 }
     inside == "enumerate" && /store\.insert\(/ { found["store filled in enumerate_cuts"] = 1 }
     inside == "cone" && /self\.complete = / { found["complete recorded in local_cone"] = 1 }
+    /edit_clock\(\)/ { clock[name] = FNR }
+    /flush\(/ && !/fn flush\(/ { flush[name] = FNR }
     /^    }$/ { inside = "" }
     END {
-        n = split("edit_clock() read in enumerate_cuts|store read in enumerate_cuts|store filled in enumerate_cuts|complete recorded in local_cone", wanted, "|")
+        n = split("edit_clock() read in enumerate_cuts|edit_stamp( read in enumerate_cuts|store read in enumerate_cuts|store filled in enumerate_cuts|complete recorded in local_cone", wanted, "|")
         for (i = 1; i <= n; i++) if (!(wanted[i] in found)) print "crates/opt/src/rewrite.rs: no " wanted[i]
+        for (f in flush) if (f in clock) print "crates/opt/src/rewrite.rs:" flush[f] ": " f " flushes the store on an edit_clock() reading"
     }
 ' crates/opt/src/rewrite.rs)
 if [ -n "$store" ]; then
     echo "$store"
-    echo "static-gate: rewrite enumerates without its store of complete nodes' cut sets in non-test crates/opt/src/rewrite.rs" >&2
+    echo "static-gate: rewrite enumerates without its store of complete nodes' cut sets, or flushes it when the clock moves, in non-test crates/opt/src/rewrite.rs" >&2
     exit 1
 fi
-echo "static-gate: rewrite keeps complete nodes' cut sets until the graph is edited"
+echo "static-gate: rewrite keeps complete nodes' cut sets while their cones are unstamped"
+
+# A root cut weighed from its leaves: rewrite evaluates a cut's function by
+# one walk from the root to the leaves and weighs it through `build.rs`'s
+# `weigh`, never through the simulation refactor uses.  A `load_cut`,
+# `simulate_cut`, `cut_truth_table_in` or `best_reading` (which simulates) in
+# the non-test region of `rewrite.rs`, or a simulation inside `weigh`, is
+# the per-cut cone list and slot map coming back.
+weigh=$(awk '
+    FNR == 1 { testing = 0 }
+    /^#\[cfg\(test\)\]/ { testing = 1 }
+    testing || /^[[:space:]]*\/\// { next }
+    FILENAME ~ /rewrite\.rs$/ && /load_cut\(|simulate_cut\(|cut_truth_table_in\(|best_reading\(/ {
+        printf "%s:%d: %s\n", FILENAME, FNR, $0
+    }
+    FILENAME ~ /build\.rs$/ && /^pub\(crate\) fn weigh\(/ { inside = 1; seen = 1 }
+    FILENAME ~ /build\.rs$/ && inside && /simulate_cut\(|cut_truth_table_in\(/ {
+        printf "%s:%d: %s\n", FILENAME, FNR, $0
+    }
+    FILENAME ~ /build\.rs$/ && /^}$/ { inside = 0 }
+    END { if (!seen) print "crates/opt/src/build.rs: no weigh" }
+' crates/opt/src/rewrite.rs crates/opt/src/build.rs)
+if [ -n "$weigh" ]; then
+    echo "$weigh"
+    echo "static-gate: rewrite weighs a cut through its cone list or a simulation in non-test crates/opt/src" >&2
+    exit 1
+fi
+echo "static-gate: rewrite weighs a root cut from its leaves"
 
 # Operators at their one configuration: rewrite and resub run at ABC's
 # defaults and refactor always preserves levels and weighs the complement,
