@@ -121,10 +121,11 @@ impl ElfClassifier {
     /// a finite probability, the threshold is left unchanged.
     fn calibrate_threshold(&mut self, data: &Dataset) {
         let mut positive_probs: Vec<f32> = Vec::new();
-        let rows: Vec<Vec<f32>> = data
+        let (mean, std) = (self.normalizer.mean(), self.normalizer.std());
+        let rows: Vec<[f32; NUM_FEATURES]> = data
             .features()
             .iter()
-            .map(|f| self.normalizer.transform_row(f))
+            .map(|row| std::array::from_fn(|i| (row[i] - mean[i]) / std[i]))
             .collect();
         let probs = self.model.predict(&rows);
         for (p, &label) in probs.iter().zip(data.labels()) {

@@ -79,14 +79,14 @@ impl Dataset {
 
     /// Splits the dataset into (train, validation) preserving the class
     /// balance of both sides (stratified split), after a seeded per-class
-    /// shuffle.
+    /// shuffle: the example indices of each side, in a seeded order.
     ///
     /// Unlike a plain shuffle split, a heavily imbalanced dataset is
     /// guaranteed to keep at least one example of every represented class on each side
     /// (whenever the class has two or more examples and the fraction is
     /// non-zero), so validation recall is never undefined just because the
     /// shuffle dropped every positive from the validation slice.
-    pub fn split_stratified(&self, fraction: f32, seed: u64) -> (Dataset, Dataset) {
+    pub fn split_stratified(&self, fraction: f32, seed: u64) -> (Vec<usize>, Vec<usize>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut negatives: Vec<usize> = Vec::new();
         let mut positives: Vec<usize> = Vec::new();
@@ -115,16 +115,7 @@ impl Dataset {
         // sequential mini-batching never sees class-sorted data.
         shuffle_indices(&mut train_idx, &mut rng);
         shuffle_indices(&mut valid_idx, &mut rng);
-        (self.select(&train_idx), self.select(&valid_idx))
-    }
-
-    /// Selects a subset of the dataset by example indices (with repetition
-    /// allowed, for resampling).
-    pub fn select(&self, indices: &[usize]) -> Dataset {
-        Dataset::from_parts(
-            indices.iter().map(|&i| self.features[i].clone()).collect(),
-            indices.iter().map(|&i| self.labels[i]).collect(),
-        )
+        (train_idx, valid_idx)
     }
 }
 
@@ -240,68 +231,53 @@ pub(crate) struct WeightedRandomSampler {
 }
 
 impl WeightedRandomSampler {
-    /// Builds a sampler whose per-example weight is inversely proportional to
-    /// its class frequency.
-    pub(crate) fn balanced(dataset: &Dataset) -> Self {
-        let (neg, pos) = dataset.class_counts();
+    /// Builds a sampler over examples with these labels whose per-example
+    /// weight is inversely proportional to its class frequency.
+    pub(crate) fn balanced(labels: &[f32]) -> Self {
+        let pos = labels.iter().filter(|&&l| l >= 0.5).count();
+        let neg = labels.len() - pos;
         let w_pos = if pos == 0 { 0.0 } else { 1.0 / pos as f64 };
         let w_neg = if neg == 0 { 0.0 } else { 1.0 / neg as f64 };
-        let mut cumulative = Vec::with_capacity(dataset.len());
+        let mut cumulative = Vec::with_capacity(labels.len());
         let mut total = 0.0;
-        for &label in dataset.labels() {
+        for &label in labels {
             total += if label >= 0.5 { w_pos } else { w_neg };
             cumulative.push(total);
         }
         WeightedRandomSampler { cumulative }
     }
 
-    /// Draws `count` example indices with replacement.
-    pub(crate) fn sample(&self, count: usize, rng: &mut impl Rng) -> Vec<usize> {
+    /// Draws one example index, with replacement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sampler is over no examples.
+    pub(crate) fn draw(&self, rng: &mut impl Rng) -> usize {
         let total = *self.cumulative.last().unwrap_or(&0.0);
-        if total <= 0.0 {
-            return (0..count.min(self.cumulative.len())).collect();
+        let r = rng.gen_range(0.0..total);
+        // The cumulative weights are finite and non-negative, where
+        // `total_cmp` orders exactly as `partial_cmp` does.
+        match self
+            .cumulative
+            .binary_search_by(|probe| probe.total_cmp(&r))
+        {
+            Ok(i) | Err(i) => i.min(self.cumulative.len() - 1),
         }
-        (0..count)
-            .map(|_| {
-                let r = rng.gen_range(0.0..total);
-                // The cumulative weights are finite and non-negative, where
-                // `total_cmp` orders exactly as `partial_cmp` does.
-                match self
-                    .cumulative
-                    .binary_search_by(|probe| probe.total_cmp(&r))
-                {
-                    Ok(i) | Err(i) => i.min(self.cumulative.len() - 1),
-                }
-            })
-            .collect()
     }
 }
 
-/// MixUp augmentation (Zhang et al.): convex combinations of example pairs.
-///
-/// Returns a new dataset of `count` mixed examples drawn from `dataset`.
-pub(crate) fn mixup(dataset: &Dataset, count: usize, alpha: f32, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Dataset::new();
-    if dataset.len() < 2 {
-        return out;
-    }
-    for _ in 0..count {
-        let i = rng.gen_range(0..dataset.len());
-        let j = rng.gen_range(0..dataset.len());
-        let lambda = sample_beta(alpha, alpha, &mut rng);
-        let xi = &dataset.features()[i];
-        let xj = &dataset.features()[j];
-        let mixed: Vec<f32> = xi
-            .iter()
-            .zip(xj)
-            .map(|(a, b)| lambda * a + (1.0 - lambda) * b)
-            .collect();
-        let label = lambda * dataset.labels()[i] + (1.0 - lambda) * dataset.labels()[j];
-        out.features.push(mixed);
-        out.labels.push(label);
-    }
-    out
+/// Draws one MixUp example (Zhang et al.) over `len` examples: the indices
+/// `(i, j)` of the pair it mixes and the weight `lambda` of the first, from
+/// Beta(`alpha`, `alpha`).  Each feature and the label is [`mix`]ed.
+pub(crate) fn mix_pair(len: usize, alpha: f32, rng: &mut StdRng) -> (usize, usize, f32) {
+    let i = rng.gen_range(0..len);
+    let j = rng.gen_range(0..len);
+    (i, j, sample_beta(alpha, alpha, rng))
+}
+
+/// The convex combination `lambda * a + (1 - lambda) * b`.
+pub(crate) fn mix(lambda: f32, a: f32, b: f32) -> f32 {
+    lambda * a + (1.0 - lambda) * b
 }
 
 /// Samples from a Beta(`a`, `b`) distribution (used by MixUp).
@@ -372,11 +348,12 @@ mod tests {
         for i in 0..50 {
             data.push(vec![i as f32], i < 2);
         }
+        let positives = |side: &[usize]| side.iter().filter(|&&i| i < 2).count();
         for seed in 0..20 {
             let (train, valid) = data.split_stratified(0.1, seed);
             assert_eq!(train.len() + valid.len(), data.len());
-            assert!(valid.class_counts().1 >= 1, "seed {seed}: no positive");
-            assert!(train.class_counts().1 >= 1, "seed {seed}: no positive");
+            assert!(positives(&valid) >= 1, "seed {seed}: no positive");
+            assert!(positives(&train) >= 1, "seed {seed}: no positive");
         }
     }
 
@@ -389,8 +366,8 @@ mod tests {
             data.push(vec![i as f32], i == 0);
         }
         let (train, valid) = data.split_stratified(0.2, 7);
-        assert_eq!(train.class_counts().1, 1);
-        assert_eq!(valid.class_counts().1, 0);
+        assert!(train.contains(&0));
+        assert!(!valid.contains(&0));
         // All-negative data still splits cleanly.
         let mut negatives = Dataset::new();
         for i in 0..10 {
@@ -419,11 +396,12 @@ mod tests {
     #[test]
     fn balanced_sampler_oversamples_minority() {
         let data = toy_dataset();
-        let sampler = WeightedRandomSampler::balanced(&data);
+        let sampler = WeightedRandomSampler::balanced(data.labels());
         let mut rng = StdRng::seed_from_u64(9);
-        let indices = sampler.sample(4000, &mut rng);
-        let positives = indices.iter().filter(|&&i| data.labels()[i] >= 0.5).count();
-        let fraction = positives as f64 / indices.len() as f64;
+        let positives = (0..4000)
+            .filter(|_| data.labels()[sampler.draw(&mut rng)] >= 0.5)
+            .count();
+        let fraction = positives as f64 / 4000.0;
         assert!(
             (fraction - 0.5).abs() < 0.08,
             "balanced sampling should yield ~50% positives, got {fraction}"
@@ -433,10 +411,12 @@ mod tests {
     #[test]
     fn mixup_labels_are_convex_combinations() {
         let data = toy_dataset();
-        let mixed = mixup(&data, 50, 0.4, 11);
-        assert_eq!(mixed.len(), 50);
-        for (row, &label) in mixed.features().iter().zip(mixed.labels()) {
-            assert_eq!(row.len(), 2);
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..50 {
+            let (i, j, lambda) = mix_pair(data.len(), 0.4, &mut rng);
+            let (a, b) = (&data.features()[i], &data.features()[j]);
+            let row: Vec<f32> = a.iter().zip(b).map(|(&a, &b)| mix(lambda, a, b)).collect();
+            let label = mix(lambda, data.labels()[i], data.labels()[j]);
             assert!((0.0..=1.0).contains(&label));
             // Feature 1 is always twice feature 0 in the source data, and the
             // relation is preserved by convex combination.

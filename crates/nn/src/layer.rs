@@ -125,13 +125,6 @@ impl Dense {
     pub fn num_params(&self) -> usize {
         self.weights.rows() * self.weights.cols() + self.bias.len()
     }
-
-    /// Computes the layer output for a batch of inputs (`N x inputs`).
-    pub fn forward(&self, input: &Matrix) -> Matrix {
-        let mut pre = input.matmul(&self.weights);
-        pre.add_row_broadcast(&self.bias);
-        pre.map(|x| self.activation.apply(x))
-    }
 }
 
 #[cfg(test)]
@@ -170,10 +163,10 @@ mod tests {
     fn forward_matches_hand_computation() {
         let weights = Matrix::from_rows(&[vec![1.0, -1.0], vec![2.0, 0.5]]);
         let layer = Dense::from_parts(weights, vec![0.5, -0.5], Activation::Relu);
-        let x = Matrix::from_rows(&[vec![1.0, 1.0]]);
-        let y = layer.forward(&x);
+        let mut y = [0.0; 2];
+        crate::matrix::forward(&[1.0, 1.0], 1, layer.weights(), layer.bias(), &mut y);
+        layer.activation().apply_all(&mut y);
         // pre-activation: [1*1 + 1*2 + 0.5, 1*-1 + 1*0.5 - 0.5] = [3.5, -1.0]
-        assert_eq!(y.get(0, 0), 3.5);
-        assert_eq!(y.get(0, 1), 0.0);
+        assert_eq!(y, [3.5, 0.0]);
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! The crate replaces the paper's PyTorch + ONNX Runtime stack with:
 //!
-//! * [`Matrix`], [`Dense`], [`Mlp`] — a small dense network with manual
-//!   backpropagation and batched inference;
+//! * [`Matrix`], [`Dense`], [`Mlp`] — a small dense network and its batched
+//!   inference kernel ([`Mlp::predict`]);
 //! * [`Dataset`], [`Normalizer`] — labelled rows, mean–variance
 //!   normalization and stratified validation splits;
 //! * [`train`] — the paper's one training recipe, fixed in the crate: Adam at
@@ -16,7 +16,10 @@
 //!   doubling), each epoch's pool resampled to balanced classes plus 25 %
 //!   MixUp examples (alpha 0.4), and early stopping with patience 10 on a
 //!   stratified 20 % validation split.  [`TrainConfig`] sets only the epoch
-//!   budget, the [`Loss`] and the seed;
+//!   budget, the [`Loss`] and the seed.  Each mini-batch runs one fused
+//!   step — forward, backpropagation and an in-place Adam update — on
+//!   batch-major buffers sized once per run, bit-identical to the naive
+//!   per-element loops;
 //! * [`Loss`] — binary cross entropy and weighted BCE (the losses that did
 //!   best in the paper's loss ablation).  Both are in use: the library
 //!   default trains plain BCE, the `paper` harness `WeightedBce` with

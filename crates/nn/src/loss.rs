@@ -4,8 +4,6 @@
 //! class-balanced losses; plain BCE (optionally with a positive-class weight)
 //! worked best.  BCE and weighted BCE are provided.
 
-use crate::matrix::Matrix;
-
 const EPS: f32 = 1e-6;
 
 /// A binary classification loss over sigmoid probabilities.
@@ -42,25 +40,22 @@ impl Loss {
         total / n
     }
 
-    /// Gradient of the mean loss with respect to the predicted probabilities,
-    /// as the column (`N x 1`) backpropagation starts from.
+    /// Writes the gradient of the mean loss with respect to each predicted
+    /// probability into `grad`, where backpropagation starts from.
     ///
     /// # Panics
     ///
-    /// Panics if the number of predictions and targets differ.
-    pub(crate) fn gradient(&self, probs: &[f32], targets: &[f32]) -> Matrix {
+    /// Panics if `probs`, `targets` and `grad` differ in length.
+    pub(crate) fn gradient(&self, probs: &[f32], targets: &[f32], grad: &mut [f32]) {
         assert_eq!(
-            probs.len(),
-            targets.len(),
+            (probs.len(), grad.len()),
+            (targets.len(), targets.len()),
             "prediction/target size mismatch"
         );
         let n = targets.len().max(1) as f32;
-        let grad = probs
-            .iter()
-            .zip(targets)
-            .map(|(&p, &t)| self.sample_gradient(p.clamp(EPS, 1.0 - EPS), t) / n)
-            .collect();
-        Matrix::from_vec(targets.len(), 1, grad)
+        for ((g, &p), &t) in grad.iter_mut().zip(probs).zip(targets) {
+            *g = self.sample_gradient(p.clamp(EPS, 1.0 - EPS), t) / n;
+        }
     }
 
     fn sample_value(&self, p: f32, t: f32) -> f32 {
@@ -112,16 +107,16 @@ mod tests {
             Loss::WeightedBce { pos_weight: 3.0 },
         ] {
             for &p0 in &[0.3f32, 0.7] {
-                let grad = loss.gradient(&[p0, 0.4], &targets);
-                assert_eq!((grad.rows(), grad.cols()), (2, 1));
+                let mut grad = [0.0; 2];
+                loss.gradient(&[p0, 0.4], &targets, &mut grad);
                 let eps = 1e-3;
                 let plus = loss.value(&[p0 + eps, 0.4], &targets);
                 let minus = loss.value(&[p0 - eps, 0.4], &targets);
                 let numeric = (plus - minus) / (2.0 * eps);
                 assert!(
-                    (numeric - grad.get(0, 0)).abs() < 1e-2,
+                    (numeric - grad[0]).abs() < 1e-2,
                     "{loss:?}: numeric {numeric} vs analytic {}",
-                    grad.get(0, 0)
+                    grad[0]
                 );
             }
         }

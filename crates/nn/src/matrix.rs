@@ -1,52 +1,75 @@
-//! A minimal dense matrix type for training the classifier.
+//! A dense matrix type holding a layer's weights, and the three products
+//! training multiplies through.
 //!
-//! Inference never multiplies through this type: [`Mlp::predict`] carries
+//! Inference never multiplies through this module: [`Mlp::predict`] carries
 //! feature rows through the network in its own feature-major blocks.  What is
-//! left is training, whose backpropagation needs three products per layer —
-//! `X·W` forward, `Xᵀ·G` for the weight gradient and `G·Wᵀ` for the input
-//! gradient — on batches of 64 rows and layers at most 12 wide.  All three
-//! run through the one [`Matrix::matmul`] kernel, the transposed operands
-//! materialized by [`Matrix::transpose`] (a few hundred values at these
-//! sizes).  Each output row is built from `axpy` updates whose inner loop
-//! `chunks_exact` turns into SIMD lanes.
+//! left is training, whose fused step needs three products per layer on a
+//! mini-batch of at most 64 rows held **batch-major** (feature `f` of the
+//! batch's rows contiguous, `values[f * rows + r]`):
+//!
+//! * [`forward`]: `X·W + b`, summed over ascending inputs;
+//! * [`input_gradient`]: `G·Wᵀ`, summed over ascending outputs;
+//! * [`weight_gradient`]: `Xᵀ·G` and the bias sums `1ᵀ·G`, summed over the
+//!   batch's rows in ascending order from `G` held row-major.
+//!
+//! The first two vectorize across the batch's rows, 16 rows' sums held in
+//! registers at a time; the third across blocks of 8 of the layer's outputs,
+//! four weight rows at a time, so that four independent chains of additions
+//! hide each other's latency.
 //!
 //! [`Mlp::predict`]: crate::Mlp::predict
 //!
 //! # Determinism contract
 //!
-//! The kernel accumulates each output element as a **single scalar chain
-//! from `0.0` in ascending-`k` order**, so it is bit-identical to the naive
-//! triple loop (the oracles of this module's tests) on every finite input,
-//! and a transposed operand changes which element is read, never the order
-//! of additions.  No zero operand is skipped: `0.0 * inf` must produce `NaN`.
-//! The one caveat is the `NaN` *payload*: when both operands of an addition
-//! are `NaN`, x86 keeps whichever one the compiler happened to place as the
-//! destination register, so payloads can differ between the kernel and an
+//! Each product element is accumulated as a **single scalar chain from `0.0`
+//! in ascending order** of its inner index (inputs, outputs or rows), and a
+//! bias is added after the sum, so every product is bit-identical to the
+//! naive loops (the oracles of this module's tests) on every finite input.
+//! No zero operand is skipped: `0.0 * inf` must produce `NaN`.  The one
+//! caveat is the `NaN` *payload*: when both operands of an addition are
+//! `NaN`, x86 keeps whichever one the compiler happened to place as the
+//! destination register, so payloads can differ between a kernel and an
 //! oracle (and across compiler versions).  The contract is therefore
 //! bit-identity on every non-`NaN` element and agreement on *which* elements
 //! are `NaN` — never on `NaN` payload bits.
 
-/// Columns processed per vectorized step of the axpy inner loop.
-const LANES: usize = 8;
+/// Columns of `G` the weight gradient sums in registers at a time.
+pub(crate) const LANES: usize = 8;
 
-/// `out[j] += a * x[j]` over full slices, `LANES` columns per step.
+/// Rows of `dw` the weight gradient sums at a time.
+const GROUP: usize = 4;
+
+/// Sums of one block of [`LANES`] columns.
+type Block = [f32; LANES];
+
+/// Rows of a batch the forward and input-gradient products hold in
+/// registers at a time.
+const BLOCK: usize = 16;
+
+/// `out[r] = Σ lane[r] * c` over the `(lane, c)` pairs in order, one chain
+/// from `0.0` per row: rows [`BLOCK`] at a time, each block's sums held in
+/// registers over the pairs.
 #[inline]
-fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
-    debug_assert_eq!(out.len(), x.len());
-    let mut out_chunks = out.chunks_exact_mut(LANES);
-    let mut x_chunks = x.chunks_exact(LANES);
-    for (o, v) in (&mut out_chunks).zip(&mut x_chunks) {
-        for lane in 0..LANES {
-            o[lane] += a * v[lane];
+fn combine<'a>(out: &mut [f32], pairs: impl Iterator<Item = (&'a [f32], f32)> + Clone) {
+    let full = out.len() - out.len() % BLOCK;
+    let mut blocks = out.chunks_exact_mut(BLOCK);
+    for (index, block) in (&mut blocks).enumerate() {
+        combine_block(block, index * BLOCK, pairs.clone());
+    }
+    combine_block(blocks.into_remainder(), full, pairs);
+}
+
+/// [`combine`] for the rows `start..start + out.len()`, at most [`BLOCK`].
+#[inline(always)]
+fn combine_block<'a>(out: &mut [f32], start: usize, pairs: impl Iterator<Item = (&'a [f32], f32)>) {
+    let mut sums = [0.0f32; BLOCK];
+    let sums = &mut sums[..out.len()];
+    for (lane, c) in pairs {
+        for (s, &x) in sums.iter_mut().zip(&lane[start..start + out.len()]) {
+            *s += x * c;
         }
     }
-    for (o, &v) in out_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(x_chunks.remainder())
-    {
-        *o += a * v;
-    }
+    out.copy_from_slice(sums);
 }
 
 /// A dense row-major matrix of `f32` values.
@@ -55,8 +78,10 @@ fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
 ///
 /// ```
 /// use elf_nn::Matrix;
-/// let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-/// assert_eq!(a.matmul(&a.transpose()).data(), &[5.0, 11.0, 11.0, 25.0]);
+/// let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+/// assert_eq!((a.rows(), a.cols()), (2, 2));
+/// assert_eq!(a.get(1, 0), 3.0);
+/// assert_eq!(a.data(), &[1.0, 2.0, 3.0, 4.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -83,26 +108,6 @@ impl Matrix {
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "data length must match dimensions");
         Matrix { rows, cols, data }
-    }
-
-    /// Creates a matrix from a slice of equally sized rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows have differing lengths or the input is empty.
-    pub fn from_rows(rows: &[Vec<f32>]) -> Self {
-        assert!(!rows.is_empty(), "at least one row is required");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for row in rows {
-            assert_eq!(row.len(), cols, "all rows must have the same length");
-            data.extend_from_slice(row);
-        }
-        Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        }
     }
 
     /// Number of rows.
@@ -138,99 +143,106 @@ impl Matrix {
         debug_assert!(row < self.rows && col < self.cols);
         self.data[row * self.cols + col] = value;
     }
+}
 
-    /// Returns `self * other`: every row of `self` scales and adds the rows
-    /// of `other` in ascending `k`.
-    ///
-    /// Bit-identical to the naive triple loop (see the module-level
-    /// determinism contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        let n = other.cols;
-        for i in 0..self.rows {
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for (k, &a_ik) in a_row.iter().enumerate() {
-                axpy(out_row, a_ik, &other.data[k * n..(k + 1) * n]);
-            }
-        }
-        out
+/// `out = x·W + b` for a batch of `rows` rows: `x` holds `weights.rows()`
+/// input lanes and `out` one lane per column of `weights`, both batch-major.
+///
+/// # Panics
+///
+/// Panics if `x`, `bias` or `out` does not match `weights` and `rows`.
+pub(crate) fn forward(x: &[f32], rows: usize, weights: &Matrix, bias: &[f32], out: &mut [f32]) {
+    assert_eq!(x.len(), rows * weights.rows, "inner dimensions must agree");
+    assert_eq!((bias.len(), out.len()), (weights.cols, rows * weights.cols));
+    // `max(1)`: a zero-sized dimension leaves the slices it strides empty.
+    let w_rows = weights.data.chunks_exact(weights.cols.max(1));
+    for ((j, lane), &b) in out.chunks_exact_mut(rows.max(1)).enumerate().zip(bias) {
+        combine(lane, x.chunks_exact(rows).zip(w_rows.clone().map(|w| w[j])));
+        lane.iter_mut().for_each(|y| *y += b);
     }
+}
 
-    /// Returns the transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j * self.rows + i] = self.data[i * self.cols + j];
-            }
-        }
-        out
+/// `d = g·Wᵀ` for a batch of `rows` rows: `g` holds one lane per column of
+/// `weights` and `d` one per row of it, both batch-major.
+///
+/// # Panics
+///
+/// Panics if `g` or `d` does not match `weights` and `rows`.
+pub(crate) fn input_gradient(g: &[f32], rows: usize, weights: &Matrix, d: &mut [f32]) {
+    assert_eq!(g.len(), rows * weights.cols, "inner dimensions must agree");
+    assert_eq!(d.len(), rows * weights.rows);
+    let w_rows = weights.data.chunks_exact(weights.cols.max(1));
+    for (lane, w_row) in d.chunks_exact_mut(rows.max(1)).zip(w_rows) {
+        combine(lane, g.chunks_exact(rows).zip(w_row.iter().copied()));
     }
+}
 
-    /// Applies a function to every element, returning a new matrix.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
+/// The row stride of `G` as [`weight_gradient`] reads it: `n` columns padded
+/// to whole blocks of [`LANES`].
+pub(crate) fn padded(n: usize) -> usize {
+    n.next_multiple_of(LANES)
+}
 
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub(crate) fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Adds a row vector to every row (broadcast), in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias.len() != self.cols()`.
-    pub(crate) fn add_row_broadcast(&mut self, bias: &[f32]) {
-        assert_eq!(bias.len(), self.cols);
-        if self.cols == 0 {
-            return;
-        }
-        for row in self.data.chunks_exact_mut(self.cols) {
-            for (value, b) in row.iter_mut().zip(bias) {
-                *value += b;
+/// For each of the `K` lanes of `x`, the sums over the rows of `g` (each
+/// `stride` values) of columns `start..start + LANES`, row `r`'s block
+/// scaled by the lane's `x[r]`: one chain from `0.0` in ascending row per
+/// column, `K` lanes at once so that their chains hide each other's latency.
+#[inline(always)]
+fn column_blocks<const K: usize>(
+    g: &[f32],
+    stride: usize,
+    start: usize,
+    x: [&[f32]; K],
+) -> [Block; K] {
+    let mut sums = [[0.0f32; LANES]; K];
+    for (r, g) in g.chunks_exact(stride).enumerate() {
+        let g = &g[start..start + LANES];
+        for (sums, x) in sums.iter_mut().zip(x) {
+            let a = x[r];
+            for (s, &v) in sums.iter_mut().zip(g) {
+                *s += a * v;
             }
         }
     }
+    sums
+}
 
-    /// Sums the rows, returning one value per column.
-    pub(crate) fn column_sums(&self) -> Vec<f32> {
-        let mut sums = vec![0.0; self.cols];
-        if self.cols == 0 {
-            return sums;
+/// `dw = xᵀ·G` and `db = 1ᵀ·G` for a batch of `rows` rows: `x` holds one
+/// batch-major lane per row of `dw`, `g` the batch's rows of `G`, each one
+/// value per column of `dw` and entry of `db`, padded to [`padded`] values
+/// (the padding is read and never reaches a result).
+///
+/// # Panics
+///
+/// Panics if the slices' sizes disagree.
+pub(crate) fn weight_gradient(x: &[f32], g: &[f32], rows: usize, dw: &mut [f32], db: &mut [f32]) {
+    let (n, stride) = (db.len(), padded(db.len()));
+    assert_eq!(g.len(), rows * stride, "inner dimensions must agree");
+    assert_eq!(x.len() * n, rows * dw.len());
+    // An empty batch leaves every lane unvisited: its sums are zero.
+    dw.fill(0.0);
+    let rows = rows.max(1);
+    for start in (0..n).step_by(LANES) {
+        let width = LANES.min(n - start);
+        let mut sums = [0.0f32; LANES];
+        for g in g.chunks_exact(stride) {
+            sums.iter_mut().zip(&g[start..]).for_each(|(s, v)| *s += v);
         }
-        for row in self.data.chunks_exact(self.cols) {
-            for (sum, value) in sums.iter_mut().zip(row) {
-                *sum += value;
+        db[start..start + width].copy_from_slice(&sums[..width]);
+        let mut x_groups = x.chunks_exact(GROUP * rows);
+        let mut dw_groups = dw.chunks_exact_mut(GROUP * n);
+        for (x, dw) in (&mut x_groups).zip(&mut dw_groups) {
+            let lanes = std::array::from_fn(|i| &x[i * rows..][..rows]);
+            let sums = column_blocks::<GROUP>(g, stride, start, lanes);
+            for (dw_row, sums) in dw.chunks_exact_mut(n).zip(sums) {
+                dw_row[start..start + width].copy_from_slice(&sums[..width]);
             }
         }
-        sums
+        let x_rest = x_groups.remainder().chunks_exact(rows);
+        for (x, dw_row) in x_rest.zip(dw_groups.into_remainder().chunks_exact_mut(n)) {
+            let [sums] = column_blocks::<1>(g, stride, start, [x]);
+            dw_row[start..start + width].copy_from_slice(&sums[..width]);
+        }
     }
 }
 
@@ -239,7 +251,40 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Naive triple-loop `a * b`: the reference oracle of [`Matrix::matmul`].
+    impl Matrix {
+        /// Creates a matrix from a slice of equally sized rows.
+        ///
+        /// # Panics
+        ///
+        /// Panics if rows have differing lengths or the input is empty.
+        pub fn from_rows(rows: &[Vec<f32>]) -> Self {
+            assert!(!rows.is_empty(), "at least one row is required");
+            let cols = rows[0].len();
+            let mut data = Vec::with_capacity(rows.len() * cols);
+            for row in rows {
+                assert_eq!(row.len(), cols, "all rows must have the same length");
+                data.extend_from_slice(row);
+            }
+            Matrix {
+                rows: rows.len(),
+                cols,
+                data,
+            }
+        }
+    }
+
+    /// The transpose of `a`, which is also `a`'s data read batch-major.
+    fn transpose(a: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols(), a.rows());
+        for i in 0..a.rows() {
+            for j in 0..a.cols() {
+                out.set(j, i, a.get(i, j));
+            }
+        }
+        out
+    }
+
+    /// Naive triple-loop `a * b`: the reference oracle of every product.
     fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
         let mut out = Matrix::zeros(a.rows(), b.cols());
@@ -255,36 +300,44 @@ mod tests {
         out
     }
 
-    /// Naive `aᵀ * b`: the oracle of the weight-gradient product `Xᵀ·G`.
-    fn matmul_transpose_self_naive(a: &Matrix, b: &Matrix) -> Matrix {
-        assert_eq!(a.rows(), b.rows(), "row counts must agree");
-        let mut out = Matrix::zeros(a.cols(), b.cols());
-        for i in 0..a.cols() {
-            for j in 0..b.cols() {
-                let mut sum = 0.0;
-                for k in 0..a.rows() {
-                    sum += a.get(k, i) * b.get(k, j);
-                }
-                out.set(i, j, sum);
-            }
-        }
-        out
+    /// Naive column sums of `a`: the oracle of the bias gradient.
+    fn column_sums_naive(a: &Matrix) -> Vec<f32> {
+        (0..a.cols())
+            .map(|j| (0..a.rows()).fold(0.0, |sum, i| sum + a.get(i, j)))
+            .collect()
     }
 
-    /// Naive `a * bᵀ`: the oracle of the input-gradient product `G·Wᵀ`.
-    fn matmul_transpose_other_naive(a: &Matrix, b: &Matrix) -> Matrix {
-        assert_eq!(a.cols(), b.cols(), "column counts must agree");
-        let mut out = Matrix::zeros(a.rows(), b.rows());
-        for i in 0..a.rows() {
-            for j in 0..b.rows() {
-                let mut sum = 0.0;
-                for k in 0..a.cols() {
-                    sum += a.get(i, k) * b.get(j, k);
-                }
-                out.set(i, j, sum);
-            }
+    /// `a·b + bias` through [`forward`], with `a`'s rows as the batch.
+    fn forward_route(a: &Matrix, b: &Matrix, bias: &[f32]) -> Matrix {
+        let mut out = vec![0.0; a.rows() * b.cols()];
+        forward(transpose(a).data(), a.rows(), b, bias, &mut out);
+        transpose(&Matrix::from_vec(b.cols(), a.rows(), out))
+    }
+
+    /// `a·b` through [`weight_gradient`] (`x = aᵀ`, `G = b`, the batch
+    /// `a`'s columns), and `1ᵀ·b`.  `G`'s padding is `NaN`, which must not
+    /// reach a result.
+    fn weight_route(a: &Matrix, b: &Matrix) -> (Matrix, Vec<f32>) {
+        let (mut dw, mut db) = (vec![0.0; a.rows() * b.cols()], vec![0.0; b.cols()]);
+        let stride = padded(b.cols());
+        let mut g_rows = vec![f32::NAN; b.rows() * stride];
+        for (row, padded) in b
+            .data()
+            .chunks(b.cols().max(1))
+            .zip(g_rows.chunks_mut(stride.max(1)))
+        {
+            padded[..row.len()].copy_from_slice(row);
         }
-        out
+        weight_gradient(a.data(), &g_rows, a.cols(), &mut dw, &mut db);
+        (Matrix::from_vec(a.rows(), b.cols(), dw), db)
+    }
+
+    /// `a·b` through [`input_gradient`] (`G = a`, `W = bᵀ`, the batch `a`'s
+    /// rows).
+    fn input_route(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut d = vec![0.0; a.rows() * b.cols()];
+        input_gradient(transpose(a).data(), a.rows(), &transpose(b), &mut d);
+        transpose(&Matrix::from_vec(b.cols(), a.rows(), d))
     }
 
     #[test]
@@ -300,45 +353,42 @@ mod tests {
     fn matmul_against_hand_computed() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(c, Matrix::from_rows(&[vec![19.0, 22.0], vec![43.0, 50.0]]));
+        let expected = Matrix::from_rows(&[vec![19.0, 22.0], vec![43.0, 50.0]]);
+        assert_eq!(forward_route(&a, &b, &[0.0; 2]), expected);
+        assert_eq!(weight_route(&a, &b).0, expected);
+        assert_eq!(input_route(&a, &b), expected);
     }
 
     #[test]
     fn transpose_products_match_explicit_transpose() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let b = Matrix::from_rows(&[vec![1.0, 0.5], vec![-1.0, 2.0], vec![0.0, 1.0]]);
-        let at = a.transpose();
-        assert_eq!((at.rows(), at.cols()), (2, 3));
-        assert_eq!(at.data(), &[1.0, 3.0, 5.0, 2.0, 4.0, 6.0]);
-        assert_eq!(at.transpose(), a);
-        // a^T (2x3) * b (3x2) = 2x2
-        let atb = at.matmul(&b);
-        assert_eq!((atb.rows(), atb.cols()), (2, 2));
-        assert_eq!(atb.get(0, 0), 1.0 - 3.0 + 0.0);
-        // a (3x2) * a^T (2x3) = 3x3 symmetric
-        let aat = a.matmul(&at);
-        assert_eq!(aat.get(0, 1), aat.get(1, 0));
-        assert_eq!(aat.get(0, 0), 5.0);
+        let x = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
+        let g = Matrix::from_rows(&[vec![1.0, 0.5], vec![-1.0, 2.0], vec![0.0, 1.0]]);
+        // The weight gradient xᵀ·g of a 3-row batch, x and g each 2 wide.
+        let (dw, _) = weight_route(&transpose(&x), &g);
+        assert_eq!(dw, matmul_naive(&transpose(&x), &g));
+        assert_eq!(dw.get(0, 0), 1.0 - 3.0 + 0.0);
+        // The input gradient g·wᵀ with w = x: 3x3 and symmetric for g = x.
+        let d = input_route(&x, &transpose(&x));
+        assert_eq!(d, matmul_naive(&x, &transpose(&x)));
+        assert_eq!(d.get(0, 1), d.get(1, 0));
+        assert_eq!(d.get(0, 0), 5.0);
     }
 
     #[test]
     fn broadcast_and_sums() {
-        let mut m = Matrix::zeros(3, 2);
-        m.add_row_broadcast(&[1.0, 2.0]);
-        assert_eq!(m.column_sums(), vec![3.0, 6.0]);
-        let h = m.hadamard(&m);
-        assert_eq!(h.get(0, 1), 4.0);
-        let n = m.map(|x| -x);
-        assert_eq!(n.get(0, 0), -1.0);
+        // Zero weights: the forward product is the bias on every row.
+        let out = forward_route(&Matrix::zeros(3, 4), &Matrix::zeros(4, 2), &[1.0, 2.0]);
+        assert_eq!(out, Matrix::from_rows(&vec![vec![1.0, 2.0]; 3]));
+        // The bias gradient sums each column of G over the batch.
+        let (_, db) = weight_route(&Matrix::zeros(1, 3), &out);
+        assert_eq!(db, vec![3.0, 6.0]);
     }
 
     #[test]
     #[should_panic(expected = "inner dimensions")]
     fn mismatched_matmul_panics() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
+        let mut out = [0.0; 6];
+        forward(&[0.0; 6], 2, &Matrix::zeros(2, 3), &[0.0; 3], &mut out);
     }
 
     #[test]
@@ -351,9 +401,9 @@ mod tests {
 
     /// Bitwise equality — `PartialEq` on `f32` would treat `NaN != NaN` and
     /// `0.0 == -0.0`, hiding exactly the divergences these tests hunt.
-    fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
-        assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "{what}: shape");
-        for (index, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+    fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: shape");
+        for (index, (x, y)) in a.iter().zip(b).enumerate() {
             assert_eq!(
                 x.to_bits(),
                 y.to_bits(),
@@ -364,34 +414,29 @@ mod tests {
 
     /// The non-finite contract: every non-`NaN` element bit-identical, and
     /// the same elements `NaN` (payload bits excluded — see the module docs).
-    fn assert_values_eq_modulo_nan_payload(a: &Matrix, b: &Matrix, what: &str) {
-        assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "{what}: shape");
-        for (index, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+    fn assert_values_eq_modulo_nan_payload(a: &[f32], b: &[f32], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: shape");
+        for (index, (x, y)) in a.iter().zip(b).enumerate() {
             let same = (x.is_nan() && y.is_nan()) || x.to_bits() == y.to_bits();
             assert!(same, "{what}: element {index} diverges ({x} vs {y})");
         }
     }
 
-    /// The three products of backpropagation, each through `matmul` (with
-    /// the operand transposed where the product needs it) and through its
-    /// naive oracle, compared by `check`.  `a` is `m x k`, `b` is `k x n`.
-    fn check_products(a: &Matrix, b: &Matrix, check: fn(&Matrix, &Matrix, &str)) {
+    /// The product `a·b` (`a` is `m x k`, `b` is `k x n`) through all three
+    /// kernels, and the bias sums of `b`, each against its naive oracle,
+    /// compared by `check`.  Adding a bias of `-0.0` changes no value, so
+    /// the forward route computes the bare product.
+    fn check_products(a: &Matrix, b: &Matrix, check: fn(&[f32], &[f32], &str)) {
         let what = format!("{}x{} * {}x{}", a.rows(), a.cols(), b.rows(), b.cols());
-        check(&a.matmul(b), &matmul_naive(a, b), &format!("X·W {what}"));
-        // The weight gradient `inputᵀ · grad` with `input = aᵀ`, `grad = b`.
-        let input = a.transpose();
-        check(
-            &input.transpose().matmul(b),
-            &matmul_transpose_self_naive(&input, b),
-            &format!("Xᵀ·G {what}"),
-        );
-        // The input gradient `grad · Wᵀ` with `grad = a`, `W = bᵀ`.
-        let weights = b.transpose();
-        check(
-            &a.matmul(&weights.transpose()),
-            &matmul_transpose_other_naive(a, &weights),
-            &format!("G·Wᵀ {what}"),
-        );
+        let product = matmul_naive(a, b);
+        let bias = vec![-0.0; b.cols()];
+        let forward = forward_route(a, b, &bias);
+        check(forward.data(), product.data(), &format!("X·W {what}"));
+        let (dw, db) = weight_route(a, b);
+        check(dw.data(), product.data(), &format!("Xᵀ·G {what}"));
+        check(&db, &column_sums_naive(b), &format!("1ᵀ·G {what}"));
+        let d = input_route(a, b);
+        check(d.data(), product.data(), &format!("G·Wᵀ {what}"));
     }
 
     #[test]
@@ -411,8 +456,9 @@ mod tests {
         check_products(&a, &b, assert_values_eq_modulo_nan_payload);
         // The zero-skip bug in one concrete cell: a[0] · b[:,0] contains
         // 0.0 * inf, so the result must actually be NaN, not 1.0.
-        assert!(a.matmul(&b).get(0, 0).is_nan());
-        assert!(b.transpose().matmul(&a.transpose()).get(0, 0).is_nan());
+        assert!(forward_route(&a, &b, &[0.0; 2]).get(0, 0).is_nan());
+        assert!(weight_route(&a, &b).0.get(0, 0).is_nan());
+        assert!(input_route(&a, &b).get(0, 0).is_nan());
     }
 
     #[test]
@@ -463,9 +509,9 @@ mod tests {
         Matrix::from_vec(rows, cols, data)
     }
 
-    // The kernel against the naive oracles on random shapes, drawn small and
-    // skewed on purpose: empty matrices, single rows, and dimensions that
-    // straddle the `LANES` boundary.
+    // The kernels against the naive oracles on random shapes, drawn small
+    // and skewed on purpose: empty matrices, single rows, and dimensions
+    // that straddle the `LANES` boundary.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -476,9 +522,18 @@ mod tests {
             n in 0usize..20,
             seed in any::<u64>(),
         ) {
+            // The forward product, with a bias added after the sum.
             let a = pseudo_matrix(m, k, seed, 0);
             let b = pseudo_matrix(k, n, seed.wrapping_add(1), 0);
-            assert_bits_eq(&a.matmul(&b), &matmul_naive(&a, &b), "matmul");
+            let bias = pseudo_matrix(1, n, seed.wrapping_add(2), 0);
+            let mut expected = matmul_naive(&a, &b);
+            for i in 0..m {
+                for j in 0..n {
+                    expected.set(i, j, expected.get(i, j) + bias.get(0, j));
+                }
+            }
+            let forward = forward_route(&a, &b, bias.data());
+            assert_bits_eq(forward.data(), expected.data(), "forward");
         }
 
         #[test]
@@ -507,27 +562,16 @@ mod tests {
             n in 1usize..12,
             seed in any::<u64>(),
         ) {
-            // A*B through all three product routes of backpropagation and
-            // through all three naive oracles (transposing operands as
-            // needed): the per-element ascending-k chain makes them bitwise
+            // A*B through all three kernels, batched along the product's
+            // rows (forward, input gradient) or its inner dimension (weight
+            // gradient): the per-element ascending chain makes them bitwise
             // interchangeable.
             let a = pseudo_matrix(m, k, seed, 0);
             let b = pseudo_matrix(k, n, seed.wrapping_add(1), 0);
-            let product = a.matmul(&b);
-            let (at, bt) = (a.transpose(), b.transpose());
-            assert_bits_eq(&at.transpose().matmul(&b), &product, "Xᵀ·G route");
-            assert_bits_eq(&a.matmul(&bt.transpose()), &product, "G·Wᵀ route");
-            assert_bits_eq(&matmul_naive(&a, &b), &product, "naive oracle");
-            assert_bits_eq(
-                &matmul_transpose_self_naive(&at, &b),
-                &product,
-                "transpose_self oracle",
-            );
-            assert_bits_eq(
-                &matmul_transpose_other_naive(&a, &bt),
-                &product,
-                "transpose_other oracle",
-            );
+            let product = forward_route(&a, &b, &vec![-0.0; n]);
+            assert_bits_eq(weight_route(&a, &b).0.data(), product.data(), "Xᵀ·G route");
+            assert_bits_eq(input_route(&a, &b).data(), product.data(), "G·Wᵀ route");
+            assert_bits_eq(matmul_naive(&a, &b).data(), product.data(), "naive oracle");
         }
     }
 }

@@ -1,10 +1,9 @@
-//! Multi-layer perceptron with manual backpropagation.
+//! The multi-layer perceptron and its inference kernel.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::layer::{Activation, Dense};
-use crate::matrix::Matrix;
 
 /// Rows [`Mlp::predict`] carries through the network at a time.
 const BLOCK_ROWS: usize = 16;
@@ -41,16 +40,7 @@ pub type SharedMlp = std::sync::Arc<Mlp>;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
-    layers: Vec<Dense>,
-}
-
-/// Per-layer gradients produced by [`Mlp::backward`].
-#[derive(Debug, Clone)]
-pub(crate) struct Gradients {
-    /// Gradient of the loss with respect to each layer's weight matrix.
-    pub weights: Vec<Matrix>,
-    /// Gradient of the loss with respect to each layer's bias vector.
-    pub biases: Vec<Vec<f32>>,
+    pub(crate) layers: Vec<Dense>,
 }
 
 impl Mlp {
@@ -114,6 +104,18 @@ impl Mlp {
         self.layers.iter().map(Dense::num_params).sum()
     }
 
+    /// A zero per parameter of each layer: its weights (row-major), then its
+    /// biases — the shape of the gradients and moments training keeps.
+    pub(crate) fn zeroed_parameters(&self) -> Vec<[Vec<f32>; 2]> {
+        let zeros = |layer: &Dense| {
+            [
+                vec![0.0; layer.inputs() * layer.outputs()],
+                vec![0.0; layer.outputs()],
+            ]
+        };
+        self.layers.iter().map(zeros).collect()
+    }
+
     /// Freezes the trained model into a [`SharedMlp`] handle.
     ///
     /// # Examples
@@ -128,68 +130,6 @@ impl Mlp {
         std::sync::Arc::new(self)
     }
 
-    /// Runs the network on a batch of inputs (`N x num_inputs`) and keeps
-    /// every layer's output: the input is entry 0, the network's output the
-    /// last.  Used by backpropagation.
-    pub(crate) fn forward_cached(&self, input: &Matrix) -> Vec<Matrix> {
-        let mut activations = Vec::with_capacity(self.layers.len() + 1);
-        let mut current = input.clone();
-        for layer in &self.layers {
-            let next = layer.forward(&current);
-            activations.push(std::mem::replace(&mut current, next));
-        }
-        activations.push(current);
-        activations
-    }
-
-    /// Backpropagates `grad_output` (gradient of the loss with respect to the
-    /// network output, shape `N x num_outputs`) through the cached forward
-    /// pass, returning per-layer parameter gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `activations` was not produced by [`Mlp::forward_cached`] on
-    /// a batch with the same number of rows as `grad_output`.
-    pub(crate) fn backward(&self, activations: &[Matrix], grad_output: &Matrix) -> Gradients {
-        assert_eq!(activations.len(), self.layers.len() + 1);
-        let mut weight_grads = vec![Matrix::zeros(0, 0); self.layers.len()];
-        let mut bias_grads = vec![Vec::new(); self.layers.len()];
-        // Gradient w.r.t. the current layer's output.
-        let mut grad = grad_output.clone();
-        for (index, layer) in self.layers.iter().enumerate().rev() {
-            let output = &activations[index + 1];
-            let input = &activations[index];
-            // Chain through the activation: dL/dz = dL/dy * act'(y).
-            let act = layer.activation();
-            let grad_pre = grad.hadamard(&output.map(|y| act.derivative_from_output(y)));
-            // dW = input^T * grad_pre, db = column sums of grad_pre.
-            weight_grads[index] = input.transpose().matmul(&grad_pre);
-            bias_grads[index] = grad_pre.column_sums();
-            // dL/d(input) = grad_pre * W^T.
-            grad = grad_pre.matmul(&layer.weights().transpose());
-        }
-        Gradients {
-            weights: weight_grads,
-            biases: bias_grads,
-        }
-    }
-
-    /// Applies a parameter update: `param -= step` for every entry of `deltas`.
-    pub(crate) fn apply_update(&mut self, deltas: &Gradients) {
-        for (layer, (dw, db)) in self
-            .layers
-            .iter_mut()
-            .zip(deltas.weights.iter().zip(&deltas.biases))
-        {
-            for (w, d) in layer.weights.data_mut().iter_mut().zip(dw.data()) {
-                *w -= d;
-            }
-            for (b, d) in layer.bias.iter_mut().zip(db) {
-                *b -= d;
-            }
-        }
-    }
-
     /// Computes the network's first output for every feature row: the one
     /// inference kernel.
     ///
@@ -198,10 +138,10 @@ impl Mlp {
     /// ping-pong buffers — on the stack while no layer is wider than 16,
     /// one heap buffer per call otherwise — so every multiply-add runs
     /// across the block's rows at once and inference allocates only the
-    /// returned `Vec`.  Each value is accumulated as the training forward
-    /// pass (`forward_cached`) accumulates it: from `0.0` over ascending
-    /// inputs, then the bias, then the activation, so the probabilities
-    /// equal the first column of its last matrix bit for bit.
+    /// returned `Vec`.  Each value is accumulated as the training step's
+    /// forward product accumulates it: from `0.0` over ascending inputs,
+    /// then the bias, then the activation, so the probabilities equal the
+    /// first output lane of training's forward pass bit for bit.
     ///
     /// # Panics
     ///
@@ -306,6 +246,8 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::Loss;
+    use crate::train::{batch_major, Workspace};
 
     #[test]
     fn paper_architecture_has_325_params() {
@@ -332,7 +274,6 @@ mod tests {
         // Tiny network, tiny batch: compare analytic and numeric gradients.
         let mut model = Mlp::new(&[2, 3, 1], Activation::Relu, Activation::Sigmoid, 11);
         let rows = [vec![0.3, -0.7], vec![1.2, 0.4]];
-        let x = Matrix::from_rows(&rows);
         let targets = [1.0f32, 0.0];
         let loss = |model: &Mlp| -> f32 {
             let out = model.predict(&rows);
@@ -343,15 +284,10 @@ mod tests {
             }
             total / targets.len() as f32
         };
-        // Analytic gradient of BCE w.r.t. sigmoid output p is (p - t)/(p(1-p)N).
-        let acts = model.forward_cached(&x);
-        let out = acts.last().unwrap();
-        let mut grad_out = Matrix::zeros(2, 1);
-        for (i, &t) in targets.iter().enumerate() {
-            let p = out.get(i, 0).clamp(1e-6, 1.0 - 1e-6);
-            grad_out.set(i, 0, (p - t) / (p * (1.0 - p) * targets.len() as f32));
-        }
-        let grads = model.backward(&acts, &grad_out);
+        // The training step's analytic gradients.
+        let mut workspace = Workspace::new(&model);
+        let input = batch_major(&rows);
+        workspace.gradients(&model, (&input, &targets), Loss::BinaryCrossEntropy);
 
         // Numeric check on a handful of weights of the first layer.
         let eps = 1e-3;
@@ -363,7 +299,7 @@ mod tests {
             let minus = loss(&model);
             model.layers[0].weights.set(r, c, base);
             let numeric = (plus - minus) / (2.0 * eps);
-            let analytic = grads.weights[0].get(r, c);
+            let analytic = workspace.grads[0][0][r * 3 + c];
             assert!(
                 (numeric - analytic).abs() < 2e-2,
                 "gradient mismatch at ({r},{c}): numeric {numeric}, analytic {analytic}"
@@ -381,8 +317,8 @@ mod tests {
             .is_empty());
     }
 
-    /// `predict` equals the first column of the training forward pass's
-    /// output bit for bit at every batch size around the kernel's block, on
+    /// `predict` equals the first output lane of the training step's forward
+    /// pass bit for bit at every batch size around the kernel's block, on
     /// the paper's network and on one, loaded from text, wider than the
     /// stack buffers.
     #[test]
@@ -400,9 +336,10 @@ mod tests {
                 let expected: Vec<u32> = if rows == 0 {
                     Vec::new()
                 } else {
-                    let activations = model.forward_cached(&Matrix::from_rows(&vectors));
-                    let out = activations.last().expect("the output layer");
-                    (0..rows).map(|r| out.get(r, 0).to_bits()).collect()
+                    let mut workspace = Workspace::new(&model);
+                    workspace.forward(&model, &batch_major(&vectors), rows);
+                    let out = workspace.outputs.last().expect("the output layer");
+                    out[..rows].iter().map(|p| p.to_bits()).collect()
                 };
                 assert_eq!(predicted, expected, "{rows} rows");
                 let from_vectors: Vec<u32> = model

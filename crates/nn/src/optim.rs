@@ -1,39 +1,39 @@
 //! Optimizers and learning-rate schedules.
 
-use crate::matrix::Matrix;
-use crate::model::{Gradients, Mlp};
+use crate::model::Mlp;
+
+/// Decay rate of Adam's first moment.
+const BETA1: f32 = 0.9;
+/// Decay rate of Adam's second moment.
+const BETA2: f32 = 0.999;
+/// Added to the second moment's root before dividing by it.
+const EPSILON: f32 = 1e-8;
 
 /// The Adam optimizer (Kingma & Ba) with per-parameter moment estimates.
 ///
 /// The paper trains the classifier with Adam at learning rate 0.1 under a
-/// cosine-annealing-with-warm-restarts schedule.
+/// cosine-annealing-with-warm-restarts schedule.  The moments are sized by
+/// the model once, and a step updates every parameter in place.
 #[derive(Debug, Clone)]
 pub(crate) struct Adam {
     learning_rate: f32,
-    beta1: f32,
-    beta2: f32,
-    epsilon: f32,
     step_count: u64,
-    weight_m: Vec<Matrix>,
-    weight_v: Vec<Matrix>,
-    bias_m: Vec<Vec<f32>>,
-    bias_v: Vec<Vec<f32>>,
+    /// First moments, per layer those of its weights (row-major, as the
+    /// layer holds them), then of its biases.
+    pub(crate) m: Vec<[Vec<f32>; 2]>,
+    /// Second moments, shaped as the first.
+    pub(crate) v: Vec<[Vec<f32>; 2]>,
 }
 
 impl Adam {
-    /// Creates an Adam optimizer with the given learning rate and default
-    /// moment decay rates (0.9, 0.999).
-    pub(crate) fn new(learning_rate: f32) -> Self {
+    /// Creates an Adam optimizer for `model`'s parameters with the given
+    /// learning rate and moment decay rates 0.9 and 0.999.
+    pub(crate) fn new(learning_rate: f32, model: &Mlp) -> Self {
         Adam {
             learning_rate,
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
             step_count: 0,
-            weight_m: Vec::new(),
-            weight_v: Vec::new(),
-            bias_m: Vec::new(),
-            bias_v: Vec::new(),
+            m: model.zeroed_parameters(),
+            v: model.zeroed_parameters(),
         }
     }
 
@@ -42,62 +42,40 @@ impl Adam {
         self.learning_rate = learning_rate;
     }
 
-    fn ensure_state(&mut self, grads: &Gradients) {
-        if self.weight_m.len() == grads.weights.len() {
-            return;
-        }
-        self.weight_m = grads
-            .weights
-            .iter()
-            .map(|g| Matrix::zeros(g.rows(), g.cols()))
-            .collect();
-        self.weight_v = self.weight_m.clone();
-        self.bias_m = grads.biases.iter().map(|b| vec![0.0; b.len()]).collect();
-        self.bias_v = self.bias_m.clone();
-    }
-
-    /// Applies one Adam update to the model given freshly computed gradients.
-    pub(crate) fn step(&mut self, model: &mut Mlp, grads: &Gradients) {
-        self.ensure_state(grads);
+    /// Applies one Adam update to `model` given each layer's weight and
+    /// bias gradients, shaped as [`Mlp::zeroed_parameters`].
+    pub(crate) fn step(&mut self, model: &mut Mlp, grads: &[[Vec<f32>; 2]]) {
         self.step_count += 1;
         let t = self.step_count as f32;
-        let bias_correction1 = 1.0 - self.beta1.powf(t);
-        let bias_correction2 = 1.0 - self.beta2.powf(t);
-        let mut deltas = Gradients {
-            weights: Vec::with_capacity(grads.weights.len()),
-            biases: Vec::with_capacity(grads.biases.len()),
-        };
-        for (layer, grad) in grads.weights.iter().enumerate() {
-            let m = &mut self.weight_m[layer];
-            let v = &mut self.weight_v[layer];
-            let mut delta = Matrix::zeros(grad.rows(), grad.cols());
-            for idx in 0..grad.data().len() {
-                let g = grad.data()[idx];
-                let m_val = self.beta1 * m.data()[idx] + (1.0 - self.beta1) * g;
-                let v_val = self.beta2 * v.data()[idx] + (1.0 - self.beta2) * g * g;
-                m.data_mut()[idx] = m_val;
-                v.data_mut()[idx] = v_val;
-                let m_hat = m_val / bias_correction1;
-                let v_hat = v_val / bias_correction2;
-                delta.data_mut()[idx] = self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
-            }
-            deltas.weights.push(delta);
+        let rate = self.learning_rate;
+        let corrections = (1.0 - BETA1.powf(t), 1.0 - BETA2.powf(t));
+        let moments = self.m.iter_mut().zip(&mut self.v);
+        for ((layer, [dw, db]), ([wm, bm], [wv, bv])) in
+            model.layers.iter_mut().zip(grads).zip(moments)
+        {
+            update(layer.weights.data_mut(), dw, wm, wv, rate, corrections);
+            update(&mut layer.bias, db, bm, bv, rate, corrections);
         }
-        for (layer, grad) in grads.biases.iter().enumerate() {
-            let m = &mut self.bias_m[layer];
-            let v = &mut self.bias_v[layer];
-            let mut delta = vec![0.0; grad.len()];
-            for idx in 0..grad.len() {
-                let g = grad[idx];
-                m[idx] = self.beta1 * m[idx] + (1.0 - self.beta1) * g;
-                v[idx] = self.beta2 * v[idx] + (1.0 - self.beta2) * g * g;
-                let m_hat = m[idx] / bias_correction1;
-                let v_hat = v[idx] / bias_correction2;
-                delta[idx] = self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
-            }
-            deltas.biases.push(delta);
-        }
-        model.apply_update(&deltas);
+    }
+}
+
+/// One Adam update of `params` in place, zipped with their gradients and
+/// moments `m` and `v`; `c` holds the step's two bias corrections.
+fn update(
+    params: &mut [f32],
+    grads: &[f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    rate: f32,
+    c: (f32, f32),
+) {
+    let moments = m.iter_mut().zip(v.iter_mut());
+    for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
+        *m = BETA1 * *m + (1.0 - BETA1) * g;
+        *v = BETA2 * *v + (1.0 - BETA2) * g * g;
+        let m_hat = *m / c.0;
+        let v_hat = *v / c.1;
+        *p -= rate * m_hat / (v_hat.sqrt() + EPSILON);
     }
 }
 
@@ -151,12 +129,14 @@ impl CosineAnnealingWarmRestarts {
 mod tests {
     use super::*;
     use crate::layer::Activation;
+    use crate::train::{batch_major, Workspace};
 
     #[test]
     fn adam_reduces_loss_on_toy_problem() {
         // Learn y = x0 > x1 on a small synthetic dataset.
         let mut model = Mlp::new(&[2, 8, 1], Activation::Relu, Activation::Sigmoid, 5);
-        let mut optimizer = Adam::new(0.05);
+        let mut optimizer = Adam::new(0.05, &model);
+        let mut workspace = Workspace::new(&model);
         let inputs: Vec<Vec<f32>> = (0..40)
             .map(|i| vec![(i % 7) as f32 / 7.0, (i % 5) as f32 / 5.0])
             .collect();
@@ -164,14 +144,12 @@ mod tests {
             .iter()
             .map(|v| if v[0] > v[1] { 1.0 } else { 0.0 })
             .collect();
-        let x = Matrix::from_rows(&inputs);
+        let x = batch_major(&inputs);
         let loss_fn = crate::loss::Loss::BinaryCrossEntropy;
         let initial = loss_fn.value(&model.predict(&inputs), &targets);
         for _ in 0..300 {
-            let acts = model.forward_cached(&x);
-            let grad = loss_fn.gradient(acts.last().unwrap().data(), &targets);
-            let grads = model.backward(&acts, &grad);
-            optimizer.step(&mut model, &grads);
+            workspace.gradients(&model, (&x, &targets), loss_fn);
+            optimizer.step(&mut model, &workspace.grads);
         }
         let trained = loss_fn.value(&model.predict(&inputs), &targets);
         assert!(
@@ -205,11 +183,9 @@ mod tests {
         // by the learning rate (m̂ / √v̂ = ±1), so it shows the rate in force.
         let mut model = Mlp::new(&[2, 1], Activation::Relu, Activation::Sigmoid, 5);
         let before = model.clone();
-        let mut adam = Adam::new(0.1);
+        let mut adam = Adam::new(0.1, &model);
         adam.set_learning_rate(0.01);
-        let acts = model.forward_cached(&Matrix::from_rows(&[vec![1.0, -2.0]]));
-        let grads = model.backward(&acts, &Matrix::from_vec(1, 1, vec![1.0]));
-        adam.step(&mut model, &grads);
+        adam.step(&mut model, &[[vec![1.0, -2.0], vec![1.0]]]);
         let (old, new) = (&before.layers()[0], &model.layers()[0]);
         let moved = old.weights().data().iter().zip(new.weights().data());
         for (a, b) in moved.chain(old.bias().iter().zip(new.bias())) {

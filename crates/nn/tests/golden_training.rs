@@ -1,13 +1,15 @@
-//! Golden pin of the training loop: the paper's network trained with the
-//! default recipe on a seeded synthetic dataset must reproduce, bit for bit,
-//! the weights and the validation-loss curve recorded when the pin was set.
+//! Golden pins of the training loop: the paper's network trained on a seeded
+//! synthetic dataset must reproduce, bit for bit, the weights and the
+//! validation-loss curve recorded when each pin was set — one pin for the
+//! library default's loss (plain BCE), one for the `paper` harness's
+//! (`WeightedBce { pos_weight: 20.0 }`).
 //!
 //! Every product kernel, loss and forward pass the loop runs feeds these
 //! numbers, so a change that reorders one floating-point addition anywhere in
 //! training moves the hash.  A deliberate change to the training arithmetic
-//! re-records both constants and says so.
+//! re-records the constants and says so.
 
-use elf_nn::{model_to_text, train, Dataset, Mlp, TrainConfig};
+use elf_nn::{model_to_text, train, Dataset, Loss, Mlp, TrainConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -84,6 +86,50 @@ fn default_training_reproduces_the_recorded_model() {
     assert_eq!(
         (hash, losses.as_slice()),
         (MODEL_TEXT_FNV1A, VALIDATION_LOSS_BITS),
+        "training moved: hash {hash:#018x}, validation loss bits {losses:#010x?}"
+    );
+}
+
+/// FNV-1a hash of `model_to_text` after training with the `paper` harness's
+/// loss, `WeightedBce { pos_weight: 20.0 }`.
+const WEIGHTED_MODEL_TEXT_FNV1A: u64 = 0x1fa6_6a69_5abd_ac99;
+
+/// `f32::to_bits` of every epoch's validation loss under that loss.
+const WEIGHTED_VALIDATION_LOSS_BITS: &[u32] = &[
+    0x3f99_cca3,
+    0x3f94_8e7e,
+    0x3e82_627d,
+    0x3e56_a2c3,
+    0x3ed3_19b9,
+    0x3eaf_dba0,
+    0x3eb2_f7b7,
+    0x3e9d_e5f4,
+    0x3ebd_d7d3,
+    0x3edf_7224,
+    0x3e6e_090a,
+    0x3e59_6bec,
+    0x3efd_bab3,
+    0x3e6d_3203,
+];
+
+#[test]
+fn weighted_training_reproduces_the_recorded_model() {
+    let data = synthetic_dataset();
+    let mut model = Mlp::paper_architecture(7);
+    let config = TrainConfig {
+        loss: Loss::WeightedBce { pos_weight: 20.0 },
+        ..TrainConfig::default()
+    };
+    let report = train(&mut model, &data, &config);
+    let hash = fnv1a(model_to_text(&model).as_bytes());
+    let losses: Vec<u32> = report
+        .validation_losses
+        .iter()
+        .map(|l| l.to_bits())
+        .collect();
+    assert_eq!(
+        (hash, losses.as_slice()),
+        (WEIGHTED_MODEL_TEXT_FNV1A, WEIGHTED_VALIDATION_LOSS_BITS),
         "training moved: hash {hash:#018x}, validation loss bits {losses:#010x?}"
     );
 }

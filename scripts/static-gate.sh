@@ -154,12 +154,14 @@ fi
 echo "static-gate: a pruned node's cut, features and decision stay cheap"
 
 # One product kernel, one inference path, one thread for a decision.
-# Training's three products per layer run through `Matrix::matmul` (with
-# `Matrix::transpose`), and its validation loss through `Mlp::predict`, the
-# kernel inference runs.  A `matmul_transpose_*`, `dot4` or `KC`/`MC`/`NR`
-# block constant in non-test `matrix.rs` is a second, blocked product kernel
-# coming back; a `.forward(` in non-test `train.rs` is the second forward
-# path, a `.to_vec()` the per-batch copy of the rows; a `Parallelism` in the
+# Training's three products per layer run through `matrix.rs`'s batch-major
+# `forward`, `input_gradient` and `weight_gradient`, called from the training
+# step's own `Workspace::forward`, and its validation loss through
+# `Mlp::predict`, the kernel inference runs.  A `matmul_transpose_*`, `dot4`
+# or `KC`/`MC`/`NR` block constant in non-test `matrix.rs` is a second,
+# blocked product kernel coming back; a `.forward(` in non-test `train.rs`
+# other than the step's `self.forward(` is the second forward path, a
+# `.to_vec()` the per-batch copy of the rows; a `Parallelism` in the
 # signature of `ElfClassifier::classify` is the fan-out of a forward pass
 # that takes well under a millisecond.
 if ! grep -q 'pub fn classify(' crates/core/src/classifier.rs; then
@@ -171,7 +173,7 @@ kernels=$(awk '
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
     FILENAME ~ /matrix\.rs$/ && /matmul_transpose_|dot4|(^|[^A-Za-z0-9_])(KC|MC|NR)([^A-Za-z0-9_]|$)/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
-    FILENAME ~ /train\.rs$/ && /\.forward\(|\.to_vec\(\)/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    FILENAME ~ /train\.rs$/ && /\.forward\(|\.to_vec\(\)/ && !/self\.forward\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
     FILENAME ~ /classifier\.rs$/ && /pub fn classify\(/ { signature = 1 }
     signature && /Parallelism/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
     signature && /\{[[:space:]]*$/ { signature = 0 }
@@ -182,6 +184,27 @@ if [ -n "$kernels" ]; then
     exit 1
 fi
 echo "static-gate: one product kernel, one inference path, classify on one thread"
+
+# One fused training step: every mini-batch runs forward, backward and Adam
+# through `train.rs`'s `Workspace`, on an epoch pool written in place into
+# one buffer.  A `forward_cached(` or `Matrix::from_rows(` in non-test
+# `train.rs` is the per-batch `Matrix` pipeline coming back, a `.select(` or
+# `mixup(` the epoch pool's `Vec` per row; a `fn backward(` in non-test
+# `model.rs` is backpropagation through a matrix per product coming back (it
+# survives only as the `#[cfg(test)]` oracle in `train.rs`).
+fused=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    FILENAME ~ /train\.rs$/ && /forward_cached\(|Matrix::from_rows\(|\.select\(|mixup\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    FILENAME ~ /model\.rs$/ && /fn backward\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+' crates/nn/src/train.rs crates/nn/src/model.rs)
+if [ -n "$fused" ]; then
+    echo "$fused"
+    echo "static-gate: a per-batch Matrix pipeline or per-row pool in non-test train.rs, or backward in non-test model.rs" >&2
+    exit 1
+fi
+echo "static-gate: training runs one fused step"
 
 # One batched entry: a pruned pass sweeps, classifies and mutates through
 # `PrunableOperator::run_batched`, which reuses the sweep's windows.  A
