@@ -483,6 +483,23 @@ impl Aig {
         id
     }
 
+    /// Makes room for `nodes` more AND nodes (or inputs) without growing a
+    /// column, the fanout pool or the structural hash again.
+    pub(crate) fn reserve(&mut self, nodes: usize) {
+        self.kind.reserve(nodes);
+        self.fanin0.reserve(nodes);
+        self.fanin1.reserve(nodes);
+        self.refs.reserve(nodes);
+        self.level.reserve(nodes);
+        self.dead.reserve(nodes);
+        self.birth.reserve(nodes);
+        self.edited.reserve(nodes);
+        self.fanout_head.reserve(nodes);
+        self.fanout_tail.reserve(nodes);
+        self.fanout_pool.reserve(2 * nodes);
+        self.strash.reserve(nodes);
+    }
+
     /// Takes one entry from the pool's free chain or grows the pool.
     fn alloc_fanout_entry(&mut self, item: Fanout) -> u32 {
         if self.fanout_free != NIL {

@@ -60,7 +60,8 @@ impl Aig {
     /// Only logic reachable from `other`'s outputs is copied.  New AND gates
     /// go through `self`'s structural hash, so structure `self` already
     /// contains is reused rather than duplicated — appending a circuit to
-    /// itself over the same inputs creates no new nodes.
+    /// itself over the same inputs creates no new nodes.  `self` is sized
+    /// for `other`'s ANDs once, up front.
     ///
     /// # Panics
     ///
@@ -73,6 +74,7 @@ impl Aig {
         );
         // `map[id]` is the literal of `other`'s node `id` in `self`; the
         // constant node 0 maps to constant false.
+        self.reserve(other.num_ands());
         let mut map: Vec<Lit> = vec![Lit::FALSE; other.num_slots()];
         for (input, &lit) in other.inputs().iter().zip(input_map) {
             map[input.as_usize()] = lit;
@@ -145,6 +147,8 @@ pub fn miter(a: &Aig, b: &Aig) -> Result<Aig, MiterError> {
         });
     }
     let mut m = Aig::new();
+    // Both circuits' ANDs, and an XOR (three ANDs) and an OR per output pair.
+    m.reserve(a.num_inputs() + a.num_ands() + b.num_ands() + 4 * a.num_outputs());
     let inputs = m.add_inputs(a.num_inputs());
     let outs_a = m.append_mapped(a, &inputs);
     let outs_b = m.append_mapped(b, &inputs);

@@ -33,6 +33,7 @@ impl Encoding {
     /// An encoding of `aig` holding only the constant.
     pub(crate) fn new(aig: &Aig, solver: &mut Solver) -> Encoding {
         let mut node_var: Vec<Option<Var>> = vec![None; aig.num_slots()];
+        solver.reserve(aig.num_slots());
         let const_var = solver.new_var();
         node_var[0] = Some(const_var);
         solver.add_clause(&[const_var.negative()]);
@@ -97,13 +98,8 @@ impl Encoding {
                 continue;
             }
             self.stack.pop();
-            let n = solver.new_var();
-            self.node_var[id.as_usize()] = Some(n);
-            let a = self.loaded(f0);
-            let b = self.loaded(f1);
-            solver.add_clause(&[n.negative(), a]);
-            solver.add_clause(&[n.negative(), b]);
-            solver.add_clause(&[n.positive(), !a, !b]);
+            let (a, b) = (self.loaded(f0), self.loaded(f1));
+            self.node_var[id.as_usize()] = Some(solver.new_and(a, b));
         }
         match self.node_var[root.as_usize()] {
             Some(v) => v,

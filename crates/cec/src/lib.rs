@@ -38,6 +38,10 @@
 //!    budget; running out of budget yields the honest
 //!    [`Equivalence::Undecided`].
 //!
+//! Under `ELF_TRACE`, a check's `cec` span holds one span per step:
+//! `cec.miter` (construction and the topological order every later step
+//! reads), `cec.simulate`, `cec.sweep` and `cec.final`.
+//!
 //! The solver is written from scratch in this crate (watched literals over
 //! a flat clause arena, first-UIP learning, VSIDS from an indexed heap,
 //! phase saving, Luby restarts) — no external dependencies.
@@ -179,11 +183,16 @@ pub fn check_equivalence_with(a: &Aig, b: &Aig, params: &CecParams) -> CecReport
         "cec",
         ands = a.num_reachable_ands() + b.num_reachable_ands()
     );
-    let m = match miter(a, b) {
-        Ok(m) => m,
-        Err(e) => panic!("cannot check equivalence: {e}"),
+    let (m, order) = {
+        let _span = elf_obs::span!("cec.miter");
+        let m = match miter(a, b) {
+            Ok(m) => m,
+            Err(e) => panic!("cannot check equivalence: {e}"),
+        };
+        let order = m.topological_order();
+        (m, order)
     };
-    sweep::solve_miter(&m, params)
+    sweep::solve_miter(&m, &order, params)
 }
 
 #[cfg(test)]

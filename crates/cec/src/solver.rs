@@ -30,6 +30,10 @@
 //! * **Clauses** — one flat literal arena with a `(start, len)` header per
 //!   clause; watch lists and implication reasons hold `u32` clause indices.
 //!   The watched literals are a clause's slots 0 and 1.
+//! * **Watch lists** — one `u32` store holding every literal's list as a
+//!   segment (`Watches`).  A full list moves to the end of the store with
+//!   twice the room, keeping its order, so a list pushes and swap-removes as
+//!   a `Vec` of its own would, and a variable costs no allocation.
 //! * **Assignment** — one `LBool` per *literal*, written for both
 //!   polarities when a variable is assigned, so reading a literal's value is
 //!   one load.
@@ -262,6 +266,41 @@ impl VarHeap {
     }
 }
 
+/// Per-literal watch lists as segments of one store (see the module docs).
+#[derive(Debug, Default)]
+struct Watches {
+    store: Vec<u32>,
+    /// Per literal code: `(start, len, capacity)` of its segment.
+    lists: Vec<(u32, u32, u32)>,
+}
+
+impl Watches {
+    /// Appends `clause` to `lit`'s list, first moving a full list to the end
+    /// of the store with twice the room (at least four).
+    fn push(&mut self, lit: SatLit, clause: u32) {
+        let (mut start, len, cap) = self.lists[lit.code()];
+        if len == cap {
+            let cap = (2 * cap).max(4);
+            assert!(self.store.len() + cap as usize <= u32::MAX as usize);
+            let moved = self.store.len();
+            self.store
+                .extend_from_within(start as usize..(start + len) as usize);
+            self.store.resize(moved + cap as usize, 0);
+            start = moved as u32;
+            self.lists[lit.code()] = (start, len, cap);
+        }
+        self.store[(start + len) as usize] = clause;
+        self.lists[lit.code()].1 += 1;
+    }
+
+    /// Removes entry `i` of `lit`'s list; its last entry takes the place.
+    fn swap_remove(&mut self, lit: SatLit, i: u32) {
+        let (start, len, _) = &mut self.lists[lit.code()];
+        *len -= 1;
+        self.store[(*start + i) as usize] = self.store[(*start + *len) as usize];
+    }
+}
+
 /// The CDCL solver (see the module docs).
 #[derive(Debug, Default)]
 pub struct Solver {
@@ -271,7 +310,7 @@ pub struct Solver {
     /// literals are the first two.
     headers: Vec<(u32, u32)>,
     /// Per literal code: indices of clauses currently watching that literal.
-    watches: Vec<Vec<u32>>,
+    watches: Watches,
     /// Per literal code: current value (both polarities are kept in step).
     vals: Vec<LBool>,
     /// Per variable: last assigned polarity (phase saving).
@@ -321,10 +360,25 @@ impl Solver {
         self.reason.push(None);
         self.level.push(0);
         self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        self.watches.lists.extend([(0, 0, 0); 2]);
         self.order.push_var(&self.activity);
         Var(v)
+    }
+
+    /// Makes room for `vars` more variables, and their three Tseitin
+    /// clauses each, without growing a per-variable table or the arena.
+    pub(crate) fn reserve(&mut self, vars: usize) {
+        self.vals.reserve(2 * vars);
+        self.phase.reserve(vars);
+        self.activity.reserve(vars);
+        self.reason.reserve(vars);
+        self.level.reserve(vars);
+        self.seen.reserve(vars);
+        self.watches.lists.reserve(2 * vars);
+        self.order.heap.reserve(vars);
+        self.order.pos.reserve(vars);
+        self.headers.reserve(3 * vars);
+        self.lits.reserve(7 * vars);
     }
 
     /// Number of variables created so far.
@@ -374,6 +428,31 @@ impl Solver {
         }
         self.scratch = clause;
         !self.unsat
+    }
+
+    /// A fresh variable `n` tied to `a & b` by the three Tseitin clauses
+    /// `(!n | a)`, `(!n | b)` and `(n | !a | !b)`, each stored exactly as
+    /// [`Solver::add_clause`] would store it.  When `a` and `b` are unassigned
+    /// literals of two variables, no clause has a literal to drop and `n` is
+    /// the newest variable, so each clause is sorted once `!a` and `!b` are:
+    /// they are attached as they stand.  Any other case takes `add_clause`.
+    pub(crate) fn new_and(&mut self, a: SatLit, b: SatLit) -> Var {
+        let n = self.new_var();
+        if self.unsat
+            || a.var() == b.var()
+            || self.value(a) != LBool::Undef
+            || self.value(b) != LBool::Undef
+        {
+            self.add_clause(&[n.negative(), a]);
+            self.add_clause(&[n.negative(), b]);
+            self.add_clause(&[n.positive(), !a, !b]);
+        } else {
+            self.attach(&[a, n.negative()]);
+            self.attach(&[b, n.negative()]);
+            let (x, y) = if !a < !b { (!a, !b) } else { (!b, !a) };
+            self.attach(&[x, y, n.positive()]);
+        }
+        n
     }
 
     /// Solves under `assumptions` (each forced true for this call only),
@@ -502,8 +581,8 @@ impl Solver {
         // Clause references and arena offsets are `u32`s.
         assert!(self.lits.len() + clause.len() <= u32::MAX as usize);
         let index = self.headers.len() as u32;
-        self.watches[clause[0].code()].push(index);
-        self.watches[clause[1].code()].push(index);
+        self.watches.push(clause[0], index);
+        self.watches.push(clause[1], index);
         self.headers
             .push((self.lits.len() as u32, clause.len() as u32));
         self.lits.extend_from_slice(clause);
@@ -517,11 +596,12 @@ impl Solver {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             let false_lit = !p;
-            let mut ws = std::mem::take(&mut self.watches[false_lit.code()]);
+            // Pushes go to other lists, so this one stays where it is.
+            let watching = self.watches.lists[false_lit.code()].0;
             let mut i = 0;
             let mut conflict = None;
-            'clauses: while i < ws.len() {
-                let ci = ws[i];
+            'clauses: while i < self.watches.lists[false_lit.code()].1 {
+                let ci = self.watches.store[(watching + i) as usize];
                 let (start, len) = self.headers[ci as usize];
                 let clause = &mut self.lits[start as usize..(start + len) as usize];
                 if clause[0] == false_lit {
@@ -536,9 +616,9 @@ impl Solver {
                     if self.vals[clause[k].code()] != LBool::False {
                         clause.swap(1, k);
                         // `clause[1]` is not false, so it cannot be
-                        // `false_lit` and never targets the taken list.
-                        self.watches[clause[1].code()].push(ci);
-                        ws.swap_remove(i);
+                        // `false_lit` and never targets the list walked.
+                        self.watches.push(clause[1], ci);
+                        self.watches.swap_remove(false_lit, i);
                         continue 'clauses;
                     }
                 }
@@ -549,7 +629,6 @@ impl Solver {
                 self.enqueue(first, Some(ci));
                 i += 1;
             }
-            self.watches[false_lit.code()] = ws;
             if conflict.is_some() {
                 return conflict;
             }

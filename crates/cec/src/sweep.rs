@@ -27,10 +27,25 @@
 //! output is true on any simulated vector, that vector is the answer and the
 //! solver is never built (an equivalent pair's output is zero on every
 //! vector, so its counts are untouched by this step).
+//!
+//! # The simulation store
+//!
+//! The words live in one flat vector, a table of one word per node slot per
+//! round, round after round: a round appends a table and fills it in the
+//! miter's one topological order (the order `miter_ands` counts and the
+//! sweep walks), reading fanins from the same table.  A node's signature is
+//! its word in every table, each complemented when the node's first word has
+//! bit 0 set, so a node and its complement share one signature.  Classes are
+//! formed without a key per node: each signature is hashed in place with the
+//! seeded [`WordState`] into an open-addressing table of representatives,
+//! and a hash match is confirmed word by word before a node is paired.  The
+//! representative is still the first node of its signature in topological
+//! order, so the pairs, their order and the class count do not depend on the
+//! hash or its seed.
 
-use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
-use elf_aig::{Aig, Lit, NodeId};
+use elf_aig::{Aig, Lit, NodeId, WordState};
 
 use crate::cnf::Encoding;
 use crate::solver::{SolveResult, Solver};
@@ -41,10 +56,12 @@ use crate::{CecParams, CecReport, Equivalence};
 /// `Proved` means the output is constant false (the two original circuits
 /// agree everywhere); `CounterExample` carries an input assignment on which
 /// they disagree.
-pub(crate) fn solve_miter(m: &Aig, params: &CecParams) -> CecReport {
+///
+/// `order` is `m`'s topological order, computed once with the miter.
+pub(crate) fn solve_miter(m: &Aig, order: &[NodeId], params: &CecParams) -> CecReport {
     let mut report = CecReport {
         result: Equivalence::Undecided(params.conflict_budget),
-        miter_ands: m.num_reachable_ands(),
+        miter_ands: order.len(),
         candidate_classes: 0,
         proved_pairs: 0,
         disproved_pairs: 0,
@@ -65,16 +82,24 @@ pub(crate) fn solve_miter(m: &Aig, params: &CecParams) -> CecReport {
 
     // The sweep's random rounds come first: a vector on which the output is
     // already true is the answer, with no CNF and no solver.
-    let mut sim = Sim::new(m);
-    if let Some(witness) = sim.random_rounds(m, out) {
+    let mut sim = Sim::new(m, order);
+    let witness = {
+        let _span = elf_obs::span!("cec.simulate");
+        sim.random_rounds(m, out)
+    };
+    if let Some(witness) = witness {
         report.result = Equivalence::CounterExample(witness);
         return report;
     }
 
     let mut solver = Solver::new();
     let mut enc = Encoding::new(m, &mut solver);
-    sweep(m, &mut sim, &mut solver, &mut enc, params, &mut report);
+    {
+        let _span = elf_obs::span!("cec.sweep");
+        sweep(m, &mut sim, &mut solver, &mut enc, params, &mut report);
+    }
 
+    let _span = elf_obs::span!("cec.final");
     let out = enc.lit(m, &mut solver, out);
     let final_budget = params
         .conflict_budget
@@ -102,33 +127,39 @@ const SIM_SEED: u64 = 0xE1F_CEC;
 /// candidate-equivalence classes before SAT sweeping.
 const SIM_ROUNDS: usize = 8;
 
-/// One simulation state: accumulated 64-pattern words per node slot.
-struct Sim {
-    /// `words[slot]` holds one word per completed simulation round;
-    /// unreachable slots stay empty.
-    words: Vec<Vec<u64>>,
-    order: Vec<NodeId>,
+/// One simulation state: a table of 64-pattern words per completed round
+/// (see the module docs).
+struct Sim<'a> {
+    /// The miter's topological order: the evaluation order of a round.
+    order: &'a [NodeId],
+    /// Words per table: the miter's slot count.
+    slots: usize,
+    /// `words[round * slots + slot]`; the constant's slot and slots the order
+    /// does not reach hold 0.
+    words: Vec<u64>,
 }
 
-impl Sim {
-    fn new(m: &Aig) -> Sim {
+impl<'a> Sim<'a> {
+    fn new(m: &Aig, order: &'a [NodeId]) -> Sim<'a> {
+        let slots = m.num_slots();
         Sim {
-            words: vec![Vec::new(); m.num_slots()],
-            order: m.topological_order(),
+            order,
+            slots,
+            words: Vec::with_capacity(SIM_ROUNDS * slots),
         }
     }
 
     /// Appends one simulation round driven by the given per-input words.
     fn round(&mut self, m: &Aig, input_words: &[u64]) {
-        self.words[0].push(0);
+        let start = self.words.len();
+        self.words.resize(start + self.slots, 0);
+        let table = &mut self.words[start..];
         for (input, &word) in m.inputs().iter().zip(input_words) {
-            self.words[input.as_usize()].push(word);
+            table[input.as_usize()] = word;
         }
-        for &id in &self.order {
+        for &id in self.order {
             let (f0, f1) = m.fanins(id);
-            let v0 = self.eval_last(f0);
-            let v1 = self.eval_last(f1);
-            self.words[id.as_usize()].push(v0 & v1);
+            table[id.as_usize()] = value(table, f0) & value(table, f1);
         }
     }
 
@@ -143,7 +174,7 @@ impl Sim {
                 *word = splitmix64(&mut rng);
             }
             self.round(m, &input_words);
-            let hits = self.eval_last(out);
+            let hits = value(&self.words[self.words.len() - self.slots..], out);
             if hits != 0 {
                 let column = hits.trailing_zeros();
                 return Some(input_words.iter().map(|w| w >> column & 1 == 1).collect());
@@ -152,41 +183,32 @@ impl Sim {
         None
     }
 
-    /// The newest word of `lit` (complement applied).
-    fn eval_last(&self, lit: Lit) -> u64 {
-        let words = &self.words[lit.node().as_usize()];
-        let w = words[words.len() - 1];
-        if lit.is_complemented() {
-            !w
-        } else {
-            w
-        }
-    }
-
-    /// Whether the node's words are complemented for canonicalization.
+    /// Whether the node's words are complemented in its signature.
     fn phase(&self, id: NodeId) -> bool {
-        self.words[id.as_usize()][0] & 1 == 1
+        self.words[id.as_usize()] & 1 == 1
     }
 
-    /// The node's words with the canonical phase applied.
-    fn canonical(&self, id: NodeId) -> Vec<u64> {
-        let flip = self.phase(id);
-        self.words[id.as_usize()]
-            .iter()
-            .map(|&w| if flip { !w } else { w })
-            .collect()
+    /// The node's signature: its word in every round, with the phase applied.
+    fn signature(&self, id: NodeId) -> impl Iterator<Item = u64> + '_ {
+        let flip = if self.phase(id) { !0 } else { 0 };
+        let words = self.words[id.as_usize()..].iter().step_by(self.slots);
+        words.map(move |&w| w ^ flip)
     }
 
-    /// Re-checks (over every accumulated word, including refinement rounds)
-    /// that `a` and `b` still look equal up to `complemented`.
-    fn still_matches(&self, a: NodeId, b: NodeId, complemented: bool) -> bool {
-        let wa = &self.words[a.as_usize()];
-        let wb = &self.words[b.as_usize()];
-        wa.len() == wb.len()
-            && wa
-                .iter()
-                .zip(wb)
-                .all(|(&x, &y)| x == if complemented { !y } else { y })
+    /// Whether `a` and `b` look equal up to complementation over every
+    /// round, refinement rounds included.
+    fn same_signature(&self, a: NodeId, b: NodeId) -> bool {
+        self.signature(a).eq(self.signature(b))
+    }
+}
+
+/// The word of `lit` in one round's table (complement applied).
+fn value(table: &[u64], lit: Lit) -> u64 {
+    let w = table[lit.node().as_usize()];
+    if lit.is_complemented() {
+        !w
+    } else {
+        w
     }
 }
 
@@ -233,20 +255,39 @@ const PAIR_CONFLICTS: u64 = 2;
 /// candidate classes (signatures with at least two members).
 ///
 /// One pass over the constant and `sim.order` pairs each node with the first
-/// node in topological order that has its canonical signature.  The pairs
-/// come out in the candidate's topological order, so by the time a candidate
-/// is queried every proved equivalence in its fanin cone is already a clause.
+/// node in topological order that has its signature.  The pairs come out in
+/// the candidate's topological order, so by the time a candidate is queried
+/// every proved equivalence in its fanin cone is already a clause.
+/// Representatives sit in an open-addressing table by signature hash, with
+/// linear probing; a hash match counts once the signatures agree word by
+/// word.  The hash is seeded per process, so a circuit read from outside
+/// cannot be built to make its signatures collide.
 fn candidate_pairs(sim: &Sim) -> (Vec<(NodeId, NodeId)>, usize) {
-    // Per signature: its representative, and whether it has a candidate yet.
-    let mut representative: HashMap<Vec<u64>, (NodeId, bool)> = HashMap::new();
+    const EMPTY: u32 = u32::MAX;
+    let state = WordState::default();
+    let mask = (2 * (sim.order.len() + 1)).next_power_of_two() - 1;
+    // Per bucket: the signature's hash, its representative's slot, and
+    // whether it has a candidate yet.
+    let mut buckets = vec![(0u64, EMPTY, false); mask + 1];
     let (mut pairs, mut classes) = (Vec::new(), 0);
     for id in std::iter::once(Lit::FALSE.node()).chain(sim.order.iter().copied()) {
-        let (rep, paired) = representative
-            .entry(sim.canonical(id))
-            .or_insert((id, false));
-        if *rep != id {
-            classes += usize::from(!std::mem::replace(paired, true));
-            pairs.push((*rep, id));
+        let mut hasher = state.build_hasher();
+        sim.signature(id).for_each(|word| hasher.write_u64(word));
+        let hash = hasher.finish();
+        let mut at = hash as usize & mask;
+        loop {
+            let (bucket_hash, rep, paired) = &mut buckets[at];
+            if *rep == EMPTY {
+                (*bucket_hash, *rep) = (hash, id.index());
+                break;
+            }
+            let rep = NodeId::new(*rep);
+            if *bucket_hash == hash && sim.same_signature(rep, id) {
+                classes += usize::from(!std::mem::replace(paired, true));
+                pairs.push((rep, id));
+                break;
+            }
+            at = (at + 1) & mask;
         }
     }
     (pairs, classes)
@@ -306,7 +347,7 @@ fn sweep(
         };
         // Refinement rounds from earlier counterexamples may have split the
         // pair since the classes were formed.
-        if !sim.still_matches(rep, cand, complemented) {
+        if !sim.same_signature(rep, cand) {
             continue;
         }
         let budget = Some(remaining.min(PAIR_CONFLICTS));
@@ -347,7 +388,161 @@ fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
     use elf_aig::miter;
+    use elf_circuits::{script_strategy, scripted_circuit};
+    use elf_opt::{Refactor, Resubstitution, Rewrite};
+    use proptest::prelude::*;
+
+    /// The store the flat tables replaced, kept as their oracle: a `Vec` of
+    /// words per node slot (unreachable slots stay empty), and classes keyed
+    /// by each node's phase-normalised words in a `HashMap`.
+    struct OracleSim {
+        words: Vec<Vec<u64>>,
+        order: Vec<NodeId>,
+    }
+
+    impl OracleSim {
+        fn new(m: &Aig) -> OracleSim {
+            OracleSim {
+                words: vec![Vec::new(); m.num_slots()],
+                order: m.topological_order(),
+            }
+        }
+
+        fn round(&mut self, m: &Aig, input_words: &[u64]) {
+            self.words[0].push(0);
+            for (input, &word) in m.inputs().iter().zip(input_words) {
+                self.words[input.as_usize()].push(word);
+            }
+            for &id in &self.order {
+                let (f0, f1) = m.fanins(id);
+                let v0 = self.eval_last(f0);
+                let v1 = self.eval_last(f1);
+                self.words[id.as_usize()].push(v0 & v1);
+            }
+        }
+
+        fn random_rounds(&mut self, m: &Aig, out: Lit) -> Option<Vec<bool>> {
+            let mut rng = SIM_SEED ^ 0x5EED_CEC5_EED0_CEC5;
+            let mut input_words = vec![0u64; m.num_inputs()];
+            for _ in 0..SIM_ROUNDS {
+                for word in &mut input_words {
+                    *word = splitmix64(&mut rng);
+                }
+                self.round(m, &input_words);
+                let hits = self.eval_last(out);
+                if hits != 0 {
+                    let column = hits.trailing_zeros();
+                    return Some(input_words.iter().map(|w| w >> column & 1 == 1).collect());
+                }
+            }
+            None
+        }
+
+        fn eval_last(&self, lit: Lit) -> u64 {
+            let words = &self.words[lit.node().as_usize()];
+            let w = words[words.len() - 1];
+            if lit.is_complemented() {
+                !w
+            } else {
+                w
+            }
+        }
+
+        fn canonical(&self, id: NodeId) -> Vec<u64> {
+            let flip = self.words[id.as_usize()][0] & 1 == 1;
+            self.words[id.as_usize()]
+                .iter()
+                .map(|&w| if flip { !w } else { w })
+                .collect()
+        }
+
+        fn candidate_pairs(&self) -> (Vec<(NodeId, NodeId)>, usize) {
+            let mut representative: HashMap<Vec<u64>, (NodeId, bool)> = HashMap::new();
+            let (mut pairs, mut classes) = (Vec::new(), 0);
+            for id in std::iter::once(Lit::FALSE.node()).chain(self.order.iter().copied()) {
+                let (rep, paired) = representative
+                    .entry(self.canonical(id))
+                    .or_insert((id, false));
+                if *rep != id {
+                    classes += usize::from(!std::mem::replace(paired, true));
+                    pairs.push((*rep, id));
+                }
+            }
+            (pairs, classes)
+        }
+    }
+
+    /// The flat store and the oracle hold the same words on the constant,
+    /// the inputs and every node of the order, and form the same pairs and
+    /// classes.
+    fn assert_same_store(m: &Aig, sim: &Sim, oracle: &OracleSim) {
+        assert_eq!(sim.order, &oracle.order[..]);
+        let nodes = std::iter::once(Lit::FALSE.node())
+            .chain(m.inputs().iter().copied())
+            .chain(sim.order.iter().copied());
+        for id in nodes {
+            let words: Vec<u64> = sim.words[id.as_usize()..]
+                .iter()
+                .step_by(sim.slots)
+                .copied()
+                .collect();
+            assert_eq!(words, oracle.words[id.as_usize()], "node {id:?}");
+            assert_eq!(sim.signature(id).collect::<Vec<_>>(), oracle.canonical(id));
+        }
+        assert_eq!(candidate_pairs(sim), oracle.candidate_pairs());
+    }
+
+    /// Runs the random rounds and then one refinement round per pattern
+    /// (bit `i` of a pattern is input `i`, as a counterexample feeds it back)
+    /// on both stores, comparing them after each.
+    fn assert_store_matches_oracle(m: &Aig, patterns: &[u32]) {
+        let order = m.topological_order();
+        let mut sim = Sim::new(m, &order);
+        let mut oracle = OracleSim::new(m);
+        let out = m.outputs()[0];
+        assert_eq!(sim.random_rounds(m, out), oracle.random_rounds(m, out));
+        assert_same_store(m, &sim, &oracle);
+        for &pattern in patterns {
+            let input_words: Vec<u64> = (0..m.num_inputs())
+                .map(|i| if pattern >> (i % 32) & 1 == 1 { !0 } else { 0 })
+                .collect();
+            sim.round(m, &input_words);
+            oracle.round(m, &input_words);
+            assert_same_store(m, &sim, &oracle);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn the_flat_store_matches_the_per_node_oracle_on_scripted_miters(
+            inputs in 6usize..=10,
+            script in script_strategy(48),
+            gate in 0usize..48,
+            kind in 1u8..6,
+            patterns in prop::collection::vec(any::<u32>(), 0..4),
+        ) {
+            let original = scripted_circuit(inputs, &script);
+            // Equivalent: the circuit against its `rf; rw; rs` output.
+            let mut optimized = original.clone();
+            Refactor::default().run(&mut optimized);
+            Rewrite::default().run(&mut optimized);
+            Resubstitution.run(&mut optimized);
+            let equivalent = miter(&original, &optimized).expect("same interfaces");
+            assert_store_matches_oracle(&equivalent, &patterns);
+            // Mutated: one gate of the script changes kind.
+            let mut mutated = script.clone();
+            let at = gate % mutated.len();
+            mutated[at].0 = mutated[at].0.wrapping_add(kind);
+            let mutated = scripted_circuit(inputs, &mutated);
+            let mutant = miter(&original, &mutated).expect("same interfaces");
+            assert_store_matches_oracle(&mutant, &patterns);
+        }
+    }
 
     /// A ripple-carry adder over a carry input, each sum `(a ^ b) ^ c`.  Its
     /// lowest `majority` cells take the majority carry `ab | (a | b)c`, the
@@ -392,7 +587,8 @@ mod tests {
         // structure.
         let sweep_twins = |bits: usize| {
             let m = miter(&adder(bits, 0), &adder(bits, 1)).expect("same interfaces");
-            let mut sim = Sim::new(&m);
+            let order = m.topological_order();
+            let mut sim = Sim::new(&m, &order);
             assert_eq!(sim.random_rounds(&m, m.outputs()[0]), None);
             let (pairs, _) = candidate_pairs(&sim);
             let mut solver = Solver::new();
@@ -414,7 +610,7 @@ mod tests {
                 .filter(|p| enc.is_loaded(p.1) && p.0 != Lit::FALSE.node())
                 .count();
 
-            let full = solve_miter(&m, &params);
+            let full = solve_miter(&m, &order, &params);
             assert_eq!(full.result, Equivalence::Proved);
             assert_eq!(full.proved_pairs, report.proved_pairs);
             assert!(
@@ -435,7 +631,8 @@ mod tests {
     #[test]
     fn candidates_come_in_topological_order_after_their_representatives() {
         let m = miter(&adder(6, 0), &adder(6, 6)).expect("same interfaces");
-        let mut sim = Sim::new(&m);
+        let order = m.topological_order();
+        let mut sim = Sim::new(&m, &order);
         assert_eq!(
             sim.random_rounds(&m, m.outputs()[0]),
             None,
@@ -463,7 +660,10 @@ mod tests {
         // member of each group its representative.
         let mut groups: HashMap<Vec<u64>, Vec<NodeId>> = HashMap::new();
         for &id in &nodes {
-            groups.entry(sim.canonical(id)).or_default().push(id);
+            groups
+                .entry(sim.signature(id).collect())
+                .or_default()
+                .push(id);
         }
         let mut expected: Vec<(NodeId, NodeId)> = groups
             .values()

@@ -24,6 +24,12 @@
 //! `elf_nn::train` on the golden training pin's dataset allocates less than
 //! once per mini-batch over the whole run.
 //!
+//! An equivalence check keeps its simulation words in flat tables and forms
+//! its classes without a key per node, and its solver keeps every watch list
+//! in one store: `elf_cec::check_equivalence_with` of an arithmetic circuit
+//! against its optimized form allocates a small number of times per check,
+//! not per miter AND.
+//!
 //! The counts are per thread, and a test function is alone on its thread.
 
 // A global allocator cannot be written without `unsafe impl`; this test
@@ -33,8 +39,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use elf_cec::{check_equivalence_with, CecParams, Equivalence};
+use elf_circuits::arithmetic_circuit;
 use elf_circuits::epfl::{multiplier, Scale};
-use elf_core::{Elf, ElfClassifier, ElfOptions, Parallelism};
+use elf_core::{Elf, ElfClassifier, ElfOptions, Flow, Parallelism};
 use elf_nn::{train, Dataset, Mlp, Normalizer, TrainConfig};
 use elf_opt::{CutCache, CutCacheConfig, PrunableOperator, Refactor, RefactorParams, Rewrite};
 use rand::rngs::StdRng;
@@ -276,5 +284,37 @@ fn training_allocates_less_than_once_per_mini_batch() {
     assert!(
         per_batch < TRAIN_CEILING,
         "{per_batch:.2} allocations per mini-batch: {allocations} over {batches}"
+    );
+}
+
+/// Allocations per miter AND above which an equivalence check is back to
+/// per-node bookkeeping.  Measured on Tiny `log2` against its `rf; rw; rs`
+/// output (4 729 miter ANDs), release and debug builds alike: 0.027 (129,
+/// tables sized once per check and stores grown by doubling).  With a `Vec`
+/// of simulation words per node, grown round by round, a key allocated per
+/// node to form the classes, and a watch list `Vec` per literal, the same
+/// check read 5.58 (26 379).  Anything allocated once per node adds 1.
+const CEC_CEILING: f64 = 0.1;
+
+#[test]
+fn an_equivalence_check_allocates_per_check_not_per_miter_and() {
+    let source = arithmetic_circuit("log2", Scale::Tiny);
+    let mut optimized = source.clone();
+    Flow::from_script("rf; rw; rs")
+        .expect("the script parses")
+        .with_parallelism(Parallelism::sequential())
+        .run(&mut optimized);
+    let params = CecParams {
+        conflict_budget: 3_000,
+    };
+    let before = ALLOCATIONS.with(Cell::get);
+    let report = check_equivalence_with(&source, &optimized, &params);
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+
+    assert_eq!(report.result, Equivalence::Proved);
+    let per_and = allocations as f64 / report.miter_ands as f64;
+    assert!(
+        per_and <= CEC_CEILING,
+        "{per_and:.2} allocations per miter AND: {allocations} over {report:?}"
     );
 }

@@ -237,16 +237,17 @@ echo "static-gate: unsafe code allowed in the counting allocator only"
 # heap of variables and keeps every clause in one literal arena.  A
 # `BinaryHeap` (the lazy order heap: one entry per bump and per unassignment)
 # or a `Vec` per clause in the non-test region of `elf-cec` is the 80 µs
-# conflict coming back.
+# conflict coming back.  Every watch list is a segment of one store: a
+# `Vec<Vec<u32>>` is an allocation per literal coming back.
 containers=$(awk '
     FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
-    /BinaryHeap|Vec<Vec<SatLit>>/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    /BinaryHeap|Vec<Vec<SatLit>>|Vec<Vec<u32>>/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
 ' crates/cec/src/*.rs)
 if [ -n "$containers" ]; then
     echo "$containers"
-    echo "static-gate: BinaryHeap or Vec<Vec<SatLit>> in non-test elf-cec code" >&2
+    echo "static-gate: BinaryHeap, Vec<Vec<SatLit>> or Vec<Vec<u32>> in non-test elf-cec code" >&2
     exit 1
 fi
 echo "static-gate: the CDCL core stays off the heap"
@@ -255,15 +256,18 @@ echo "static-gate: the CDCL core stays off the heap"
 # a `Vec` indexed by slot, and the sweep's pair order falls out of one pass
 # over the topological order.  A `HashMap<NodeId` in the non-test region is
 # the per-node rank map, and the re-sort of the classes it fed, coming back.
+# The simulation words are flat tables, one per round, and the classes hash
+# each signature in place: a `Vec<Vec<u64>>` is a `Vec` of words per node
+# coming back, and a `HashMap<Vec<u64>` an allocated key per node.
 node_maps=$(awk '
     FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
     in_tests || /^[[:space:]]*\/\// { next }
-    /HashMap<NodeId/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+    /HashMap<NodeId|Vec<Vec<u64>>|HashMap<Vec<u64>/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
 ' crates/cec/src/*.rs)
 if [ -n "$node_maps" ]; then
     echo "$node_maps"
-    echo "static-gate: HashMap<NodeId, _> in non-test elf-cec code" >&2
+    echo "static-gate: HashMap<NodeId, _>, Vec<Vec<u64>> or HashMap<Vec<u64>, _> in non-test elf-cec code" >&2
     exit 1
 fi
 echo "static-gate: elf-cec keeps per-node tables by slot"
