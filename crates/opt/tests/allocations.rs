@@ -30,6 +30,10 @@
 //! against its optimized form allocates a small number of times per check,
 //! not per miter AND.
 //!
+//! Resynthesis factors in caller-owned buffers: one warm `FactorScratch` and
+//! `FactoredForm` factor the canonical table of every Tiny-suite cut, whole
+//! or stopped by the watcher, without allocating at all.
+//!
 //! The counts are per thread, and a test function is alone on its thread.
 
 // A global allocator cannot be written without `unsafe impl`; this test
@@ -41,10 +45,14 @@ use std::cell::Cell;
 
 use elf_cec::{check_equivalence_with, CecParams, Equivalence};
 use elf_circuits::arithmetic_circuit;
-use elf_circuits::epfl::{multiplier, Scale};
+use elf_circuits::epfl::{arithmetic_suite, multiplier, Scale};
 use elf_core::{Elf, ElfClassifier, ElfOptions, Flow, Parallelism};
 use elf_nn::{train, Dataset, Mlp, Normalizer, TrainConfig};
-use elf_opt::{CutCache, CutCacheConfig, PrunableOperator, Refactor, RefactorParams, Rewrite};
+use elf_opt::{
+    cut_truth_table, semi_canonicalize, CutCache, CutCacheConfig, PrunableOperator, Refactor,
+    RefactorParams, Rewrite,
+};
+use elf_sop::{factor_truth_table_into, FactorScratch, FactoredForm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -204,6 +212,47 @@ fn a_batched_pruned_pass_amortises_its_window_store() {
         per_node <= BATCHED_CEILING,
         "{per_node:.2} allocations per node: {allocations} over {stats:?}"
     );
+}
+
+/// A scratch and a form that have factored every table once factor them
+/// all again without the allocator — the cube stack is resized within the
+/// capacity the largest cover left it — whether the watcher lets each
+/// factoring finish or stops it at the fourth gate, as a gain count does.
+#[test]
+fn a_warm_scratch_factors_without_allocating() {
+    let params = RefactorParams::default();
+    let mut tables = Vec::new();
+    for (_, aig) in arithmetic_suite(Scale::Tiny) {
+        for node in aig.and_ids().filter(|&node| aig.refs(node) > 0) {
+            let cut = aig.reconvergence_cut(node, &params.cut);
+            if cut.num_leaves() >= params.min_leaves {
+                tables.push(semi_canonicalize(&cut_truth_table(&aig, &cut)).0);
+            }
+        }
+    }
+    assert!(tables.len() > 1000, "{} cuts", tables.len());
+    let (mut scratch, mut form) = (FactorScratch::default(), FactoredForm::default());
+    for table in &tables {
+        factor_truth_table_into(table, &mut scratch, &mut form, |_| true);
+    }
+    for stop in [None, Some(4)] {
+        let before = ALLOCATIONS.with(Cell::get);
+        let mut gates = 0;
+        for table in &tables {
+            factor_truth_table_into(table, &mut scratch, &mut form, |form| {
+                stop.is_none_or(|k| form.num_gates() < k)
+            });
+            gates += form.num_gates();
+        }
+        let allocations = ALLOCATIONS.with(Cell::get) - before;
+        assert!(gates > tables.len(), "{gates} gates");
+        assert_eq!(
+            allocations,
+            0,
+            "{allocations} allocations factoring {} tables, stopped at gate {stop:?}",
+            tables.len()
+        );
+    }
 }
 
 /// Bytes above which parsing a header-only AIGER file allocates by what the

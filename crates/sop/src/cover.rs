@@ -1,9 +1,11 @@
 //! Cubes, sum-of-products covers, and the Minato–Morreale irredundant SOP.
 //!
-//! The recursion runs on `u64` words: in registers up to six variables, on
-//! half-slices above.  Each level passes its children the prefix cube — the
-//! split literals of every level above — so a cube is pushed complete and
-//! never revisited.  At three variables or fewer a bound is one byte
+//! The recursion runs on `u64` words: in registers up to seven variables
+//! (one word, or the two cofactors of variable 6), on half-slices above.
+//! Each level passes its children the prefix cube — the split literals of
+//! every level above — so a cube is pushed complete and never revisited; in
+//! registers, a child whose lower bound is empty is not called at all.  At
+//! three variables or fewer a bound is one byte
 //! repeated, and the interval's cubes and cover are one read of a table of
 //! all 3^8 intervals, which the same recursion fills once per process.
 
@@ -369,14 +371,38 @@ fn isop_word<const TABLE: bool>(
     let (l0, l1) = (cofactor0(lower), cofactor1(lower));
     let (u0, u1) = (cofactor0(upper), cofactor1(upper));
 
-    let prefix0 = prefix.with_literal(var, false);
-    let cover0 = isop_word::<TABLE>(cubes, l0 & !u1, u0, var, prefix0);
-    let prefix1 = prefix.with_literal(var, true);
-    let cover1 = isop_word::<TABLE>(cubes, l1 & !u0, u1, var, prefix1);
+    let bit = 1 << var;
+    let prefix0 = Cube {
+        neg: prefix.neg | bit,
+        ..prefix
+    };
+    let cover0 = isop_child::<TABLE>(cubes, l0 & !u1, u0, var, prefix0);
+    let prefix1 = Cube {
+        pos: prefix.pos | bit,
+        ..prefix
+    };
+    let cover1 = isop_child::<TABLE>(cubes, l1 & !u0, u1, var, prefix1);
     // Remaining minterms can be covered without mentioning `var`.
     let rest = (l0 & !cover0) | (l1 & !cover1);
-    let cover_star = isop_word::<TABLE>(cubes, rest, u0 & u1, var, prefix);
+    let cover_star = isop_child::<TABLE>(cubes, rest, u0 & u1, var, prefix);
     (cover0 & !mask) | (cover1 & mask) | cover_star
+}
+
+/// [`isop_word`] on a child interval, not called at all where its lower
+/// bound is empty.
+#[inline(always)]
+fn isop_child<const TABLE: bool>(
+    cubes: &mut Vec<Cube>,
+    lower: u64,
+    upper: u64,
+    top: usize,
+    prefix: Cube,
+) -> u64 {
+    if lower == 0 {
+        0
+    } else {
+        isop_word::<TABLE>(cubes, lower, upper, top, prefix)
+    }
 }
 
 /// The same recursion for bounds of more than one word (`2^k` words each,
@@ -414,6 +440,13 @@ fn isop_slices(
         cover.fill(isop_word::<true>(cubes, lower[0], upper[0], 6, prefix));
         return;
     }
+    if len == 2 {
+        let pair = isop_pair(cubes, [lower[0], lower[1]], [upper[0], upper[1]], prefix);
+        for chunk in cover.chunks_exact_mut(2) {
+            chunk.copy_from_slice(&pair);
+        }
+        return;
+    }
     let half = len / 2;
     let var = 6 + half.trailing_zeros() as usize;
     let (l0, l1) = lower[..len].split_at(half);
@@ -448,6 +481,25 @@ fn isop_slices(
         cover.copy_within(..len, len);
         len *= 2;
     }
+}
+
+/// [`isop_slices`] at two words (seven variables), in registers: the
+/// cofactors of variable 6 are the two words.
+fn isop_pair(cubes: &mut Vec<Cube>, lower: [u64; 2], upper: [u64; 2], prefix: Cube) -> [u64; 2] {
+    let bit = 1 << 6;
+    let prefix0 = Cube {
+        neg: prefix.neg | bit,
+        ..prefix
+    };
+    let cover0 = isop_child::<true>(cubes, lower[0] & !upper[1], upper[0], 6, prefix0);
+    let prefix1 = Cube {
+        pos: prefix.pos | bit,
+        ..prefix
+    };
+    let cover1 = isop_child::<true>(cubes, lower[1] & !upper[0], upper[1], 6, prefix1);
+    let rest = (lower[0] & !cover0) | (lower[1] & !cover1);
+    let star = isop_child::<true>(cubes, rest, upper[0] & upper[1], 6, prefix);
+    [cover0 | star, cover1 | star]
 }
 
 /// The table-at-a-time Minato–Morreale recursion [`Sop::isop`] used before

@@ -22,6 +22,20 @@
 //! on return; cubes and disjunctions are reduced pairwise, in place, on one
 //! term stack.  A warm scratch factors without touching the allocator.
 //!
+//! # Counting literals
+//!
+//! A cover's 32 literal counts (both phases of 16 variables) are held
+//! bit-sliced: plane `i` is one word holding bit `i` of every literal's
+//! count, and a cover of `n` cubes uses the bit length of `n` planes.
+//! Cubes are added four at a time through carry-save adders, whatever
+//! literals they hold, and the most frequent literal falls out of narrowing
+//! the lanes from the top plane down.  A division writes every cube to both the
+//! quotient and the remainder and advances only the side it belongs to,
+//! noting a tautology quotient as it goes.  Counts are taken only where the
+//! descent goes: a quotient's when the descent recurses into it, a
+//! remainder's once the quotient has returned, so a factoring the watcher
+//! stops early pays for neither.
+//!
 //! # Watching the gates go in
 //!
 //! [`factor_truth_table_into`] shows a watcher each gate as it is appended,
@@ -136,8 +150,12 @@ impl FactoredForm {
     }
 
     /// Appends a gate and returns the term that names it.
+    ///
+    /// The index fits: a factored cover has fewer gates than literals, and a
+    /// cover of distinct cubes over [`crate::MAX_VARS`] variables fewer than
+    /// `16 * 3^16 < 2^30`.
     fn push(&mut self, or: bool, a: Term, b: Term) -> Term {
-        let index = u32::try_from(self.gates.len()).expect("a cover has far fewer literals");
+        let index = self.gates.len() as u32;
         self.gates.push(Gate {
             or,
             operands: [a, b],
@@ -305,49 +323,88 @@ fn factor_cover(
     if cubes.contains(&Cube::TAUTOLOGY) {
         form.root = Term::Const(true);
     } else if !cubes.is_empty() {
-        let counts = count_literals(cubes);
         let end = cubes.len();
         let emit = |or, a, b| {
             let term = form.push(or, a, b);
             watch(form).then_some(term)
         };
-        let root = Factoring { cubes, terms, emit }.cover(0, end, &counts);
+        let root = Factoring { cubes, terms, emit }.cover(0, end);
         form.root = root.unwrap_or(Term::Const(false));
     }
 }
 
-/// Cubes per literal: the positive literal of variable `v` at `v`, the
-/// negative one at `16 + v` (a cube is at most [`crate::MAX_VARS`] wide, and
-/// an irredundant cover of that many variables has at most `2^15` cubes).
-type LiteralCounts = [u16; 32];
-
-fn count_literals(cubes: &[Cube]) -> LiteralCounts {
-    let mut counts = [0; 32];
-    for cube in cubes {
-        let mut rest = cube.pos | cube.neg << 16;
-        while rest != 0 {
-            counts[rest.trailing_zeros() as usize] += 1;
-            rest &= rest - 1;
-        }
-    }
-    counts
+/// A cube's literals as lanes of a word: the positive literal of variable
+/// `v` at bit `v`, the negative one at bit `16 + v` (a cube is at most
+/// [`crate::MAX_VARS`] wide).
+fn lanes(cube: Cube) -> u32 {
+    cube.pos | cube.neg << 16
 }
 
-/// The literal occurring in the most cubes, if any occurs in at least two.
-///
-/// The counts are scanned lowest variable and positive phase first, so ties
-/// go to the earliest literal in that order.
-fn most_frequent_literal(counts: &LiteralCounts) -> Option<(usize, bool)> {
-    let mut best: Option<(usize, bool, u16)> = None; // (var, phase, count)
-    for var in 0..16 {
-        for positive in [true, false] {
-            let count = counts[if positive { var } else { 16 + var }];
-            if count >= 2 && best.is_none_or(|(_, _, c)| count > c) {
-                best = Some((var, positive, count));
+/// Cubes per literal, bit-sliced: plane `i` holds bit `i` of the count of
+/// every lane (see [`lanes`]).  A cover of `n` cubes uses the bit length of
+/// `n` planes, so adding a cube increments every lane at once, the same
+/// work whatever literals it holds.
+struct LiteralCounts {
+    planes: [u32; u32::BITS as usize],
+    len: usize,
+}
+
+impl LiteralCounts {
+    /// The counts of `cubes` (fewer than `2^32` of them).
+    ///
+    /// Four cubes at a time go through carry-save adders into planes 0 and
+    /// 1, and only their carry into plane 2 ripples up.
+    fn of(cubes: &[Cube]) -> Self {
+        let mut planes = [0; u32::BITS as usize];
+        let len = (usize::BITS - cubes.len().leading_zeros()) as usize;
+        // Three words in, their lane-wise sum out: (bit 0, bit 1).
+        let add = |a: u32, b: u32, c: u32| (a ^ b ^ c, (a & b) | ((a ^ b) & c));
+        let ripple = |planes: &mut [u32], mut carry: u32| {
+            for plane in planes {
+                let next = *plane & carry;
+                *plane ^= carry;
+                carry = next;
+            }
+        };
+        let mut quads = cubes.chunks_exact(4);
+        for quad in &mut quads {
+            let [a, b, c, d] = [0, 1, 2, 3].map(|i| lanes(quad[i]));
+            let (ones, twos_ab) = add(planes[0], a, b);
+            let (ones, twos_cd) = add(ones, c, d);
+            let (twos, fours) = add(planes[1], twos_ab, twos_cd);
+            planes[0] = ones;
+            planes[1] = twos;
+            ripple(&mut planes[2..len], fours);
+        }
+        for &cube in quads.remainder() {
+            ripple(&mut planes[..len], lanes(cube));
+        }
+        LiteralCounts { planes, len }
+    }
+
+    /// The literal occurring in the most cubes, if any occurs in at least
+    /// two; among equals the lowest variable, its positive phase first.
+    ///
+    /// The lanes of the highest count are found by narrowing every lane to
+    /// those set in each plane from the top down, where any is.
+    fn most_frequent(&self) -> Option<(usize, bool)> {
+        let planes = &self.planes[..self.len];
+        let [_, high @ ..] = planes else {
+            return None;
+        };
+        if high.iter().all(|&plane| plane == 0) {
+            return None;
+        }
+        let mut best = !0u32;
+        for &plane in planes.iter().rev() {
+            let kept = best & plane;
+            if kept != 0 {
+                best = kept;
             }
         }
+        let var = (best | best >> 16).trailing_zeros() as usize;
+        Some((var, best >> var & 1 == 1))
     }
-    best.map(|(var, positive, _)| (var, positive))
 }
 
 /// One run of [`factor_cover`]: the two stacks, and `emit`, which appends a
@@ -362,13 +419,16 @@ struct Factoring<'a, E: FnMut(bool, Term, Term) -> Option<Term>> {
 
 impl<E: FnMut(bool, Term, Term) -> Option<Term>> Factoring<'_, E> {
     /// Factors the cover `cubes[start..end]` — at least one cube, none the
-    /// tautology — in which each literal occurs `counts` times.  The range is
-    /// consumed: dividing compacts the remainder into its front.
-    fn cover(&mut self, start: usize, end: usize, counts: &LiteralCounts) -> Option<Term> {
+    /// tautology.  The range is consumed: dividing compacts the remainder
+    /// into its front.  A cover's literals are counted only once the descent
+    /// reaches it: the quotient's when the descent recurses into it, the
+    /// remainder's after the quotient returns.
+    fn cover(&mut self, start: usize, end: usize) -> Option<Term> {
         if end - start == 1 {
             return self.cube(self.cubes[start]);
         }
-        let Some((var, positive)) = most_frequent_literal(counts) else {
+        let counts = LiteralCounts::of(&self.cubes[start..end]);
+        let Some((var, positive)) = counts.most_frequent() else {
             // No shared literal: the cover is already a simple OR of cubes.
             let base = self.terms.len();
             for index in start..end {
@@ -377,45 +437,54 @@ impl<E: FnMut(bool, Term, Term) -> Option<Term>> Factoring<'_, E> {
             }
             return self.reduce(base, true);
         };
-        // Divide by the literal: F = lit * Q + R, Q on top of the stack and R
-        // where F was.
         let top = self.cubes.len();
-        let mut remainder_end = start;
-        for index in start..end {
-            let cube = self.cubes[index];
-            if cube.contains(var, positive) {
-                self.cubes.push(cube.without(var, positive));
-            } else {
-                self.cubes[remainder_end] = cube;
-                remainder_end += 1;
-            }
-        }
-        // Q's literals are counted; R's are what is left of F's (none of the
-        // dividing literal, which every cube holding it took into Q).
-        let quotient_counts = count_literals(&self.cubes[top..]);
-        let mut remainder_counts = *counts;
-        for (left, taken) in remainder_counts.iter_mut().zip(&quotient_counts) {
-            *left -= taken;
-        }
-        remainder_counts[if positive { var } else { 16 + var }] = 0;
-
+        let (remainder_end, tautology) = self.divide(start, end, var, positive);
         let lit = Term::Literal {
             var: var as u8,
             negated: !positive,
         };
-        let product = if self.cubes[top..].contains(&Cube::TAUTOLOGY) {
+        let product = if tautology {
             lit
         } else {
-            let quotient = self.cover(top, self.cubes.len(), &quotient_counts)?;
+            let quotient = self.cover(top, self.cubes.len())?;
             (self.emit)(false, lit, quotient)?
         };
         self.cubes.truncate(top);
         if remainder_end == start {
             Some(product)
         } else {
-            let remainder = self.cover(start, remainder_end, &remainder_counts)?;
+            let remainder = self.cover(start, remainder_end)?;
             (self.emit)(true, product, remainder)
         }
+    }
+
+    /// Divides `cubes[start..end]` by a literal: `F = lit * Q + R`, `Q`
+    /// pushed on top of the stack and `R` compacted where `F` was.  Every cube
+    /// is written to both places and only the right end advances, so the
+    /// split has no branch per cube.  Returns where `R` ends and whether `Q`
+    /// holds the tautology (a cube of the literal alone).
+    fn divide(&mut self, start: usize, end: usize, var: usize, positive: bool) -> (usize, bool) {
+        let literal = 1u32 << (var + if positive { 0 } else { 16 });
+        let (keep_pos, keep_neg) = (!(literal & 0xffff), !(literal >> 16));
+        let top = self.cubes.len();
+        self.cubes.resize(top + (end - start), Cube::TAUTOLOGY);
+        let (cover, quotient) = self.cubes.split_at_mut(top);
+        let (mut taken, mut kept, mut tautology) = (0, start, false);
+        for index in start..end {
+            let cube = cover[index];
+            let held = lanes(cube);
+            let holds = held & literal != 0;
+            quotient[taken] = Cube {
+                pos: cube.pos & keep_pos,
+                neg: cube.neg & keep_neg,
+            };
+            cover[kept] = cube;
+            taken += usize::from(holds);
+            kept += usize::from(!holds);
+            tautology |= held == literal;
+        }
+        self.cubes.truncate(top + taken);
+        (kept, tautology)
     }
 
     /// The balanced AND tree of a cube's literals, lowest variable first.
@@ -546,6 +615,77 @@ mod tests {
         assert_eq!(expr.depth(), 2);
     }
 
+    /// The per-literal counts, their scan and the eager subtraction the
+    /// descent used before the counts were bit-sliced and taken lazily, kept
+    /// as the oracle [`LiteralCounts`] is compared against.
+    mod per_literal {
+        use crate::cover::Cube;
+
+        /// Cubes per literal: the positive literal of variable `v` at `v`, the
+        /// negative one at `16 + v`.
+        pub type LiteralCounts = [u16; 32];
+
+        pub fn count_literals(cubes: &[Cube]) -> LiteralCounts {
+            let mut counts = [0; 32];
+            for cube in cubes {
+                let mut rest = cube.pos | cube.neg << 16;
+                while rest != 0 {
+                    counts[rest.trailing_zeros() as usize] += 1;
+                    rest &= rest - 1;
+                }
+            }
+            counts
+        }
+
+        /// The literal occurring in the most cubes, if any occurs in at least
+        /// two.
+        ///
+        /// The counts are scanned lowest variable and positive phase first, so
+        /// ties go to the earliest literal in that order.
+        pub fn most_frequent_literal(counts: &LiteralCounts) -> Option<(usize, bool)> {
+            let mut best: Option<(usize, bool, u16)> = None; // (var, phase, count)
+            for var in 0..16 {
+                for positive in [true, false] {
+                    let count = counts[if positive { var } else { 16 + var }];
+                    if count >= 2 && best.is_none_or(|(_, _, c)| count > c) {
+                        best = Some((var, positive, count));
+                    }
+                }
+            }
+            best.map(|(var, positive, _)| (var, positive))
+        }
+
+        /// The remainder's counts after dividing a cover counted `counts` by
+        /// `(var, positive)` into a quotient counted `quotient`: what is left
+        /// of the cover's, none of the dividing literal (every cube holding
+        /// it went to the quotient).
+        pub fn remainder_counts(
+            counts: &LiteralCounts,
+            quotient: &LiteralCounts,
+            var: usize,
+            positive: bool,
+        ) -> LiteralCounts {
+            let mut remainder = *counts;
+            for (left, taken) in remainder.iter_mut().zip(quotient) {
+                *left -= taken;
+            }
+            remainder[if positive { var } else { 16 + var }] = 0;
+            remainder
+        }
+    }
+
+    /// The bit-sliced counts of `cubes` read lane by lane, as the oracle
+    /// holds them; the planes past the cover's bit length must be empty.
+    fn sliced_counts(cubes: &[Cube]) -> per_literal::LiteralCounts {
+        let counts = LiteralCounts::of(cubes);
+        assert!(counts.planes[counts.len..].iter().all(|&plane| plane == 0));
+        std::array::from_fn(|lane| {
+            let bits = counts.planes.iter().enumerate();
+            bits.map(|(bit, plane)| (plane >> lane & 1) << bit)
+                .sum::<u32>() as u16
+        })
+    }
+
     #[test]
     fn most_frequent_literal_matches_the_per_literal_scan() {
         // The definition: per literal, count the cubes containing it; the
@@ -571,10 +711,12 @@ mod tests {
                 let cubes = Sop::isop(&function).cubes().to_vec();
                 // Every suffix is a cover the recursion may meet.
                 for start in 0..cubes.len() {
-                    assert_eq!(
-                        most_frequent_literal(&count_literals(&cubes[start..])),
-                        scan(&cubes[start..], num_vars)
-                    );
+                    let cover = &cubes[start..];
+                    let oracle = per_literal::count_literals(cover);
+                    assert_eq!(sliced_counts(cover), oracle);
+                    let best = LiteralCounts::of(cover).most_frequent();
+                    assert_eq!(best, scan(cover, num_vars));
+                    assert_eq!(best, per_literal::most_frequent_literal(&oracle));
                 }
             }
         }
@@ -584,10 +726,103 @@ mod tests {
             Cube::literal(0, true).with_literal(2, true),
             Cube::literal(1, false).with_literal(3, true),
         ];
-        assert_eq!(
-            most_frequent_literal(&count_literals(&tie)),
-            Some((0, true))
-        );
+        assert_eq!(LiteralCounts::of(&tie).most_frequent(), Some((0, true)));
+        // Both phases of x15 tie: the positive one wins.
+        let tie = [
+            Cube::literal(15, true),
+            Cube::literal(15, false).with_literal(3, true),
+            Cube::literal(15, true).with_literal(14, false),
+            Cube::literal(15, false),
+        ];
+        assert_eq!(LiteralCounts::of(&tie).most_frequent(), Some((15, true)));
+        assert_eq!(LiteralCounts::of(&[]).most_frequent(), None);
+        assert_eq!(LiteralCounts::of(&tie[..1]).most_frequent(), None);
+    }
+
+    /// Random cube lists over all sixteen variables, built to tie: a list
+    /// of one or two cubes, or of up to 300, alone or followed by its
+    /// mirror image — every cube with its phases swapped (each variable's
+    /// two literals tie), with two variables swapped (their literals tie
+    /// pairwise), or repeated (every count doubles).
+    fn tying_cubes() -> impl proptest::prelude::Strategy<Value = Vec<Cube>> {
+        use proptest::prelude::*;
+        let cube = || {
+            (any::<u16>(), any::<u16>(), any::<u16>(), any::<bool>()).prop_map(
+                |(a, b, c, sparse)| {
+                    let keep = if sparse { b & c } else { !0 };
+                    Cube {
+                        pos: u32::from(a & b & keep),
+                        neg: u32::from(!a & c & keep),
+                    }
+                },
+            )
+        };
+        let len = prop_oneof![1usize..=1, 2usize..=2, 1usize..=300];
+        let list = len.prop_flat_map(move |len| proptest::collection::vec(cube(), len));
+        (list, 0u8..4, 0usize..16, 0usize..16).prop_map(|(mut cubes, mirror, a, b)| {
+            let swap = |mask: u32| {
+                let (bit_a, bit_b) = (mask >> a & 1, mask >> b & 1);
+                mask & !(1 << a | 1 << b) | bit_a << b | bit_b << a
+            };
+            let image = |cube: Cube| match mirror {
+                1 => Cube {
+                    pos: cube.neg,
+                    neg: cube.pos,
+                },
+                2 => Cube {
+                    pos: swap(cube.pos),
+                    neg: swap(cube.neg),
+                },
+                _ => cube,
+            };
+            if mirror != 0 {
+                let images: Vec<Cube> = cubes.iter().map(|&cube| image(cube)).collect();
+                cubes.extend(images);
+            }
+            cubes
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The bit-sliced counts are the per-literal ones lane for lane and
+        /// pick the same literal, ties included; dividing by it splits the
+        /// cover as the per-cube test does, notes a tautology quotient, and
+        /// leaves a remainder whose counts, taken afresh, are the eager
+        /// subtraction's.
+        #[test]
+        fn bit_sliced_counts_match_the_per_literal_oracle(cubes in tying_cubes()) {
+            let oracle = per_literal::count_literals(&cubes);
+            proptest::prop_assert_eq!(sliced_counts(&cubes), oracle);
+            let best = LiteralCounts::of(&cubes).most_frequent();
+            proptest::prop_assert_eq!(best, per_literal::most_frequent_literal(&oracle));
+            let Some((var, positive)) = best else {
+                return;
+            };
+            let (quotient, remainder): (Vec<Cube>, Vec<Cube>) =
+                cubes.iter().partition(|cube| cube.contains(var, positive));
+            let quotient: Vec<Cube> =
+                quotient.iter().map(|cube| cube.without(var, positive)).collect();
+
+            let (mut stack, mut terms) = (cubes.clone(), Vec::new());
+            let mut factoring = Factoring {
+                cubes: &mut stack,
+                terms: &mut terms,
+                emit: |_, _, _| None,
+            };
+            let (remainder_end, tautology) = factoring.divide(0, cubes.len(), var, positive);
+            proptest::prop_assert_eq!(&stack[..remainder_end], &remainder[..]);
+            proptest::prop_assert_eq!(&stack[cubes.len()..], &quotient[..]);
+            proptest::prop_assert_eq!(tautology, quotient.contains(&Cube::TAUTOLOGY));
+            let eager = per_literal::remainder_counts(
+                &oracle,
+                &per_literal::count_literals(&quotient),
+                var,
+                positive,
+            );
+            proptest::prop_assert_eq!(sliced_counts(&remainder), eager);
+        }
     }
 
     #[test]
@@ -876,6 +1111,25 @@ mod tests {
         form
     }
 
+    /// A width of one variable to [`crate::MAX_VARS`], one draw in `one_in`
+    /// twelve variables or more, where lanes 11 to 15 of either phase are
+    /// counted and a uniform table's cover runs to thousands of cubes (10 544
+    /// at sixteen variables, whose check against the boxed oracle takes a
+    /// second in a debug build), the rest narrower.
+    fn width(one_in: u8) -> impl proptest::prelude::Strategy<Value = usize> {
+        let draws = (0..one_in, 1usize..=11, 12usize..=crate::MAX_VARS);
+        proptest::prelude::Strategy::prop_map(
+            draws,
+            |(pick, narrow, wide)| {
+                if pick == 0 {
+                    wide
+                } else {
+                    narrow
+                }
+            },
+        )
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(768))]
 
@@ -885,7 +1139,7 @@ mod tests {
         #[test]
         fn flat_factoring_matches_the_boxed_oracle(
             functions in proptest::collection::vec(
-                proptest::prelude::Strategy::prop_flat_map(1usize..=11, arbitrary_function),
+                proptest::prelude::Strategy::prop_flat_map(width(64), arbitrary_function),
                 1..4,
             )
         ) {
@@ -909,7 +1163,7 @@ mod tests {
         #[test]
         fn a_stopped_factoring_is_a_prefix_and_leaves_the_scratch_clean(
             functions in proptest::collection::vec(
-                proptest::prelude::Strategy::prop_flat_map(1usize..=11, arbitrary_function),
+                proptest::prelude::Strategy::prop_flat_map(width(4), arbitrary_function),
                 2..5,
             ),
             stops in proptest::collection::vec(proptest::prelude::any::<usize>(), 5),

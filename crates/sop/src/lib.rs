@@ -11,7 +11,9 @@
 //!    and reads every interval over the three lowest variables from one
 //!    table filled once per process.
 //! 3. The cover is algebraically [factored](factor) into a [`FactoredForm`],
-//!    whose binary gate count is the size of the resynthesized cut.  The form
+//!    whose binary gate count is the size of the resynthesized cut, by
+//!    dividing by its most frequent literal, the literal counts held
+//!    bit-sliced and taken only where the descent goes.  The form
 //!    is one flat arena of [`Gate`]s over [`Term`]s; the `_into` variants
 //!    ([`Sop::isop_into`], [`factor_truth_table_into`]) work in a caller's
 //!    buffers and allocate nothing once they are warm.

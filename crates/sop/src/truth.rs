@@ -385,8 +385,10 @@ impl TruthTable {
     /// Panics if `perm` is not a permutation of `0..num_vars`.
     pub fn permute_vars_in_place(&mut self, perm: &[usize]) {
         assert_eq!(perm.len(), self.num_vars, "permutation length mismatch");
-        // at[p] = the original variable currently sitting at position p.
+        // at[p] = the original variable currently sitting at position p, and
+        // position_of[v] = where the original variable v currently sits.
         let mut at = [usize::MAX; MAX_VARS];
+        let mut position_of = [usize::MAX; MAX_VARS];
         let mut wanted = [usize::MAX; MAX_VARS];
         for (v, &p) in perm.iter().enumerate() {
             assert!(
@@ -395,13 +397,16 @@ impl TruthTable {
             );
             wanted[p] = v;
             at[v] = v;
+            position_of[v] = v;
         }
         for (position, &variable) in wanted[..self.num_vars].iter().enumerate() {
-            let current = (position..self.num_vars)
-                .find(|&q| at[q] == variable)
-                .expect("positions below hold other variables");
+            let current = position_of[variable];
             self.swap_vars(position, current);
-            at.swap(position, current);
+            let displaced = at[position];
+            at[current] = displaced;
+            position_of[displaced] = current;
+            at[position] = variable;
+            position_of[variable] = position;
         }
     }
 

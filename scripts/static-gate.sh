@@ -7,7 +7,8 @@
 # untrusted AIGER files, whose every defect must come back as an error.
 # `elf-opt` is gated as well: every served job runs its operators, and so is
 # `elf-nn`: every served job runs `Mlp::predict`, and `model_from_text` parses
-# model files from outside.
+# model files from outside, and so is `elf-sop`: every served job factors
+# through it.
 #
 # Test code (everything from the first `#[cfg(test)]` line onward) and doc
 # comments (whose examples run as doctests) are exempt: panicking asserts
@@ -16,7 +17,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-GATED_DIRS=(crates/serve/src crates/cec/src crates/obs/src crates/core/src crates/aig/src crates/opt/src crates/nn/src)
+GATED_DIRS=(crates/serve/src crates/cec/src crates/obs/src crates/core/src crates/aig/src crates/opt/src crates/nn/src crates/sop/src)
 
 status=0
 for dir in "${GATED_DIRS[@]}"; do
@@ -422,6 +423,24 @@ if [ -n "$after" ]; then
     exit 1
 fi
 echo "static-gate: ISOP pushes every cube whole"
+
+# Literal counts held bit-sliced: quick factoring counts a cover's literals
+# as 32 lanes of one word per bit of the count, adding cubes without a loop
+# over their literals, and finds the most frequent literal by narrowing
+# lanes plane by plane.  A per-literal `[u16; 32]` count or a `for var in 0..16`
+# scan in non-test `factor.rs` is counting one literal at a time coming back
+# (it survives only as the `#[cfg(test)]` oracle).
+sliced=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }
+    /\[u16; 32\]|for var in 0\.\.16/ { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+' crates/sop/src/factor.rs)
+if [ -n "$sliced" ]; then
+    echo "$sliced"
+    echo "static-gate: a per-literal [u16; 32] count or a for var in 0..16 scan in non-test crates/sop/src/factor.rs" >&2
+    exit 1
+fi
+echo "static-gate: quick factoring counts literals bit-sliced"
 
 # Cut sets kept across roots: rewrite's window stores the cut sets of its
 # complete nodes (the prefix of the window whose whole fanin cone it holds)
